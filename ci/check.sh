@@ -7,8 +7,8 @@
 #   QUICK=1 ./ci/check.sh  # smaller model-check sweep for fast iteration
 #
 # Knobs:
-#   SKIP_PERF=1     skip the loadgen campaigns + perf-trend gate
-#                   (e.g. on loaded machines)
+#   SKIP_PERF=1     skip the loadgen campaigns, the benchmark self-check
+#                   and the perf-trend gate (e.g. on loaded machines)
 #   ARTIFACT_DIR=d  keep artifacts (chrome trace, BENCH_3.json,
 #                   BENCH_4.json, BENCH_7.json, BENCH_8.json,
 #                   BENCH_9.json, lint-findings.txt) under d
@@ -155,13 +155,25 @@ if [[ "${SKIP_PERF:-0}" == "1" ]]; then
   echo "skipped (SKIP_PERF=1)"
 else
   # The same storm over a UNIX socket and TCP loopback back to back; the
-  # artifact's transport_tcp_vs_unix_ratio keeps the TCP backend honest
-  # relative to the UNIX path (gated by the perf-trend step below).
+  # perf-trend step below holds each leg to a floor of its own, which
+  # keeps the TCP backend honest (the artifact's tcp/unix ratio is
+  # information: it depends on which leg a bursting host favours).
   # Always standard scale, even under QUICK=1: the smoke storm is too
-  # short to amortize TCP connection setup and the ratio collapses into
-  # noise, while the full campaign costs only a couple of seconds.
+  # short to amortize TCP connection setup, while the full campaign
+  # costs only a couple of seconds.
   cargo run --offline -q --release -p convgpu-bench --bin loadgen -- \
     --transport-compare --out="$ARTIFACT_DIR/BENCH_9.json"
+fi
+
+step "benchmark self-check (benchmark/run.sh --check)"
+if [[ "${SKIP_PERF:-0}" == "1" ]]; then
+  echo "skipped (SKIP_PERF=1)"
+else
+  # The repo's benchmark (BENCHMARK.json) is a package of its own outside
+  # the workspace, so nothing above builds it: this builds it and runs
+  # its tests (every workload at toy size with its correctness checks,
+  # the span nesting, the manifest against metrics.rs; < 15 s).
+  bash benchmark/run.sh --check
 fi
 
 step "perf trend (all campaigns vs ci/perf_baseline.json)"

@@ -22,7 +22,7 @@
 //! `BENCH_8.json` schema with steady/recovery latency percentiles; or,
 //! with `--transport-compare`, the same storm over a UNIX socket and a
 //! TCP loopback socket back to back, writing the `BENCH_9.json` schema
-//! whose `transport_tcp_vs_unix_ratio` the perf-trend step gates),
+//! whose per-leg `transport_*_decisions_per_sec` the perf-trend step gates),
 //! prints a summary table, writes the machine-readable report to
 //! `--out`, and — when `--baseline` is given — exits non-zero if the
 //! aggregate throughput regressed more than the allowed envelope
@@ -58,8 +58,8 @@ fn usage() -> ExitCode {
 }
 
 /// Report one transport-compare campaign (UNIX vs TCP loopback).
-/// Artifact-only here; the ratio is gated by the unified perf-trend
-/// step against its `transport_tcp_vs_unix_ratio` baseline.
+/// Artifact-only here; each leg's throughput is gated by the unified
+/// perf-trend step against its `transport_*_decisions_per_sec` baseline.
 fn run_transport_campaign(cfg: &TransportCompareConfig, out: Option<PathBuf>) -> ExitCode {
     println!(
         "loadgen (transport): {} containers x {} workers, {} rounds, policy {}, codec {}, \

@@ -659,7 +659,12 @@ fn read_frame_body<T: FromBinary, R: Read>(r: &mut R) -> io::Result<T> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let mut reader = BinReader::new(&payload);
+    decode_payload(&payload)
+}
+
+/// Decode one complete frame payload (`MAGIC` and length already stripped).
+fn decode_payload<T: FromBinary>(payload: &[u8]) -> io::Result<T> {
+    let mut reader = BinReader::new(payload);
     let value = T::decode(&mut reader).map_err(invalid)?;
     if !reader.is_empty() {
         return Err(invalid("trailing bytes after payload"));
@@ -708,6 +713,43 @@ where
             read_frame_body(r).map(|v| Some((v, WireCodec::Binary)))
         }
         other => Err(invalid(format!("unrecognized frame start 0x{other:02x}"))),
+    }
+}
+
+/// [`read_auto`] for a reader that accumulates bytes itself (one whose
+/// timed reads may expire mid-frame): decode the frame at the head of
+/// `buf` if all of it has arrived, and say how many bytes it took.
+/// `Ok(None)` means "not complete yet"; the size limits and `InvalidData`
+/// cases are those of [`read_auto`], raised as soon as the bytes at hand
+/// show them.
+pub(crate) fn take_auto<T>(buf: &[u8]) -> io::Result<Option<(T, usize)>>
+where
+    T: FromJson + FromBinary,
+{
+    match buf.first() {
+        None => Ok(None),
+        Some(b'{') => {
+            let newline = buf.iter().position(|&b| b == b'\n');
+            if newline.unwrap_or(buf.len()) > MAX_LINE_BYTES {
+                return Err(invalid("protocol line exceeds MAX_LINE_BYTES"));
+            }
+            newline
+                .map(|pos| Ok((crate::codec::decode_line(&buf[..pos])?, pos + 1)))
+                .transpose()
+        }
+        Some(&MAGIC) => {
+            let Some(len_bytes) = buf.get(1..5) else {
+                return Ok(None);
+            };
+            let len = u32::from_le_bytes(len_bytes.try_into().expect("slice of four")) as usize;
+            if len > MAX_FRAME_BYTES {
+                return Err(invalid("frame exceeds MAX_FRAME_BYTES"));
+            }
+            buf.get(5..5 + len)
+                .map(|payload| Ok((decode_payload(payload)?, 5 + len)))
+                .transpose()
+        }
+        Some(other) => Err(invalid(format!("unrecognized frame start 0x{other:02x}"))),
     }
 }
 
@@ -1012,6 +1054,44 @@ mod tests {
         assert_eq!((z, cz), (b, WireCodec::Json));
         let eof: Option<(Envelope<Request>, _)> = read_auto(&mut r).unwrap();
         assert!(eof.is_none());
+    }
+
+    #[test]
+    fn take_auto_waits_for_whole_frames_and_reports_their_length() {
+        let a = Envelope {
+            id: 1,
+            body: Request::Ping,
+        };
+        let b = Envelope {
+            id: 2,
+            body: Request::QueryHome {
+                container: ContainerId(7),
+            },
+        };
+        let first = encode_with(&a, WireCodec::Json);
+        let second = encode_with(&b, WireCodec::Binary);
+        let stream = [first.clone(), second.clone(), first.clone()].concat();
+        // Every proper prefix of a frame is "not yet", never an error.
+        for cut in 0..first.len() {
+            assert!(take_auto::<Envelope<Request>>(&stream[..cut])
+                .unwrap()
+                .is_none());
+        }
+        for cut in 0..second.len() {
+            assert!(take_auto::<Envelope<Request>>(&second[..cut])
+                .unwrap()
+                .is_none());
+        }
+        // Whole frames come off the head one at a time, whatever follows.
+        let (x, used) = take_auto::<Envelope<Request>>(&stream).unwrap().unwrap();
+        assert_eq!((x, used), (a.clone(), first.len()));
+        let rest = &stream[used..];
+        let (y, used) = take_auto::<Envelope<Request>>(rest).unwrap().unwrap();
+        assert_eq!((y, used), (b, second.len()));
+        let (z, used) = take_auto::<Envelope<Request>>(&rest[used..])
+            .unwrap()
+            .unwrap();
+        assert_eq!((z, used), (a, first.len()));
     }
 
     #[test]

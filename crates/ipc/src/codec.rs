@@ -58,13 +58,16 @@ pub fn read_json<T: FromJson, R: BufRead>(r: &mut R) -> io::Result<Option<T>> {
             "protocol line exceeds MAX_LINE_BYTES",
         ));
     }
-    let text = std::str::from_utf8(&line)
+    decode_line(&line).map(Some)
+}
+
+/// Decode one complete JSON line (its `\n` already stripped).
+pub(crate) fn decode_line<T: FromJson>(line: &[u8]) -> io::Result<T> {
+    let text = std::str::from_utf8(line)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let value =
         json::parse(text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    T::from_json(&value)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    T::from_json(&value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 #[cfg(test)]

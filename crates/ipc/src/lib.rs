@@ -23,7 +23,9 @@
 //!   call, exactly as `read(2)` on the socket blocks in the original.
 //! * [`client`] — [`client::SchedulerClient`]: the wrapper side of the
 //!   socket, with request correlation so several processes in one
-//!   container can share the socket.
+//!   container can share the socket. It owns no thread: the caller that
+//!   waits for a reply reads the socket itself, and hands replies meant
+//!   for other callers to them.
 //! * [`server`] — [`server::SocketServer`]: accept loop + per-connection
 //!   reader threads + deferred [`server::Reply`] handles, which is what
 //!   lets the scheduler park a reply and release the thread.

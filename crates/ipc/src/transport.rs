@@ -194,7 +194,9 @@ impl Conn {
         Ok(())
     }
 
-    /// A second handle onto the same OS stream (for a reader thread).
+    /// A second handle onto the same OS stream, so that one side can read
+    /// while another writes (the server's connection thread and its
+    /// [`crate::Reply`] handles; the client's read role and its writers).
     /// Socket options are fd-level and therefore shared with the clone.
     pub fn try_clone(&self) -> io::Result<Conn> {
         match self {

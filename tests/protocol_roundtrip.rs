@@ -311,12 +311,35 @@ fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
 }
 
-/// The client spawns one reader thread per connection. Interleaving
-/// `QueryMetrics` round trips with abrupt disconnects must neither drop
-/// a response silently (every issued request gets its answer) nor leak
-/// reader threads once the clients are gone.
+/// A client owns no thread: the caller that waits for a reply reads the
+/// socket itself. Interleaving `QueryMetrics` round trips with abrupt
+/// disconnects must neither drop a response silently (every issued
+/// request gets its answer) nor leave a server connection thread behind
+/// once the clients are gone.
 #[test]
 fn query_metrics_interleaved_with_disconnects_leaks_nothing() {
+    // Exact thread accounting needs the process to itself, and libtest
+    // runs this binary's other tests on parallel threads: the test
+    // re-runs itself alone in a child process.
+    const ALONE: &str = "CONVGPU_TEST_ALONE";
+    if std::env::var_os(ALONE).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "query_metrics_interleaved_with_disconnects_leaks_nothing",
+                "--exact",
+                "--test-threads=1",
+            ])
+            .env(ALONE, "1")
+            .output()
+            .unwrap();
+        assert!(
+            child.status.success(),
+            "{}{}",
+            String::from_utf8_lossy(&child.stdout),
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
     let (server, svc) = live_service("obs-shutdown", 5120);
     let endpoint = server.endpoint().clone();
     let baseline = thread_count();
@@ -339,24 +362,21 @@ fn query_metrics_interleaved_with_disconnects_leaks_nothing() {
         client.container_close(container).unwrap();
         clients.push(client);
     }
-    // All 8 reader threads are alive while their clients are.
-    assert!(
-        thread_count() >= baseline + 8,
-        "expected one reader thread per client"
+    // Every client has had an answer, so its connection thread exists on
+    // the server side; the clients themselves added none.
+    assert_eq!(
+        thread_count(),
+        baseline + 8,
+        "8 live clients must cost the server's 8 connection threads and nothing else"
     );
     drop(clients);
 
-    // Phase 2: the reader threads must exit once the connections close.
+    // Phase 2: the connection threads must exit once the clients close.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        // Tolerate unrelated churn from concurrently running tests in
-        // this binary; a leak would keep the count at baseline + 8.
-        if thread_count() <= baseline + 4 {
-            break;
-        }
+    while thread_count() != baseline {
         assert!(
             std::time::Instant::now() < deadline,
-            "reader threads leaked: {} now vs {baseline} baseline",
+            "threads leaked: {} now vs {baseline} baseline",
             thread_count()
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
