@@ -53,7 +53,7 @@ use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::time::{SimDuration, SimTime};
 use convgpu_sim_core::units::Bytes;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -275,6 +275,19 @@ fn bind_server(
     )
 }
 
+/// A campaign run's own temp directory (the caller removes it on the
+/// way out). The process-wide counter keeps two runs of one label apart
+/// when libtest runs them on parallel threads: they bind socket paths
+/// under it. Kept short: a UNIX socket path holds about 100 bytes.
+fn run_dir(label: &str) -> PathBuf {
+    static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "convgpu-lg-{}-{}-{label}",
+        std::process::id(),
+        NEXT_RUN.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// Run one policy's campaign.
 ///
 /// # Panics
@@ -285,11 +298,7 @@ pub fn run_policy(cfg: &LoadgenConfig, policy: PolicyKind) -> PolicyRun {
     check_config(cfg);
 
     let vclock = VirtualClock::new();
-    let dir = std::env::temp_dir().join(format!(
-        "convgpu-loadgen-{}-{}",
-        std::process::id(),
-        policy.label()
-    ));
+    let dir = run_dir(policy.label());
     std::fs::create_dir_all(&dir).expect("create loadgen dir");
     let service = Arc::new(SchedulerService::new(
         Scheduler::new(sched_config(cfg), policy.build(0xC0DE)),
@@ -855,11 +864,7 @@ pub fn run_sharded_placement(cfg: &ShardedConfig, placement: PlacementPolicy) ->
     assert!(cfg.devices > 0, "need at least one device");
 
     let vclock = VirtualClock::new();
-    let dir = std::env::temp_dir().join(format!(
-        "convgpu-loadgen-sharded-{}-{}",
-        std::process::id(),
-        placement.label()
-    ));
+    let dir = run_dir(placement.label());
     std::fs::create_dir_all(&dir).expect("create loadgen dir");
     let capacities = vec![cfg.base.capacity; cfg.devices as usize];
     let backend = TopologyBackend::MultiGpu(MultiGpuScheduler::with_config(
@@ -1236,11 +1241,7 @@ pub fn run_cluster_strategy(cfg: &ClusterLoadConfig, strategy: SwarmStrategy) ->
     );
 
     let vclock = VirtualClock::new();
-    let dir = std::env::temp_dir().join(format!(
-        "convgpu-loadgen-cluster-{}-{}",
-        std::process::id(),
-        strategy.label()
-    ));
+    let dir = run_dir(strategy.label());
     let capacities = vec![cfg.base.capacity; cfg.devices_per_node as usize];
     let mut node_servers = Vec::with_capacity(cfg.nodes as usize);
     let mut sockets = Vec::with_capacity(cfg.nodes as usize);
@@ -1675,8 +1676,7 @@ pub fn run_migration(cfg: &MigrationLoadConfig) -> MigrationReport {
     );
 
     let vclock = VirtualClock::new();
-    let dir =
-        std::env::temp_dir().join(format!("convgpu-loadgen-migration-{}", std::process::id()));
+    let dir = run_dir("migration");
     let capacities = vec![cfg.base.capacity; cfg.devices_per_node as usize];
     let mut survivors = Vec::new();
     let mut victim = None;

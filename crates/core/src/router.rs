@@ -33,6 +33,16 @@
 //! suspended allocation blocking arbitrarily long *is* the paper's
 //! mechanism. It unblocks through disconnect detection instead.
 //!
+//! **Threads.** The router owns none for its calls (a journaled one has
+//! its idle flusher): a call runs on its caller's thread, and the
+//! per-node clients are read by whichever caller waits. Served on a
+//! socket ([`ClusterRouter::serve_on`], [`RouterHandler`]), a request
+//! runs on its connection's thread — except `alloc_request`, which is
+//! handed to a forwarder thread so that a suspension never stalls the
+//! connection's other traffic. Forwarders are reused: one exists per
+//! *concurrently blocked* forward, none is created per request, and a
+//! forward never queues behind another.
+//!
 //! **Live migration** (this PR's layer): when a node transitions to
 //! `down` — or an operator issues `cluster rebalance` — the router
 //! *drains* that node: every container homed there is closed on the
@@ -83,8 +93,9 @@
 //!
 //! Everything is observable through the router's [`ObsHub`]: per-node
 //! route latency histograms and retry / timeout / failover counters (see
-//! `docs/OBSERVABILITY.md`), answered over the wire via `query_metrics`
-//! and `query_cluster`.
+//! `docs/OBSERVABILITY.md`), plus the served router's forwarder-thread
+//! creations, answered over the wire via `query_metrics` and
+//! `query_cluster`.
 
 use crate::handler::ServiceHandler;
 use crate::journal::{Journal, JournalConfig, JournalOp, RecoveredHome, WalBuffer};
@@ -109,7 +120,8 @@ use convgpu_sim_core::units::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SendError, SyncSender};
+use std::sync::{Arc, Weak};
 
 /// One node of a distributed cluster: a full scheduler service plus its
 /// socket server, under the node's name. The router connects to
@@ -1744,18 +1756,136 @@ impl SchedulerEndpoint for ClusterRouter {
     }
 }
 
-/// Wire adapter serving a [`ClusterRouter`] on a socket. Allocation
-/// requests are forwarded from their own thread so a suspension on one
-/// node never blocks the connection's reader loop (the per-connection
-/// analog of the service parking a [`Reply`]).
+/// A forward handed to a forwarder thread: everything it needs (the
+/// router, the request, the [`Reply`]) lives inside the closure and is
+/// dropped when it returns.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// What travels over a forwarder's hand-off channel: the job, and the
+/// channel's own sender. The forwarder puts `back` on the idle list when
+/// the job is done and keeps no sender while parked — so dropping the
+/// list is what wakes it (`recv` fails once the last sender is gone).
+struct HandOff {
+    job: Job,
+    back: SyncSender<HandOff>,
+}
+
+/// The hand-off senders of the forwarders parked at this instant.
+type IdleList = Mutex<Vec<SyncSender<HandOff>>>;
+
+/// Idle forwarders kept for reuse. Steady traffic needs one per front
+/// connection with a forward in flight; what a suspension storm created
+/// beyond this exits instead of parking.
+const MAX_IDLE_FORWARDERS: usize = 8;
+
+/// The threads a [`RouterHandler`] forwards `alloc_request`s on.
+///
+/// A forward may block for as long as a node suspends the container, so
+/// it never queues behind another one: a job goes to a forwarder that is
+/// parked *right now* — listed idle, which a forwarder does only after
+/// its previous job returned, and unlisted under the list's lock by
+/// whoever takes it — and when none is, to a new thread. Live forwarders
+/// therefore equal the peak number of concurrently blocked forwards.
+/// After its job a forwarder lists itself (most recent last, taken
+/// first: the warm one is reused) and parks, unless
+/// [`MAX_IDLE_FORWARDERS`] are parked already, in which case it exits.
+///
+/// Forwarders hold only a [`Weak`] to the list, so they keep nothing
+/// alive: dropping `Forwarders` (with its handler) drops the listed
+/// senders, which wakes and ends every parked forwarder; a busy one
+/// finds the list gone when its job returns, and exits.
+struct Forwarders {
+    idle: Arc<IdleList>,
+    /// Threads created so far; names them `convgpu-router-fwd-N`.
+    spawned: AtomicU64,
+}
+
+impl Forwarders {
+    fn new() -> Self {
+        Forwarders {
+            idle: Arc::new(Mutex::new(Vec::new())),
+            spawned: AtomicU64::new(0),
+        }
+    }
+
+    /// Run `job` on a forwarder thread without waiting for it. Returns
+    /// whether a thread had to be created for it.
+    fn run(&self, mut job: Job) -> bool {
+        loop {
+            // Unlist under the lock, hand over outside it.
+            let Some(tx) = self.idle.lock().pop() else {
+                break;
+            };
+            let back = tx.clone();
+            match tx.send(HandOff { job, back }) {
+                Ok(()) => return false,
+                // That forwarder is gone (it died parked): the job comes
+                // back and goes to the next one, or to a new thread.
+                Err(SendError(returned)) => job = returned.job,
+            }
+        }
+        let n = self.spawned.fetch_add(1, Ordering::Relaxed) + 1;
+        let idle = Arc::downgrade(&self.idle);
+        // Detached: nobody can join a thread that may sit in a node's
+        // suspension queue; it ends by itself once the list is gone.
+        std::thread::Builder::new()
+            .name(format!("convgpu-router-fwd-{n}"))
+            .spawn(move || forwarder_loop(&idle, job))
+            .expect("spawn router forwarder thread");
+        true
+    }
+}
+
+/// Body of a forwarder thread: run the job it was created for, then
+/// whatever is handed to it while it is parked on the idle list.
+fn forwarder_loop(idle: &Weak<IdleList>, first: Job) {
+    // One slot: a listed forwarder is handed at most one job before it
+    // is unlisted, so `send` never blocks the connection thread.
+    let (tx, rx) = sync_channel(1);
+    let mut next = Some(HandOff {
+        job: first,
+        back: tx,
+    });
+    while let Some(HandOff { job, back }) = next {
+        job();
+        match idle.upgrade() {
+            Some(list) => {
+                let mut parked = list.lock();
+                if parked.len() >= MAX_IDLE_FORWARDERS {
+                    return;
+                }
+                parked.push(back);
+            }
+            None => return,
+        }
+        // Parked holding neither the list nor a sender: when the list
+        // goes, so does the last sender, and `recv` fails.
+        next = rx.recv().ok();
+    }
+}
+
+/// Wire adapter serving a [`ClusterRouter`] on a socket.
+///
+/// Threads: every request runs on its connection's reader thread, except
+/// `alloc_request`, which may block for as long as a node suspends the
+/// container. That one is handed to a forwarder thread ([`Forwarders`]:
+/// one per concurrently blocked forward, reused while idle, never
+/// queued), so a suspension on one node never blocks the connection's
+/// reader loop (the per-connection analog of the service parking a
+/// [`Reply`]). Idle forwarders end when the handler is dropped — the
+/// serving [`SocketServer`] shut down and its last connection gone.
 pub struct RouterHandler {
     router: Arc<ClusterRouter>,
+    forwarders: Forwarders,
 }
 
 impl RouterHandler {
     /// Wrap `router`.
     pub fn new(router: Arc<ClusterRouter>) -> Self {
-        RouterHandler { router }
+        RouterHandler {
+            router,
+            forwarders: Forwarders::new(),
+        }
     }
 }
 
@@ -1792,13 +1922,19 @@ impl RequestHandler for RouterHandler {
                 // May block for as long as the node suspends — run it off
                 // the reader thread.
                 let router = Arc::clone(&self.router);
-                std::thread::spawn(move || {
+                let spawned = self.forwarders.run(Box::new(move || {
                     reply_result(
                         reply,
                         router.alloc_request(container, pid, size, api),
                         |decision| Response::Alloc { decision },
                     );
-                });
+                }));
+                if spawned {
+                    self.router
+                        .obs
+                        .registry
+                        .inc("convgpu_router_forwarder_spawns_total", &[], 1);
+                }
             }
             Request::AllocDone {
                 container,
@@ -2654,5 +2790,170 @@ mod tests {
         assert!(text.contains("convgpu_router_placement_total"), "{text}");
         assert!(text.contains("convgpu_router_route_seconds"), "{text}");
         n0.shutdown();
+    }
+
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::{Duration, Instant};
+
+    /// Poll `cond` (forwarders list themselves and exit on their own
+    /// time) for up to five seconds.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "never happened: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A job that reports `tag` when it has run.
+    fn reporting(done: &Sender<u32>, tag: u32) -> Job {
+        let done = done.clone();
+        Box::new(move || done.send(tag).unwrap())
+    }
+
+    /// A job that blocks until its gate is opened (a suspended forward),
+    /// then reports `tag`.
+    fn gated(done: &Sender<u32>, tag: u32) -> (Job, Sender<()>) {
+        let (open, gate) = channel::<()>();
+        let done = done.clone();
+        let job: Job = Box::new(move || {
+            let _ = gate.recv();
+            done.send(tag).unwrap();
+        });
+        (job, open)
+    }
+
+    fn next(done: &Receiver<u32>) -> u32 {
+        done.recv_timeout(Duration::from_secs(5))
+            .expect("the job never ran")
+    }
+
+    /// Live forwarder threads: each holds one `Weak` to the idle list.
+    fn live(fw: &Forwarders) -> usize {
+        Arc::weak_count(&fw.idle)
+    }
+
+    #[test]
+    fn sequential_jobs_reuse_one_forwarder() {
+        let fw = Forwarders::new();
+        let (done, ran) = channel();
+        for i in 0..200 {
+            let created = fw.run(reporting(&done, i));
+            assert_eq!(created, i == 0, "job {i}");
+            assert_eq!(next(&ran), i);
+            eventually("the forwarder parks again", || fw.idle.lock().len() == 1);
+        }
+        assert_eq!(fw.spawned.load(Ordering::Relaxed), 1);
+        assert_eq!(live(&fw), 1);
+    }
+
+    #[test]
+    fn a_forward_never_queues_behind_a_blocked_one() {
+        let fw = Forwarders::new();
+        let (done, ran) = channel();
+        let (blocked, open) = gated(&done, 1);
+        assert!(fw.run(blocked));
+        // The only forwarder is busy (not listed): the next job gets its
+        // own thread and finishes while the first is still blocked.
+        assert!(fw.run(reporting(&done, 2)));
+        assert_eq!(next(&ran), 2);
+        eventually("the second forwarder parks", || fw.idle.lock().len() == 1);
+        // ... which is the one reused now, the first still being busy.
+        assert!(!fw.run(reporting(&done, 3)));
+        assert_eq!(next(&ran), 3);
+        open.send(()).unwrap();
+        assert_eq!(next(&ran), 1);
+        eventually("both park", || fw.idle.lock().len() == 2);
+        assert_eq!(fw.spawned.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn idle_forwarders_are_capped() {
+        let fw = Forwarders::new();
+        let (done, ran) = channel();
+        let storm = MAX_IDLE_FORWARDERS + 4;
+        let gates: Vec<_> = (0..storm)
+            .map(|i| {
+                let (job, open) = gated(&done, i as u32);
+                assert!(fw.run(job), "all earlier ones are blocked: a new thread");
+                open
+            })
+            .collect();
+        assert_eq!(live(&fw), storm);
+        for open in gates {
+            open.send(()).unwrap();
+        }
+        for _ in 0..storm {
+            next(&ran);
+        }
+        eventually("the surplus exits, the rest park", || {
+            live(&fw) == MAX_IDLE_FORWARDERS && fw.idle.lock().len() == MAX_IDLE_FORWARDERS
+        });
+        // The parked ones serve what comes next; nothing is created.
+        assert!(!fw.run(reporting(&done, 99)));
+        assert_eq!(next(&ran), 99);
+        assert_eq!(fw.spawned.load(Ordering::Relaxed), storm as u64);
+    }
+
+    #[test]
+    fn a_job_handed_to_a_vanished_forwarder_still_runs() {
+        let (done, ran) = channel();
+        // A listed forwarder whose thread is gone: its receiver with it.
+        let vanished = || sync_channel::<HandOff>(1).0;
+
+        // Nobody else idle: the job comes back and gets a new thread.
+        let fw = Forwarders::new();
+        fw.idle.lock().push(vanished());
+        assert!(fw.run(reporting(&done, 1)));
+        assert_eq!(next(&ran), 1);
+        eventually("the new forwarder parks", || fw.idle.lock().len() == 1);
+
+        // A live one listed below two dead ones: the job reaches it.
+        fw.idle.lock().extend([vanished(), vanished()]);
+        assert!(!fw.run(reporting(&done, 2)));
+        assert_eq!(next(&ran), 2);
+        eventually("it parks again, the dead are unlisted", || {
+            fw.idle.lock().len() == 1
+        });
+        assert_eq!(fw.spawned.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn dropping_the_list_ends_parked_forwarders_now_and_busy_ones_after_their_job() {
+        use std::cell::RefCell;
+        use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
+        thread_local! {
+            /// Dropped when the thread ends: its receiver disconnects.
+            static ALIVE: RefCell<Option<Sender<()>>> = const { RefCell::new(None) };
+        }
+        // Wrap `job` so that its thread's end can be observed.
+        let watched = |job: Job| -> (Job, Receiver<()>) {
+            let (alive, ended) = channel();
+            let job: Job = Box::new(move || {
+                ALIVE.with(|slot| *slot.borrow_mut() = Some(alive));
+                job();
+            });
+            (job, ended)
+        };
+        let gone = |ended: &Receiver<()>| {
+            ended.recv_timeout(Duration::from_secs(5)) == Err(RecvTimeoutError::Disconnected)
+        };
+
+        let fw = Forwarders::new();
+        let (done, ran) = channel();
+        let (blocked, open) = gated(&done, 1);
+        let (blocked, busy_ended) = watched(blocked);
+        let (quick, parked_ended) = watched(reporting(&done, 2));
+        fw.run(blocked);
+        fw.run(quick);
+        assert_eq!(next(&ran), 2);
+        eventually("the second forwarder parks", || fw.idle.lock().len() == 1);
+
+        drop(fw);
+        assert!(gone(&parked_ended), "a parked forwarder outlived the list");
+        assert_eq!(busy_ended.try_recv(), Err(TryRecvError::Empty));
+        open.send(()).unwrap();
+        assert_eq!(next(&ran), 1);
+        assert!(gone(&busy_ended), "a forwarder parked on a dropped list");
     }
 }

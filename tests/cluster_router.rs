@@ -37,6 +37,7 @@
 
 use convgpu::ipc::binary::WireCodec;
 use convgpu::ipc::client::SchedulerClient;
+use convgpu::ipc::endpoint::{IpcResult, SchedulerEndpoint};
 use convgpu::ipc::message::{AllocDecision, ApiKind, Request, Response};
 use convgpu::ipc::transport::EndpointAddr;
 use convgpu::middleware::router::{ClusterRouter, NodeServer, RouterConfig};
@@ -917,4 +918,349 @@ fn routed_lifecycle_survives_node_death_tcp_loopback() {
         EndpointAddr::parse("tcp:127.0.0.1:0").unwrap()
     }
     acceptance_run_on(WireCodec::Binary, "fire-tcp", tcp);
+}
+
+// ---------------------------------------------------------------------
+// The served router's forwarder threads (`RouterHandler`): one per
+// concurrently blocked `alloc_request`, reused while idle, never queued.
+// ---------------------------------------------------------------------
+
+/// Mirrors `MAX_IDLE_FORWARDERS` in `crates/core/src/router.rs` (private
+/// there): how many idle forwarders a handler keeps for reuse.
+const IDLE_CAP: usize = 8;
+
+const SPAWNS: &str = "convgpu_router_forwarder_spawns_total";
+
+fn thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+/// Exact thread accounting needs the process to itself, and libtest runs
+/// this binary's other tests on parallel threads: such a test re-runs
+/// itself alone in a child process. Returns whether this *is* that
+/// child; the parent has by then asserted the child's success.
+fn running_alone(test: &str) -> bool {
+    const ALONE: &str = "CONVGPU_TEST_ALONE";
+    if std::env::var_os(ALONE).is_some() {
+        return true;
+    }
+    let child = Command::new(std::env::current_exe().unwrap())
+        .args([test, "--exact", "--test-threads=1"])
+        .env(ALONE, "1")
+        .output()
+        .unwrap();
+    assert!(
+        child.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&child.stdout),
+        String::from_utf8_lossy(&child.stderr)
+    );
+    false
+}
+
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "never happened: {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// One in-process 1000 MiB FIFO node, a router over it, and the router
+/// served on its own front endpoint.
+struct Served {
+    dir: PathBuf,
+    node: NodeServer,
+    router: Arc<ClusterRouter>,
+    front: convgpu::ipc::server::SocketServer,
+    codec: WireCodec,
+}
+
+impl Served {
+    fn start(tag: &str, codec: WireCodec) -> Served {
+        let dir = temp_dir(&format!("{tag}-{}", codec.label()));
+        let node = NodeServer::serve_endpoint(
+            "n0",
+            fifo_single_backend(),
+            RealClock::handle(),
+            dir.clone(),
+            &test_endpoint(&dir, "n0.sock"),
+        )
+        .unwrap();
+        let router = Arc::new(ClusterRouter::attach(
+            vec![("n0".to_string(), node.endpoint().clone())],
+            codec,
+            RouterConfig::default(),
+            RealClock::handle(),
+        ));
+        let front = router
+            .serve_on_endpoint(&test_endpoint(&dir, "router.sock"))
+            .unwrap();
+        Served {
+            dir,
+            node,
+            router,
+            front,
+            codec,
+        }
+    }
+
+    /// A new front connection with `container` registered over it (so
+    /// its connection thread exists once this returns).
+    fn client(&self, container: u64, limit_mib: u64) -> Arc<SchedulerClient> {
+        let client =
+            SchedulerClient::connect_endpoint_with_codec(self.front.endpoint(), self.codec, None)
+                .unwrap();
+        client
+            .register(ContainerId(container), Bytes::mib(limit_mib))
+            .unwrap();
+        Arc::new(client)
+    }
+
+    fn spawns(&self) -> u64 {
+        self.router
+            .obs()
+            .registry
+            .snapshot()
+            .counter(SPAWNS, &[])
+            .unwrap_or(0)
+    }
+
+    fn suspended_on_node(&self) -> usize {
+        self.node
+            .service()
+            .with_scheduler(|s| s.containers().filter(|r| r.is_suspended()).count())
+    }
+}
+
+/// Take `mib` for `container` and report it done: the holder's part.
+fn hold(client: &SchedulerClient, container: u64, mib: u64) {
+    let (c, pid) = (ContainerId(container), 1000 + container);
+    assert_eq!(
+        client
+            .request_alloc(c, pid, Bytes::mib(mib), ApiKind::Malloc)
+            .unwrap(),
+        AllocDecision::Granted
+    );
+    client
+        .alloc_done(c, pid, 0xA000 + container, Bytes::mib(mib))
+        .unwrap();
+}
+
+/// `container`'s allocation of `mib`, sent from a thread of its own: it
+/// parks for as long as the node suspends the container.
+fn park(
+    client: &Arc<SchedulerClient>,
+    container: u64,
+    mib: u64,
+) -> std::thread::JoinHandle<IpcResult<AllocDecision>> {
+    let client = Arc::clone(client);
+    std::thread::spawn(move || {
+        client.request_alloc(
+            ContainerId(container),
+            1000 + container,
+            Bytes::mib(mib),
+            ApiKind::Malloc,
+        )
+    })
+}
+
+/// (a) Steady traffic creates no threads: 200 allocation rounds over one
+/// front connection are forwarded by the forwarder the first of them
+/// created, every reply correct.
+#[test]
+fn sequential_allocations_reuse_one_forwarder() {
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        let served = Served::start("fwd-seq", codec);
+        let client = served.client(1, 400);
+        let (c, pid) = (ContainerId(1), 77);
+        for round in 0..200u64 {
+            let size = Bytes::mib(1 + round % 7);
+            assert_eq!(
+                client.request_alloc(c, pid, size, ApiKind::Malloc).unwrap(),
+                AllocDecision::Granted,
+                "round {round} ({codec:?})"
+            );
+            client.alloc_done(c, pid, 0x1000 + round, size).unwrap();
+            assert_eq!(client.free(c, pid, 0x1000 + round).unwrap(), size);
+        }
+        // One — or two: a forwarder lists itself idle after its reply is
+        // on the wire, so if it is preempted right there the client's
+        // next request can find none idle, once. (The unit test
+        // `sequential_jobs_reuse_one_forwarder` waits for it to park and
+        // pins exactly one.) Never one per request.
+        let spawns = served.spawns();
+        assert!((1..=2).contains(&spawns), "{spawns} ({codec:?})");
+        // The operator's view of the same number.
+        let text = client.query_metrics().unwrap();
+        assert!(text.contains(&format!("{SPAWNS} {spawns}")), "{text}");
+        client.container_close(c).unwrap();
+        served.front.shutdown();
+        served.node.shutdown();
+        let _ = std::fs::remove_dir_all(&served.dir);
+    }
+}
+
+/// (b) A suspension storm: more containers parked at once than idle
+/// forwarders are kept. A grantable request is answered while they stay
+/// parked, the reader loop of a connection with a parked request keeps
+/// answering, every parked request resumes with its grant, and the
+/// surplus forwarders exit afterwards.
+#[test]
+fn a_suspension_storm_parks_each_forward_on_its_own_thread() {
+    const TEST: &str = "a_suspension_storm_parks_each_forward_on_its_own_thread";
+    if !running_alone(TEST) {
+        return;
+    }
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        let served = Served::start("fwd-storm", codec);
+        // The node's 1000 MiB: the holder's 800 + 66 of context, the
+        // bystander's 60 + 66; the 8 left over cover no waiter's 4 + 66.
+        let storm = IDLE_CAP as u64 + 4;
+        let holder = served.client(1, 800);
+        let bystander = served.client(2, 60);
+        let waiters: Vec<_> = (0..storm).map(|i| served.client(10 + i, 4)).collect();
+        // Every connection thread exists; no forwarder does.
+        let baseline = thread_count();
+
+        hold(&holder, 1, 800);
+        let parked: Vec<_> = waiters
+            .iter()
+            .zip(10..)
+            .map(|(client, c)| park(client, c, 4))
+            .collect();
+        wait_until("every waiter is suspended on the node", || {
+            served.suspended_on_node() == storm as usize
+        });
+
+        // Not queued behind them: what the node can grant is granted.
+        hold(&bystander, 2, 50);
+        // One forwarder per blocked forward and one for the bystander;
+        // the holder's has parked by now and took the first waiter
+        // (one more if it had not: see the sequential test).
+        let spawns = served.spawns();
+        assert!((storm + 1..=storm + 2).contains(&spawns), "{spawns}");
+        // A connection whose own alloc_request is parked still answers.
+        let (c, pid) = (ContainerId(10), 1010);
+        let (free, total) = waiters[0].mem_info(c, pid).unwrap();
+        assert!(free <= total, "{free:?} of {total:?}");
+        assert_eq!(waiters[0].free(c, pid, 0xDEAD).unwrap(), Bytes::ZERO);
+        assert!(parked.iter().all(|p| !p.is_finished()));
+        assert_eq!(served.suspended_on_node(), storm as usize);
+
+        // The holder leaves: 866 MiB cover all twelve 70 MiB guarantees.
+        holder.container_close(ContainerId(1)).unwrap();
+        for p in parked {
+            assert_eq!(p.join().unwrap().unwrap(), AllocDecision::Granted);
+        }
+        // The forwarders park again up to the cap; the surplus exits.
+        wait_until("surplus forwarders exit", || {
+            thread_count() == baseline + IDLE_CAP
+        });
+        // ... and steady traffic afterwards creates none.
+        let before = served.spawns();
+        for (client, c) in waiters.iter().zip(10..) {
+            let (id, pid) = (ContainerId(c), 1000 + c);
+            client
+                .alloc_done(id, pid, 0xB000 + c, Bytes::mib(4))
+                .unwrap();
+            assert_eq!(client.free(id, pid, 0xB000 + c).unwrap(), Bytes::mib(4));
+            hold(client, c, 2);
+            client.container_close(id).unwrap();
+        }
+        assert_eq!(served.spawns(), before);
+        assert_eq!(thread_count(), baseline + IDLE_CAP);
+
+        bystander.container_close(ContainerId(2)).unwrap();
+        served
+            .node
+            .service()
+            .with_scheduler(|s| s.check_invariants().unwrap());
+        drop((holder, bystander, waiters));
+        served.front.shutdown();
+        served.node.shutdown();
+        let _ = std::fs::remove_dir_all(&served.dir);
+    }
+}
+
+/// (c) Shutting the front server down with idle forwarders and one
+/// parked forward neither hangs nor leaks: the idle ones end with the
+/// handler, the parked one when its node answers.
+#[test]
+fn front_shutdown_ends_idle_forwarders_and_lets_a_parked_one_finish() {
+    const TEST: &str = "front_shutdown_ends_idle_forwarders_and_lets_a_parked_one_finish";
+    if !running_alone(TEST) {
+        return;
+    }
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        let served = Served::start("fwd-shutdown", codec);
+        // Two holders of 400 + 66 each leave 68 MiB: short of a 4 + 66
+        // guarantee. Two small waiters, and one that a single holder's
+        // memory cannot cover.
+        let holders = [served.client(1, 400), served.client(2, 400)];
+        let small = [served.client(11, 4), served.client(12, 4)];
+        let big = served.client(13, 500);
+        // No forwarder yet. The front server owns its accept thread and
+        // one thread per connection; the rest stays when it shuts down.
+        let without_front = thread_count() - (1 + 5);
+
+        hold(&holders[0], 1, 400);
+        hold(&holders[1], 2, 400);
+        let parked_small = [park(&small[0], 11, 4), park(&small[1], 12, 4)];
+        wait_until("the small waiters are suspended", || {
+            served.suspended_on_node() == 2
+        });
+        let parked_big = park(&big, 13, 500);
+        wait_until("all three are suspended", || {
+            served.suspended_on_node() == 3
+        });
+        // One per concurrently blocked forward (the holders' one took
+        // the first; one more if it had not parked yet).
+        let spawns = served.spawns();
+        assert!((3..=4).contains(&spawns), "{spawns}");
+
+        // Holder 1 leaves: the small waiters resume, their forwarders go
+        // idle; the big one stays parked on the node.
+        holders[0].container_close(ContainerId(1)).unwrap();
+        for p in parked_small {
+            assert_eq!(p.join().unwrap().unwrap(), AllocDecision::Granted);
+        }
+        assert_eq!(served.suspended_on_node(), 1);
+        assert!(!parked_big.is_finished());
+
+        // Front server gone: accept thread, five connection threads and
+        // the idle forwarders end; the parked forwarder remains, and its
+        // requester sees the connection close.
+        let Served {
+            dir,
+            node,
+            router,
+            front,
+            ..
+        } = served;
+        front.shutdown();
+        assert!(parked_big.join().unwrap().is_err());
+        wait_until("only the parked forwarder is left", || {
+            thread_count() == without_front + 1
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(thread_count(), without_front + 1, "the parked one stays");
+
+        // The node answers (holder 2 leaves, the big waiter is granted):
+        // the last forwarder delivers into the closed connection, finds
+        // its handler gone, and ends.
+        router.container_close(ContainerId(2)).unwrap();
+        wait_until("the parked forwarder ends with its forward", || {
+            thread_count() == without_front
+        });
+        drop((holders, small, big));
+        for c in [11, 12, 13] {
+            router.container_close(ContainerId(c)).unwrap();
+        }
+        node.service()
+            .with_scheduler(|s| s.check_invariants().unwrap());
+        drop(router);
+        node.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
