@@ -41,9 +41,6 @@ cargo test --offline --workspace -q
 step "cargo test (audit feature: invariants after every transition)"
 cargo test --offline -q -p convgpu-scheduler --features audit
 
-step "observability suite (golden trace + live exposition)"
-cargo test --offline -q --test observability
-
 step "chrome-trace artifact export"
 artifact="$ARTIFACT_DIR/convgpu-trace.json"
 cargo run --offline -q --release --bin convgpu-cli -- trace --out="$artifact"
@@ -58,32 +55,17 @@ step "convgpu-lint (workspace analyzer, docs/LINT.md)"
 # the lint exit code authoritative through the tee.
 cargo run --offline -q --bin convgpu-lint | tee "$ARTIFACT_DIR/lint-findings.txt"
 
-step "cluster battery (router acceptance + node-death fault injection)"
-# Real per-node socket servers behind the cluster router: golden routed
-# trace, ticket canonicality (native and post-migration), both codecs
-# surviving a node killed mid-run, and the cluster_faults +
-# migration_faults halves of the fault-injection suite (drain racing a
-# parked suspension, double node death, the kill-mid-storm acceptance
-# scenario asserted over the wire).
-cargo test --offline -q --test cluster_router
-cargo test --offline -q --test failure_injection cluster_faults
-cargo test --offline -q --test failure_injection migration_faults
-
-step "journal battery (restart recovery + truncated-tail fixture)"
-# Durable router state (docs/CLUSTER.md, "Durability & restart"): the
-# kill -9 mid-storm acceptance scenario (restarted router migrates with
-# pre-restart checkpoints), byte-level replay-prefix equivalence, a
-# small randomized kill-point campaign (nightly runs the big one), and
-# the checked-in truncated-tail corruption fixture.
-cargo test --offline -q --test journal_recovery
-
 step "transport matrix (same batteries over TCP loopback)"
-# Every socket the wire tests bind is transport-parameterized
-# (CONVGPU_TRANSPORT=tcp swaps unix:/path for tcp:127.0.0.1:0): the
-# protocol round-trip + hostile-client battery and the full cluster
-# battery rerun over real TCP connections, asserting byte-identical
-# canonical traces and ticket bit-equality against the same goldens the
-# UNIX runs above used.
+# `cargo test --workspace` above already ran every root suite on the
+# default UNIX transport (the root package is a workspace member). Every
+# socket the wire tests bind is transport-parameterized
+# (CONVGPU_TRANSPORT=tcp swaps unix:/path for tcp:127.0.0.1:0), so here
+# the protocol round-trip + hostile-client battery, the cluster battery
+# (golden routed trace, ticket canonicality, node death, the
+# cluster_faults + migration_faults halves of the fault-injection suite)
+# and the journal battery (restart recovery, truncated-tail fixture)
+# rerun over real TCP connections, asserting byte-identical canonical
+# traces and ticket bit-equality against the same goldens.
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test protocol_roundtrip
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test cluster_router
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test failure_injection cluster_faults

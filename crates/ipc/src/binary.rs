@@ -11,16 +11,14 @@
 //!
 //! The payload encoding is deliberately minimal: LEB128 varints for all
 //! integers (ids, pids, addresses and byte counts are small most of the
-//! time), one tag byte per enum variant, and varint-length-prefixed UTF-8
-//! for strings. No self-description — the schema is pinned by the
-//! exhaustive roundtrip tests against the JSON codec.
+//! time), one tag byte per enum variant, varint-length-prefixed UTF-8 for
+//! strings and a varint count before a list. No self-description. This
+//! module holds the framing and those primitives; which tag and which
+//! fields make up each message is the table in [`crate::message`], whose
+//! macro generates every message's [`ToBinary`] / [`FromBinary`].
 
 use crate::codec::MAX_LINE_BYTES;
 use crate::json::{FromJson, ToJson};
-use crate::message::{
-    AllocDecision, ApiKind, ClusterNodeStatus, Envelope, MigrationRecord, Request, Response,
-    TopologyDevice,
-};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::units::Bytes;
 use std::io::{self, BufRead, Read, Write};
@@ -58,7 +56,7 @@ impl WireCodec {
 pub struct BinError(String);
 
 impl BinError {
-    fn msg(m: impl Into<String>) -> Self {
+    pub(crate) fn msg(m: impl Into<String>) -> Self {
         BinError(m.into())
     }
 }
@@ -100,7 +98,7 @@ impl<'a> BinReader<'a> {
         self.pos >= self.buf.len()
     }
 
-    fn byte(&mut self) -> Result<u8, BinError> {
+    pub(crate) fn byte(&mut self) -> Result<u8, BinError> {
         let b = self
             .buf
             .get(self.pos)
@@ -205,423 +203,28 @@ impl FromBinary for String {
     }
 }
 
-impl ToBinary for ApiKind {
+impl<T: ToBinary> ToBinary for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            ApiKind::Malloc => 0,
-            ApiKind::MallocManaged => 1,
-            ApiKind::MallocPitch => 2,
-            ApiKind::Malloc3D => 3,
-        });
-    }
-}
-
-impl FromBinary for ApiKind {
-    fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
-        match r.byte()? {
-            0 => Ok(ApiKind::Malloc),
-            1 => Ok(ApiKind::MallocManaged),
-            2 => Ok(ApiKind::MallocPitch),
-            3 => Ok(ApiKind::Malloc3D),
-            t => Err(BinError::msg(format!("unknown api kind tag {t}"))),
+        put_u64(out, self.len() as u64);
+        for item in self {
+            item.encode(out);
         }
     }
 }
 
-impl ToBinary for AllocDecision {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            AllocDecision::Granted => 0,
-            AllocDecision::Rejected => 1,
-        });
-    }
-}
-
-impl FromBinary for AllocDecision {
+impl<T: FromBinary> FromBinary for Vec<T> {
     fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
-        match r.byte()? {
-            0 => Ok(AllocDecision::Granted),
-            1 => Ok(AllocDecision::Rejected),
-            t => Err(BinError::msg(format!("unknown decision tag {t}"))),
+        // Every element encodes to at least one byte, so a count above the
+        // bytes left cannot be honest: refuse it before reserving for it.
+        let n = usize::try_from(get_u64(r)?)
+            .ok()
+            .filter(|&n| n <= r.buf.len() - r.pos)
+            .ok_or_else(|| BinError::msg("element count exceeds payload"))?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::decode(r)?);
         }
-    }
-}
-
-impl ToBinary for TopologyDevice {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        self.device.encode(out);
-        self.capacity.encode(out);
-        self.unassigned.encode(out);
-        self.containers.encode(out);
-        self.policy.encode(out);
-    }
-}
-
-impl FromBinary for TopologyDevice {
-    fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
-        Ok(TopologyDevice {
-            node: FromBinary::decode(r)?,
-            device: FromBinary::decode(r)?,
-            capacity: FromBinary::decode(r)?,
-            unassigned: FromBinary::decode(r)?,
-            containers: FromBinary::decode(r)?,
-            policy: FromBinary::decode(r)?,
-        })
-    }
-}
-
-impl ToBinary for ClusterNodeStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        self.health.encode(out);
-        self.containers.encode(out);
-        self.retries.encode(out);
-        self.timeouts.encode(out);
-        self.failovers.encode(out);
-    }
-}
-
-impl FromBinary for ClusterNodeStatus {
-    fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
-        Ok(ClusterNodeStatus {
-            node: FromBinary::decode(r)?,
-            health: FromBinary::decode(r)?,
-            containers: FromBinary::decode(r)?,
-            retries: FromBinary::decode(r)?,
-            timeouts: FromBinary::decode(r)?,
-            failovers: FromBinary::decode(r)?,
-        })
-    }
-}
-
-impl ToBinary for MigrationRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.container.encode(out);
-        self.from.encode(out);
-        self.to.encode(out);
-        self.limit.encode(out);
-        self.used.encode(out);
-        self.status.encode(out);
-    }
-}
-
-impl FromBinary for MigrationRecord {
-    fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
-        Ok(MigrationRecord {
-            container: FromBinary::decode(r)?,
-            from: FromBinary::decode(r)?,
-            to: FromBinary::decode(r)?,
-            limit: FromBinary::decode(r)?,
-            used: FromBinary::decode(r)?,
-            status: FromBinary::decode(r)?,
-        })
-    }
-}
-
-impl ToBinary for Request {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Request::Register { container, limit } => {
-                out.push(0);
-                container.encode(out);
-                limit.encode(out);
-            }
-            Request::RequestDir { container } => {
-                out.push(1);
-                container.encode(out);
-            }
-            Request::AllocRequest {
-                container,
-                pid,
-                size,
-                api,
-            } => {
-                out.push(2);
-                container.encode(out);
-                pid.encode(out);
-                size.encode(out);
-                api.encode(out);
-            }
-            Request::AllocDone {
-                container,
-                pid,
-                addr,
-                size,
-            } => {
-                out.push(3);
-                container.encode(out);
-                pid.encode(out);
-                addr.encode(out);
-                size.encode(out);
-            }
-            Request::AllocFailed {
-                container,
-                pid,
-                size,
-            } => {
-                out.push(4);
-                container.encode(out);
-                pid.encode(out);
-                size.encode(out);
-            }
-            Request::Free {
-                container,
-                pid,
-                addr,
-            } => {
-                out.push(5);
-                container.encode(out);
-                pid.encode(out);
-                addr.encode(out);
-            }
-            Request::MemInfo { container, pid } => {
-                out.push(6);
-                container.encode(out);
-                pid.encode(out);
-            }
-            Request::ProcessExit { container, pid } => {
-                out.push(7);
-                container.encode(out);
-                pid.encode(out);
-            }
-            Request::ContainerClose { container } => {
-                out.push(8);
-                container.encode(out);
-            }
-            Request::Ping => out.push(9),
-            Request::QueryMetrics => out.push(10),
-            Request::QueryTopology => out.push(11),
-            Request::QueryHome { container } => {
-                out.push(12);
-                container.encode(out);
-            }
-            Request::QueryCluster => out.push(13),
-            Request::Migrate {
-                container,
-                node,
-                limit,
-                used,
-            } => {
-                out.push(14);
-                container.encode(out);
-                node.encode(out);
-                limit.encode(out);
-                used.encode(out);
-            }
-            Request::QueryMigrations => out.push(15),
-        }
-    }
-}
-
-impl FromBinary for Request {
-    fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
-        match r.byte()? {
-            0 => Ok(Request::Register {
-                container: FromBinary::decode(r)?,
-                limit: FromBinary::decode(r)?,
-            }),
-            1 => Ok(Request::RequestDir {
-                container: FromBinary::decode(r)?,
-            }),
-            2 => Ok(Request::AllocRequest {
-                container: FromBinary::decode(r)?,
-                pid: FromBinary::decode(r)?,
-                size: FromBinary::decode(r)?,
-                api: FromBinary::decode(r)?,
-            }),
-            3 => Ok(Request::AllocDone {
-                container: FromBinary::decode(r)?,
-                pid: FromBinary::decode(r)?,
-                addr: FromBinary::decode(r)?,
-                size: FromBinary::decode(r)?,
-            }),
-            4 => Ok(Request::AllocFailed {
-                container: FromBinary::decode(r)?,
-                pid: FromBinary::decode(r)?,
-                size: FromBinary::decode(r)?,
-            }),
-            5 => Ok(Request::Free {
-                container: FromBinary::decode(r)?,
-                pid: FromBinary::decode(r)?,
-                addr: FromBinary::decode(r)?,
-            }),
-            6 => Ok(Request::MemInfo {
-                container: FromBinary::decode(r)?,
-                pid: FromBinary::decode(r)?,
-            }),
-            7 => Ok(Request::ProcessExit {
-                container: FromBinary::decode(r)?,
-                pid: FromBinary::decode(r)?,
-            }),
-            8 => Ok(Request::ContainerClose {
-                container: FromBinary::decode(r)?,
-            }),
-            9 => Ok(Request::Ping),
-            10 => Ok(Request::QueryMetrics),
-            11 => Ok(Request::QueryTopology),
-            12 => Ok(Request::QueryHome {
-                container: FromBinary::decode(r)?,
-            }),
-            13 => Ok(Request::QueryCluster),
-            14 => Ok(Request::Migrate {
-                container: FromBinary::decode(r)?,
-                node: FromBinary::decode(r)?,
-                limit: FromBinary::decode(r)?,
-                used: FromBinary::decode(r)?,
-            }),
-            15 => Ok(Request::QueryMigrations),
-            t => Err(BinError::msg(format!("unknown request tag {t}"))),
-        }
-    }
-}
-
-impl ToBinary for Response {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Response::Ok => out.push(0),
-            Response::Dir { path } => {
-                out.push(1);
-                path.encode(out);
-            }
-            Response::Alloc { decision } => {
-                out.push(2);
-                decision.encode(out);
-            }
-            Response::Freed { size } => {
-                out.push(3);
-                size.encode(out);
-            }
-            Response::MemInfo { free, total } => {
-                out.push(4);
-                free.encode(out);
-                total.encode(out);
-            }
-            Response::Error { message } => {
-                out.push(5);
-                message.encode(out);
-            }
-            Response::Pong => out.push(6),
-            Response::Metrics { text } => {
-                out.push(7);
-                text.encode(out);
-            }
-            Response::Topology { kind, devices } => {
-                out.push(8);
-                kind.encode(out);
-                put_u64(out, devices.len() as u64);
-                for d in devices {
-                    d.encode(out);
-                }
-            }
-            Response::Home { node, device } => {
-                out.push(9);
-                node.encode(out);
-                device.encode(out);
-            }
-            Response::Cluster { strategy, nodes } => {
-                out.push(10);
-                strategy.encode(out);
-                put_u64(out, nodes.len() as u64);
-                for n in nodes {
-                    n.encode(out);
-                }
-            }
-            Response::Migrations { records } => {
-                out.push(11);
-                put_u64(out, records.len() as u64);
-                for rec in records {
-                    rec.encode(out);
-                }
-            }
-        }
-    }
-}
-
-impl FromBinary for Response {
-    fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
-        match r.byte()? {
-            0 => Ok(Response::Ok),
-            1 => Ok(Response::Dir {
-                path: FromBinary::decode(r)?,
-            }),
-            2 => Ok(Response::Alloc {
-                decision: FromBinary::decode(r)?,
-            }),
-            3 => Ok(Response::Freed {
-                size: FromBinary::decode(r)?,
-            }),
-            4 => Ok(Response::MemInfo {
-                free: FromBinary::decode(r)?,
-                total: FromBinary::decode(r)?,
-            }),
-            5 => Ok(Response::Error {
-                message: FromBinary::decode(r)?,
-            }),
-            6 => Ok(Response::Pong),
-            7 => Ok(Response::Metrics {
-                text: FromBinary::decode(r)?,
-            }),
-            8 => {
-                let kind = String::decode(r)?;
-                let n = get_u64(r)?;
-                let n = usize::try_from(n).map_err(|_| BinError::msg("device count overflow"))?;
-                if n > MAX_FRAME_BYTES / 8 {
-                    return Err(BinError::msg("device count exceeds frame bound"));
-                }
-                let mut devices = Vec::with_capacity(n);
-                for _ in 0..n {
-                    devices.push(TopologyDevice::decode(r)?);
-                }
-                Ok(Response::Topology { kind, devices })
-            }
-            9 => Ok(Response::Home {
-                node: FromBinary::decode(r)?,
-                device: FromBinary::decode(r)?,
-            }),
-            10 => {
-                let strategy = String::decode(r)?;
-                let n = get_u64(r)?;
-                let n = usize::try_from(n).map_err(|_| BinError::msg("node count overflow"))?;
-                if n > MAX_FRAME_BYTES / 8 {
-                    return Err(BinError::msg("node count exceeds frame bound"));
-                }
-                let mut nodes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    nodes.push(ClusterNodeStatus::decode(r)?);
-                }
-                Ok(Response::Cluster { strategy, nodes })
-            }
-            11 => {
-                let n = get_u64(r)?;
-                let n = usize::try_from(n).map_err(|_| BinError::msg("record count overflow"))?;
-                if n > MAX_FRAME_BYTES / 8 {
-                    return Err(BinError::msg("record count exceeds frame bound"));
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    records.push(MigrationRecord::decode(r)?);
-                }
-                Ok(Response::Migrations { records })
-            }
-            t => Err(BinError::msg(format!("unknown response tag {t}"))),
-        }
-    }
-}
-
-impl<T: ToBinary> ToBinary for Envelope<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.id);
-        self.body.encode(out);
-    }
-}
-
-impl<T: FromBinary> FromBinary for Envelope<T> {
-    fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
-        Ok(Envelope {
-            id: get_u64(r)?,
-            body: T::decode(r)?,
-        })
+        Ok(items)
     }
 }
 
@@ -770,243 +373,8 @@ pub fn encode_with<T: ToBinary + ToJson>(value: &T, codec: WireCodec) -> Vec<u8>
 mod tests {
     use super::*;
     use crate::codec::write_json;
+    use crate::message::{ApiKind, Envelope, Request, Response};
     use std::io::BufReader;
-
-    fn all_requests() -> Vec<Request> {
-        vec![
-            Request::Register {
-                container: ContainerId(3),
-                limit: Bytes::mib(512),
-            },
-            Request::RequestDir {
-                container: ContainerId(3),
-            },
-            Request::AllocRequest {
-                container: ContainerId(3),
-                pid: 42,
-                size: Bytes::mib(128),
-                api: ApiKind::Malloc,
-            },
-            Request::AllocRequest {
-                container: ContainerId(3),
-                pid: 42,
-                size: Bytes::mib(128),
-                api: ApiKind::MallocManaged,
-            },
-            Request::AllocRequest {
-                container: ContainerId(3),
-                pid: 42,
-                size: Bytes::mib(128),
-                api: ApiKind::MallocPitch,
-            },
-            Request::AllocRequest {
-                container: ContainerId(3),
-                pid: 42,
-                size: Bytes::mib(128),
-                api: ApiKind::Malloc3D,
-            },
-            Request::AllocDone {
-                container: ContainerId(3),
-                pid: 42,
-                addr: 0x7000_0000,
-                size: Bytes::mib(128),
-            },
-            Request::AllocFailed {
-                container: ContainerId(3),
-                pid: 42,
-                size: Bytes::mib(128),
-            },
-            Request::Free {
-                container: ContainerId(3),
-                pid: 42,
-                addr: u64::MAX,
-            },
-            Request::MemInfo {
-                container: ContainerId(3),
-                pid: 42,
-            },
-            Request::ProcessExit {
-                container: ContainerId(3),
-                pid: 42,
-            },
-            Request::ContainerClose {
-                container: ContainerId(3),
-            },
-            Request::Ping,
-            Request::QueryMetrics,
-            Request::QueryTopology,
-            Request::QueryHome {
-                container: ContainerId(3),
-            },
-            Request::QueryCluster,
-            Request::Migrate {
-                container: ContainerId(3),
-                node: String::new(),
-                limit: Bytes::mib(512),
-                used: Bytes::mib(128),
-            },
-            Request::Migrate {
-                container: ContainerId(0),
-                node: "node-1".into(),
-                limit: Bytes::new(0),
-                used: Bytes::new(0),
-            },
-            Request::QueryMigrations,
-        ]
-    }
-
-    fn all_responses() -> Vec<Response> {
-        vec![
-            Response::Ok,
-            Response::Dir {
-                path: "/var/lib/convgpu/cnt-0003".into(),
-            },
-            Response::Alloc {
-                decision: AllocDecision::Granted,
-            },
-            Response::Alloc {
-                decision: AllocDecision::Rejected,
-            },
-            Response::Freed {
-                size: Bytes::mib(64),
-            },
-            Response::MemInfo {
-                free: Bytes::mib(100),
-                total: Bytes::mib(512),
-            },
-            Response::Error {
-                message: "unregistered container — π≈3.14".into(),
-            },
-            Response::Pong,
-            Response::Metrics {
-                text: "# TYPE convgpu_x counter\nconvgpu_x{type=\"ping\"} 3\n".into(),
-            },
-            Response::Topology {
-                kind: "cluster".into(),
-                devices: vec![
-                    TopologyDevice {
-                        node: "node-0".into(),
-                        device: 0,
-                        capacity: Bytes::gib(5),
-                        unassigned: Bytes::mib(1234),
-                        containers: 2,
-                        policy: "fifo".into(),
-                    },
-                    TopologyDevice {
-                        node: "node-1".into(),
-                        device: 1,
-                        capacity: Bytes::gib(16),
-                        unassigned: Bytes::gib(16),
-                        containers: 0,
-                        policy: "random".into(),
-                    },
-                ],
-            },
-            Response::Topology {
-                kind: "single".into(),
-                devices: vec![],
-            },
-            Response::Home {
-                node: String::new(),
-                device: 1,
-            },
-            Response::Cluster {
-                strategy: "spread".into(),
-                nodes: vec![
-                    ClusterNodeStatus {
-                        node: "node-0".into(),
-                        health: "up".into(),
-                        containers: 3,
-                        retries: 0,
-                        timeouts: 0,
-                        failovers: 0,
-                    },
-                    ClusterNodeStatus {
-                        node: "node-1".into(),
-                        health: "down".into(),
-                        containers: 0,
-                        retries: 5,
-                        timeouts: 2,
-                        failovers: 3,
-                    },
-                ],
-            },
-            Response::Cluster {
-                strategy: "random".into(),
-                nodes: vec![],
-            },
-            Response::Migrations {
-                records: vec![
-                    MigrationRecord {
-                        container: ContainerId(3),
-                        from: "node-0".into(),
-                        to: "node-1".into(),
-                        limit: Bytes::mib(512),
-                        used: Bytes::mib(128),
-                        status: "completed".into(),
-                    },
-                    MigrationRecord {
-                        container: ContainerId(4),
-                        from: "node-0".into(),
-                        to: String::new(),
-                        limit: Bytes::mib(256),
-                        used: Bytes::new(0),
-                        status: "rejected".into(),
-                    },
-                ],
-            },
-            Response::Migrations { records: vec![] },
-        ]
-    }
-
-    /// Exhaustive roundtrip against the JSON codec: every `message.rs`
-    /// variant must decode from its own binary frame to the identical
-    /// value the JSON wire yields — the two codecs are interchangeable.
-    #[test]
-    fn binary_matches_json_for_every_request_variant() {
-        for (i, req) in all_requests().into_iter().enumerate() {
-            let env = Envelope {
-                id: i as u64 * 7 + u64::MAX / 2,
-                body: req,
-            };
-            let mut json_buf = Vec::new();
-            write_json(&mut json_buf, &env).unwrap();
-            let mut jr = BufReader::new(json_buf.as_slice());
-            let via_json: Envelope<Request> = crate::codec::read_json(&mut jr).unwrap().unwrap();
-
-            let mut bin_buf = Vec::new();
-            write_binary(&mut bin_buf, &env).unwrap();
-            let mut br = BufReader::new(bin_buf.as_slice());
-            let via_bin: Envelope<Request> = read_binary(&mut br).unwrap().unwrap();
-
-            assert_eq!(via_json, env);
-            assert_eq!(via_bin, env);
-            assert_eq!(via_bin, via_json);
-        }
-    }
-
-    #[test]
-    fn binary_matches_json_for_every_response_variant() {
-        for (i, resp) in all_responses().into_iter().enumerate() {
-            let env = Envelope {
-                id: i as u64,
-                body: resp,
-            };
-            let mut json_buf = Vec::new();
-            write_json(&mut json_buf, &env).unwrap();
-            let mut jr = BufReader::new(json_buf.as_slice());
-            let via_json: Envelope<Response> = crate::codec::read_json(&mut jr).unwrap().unwrap();
-
-            let mut bin_buf = Vec::new();
-            write_binary(&mut bin_buf, &env).unwrap();
-            let mut br = BufReader::new(bin_buf.as_slice());
-            let via_bin: Envelope<Response> = read_binary(&mut br).unwrap().unwrap();
-
-            assert_eq!(via_json, env);
-            assert_eq!(via_bin, env);
-            assert_eq!(via_bin, via_json);
-        }
-    }
 
     #[test]
     fn binary_frames_are_smaller_than_json_lines() {
@@ -1188,6 +556,27 @@ mod tests {
         let mut r = BufReader::new(frame.as_slice());
         let err = read_binary::<Envelope<Request>, _>(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A list count is checked against the bytes that are there before
+    /// anything is reserved for it: three bytes claiming 8192 devices are
+    /// `InvalidData`, as is a count just one above what the payload holds.
+    #[test]
+    fn list_count_beyond_the_payload_is_rejected_before_reserving() {
+        for payload in [
+            // id 1, tag 8 (topology), kind "", 8192 devices, nothing more.
+            &[1u8, 8, 0, 0x80, 0x40][..],
+            // id 1, tag 11 (migrations), 3 records in 2 bytes.
+            &[1, 11, 3, 0, 0][..],
+        ] {
+            let mut frame = vec![MAGIC];
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(payload);
+            let mut r = BufReader::new(frame.as_slice());
+            let err = read_binary::<Envelope<Response>, _>(&mut r).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("element count"), "{err}");
+        }
     }
 
     #[test]

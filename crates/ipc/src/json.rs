@@ -1,12 +1,14 @@
 //! Minimal JSON value model, parser and writer (pure `std`).
 //!
-//! The sealed build environment has no `serde_json`, so the wire protocol
-//! is (de)serialized by hand. The subset implemented here is full JSON on
-//! the *read* side (objects, arrays, strings with escapes, numbers, bools,
-//! null) and exactly what the protocol emits on the *write* side: compact
-//! encoding, no whitespace, object keys in insertion order — byte-for-byte
-//! the format `serde_json::to_string` produced for these types, which the
-//! wire-format tests in [`crate::message`] pin down.
+//! The sealed build environment has no `serde_json`, so the value model
+//! is written here and each message's [`ToJson`] / [`FromJson`] is
+//! generated from the table in [`crate::message`]. The subset implemented
+//! here is full JSON on the *read* side (objects, arrays, strings with
+//! escapes, numbers, bools, null) and exactly what the protocol emits on
+//! the *write* side: compact encoding, no whitespace, object keys in
+//! insertion order — byte-for-byte the format `serde_json::to_string`
+//! produced for these types, which `tests/golden/wire_messages.golden`
+//! pins down.
 
 use std::fmt;
 
@@ -469,6 +471,21 @@ impl ToJson for convgpu_sim_core::ContainerId {
 impl FromJson for convgpu_sim_core::ContainerId {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(convgpu_sim_core::ContainerId(u64::from_json(v)?))
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v {
+            Json::Arr(items) => items.iter().map(T::from_json).collect(),
+            _ => Err(JsonError::msg("expected array")),
+        }
     }
 }
 

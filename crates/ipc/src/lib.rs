@@ -8,15 +8,18 @@
 //!
 //! * [`message`] — the request/response schema: container registration,
 //!   allocation requests/decisions, free notifications, `cudaMemGetInfo`
-//!   service, process-exit and container-close signals.
-//! * [`json`] — hand-rolled JSON value model, parser and writer (the
-//!   sealed build environment has no serde), plus the [`json::ToJson`] /
+//!   service, process-exit and container-close signals. Each message is
+//!   declared once, as a table row, and its JSON and binary codecs are
+//!   generated from that row.
+//! * [`json`] — JSON value model, parser and writer (the sealed build
+//!   environment has no serde), plus the [`json::ToJson`] /
 //!   [`json::FromJson`] traits the schema implements.
 //! * [`codec`] — newline-delimited JSON framing with a line-length guard.
-//! * [`binary`] — length-prefixed compact binary framing, negotiated per
-//!   connection by the first byte of each frame (JSON lines start with
-//!   `{`; binary frames with a magic byte). JSON stays the default — the
-//!   binary codec is the hot-path option for allocation storms.
+//! * [`binary`] — length-prefixed compact binary framing and its
+//!   primitives (varints, strings, lists), negotiated per connection by
+//!   the first byte of each frame (JSON lines start with `{`; binary
+//!   frames with a magic byte). JSON stays the default — the binary codec
+//!   is the hot-path option for allocation storms.
 //! * [`endpoint`] — [`endpoint::SchedulerEndpoint`], the synchronous
 //!   interface the wrapper module calls. A *suspended* allocation (the
 //!   scheduler withholding its reply, §III-D) surfaces here as a blocking

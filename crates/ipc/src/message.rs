@@ -1,33 +1,252 @@
-//! Protocol message schema.
+//! Protocol message schema — the one place a wire message is defined.
 //!
 //! One JSON object per line; every message is an [`Envelope`] carrying a
 //! correlation `id` and a body. Requests flow wrapper/nvidia-docker →
-//! scheduler; responses flow back with the same `id`. Notifications
-//! (`AllocDone`, `ProcessExit`, …) still get an `Ok` response so senders
-//! can detect a dead scheduler.
+//! scheduler; responses flow back with the same `id`. Notifications (an
+//! allocation completed, a process exited, …) still get an
+//! acknowledgement so senders can detect a dead scheduler.
 //!
-//! Encoding is the hand-rolled codec in [`crate::json`]: internally tagged
-//! (`"type"` field), snake_case variant and field names, `Bytes` and
-//! `ContainerId` as bare numbers — the same wire format the original
-//! serde-derived schema produced, pinned by the tests below.
+//! Every type below is declared once, as a `wire!` table row: variant,
+//! JSON wire name, binary tag, fields. The macro expands a table to the
+//! type itself plus its [`ToJson`], [`FromJson`], [`ToBinary`] and
+//! [`FromBinary`] impls — one straight-line `match` arm per row, no
+//! schema walked at run time — and, for the two message enums, `kind()`
+//! and a `SCHEMA` constant that the `docs/PROTOCOL.md` tables are checked
+//! against. JSON is internally tagged (`"type"` field) with snake_case
+//! names, `Bytes` and `ContainerId` as bare numbers; the binary payload
+//! is one tag byte then the fields in table order (see [`crate::binary`]
+//! for framing and primitives). The bytes of every message are pinned by
+//! `tests/golden/wire_messages.golden`.
 
+use crate::binary::{BinError, BinReader, FromBinary, ToBinary};
 use crate::json::{field, FromJson, Json, JsonError, ToJson};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::units::Bytes;
 
-/// Which allocation API triggered a request — used for tracing and for the
-/// Fig. 4 per-API breakdown. The scheduler treats all four identically
-/// (it only sees adjusted sizes; the wrapper does the pitch/granule math).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ApiKind {
-    /// `cudaMalloc`
-    Malloc,
-    /// `cudaMallocManaged`
-    MallocManaged,
-    /// `cudaMallocPitch`
-    MallocPitch,
-    /// `cudaMalloc3D`
-    Malloc3D,
+/// One row of a message table: what a [`Request`] or [`Response`] variant
+/// is called on each wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MessageSchema {
+    /// JSON `"type"` tag.
+    pub wire: &'static str,
+    /// Binary codec tag byte.
+    pub tag: u8,
+    /// Field names, in wire order.
+    pub fields: &'static [&'static str],
+}
+
+/// Build an internally tagged object: `{"type":<tag>, <fields>...}`.
+fn tagged(tag: &str, fields: Vec<(String, Json)>) -> Json {
+    let mut obj = Vec::with_capacity(fields.len() + 1);
+    obj.push(("type".to_string(), Json::Str(tag.to_string())));
+    obj.extend(fields);
+    Json::Obj(obj)
+}
+
+/// Expand one wire-type table to the type and its four codec impls.
+/// Three shapes: a message (`tagged enum`: tagged JSON object / tag byte
+/// then fields), a value (`enum`: JSON string / tag byte) and a record
+/// (`struct`: JSON object / fields in order). A wire name or tag used
+/// twice in one table is an unreachable `match` arm, denied at compile
+/// time.
+macro_rules! wire {
+    (
+        $(#[$meta:meta])*
+        tagged enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $wire:literal, $tag:literal
+                $({ $( $(#[$fmeta:meta])* $field:ident: $fty:ty ),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant $({ $( $(#[$fmeta])* $field: $fty ),* })? ),*
+        }
+
+        impl $name {
+            /// Every variant's wire name, binary tag and field names, in
+            /// table order.
+            pub const SCHEMA: &'static [MessageSchema] = &[
+                $( MessageSchema {
+                    wire: $wire,
+                    tag: $tag,
+                    fields: &[ $($( stringify!($field) ),*)? ],
+                } ),*
+            ];
+
+            /// The wire name: the JSON `type` tag, and the `type` label
+            /// every per-message-type metric (server handle time, client
+            /// round-trip time) is keyed by.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Self::$variant $({ $($field: _),* })? => $wire ),*
+                }
+            }
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
+                match self {
+                    $( Self::$variant $({ $($field),* })? => tagged(
+                        $wire,
+                        vec![ $($( (stringify!($field).into(), $field.to_json()) ),*)? ],
+                    ) ),*
+                }
+            }
+        }
+
+        impl FromJson for $name {
+            #[deny(unreachable_patterns)]
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                let tag = v
+                    .get("type")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| JsonError::msg("missing \"type\" tag"))?;
+                match tag {
+                    $( $wire => Ok(Self::$variant $({
+                        $( $field: field(v, stringify!($field))? ),*
+                    })?), )*
+                    other => Err(JsonError::msg(format!(
+                        concat!("unknown ", stringify!($name), " type {:?}"),
+                        other
+                    ))),
+                }
+            }
+        }
+
+        impl ToBinary for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( Self::$variant $({ $($field),* })? => {
+                        out.push($tag);
+                        $($( $field.encode(out); )*)?
+                    } )*
+                }
+            }
+        }
+
+        impl FromBinary for $name {
+            #[deny(unreachable_patterns)]
+            fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
+                match r.byte()? {
+                    $( $tag => Ok(Self::$variant $({
+                        $( $field: FromBinary::decode(r)? ),*
+                    })?), )*
+                    t => Err(BinError::msg(format!(
+                        concat!("unknown ", stringify!($name), " tag {}"),
+                        t
+                    ))),
+                }
+            }
+        }
+    };
+
+    (
+        $(#[$meta:meta])*
+        enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $wire:literal, $tag:literal ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant ),*
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
+                Json::Str(match self { $( Self::$variant => $wire ),* }.to_string())
+            }
+        }
+
+        impl FromJson for $name {
+            #[deny(unreachable_patterns)]
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                match v.as_str() {
+                    $( Some($wire) => Ok(Self::$variant), )*
+                    other => Err(JsonError::msg(format!(
+                        concat!("unknown ", stringify!($name), " {:?}"),
+                        other
+                    ))),
+                }
+            }
+        }
+
+        impl ToBinary for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(match self { $( Self::$variant => $tag ),* });
+            }
+        }
+
+        impl FromBinary for $name {
+            #[deny(unreachable_patterns)]
+            fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
+                match r.byte()? {
+                    $( $tag => Ok(Self::$variant), )*
+                    t => Err(BinError::msg(format!(
+                        concat!("unknown ", stringify!($name), " tag {}"),
+                        t
+                    ))),
+                }
+            }
+        }
+    };
+
+    (
+        $(#[$meta:meta])*
+        struct $name:ident {
+            $( $(#[$fmeta:meta])* $field:ident: $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $fty ),*
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
+                Json::Obj(vec![
+                    $( (stringify!($field).into(), self.$field.to_json()) ),*
+                ])
+            }
+        }
+
+        impl FromJson for $name {
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                Ok($name { $( $field: field(v, stringify!($field))? ),* })
+            }
+        }
+
+        impl ToBinary for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $( self.$field.encode(out); )*
+            }
+        }
+
+        impl FromBinary for $name {
+            fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
+                Ok($name { $( $field: FromBinary::decode(r)? ),* })
+            }
+        }
+    };
+}
+
+wire! {
+    /// Which allocation API triggered a request — used for tracing and for the
+    /// Fig. 4 per-API breakdown. The scheduler treats all four identically
+    /// (it only sees adjusted sizes; the wrapper does the pitch/granule math).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum ApiKind {
+        /// `cudaMalloc`
+        Malloc = "malloc", 0,
+        /// `cudaMallocManaged`
+        MallocManaged = "malloc_managed", 1,
+        /// `cudaMallocPitch`
+        MallocPitch = "malloc_pitch", 2,
+        /// `cudaMalloc3D`
+        Malloc3D = "malloc3_d", 3,
+    }
 }
 
 impl ApiKind {
@@ -40,734 +259,276 @@ impl ApiKind {
             ApiKind::Malloc3D => "cudaMalloc3D",
         }
     }
+}
 
-    /// snake_case wire name.
-    fn wire_name(self) -> &'static str {
-        match self {
-            ApiKind::Malloc => "malloc",
-            ApiKind::MallocManaged => "malloc_managed",
-            ApiKind::MallocPitch => "malloc_pitch",
-            ApiKind::Malloc3D => "malloc3_d",
-        }
+wire! {
+    /// Scheduler verdict on an allocation request.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum AllocDecision {
+        /// Proceed: call the real CUDA allocation API.
+        Granted = "granted", 0,
+        /// The request exceeds the container's declared limit — fail the call
+        /// with `cudaErrorMemoryAllocation` without touching the device.
+        Rejected = "rejected", 1,
     }
 }
 
-impl ToJson for ApiKind {
-    fn to_json(&self) -> Json {
-        Json::Str(self.wire_name().to_string())
+wire! {
+    /// Requests sent *to* the GPU memory scheduler.
+    #[derive(Clone, Debug, PartialEq)]
+    tagged enum Request {
+        /// nvidia-docker: declare a container and its GPU memory limit before
+        /// creation (`--nvidia-memory`, label, or the 1 GiB default).
+        Register = "register", 0 {
+            /// The container being created.
+            container: ContainerId,
+            /// Declared maximum GPU memory.
+            limit: Bytes,
+        },
+        /// nvidia-docker: ask for the per-container directory that will be
+        /// volume-mounted into the container (wrapper module + socket).
+        RequestDir = "request_dir", 1 {
+            /// The registered container.
+            container: ContainerId,
+        },
+        /// Wrapper: permission to allocate `size` (already adjusted for pitch
+        /// or managed granularity). The reply may be withheld — suspension.
+        AllocRequest = "alloc_request", 2 {
+            /// Requesting container.
+            container: ContainerId,
+            /// Requesting process inside the container.
+            pid: u64,
+            /// Adjusted allocation size.
+            size: Bytes,
+            /// Originating CUDA API.
+            api: ApiKind,
+        },
+        /// Wrapper: the real CUDA allocation succeeded at `addr`.
+        AllocDone = "alloc_done", 3 {
+            /// Allocating container.
+            container: ContainerId,
+            /// Allocating process.
+            pid: u64,
+            /// Device address returned by CUDA.
+            addr: u64,
+            /// Adjusted size actually charged.
+            size: Bytes,
+        },
+        /// Wrapper: the real CUDA allocation *failed* after a grant (device
+        /// fragmentation); the scheduler must release the reservation.
+        AllocFailed = "alloc_failed", 4 {
+            /// Container whose allocation failed.
+            container: ContainerId,
+            /// Process whose allocation failed.
+            pid: u64,
+            /// Size that had been granted.
+            size: Bytes,
+        },
+        /// Wrapper: `cudaFree(addr)` completed.
+        Free = "free", 5 {
+            /// Freeing container.
+            container: ContainerId,
+            /// Freeing process.
+            pid: u64,
+            /// Freed device address.
+            addr: u64,
+        },
+        /// Wrapper: serve `cudaMemGetInfo` from the scheduler's books.
+        MemInfo = "mem_info", 6 {
+            /// Asking container.
+            container: ContainerId,
+            /// Asking process.
+            pid: u64,
+        },
+        /// Wrapper: `__cudaUnregisterFatBinary` fired — the process exited;
+        /// drop all accounting for this pid.
+        ProcessExit = "process_exit", 7 {
+            /// Container whose process exited.
+            container: ContainerId,
+            /// The exiting process.
+            pid: u64,
+        },
+        /// nvidia-docker-plugin: the container's dummy volume unmounted — the
+        /// container stopped; drop all accounting for it.
+        ContainerClose = "container_close", 8 {
+            /// The stopped container.
+            container: ContainerId,
+        },
+        /// Liveness probe.
+        Ping = "ping", 9,
+        /// Ask the daemon for its current metrics as Prometheus exposition
+        /// text (observability; any client may ask).
+        QueryMetrics = "query_metrics", 10,
+        /// Ask the daemon for its device/node topology: one entry per device
+        /// with capacity and occupancy (multi-GPU and cluster topologies
+        /// report several; single-GPU reports one).
+        QueryTopology = "query_topology", 11,
+        /// Ask where a container was placed (its home node/device) — the
+        /// wrapper uses this to answer `cudaGetDeviceProperties` with the
+        /// home device's capacity.
+        QueryHome = "query_home", 12 {
+            /// The registered container.
+            container: ContainerId,
+        },
+        /// Ask a cluster router (or a cluster-topology daemon) for its
+        /// per-node status: health, placements, and fault-tolerance
+        /// counters. Non-cluster daemons answer `error`.
+        QueryCluster = "query_cluster", 13,
+        /// Migration hand-off. To a node daemon: adopt `container` with its
+        /// declared `limit` and pre-committed `used` budget (`node` ignored).
+        /// To a cluster router: re-home `container` off its current node, or —
+        /// when `container` is the 0 sentinel and `node` names a router node —
+        /// drain every container homed on that node (`cluster rebalance`).
+        Migrate = "migrate", 14 {
+            /// The container to hand off (0 = every container on `node`).
+            container: ContainerId,
+            /// Router only: node to drain when `container` is 0.
+            node: String,
+            /// Declared limit carried over (daemon adopt path).
+            limit: Bytes,
+            /// Committed (used) budget carried over (daemon adopt path).
+            used: Bytes,
+        },
+        /// Ask a cluster router for the migrations it has performed.
+        /// Non-router daemons answer `error`.
+        QueryMigrations = "query_migrations", 15,
     }
 }
 
-impl FromJson for ApiKind {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("malloc") => Ok(ApiKind::Malloc),
-            Some("malloc_managed") => Ok(ApiKind::MallocManaged),
-            Some("malloc_pitch") => Ok(ApiKind::MallocPitch),
-            Some("malloc3_d") => Ok(ApiKind::Malloc3D),
-            other => Err(JsonError::msg(format!("unknown api kind {other:?}"))),
-        }
-    }
-}
-
-/// Scheduler verdict on an allocation request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocDecision {
-    /// Proceed: call the real CUDA allocation API.
-    Granted,
-    /// The request exceeds the container's declared limit — fail the call
-    /// with `cudaErrorMemoryAllocation` without touching the device.
-    Rejected,
-}
-
-impl ToJson for AllocDecision {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                AllocDecision::Granted => "granted",
-                AllocDecision::Rejected => "rejected",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for AllocDecision {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("granted") => Ok(AllocDecision::Granted),
-            Some("rejected") => Ok(AllocDecision::Rejected),
-            other => Err(JsonError::msg(format!("unknown decision {other:?}"))),
-        }
-    }
-}
-
-/// Requests sent *to* the GPU memory scheduler.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// nvidia-docker: declare a container and its GPU memory limit before
-    /// creation (`--nvidia-memory`, label, or the 1 GiB default).
-    Register {
-        /// The container being created.
-        container: ContainerId,
-        /// Declared maximum GPU memory.
-        limit: Bytes,
-    },
-    /// nvidia-docker: ask for the per-container directory that will be
-    /// volume-mounted into the container (wrapper module + socket).
-    RequestDir {
-        /// The registered container.
-        container: ContainerId,
-    },
-    /// Wrapper: permission to allocate `size` (already adjusted for pitch
-    /// or managed granularity). The reply may be withheld — suspension.
-    AllocRequest {
-        /// Requesting container.
-        container: ContainerId,
-        /// Requesting process inside the container.
-        pid: u64,
-        /// Adjusted allocation size.
-        size: Bytes,
-        /// Originating CUDA API.
-        api: ApiKind,
-    },
-    /// Wrapper: the real CUDA allocation succeeded at `addr`.
-    AllocDone {
-        /// Allocating container.
-        container: ContainerId,
-        /// Allocating process.
-        pid: u64,
-        /// Device address returned by CUDA.
-        addr: u64,
-        /// Adjusted size actually charged.
-        size: Bytes,
-    },
-    /// Wrapper: the real CUDA allocation *failed* after a grant (device
-    /// fragmentation); the scheduler must release the reservation.
-    AllocFailed {
-        /// Container whose allocation failed.
-        container: ContainerId,
-        /// Process whose allocation failed.
-        pid: u64,
-        /// Size that had been granted.
-        size: Bytes,
-    },
-    /// Wrapper: `cudaFree(addr)` completed.
-    Free {
-        /// Freeing container.
-        container: ContainerId,
-        /// Freeing process.
-        pid: u64,
-        /// Freed device address.
-        addr: u64,
-    },
-    /// Wrapper: serve `cudaMemGetInfo` from the scheduler's books.
-    MemInfo {
-        /// Asking container.
-        container: ContainerId,
-        /// Asking process.
-        pid: u64,
-    },
-    /// Wrapper: `__cudaUnregisterFatBinary` fired — the process exited;
-    /// drop all accounting for this pid.
-    ProcessExit {
-        /// Container whose process exited.
-        container: ContainerId,
-        /// The exiting process.
-        pid: u64,
-    },
-    /// nvidia-docker-plugin: the container's dummy volume unmounted — the
-    /// container stopped; drop all accounting for it.
-    ContainerClose {
-        /// The stopped container.
-        container: ContainerId,
-    },
-    /// Liveness probe.
-    Ping,
-    /// Ask the daemon for its current metrics as Prometheus exposition
-    /// text (observability; any client may ask).
-    QueryMetrics,
-    /// Ask the daemon for its device/node topology: one entry per device
-    /// with capacity and occupancy (multi-GPU and cluster topologies
-    /// report several; single-GPU reports one).
-    QueryTopology,
-    /// Ask where a container was placed (its home node/device) — the
-    /// wrapper uses this to answer `cudaGetDeviceProperties` with the
-    /// home device's capacity.
-    QueryHome {
-        /// The registered container.
-        container: ContainerId,
-    },
-    /// Ask a cluster router (or a cluster-topology daemon) for its
-    /// per-node status: health, placements, and fault-tolerance
-    /// counters. Non-cluster daemons answer `error`.
-    QueryCluster,
-    /// Migration hand-off. To a node daemon: adopt `container` with its
-    /// declared `limit` and pre-committed `used` budget (`node` ignored).
-    /// To a cluster router: re-home `container` off its current node, or —
-    /// when `container` is the 0 sentinel and `node` names a router node —
-    /// drain every container homed on that node (`cluster rebalance`).
-    Migrate {
-        /// The container to hand off (0 = every container on `node`).
-        container: ContainerId,
-        /// Router only: node to drain when `container` is 0.
+wire! {
+    /// One device in a [`Response::Topology`] answer.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct TopologyDevice {
+        /// Cluster node name; empty for single-host topologies.
         node: String,
-        /// Declared limit carried over (daemon adopt path).
-        limit: Bytes,
-        /// Committed (used) budget carried over (daemon adopt path).
-        used: Bytes,
-    },
-    /// Ask a cluster router for the migrations it has performed.
-    /// Non-router daemons answer `error`.
-    QueryMigrations,
-}
-
-impl Request {
-    /// The wire tag — also the `type` label every per-message-type
-    /// metric (server handle time, client round-trip time) is keyed by.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Register { .. } => "register",
-            Request::RequestDir { .. } => "request_dir",
-            Request::AllocRequest { .. } => "alloc_request",
-            Request::AllocDone { .. } => "alloc_done",
-            Request::AllocFailed { .. } => "alloc_failed",
-            Request::Free { .. } => "free",
-            Request::MemInfo { .. } => "mem_info",
-            Request::ProcessExit { .. } => "process_exit",
-            Request::ContainerClose { .. } => "container_close",
-            Request::Ping => "ping",
-            Request::QueryMetrics => "query_metrics",
-            Request::QueryTopology => "query_topology",
-            Request::QueryHome { .. } => "query_home",
-            Request::QueryCluster => "query_cluster",
-            Request::Migrate { .. } => "migrate",
-            Request::QueryMigrations => "query_migrations",
-        }
-    }
-}
-
-/// Build an internally tagged object: `{"type":<tag>, <fields>...}`.
-fn tagged(tag: &str, fields: Vec<(String, Json)>) -> Json {
-    let mut obj = Vec::with_capacity(fields.len() + 1);
-    obj.push(("type".to_string(), Json::Str(tag.to_string())));
-    obj.extend(fields);
-    Json::Obj(obj)
-}
-
-impl ToJson for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::Register { container, limit } => tagged(
-                "register",
-                vec![
-                    ("container".into(), container.to_json()),
-                    ("limit".into(), limit.to_json()),
-                ],
-            ),
-            Request::RequestDir { container } => tagged(
-                "request_dir",
-                vec![("container".into(), container.to_json())],
-            ),
-            Request::AllocRequest {
-                container,
-                pid,
-                size,
-                api,
-            } => tagged(
-                "alloc_request",
-                vec![
-                    ("container".into(), container.to_json()),
-                    ("pid".into(), pid.to_json()),
-                    ("size".into(), size.to_json()),
-                    ("api".into(), api.to_json()),
-                ],
-            ),
-            Request::AllocDone {
-                container,
-                pid,
-                addr,
-                size,
-            } => tagged(
-                "alloc_done",
-                vec![
-                    ("container".into(), container.to_json()),
-                    ("pid".into(), pid.to_json()),
-                    ("addr".into(), addr.to_json()),
-                    ("size".into(), size.to_json()),
-                ],
-            ),
-            Request::AllocFailed {
-                container,
-                pid,
-                size,
-            } => tagged(
-                "alloc_failed",
-                vec![
-                    ("container".into(), container.to_json()),
-                    ("pid".into(), pid.to_json()),
-                    ("size".into(), size.to_json()),
-                ],
-            ),
-            Request::Free {
-                container,
-                pid,
-                addr,
-            } => tagged(
-                "free",
-                vec![
-                    ("container".into(), container.to_json()),
-                    ("pid".into(), pid.to_json()),
-                    ("addr".into(), addr.to_json()),
-                ],
-            ),
-            Request::MemInfo { container, pid } => tagged(
-                "mem_info",
-                vec![
-                    ("container".into(), container.to_json()),
-                    ("pid".into(), pid.to_json()),
-                ],
-            ),
-            Request::ProcessExit { container, pid } => tagged(
-                "process_exit",
-                vec![
-                    ("container".into(), container.to_json()),
-                    ("pid".into(), pid.to_json()),
-                ],
-            ),
-            Request::ContainerClose { container } => tagged(
-                "container_close",
-                vec![("container".into(), container.to_json())],
-            ),
-            Request::Ping => tagged("ping", vec![]),
-            Request::QueryMetrics => tagged("query_metrics", vec![]),
-            Request::QueryTopology => tagged("query_topology", vec![]),
-            Request::QueryHome { container } => tagged(
-                "query_home",
-                vec![("container".into(), container.to_json())],
-            ),
-            Request::QueryCluster => tagged("query_cluster", vec![]),
-            Request::Migrate {
-                container,
-                node,
-                limit,
-                used,
-            } => tagged(
-                "migrate",
-                vec![
-                    ("container".into(), container.to_json()),
-                    ("node".into(), node.to_json()),
-                    ("limit".into(), limit.to_json()),
-                    ("used".into(), used.to_json()),
-                ],
-            ),
-            Request::QueryMigrations => tagged("query_migrations", vec![]),
-        }
-    }
-}
-
-impl FromJson for Request {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let tag = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::msg("missing \"type\" tag"))?;
-        match tag {
-            "register" => Ok(Request::Register {
-                container: field(v, "container")?,
-                limit: field(v, "limit")?,
-            }),
-            "request_dir" => Ok(Request::RequestDir {
-                container: field(v, "container")?,
-            }),
-            "alloc_request" => Ok(Request::AllocRequest {
-                container: field(v, "container")?,
-                pid: field(v, "pid")?,
-                size: field(v, "size")?,
-                api: field(v, "api")?,
-            }),
-            "alloc_done" => Ok(Request::AllocDone {
-                container: field(v, "container")?,
-                pid: field(v, "pid")?,
-                addr: field(v, "addr")?,
-                size: field(v, "size")?,
-            }),
-            "alloc_failed" => Ok(Request::AllocFailed {
-                container: field(v, "container")?,
-                pid: field(v, "pid")?,
-                size: field(v, "size")?,
-            }),
-            "free" => Ok(Request::Free {
-                container: field(v, "container")?,
-                pid: field(v, "pid")?,
-                addr: field(v, "addr")?,
-            }),
-            "mem_info" => Ok(Request::MemInfo {
-                container: field(v, "container")?,
-                pid: field(v, "pid")?,
-            }),
-            "process_exit" => Ok(Request::ProcessExit {
-                container: field(v, "container")?,
-                pid: field(v, "pid")?,
-            }),
-            "container_close" => Ok(Request::ContainerClose {
-                container: field(v, "container")?,
-            }),
-            "ping" => Ok(Request::Ping),
-            "query_metrics" => Ok(Request::QueryMetrics),
-            "query_topology" => Ok(Request::QueryTopology),
-            "query_home" => Ok(Request::QueryHome {
-                container: field(v, "container")?,
-            }),
-            "query_cluster" => Ok(Request::QueryCluster),
-            "migrate" => Ok(Request::Migrate {
-                container: field(v, "container")?,
-                node: field(v, "node")?,
-                limit: field(v, "limit")?,
-                used: field(v, "used")?,
-            }),
-            "query_migrations" => Ok(Request::QueryMigrations),
-            other => Err(JsonError::msg(format!("unknown request type {other:?}"))),
-        }
-    }
-}
-
-/// One device in a [`Response::Topology`] answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TopologyDevice {
-    /// Cluster node name; empty for single-host topologies.
-    pub node: String,
-    /// Device index within its node.
-    pub device: u64,
-    /// Total device capacity.
-    pub capacity: Bytes,
-    /// Memory not currently reserved on the device.
-    pub unassigned: Bytes,
-    /// Containers registered and not yet closed on the device.
-    pub containers: u64,
-    /// Redistribution policy running on the device.
-    pub policy: String,
-}
-
-impl ToJson for TopologyDevice {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("node".into(), self.node.to_json()),
-            ("device".into(), self.device.to_json()),
-            ("capacity".into(), self.capacity.to_json()),
-            ("unassigned".into(), self.unassigned.to_json()),
-            ("containers".into(), self.containers.to_json()),
-            ("policy".into(), self.policy.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TopologyDevice {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TopologyDevice {
-            node: field(v, "node")?,
-            device: field(v, "device")?,
-            capacity: field(v, "capacity")?,
-            unassigned: field(v, "unassigned")?,
-            containers: field(v, "containers")?,
-            policy: field(v, "policy")?,
-        })
-    }
-}
-
-/// One node in a [`Response::Cluster`] answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClusterNodeStatus {
-    /// Node name, as configured on the router.
-    pub node: String,
-    /// Router-observed health: `"up"`, `"degraded"`, or `"down"`.
-    pub health: String,
-    /// Containers the router has placed on (and not yet closed from)
-    /// the node.
-    pub containers: u64,
-    /// Requests to this node the router retried after a transport
-    /// failure.
-    pub retries: u64,
-    /// Requests to this node that exceeded their deadline.
-    pub timeouts: u64,
-    /// Containers failed over to rejection because the node went down.
-    pub failovers: u64,
-}
-
-impl ToJson for ClusterNodeStatus {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("node".into(), self.node.to_json()),
-            ("health".into(), self.health.to_json()),
-            ("containers".into(), self.containers.to_json()),
-            ("retries".into(), self.retries.to_json()),
-            ("timeouts".into(), self.timeouts.to_json()),
-            ("failovers".into(), self.failovers.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ClusterNodeStatus {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ClusterNodeStatus {
-            node: field(v, "node")?,
-            health: field(v, "health")?,
-            containers: field(v, "containers")?,
-            retries: field(v, "retries")?,
-            timeouts: field(v, "timeouts")?,
-            failovers: field(v, "failovers")?,
-        })
-    }
-}
-
-/// One completed (or refused) container move in a
-/// [`Response::Migrations`] answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MigrationRecord {
-    /// The migrated container.
-    pub container: ContainerId,
-    /// Node it was drained off.
-    pub from: String,
-    /// Node that adopted it; empty when no node could (`status` says
-    /// `"rejected"`).
-    pub to: String,
-    /// Declared limit carried over.
-    pub limit: Bytes,
-    /// Committed (used) budget carried over.
-    pub used: Bytes,
-    /// `"completed"` or `"rejected"`.
-    pub status: String,
-}
-
-impl ToJson for MigrationRecord {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("container".into(), self.container.to_json()),
-            ("from".into(), self.from.to_json()),
-            ("to".into(), self.to.to_json()),
-            ("limit".into(), self.limit.to_json()),
-            ("used".into(), self.used.to_json()),
-            ("status".into(), self.status.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MigrationRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(MigrationRecord {
-            container: field(v, "container")?,
-            from: field(v, "from")?,
-            to: field(v, "to")?,
-            limit: field(v, "limit")?,
-            used: field(v, "used")?,
-            status: field(v, "status")?,
-        })
-    }
-}
-
-/// Responses sent *from* the scheduler.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// Generic acknowledgement.
-    Ok,
-    /// Reply to [`Request::RequestDir`].
-    Dir {
-        /// Host path of the per-container volume directory.
-        path: String,
-    },
-    /// Reply to [`Request::AllocRequest`] (possibly after suspension).
-    Alloc {
-        /// The verdict.
-        decision: AllocDecision,
-    },
-    /// Reply to [`Request::Free`].
-    Freed {
-        /// Bytes the scheduler had on its books for the address (zero for
-        /// an unknown address).
-        size: Bytes,
-    },
-    /// Reply to [`Request::MemInfo`] — answered from scheduler
-    /// book-keeping, *not* the device (which is why the paper measured
-    /// this API faster under ConVGPU).
-    MemInfo {
-        /// Free bytes from the container's viewpoint.
-        free: Bytes,
-        /// Total bytes from the container's viewpoint (its limit).
-        total: Bytes,
-    },
-    /// Protocol or state error.
-    Error {
-        /// Human-readable cause.
-        message: String,
-    },
-    /// Reply to [`Request::Ping`].
-    Pong,
-    /// Reply to [`Request::QueryMetrics`]: the daemon's metrics rendered
-    /// as Prometheus exposition text. Carried as opaque text so the wire
-    /// schema does not depend on the metrics model.
-    Metrics {
-        /// Prometheus text exposition (may be multi-line; JSON escaping
-        /// keeps the line framing unambiguous).
-        text: String,
-    },
-    /// Reply to [`Request::QueryTopology`].
-    Topology {
-        /// Topology kind: `"single"`, `"multi-gpu"`, or `"cluster"`.
-        kind: String,
-        /// Every device, in node order then device index.
-        devices: Vec<TopologyDevice>,
-    },
-    /// Reply to [`Request::QueryHome`].
-    Home {
-        /// Home node name; empty for single-host topologies.
-        node: String,
-        /// Home device index within the node.
+        /// Device index within its node.
         device: u64,
-    },
-    /// Reply to [`Request::QueryCluster`].
-    Cluster {
-        /// Placement strategy running on the router
-        /// (`"spread"` / `"binpack"` / `"random"`).
-        strategy: String,
-        /// Every node, in router configuration order.
-        nodes: Vec<ClusterNodeStatus>,
-    },
-    /// Reply to [`Request::QueryMigrations`].
-    Migrations {
-        /// Every migration the router has performed, oldest first.
-        records: Vec<MigrationRecord>,
-    },
-}
-
-impl ToJson for Response {
-    fn to_json(&self) -> Json {
-        match self {
-            Response::Ok => tagged("ok", vec![]),
-            Response::Dir { path } => tagged("dir", vec![("path".into(), path.to_json())]),
-            Response::Alloc { decision } => {
-                tagged("alloc", vec![("decision".into(), decision.to_json())])
-            }
-            Response::Freed { size } => tagged("freed", vec![("size".into(), size.to_json())]),
-            Response::MemInfo { free, total } => tagged(
-                "mem_info",
-                vec![
-                    ("free".into(), free.to_json()),
-                    ("total".into(), total.to_json()),
-                ],
-            ),
-            Response::Error { message } => {
-                tagged("error", vec![("message".into(), message.to_json())])
-            }
-            Response::Pong => tagged("pong", vec![]),
-            Response::Metrics { text } => tagged("metrics", vec![("text".into(), text.to_json())]),
-            Response::Topology { kind, devices } => tagged(
-                "topology",
-                vec![
-                    ("kind".into(), kind.to_json()),
-                    (
-                        "devices".into(),
-                        Json::Arr(devices.iter().map(ToJson::to_json).collect()),
-                    ),
-                ],
-            ),
-            Response::Home { node, device } => tagged(
-                "home",
-                vec![
-                    ("node".into(), node.to_json()),
-                    ("device".into(), device.to_json()),
-                ],
-            ),
-            Response::Cluster { strategy, nodes } => tagged(
-                "cluster",
-                vec![
-                    ("strategy".into(), strategy.to_json()),
-                    (
-                        "nodes".into(),
-                        Json::Arr(nodes.iter().map(ToJson::to_json).collect()),
-                    ),
-                ],
-            ),
-            Response::Migrations { records } => tagged(
-                "migrations",
-                vec![(
-                    "records".into(),
-                    Json::Arr(records.iter().map(ToJson::to_json).collect()),
-                )],
-            ),
-        }
+        /// Total device capacity.
+        capacity: Bytes,
+        /// Memory not currently reserved on the device.
+        unassigned: Bytes,
+        /// Containers registered and not yet closed on the device.
+        containers: u64,
+        /// Redistribution policy running on the device.
+        policy: String,
     }
 }
 
-impl FromJson for Response {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let tag = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::msg("missing \"type\" tag"))?;
-        match tag {
-            "ok" => Ok(Response::Ok),
-            "dir" => Ok(Response::Dir {
-                path: field(v, "path")?,
-            }),
-            "alloc" => Ok(Response::Alloc {
-                decision: field(v, "decision")?,
-            }),
-            "freed" => Ok(Response::Freed {
-                size: field(v, "size")?,
-            }),
-            "mem_info" => Ok(Response::MemInfo {
-                free: field(v, "free")?,
-                total: field(v, "total")?,
-            }),
-            "error" => Ok(Response::Error {
-                message: field(v, "message")?,
-            }),
-            "pong" => Ok(Response::Pong),
-            "metrics" => Ok(Response::Metrics {
-                text: field(v, "text")?,
-            }),
-            "topology" => {
-                let devices = match v.get("devices") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(TopologyDevice::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err(JsonError::msg("topology: missing \"devices\" array")),
-                };
-                Ok(Response::Topology {
-                    kind: field(v, "kind")?,
-                    devices,
-                })
-            }
-            "home" => Ok(Response::Home {
-                node: field(v, "node")?,
-                device: field(v, "device")?,
-            }),
-            "cluster" => {
-                let nodes = match v.get("nodes") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(ClusterNodeStatus::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err(JsonError::msg("cluster: missing \"nodes\" array")),
-                };
-                Ok(Response::Cluster {
-                    strategy: field(v, "strategy")?,
-                    nodes,
-                })
-            }
-            "migrations" => {
-                let records = match v.get("records") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(MigrationRecord::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err(JsonError::msg("migrations: missing \"records\" array")),
-                };
-                Ok(Response::Migrations { records })
-            }
-            other => Err(JsonError::msg(format!("unknown response type {other:?}"))),
-        }
+wire! {
+    /// One node in a [`Response::Cluster`] answer.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct ClusterNodeStatus {
+        /// Node name, as configured on the router.
+        node: String,
+        /// Router-observed health: `"up"`, `"degraded"`, or `"down"`.
+        health: String,
+        /// Containers the router has placed on (and not yet closed from)
+        /// the node.
+        containers: u64,
+        /// Requests to this node the router retried after a transport
+        /// failure.
+        retries: u64,
+        /// Requests to this node that exceeded their deadline.
+        timeouts: u64,
+        /// Containers failed over to rejection because the node went down.
+        failovers: u64,
+    }
+}
+
+wire! {
+    /// One completed (or refused) container move in a
+    /// [`Response::Migrations`] answer.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct MigrationRecord {
+        /// The migrated container.
+        container: ContainerId,
+        /// Node it was drained off.
+        from: String,
+        /// Node that adopted it; empty when no node could (`status` says
+        /// `"rejected"`).
+        to: String,
+        /// Declared limit carried over.
+        limit: Bytes,
+        /// Committed (used) budget carried over.
+        used: Bytes,
+        /// `"completed"` or `"rejected"`.
+        status: String,
+    }
+}
+
+wire! {
+    /// Responses sent *from* the scheduler.
+    #[derive(Clone, Debug, PartialEq)]
+    tagged enum Response {
+        /// Generic acknowledgement.
+        Ok = "ok", 0,
+        /// Reply to [`Request::RequestDir`].
+        Dir = "dir", 1 {
+            /// Host path of the per-container volume directory.
+            path: String,
+        },
+        /// Reply to [`Request::AllocRequest`] (possibly after suspension).
+        Alloc = "alloc", 2 {
+            /// The verdict.
+            decision: AllocDecision,
+        },
+        /// Reply to [`Request::Free`].
+        Freed = "freed", 3 {
+            /// Bytes the scheduler had on its books for the address (zero for
+            /// an unknown address).
+            size: Bytes,
+        },
+        /// Reply to [`Request::MemInfo`] — answered from scheduler
+        /// book-keeping, *not* the device (which is why the paper measured
+        /// this API faster under ConVGPU).
+        MemInfo = "mem_info", 4 {
+            /// Free bytes from the container's viewpoint.
+            free: Bytes,
+            /// Total bytes from the container's viewpoint (its limit).
+            total: Bytes,
+        },
+        /// Protocol or state error.
+        Error = "error", 5 {
+            /// Human-readable cause.
+            message: String,
+        },
+        /// Reply to [`Request::Ping`].
+        Pong = "pong", 6,
+        /// Reply to [`Request::QueryMetrics`]: the daemon's metrics rendered
+        /// as Prometheus exposition text. Carried as opaque text so the wire
+        /// schema does not depend on the metrics model.
+        Metrics = "metrics", 7 {
+            /// Prometheus text exposition (may be multi-line; JSON escaping
+            /// keeps the line framing unambiguous).
+            text: String,
+        },
+        /// Reply to [`Request::QueryTopology`].
+        Topology = "topology", 8 {
+            /// Topology kind: `"single"`, `"multi-gpu"`, or `"cluster"`.
+            kind: String,
+            /// Every device, in node order then device index.
+            devices: Vec<TopologyDevice>,
+        },
+        /// Reply to [`Request::QueryHome`].
+        Home = "home", 9 {
+            /// Home node name; empty for single-host topologies.
+            node: String,
+            /// Home device index within the node.
+            device: u64,
+        },
+        /// Reply to [`Request::QueryCluster`].
+        Cluster = "cluster", 10 {
+            /// Placement strategy running on the router
+            /// (`"spread"` / `"binpack"` / `"random"`).
+            strategy: String,
+            /// Every node, in router configuration order.
+            nodes: Vec<ClusterNodeStatus>,
+        },
+        /// Reply to [`Request::QueryMigrations`].
+        Migrations = "migrations", 11 {
+            /// Every migration the router has performed, oldest first.
+            records: Vec<MigrationRecord>,
+        },
     }
 }
 
@@ -798,190 +559,25 @@ impl<T: FromJson> FromJson for Envelope<T> {
     }
 }
 
+impl<T: ToBinary> ToBinary for Envelope<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.id.encode(out);
+        self.body.encode(out);
+    }
+}
+
+impl<T: FromBinary> FromBinary for Envelope<T> {
+    fn decode(r: &mut BinReader<'_>) -> Result<Self, BinError> {
+        Ok(Envelope {
+            id: FromBinary::decode(r)?,
+            body: FromBinary::decode(r)?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
-
-    fn round_trip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(env: &Envelope<T>) {
-        let text = env.to_json_string();
-        let back = Envelope::<T>::from_json(&json::parse(&text).expect("parse")).expect("decode");
-        assert_eq!(&back, env, "wire text: {text}");
-    }
-
-    #[test]
-    fn request_json_round_trip() {
-        let reqs = vec![
-            Request::Register {
-                container: ContainerId(3),
-                limit: Bytes::mib(512),
-            },
-            Request::RequestDir {
-                container: ContainerId(3),
-            },
-            Request::AllocRequest {
-                container: ContainerId(3),
-                pid: 42,
-                size: Bytes::mib(128),
-                api: ApiKind::MallocManaged,
-            },
-            Request::AllocDone {
-                container: ContainerId(3),
-                pid: 42,
-                addr: 0x7000_0000,
-                size: Bytes::mib(128),
-            },
-            Request::AllocFailed {
-                container: ContainerId(3),
-                pid: 42,
-                size: Bytes::mib(128),
-            },
-            Request::Free {
-                container: ContainerId(3),
-                pid: 42,
-                addr: 0x7000_0000,
-            },
-            Request::MemInfo {
-                container: ContainerId(3),
-                pid: 42,
-            },
-            Request::ProcessExit {
-                container: ContainerId(3),
-                pid: 42,
-            },
-            Request::ContainerClose {
-                container: ContainerId(3),
-            },
-            Request::Ping,
-            Request::QueryMetrics,
-            Request::QueryTopology,
-            Request::QueryHome {
-                container: ContainerId(3),
-            },
-            Request::QueryCluster,
-            Request::Migrate {
-                container: ContainerId(3),
-                node: String::new(),
-                limit: Bytes::mib(512),
-                used: Bytes::mib(128),
-            },
-            Request::Migrate {
-                container: ContainerId(0),
-                node: "n1".into(),
-                limit: Bytes::ZERO,
-                used: Bytes::ZERO,
-            },
-            Request::QueryMigrations,
-        ];
-        for req in reqs {
-            round_trip(&Envelope {
-                id: 7,
-                body: req.clone(),
-            });
-        }
-    }
-
-    #[test]
-    fn response_json_round_trip() {
-        let resps = vec![
-            Response::Ok,
-            Response::Dir {
-                path: "/var/lib/convgpu/cnt-0003".into(),
-            },
-            Response::Alloc {
-                decision: AllocDecision::Granted,
-            },
-            Response::Alloc {
-                decision: AllocDecision::Rejected,
-            },
-            Response::Freed {
-                size: Bytes::mib(64),
-            },
-            Response::MemInfo {
-                free: Bytes::mib(100),
-                total: Bytes::mib(512),
-            },
-            Response::Error {
-                message: "unregistered container".into(),
-            },
-            Response::Pong,
-            Response::Metrics {
-                text: "# TYPE convgpu_x counter\nconvgpu_x{type=\"ping\"} 3\n".into(),
-            },
-            Response::Topology {
-                kind: "multi-gpu".into(),
-                devices: vec![
-                    TopologyDevice {
-                        node: String::new(),
-                        device: 0,
-                        capacity: Bytes::gib(5),
-                        unassigned: Bytes::gib(2),
-                        containers: 3,
-                        policy: "fifo".into(),
-                    },
-                    TopologyDevice {
-                        node: "node-1".into(),
-                        device: 1,
-                        capacity: Bytes::gib(16),
-                        unassigned: Bytes::gib(16),
-                        containers: 0,
-                        policy: "best_fit".into(),
-                    },
-                ],
-            },
-            Response::Home {
-                node: String::new(),
-                device: 1,
-            },
-            Response::Cluster {
-                strategy: "spread".into(),
-                nodes: vec![
-                    ClusterNodeStatus {
-                        node: "n0".into(),
-                        health: "up".into(),
-                        containers: 2,
-                        retries: 0,
-                        timeouts: 0,
-                        failovers: 0,
-                    },
-                    ClusterNodeStatus {
-                        node: "n1".into(),
-                        health: "down".into(),
-                        containers: 0,
-                        retries: 3,
-                        timeouts: 1,
-                        failovers: 2,
-                    },
-                ],
-            },
-            Response::Migrations {
-                records: vec![
-                    MigrationRecord {
-                        container: ContainerId(3),
-                        from: "n0".into(),
-                        to: "n1".into(),
-                        limit: Bytes::mib(512),
-                        used: Bytes::mib(128),
-                        status: "completed".into(),
-                    },
-                    MigrationRecord {
-                        container: ContainerId(4),
-                        from: "n0".into(),
-                        to: String::new(),
-                        limit: Bytes::gib(4),
-                        used: Bytes::gib(4),
-                        status: "rejected".into(),
-                    },
-                ],
-            },
-        ];
-        for resp in resps {
-            round_trip(&Envelope {
-                id: 1,
-                body: resp.clone(),
-            });
-        }
-    }
 
     #[test]
     fn wire_format_is_snake_case_tagged() {
@@ -1001,145 +597,38 @@ mod tests {
         assert!(json.contains(r#""size":3"#), "{json}");
     }
 
+    /// `docs/PROTOCOL.md` is checked against the tables above: its two
+    /// binary tag tables must be exactly what `SCHEMA` renders to (a row
+    /// missing, stale or extra fails), and its requests table must list
+    /// each request with its fields.
     #[test]
-    fn envelope_wire_format_is_stable() {
-        let env = Envelope {
-            id: 9,
-            body: Request::Register {
-                container: ContainerId(3),
-                limit: Bytes::mib(512),
-            },
-        };
-        assert_eq!(
-            env.to_json_string(),
-            r#"{"id":9,"body":{"type":"register","container":3,"limit":536870912}}"#
-        );
-    }
-
-    #[test]
-    fn query_metrics_wire_format_is_stable() {
-        assert_eq!(
-            Request::QueryMetrics.to_json_string(),
-            r#"{"type":"query_metrics"}"#
-        );
-        let resp = Response::Metrics {
-            text: "a 1\n".into(),
-        };
-        assert_eq!(
-            resp.to_json_string(),
-            r#"{"type":"metrics","text":"a 1\n"}"#
-        );
-    }
-
-    #[test]
-    fn request_kind_matches_wire_tag() {
-        for req in [
-            Request::Ping,
-            Request::QueryMetrics,
-            Request::ContainerClose {
-                container: ContainerId(1),
-            },
-        ] {
-            let json = req.to_json_string();
+    fn protocol_md_matches_the_message_tables() {
+        let doc = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../docs/PROTOCOL.md"
+        ))
+        .expect("docs/PROTOCOL.md");
+        for (side, schema) in [("request", Request::SCHEMA), ("response", Response::SCHEMA)] {
+            let mut table = format!("| {side} type | binary tag |\n|---|---|\n");
+            for m in schema {
+                table += &format!("| `{}` | {} |\n", m.wire, m.tag);
+            }
             assert!(
-                json.contains(&format!(r#""type":"{}""#, req.kind())),
-                "{json} vs {}",
-                req.kind()
+                doc.contains(&format!("{table}\n")),
+                "docs/PROTOCOL.md, \"Binary codec tags\": the {side} table must read\n\n{table}"
             );
         }
-    }
-
-    #[test]
-    fn topology_wire_format_is_stable() {
-        assert_eq!(
-            Request::QueryTopology.to_json_string(),
-            r#"{"type":"query_topology"}"#
-        );
-        assert_eq!(
-            Request::QueryHome {
-                container: ContainerId(3)
-            }
-            .to_json_string(),
-            r#"{"type":"query_home","container":3}"#
-        );
-        let resp = Response::Topology {
-            kind: "single".into(),
-            devices: vec![TopologyDevice {
-                node: String::new(),
-                device: 0,
-                capacity: Bytes::new(5),
-                unassigned: Bytes::new(2),
-                containers: 1,
-                policy: "fifo".into(),
-            }],
-        };
-        assert_eq!(
-            resp.to_json_string(),
-            r#"{"type":"topology","kind":"single","devices":[{"node":"","device":0,"capacity":5,"unassigned":2,"containers":1,"policy":"fifo"}]}"#
-        );
-        assert_eq!(
-            Response::Home {
-                node: "n1".into(),
-                device: 2
-            }
-            .to_json_string(),
-            r#"{"type":"home","node":"n1","device":2}"#
-        );
-    }
-
-    #[test]
-    fn cluster_wire_format_is_stable() {
-        assert_eq!(
-            Request::QueryCluster.to_json_string(),
-            r#"{"type":"query_cluster"}"#
-        );
-        let resp = Response::Cluster {
-            strategy: "binpack".into(),
-            nodes: vec![ClusterNodeStatus {
-                node: "n0".into(),
-                health: "degraded".into(),
-                containers: 1,
-                retries: 2,
-                timeouts: 1,
-                failovers: 0,
-            }],
-        };
-        assert_eq!(
-            resp.to_json_string(),
-            r#"{"type":"cluster","strategy":"binpack","nodes":[{"node":"n0","health":"degraded","containers":1,"retries":2,"timeouts":1,"failovers":0}]}"#
-        );
-    }
-
-    #[test]
-    fn migration_wire_format_is_stable() {
-        assert_eq!(
-            Request::QueryMigrations.to_json_string(),
-            r#"{"type":"query_migrations"}"#
-        );
-        assert_eq!(
-            Request::Migrate {
-                container: ContainerId(3),
-                node: String::new(),
-                limit: Bytes::new(512),
-                used: Bytes::new(128),
-            }
-            .to_json_string(),
-            r#"{"type":"migrate","container":3,"node":"","limit":512,"used":128}"#
-        );
-        let resp = Response::Migrations {
-            records: vec![MigrationRecord {
-                container: ContainerId(3),
-                from: "n0".into(),
-                to: "n1".into(),
-                limit: Bytes::new(512),
-                used: Bytes::new(128),
-                status: "completed".into(),
-            }],
-        };
-        assert_eq!(
-            resp.to_json_string(),
-            r#"{"type":"migrations","records":[{"container":3,"from":"n0","to":"n1","limit":512,"used":128,"status":"completed"}]}"#
-        );
+        for m in Request::SCHEMA {
+            let fields: Vec<String> = m.fields.iter().map(|f| format!("`{f}`")).collect();
+            let row = match fields.as_slice() {
+                [] => format!("| `{}` | — |", m.wire),
+                fields => format!("| `{}` | {} |", m.wire, fields.join(", ")),
+            };
+            assert!(
+                doc.contains(&row),
+                "docs/PROTOCOL.md, \"Requests\": expected a row starting\n\n{row}"
+            );
+        }
     }
 
     #[test]

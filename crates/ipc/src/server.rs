@@ -7,7 +7,7 @@
 //! can stash it in the suspended-container queue and fire it minutes later
 //! from whatever thread processes the memory release.
 
-use crate::binary::{encode_with, read_auto, WireCodec};
+use crate::binary::{encode_with, read_auto, WireCodec, MAX_FRAME_BYTES};
 use crate::message::{Envelope, Request, Response};
 use crate::transport::{self, Conn, EndpointAddr, TransportListener};
 use convgpu_obs::Registry;
@@ -74,13 +74,7 @@ impl Reply {
     /// disconnect path reclaims its state instead.
     pub fn send(self, resp: Response) {
         let write_started = self.obs.as_ref().map(|o| o.clock.now());
-        let frame = encode_with(
-            &Envelope {
-                id: self.id,
-                body: resp,
-            },
-            self.codec,
-        );
+        let frame = self.frame(resp);
         {
             let mut w = self.writer.lock();
             let _ = w.write_all(&frame).and_then(|()| w.flush());
@@ -112,13 +106,7 @@ impl Reply {
         let mut groups: Vec<Group> = Vec::new();
         for (reply, resp) in batch {
             let write_started = reply.obs.as_ref().map(|o| o.clock.now());
-            let frame = encode_with(
-                &Envelope {
-                    id: reply.id,
-                    body: resp,
-                },
-                reply.codec,
-            );
+            let frame = reply.frame(resp);
             match groups
                 .iter_mut()
                 .find(|(w, _, _)| Arc::ptr_eq(w, &reply.writer))
@@ -143,6 +131,24 @@ impl Reply {
                 Self::observe_sent(&obs, write_started);
             }
         }
+    }
+
+    /// The bytes that answer this request with `resp`, in its codec. The
+    /// peer's reader drops the whole connection — every caller sharing it
+    /// — on a frame above [`MAX_FRAME_BYTES`], so a reply that long goes
+    /// out as an `error` saying so instead.
+    fn frame(&self, resp: Response) -> Vec<u8> {
+        let encode = |body| encode_with(&Envelope { id: self.id, body }, self.codec);
+        let frame = encode(resp);
+        if frame.len() <= MAX_FRAME_BYTES {
+            return frame;
+        }
+        encode(Response::Error {
+            message: format!(
+                "reply of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit",
+                frame.len()
+            ),
+        })
     }
 
     fn observe_sent(obs: &Option<ReplyObs>, write_started: Option<SimTime>) {

@@ -1,4 +1,4 @@
-//! The nine analyses. Each module exposes `check(&Workspace) -> Vec<Finding>`;
+//! The eight analyses. Each module exposes `check(&Workspace) -> Vec<Finding>`;
 //! suppression filtering happens centrally in [`crate::run_on`].
 
 pub mod forbid_unsafe;
@@ -6,7 +6,6 @@ pub mod hashmap_iter;
 pub mod lock_order;
 pub mod lock_unwrap;
 pub mod metric_names;
-pub mod protocol_drift;
 pub mod raw_transport;
 pub mod ticket_bits;
 pub mod wall_clock;

@@ -89,7 +89,6 @@ fn binary_exits_nonzero_on_bad_fixture() {
     for fixture in [
         "lock_order_cycle_bad",
         "lock_order_write_bad",
-        "protocol_drift_bad",
         "metric_names_bad",
         "ticket_bits_collision_bad",
     ] {

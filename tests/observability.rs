@@ -325,6 +325,51 @@ fn chrome_trace_export_is_valid_nonempty_json() {
     }
 }
 
+/// Per-container series never retire, so a lived-in daemon's exposition
+/// outgrows the 64 KiB frame cap. The server must answer that
+/// `query_metrics` with an `error` — a frame the client's reader would
+/// reject takes the connection, and every caller sharing it, down.
+#[test]
+fn oversized_metrics_reply_is_an_error_on_a_connection_that_stays_up() {
+    use convgpu::ipc::endpoint::{IpcError, SchedulerEndpoint};
+    use convgpu::ipc::MAX_FRAME_BYTES;
+
+    let convgpu = ConVGpu::start(fast_cfg()).unwrap();
+    let run_one = || {
+        let program = Box::new(FnProgram::new("touch", |api, pid, _clock| {
+            let p = api.cuda_malloc(pid, Bytes::mib(16))?;
+            api.cuda_free(pid, p)
+        }));
+        let session = convgpu
+            .run_container(RunCommand::new("cuda-app").nvidia_memory("64m"), program)
+            .unwrap();
+        let id = session.container;
+        session.wait().unwrap();
+        assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
+        id
+    };
+    let first = run_one();
+    let client = SchedulerClient::connect(&convgpu.service().socket_path(first)).unwrap();
+    assert!(client.query_metrics().unwrap().len() < MAX_FRAME_BYTES);
+
+    let mut containers = 1;
+    while convgpu.metrics_text().len() <= MAX_FRAME_BYTES {
+        assert!(containers < 1000, "exposition never outgrew the frame cap");
+        run_one();
+        containers += 1;
+    }
+    match client.query_metrics() {
+        Err(IpcError::Scheduler(message)) => {
+            assert!(message.contains("exceeds"), "{message}");
+            assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
+        }
+        other => panic!("after {containers} containers: {other:?}"),
+    }
+    client.ping().expect("the same connection still answers");
+    drop(client);
+    convgpu.shutdown();
+}
+
 /// The in-proc transport shares the same hub: metrics_text works there
 /// too (no sockets, no ServerObs — scheduler + wrapper metrics only).
 #[test]

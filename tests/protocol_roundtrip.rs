@@ -1,16 +1,21 @@
 //! Wire-protocol property tests and socket stress: arbitrary messages
-//! survive the JSON line codec, and the live server multiplexes many
-//! concurrent clients without losing or misrouting replies.
+//! survive both codecs, the bytes of every message are pinned by a golden
+//! file, and the live server multiplexes many concurrent clients without
+//! losing or misrouting replies.
 //!
 //! Property tests run on the deterministic harness in
 //! `convgpu_audit::prop`.
 
-use convgpu::ipc::binary::{encode_frame, read_binary, write_binary, WireCodec, MAGIC};
+use convgpu::ipc::binary::{
+    encode_frame, encode_with, read_auto, read_binary, FromBinary, ToBinary, WireCodec, MAGIC,
+};
 use convgpu::ipc::client::SchedulerClient;
 use convgpu::ipc::codec::{read_json, write_json};
 use convgpu::ipc::endpoint::SchedulerEndpoint;
+use convgpu::ipc::json::{FromJson, ToJson};
 use convgpu::ipc::message::{
-    AllocDecision, ApiKind, ClusterNodeStatus, Envelope, Request, Response, TopologyDevice,
+    AllocDecision, ApiKind, ClusterNodeStatus, Envelope, MessageSchema, MigrationRecord, Request,
+    Response, TopologyDevice,
 };
 use convgpu::ipc::server::SocketServer;
 use convgpu::ipc::transport::{Conn, EndpointAddr};
@@ -23,6 +28,7 @@ use convgpu::sim::units::Bytes;
 use convgpu_audit::prop;
 use convgpu_core::handler::ServiceHandler;
 use convgpu_core::service::SchedulerService;
+use std::collections::BTreeSet;
 use std::io::BufReader;
 use std::sync::Arc;
 
@@ -34,76 +40,148 @@ macro_rules! ensure {
     };
 }
 
-fn gen_request(rng: &mut DetRng) -> Request {
-    let c = ContainerId(rng.next_u64());
-    match rng.next_below(12) {
+fn gen_api(rng: &mut DetRng) -> ApiKind {
+    [
+        ApiKind::Malloc,
+        ApiKind::MallocManaged,
+        ApiKind::MallocPitch,
+        ApiKind::Malloc3D,
+    ][rng.index(4)]
+}
+
+fn wire_names(schema: &[MessageSchema]) -> BTreeSet<&'static str> {
+    schema.iter().map(|m| m.wire).collect()
+}
+
+/// Read `wire` the way client and server do — `read_auto`, codec detected
+/// from the first byte — and check it is `want`, sent in `codec`.
+fn check_decodes_to<T>(wire: &[u8], codec: WireCodec, want: &Envelope<T>) -> Result<(), String>
+where
+    T: FromJson + FromBinary + PartialEq + std::fmt::Debug,
+{
+    let mut r = BufReader::new(wire);
+    let (got, seen): (Envelope<T>, _) = read_auto(&mut r)
+        .map_err(|e| format!("{} read: {e}", codec.label()))?
+        .ok_or("unexpected EOF")?;
+    ensure!(seen == codec, "{codec:?} bytes detected as {seen:?}");
+    ensure!(&got == want, "{} decoded {got:?}", codec.label());
+    Ok(())
+}
+
+/// Strings with everything the JSON writer escapes and a multi-byte char.
+fn gen_text(rng: &mut DetRng) -> String {
+    [
+        "",
+        "n0",
+        "node-1",
+        "a \"q\" \\ b",
+        "line\nbreak\ttab",
+        "π≈3.14",
+    ][rng.index(6)]
+    .to_string()
+}
+
+/// An arbitrary request of the variant in row `row` of `Request::SCHEMA`.
+fn gen_request_of(row: usize, rng: &mut DetRng) -> Request {
+    let container = ContainerId(rng.next_u64());
+    let pid = rng.next_u64();
+    match row {
         0 => Request::Register {
-            container: c,
+            container,
             limit: Bytes::new(rng.next_u64()),
         },
-        1 => Request::RequestDir { container: c },
+        1 => Request::RequestDir { container },
         2 => Request::AllocRequest {
-            container: c,
-            pid: rng.next_u64(),
+            container,
+            pid,
             size: Bytes::new(rng.next_u64()),
-            api: [
-                ApiKind::Malloc,
-                ApiKind::MallocManaged,
-                ApiKind::MallocPitch,
-                ApiKind::Malloc3D,
-            ][rng.index(4)],
+            api: gen_api(rng),
         },
         3 => Request::AllocDone {
-            container: c,
-            pid: rng.next_u64(),
+            container,
+            pid,
             addr: rng.next_u64(),
             size: Bytes::new(rng.next_u64()),
         },
-        4 => Request::Free {
-            container: c,
-            pid: rng.next_u64(),
+        4 => Request::AllocFailed {
+            container,
+            pid,
+            size: Bytes::new(rng.next_u64()),
+        },
+        5 => Request::Free {
+            container,
+            pid,
             addr: rng.next_u64(),
         },
-        5 => Request::ProcessExit {
-            container: c,
-            pid: rng.next_u64(),
+        6 => Request::MemInfo { container, pid },
+        7 => Request::ProcessExit { container, pid },
+        8 => Request::ContainerClose { container },
+        9 => Request::Ping,
+        10 => Request::QueryMetrics,
+        11 => Request::QueryTopology,
+        12 => Request::QueryHome { container },
+        13 => Request::QueryCluster,
+        14 => Request::Migrate {
+            container,
+            node: gen_text(rng),
+            limit: Bytes::new(rng.next_u64()),
+            used: Bytes::new(rng.next_u64()),
         },
-        6 => Request::ContainerClose { container: c },
-        7 => Request::QueryMetrics,
-        8 => Request::QueryTopology,
-        9 => Request::QueryHome { container: c },
-        10 => Request::QueryCluster,
-        _ => Request::Ping,
+        _ => Request::QueryMigrations,
     }
 }
 
-/// Router-introduced response shapes: topology, home, and cluster
-/// status answers with arbitrary content.
-fn gen_cluster_response(rng: &mut DetRng) -> Response {
-    match rng.next_below(3) {
-        0 => Response::Topology {
-            kind: ["single", "multi-gpu", "cluster"][rng.index(3)].to_string(),
+fn gen_request(rng: &mut DetRng) -> Request {
+    gen_request_of(rng.index(Request::SCHEMA.len()), rng)
+}
+
+/// An arbitrary response of the variant in row `row` of `Response::SCHEMA`.
+fn gen_response_of(row: usize, rng: &mut DetRng) -> Response {
+    match row {
+        0 => Response::Ok,
+        1 => Response::Dir {
+            path: gen_text(rng),
+        },
+        2 => Response::Alloc {
+            decision: [AllocDecision::Granted, AllocDecision::Rejected][rng.index(2)],
+        },
+        3 => Response::Freed {
+            size: Bytes::new(rng.next_u64()),
+        },
+        4 => Response::MemInfo {
+            free: Bytes::new(rng.next_u64()),
+            total: Bytes::new(rng.next_u64()),
+        },
+        5 => Response::Error {
+            message: gen_text(rng),
+        },
+        6 => Response::Pong,
+        7 => Response::Metrics {
+            text: gen_text(rng),
+        },
+        8 => Response::Topology {
+            kind: gen_text(rng),
             devices: (0..rng.range_inclusive(0, 4))
                 .map(|i| TopologyDevice {
-                    node: format!("n{}", rng.next_below(8)),
+                    node: gen_text(rng),
                     device: i,
                     capacity: Bytes::new(rng.next_u64()),
                     unassigned: Bytes::new(rng.next_u64()),
                     containers: rng.next_u64(),
-                    policy: ["FIFO", "BestFit", "Weighted"][rng.index(3)].to_string(),
+                    policy: gen_text(rng),
                 })
                 .collect(),
         },
-        1 => Response::Home {
-            node: format!("node-{}", rng.next_u64()),
+        9 => Response::Home {
+            node: gen_text(rng),
             device: rng.next_u64(),
         },
-        _ => Response::Cluster {
-            strategy: ["spread", "binpack", "random"][rng.index(3)].to_string(),
+        10 => Response::Cluster {
+            strategy: gen_text(rng),
             nodes: (0..rng.range_inclusive(0, 5))
-                .map(|i| ClusterNodeStatus {
-                    node: format!("n{i}"),
-                    health: ["up", "degraded", "down"][rng.index(3)].to_string(),
+                .map(|_| ClusterNodeStatus {
+                    node: gen_text(rng),
+                    health: gen_text(rng),
                     containers: rng.next_u64(),
                     retries: rng.next_u64(),
                     timeouts: rng.next_u64(),
@@ -111,34 +189,61 @@ fn gen_cluster_response(rng: &mut DetRng) -> Response {
                 })
                 .collect(),
         },
+        _ => Response::Migrations {
+            records: (0..rng.range_inclusive(0, 3))
+                .map(|_| MigrationRecord {
+                    container: ContainerId(rng.next_u64()),
+                    from: gen_text(rng),
+                    to: gen_text(rng),
+                    limit: Bytes::new(rng.next_u64()),
+                    used: Bytes::new(rng.next_u64()),
+                    status: gen_text(rng),
+                })
+                .collect(),
+        },
     }
 }
 
-/// Cluster wire messages survive both codecs byte-exactly.
+fn gen_response(rng: &mut DetRng) -> Response {
+    gen_response_of(rng.index(Response::SCHEMA.len()), rng)
+}
+
+/// The generators have one arm per table row: a message added to
+/// `message.rs` but not to them fails here.
 #[test]
-fn cluster_messages_round_trip_both_codecs() {
-    prop::cases("cluster_messages_round_trip_both_codecs").run(|rng| {
-        let env = Envelope {
-            id: rng.next_u64(),
-            body: gen_cluster_response(rng),
-        };
-        // JSON line.
-        let mut buf = Vec::new();
-        write_json(&mut buf, &env).map_err(|e| format!("json write: {e}"))?;
-        let mut r = BufReader::new(buf.as_slice());
-        let back: Envelope<Response> = read_json(&mut r)
-            .map_err(|e| format!("json read: {e}"))?
-            .ok_or("json EOF")?;
-        ensure!(back == env, "json round trip changed: {env:?}");
-        // Binary frame.
-        let mut buf = Vec::new();
-        write_binary(&mut buf, &env).map_err(|e| format!("bin write: {e}"))?;
-        let mut r = BufReader::new(buf.as_slice());
-        let back: Envelope<Response> = read_binary(&mut r)
-            .map_err(|e| format!("bin read: {e}"))?
-            .ok_or("bin EOF")?;
-        ensure!(back == env, "binary round trip changed: {env:?}");
-        Ok(())
+fn generators_cover_the_schema() {
+    let mut rng = DetRng::seed_from_u64(1);
+    for (row, m) in Request::SCHEMA.iter().enumerate() {
+        assert_eq!(gen_request_of(row, &mut rng).kind(), m.wire);
+    }
+    for (row, m) in Response::SCHEMA.iter().enumerate() {
+        assert_eq!(gen_response_of(row, &mut rng).kind(), m.wire);
+    }
+}
+
+fn round_trip_both_codecs<T>(env: &Envelope<T>) -> Result<(), String>
+where
+    T: ToJson + FromJson + ToBinary + FromBinary + PartialEq + std::fmt::Debug,
+{
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        check_decodes_to(&encode_with(env, codec), codec, env)?;
+    }
+    Ok(())
+}
+
+/// Any message, request or response, survives both codecs.
+#[test]
+fn any_message_round_trips_through_both_codecs() {
+    prop::cases("any_message_round_trips_through_both_codecs").run(|rng| {
+        let id = rng.next_u64();
+        round_trip_both_codecs(&Envelope {
+            id,
+            body: gen_request(rng),
+        })?;
+        round_trip_both_codecs(&Envelope {
+            id,
+            body: gen_response(rng),
+        })
     });
 }
 
@@ -187,23 +292,277 @@ fn truncated_and_corrupt_binary_frames_error_cleanly() {
     }
 }
 
-/// Any request envelope survives a codec round trip byte-exactly.
+/// One sample of every request variant, with every `ApiKind` and both
+/// shapes of `migrate`.
+fn sample_requests() -> Vec<Request> {
+    let container = ContainerId(3);
+    let pid = 42;
+    let mut reqs = vec![
+        Request::Register {
+            container,
+            limit: Bytes::mib(512),
+        },
+        Request::RequestDir { container },
+    ];
+    reqs.extend(
+        [
+            ApiKind::Malloc,
+            ApiKind::MallocManaged,
+            ApiKind::MallocPitch,
+            ApiKind::Malloc3D,
+        ]
+        .map(|api| Request::AllocRequest {
+            container,
+            pid,
+            size: Bytes::mib(128),
+            api,
+        }),
+    );
+    reqs.extend([
+        Request::AllocDone {
+            container,
+            pid,
+            addr: 0x7000_0000,
+            size: Bytes::mib(128),
+        },
+        Request::AllocFailed {
+            container,
+            pid,
+            size: Bytes::mib(128),
+        },
+        Request::Free {
+            container,
+            pid,
+            addr: u64::MAX,
+        },
+        Request::MemInfo { container, pid },
+        Request::ProcessExit { container, pid },
+        Request::ContainerClose { container },
+        Request::Ping,
+        Request::QueryMetrics,
+        Request::QueryTopology,
+        Request::QueryHome { container },
+        Request::QueryCluster,
+        Request::Migrate {
+            container,
+            node: String::new(),
+            limit: Bytes::mib(512),
+            used: Bytes::mib(128),
+        },
+        Request::Migrate {
+            container: ContainerId(0),
+            node: "node-1".into(),
+            limit: Bytes::ZERO,
+            used: Bytes::ZERO,
+        },
+        Request::QueryMigrations,
+    ]);
+    reqs
+}
+
+/// One sample of every response variant, with both decisions, every
+/// record type, and each list both filled and empty.
+fn sample_responses() -> Vec<Response> {
+    vec![
+        Response::Ok,
+        Response::Dir {
+            path: "/var/lib/convgpu/cnt-0003".into(),
+        },
+        Response::Alloc {
+            decision: AllocDecision::Granted,
+        },
+        Response::Alloc {
+            decision: AllocDecision::Rejected,
+        },
+        Response::Freed {
+            size: Bytes::mib(64),
+        },
+        Response::MemInfo {
+            free: Bytes::mib(100),
+            total: Bytes::mib(512),
+        },
+        Response::Error {
+            message: "unregistered container — π≈3.14".into(),
+        },
+        Response::Pong,
+        Response::Metrics {
+            text: "# TYPE convgpu_x counter\nconvgpu_x{type=\"ping\"} 3\n".into(),
+        },
+        Response::Topology {
+            kind: "cluster".into(),
+            devices: vec![
+                TopologyDevice {
+                    node: "node-0".into(),
+                    device: 0,
+                    capacity: Bytes::gib(5),
+                    unassigned: Bytes::mib(1234),
+                    containers: 2,
+                    policy: "fifo".into(),
+                },
+                TopologyDevice {
+                    node: "node-1".into(),
+                    device: 1,
+                    capacity: Bytes::gib(16),
+                    unassigned: Bytes::gib(16),
+                    containers: 0,
+                    policy: "random".into(),
+                },
+            ],
+        },
+        Response::Topology {
+            kind: "single".into(),
+            devices: vec![],
+        },
+        Response::Home {
+            node: String::new(),
+            device: 1,
+        },
+        Response::Cluster {
+            strategy: "spread".into(),
+            nodes: vec![
+                ClusterNodeStatus {
+                    node: "node-0".into(),
+                    health: "up".into(),
+                    containers: 3,
+                    retries: 0,
+                    timeouts: 0,
+                    failovers: 0,
+                },
+                ClusterNodeStatus {
+                    node: "node-1".into(),
+                    health: "down".into(),
+                    containers: 0,
+                    retries: 5,
+                    timeouts: 2,
+                    failovers: 3,
+                },
+            ],
+        },
+        Response::Cluster {
+            strategy: "random".into(),
+            nodes: vec![],
+        },
+        Response::Migrations {
+            records: vec![
+                MigrationRecord {
+                    container: ContainerId(3),
+                    from: "node-0".into(),
+                    to: "node-1".into(),
+                    limit: Bytes::mib(512),
+                    used: Bytes::mib(128),
+                    status: "completed".into(),
+                },
+                MigrationRecord {
+                    container: ContainerId(4),
+                    from: "node-0".into(),
+                    to: String::new(),
+                    limit: Bytes::mib(256),
+                    used: Bytes::ZERO,
+                    status: "rejected".into(),
+                },
+            ],
+        },
+        Response::Migrations { records: vec![] },
+    ]
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    (0..text.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+/// Three golden lines per sample: what it is, its JSON line, and its
+/// binary frame in hex. Ids start past `u64::MAX / 2` so the envelope's
+/// varint is at full width.
+fn render_wire_golden<T: ToJson + ToBinary + Clone + std::fmt::Debug>(
+    side: &str,
+    samples: &[T],
+    out: &mut String,
+) -> Vec<Envelope<T>> {
+    samples
+        .iter()
+        .enumerate()
+        .map(|(i, body)| {
+            let env = Envelope {
+                id: u64::MAX / 2 + i as u64 * 7,
+                body: body.clone(),
+            };
+            let json = encode_with(&env, WireCodec::Json);
+            let json = std::str::from_utf8(&json).expect("JSON lines are UTF-8");
+            let frame = encode_with(&env, WireCodec::Binary);
+            let variant = format!("{body:?}");
+            let variant = variant.split(|c: char| !c.is_alphanumeric()).next();
+            out.push_str(&format!(
+                "{side} {}\n{json}{}\n",
+                variant.expect("variant name"),
+                hex(&frame)
+            ));
+            env
+        })
+        .collect()
+}
+
+/// Decode every line the golden file holds — bytes written by the
+/// encoders the file was blessed with — and compare with the sample.
+fn decode_wire_golden<'a, T>(lines: &mut impl Iterator<Item = &'a str>, samples: &[Envelope<T>])
+where
+    T: FromJson + FromBinary + PartialEq + std::fmt::Debug,
+{
+    for want in samples {
+        let label = lines.next().expect("label line");
+        let json = format!("{}\n", lines.next().expect("json line"));
+        let frame = unhex(lines.next().expect("hex line"));
+        for (wire, codec) in [
+            (json.as_bytes(), WireCodec::Json),
+            (frame.as_slice(), WireCodec::Binary),
+        ] {
+            check_decodes_to(wire, codec, want).unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
+}
+
+/// The wire bytes of every message, pinned: `tests/golden/wire_messages.golden`
+/// holds the JSON line and binary frame of one sample per variant (helper
+/// types ride inside the messages that carry them). Encoders must
+/// reproduce the file byte for byte and decoders must read the file's own
+/// bytes back to the samples. Re-bless (a wire format change) with
+/// `UPDATE_GOLDEN=1 cargo test --test protocol_roundtrip`.
 #[test]
-fn any_request_round_trips_through_the_codec() {
-    prop::cases("any_request_round_trips_through_the_codec").run(|rng| {
-        let env = Envelope {
-            id: rng.next_u64(),
-            body: gen_request(rng),
-        };
-        let mut buf = Vec::new();
-        write_json(&mut buf, &env).map_err(|e| format!("write: {e}"))?;
-        let mut r = BufReader::new(buf.as_slice());
-        let back: Envelope<Request> = read_json(&mut r)
-            .map_err(|e| format!("read: {e}"))?
-            .ok_or("unexpected EOF")?;
-        ensure!(back == env, "round trip changed the envelope: {env:?}");
-        Ok(())
-    });
+fn wire_bytes_match_the_golden_file() {
+    let mut got = String::new();
+    let requests = render_wire_golden("request", &sample_requests(), &mut got);
+    let responses = render_wire_golden("response", &sample_responses(), &mut got);
+    // A message added to the table needs a sample (and a re-bless).
+    let sampled: BTreeSet<_> = requests.iter().map(|e| e.body.kind()).collect();
+    assert_eq!(sampled, wire_names(Request::SCHEMA));
+    let sampled: BTreeSet<_> = responses.iter().map(|e| e.body.kind()).collect();
+    assert_eq!(sampled, wire_names(Response::SCHEMA));
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/wire_messages.golden"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(path).expect(
+        "golden file missing — bless with UPDATE_GOLDEN=1 cargo test --test protocol_roundtrip",
+    );
+    assert_eq!(
+        got, want,
+        "wire bytes drifted from the golden file; if intended, re-bless \
+         with UPDATE_GOLDEN=1 cargo test --test protocol_roundtrip"
+    );
+    let mut lines = want.lines();
+    decode_wire_golden(&mut lines, &requests);
+    decode_wire_golden(&mut lines, &responses);
+    assert_eq!(lines.next(), None, "golden file has trailing lines");
 }
 
 /// Batches of envelopes on one stream arrive intact and in order.
