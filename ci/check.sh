@@ -72,11 +72,14 @@ CONVGPU_TRANSPORT=tcp cargo test --offline -q --test failure_injection cluster_f
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test failure_injection migration_faults
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test journal_recovery
 
-step "bounded model check (single-GPU + multi-GPU + cluster universes)"
-# Phase 3 of the binary exhaustively checks the 2-device x 3-container
-# multi-GPU universe for every policy x placement combination; phase 4
-# does the same for the 2-node cluster universe across every Swarm
-# strategy.
+step "bounded model check (one explorer over the phase table)"
+# One generic explorer sweeps every universe of the phase table
+# (crates/audit/src/suite.rs): the two single-device universes per
+# policy, the 2-device multi-GPU universe per policy x placement, the
+# 2-node cluster universe per policy x Swarm strategy, and that cluster
+# crossed with every node-death point; then the naive-baseline witness.
+# `cargo test --workspace` above already pinned the trimmed sweep's
+# state counts against crates/audit/tests/golden/explorer_quick.golden.
 if [[ "${QUICK:-0}" == "1" ]]; then
   cargo run --offline -q --release -p convgpu-audit --bin convgpu-audit -- --quick
 else

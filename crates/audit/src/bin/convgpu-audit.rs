@@ -1,31 +1,26 @@
 //! Exhaustive audit runner.
 //!
-//! Sweeps the bounded model checker over every policy on the standard
-//! quantized configurations (positive proof: no invariant violation, no
-//! §III-E stall, no lost wakeup on any interleaving), sweeps the
-//! multi-GPU universe over every policy × placement-policy combination,
-//! sweeps the cluster universe over every policy × Swarm-strategy
-//! combination, sweeps the **migration** universe (cluster lifecycles
-//! crossed with every node-death point) over the same combinations, then
+//! One explorer over a phase table ([`convgpu_audit::suite::phases`]):
+//! the bounded model checker sweeps every policy on the standard
+//! quantized single-device universes, every policy × placement policy on
+//! the multi-GPU universe, every policy × Swarm strategy on the cluster
+//! universe and again on the **migration** universe (cluster lifecycles
+//! crossed with every node-death point) — positive proof: no invariant
+//! violation, no §III-E stall, no lost wakeup on any interleaving — then
 //! prints the naive baseline's minimal deadlock trace (negative
 //! witness).
 //!
 //! ```text
 //! convgpu-audit [--policy fifo|bf|ru|rand|all] [--mode dfs|bfs]
 //!               [--max-states N] [--seed N] [--quick]
-//!               [--skip-ctx] [--skip-multi] [--skip-cluster]
-//!               [--skip-migration] [--skip-naive]
 //! ```
 //!
 //! Exits non-zero on any failure — `ci/check.sh` runs it as a gate.
 
-use convgpu_audit::cluster::{self, ClusterModelConfig};
-use convgpu_audit::migration::{self, MigrationOutcome};
 use convgpu_audit::model::{explore, CheckOutcome, ModelConfig, SearchMode};
-use convgpu_audit::multi::{self, MultiModelConfig};
 use convgpu_audit::naive::{find_deadlock, NaiveConfig};
-use convgpu_scheduler::cluster::SwarmStrategy;
-use convgpu_scheduler::{PlacementPolicy, PolicyKind};
+use convgpu_audit::suite::phases;
+use convgpu_scheduler::PolicyKind;
 use std::process::ExitCode;
 
 struct Options {
@@ -34,19 +29,12 @@ struct Options {
     max_states: Option<usize>,
     seed: Option<u64>,
     quick: bool,
-    skip_ctx: bool,
-    skip_multi: bool,
-    skip_cluster: bool,
-    skip_migration: bool,
-    skip_naive: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: convgpu-audit [--policy fifo|bf|ru|rand|all] [--mode dfs|bfs]\n\
-         \x20                    [--max-states N] [--seed N] [--quick]\n\
-         \x20                    [--skip-ctx] [--skip-multi] [--skip-cluster]\n\
-         \x20                    [--skip-migration] [--skip-naive]"
+         \x20                    [--max-states N] [--seed N] [--quick]"
     );
     std::process::exit(2);
 }
@@ -58,11 +46,6 @@ fn parse_args() -> Options {
         max_states: None,
         seed: None,
         quick: false,
-        skip_ctx: false,
-        skip_multi: false,
-        skip_cluster: false,
-        skip_migration: false,
-        skip_naive: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -103,11 +86,6 @@ fn parse_args() -> Options {
                 opts.seed = Some(value("--seed").parse().unwrap_or_else(|_| usage()));
             }
             "--quick" => opts.quick = true,
-            "--skip-ctx" => opts.skip_ctx = true,
-            "--skip-multi" => opts.skip_multi = true,
-            "--skip-cluster" => opts.skip_cluster = true,
-            "--skip-migration" => opts.skip_migration = true,
-            "--skip-naive" => opts.skip_naive = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument '{other}'");
@@ -127,172 +105,19 @@ fn customize(mut cfg: ModelConfig, opts: &Options) -> ModelConfig {
         cfg.seed = s;
     }
     if opts.quick {
-        cfg.max_allocs = cfg.max_allocs.min(1);
+        cfg = cfg.quick();
     }
     cfg
 }
 
-/// Run one configuration for one policy; returns whether it passed.
+/// Run one universe; returns whether it passed.
 fn run_one(label: &str, cfg: &ModelConfig) -> bool {
     let started = std::time::Instant::now();
     let outcome = explore(cfg);
     let elapsed = started.elapsed();
     match outcome {
         CheckOutcome::Pass(stats) => {
-            println!(
-                "  PASS {label:<24} {:>8} states {:>9} transitions  depth {:>2}  \
-                 {} terminal, {} suspended  ({:.2?})",
-                stats.states,
-                stats.transitions,
-                stats.max_depth,
-                stats.terminals,
-                stats.suspended_states,
-                elapsed
-            );
-            true
-        }
-        CheckOutcome::Fail {
-            failure,
-            trace,
-            stats,
-        } => {
-            println!("  FAIL {label}: {failure}");
-            println!(
-                "       after {} states, {} transitions",
-                stats.states, stats.transitions
-            );
-            println!("       counterexample ({} events):", trace.len());
-            for (i, ev) in trace.iter().enumerate() {
-                println!("         {:>2}. {ev}", i + 1);
-            }
-            false
-        }
-    }
-}
-
-fn customize_multi(mut cfg: MultiModelConfig, opts: &Options) -> MultiModelConfig {
-    cfg.mode = opts.mode;
-    if let Some(m) = opts.max_states {
-        cfg.max_states = m;
-    }
-    if let Some(s) = opts.seed {
-        cfg.seed = s;
-    }
-    if opts.quick {
-        cfg.max_allocs = cfg.max_allocs.min(1);
-    }
-    cfg
-}
-
-/// Run one multi-GPU configuration; returns whether it passed.
-fn run_one_multi(label: &str, cfg: &MultiModelConfig) -> bool {
-    let started = std::time::Instant::now();
-    let outcome = multi::explore(cfg);
-    let elapsed = started.elapsed();
-    match outcome {
-        CheckOutcome::Pass(stats) => {
-            println!(
-                "  PASS {label:<24} {:>8} states {:>9} transitions  depth {:>2}  \
-                 {} terminal, {} suspended  ({:.2?})",
-                stats.states,
-                stats.transitions,
-                stats.max_depth,
-                stats.terminals,
-                stats.suspended_states,
-                elapsed
-            );
-            true
-        }
-        CheckOutcome::Fail {
-            failure,
-            trace,
-            stats,
-        } => {
-            println!("  FAIL {label}: {failure}");
-            println!(
-                "       after {} states, {} transitions",
-                stats.states, stats.transitions
-            );
-            println!("       counterexample ({} events):", trace.len());
-            for (i, ev) in trace.iter().enumerate() {
-                println!("         {:>2}. {ev}", i + 1);
-            }
-            false
-        }
-    }
-}
-
-fn customize_cluster(mut cfg: ClusterModelConfig, opts: &Options) -> ClusterModelConfig {
-    cfg.mode = opts.mode;
-    if let Some(m) = opts.max_states {
-        cfg.max_states = m;
-    }
-    if let Some(s) = opts.seed {
-        cfg.seed = s;
-    }
-    if opts.quick {
-        cfg.max_allocs = cfg.max_allocs.min(1);
-    }
-    cfg
-}
-
-/// Run one migration configuration; returns whether it passed. The
-/// migration universe has its own event space (node kills), so its
-/// outcome type carries its own trace.
-fn run_one_migration(label: &str, cfg: &ClusterModelConfig) -> bool {
-    let started = std::time::Instant::now();
-    let outcome = migration::explore(cfg);
-    let elapsed = started.elapsed();
-    match outcome {
-        MigrationOutcome::Pass(stats) => {
-            println!(
-                "  PASS {label:<24} {:>8} states {:>9} transitions  depth {:>2}  \
-                 {} terminal, {} suspended  ({:.2?})",
-                stats.states,
-                stats.transitions,
-                stats.max_depth,
-                stats.terminals,
-                stats.suspended_states,
-                elapsed
-            );
-            true
-        }
-        MigrationOutcome::Fail {
-            failure,
-            trace,
-            stats,
-        } => {
-            println!("  FAIL {label}: {failure}");
-            println!(
-                "       after {} states, {} transitions",
-                stats.states, stats.transitions
-            );
-            println!("       counterexample ({} events):", trace.len());
-            for (i, ev) in trace.iter().enumerate() {
-                println!("         {:>2}. {ev}", i + 1);
-            }
-            false
-        }
-    }
-}
-
-/// Run one cluster configuration; returns whether it passed.
-fn run_one_cluster(label: &str, cfg: &ClusterModelConfig) -> bool {
-    let started = std::time::Instant::now();
-    let outcome = cluster::explore(cfg);
-    let elapsed = started.elapsed();
-    match outcome {
-        CheckOutcome::Pass(stats) => {
-            println!(
-                "  PASS {label:<24} {:>8} states {:>9} transitions  depth {:>2}  \
-                 {} terminal, {} suspended  ({:.2?})",
-                stats.states,
-                stats.transitions,
-                stats.max_depth,
-                stats.terminals,
-                stats.suspended_states,
-                elapsed
-            );
+            println!("  PASS {label:<24} {stats}  ({elapsed:.2?})");
             true
         }
         CheckOutcome::Fail {
@@ -322,100 +147,32 @@ fn main() -> ExitCode {
         "convgpu-audit: bounded model check, mode {:?} — full-guarantee discipline",
         opts.mode
     );
-    println!("[1/6] 3 containers, 1 GiB device, 256 MiB quanta, no ctx overhead");
-    for &p in &opts.policies {
-        let cfg = customize(ModelConfig::three_containers(p), &opts);
-        ok &= run_one(&format!("{} / 3-container", p.label()), &cfg);
-    }
-
-    if opts.skip_ctx {
-        println!("[2/6] skipped (--skip-ctx)");
-    } else {
-        println!("[2/6] 2 containers, 1 GiB device, 66 MiB per-pid ctx overhead charged");
-        for &p in &opts.policies {
-            let cfg = customize(ModelConfig::two_containers_with_ctx(p), &opts);
-            ok &= run_one(&format!("{} / 2-container+ctx", p.label()), &cfg);
+    let phases = phases(&opts.policies);
+    let total = phases.len() + 1;
+    for (i, phase) in phases.into_iter().enumerate() {
+        println!("[{}/{total}] {}", i + 1, phase.title);
+        for (label, cfg) in phase.rows {
+            ok &= run_one(&label, &customize(cfg, &opts));
         }
     }
 
-    if opts.skip_multi {
-        println!("[3/6] skipped (--skip-multi)");
-    } else {
-        println!("[3/6] multi-GPU: 3 containers on 2 × 768 MiB devices, 256 MiB quanta");
-        for &p in &opts.policies {
-            for placement in [
-                PlacementPolicy::RoundRobin,
-                PlacementPolicy::MostFree,
-                PlacementPolicy::BestFitDevice,
-            ] {
-                let cfg = customize_multi(
-                    MultiModelConfig::two_devices_three_containers(p, placement),
-                    &opts,
-                );
-                ok &= run_one_multi(&format!("{}+{}", p.label(), placement.label()), &cfg);
-            }
+    println!("[{total}/{total}] naive baseline (grant-if-fits, no guarantees) — negative witness");
+    match find_deadlock(&NaiveConfig::classic()) {
+        Some(w) => {
+            println!(
+                "  minimal deadlock in {} steps (BFS over {} states):",
+                w.trace.len(),
+                w.states
+            );
+            println!("{w}");
+            println!(
+                "  (the model checker above proves the real scheduler reaches no such \
+                 state on any interleaving)"
+            );
         }
-    }
-
-    if opts.skip_cluster {
-        println!("[4/6] skipped (--skip-cluster)");
-    } else {
-        println!("[4/6] cluster: 3 containers on 2 single-GPU 768 MiB nodes, 256 MiB quanta");
-        for &p in &opts.policies {
-            for strategy in [
-                SwarmStrategy::Spread,
-                SwarmStrategy::BinPack,
-                SwarmStrategy::Random,
-            ] {
-                let cfg = customize_cluster(
-                    ClusterModelConfig::two_nodes_three_containers(p, strategy),
-                    &opts,
-                );
-                ok &= run_one_cluster(&format!("{}+{}", p.label(), strategy.label()), &cfg);
-            }
-        }
-    }
-
-    if opts.skip_migration {
-        println!("[5/6] skipped (--skip-migration)");
-    } else {
-        println!("[5/6] migration: the cluster universe crossed with every node-death point");
-        for &p in &opts.policies {
-            for strategy in [
-                SwarmStrategy::Spread,
-                SwarmStrategy::BinPack,
-                SwarmStrategy::Random,
-            ] {
-                let cfg = customize_cluster(
-                    ClusterModelConfig::two_nodes_three_containers(p, strategy),
-                    &opts,
-                );
-                ok &= run_one_migration(&format!("{}+{}", p.label(), strategy.label()), &cfg);
-            }
-        }
-    }
-
-    if opts.skip_naive {
-        println!("[6/6] skipped (--skip-naive)");
-    } else {
-        println!("[6/6] naive baseline (grant-if-fits, no guarantees) — negative witness");
-        match find_deadlock(&NaiveConfig::classic()) {
-            Some(w) => {
-                println!(
-                    "  minimal deadlock in {} steps (BFS over {} states):",
-                    w.trace.len(),
-                    w.states
-                );
-                println!("{w}");
-                println!(
-                    "  (the model checker above proves the real scheduler reaches no such \
-                     state on any interleaving)"
-                );
-            }
-            None => {
-                println!("  FAIL: naive baseline did not deadlock — witness lost");
-                ok = false;
-            }
+        None => {
+            println!("  FAIL: naive baseline did not deadlock — witness lost");
+            ok = false;
         }
     }
 

@@ -4,24 +4,16 @@
 //! Three pieces, all dependency-free:
 //!
 //! * [`model`] — a bounded model checker that drives the *real*
-//!   [`Scheduler`] through every interleaving of container lifecycle
-//!   events for small quantized configurations, checking the shared
-//!   invariant oracle ([`Scheduler::check_invariants`]), the paper's
-//!   §III-E deadlock-freedom claim, and wakeup consistency after every
-//!   transition.
-//! * [`multi`] — the same exhaustive exploration for the **multi-GPU**
-//!   scheduler: per-device invariants, cross-device budget isolation,
-//!   per-device deadlock-freedom, and wakeup consistency under the
-//!   device ticket tagging.
-//! * [`cluster`] — the same exhaustive exploration one level up, for the
-//!   **cluster** scheduler: cross-node budget isolation, wakeup
-//!   consistency under the stacked node-over-device ticket tagging, and
-//!   node-tag canonicality.
-//! * [`migration`] — the cluster exploration crossed with **node
-//!   death**: every lifecycle interleaving times every possible death
-//!   point, checking budget conservation across the checkpointed
-//!   hand-off, no double-home, post-move ticket canonicality and §III-E
-//!   deadlock-freedom mid-migration.
+//!   scheduler through every interleaving of container lifecycle events
+//!   for small quantized universes, checking one property list after
+//!   every transition: the shared invariant oracle, no record off its
+//!   home, the paper's §III-E deadlock-freedom claim per device, wakeup
+//!   consistency and tag canonicality under the stacked ticket tags,
+//!   budget conservation across a node drain, and terminal drain. One
+//!   explorer, generic over the [`SchedulerBackend`] under test;
+//!   [`multi`], [`cluster`] and [`migration`] define the universes that
+//!   put a multi-GPU host, a cluster, and a cluster whose nodes die under
+//!   it.
 //! * [`naive`] — the uncoordinated-sharing baseline the paper argues
 //!   against, plus a breadth-first search for its **minimal** deadlock
 //!   trace: the negative witness that makes the positive proof above
@@ -29,6 +21,8 @@
 //! * [`prop`] — a small deterministic property-test harness (seeded
 //!   [`DetRng`] per case, replayable failures) standing in for
 //!   `proptest` in the sealed build environment.
+//!
+//! * [`suite`] — the phase table: which universes the sweep covers.
 //!
 //! The `convgpu-audit` binary runs the whole suite:
 //!
@@ -39,8 +33,7 @@
 //! See `docs/AUDIT.md` for the invariants, the state-space bounds and
 //! the soundness argument for the canonical state encoding.
 //!
-//! [`Scheduler`]: convgpu_scheduler::Scheduler
-//! [`Scheduler::check_invariants`]: convgpu_scheduler::Scheduler::check_invariants
+//! [`SchedulerBackend`]: convgpu_scheduler::SchedulerBackend
 //! [`DetRng`]: convgpu_sim_core::rng::DetRng
 
 #![forbid(unsafe_code)]
@@ -51,9 +44,7 @@ pub mod model;
 pub mod multi;
 pub mod naive;
 pub mod prop;
+pub mod suite;
 
-pub use cluster::ClusterModelConfig;
-pub use migration::{MigEvent, MigrationOutcome};
-pub use model::{CheckOutcome, Event, ExploreStats, Failure, ModelConfig, SearchMode};
-pub use multi::MultiModelConfig;
+pub use model::{CheckOutcome, Event, ExploreStats, Failure, ModelConfig, SearchMode, Topology};
 pub use naive::{find_deadlock, NaiveConfig, NaiveScheduler, NaiveWitness};

@@ -1,678 +1,43 @@
-//! Bounded model checker for **live migration** — node death in the
-//! middle of arbitrary container lifecycles.
+//! The **live migration** universe: a cluster universe in which a node
+//! *dies* at an arbitrary point and its containers are drained onto the
+//! survivors via checkpointed adoption
+//! ([`ClusterScheduler::migrate_node`](convgpu_scheduler::Sharded::migrate_node)).
 //!
-//! [`crate::cluster`] proves the cluster scheduler safe while every node
-//! stays alive. This universe adds the event that PR's router layer is
-//! built around: a node *dies* at an arbitrary point and its containers
-//! are drained onto the survivor via checkpointed adoption
-//! ([`ClusterScheduler::migrate_node`]). The checker explores every
-//! interleaving of register / alloc / free / close across the containers
-//! **crossed with every possible death point** of every node, and checks
-//! after each transition:
-//!
-//! 1. the **whole-cluster invariant oracle** — including that committed
-//!    memory never exceeds any node's capacity with adopted budgets in
-//!    the books;
-//! 2. **no double-home** — during and after a drain a container's record
-//!    exists on at most one node, and exactly the node the cluster home
-//!    map names;
-//! 3. **budget conservation across the hand-off** — the `used` bytes a
-//!    completed migration carries equal the bytes the driver knows the
-//!    container had committed on the source (nothing lost, nothing
-//!    invented), and the adoptive node's own container record opens with
-//!    exactly that carried budget marked used;
-//! 4. **§III-E deadlock-freedom mid-migration** — no reachable state,
-//!    including every state between and after migrations, stalls any
-//!    device;
-//! 5. **wakeup consistency and node-tag canonicality** — a drain cancels
-//!    the dying containers' parked tickets with explicit rejections
-//!    (never silently), and every outstanding ticket's node tag names
-//!    its issuer's *current* home, so post-move tickets are canonical;
-//! 6. at every terminal state: no memory assigned anywhere, no ticket
-//!    outstanding.
-//!
-//! The event space is local to this module — the shared [`crate::model::Event`]
-//! stays untouched so the other universes' exhaustive matches keep
-//! compiling unchanged.
+//! [`crate::cluster`] shows the cluster scheduler safe while every node
+//! stays alive. Here the explorer crosses every interleaving of register
+//! / alloc / free / close with **every possible death point** of every
+//! node. The definition is three restrictions on the event space, which
+//! [`crate::model`]'s `enabled` applies to a universe with node death:
+//! no `Exit` (death is studied *after* admission, on live processes),
+//! `Kill` offered until the first kill, and no `Register` after it (which
+//! keeps placement off dead nodes and bounds the universe). Property 6 of
+//! the one list — budget conservation across the hand-off — is defined
+//! only here; the others hold mid-migration and after it as everywhere.
 
-use crate::cluster::ClusterModelConfig;
-use crate::model::{digest, ExploreStats, Failure, SearchMode};
-use convgpu_ipc::message::{AllocDecision, ApiKind};
-use convgpu_scheduler::cluster::{ClusterNode, ClusterScheduler, NODE_TICKET_SHIFT};
-use convgpu_scheduler::deadlock::{self, ProgressState};
-use convgpu_scheduler::multi_gpu::DEVICE_TICKET_SHIFT;
-use convgpu_scheduler::{AllocOutcome, ContainerState, ResumeAction, SchedulerConfig};
-use convgpu_sim_core::ids::ContainerId;
-use convgpu_sim_core::time::SimTime;
-use convgpu_sim_core::units::Bytes;
-use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::fmt;
+use crate::model::{ModelConfig, Topology};
 
-/// One event of the migration model. Container events mirror
-/// [`crate::model::Event`]; `Kill` is the death of a whole node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MigEvent {
-    /// Container `c` registers with its configured limit.
-    Register {
-        /// Container index.
-        c: usize,
-    },
-    /// Container `c` requests `size` of device memory.
-    Alloc {
-        /// Container index.
-        c: usize,
-        /// Requested size.
-        size: Bytes,
-    },
-    /// Container `c` frees its oldest live allocation.
-    Free {
-        /// Container index.
-        c: usize,
-    },
-    /// Container `c` stops.
-    Close {
-        /// Container index.
-        c: usize,
-    },
-    /// Node `n` dies; the cluster drains it onto survivors.
-    Kill {
-        /// Node index.
-        n: usize,
-    },
-}
-
-impl fmt::Display for MigEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MigEvent::Register { c } => write!(f, "register(C{})", c + 1),
-            MigEvent::Alloc { c, size } => write!(f, "alloc(C{}, {size})", c + 1),
-            MigEvent::Free { c } => write!(f, "free(C{}, oldest)", c + 1),
-            MigEvent::Close { c } => write!(f, "close(C{})", c + 1),
-            MigEvent::Kill { n } => write!(f, "kill(node {n})"),
+impl ModelConfig {
+    /// The same universe with node death: its cluster's nodes can be
+    /// killed.
+    ///
+    /// # Panics
+    /// If the topology is not a cluster.
+    pub fn with_node_death(mut self) -> Self {
+        match &mut self.topology {
+            Topology::Cluster { node_death, .. } => *node_death = true,
+            other => panic!("node death needs a cluster topology, not {other:?}"),
         }
+        self
     }
-}
-
-/// Result of one exhaustive migration run (local event space, so it
-/// carries [`MigEvent`] traces instead of the shared model's).
-#[derive(Clone, Debug)]
-pub enum MigrationOutcome {
-    /// Every reachable state satisfied every check.
-    Pass(ExploreStats),
-    /// A reachable state failed; `trace` replays it.
-    Fail {
-        /// What went wrong.
-        failure: Failure,
-        /// Event path from the initial state to the failure.
-        trace: Vec<MigEvent>,
-        /// Statistics up to the failure.
-        stats: ExploreStats,
-    },
-}
-
-/// Driver-side state for one container.
-#[derive(Clone, Debug)]
-struct DriverContainer {
-    registered: bool,
-    closed: bool,
-    /// Survived a drain onto a new node: its pre-kill device addresses
-    /// died with the source, only the committed budget travelled.
-    migrated: bool,
-    allocs_issued: u32,
-    live: VecDeque<(u64, Bytes)>,
-}
-
-#[derive(Clone, Debug)]
-struct Driver {
-    cs: Vec<DriverContainer>,
-    outstanding: BTreeMap<u64, (usize, Bytes)>,
-    next_addr: u64,
-    killed: Option<usize>,
-}
-
-impl Driver {
-    fn new(n: usize) -> Self {
-        Driver {
-            cs: (0..n)
-                .map(|_| DriverContainer {
-                    registered: false,
-                    closed: false,
-                    migrated: false,
-                    allocs_issued: 0,
-                    live: VecDeque::new(),
-                })
-                .collect(),
-            outstanding: BTreeMap::new(),
-            next_addr: 0x1000,
-            killed: None,
-        }
-    }
-}
-
-#[derive(Clone)]
-struct Node {
-    sched: ClusterScheduler,
-    driver: Driver,
-    trace: Vec<MigEvent>,
-}
-
-fn cid(c: usize) -> ContainerId {
-    ContainerId(c as u64 + 1)
-}
-
-fn pid(c: usize) -> u64 {
-    100 + c as u64
-}
-
-fn scheduler(cfg: &ClusterModelConfig) -> ClusterScheduler {
-    let base = SchedulerConfig {
-        capacity: cfg.node_capacities[0][0],
-        ctx_overhead: cfg.ctx_overhead,
-        charge_ctx_overhead: cfg.charge_ctx,
-        resume_rule: cfg.resume_rule,
-        default_limit: cfg.limits[0],
-    };
-    let nodes = cfg
-        .node_capacities
-        .iter()
-        .enumerate()
-        .map(|(i, caps)| {
-            ClusterNode::with_config(
-                format!("n{i}"),
-                base.clone(),
-                caps,
-                cfg.policy,
-                cfg.seed.wrapping_add(i as u64),
-            )
-        })
-        .collect();
-    ClusterScheduler::new(nodes, cfg.strategy, cfg.seed)
-}
-
-fn is_suspended(cs: &ClusterScheduler, c: usize) -> bool {
-    let Some(home) = cs.home_of(cid(c)) else {
-        return false;
-    };
-    let gpus = &cs.node(home).gpus;
-    gpus.home_of(cid(c))
-        .map(|d| gpus.device(d))
-        .and_then(|s| s.container(cid(c)))
-        .is_some_and(|r| r.is_suspended())
-}
-
-fn enabled(cfg: &ClusterModelConfig, node: &Node) -> Vec<MigEvent> {
-    let mut out = Vec::new();
-    for (c, d) in node.driver.cs.iter().enumerate() {
-        if d.closed {
-            continue;
-        }
-        if !d.registered {
-            // Registrations only happen while the cluster is whole: the
-            // model studies death *after* admission, and keeping the
-            // placement path off dead nodes bounds the universe.
-            if node.driver.killed.is_none() {
-                out.push(MigEvent::Register { c });
-            }
-            continue;
-        }
-        if !is_suspended(&node.sched, c) {
-            if d.allocs_issued < cfg.max_allocs {
-                for &size in &cfg.alloc_sizes {
-                    out.push(MigEvent::Alloc { c, size });
-                }
-            }
-            if !d.live.is_empty() {
-                out.push(MigEvent::Free { c });
-            }
-        }
-        out.push(MigEvent::Close { c });
-    }
-    if node.driver.killed.is_none() {
-        for n in 0..node.sched.node_count() {
-            let hosts_any =
-                (0..node.driver.cs.len()).any(|c| node.sched.home_of(cid(c)) == Some(n));
-            if hosts_any {
-                out.push(MigEvent::Kill { n });
-            }
-        }
-    }
-    out
-}
-
-fn deliver(node: &mut Node, actions: Vec<ResumeAction>, now: SimTime) -> Result<(), Failure> {
-    for a in actions {
-        let (c, size) = match node.driver.outstanding.remove(&a.ticket) {
-            Some(entry) => entry,
-            None => return Err(Failure::PhantomWakeup { ticket: a.ticket }),
-        };
-        if a.container != cid(c) || a.pid != pid(c) {
-            return Err(Failure::SchedError(format!(
-                "resume for ticket {} addressed {}/pid {}, expected {}/pid {}",
-                a.ticket,
-                a.container,
-                a.pid,
-                cid(c),
-                pid(c)
-            )));
-        }
-        match a.decision {
-            AllocDecision::Granted => {
-                if node.driver.cs[c].closed {
-                    // A drain can grant a co-tenant's parked request and
-                    // then fail to re-home that same container: the
-                    // grant's budget was released by its close.
-                    continue;
-                }
-                let addr = node.driver.next_addr;
-                node.driver.next_addr += 1;
-                node.sched
-                    .alloc_done(cid(c), pid(c), addr, size, now)
-                    .map_err(|e| Failure::SchedError(format!("alloc_done after resume: {e:?}")))?;
-                node.driver.cs[c].live.push_back((addr, size));
-            }
-            AllocDecision::Rejected => {}
-        }
-    }
-    Ok(())
-}
-
-fn apply(
-    node: &Node,
-    ev: MigEvent,
-    cfg: &ClusterModelConfig,
-) -> Result<Node, (Failure, Vec<MigEvent>)> {
-    let mut n = node.clone();
-    n.trace.push(ev);
-    let now = SimTime::from_nanos(n.trace.len() as u64);
-    let res: Result<(), Failure> = (|| {
-        match ev {
-            MigEvent::Register { c } => {
-                n.sched
-                    .register(cid(c), cfg.limits[c], now)
-                    .map_err(|e| Failure::SchedError(format!("register: {e:?}")))?;
-                n.driver.cs[c].registered = true;
-            }
-            MigEvent::Alloc { c, size } => {
-                n.driver.cs[c].allocs_issued += 1;
-                let (outcome, actions) = n
-                    .sched
-                    .alloc_request(cid(c), pid(c), size, ApiKind::Malloc, now)
-                    .map_err(|e| Failure::SchedError(format!("alloc_request: {e:?}")))?;
-                match outcome {
-                    AllocOutcome::Granted => {
-                        let addr = n.driver.next_addr;
-                        n.driver.next_addr += 1;
-                        n.sched
-                            .alloc_done(cid(c), pid(c), addr, size, now)
-                            .map_err(|e| Failure::SchedError(format!("alloc_done: {e:?}")))?;
-                        n.driver.cs[c].live.push_back((addr, size));
-                    }
-                    AllocOutcome::Rejected => {}
-                    AllocOutcome::Suspended { ticket } => {
-                        n.driver.outstanding.insert(ticket, (c, size));
-                    }
-                }
-                deliver(&mut n, actions, now)?;
-            }
-            MigEvent::Free { c } => {
-                let (addr, size) = n.driver.cs[c]
-                    .live
-                    .pop_front()
-                    .expect("Free only enabled with live allocations");
-                let (freed, actions) = n
-                    .sched
-                    .free(cid(c), pid(c), addr, now)
-                    .map_err(|e| Failure::SchedError(format!("free: {e:?}")))?;
-                if freed != size {
-                    return Err(Failure::SchedError(format!(
-                        "free(0x{addr:x}) returned {freed}, driver recorded {size}"
-                    )));
-                }
-                deliver(&mut n, actions, now)?;
-            }
-            MigEvent::Close { c } => {
-                n.driver.cs[c].closed = true;
-                n.driver.cs[c].live.clear();
-                let actions = n
-                    .sched
-                    .container_close(cid(c), now)
-                    .map_err(|e| Failure::SchedError(format!("container_close: {e:?}")))?;
-                deliver(&mut n, actions, now)?;
-            }
-            MigEvent::Kill { n: dead } => {
-                n.driver.killed = Some(dead);
-                // Quiescent checkpoint: at the kill instant every
-                // container's committed bytes are exactly what the
-                // driver holds live, and its parked budget is the sum of
-                // its outstanding tickets. During the drain a co-tenant's
-                // close may grant a parked request *before* that
-                // container's own checkpoint is captured, so the carried
-                // `used` is bounded by, not equal to, the live bytes.
-                let cs_len = n.driver.cs.len();
-                let mut live_at_kill = vec![Bytes::ZERO; cs_len];
-                let mut parked_at_kill = vec![Bytes::ZERO; cs_len];
-                for (c, dc) in n.driver.cs.iter().enumerate() {
-                    live_at_kill[c] = dc.live.iter().fold(Bytes::ZERO, |acc, &(_, s)| acc + s);
-                }
-                for &(c, size) in n.driver.outstanding.values() {
-                    parked_at_kill[c] += size;
-                }
-                let (moves, actions) = n.sched.migrate_node(dead, now);
-                for m in &moves {
-                    let c = (m.container.as_u64() - 1) as usize;
-                    // Property 3: budget conservation across the
-                    // hand-off. Nothing lost: the carried `used` covers
-                    // every byte the driver had live. Nothing invented:
-                    // it exceeds them by at most the budget the drain
-                    // itself granted from the container's parked
-                    // tickets.
-                    if m.used < live_at_kill[c] || m.used > live_at_kill[c] + parked_at_kill[c] {
-                        return Err(Failure::SchedError(format!(
-                            "migration of C{} carried used={} outside the conserved \
-                             range [{}, {}]",
-                            c + 1,
-                            m.used,
-                            live_at_kill[c],
-                            live_at_kill[c] + parked_at_kill[c]
-                        )));
-                    }
-                    match m.to {
-                        Some(to) => {
-                            // Re-homed: device addresses died with the
-                            // source, the budget travelled. Conservation
-                            // must hold in the adoptive node's *books*
-                            // too, not just in the record: the adopted
-                            // container shows exactly the carried `used`
-                            // before any post-drain grant lands.
-                            let gpus = &n.sched.node(to).gpus;
-                            let adopted_used = gpus
-                                .home_of(m.container)
-                                .map(|d| gpus.device(d))
-                                .and_then(|s| s.container(m.container))
-                                .map(|r| r.used);
-                            if adopted_used != Some(m.used) {
-                                return Err(Failure::SchedError(format!(
-                                    "C{} adopted on node {to} with used={adopted_used:?}, \
-                                     but the migration record carried {}",
-                                    c + 1,
-                                    m.used
-                                )));
-                            }
-                            n.driver.cs[c].live.clear();
-                            n.driver.cs[c].migrated = true;
-                        }
-                        None => {
-                            // No survivor could adopt: a clean
-                            // rejection, the container ends closed.
-                            n.driver.cs[c].live.clear();
-                            n.driver.cs[c].closed = true;
-                        }
-                    }
-                }
-                deliver(&mut n, actions, now)?;
-            }
-        }
-        check_state(&n)
-    })();
-    match res {
-        Ok(()) => Ok(n),
-        Err(f) => Err((f, n.trace.clone())),
-    }
-}
-
-/// The per-state property suite (numbering from the module docs).
-fn check_state(n: &Node) -> Result<(), Failure> {
-    // 1. Whole-cluster invariants, adopted budgets included.
-    n.sched.check_invariants().map_err(Failure::SchedError)?;
-    // 2. No double-home: a container's *cluster-visible* record lives
-    //    only on its home node. (A drained node may retain the closed
-    //    tombstone of a migrated container; closed records hold no
-    //    budget and are invisible to the home map.)
-    for c in 0..n.driver.cs.len() {
-        let home = n.sched.home_of(cid(c));
-        for nn in 0..n.sched.node_count() {
-            let gpus = &n.sched.node(nn).gpus;
-            let open = gpus
-                .home_of(cid(c))
-                .map(|d| gpus.device(d))
-                .and_then(|s| s.container(cid(c)))
-                .is_some_and(|r| r.state != ContainerState::Closed);
-            let is_home = home == Some(nn);
-            if open && !is_home {
-                return Err(Failure::SchedError(format!(
-                    "C{} has an open record on node {nn} but its home is {home:?}",
-                    c + 1
-                )));
-            }
-        }
-    }
-    // 4. §III-E deadlock-freedom on every device, mid-migration included.
-    for nn in 0..n.sched.node_count() {
-        let gpus = &n.sched.node(nn).gpus;
-        for d in 0..gpus.device_count() {
-            if let ProgressState::Stalled { waiting } = deadlock::assess(gpus.device(d)) {
-                return Err(Failure::Stalled { waiting });
-            }
-        }
-    }
-    // 5a. Wakeup consistency under two-level ticket tagging.
-    let mut parked: BTreeMap<u64, ()> = BTreeMap::new();
-    for nn in 0..n.sched.node_count() {
-        let gpus = &n.sched.node(nn).gpus;
-        let node_tag = (nn as u64) << NODE_TICKET_SHIFT;
-        for d in 0..gpus.device_count() {
-            let tag = node_tag | ((d as u64) << DEVICE_TICKET_SHIFT);
-            for r in gpus.device(d).containers() {
-                for p in r.pending.iter() {
-                    parked.insert(tag | p.ticket, ());
-                }
-            }
-        }
-    }
-    let lost: Vec<u64> = n
-        .driver
-        .outstanding
-        .keys()
-        .filter(|t| !parked.contains_key(t))
-        .copied()
-        .collect();
-    if !lost.is_empty() {
-        return Err(Failure::LostWakeup { tickets: lost });
-    }
-    if let Some((&ticket, _)) = parked
-        .iter()
-        .find(|(t, _)| !n.driver.outstanding.contains_key(t))
-    {
-        return Err(Failure::PhantomWakeup { ticket });
-    }
-    // 5b. Node-tag canonicality: an outstanding ticket's top byte names
-    //     its container's *current* home — post-move tickets included.
-    for (&ticket, &(c, _)) in &n.driver.outstanding {
-        let tag = ticket >> NODE_TICKET_SHIFT;
-        let home = n.sched.home_of(cid(c));
-        if home != Some(tag as usize) {
-            return Err(Failure::SchedError(format!(
-                "ticket {ticket} carries node tag {tag} but C{}'s home is {home:?}",
-                c + 1
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn check_terminal(n: &Node) -> Result<(), Failure> {
-    for nn in 0..n.sched.node_count() {
-        let gpus = &n.sched.node(nn).gpus;
-        for d in 0..gpus.device_count() {
-            let assigned = gpus.device(d).total_assigned();
-            if !assigned.is_zero() {
-                return Err(Failure::TerminalResidue { assigned });
-            }
-        }
-    }
-    if let Some((&ticket, _)) = n.driver.outstanding.iter().next() {
-        return Err(Failure::LostWakeup {
-            tickets: vec![ticket],
-        });
-    }
-    Ok(())
-}
-
-/// Canonical encoding: the cluster encoding plus the kill marker and the
-/// per-container migration flags.
-fn canonical(n: &Node) -> (u64, u64) {
-    let mut words: Vec<u64> = Vec::with_capacity(64 + n.driver.cs.len() * 16);
-    words.push(n.driver.killed.map_or(u64::MAX, |k| k as u64));
-    for (c, d) in n.driver.cs.iter().enumerate() {
-        words.push(
-            u64::from(d.registered) | (u64::from(d.closed) << 1) | (u64::from(d.migrated) << 2),
-        );
-        words.push(u64::from(d.allocs_issued));
-        words.push(d.live.len() as u64);
-        words.extend(d.live.iter().map(|&(_, s)| s.0));
-        words.push(n.sched.home_of(cid(c)).map_or(u64::MAX, |h| h as u64));
-    }
-    for nn in 0..n.sched.node_count() {
-        let gpus = &n.sched.node(nn).gpus;
-        for (c, _) in n.driver.cs.iter().enumerate() {
-            words.push(gpus.home_of(cid(c)).map_or(u64::MAX, |h| h as u64));
-        }
-        for dev in 0..gpus.device_count() {
-            let s = gpus.device(dev);
-            let mut reg: Vec<(SimTime, usize)> = Vec::new();
-            let mut susp: Vec<(SimTime, usize)> = Vec::new();
-            for (c, _) in n.driver.cs.iter().enumerate() {
-                if let Some(r) = s.container(cid(c)) {
-                    if r.state != ContainerState::Closed {
-                        reg.push((r.registered_at, c));
-                        if let Some(t) = r.suspended_since {
-                            susp.push((t, c));
-                        }
-                    }
-                }
-            }
-            reg.sort();
-            susp.sort();
-            let rank = |list: &[(SimTime, usize)], c: usize| -> u64 {
-                list.iter()
-                    .position(|&(_, i)| i == c)
-                    .map_or(u64::MAX, |p| p as u64)
-            };
-            for (c, _) in n.driver.cs.iter().enumerate() {
-                match s.container(cid(c)) {
-                    None => words.push(u64::MAX),
-                    Some(r) => {
-                        words.push(match r.state {
-                            ContainerState::Active => 1,
-                            ContainerState::Suspended => 2,
-                            ContainerState::Closed => 3,
-                        });
-                        words.push(r.assigned.0);
-                        words.push(r.used.0);
-                        words.push(rank(&reg, c));
-                        words.push(rank(&susp, c));
-                        words.push(u64::from(r.charged_pids.contains(&pid(c))));
-                        words.push(r.pending.len() as u64);
-                        words.extend(r.pending.iter().map(|p| p.size.0));
-                    }
-                }
-            }
-            words.push(s.total_assigned().0);
-            words.push(s.sticky_target().map_or(u64::MAX, |t| t.as_u64()));
-        }
-        words.push(gpus.rr_cursor() as u64);
-    }
-    words.push(n.sched.fingerprint());
-    digest(&words)
-}
-
-/// Exhaustively explore `cfg`'s lifecycle state space crossed with every
-/// node-death point, checking every transition.
-pub fn explore(cfg: &ClusterModelConfig) -> MigrationOutcome {
-    let root = Node {
-        sched: scheduler(cfg),
-        driver: Driver::new(cfg.limits.len()),
-        trace: Vec::new(),
-    };
-    let mut stats = ExploreStats::default();
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
-    seen.insert(canonical(&root));
-    stats.states = 1;
-    let mut work: VecDeque<Node> = VecDeque::new();
-    work.push_back(root);
-    while let Some(node) = match cfg.mode {
-        SearchMode::Dfs => work.pop_back(),
-        SearchMode::Bfs => work.pop_front(),
-    } {
-        let events = enabled(cfg, &node);
-        if events.is_empty() {
-            stats.terminals += 1;
-            if let Err(failure) = check_terminal(&node) {
-                return MigrationOutcome::Fail {
-                    failure,
-                    trace: node.trace,
-                    stats,
-                };
-            }
-            continue;
-        }
-        for ev in events {
-            stats.transitions += 1;
-            let next = match apply(&node, ev, cfg) {
-                Ok(n) => n,
-                Err((failure, trace)) => {
-                    return MigrationOutcome::Fail {
-                        failure,
-                        trace,
-                        stats,
-                    }
-                }
-            };
-            stats.max_depth = stats.max_depth.max(next.trace.len() as u64);
-            if (0..next.driver.cs.len()).any(|c| is_suspended(&next.sched, c)) {
-                stats.suspended_states += 1;
-            }
-            if seen.insert(canonical(&next)) {
-                stats.states += 1;
-                if stats.states > cfg.max_states {
-                    return MigrationOutcome::Fail {
-                        failure: Failure::BoundExceeded {
-                            states: cfg.max_states,
-                        },
-                        trace: next.trace,
-                        stats,
-                    };
-                }
-                work.push_back(next);
-            }
-        }
-    }
-    MigrationOutcome::Pass(stats)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cluster::tests::tiny;
+    use crate::model::{explore, replay, CheckOutcome, Event, ModelConfig};
     use convgpu_scheduler::cluster::SwarmStrategy;
-    use convgpu_scheduler::{PolicyKind, ResumeRule};
-
-    fn tiny(policy: PolicyKind, strategy: SwarmStrategy) -> ClusterModelConfig {
-        let u = Bytes::mib(256);
-        ClusterModelConfig {
-            node_capacities: vec![vec![Bytes::new(u.0 * 2)], vec![Bytes::new(u.0 * 2)]],
-            ctx_overhead: Bytes::ZERO,
-            charge_ctx: false,
-            resume_rule: ResumeRule::FullGuarantee,
-            limits: vec![Bytes::new(u.0), Bytes::new(u.0)],
-            alloc_sizes: vec![u],
-            max_allocs: 2,
-            policy,
-            strategy,
-            seed: 7,
-            max_states: 1_000_000,
-            mode: SearchMode::Dfs,
-        }
-    }
+    use convgpu_scheduler::PolicyKind;
+    use convgpu_sim_core::units::Bytes;
 
     #[test]
     fn tiny_universe_survives_every_death_point() {
@@ -681,12 +46,12 @@ mod tests {
             SwarmStrategy::BinPack,
             SwarmStrategy::Random,
         ] {
-            match explore(&tiny(PolicyKind::Fifo, strategy)) {
-                MigrationOutcome::Pass(stats) => {
+            match explore(&tiny(PolicyKind::Fifo, strategy).with_node_death()) {
+                CheckOutcome::Pass(stats) => {
                     assert!(stats.states > 10, "trivially small: {stats:?}");
                     assert!(stats.terminals > 0);
                 }
-                MigrationOutcome::Fail { failure, trace, .. } => {
+                CheckOutcome::Fail { failure, trace, .. } => {
                     panic!("{strategy:?} failed: {failure} after {trace:?}")
                 }
             }
@@ -695,18 +60,35 @@ mod tests {
 
     #[test]
     fn contended_universe_migrates_and_suspends() {
-        let cfg =
-            ClusterModelConfig::two_nodes_three_containers(PolicyKind::Fifo, SwarmStrategy::Spread);
+        let cfg = ModelConfig::two_nodes_three_containers(PolicyKind::Fifo, SwarmStrategy::Spread)
+            .with_node_death();
         match explore(&cfg) {
-            MigrationOutcome::Pass(stats) => {
+            CheckOutcome::Pass(stats) => {
                 assert!(
                     stats.suspended_states > 0,
                     "universe never suspends — checks nothing: {stats:?}"
                 );
             }
-            MigrationOutcome::Fail { failure, trace, .. } => {
+            CheckOutcome::Fail { failure, trace, .. } => {
                 panic!("migration universe failed: {failure} after {trace:?}")
             }
         }
+    }
+
+    /// A kill replays like any other event, and only where nodes can die.
+    #[test]
+    fn kill_is_scriptable_only_with_node_death() {
+        let u = Bytes::mib(256);
+        let trace = [
+            Event::Register { c: 0 },
+            Event::Register { c: 1 },
+            Event::Alloc { c: 0, size: u },
+            Event::Kill { n: 0 },
+            Event::Close { c: 0 },
+            Event::Close { c: 1 },
+        ];
+        let alive = tiny(PolicyKind::Fifo, SwarmStrategy::Spread);
+        assert_eq!(replay(&alive, &trace).unwrap_err().0, 3);
+        replay(&alive.with_node_death(), &trace).expect("legal migration trace");
     }
 }

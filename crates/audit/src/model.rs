@@ -1,11 +1,15 @@
-//! Bounded model checker for the ConVGPU scheduler (§III-D/E).
+//! Bounded model checker for the ConVGPU scheduler (§III-D/E), on every
+//! topology.
 //!
-//! The checker drives a real [`Scheduler`] — not a re-implementation —
+//! The checker drives a real scheduler — not a re-implementation —
 //! through **every** interleaving of container lifecycle events for a
-//! small, quantized configuration, and checks the full invariant oracle
-//! ([`Scheduler::check_invariants`]) plus the paper's §III-E
-//! deadlock-freedom claim ([`deadlock::assess`] never `Stalled`) after
-//! every transition.
+//! small, quantized universe, and checks the property list below after
+//! every transition. There is one explorer, generic over the
+//! [`SchedulerBackend`] under test: a single device ([`Scheduler`]), a
+//! multi-GPU host, a cluster, or a cluster whose nodes can die. A
+//! universe ([`ModelConfig`]) names the [`Topology`] and the sizes; the
+//! sibling modules [`crate::multi`], [`crate::cluster`] and
+//! [`crate::migration`] only define universes.
 //!
 //! # The model
 //!
@@ -19,7 +23,10 @@
 //! * `Exit` — the process dies (`__cudaUnregisterFatBinary`), possibly
 //!   while suspended or while holding memory (leak reclaim path);
 //! * `Close` — the container stops (volume-unmount plugin event),
-//!   allowed at any point after registration.
+//!   allowed at any point after registration;
+//! * `Kill(n)` — node `n` dies and the cluster drains it onto the
+//!   survivors (only in a universe with node death, see
+//!   [`crate::migration`]).
 //!
 //! A suspended container issues no new requests (its thread is blocked in
 //! the CUDA call, exactly as in the live wrapper) but can still `Exit` or
@@ -30,42 +37,71 @@
 //!
 //! Explored states are deduplicated under a *canonical* encoding that
 //! replaces absolute times with relative ranks (registration order,
-//! suspension order) and device addresses with allocation-size sequences.
-//! Every scheduler decision — FIFO / Recent-Use comparisons, the
-//! redistribution sort, Best-Fit deficits, the sticky target — depends
-//! only on those orders and on quantities that the encoding keeps
-//! verbatim, so two states with equal encodings are bisimilar and merging
-//! them is sound. The Random policy's RNG state is folded in via
-//! [`Scheduler::policy_fingerprint`], so states are only merged when
-//! their future random draws coincide as well.
+//! suspension order, per device) and device addresses with
+//! allocation-size sequences. Every scheduler decision — FIFO /
+//! Recent-Use comparisons, the redistribution sort, Best-Fit deficits,
+//! the sticky target, placement — depends only on those orders and on
+//! quantities that the encoding keeps verbatim, so two states with equal
+//! encodings are bisimilar and merging them is sound. Every piece of
+//! hidden mutable state — each device's policy RNG, the round-robin
+//! cursor, the Swarm RNG — is folded in via
+//! [`SchedulerBackend::fingerprint`], so states are only merged when
+//! their future random draws and placements coincide as well.
 //!
 //! Keys are stored as 128-bit FNV-style digests of the canonical vector
 //! (two independent folds); at the ≤ 10⁷ states this checker is meant
 //! for, a collision is beyond negligible (≈ 10⁻²⁴).
 //!
-//! # What is checked, per transition
+//! # What is checked, per transition, on every topology
 //!
-//! 1. the shared invariant oracle (`check_invariants`);
-//! 2. `deadlock::assess` never returns `Stalled` (§III-E);
-//! 3. **wakeup consistency** — the set of tickets parked inside the
-//!    scheduler equals the set of tickets the driver is still owed, so a
-//!    wakeup can neither be lost nor invented;
-//! 4. at every *terminal* state (all containers closed): no memory is
-//!    still assigned and no ticket is still outstanding. Terminal states
-//!    are reachable from every state (any registered container may always
-//!    close), so these terminal checks imply the "every suspended
-//!    container is eventually resumed or rejected" liveness claim.
+//! 1. the **whole-topology invariant oracle**
+//!    ([`SchedulerBackend::check_invariants`]): every device's safety
+//!    invariants plus every level's home-map consistency — with adopted
+//!    budgets in the books, committed memory never exceeds a device;
+//! 2. **no cross-shard record, no double-home** — a container's record
+//!    exists only on its home device, so one device's (or node's)
+//!    guarantees can never be backed by another's capacity. Once a node
+//!    has been drained it may keep the closed tombstone of a container
+//!    that moved on; tombstones hold no budget, so from then on the
+//!    property reads "no *open* record off the home";
+//! 3. **per-device deadlock-freedom** — [`deadlock::assess`] never
+//!    reports `Stalled` on any device, mid-migration included (the §III-E
+//!    argument applies per device because memory never migrates across
+//!    devices, let alone nodes);
+//! 4. **wakeup consistency under stacked ticket tags** — the set of
+//!    tickets the driver is owed equals the set of requests parked across
+//!    all devices, each under the full tag its device reports
+//!    ([`SchedulerBackend::each_device`]), so tagging can neither lose,
+//!    invent, nor cross-wire a wakeup; a drain cancels the dying
+//!    containers' parked tickets with explicit rejections, never silently;
+//! 5. **tag canonicality** — every outstanding ticket is parked on its
+//!    container's *current* home device and carries exactly that device's
+//!    tag, post-move tickets included (shard 0's tags are zero, which is
+//!    why node-0 tickets are bit-for-bit single-host tickets — see
+//!    `tests/golden/`);
+//! 6. **budget conservation across a drain** — the `used` bytes a
+//!    migration carries cover every byte the driver had live on the
+//!    source and exceed them by at most what the drain itself granted
+//!    from that container's parked tickets, and the adoptive home's own
+//!    record opens with exactly the carried budget marked used;
+//! 7. at every *terminal* state (all containers closed): no memory is
+//!    still assigned on any device and no ticket is still outstanding.
+//!    Terminal states are reachable from every state (any registered
+//!    container may always close), so these terminal checks imply the
+//!    "every suspended container is eventually resumed or rejected"
+//!    liveness claim.
 
 use convgpu_ipc::message::{AllocDecision, ApiKind};
+use convgpu_scheduler::cluster::{ClusterNode, ClusterScheduler, MigrationMove, SwarmStrategy};
 use convgpu_scheduler::deadlock::{self, ProgressState};
 use convgpu_scheduler::{
-    AllocOutcome, ContainerState, InvariantViolation, PolicyKind, ResumeAction, ResumeRule,
-    Scheduler, SchedulerConfig,
+    AllocOutcome, ContainerState, MultiGpuScheduler, PlacementPolicy, PolicyKind, ResumeAction,
+    ResumeRule, Scheduler, SchedulerBackend, SchedulerConfig,
 };
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
 use convgpu_sim_core::units::Bytes;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
 
 /// One event of the lifecycle model. `c` is the container *index*
@@ -99,6 +135,11 @@ pub enum Event {
         /// Container index.
         c: usize,
     },
+    /// Node `n` dies; the cluster drains it onto survivors.
+    Kill {
+        /// Node index.
+        n: usize,
+    },
 }
 
 impl fmt::Display for Event {
@@ -109,6 +150,7 @@ impl fmt::Display for Event {
             Event::Free { c } => write!(f, "free(C{}, oldest)", c + 1),
             Event::Exit { c } => write!(f, "exit(C{})", c + 1),
             Event::Close { c } => write!(f, "close(C{})", c + 1),
+            Event::Kill { n } => write!(f, "kill(node {n})"),
         }
     }
 }
@@ -124,12 +166,35 @@ pub enum SearchMode {
     Bfs,
 }
 
+/// What stands under the driver.
+#[derive(Clone, Debug)]
+pub enum Topology {
+    /// One device of this capacity.
+    Single(Bytes),
+    /// One host: a device per capacity, placed by `placement`.
+    MultiGpu {
+        /// Per-device capacities.
+        capacities: Vec<Bytes>,
+        /// Device placement policy under test.
+        placement: PlacementPolicy,
+    },
+    /// Several nodes, placed by `strategy`.
+    Cluster {
+        /// Per-node, per-device capacities.
+        nodes: Vec<Vec<Bytes>>,
+        /// Swarm placement strategy under test.
+        strategy: SwarmStrategy,
+        /// Whether nodes can die (the [`crate::migration`] universe).
+        node_death: bool,
+    },
+}
+
 /// A bounded-model-checking configuration: the quantized universe the
 /// checker explores exhaustively.
 #[derive(Clone, Debug)]
 pub struct ModelConfig {
-    /// Device capacity.
-    pub capacity: Bytes,
+    /// The scheduler arrangement under test.
+    pub topology: Topology,
     /// Per-pid context overhead (only charged if `charge_ctx`).
     pub ctx_overhead: Bytes,
     /// Whether to charge the context overhead.
@@ -144,9 +209,9 @@ pub struct ModelConfig {
     /// Maximum allocation requests *issued* per container (granted,
     /// rejected or parked all count).
     pub max_allocs: u32,
-    /// Policy under test.
+    /// Redistribution policy running on every device.
     pub policy: PolicyKind,
-    /// Seed for the Random policy.
+    /// Seed for the Random policy and the Random strategy.
     pub seed: u64,
     /// Abort if the visited set exceeds this bound.
     pub max_states: usize,
@@ -160,7 +225,7 @@ impl ModelConfig {
     pub fn three_containers(policy: PolicyKind) -> Self {
         let u = Bytes::mib(256);
         ModelConfig {
-            capacity: Bytes::new(u.0 * 4),
+            topology: Topology::Single(Bytes::new(u.0 * 4)),
             ctx_overhead: Bytes::ZERO,
             charge_ctx: false,
             resume_rule: ResumeRule::FullGuarantee,
@@ -182,39 +247,104 @@ impl ModelConfig {
     /// overhead charged, to exercise the overhead accounting paths.
     pub fn two_containers_with_ctx(policy: PolicyKind) -> Self {
         ModelConfig {
-            capacity: Bytes::gib(1),
+            topology: Topology::Single(Bytes::gib(1)),
             ctx_overhead: Bytes::mib(66),
             charge_ctx: true,
-            resume_rule: ResumeRule::FullGuarantee,
             limits: vec![Bytes::mib(512), Bytes::mib(512)],
             alloc_sizes: vec![Bytes::mib(128), Bytes::mib(256)],
-            max_allocs: 2,
-            policy,
-            seed: 0xC0DE,
-            max_states: 10_000_000,
-            mode: SearchMode::Dfs,
+            ..Self::three_containers(policy)
         }
     }
 
-    fn scheduler(&self) -> Scheduler {
-        let cfg = SchedulerConfig {
-            capacity: self.capacity,
+    /// The `--quick` trim: at most one allocation request per container.
+    pub fn quick(mut self) -> Self {
+        self.max_allocs = self.max_allocs.min(1);
+        self
+    }
+
+    /// Base config of every device; each overrides only its capacity.
+    fn device_config(&self, capacity: Bytes) -> SchedulerConfig {
+        SchedulerConfig {
+            capacity,
             ctx_overhead: self.ctx_overhead,
             charge_ctx_overhead: self.charge_ctx,
             resume_rule: self.resume_rule,
             default_limit: self.limits[0],
-        };
-        Scheduler::new(cfg, self.policy.build(self.seed))
+        }
+    }
+
+    /// Build the root scheduler for the topology and hand it to the
+    /// generic search: exhaustive, or along `script` when one is given.
+    fn run(&self, script: Option<&[Event]>) -> CheckOutcome {
+        match &self.topology {
+            Topology::Single(capacity) => {
+                let root =
+                    Scheduler::new(self.device_config(*capacity), self.policy.build(self.seed));
+                search(self, root, None, script)
+            }
+            Topology::MultiGpu {
+                capacities,
+                placement,
+            } => {
+                let root = MultiGpuScheduler::with_config(
+                    self.device_config(capacities[0]),
+                    capacities,
+                    self.policy,
+                    *placement,
+                    self.seed,
+                );
+                search(self, root, None, script)
+            }
+            Topology::Cluster {
+                nodes,
+                strategy,
+                node_death,
+            } => {
+                let base = self.device_config(nodes[0][0]);
+                let built = nodes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, caps)| {
+                        ClusterNode::with_config(
+                            format!("n{i}"),
+                            base.clone(),
+                            caps,
+                            self.policy,
+                            self.seed.wrapping_add(i as u64),
+                        )
+                    })
+                    .collect();
+                let root = ClusterScheduler::new(built, *strategy, self.seed);
+                let death = NodeDeath {
+                    nodes: nodes.len(),
+                    home: ClusterScheduler::home_of,
+                    drain: ClusterScheduler::migrate_node,
+                };
+                search(self, root, node_death.then_some(&death), script)
+            }
+        }
     }
 }
+
+/// How the explorer kills a node of backend `B`: the one thing it needs
+/// that the message surface does not carry.
+struct NodeDeath<B> {
+    nodes: usize,
+    home: fn(&B, ContainerId) -> Option<usize>,
+    drain: fn(&mut B, usize, SimTime) -> Drained,
+}
+
+/// What a drain reports: the moves, and the resume actions of the
+/// source-side closes.
+type Drained = (Vec<MigrationMove>, Vec<ResumeAction>);
 
 /// Why a run failed, if it did.
 #[derive(Clone, Debug)]
 pub enum Failure {
     /// The shared invariant oracle tripped.
-    Invariant(InvariantViolation),
-    /// §III-E violated: a reachable state where every open container is
-    /// suspended and none can be completed from the pool.
+    Invariant(String),
+    /// §III-E violated: a reachable state where every open container of
+    /// a device is suspended and none can be completed from the pool.
     Stalled {
         /// The deadlocked containers.
         waiting: Vec<ContainerId>,
@@ -231,7 +361,8 @@ pub enum Failure {
         /// The offending ticket.
         ticket: u64,
     },
-    /// A model-legal call was refused (protocol regression).
+    /// A model-legal call was refused (protocol regression), or a
+    /// topology property (home, tag, conserved budget) broke.
     SchedError(String),
     /// All containers closed but memory is still assigned.
     TerminalResidue {
@@ -288,6 +419,16 @@ pub struct ExploreStats {
     pub suspended_states: u64,
 }
 
+impl fmt::Display for ExploreStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:>8} states {:>9} transitions  depth {:>2}  {} terminal, {} suspended",
+            self.states, self.transitions, self.max_depth, self.terminals, self.suspended_states
+        )
+    }
+}
+
 /// Result of one exhaustive run.
 #[derive(Clone, Debug)]
 pub enum CheckOutcome {
@@ -313,11 +454,14 @@ impl CheckOutcome {
 }
 
 /// Driver-side state for one container's wrapper + process.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct DriverContainer {
     registered: bool,
     exited: bool,
     closed: bool,
+    /// Survived a drain onto a new node: its pre-kill device addresses
+    /// died with the source, only the committed budget travelled.
+    migrated: bool,
     allocs_issued: u32,
     /// Live device allocations in issue order (`free` pops the front).
     live: VecDeque<(u64, Bytes)>,
@@ -327,36 +471,36 @@ struct DriverContainer {
 #[derive(Clone, Debug)]
 struct Driver {
     cs: Vec<DriverContainer>,
-    /// Parked tickets the driver is owed: ticket → (container, size).
+    /// Parked tickets the driver is owed, as the scheduler handed them
+    /// out (fully tagged): ticket → (container, size).
     outstanding: BTreeMap<u64, (usize, Bytes)>,
     next_addr: u64,
-}
-
-impl Driver {
-    fn new(n: usize) -> Self {
-        Driver {
-            cs: (0..n)
-                .map(|_| DriverContainer {
-                    registered: false,
-                    exited: false,
-                    closed: false,
-                    allocs_issued: 0,
-                    live: VecDeque::new(),
-                })
-                .collect(),
-            outstanding: BTreeMap::new(),
-            next_addr: 0x1000,
-        }
-    }
+    /// The node that died, once one has.
+    killed: Option<usize>,
 }
 
 /// One node of the search: a full system state plus the path that
 /// produced it.
 #[derive(Clone)]
-struct Node {
-    sched: Scheduler,
+struct Node<B> {
+    sched: B,
     driver: Driver,
     trace: Vec<Event>,
+}
+
+impl<B> Node<B> {
+    fn root(sched: B, containers: usize) -> Self {
+        Node {
+            sched,
+            driver: Driver {
+                cs: vec![DriverContainer::default(); containers],
+                outstanding: BTreeMap::new(),
+                next_addr: 0x1000,
+                killed: None,
+            },
+            trace: Vec::new(),
+        }
+    }
 }
 
 fn cid(c: usize) -> ContainerId {
@@ -367,24 +511,38 @@ fn pid(c: usize) -> u64 {
     100 + c as u64
 }
 
+/// Whether container `c` is suspended on its current home device.
+fn is_suspended<B: SchedulerBackend>(sched: &B, c: usize) -> bool {
+    sched
+        .home_device(cid(c))
+        .and_then(|(_, dev)| dev.container(cid(c)))
+        .is_some_and(|r| r.is_suspended())
+}
+
 /// Enumerate the events enabled in `node`, in a fixed deterministic
-/// order (container index, then event kind, then size menu order).
-fn enabled(cfg: &ModelConfig, node: &Node) -> Vec<Event> {
+/// order (container index, then event kind, then size menu order; node
+/// kills last). A universe with node death studies death *after*
+/// admission: it has no `Exit`, offers `Kill` until the first one, and
+/// registers nothing after it (which keeps placement off dead nodes and
+/// bounds the universe).
+fn enabled<B: SchedulerBackend>(
+    cfg: &ModelConfig,
+    node: &Node<B>,
+    death: Option<&NodeDeath<B>>,
+) -> Vec<Event> {
     let mut out = Vec::new();
     for (c, d) in node.driver.cs.iter().enumerate() {
         if d.closed {
             continue;
         }
         if !d.registered {
-            out.push(Event::Register { c });
+            if node.driver.killed.is_none() {
+                out.push(Event::Register { c });
+            }
             continue;
         }
         if !d.exited {
-            let suspended = node
-                .sched
-                .container(cid(c))
-                .is_some_and(|r| r.is_suspended());
-            if !suspended {
+            if !is_suspended(&node.sched, c) {
                 if d.allocs_issued < cfg.max_allocs {
                     for &size in &cfg.alloc_sizes {
                         out.push(Event::Alloc { c, size });
@@ -394,16 +552,35 @@ fn enabled(cfg: &ModelConfig, node: &Node) -> Vec<Event> {
                     out.push(Event::Free { c });
                 }
             }
-            out.push(Event::Exit { c });
+            if death.is_none() {
+                out.push(Event::Exit { c });
+            }
         }
         out.push(Event::Close { c });
+    }
+    if let (Some(death), None) = (death, node.driver.killed) {
+        for n in 0..death.nodes {
+            let hosts_any =
+                (0..node.driver.cs.len()).any(|c| (death.home)(&node.sched, cid(c)) == Some(n));
+            if hosts_any {
+                out.push(Event::Kill { n });
+            }
+        }
     }
     out
 }
 
 /// Deliver the scheduler's resume actions to the driver, performing the
-/// follow-up `alloc_done` for granted resumes.
-fn deliver(node: &mut Node, actions: Vec<ResumeAction>, now: SimTime) -> Result<(), Failure> {
+/// follow-up `alloc_done` for granted resumes. `draining` marks the
+/// actions of a node drain, the one place a grant may meet a closed
+/// container: the drain can grant a co-tenant's parked request and then
+/// fail to re-home that same container, whose close released the grant.
+fn deliver<B: SchedulerBackend>(
+    node: &mut Node<B>,
+    actions: Vec<ResumeAction>,
+    now: SimTime,
+    draining: bool,
+) -> Result<(), Failure> {
     for a in actions {
         let (c, size) = match node.driver.outstanding.remove(&a.ticket) {
             Some(entry) => entry,
@@ -422,6 +599,9 @@ fn deliver(node: &mut Node, actions: Vec<ResumeAction>, now: SimTime) -> Result<
         match a.decision {
             AllocDecision::Granted => {
                 let d = &node.driver.cs[c];
+                if d.closed && draining {
+                    continue;
+                }
                 if d.exited || d.closed {
                     return Err(Failure::SchedError(format!(
                         "granted resume (ticket {}) for a dead process of C{}",
@@ -443,13 +623,17 @@ fn deliver(node: &mut Node, actions: Vec<ResumeAction>, now: SimTime) -> Result<
 }
 
 /// Apply `ev` to a clone of `node`, returning the successor.
-fn apply(node: &Node, ev: Event, cfg: &ModelConfig) -> Result<Node, (Failure, Vec<Event>)> {
+fn apply<B: SchedulerBackend + Clone>(
+    node: &Node<B>,
+    ev: Event,
+    cfg: &ModelConfig,
+    death: Option<&NodeDeath<B>>,
+) -> Result<Node<B>, (Failure, Vec<Event>)> {
     let mut n = node.clone();
     n.trace.push(ev);
     // Times only need to be distinct and increasing along the path; the
     // path length provides exactly that.
     let now = SimTime::from_nanos(n.trace.len() as u64);
-    let fail = |f: Failure, n: &Node| (f, n.trace.clone());
     let res: Result<(), Failure> = (|| {
         match ev {
             Event::Register { c } => {
@@ -478,7 +662,7 @@ fn apply(node: &Node, ev: Event, cfg: &ModelConfig) -> Result<Node, (Failure, Ve
                         n.driver.outstanding.insert(ticket, (c, size));
                     }
                 }
-                deliver(&mut n, actions, now)?;
+                deliver(&mut n, actions, now, false)?;
             }
             Event::Free { c } => {
                 let (addr, size) = n.driver.cs[c]
@@ -494,7 +678,7 @@ fn apply(node: &Node, ev: Event, cfg: &ModelConfig) -> Result<Node, (Failure, Ve
                         "free(0x{addr:x}) returned {freed}, driver recorded {size}"
                     )));
                 }
-                deliver(&mut n, actions, now)?;
+                deliver(&mut n, actions, now, false)?;
             }
             Event::Exit { c } => {
                 n.driver.cs[c].exited = true;
@@ -503,7 +687,7 @@ fn apply(node: &Node, ev: Event, cfg: &ModelConfig) -> Result<Node, (Failure, Ve
                     .sched
                     .process_exit(cid(c), pid(c), now)
                     .map_err(|e| Failure::SchedError(format!("process_exit: {e:?}")))?;
-                deliver(&mut n, actions, now)?;
+                deliver(&mut n, actions, now, false)?;
             }
             Event::Close { c } => {
                 n.driver.cs[c].closed = true;
@@ -512,56 +696,176 @@ fn apply(node: &Node, ev: Event, cfg: &ModelConfig) -> Result<Node, (Failure, Ve
                     .sched
                     .container_close(cid(c), now)
                     .map_err(|e| Failure::SchedError(format!("container_close: {e:?}")))?;
-                deliver(&mut n, actions, now)?;
+                deliver(&mut n, actions, now, false)?;
+            }
+            Event::Kill { n: dead } => {
+                let death = death.ok_or_else(|| {
+                    Failure::SchedError("kill in a universe without node death".into())
+                })?;
+                n.driver.killed = Some(dead);
+                // Quiescent checkpoint: at the kill instant every
+                // container's committed bytes are exactly what the
+                // driver holds live, and its parked budget is the sum of
+                // its outstanding tickets. During the drain a co-tenant's
+                // close may grant a parked request *before* that
+                // container's own checkpoint is captured, so the carried
+                // `used` is bounded by, not equal to, the live bytes.
+                let live_at_kill: Vec<Bytes> = n
+                    .driver
+                    .cs
+                    .iter()
+                    .map(|dc| dc.live.iter().fold(Bytes::ZERO, |acc, &(_, s)| acc + s))
+                    .collect();
+                let mut parked_at_kill = vec![Bytes::ZERO; n.driver.cs.len()];
+                for &(c, size) in n.driver.outstanding.values() {
+                    parked_at_kill[c] += size;
+                }
+                let (moves, actions) = (death.drain)(&mut n.sched, dead, now);
+                for m in &moves {
+                    let c = (m.container.as_u64() - 1) as usize;
+                    // Property 6, first half. Nothing lost: the carried
+                    // `used` covers every byte the driver had live.
+                    // Nothing invented: it exceeds them by at most the
+                    // budget the drain itself granted from the
+                    // container's parked tickets.
+                    if m.used < live_at_kill[c] || m.used > live_at_kill[c] + parked_at_kill[c] {
+                        return Err(Failure::SchedError(format!(
+                            "migration of C{} carried used={} outside the conserved \
+                             range [{}, {}]",
+                            c + 1,
+                            m.used,
+                            live_at_kill[c],
+                            live_at_kill[c] + parked_at_kill[c]
+                        )));
+                    }
+                    // Either way the device addresses died with the
+                    // source; only the budget travelled, if anything did.
+                    n.driver.cs[c].live.clear();
+                    match m.to {
+                        Some(to) => {
+                            // Second half: conservation must hold in the
+                            // adoptive node's *books* too, not just in
+                            // the move record — the adopted container
+                            // shows exactly the carried `used` before
+                            // any post-drain grant lands.
+                            let adopted_used = n
+                                .sched
+                                .home_device(m.container)
+                                .and_then(|(_, dev)| dev.container(m.container))
+                                .map(|r| r.used);
+                            if (death.home)(&n.sched, m.container) != Some(to)
+                                || adopted_used != Some(m.used)
+                            {
+                                return Err(Failure::SchedError(format!(
+                                    "C{} adopted on node {to} with used={adopted_used:?}, \
+                                     but the migration record carried {}",
+                                    c + 1,
+                                    m.used
+                                )));
+                            }
+                            n.driver.cs[c].migrated = true;
+                        }
+                        // No survivor could adopt: a clean rejection,
+                        // the container ends closed.
+                        None => n.driver.cs[c].closed = true,
+                    }
+                }
+                deliver(&mut n, actions, now, true)?;
             }
         }
         check_state(cfg, &n)
     })();
     match res {
         Ok(()) => Ok(n),
-        Err(f) => Err(fail(f, &n)),
+        Err(f) => Err((f, n.trace)),
     }
 }
 
-/// The per-state property suite (run after every transition).
-fn check_state(cfg: &ModelConfig, n: &Node) -> Result<(), Failure> {
+/// The per-state property suite (numbering from the module docs; 6 is
+/// checked where the drain happens, in [`apply`]).
+fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<(), Failure> {
+    // 1. Whole-topology invariants, adopted budgets included.
     n.sched.check_invariants().map_err(Failure::Invariant)?;
-    if cfg.resume_rule == ResumeRule::FullGuarantee {
-        if let ProgressState::Stalled { waiting } = deadlock::assess(&n.sched) {
-            return Err(Failure::Stalled { waiting });
-        }
-    }
-    // Wakeup consistency: scheduler-parked tickets == driver-owed tickets.
-    let parked: BTreeMap<u64, ()> = n
-        .sched
-        .containers()
-        .flat_map(|r| r.pending.iter().map(|p| (p.ticket, ())))
+    let mut failure = None;
+    // Tag of each container's home device, if it has a home.
+    let homes: Vec<Option<u64>> = (0..n.driver.cs.len())
+        .map(|c| n.sched.home_device(cid(c)).map(|(tag, _)| tag))
         .collect();
+    // Parked tickets across all devices, under each device's full tag.
+    let mut parked: BTreeSet<u64> = BTreeSet::new();
+    n.sched.each_device(0, &mut |tag, dev| {
+        // 2. No cross-shard record, no double-home.
+        for (c, home) in homes.iter().enumerate() {
+            let Some(r) = dev.container(cid(c)) else {
+                continue;
+            };
+            let tombstone = n.driver.killed.is_some() && r.state == ContainerState::Closed;
+            if *home != Some(tag) && !tombstone {
+                failure.get_or_insert(Failure::SchedError(format!(
+                    "C{} has a record on the device tagged {tag:#x} but its home is {home:x?}",
+                    c + 1
+                )));
+            }
+        }
+        // 3. Per-device deadlock-freedom.
+        if cfg.resume_rule == ResumeRule::FullGuarantee {
+            if let ProgressState::Stalled { waiting } = deadlock::assess(dev) {
+                failure.get_or_insert(Failure::Stalled { waiting });
+            }
+        }
+        for r in dev.containers() {
+            for p in r.pending.iter() {
+                parked.insert(tag | p.ticket);
+            }
+        }
+    });
+    if let Some(f) = failure {
+        return Err(f);
+    }
+    // 4. Wakeup consistency: scheduler-parked tickets == driver-owed
+    //    tickets, under the stacked tags.
     let lost: Vec<u64> = n
         .driver
         .outstanding
         .keys()
-        .filter(|t| !parked.contains_key(t))
+        .filter(|t| !parked.contains(t))
         .copied()
         .collect();
     if !lost.is_empty() {
         return Err(Failure::LostWakeup { tickets: lost });
     }
-    if let Some((&ticket, _)) = parked
+    if let Some(&ticket) = parked
         .iter()
-        .find(|(t, _)| !n.driver.outstanding.contains_key(t))
+        .find(|t| !n.driver.outstanding.contains_key(t))
     {
         // The scheduler holds a parked request the driver never issued —
         // from the driver's viewpoint that resume will arrive out of thin
         // air.
         return Err(Failure::PhantomWakeup { ticket });
     }
+    // 5. Tag canonicality: an outstanding ticket is parked on its
+    //    container's *current* home device, under that device's tag.
+    for (&ticket, &(c, _)) in &n.driver.outstanding {
+        let at_home = n.sched.home_device(cid(c)).is_some_and(|(tag, dev)| {
+            dev.container(cid(c))
+                .is_some_and(|r| r.pending.iter().any(|p| tag | p.ticket == ticket))
+        });
+        if !at_home {
+            return Err(Failure::SchedError(format!(
+                "ticket {ticket:#x} is not parked under the tag of C{}'s home device",
+                c + 1
+            )));
+        }
+    }
     Ok(())
 }
 
 /// Checks that apply only at terminal (no-event-enabled) states.
-fn check_terminal(n: &Node) -> Result<(), Failure> {
-    let assigned = n.sched.total_assigned();
+fn check_terminal<B: SchedulerBackend>(n: &Node<B>) -> Result<(), Failure> {
+    let mut assigned = Bytes::ZERO;
+    n.sched.each_device(0, &mut |_, dev| {
+        assigned = assigned.max(dev.total_assigned());
+    });
     if !assigned.is_zero() {
         return Err(Failure::TerminalResidue { assigned });
     }
@@ -570,17 +874,13 @@ fn check_terminal(n: &Node) -> Result<(), Failure> {
             tickets: vec![ticket],
         });
     }
-    debug_assert!(n
-        .sched
-        .containers()
-        .all(|r| r.state == ContainerState::Closed));
+    debug_assert_eq!(n.sched.open_containers(), 0);
     Ok(())
 }
 
 /// 128-bit digest of the canonical state vector (two independent
-/// FNV-1a-style folds over the same words). Shared with the multi-GPU
-/// checker ([`crate::multi`]).
-pub(crate) fn digest(words: &[u64]) -> (u64, u64) {
+/// FNV-1a-style folds over the same words).
+fn digest(words: &[u64]) -> (u64, u64) {
     let mut a: u64 = 0xcbf29ce484222325;
     let mut b: u64 = 0x9e3779b97f4a7c15;
     for &w in words {
@@ -592,80 +892,102 @@ pub(crate) fn digest(words: &[u64]) -> (u64, u64) {
 }
 
 /// Canonical encoding of a system state; see the module docs for the
-/// bisimulation argument.
-fn canonical(n: &Node) -> (u64, u64) {
-    let mut words: Vec<u64> = Vec::with_capacity(16 + n.driver.cs.len() * 16);
-    // Relative ranks for the time-valued fields every policy compares.
-    let mut reg: Vec<(SimTime, usize)> = Vec::new();
-    let mut susp: Vec<(SimTime, usize)> = Vec::new();
-    for (c, _) in n.driver.cs.iter().enumerate() {
-        if let Some(r) = n.sched.container(cid(c)) {
-            if r.state != ContainerState::Closed {
-                reg.push((r.registered_at, c));
-                if let Some(s) = r.suspended_since {
-                    susp.push((s, c));
-                }
-            }
-        }
-    }
-    reg.sort();
-    susp.sort();
-    let rank = |list: &[(SimTime, usize)], c: usize| -> u64 {
-        list.iter()
-            .position(|&(_, i)| i == c)
-            .map_or(u64::MAX, |p| p as u64)
-    };
+/// bisimulation argument. Per container: the driver's view and the tag
+/// of its home device. Per device: every record with its time-valued
+/// fields as ranks. Then the topology fingerprint, which folds every
+/// policy RNG, round-robin cursor and Swarm RNG.
+fn canonical<B: SchedulerBackend>(n: &Node<B>) -> (u64, u64) {
+    let mut words: Vec<u64> = Vec::with_capacity(64 + n.driver.cs.len() * 16);
+    words.push(n.driver.killed.map_or(u64::MAX, |k| k as u64));
     for (c, d) in n.driver.cs.iter().enumerate() {
         words.push(
-            u64::from(d.registered) | (u64::from(d.exited) << 1) | (u64::from(d.closed) << 2),
+            u64::from(d.registered)
+                | (u64::from(d.exited) << 1)
+                | (u64::from(d.closed) << 2)
+                | (u64::from(d.migrated) << 3),
         );
         words.push(u64::from(d.allocs_issued));
         words.push(d.live.len() as u64);
         words.extend(d.live.iter().map(|&(_, s)| s.0));
-        match n.sched.container(cid(c)) {
-            None => words.push(u64::MAX),
-            Some(r) => {
-                words.push(match r.state {
-                    ContainerState::Active => 1,
-                    ContainerState::Suspended => 2,
-                    ContainerState::Closed => 3,
-                });
-                words.push(r.assigned.0);
-                words.push(r.used.0);
-                words.push(rank(&reg, c));
-                words.push(rank(&susp, c));
-                words.push(u64::from(r.charged_pids.contains(&pid(c))));
-                words.push(r.pending.len() as u64);
-                words.extend(r.pending.iter().map(|p| p.size.0));
+        words.push(n.sched.home_device(cid(c)).map_or(u64::MAX, |(tag, _)| tag));
+    }
+    n.sched.each_device(0, &mut |_, s| {
+        // Relative ranks of the time-valued fields every policy compares.
+        let mut reg: Vec<(SimTime, usize)> = Vec::new();
+        let mut susp: Vec<(SimTime, usize)> = Vec::new();
+        for c in 0..n.driver.cs.len() {
+            if let Some(r) = s.container(cid(c)) {
+                if r.state != ContainerState::Closed {
+                    reg.push((r.registered_at, c));
+                    if let Some(t) = r.suspended_since {
+                        susp.push((t, c));
+                    }
+                }
             }
         }
-    }
-    words.push(n.sched.total_assigned().0);
-    words.push(n.sched.sticky_target().map_or(u64::MAX, |t| t.as_u64()));
-    words.push(n.sched.policy_fingerprint());
+        reg.sort();
+        susp.sort();
+        let rank = |list: &[(SimTime, usize)], c: usize| -> u64 {
+            list.iter()
+                .position(|&(_, i)| i == c)
+                .map_or(u64::MAX, |p| p as u64)
+        };
+        for c in 0..n.driver.cs.len() {
+            match s.container(cid(c)) {
+                None => words.push(u64::MAX),
+                Some(r) => {
+                    words.push(match r.state {
+                        ContainerState::Active => 1,
+                        ContainerState::Suspended => 2,
+                        ContainerState::Closed => 3,
+                    });
+                    words.push(r.assigned.0);
+                    words.push(r.used.0);
+                    words.push(rank(&reg, c));
+                    words.push(rank(&susp, c));
+                    words.push(u64::from(r.charged_pids.contains(&pid(c))));
+                    words.push(r.pending.len() as u64);
+                    words.extend(r.pending.iter().map(|p| p.size.0));
+                }
+            }
+        }
+        words.push(s.total_assigned().0);
+        words.push(s.sticky_target().map_or(u64::MAX, |t| t.as_u64()));
+    });
+    words.push(n.sched.fingerprint());
     digest(&words)
 }
 
-/// Exhaustively explore `cfg`'s state space, checking every transition.
-pub fn explore(cfg: &ModelConfig) -> CheckOutcome {
-    let root = Node {
-        sched: cfg.scheduler(),
-        driver: Driver::new(cfg.limits.len()),
-        trace: Vec::new(),
-    };
+/// The one search loop. Without a `script`: explore every interleaving
+/// from `root`, deduplicating under [`canonical`]. With one: walk exactly
+/// that event path. Either way every transition runs the full property
+/// suite.
+fn search<B: SchedulerBackend + Clone>(
+    cfg: &ModelConfig,
+    root: B,
+    death: Option<&NodeDeath<B>>,
+    script: Option<&[Event]>,
+) -> CheckOutcome {
+    let root = Node::root(root, cfg.limits.len());
     let mut stats = ExploreStats::default();
     let mut seen: HashSet<(u64, u64)> = HashSet::new();
     seen.insert(canonical(&root));
     stats.states = 1;
     // A VecDeque serves both orders: DFS pops the back, BFS the front.
-    let mut work: VecDeque<Node> = VecDeque::new();
+    let mut work: VecDeque<Node<B>> = VecDeque::new();
     work.push_back(root);
     while let Some(node) = match cfg.mode {
         SearchMode::Dfs => work.pop_back(),
         SearchMode::Bfs => work.pop_front(),
     } {
-        let events = enabled(cfg, &node);
+        let events = match script {
+            Some(script) => script.get(node.trace.len()).copied().into_iter().collect(),
+            None => enabled(cfg, &node, death),
+        };
         if events.is_empty() {
+            if script.is_some() {
+                break;
+            }
             stats.terminals += 1;
             if let Err(failure) = check_terminal(&node) {
                 return CheckOutcome::Fail {
@@ -678,7 +1000,7 @@ pub fn explore(cfg: &ModelConfig) -> CheckOutcome {
         }
         for ev in events {
             stats.transitions += 1;
-            let next = match apply(&node, ev, cfg) {
+            let next = match apply(&node, ev, cfg, death) {
                 Ok(n) => n,
                 Err((failure, trace)) => {
                     return CheckOutcome::Fail {
@@ -689,10 +1011,10 @@ pub fn explore(cfg: &ModelConfig) -> CheckOutcome {
                 }
             };
             stats.max_depth = stats.max_depth.max(next.trace.len() as u64);
-            if next.sched.containers().any(|r| r.is_suspended()) {
+            if (0..next.driver.cs.len()).any(|c| is_suspended(&next.sched, c)) {
                 stats.suspended_states += 1;
             }
-            if seen.insert(canonical(&next)) {
+            if seen.insert(canonical(&next)) || script.is_some() {
                 stats.states += 1;
                 if stats.states > cfg.max_states {
                     return CheckOutcome::Fail {
@@ -710,19 +1032,20 @@ pub fn explore(cfg: &ModelConfig) -> CheckOutcome {
     CheckOutcome::Pass(stats)
 }
 
+/// Exhaustively explore `cfg`'s state space, checking every transition.
+pub fn explore(cfg: &ModelConfig) -> CheckOutcome {
+    cfg.run(None)
+}
+
 /// Replay an event trace against a fresh scheduler for `cfg`, re-running
 /// the full per-state check suite at every step. Used by the
-/// counterexample-replay tests; returns the final node state on success.
+/// counterexample-replay tests; on failure returns the index of the
+/// offending step.
 pub fn replay(cfg: &ModelConfig, trace: &[Event]) -> Result<(), (usize, Failure)> {
-    let mut node = Node {
-        sched: cfg.scheduler(),
-        driver: Driver::new(cfg.limits.len()),
-        trace: Vec::new(),
-    };
-    for (i, &ev) in trace.iter().enumerate() {
-        node = apply(&node, ev, cfg).map_err(|(f, _)| (i, f))?;
+    match cfg.run(Some(trace)) {
+        CheckOutcome::Pass(_) => Ok(()),
+        CheckOutcome::Fail { failure, trace, .. } => Err((trace.len() - 1, failure)),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -732,17 +1055,13 @@ mod tests {
     fn tiny(policy: PolicyKind, mode: SearchMode) -> ModelConfig {
         let u = Bytes::mib(256);
         ModelConfig {
-            capacity: Bytes::new(u.0 * 2),
-            ctx_overhead: Bytes::ZERO,
-            charge_ctx: false,
-            resume_rule: ResumeRule::FullGuarantee,
+            topology: Topology::Single(Bytes::new(u.0 * 2)),
             limits: vec![Bytes::new(u.0 * 2), u],
             alloc_sizes: vec![u],
-            max_allocs: 2,
-            policy,
             seed: 7,
             max_states: 1_000_000,
             mode,
+            ..ModelConfig::three_containers(policy)
         }
     }
 

@@ -1,539 +1,52 @@
-//! Bounded model checker for the **multi-GPU** scheduler
-//! ([`MultiGpuScheduler`]) — the topology-refactor counterpart of
-//! [`crate::model`].
+//! The **multi-GPU** universe: the lifecycle model of [`crate::model`]
+//! over a [`MultiGpuScheduler`](convgpu_scheduler::MultiGpuScheduler).
 //!
-//! The checker drives a real [`MultiGpuScheduler`] through every
-//! interleaving of container lifecycle events for a small quantized
-//! universe, and checks after every transition:
-//!
-//! 1. the **whole-topology invariant oracle**
-//!    ([`MultiGpuScheduler::check_invariants`]): each device's safety
-//!    invariants plus home-map consistency;
-//! 2. **no cross-device budget leakage** — a container's record exists
-//!    only on its home device, so one device's guarantees can never be
-//!    backed by another device's capacity;
-//! 3. **per-device deadlock-freedom** — `deadlock::assess` never reports
-//!    `Stalled` on any device (the §III-E argument applies per device
-//!    because memory never migrates across devices);
-//! 4. **wakeup consistency under ticket tagging** — the set of
-//!    device-tagged tickets the driver is owed equals the set of parked
-//!    requests across all devices (tag = device index shifted by
-//!    [`DEVICE_TICKET_SHIFT`]), so tagging can neither lose, invent, nor
-//!    cross-wire a wakeup;
-//! 5. at every terminal state: no memory assigned on any device and no
-//!    ticket outstanding.
-//!
-//! State deduplication uses the same canonical-encoding argument as the
-//! single-device checker, applied per device and extended with the home
-//! map, the round-robin cursor, and every device's policy fingerprint —
-//! the complete set of quantities future placement and redistribution
-//! decisions depend on.
+//! What this arrangement adds to the single device is a second place for
+//! a record to be: properties 2 (no cross-device budget leakage), 4 and 5
+//! (device-tagged tickets neither lost, invented nor cross-wired) of the
+//! one property list now have something to catch, and the round-robin
+//! cursor joins the canonical state through the topology fingerprint.
 
-use crate::model::{digest, CheckOutcome, Event, ExploreStats, Failure, SearchMode};
-use convgpu_ipc::message::{AllocDecision, ApiKind};
-use convgpu_scheduler::deadlock::{self, ProgressState};
-use convgpu_scheduler::multi_gpu::DEVICE_TICKET_SHIFT;
-use convgpu_scheduler::{
-    AllocOutcome, ContainerState, MultiGpuScheduler, PlacementPolicy, PolicyKind, ResumeAction,
-    ResumeRule, SchedulerConfig,
-};
-use convgpu_sim_core::ids::ContainerId;
-use convgpu_sim_core::time::SimTime;
+use crate::model::{ModelConfig, Topology};
+use convgpu_scheduler::{PlacementPolicy, PolicyKind};
 use convgpu_sim_core::units::Bytes;
-use std::collections::{BTreeMap, HashSet, VecDeque};
 
-/// A bounded multi-GPU model-checking configuration.
-#[derive(Clone, Debug)]
-pub struct MultiModelConfig {
-    /// Per-device capacities (the vector length is the device count).
-    pub capacities: Vec<Bytes>,
-    /// Per-pid context overhead (only charged if `charge_ctx`).
-    pub ctx_overhead: Bytes,
-    /// Whether to charge the context overhead.
-    pub charge_ctx: bool,
-    /// Resume discipline under test.
-    pub resume_rule: ResumeRule,
-    /// Declared limit per container (the vector length is the container
-    /// count).
-    pub limits: Vec<Bytes>,
-    /// The quantized allocation-size menu.
-    pub alloc_sizes: Vec<Bytes>,
-    /// Maximum allocation requests *issued* per container.
-    pub max_allocs: u32,
-    /// Redistribution policy running on every device.
-    pub policy: PolicyKind,
-    /// Device placement policy under test.
-    pub placement: PlacementPolicy,
-    /// Seed (Random policy and placement determinism).
-    pub seed: u64,
-    /// Abort if the visited set exceeds this bound.
-    pub max_states: usize,
-    /// Search order.
-    pub mode: SearchMode,
-}
-
-impl MultiModelConfig {
+impl ModelConfig {
     /// The CI universe: 2 × 768 MiB devices, 3 × 512 MiB containers,
     /// 256/512 MiB quanta — small enough to sweep exhaustively for all
     /// 4 policies × 3 placement policies, contended enough that every
     /// device suspends.
     pub fn two_devices_three_containers(policy: PolicyKind, placement: PlacementPolicy) -> Self {
         let u = Bytes::mib(256);
-        MultiModelConfig {
-            capacities: vec![Bytes::new(u.0 * 3), Bytes::new(u.0 * 3)],
-            ctx_overhead: Bytes::ZERO,
-            charge_ctx: false,
-            resume_rule: ResumeRule::FullGuarantee,
-            limits: vec![
-                Bytes::new(u.0 * 2),
-                Bytes::new(u.0 * 2),
-                Bytes::new(u.0 * 2),
-            ],
-            alloc_sizes: vec![u, Bytes::new(u.0 * 2)],
-            max_allocs: 2,
-            policy,
-            seed: 0xC0DE,
-            placement,
-            max_states: 10_000_000,
-            mode: SearchMode::Dfs,
+        ModelConfig {
+            topology: Topology::MultiGpu {
+                capacities: vec![Bytes::new(u.0 * 3); 2],
+                placement,
+            },
+            limits: vec![Bytes::new(u.0 * 2); 3],
+            ..ModelConfig::three_containers(policy)
         }
     }
-
-    fn scheduler(&self) -> MultiGpuScheduler {
-        let base = SchedulerConfig {
-            capacity: self.capacities[0],
-            ctx_overhead: self.ctx_overhead,
-            charge_ctx_overhead: self.charge_ctx,
-            resume_rule: self.resume_rule,
-            default_limit: self.limits[0],
-        };
-        MultiGpuScheduler::with_config(
-            base,
-            &self.capacities,
-            self.policy,
-            self.placement,
-            self.seed,
-        )
-    }
-}
-
-/// Driver-side state for one container's wrapper + process.
-#[derive(Clone, Debug)]
-struct DriverContainer {
-    registered: bool,
-    exited: bool,
-    closed: bool,
-    allocs_issued: u32,
-    live: VecDeque<(u64, Bytes)>,
-}
-
-/// Driver-side state for the whole system. Tickets in `outstanding` are
-/// the *tagged* values the scheduler handed out.
-#[derive(Clone, Debug)]
-struct Driver {
-    cs: Vec<DriverContainer>,
-    outstanding: BTreeMap<u64, (usize, Bytes)>,
-    next_addr: u64,
-}
-
-impl Driver {
-    fn new(n: usize) -> Self {
-        Driver {
-            cs: (0..n)
-                .map(|_| DriverContainer {
-                    registered: false,
-                    exited: false,
-                    closed: false,
-                    allocs_issued: 0,
-                    live: VecDeque::new(),
-                })
-                .collect(),
-            outstanding: BTreeMap::new(),
-            next_addr: 0x1000,
-        }
-    }
-}
-
-#[derive(Clone)]
-struct Node {
-    sched: MultiGpuScheduler,
-    driver: Driver,
-    trace: Vec<Event>,
-}
-
-fn cid(c: usize) -> ContainerId {
-    ContainerId(c as u64 + 1)
-}
-
-fn pid(c: usize) -> u64 {
-    100 + c as u64
-}
-
-fn enabled(cfg: &MultiModelConfig, node: &Node) -> Vec<Event> {
-    let mut out = Vec::new();
-    for (c, d) in node.driver.cs.iter().enumerate() {
-        if d.closed {
-            continue;
-        }
-        if !d.registered {
-            out.push(Event::Register { c });
-            continue;
-        }
-        if !d.exited {
-            let suspended = node
-                .sched
-                .home_of(cid(c))
-                .map(|h| node.sched.device(h))
-                .and_then(|s| s.container(cid(c)))
-                .is_some_and(|r| r.is_suspended());
-            if !suspended {
-                if d.allocs_issued < cfg.max_allocs {
-                    for &size in &cfg.alloc_sizes {
-                        out.push(Event::Alloc { c, size });
-                    }
-                }
-                if !d.live.is_empty() {
-                    out.push(Event::Free { c });
-                }
-            }
-            out.push(Event::Exit { c });
-        }
-        out.push(Event::Close { c });
-    }
-    out
-}
-
-fn deliver(node: &mut Node, actions: Vec<ResumeAction>, now: SimTime) -> Result<(), Failure> {
-    for a in actions {
-        let (c, size) = match node.driver.outstanding.remove(&a.ticket) {
-            Some(entry) => entry,
-            None => return Err(Failure::PhantomWakeup { ticket: a.ticket }),
-        };
-        if a.container != cid(c) || a.pid != pid(c) {
-            return Err(Failure::SchedError(format!(
-                "resume for ticket {} addressed {}/pid {}, expected {}/pid {}",
-                a.ticket,
-                a.container,
-                a.pid,
-                cid(c),
-                pid(c)
-            )));
-        }
-        match a.decision {
-            AllocDecision::Granted => {
-                let d = &node.driver.cs[c];
-                if d.exited || d.closed {
-                    return Err(Failure::SchedError(format!(
-                        "granted resume (ticket {}) for a dead process of C{}",
-                        a.ticket,
-                        c + 1
-                    )));
-                }
-                let addr = node.driver.next_addr;
-                node.driver.next_addr += 1;
-                node.sched
-                    .alloc_done(cid(c), pid(c), addr, size, now)
-                    .map_err(|e| Failure::SchedError(format!("alloc_done after resume: {e:?}")))?;
-                node.driver.cs[c].live.push_back((addr, size));
-            }
-            AllocDecision::Rejected => {}
-        }
-    }
-    Ok(())
-}
-
-fn apply(node: &Node, ev: Event, cfg: &MultiModelConfig) -> Result<Node, (Failure, Vec<Event>)> {
-    let mut n = node.clone();
-    n.trace.push(ev);
-    let now = SimTime::from_nanos(n.trace.len() as u64);
-    let res: Result<(), Failure> = (|| {
-        match ev {
-            Event::Register { c } => {
-                n.sched
-                    .register(cid(c), cfg.limits[c], now)
-                    .map_err(|e| Failure::SchedError(format!("register: {e:?}")))?;
-                n.driver.cs[c].registered = true;
-            }
-            Event::Alloc { c, size } => {
-                n.driver.cs[c].allocs_issued += 1;
-                let (outcome, actions) = n
-                    .sched
-                    .alloc_request(cid(c), pid(c), size, ApiKind::Malloc, now)
-                    .map_err(|e| Failure::SchedError(format!("alloc_request: {e:?}")))?;
-                match outcome {
-                    AllocOutcome::Granted => {
-                        let addr = n.driver.next_addr;
-                        n.driver.next_addr += 1;
-                        n.sched
-                            .alloc_done(cid(c), pid(c), addr, size, now)
-                            .map_err(|e| Failure::SchedError(format!("alloc_done: {e:?}")))?;
-                        n.driver.cs[c].live.push_back((addr, size));
-                    }
-                    AllocOutcome::Rejected => {}
-                    AllocOutcome::Suspended { ticket } => {
-                        n.driver.outstanding.insert(ticket, (c, size));
-                    }
-                }
-                deliver(&mut n, actions, now)?;
-            }
-            Event::Free { c } => {
-                let (addr, size) = n.driver.cs[c]
-                    .live
-                    .pop_front()
-                    .expect("Free only enabled with live allocations");
-                let (freed, actions) = n
-                    .sched
-                    .free(cid(c), pid(c), addr, now)
-                    .map_err(|e| Failure::SchedError(format!("free: {e:?}")))?;
-                if freed != size {
-                    return Err(Failure::SchedError(format!(
-                        "free(0x{addr:x}) returned {freed}, driver recorded {size}"
-                    )));
-                }
-                deliver(&mut n, actions, now)?;
-            }
-            Event::Exit { c } => {
-                n.driver.cs[c].exited = true;
-                n.driver.cs[c].live.clear();
-                let actions = n
-                    .sched
-                    .process_exit(cid(c), pid(c), now)
-                    .map_err(|e| Failure::SchedError(format!("process_exit: {e:?}")))?;
-                deliver(&mut n, actions, now)?;
-            }
-            Event::Close { c } => {
-                n.driver.cs[c].closed = true;
-                n.driver.cs[c].live.clear();
-                let actions = n
-                    .sched
-                    .container_close(cid(c), now)
-                    .map_err(|e| Failure::SchedError(format!("container_close: {e:?}")))?;
-                deliver(&mut n, actions, now)?;
-            }
-        }
-        check_state(&n)
-    })();
-    match res {
-        Ok(()) => Ok(n),
-        Err(f) => Err((f, n.trace.clone())),
-    }
-}
-
-/// The per-state property suite.
-fn check_state(n: &Node) -> Result<(), Failure> {
-    // 1. Whole-topology invariants (per-device oracle + home map).
-    n.sched.check_invariants().map_err(Failure::SchedError)?;
-    // 2. No cross-device budget leakage: a container's record lives only
-    //    on its home device.
-    for c in 0..n.driver.cs.len() {
-        let home = n.sched.home_of(cid(c));
-        for d in 0..n.sched.device_count() {
-            let present = n.sched.device(d).container(cid(c)).is_some();
-            let is_home = home == Some(d);
-            if present && !is_home {
-                return Err(Failure::SchedError(format!(
-                    "C{} has a record on device {d} but its home is {home:?}",
-                    c + 1
-                )));
-            }
-        }
-    }
-    // 3. Per-device deadlock-freedom.
-    for d in 0..n.sched.device_count() {
-        if let ProgressState::Stalled { waiting } = deadlock::assess(n.sched.device(d)) {
-            return Err(Failure::Stalled { waiting });
-        }
-    }
-    // 4. Wakeup consistency under ticket tagging.
-    let mut parked: BTreeMap<u64, ()> = BTreeMap::new();
-    for d in 0..n.sched.device_count() {
-        let tag = (d as u64) << DEVICE_TICKET_SHIFT;
-        for r in n.sched.device(d).containers() {
-            for p in r.pending.iter() {
-                parked.insert(tag | p.ticket, ());
-            }
-        }
-    }
-    let lost: Vec<u64> = n
-        .driver
-        .outstanding
-        .keys()
-        .filter(|t| !parked.contains_key(t))
-        .copied()
-        .collect();
-    if !lost.is_empty() {
-        return Err(Failure::LostWakeup { tickets: lost });
-    }
-    if let Some((&ticket, _)) = parked
-        .iter()
-        .find(|(t, _)| !n.driver.outstanding.contains_key(t))
-    {
-        return Err(Failure::PhantomWakeup { ticket });
-    }
-    Ok(())
-}
-
-fn check_terminal(n: &Node) -> Result<(), Failure> {
-    for d in 0..n.sched.device_count() {
-        let assigned = n.sched.device(d).total_assigned();
-        if !assigned.is_zero() {
-            return Err(Failure::TerminalResidue { assigned });
-        }
-    }
-    if let Some((&ticket, _)) = n.driver.outstanding.iter().next() {
-        return Err(Failure::LostWakeup {
-            tickets: vec![ticket],
-        });
-    }
-    Ok(())
-}
-
-/// Canonical encoding: the single-device encoding per device, plus the
-/// home map, the round-robin cursor, and the topology fingerprint.
-fn canonical(n: &Node) -> (u64, u64) {
-    let mut words: Vec<u64> = Vec::with_capacity(32 + n.driver.cs.len() * 16);
-    for (c, d) in n.driver.cs.iter().enumerate() {
-        words.push(
-            u64::from(d.registered) | (u64::from(d.exited) << 1) | (u64::from(d.closed) << 2),
-        );
-        words.push(u64::from(d.allocs_issued));
-        words.push(d.live.len() as u64);
-        words.extend(d.live.iter().map(|&(_, s)| s.0));
-        words.push(n.sched.home_of(cid(c)).map_or(u64::MAX, |h| h as u64));
-    }
-    for dev in 0..n.sched.device_count() {
-        let s = n.sched.device(dev);
-        // Relative ranks of the time-valued fields, per device.
-        let mut reg: Vec<(SimTime, usize)> = Vec::new();
-        let mut susp: Vec<(SimTime, usize)> = Vec::new();
-        for (c, _) in n.driver.cs.iter().enumerate() {
-            if let Some(r) = s.container(cid(c)) {
-                if r.state != ContainerState::Closed {
-                    reg.push((r.registered_at, c));
-                    if let Some(t) = r.suspended_since {
-                        susp.push((t, c));
-                    }
-                }
-            }
-        }
-        reg.sort();
-        susp.sort();
-        let rank = |list: &[(SimTime, usize)], c: usize| -> u64 {
-            list.iter()
-                .position(|&(_, i)| i == c)
-                .map_or(u64::MAX, |p| p as u64)
-        };
-        for (c, _) in n.driver.cs.iter().enumerate() {
-            match s.container(cid(c)) {
-                None => words.push(u64::MAX),
-                Some(r) => {
-                    words.push(match r.state {
-                        ContainerState::Active => 1,
-                        ContainerState::Suspended => 2,
-                        ContainerState::Closed => 3,
-                    });
-                    words.push(r.assigned.0);
-                    words.push(r.used.0);
-                    words.push(rank(&reg, c));
-                    words.push(rank(&susp, c));
-                    words.push(u64::from(r.charged_pids.contains(&pid(c))));
-                    words.push(r.pending.len() as u64);
-                    words.extend(r.pending.iter().map(|p| p.size.0));
-                }
-            }
-        }
-        words.push(s.total_assigned().0);
-        words.push(s.sticky_target().map_or(u64::MAX, |t| t.as_u64()));
-    }
-    words.push(n.sched.rr_cursor() as u64);
-    words.push(n.sched.fingerprint());
-    digest(&words)
-}
-
-/// Exhaustively explore `cfg`'s state space, checking every transition.
-pub fn explore(cfg: &MultiModelConfig) -> CheckOutcome {
-    let root = Node {
-        sched: cfg.scheduler(),
-        driver: Driver::new(cfg.limits.len()),
-        trace: Vec::new(),
-    };
-    let mut stats = ExploreStats::default();
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
-    seen.insert(canonical(&root));
-    stats.states = 1;
-    let mut work: VecDeque<Node> = VecDeque::new();
-    work.push_back(root);
-    while let Some(node) = match cfg.mode {
-        SearchMode::Dfs => work.pop_back(),
-        SearchMode::Bfs => work.pop_front(),
-    } {
-        let events = enabled(cfg, &node);
-        if events.is_empty() {
-            stats.terminals += 1;
-            if let Err(failure) = check_terminal(&node) {
-                return CheckOutcome::Fail {
-                    failure,
-                    trace: node.trace,
-                    stats,
-                };
-            }
-            continue;
-        }
-        for ev in events {
-            stats.transitions += 1;
-            let next = match apply(&node, ev, cfg) {
-                Ok(n) => n,
-                Err((failure, trace)) => {
-                    return CheckOutcome::Fail {
-                        failure,
-                        trace,
-                        stats,
-                    }
-                }
-            };
-            stats.max_depth = stats.max_depth.max(next.trace.len() as u64);
-            if (0..next.sched.device_count())
-                .any(|d| next.sched.device(d).containers().any(|r| r.is_suspended()))
-            {
-                stats.suspended_states += 1;
-            }
-            if seen.insert(canonical(&next)) {
-                stats.states += 1;
-                if stats.states > cfg.max_states {
-                    return CheckOutcome::Fail {
-                        failure: Failure::BoundExceeded {
-                            states: cfg.max_states,
-                        },
-                        trace: next.trace,
-                        stats,
-                    };
-                }
-                work.push_back(next);
-            }
-        }
-    }
-    CheckOutcome::Pass(stats)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::model::{explore, CheckOutcome, ModelConfig, SearchMode, Topology};
+    use convgpu_scheduler::{PlacementPolicy, PolicyKind};
+    use convgpu_sim_core::units::Bytes;
 
-    fn tiny(policy: PolicyKind, placement: PlacementPolicy) -> MultiModelConfig {
+    fn tiny(policy: PolicyKind, placement: PlacementPolicy) -> ModelConfig {
         let u = Bytes::mib(256);
-        MultiModelConfig {
-            capacities: vec![Bytes::new(u.0 * 2), Bytes::new(u.0 * 2)],
-            ctx_overhead: Bytes::ZERO,
-            charge_ctx: false,
-            resume_rule: ResumeRule::FullGuarantee,
-            limits: vec![Bytes::new(u.0 * 2), Bytes::new(u.0 * 2)],
+        ModelConfig {
+            topology: Topology::MultiGpu {
+                capacities: vec![Bytes::new(u.0 * 2); 2],
+                placement,
+            },
+            limits: vec![Bytes::new(u.0 * 2); 2],
             alloc_sizes: vec![u],
-            max_allocs: 2,
-            policy,
-            placement,
             seed: 7,
             max_states: 1_000_000,
-            mode: SearchMode::Dfs,
+            ..ModelConfig::three_containers(policy)
         }
     }
 
@@ -561,13 +74,10 @@ mod tests {
     fn contended_universe_actually_suspends() {
         // Three 512 MiB containers on two 768 MiB devices: at least one
         // device hosts two containers and must suspend under contention.
-        let cfg = MultiModelConfig {
-            mode: SearchMode::Dfs,
-            ..MultiModelConfig::two_devices_three_containers(
-                PolicyKind::Fifo,
-                PlacementPolicy::RoundRobin,
-            )
-        };
+        let cfg = ModelConfig::two_devices_three_containers(
+            PolicyKind::Fifo,
+            PlacementPolicy::RoundRobin,
+        );
         match explore(&cfg) {
             CheckOutcome::Pass(stats) => {
                 assert!(

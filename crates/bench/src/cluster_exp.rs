@@ -6,6 +6,7 @@
 //! does finished time scale when the *cluster*, not the GPU, grows?
 
 use convgpu_ipc::message::{AllocDecision, ApiKind};
+use convgpu_scheduler::backend::SchedulerBackend;
 use convgpu_scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
 use convgpu_scheduler::core::AllocOutcome;
 use convgpu_scheduler::metrics;
@@ -105,9 +106,9 @@ impl ClusterExperiment {
         let mut finished = 0.0_f64;
         let mut susp_sum = 0.0;
         let mut count = 0usize;
-        for n in 0..cluster.node_count() {
-            for d in 0..cluster.node(n).gpus.device_count() {
-                let ms = metrics::collect(cluster.node(n).gpus.device(d).containers());
+        for (n, node) in cluster.shards().iter().enumerate() {
+            for device in node.shards() {
+                let ms = metrics::collect(device.containers());
                 let agg = metrics::aggregate(&ms);
                 if agg.containers > 0 {
                     finished = finished.max(agg.finished_time_secs);

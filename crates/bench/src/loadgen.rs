@@ -41,7 +41,7 @@ use convgpu_ipc::message::{AllocDecision, ApiKind};
 use convgpu_ipc::server::SocketServer;
 use convgpu_ipc::transport::EndpointAddr;
 use convgpu_obs::metrics::Histogram;
-use convgpu_scheduler::backend::TopologyBackend;
+use convgpu_scheduler::backend::{SchedulerBackend, TopologyBackend};
 use convgpu_scheduler::cluster::SwarmStrategy;
 use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu_scheduler::metrics as sched_metrics;
@@ -890,9 +890,9 @@ pub fn run_sharded_placement(cfg: &ShardedConfig, placement: PlacementPolicy) ->
         TopologyBackend::MultiGpu(m) => {
             let mut suspensions = 0u64;
             let mut open = 0usize;
-            let mut per_device = Vec::with_capacity(m.device_count());
-            for d in 0..m.device_count() {
-                let per = sched_metrics::collect(m.device(d).containers());
+            let mut per_device = Vec::with_capacity(m.shards().len());
+            for device in m.shards() {
+                let per = sched_metrics::collect(device.containers());
                 suspensions += per.iter().map(|c| c.suspend_episodes).sum::<u64>();
                 open += per.iter().filter(|c| c.closed_at.is_none()).count();
                 per_device.push(per.len() as u64);
@@ -1291,8 +1291,8 @@ pub fn run_cluster_strategy(cfg: &ClusterLoadConfig, strategy: SwarmStrategy) ->
                 let mut susp = 0u64;
                 let mut open = 0usize;
                 let mut homed = 0u64;
-                for d in 0..m.device_count() {
-                    let per = sched_metrics::collect(m.device(d).containers());
+                for device in m.shards() {
+                    let per = sched_metrics::collect(device.containers());
                     susp += per.iter().map(|c| c.suspend_episodes).sum::<u64>();
                     open += per.iter().filter(|c| c.closed_at.is_none()).count();
                     homed += per.len() as u64;
@@ -1786,8 +1786,8 @@ pub fn run_migration(cfg: &MigrationLoadConfig) -> MigrationReport {
                     .expect("surviving node's books must stay valid");
                 let mut susp = 0u64;
                 let mut open = 0usize;
-                for d in 0..m.device_count() {
-                    let per = sched_metrics::collect(m.device(d).containers());
+                for device in m.shards() {
+                    let per = sched_metrics::collect(device.containers());
                     susp += per.iter().map(|c| c.suspend_episodes).sum::<u64>();
                     open += per.iter().filter(|c| c.closed_at.is_none()).count();
                 }

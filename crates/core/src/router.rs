@@ -961,8 +961,11 @@ impl ClusterRouter {
         }
     }
 
-    /// Swarm placement over the router's committed-memory accounting.
-    /// `excluded` marks nodes already tried (and failed) for this
+    /// Swarm placement, scored by the same [`SwarmStrategy::select`] the
+    /// in-process cluster uses, over the router's own view of the nodes:
+    /// committed hints stand for free memory, the home map for container
+    /// counts, a never-probed capacity counts as capable, a down node is
+    /// out. `excluded` marks nodes already tried (and failed) for this
     /// register.
     fn pick_node(&self, hint: Bytes, excluded: &[bool]) -> Option<usize> {
         // Committed bytes and container counts per node, from one pass
@@ -990,9 +993,6 @@ impl ClusterRouter {
                 state.caps.is_none_or(|(max, _)| max >= hint)
             })
             .collect();
-        if capable.is_empty() {
-            return None;
-        }
         let remaining = |i: usize| -> u64 {
             let caps = self.nodes[i].state.lock().caps;
             match caps {
@@ -1000,24 +1000,13 @@ impl ClusterRouter {
                 None => u64::MAX,
             }
         };
-        let pick = match self.cfg.strategy {
-            SwarmStrategy::Spread => capable.iter().copied().min_by_key(|&i| (placed[i], i))?,
-            SwarmStrategy::BinPack => {
-                let fitting: Vec<usize> = capable
-                    .iter()
-                    .copied()
-                    .filter(|&i| remaining(i) >= hint.as_u64())
-                    .collect();
-                let pool = if fitting.is_empty() {
-                    &capable
-                } else {
-                    &fitting
-                };
-                pool.iter().copied().min_by_key(|&i| (remaining(i), i))?
-            }
-            SwarmStrategy::Random => capable[self.rng.lock().index(capable.len())],
-        };
-        Some(pick)
+        self.cfg.strategy.select(
+            &capable,
+            |_| hint,
+            remaining,
+            |i| placed[i],
+            |n| self.rng.lock().index(n),
+        )
     }
 
     /// Place and register a container; returns the chosen node's name.

@@ -193,21 +193,24 @@ impl SchedulerService {
         let TopologyBackend::Cluster(cs) = &*state else {
             return None;
         };
-        let mut per_node = vec![0u64; cs.node_count()];
+        let mut per_node = vec![0u64; cs.names().len()];
         for (_, node) in cs.homes() {
             per_node[node] += 1;
         }
-        let nodes = (0..cs.node_count())
-            .map(|i| ClusterNodeStatus {
-                node: cs.node(i).name.clone(),
+        let nodes = cs
+            .names()
+            .iter()
+            .zip(per_node)
+            .map(|(name, containers)| ClusterNodeStatus {
+                node: name.clone(),
                 health: "up".to_string(),
-                containers: per_node[i],
+                containers,
                 retries: 0,
                 timeouts: 0,
                 failovers: 0,
             })
             .collect();
-        Some((cs.strategy().label().to_string(), nodes))
+        Some((cs.placer().strategy().label().to_string(), nodes))
     }
 
     /// Deliver resume actions to their parked waiters. Socket replies are
@@ -301,7 +304,7 @@ impl SchedulerService {
                     "migrate: node drain requires a cluster backend".into(),
                 ));
             };
-            let Some(idx) = (0..cs.node_count()).find(|&i| cs.node(i).name == node) else {
+            let Some(idx) = cs.names().iter().position(|n| n == node) else {
                 return Err(SchedError::ProtocolViolation(format!(
                     "migrate: unknown node {node:?}"
                 )));
@@ -312,8 +315,8 @@ impl SchedulerService {
                 .into_iter()
                 .map(|m| MigrationRecord {
                     container: m.container,
-                    from: cs.node(m.from).name.clone(),
-                    to: m.to.map(|n| cs.node(n).name.clone()).unwrap_or_default(),
+                    from: cs.names()[m.from].clone(),
+                    to: m.to.map(|n| cs.names()[n].clone()).unwrap_or_default(),
                     limit: m.limit,
                     used: m.used,
                     status: if m.to.is_some() {

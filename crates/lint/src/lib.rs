@@ -3,7 +3,7 @@
 //! A pure-`std` static-analysis library: [`lexer`] turns Rust source
 //! into a token stream (comments become trivia), [`items`] walks it
 //! into function items with `impl` context and `#[cfg(test)]` regions,
-//! and [`rules`] holds the eight analyses. [`run`] loads a workspace
+//! and [`rules`] holds the seven analyses. [`run`] loads a workspace
 //! root and returns every finding after `lint:allow` suppression.
 //!
 //! See `docs/LINT.md` for the rule catalogue and suppression grammar.
@@ -33,8 +33,6 @@ pub enum Rule {
     ForbidUnsafe,
     /// Lock-acquisition cycles and IPC writes under a held guard.
     LockOrder,
-    /// Device/node ticket tagging uses the canonical bit-48/56 shifts.
-    TicketBits,
     /// Registered metric names match `docs/OBSERVABILITY.md` exactly.
     MetricNames,
     /// Raw socket construction outside `crates/ipc/src/transport.rs`.
@@ -43,13 +41,12 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in the order they run and report.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Rule::WallClock,
         Rule::HashmapIter,
         Rule::LockUnwrap,
         Rule::ForbidUnsafe,
         Rule::LockOrder,
-        Rule::TicketBits,
         Rule::MetricNames,
         Rule::RawTransport,
     ];
@@ -62,7 +59,6 @@ impl Rule {
             Rule::LockUnwrap => "lock-unwrap",
             Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::LockOrder => "lock-order",
-            Rule::TicketBits => "ticket-bits",
             Rule::MetricNames => "metric-names",
             Rule::RawTransport => "raw-transport",
         }
@@ -81,7 +77,6 @@ impl Rule {
             Rule::LockUnwrap => "no .lock().unwrap(); use convgpu_sim_core::sync wrappers",
             Rule::ForbidUnsafe => "crate roots carry #![forbid(unsafe_code)] (wrapper exempt)",
             Rule::LockOrder => "no lock cycles; no socket/Reply write while a guard is held",
-            Rule::TicketBits => "ticket tags use the canonical bit-48/bit-56 shifts",
             Rule::MetricNames => "registered metric names match docs/OBSERVABILITY.md",
             Rule::RawTransport => {
                 "no raw Unix/TCP socket construction outside crates/ipc/src/transport.rs"
@@ -236,7 +231,6 @@ pub fn run_on(ws: &Workspace, rules: &[Rule]) -> Vec<Finding> {
             Rule::LockUnwrap => rules::lock_unwrap::check(ws),
             Rule::ForbidUnsafe => rules::forbid_unsafe::check(ws),
             Rule::LockOrder => rules::lock_order::check(ws),
-            Rule::TicketBits => rules::ticket_bits::check(ws),
             Rule::MetricNames => rules::metric_names::check(ws),
             Rule::RawTransport => rules::raw_transport::check(ws),
         });

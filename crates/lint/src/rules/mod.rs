@@ -1,4 +1,4 @@
-//! The eight analyses. Each module exposes `check(&Workspace) -> Vec<Finding>`;
+//! The seven analyses. Each module exposes `check(&Workspace) -> Vec<Finding>`;
 //! suppression filtering happens centrally in [`crate::run_on`].
 
 pub mod forbid_unsafe;
@@ -7,7 +7,6 @@ pub mod lock_order;
 pub mod lock_unwrap;
 pub mod metric_names;
 pub mod raw_transport;
-pub mod ticket_bits;
 pub mod wall_clock;
 
 use crate::lexer::Token;

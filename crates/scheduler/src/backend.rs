@@ -3,7 +3,9 @@
 //! [`SchedulerBackend`] is the exact message surface `SchedulerService`
 //! needs, extracted from the concrete single-device [`Scheduler`] so the
 //! multi-GPU and cluster schedulers can stand behind the same IPC stack.
-//! All three topologies implement it; [`TopologyBackend`] is the
+//! It has three implementations: the device ([`Scheduler`]), the
+//! sharding engine both multi-device topologies instantiate
+//! ([`Sharded`](crate::sharded::Sharded)), and [`TopologyBackend`], the
 //! enum-dispatch wrapper the service stores (no trait objects, no
 //! generics bleeding into `convgpu-core`'s public types).
 //!
@@ -13,9 +15,9 @@
 //!   forwards straight to `Scheduler` — same tickets, same decision log,
 //!   same metric label sets (`SchedObs.device == None`).
 //! * **Tickets are globally unique** across devices and nodes because
-//!   the multi/cluster layers tag device and node indices into the high
-//!   ticket bits; a service can therefore keep one waiter table keyed on
-//!   the ticket alone, whatever the topology.
+//!   each sharding level tags its shard index into its own ticket lane
+//!   (`sharded::TicketLane`); a service can therefore keep one waiter
+//!   table keyed on the ticket alone, whatever the topology.
 //! * **Placement is observable.** Registration reports where the
 //!   container landed, and `devices()` snapshots per-device occupancy for
 //!   the `query_topology` wire message.
@@ -67,28 +69,6 @@ pub struct BackendDeviceInfo {
     pub policy: String,
 }
 
-fn open_on(sched: &Scheduler) -> usize {
-    sched
-        .containers()
-        .filter(|r| r.state != ContainerState::Closed)
-        .count()
-}
-
-fn single_device_info(
-    sched: &Scheduler,
-    node: Option<&str>,
-    device: DeviceIndex,
-) -> BackendDeviceInfo {
-    BackendDeviceInfo {
-        node: node.map(str::to_string),
-        device,
-        capacity: sched.config().capacity,
-        unassigned: sched.unassigned(),
-        open_containers: open_on(sched),
-        policy: sched.policy_name().to_string(),
-    }
-}
-
 /// The message surface `SchedulerService` requires of any topology.
 pub trait SchedulerBackend {
     /// Short kind tag: `"single"`, `"multi-gpu"`, or `"cluster"`.
@@ -113,6 +93,12 @@ pub trait SchedulerBackend {
         used: Bytes,
         now: SimTime,
     ) -> Result<Placement, SchedError>;
+
+    /// What registering `limit` here will reserve: the limit plus the
+    /// context overhead this backend's config charges, if it charges one.
+    /// Placement compares this — not a guess — against free memory and
+    /// device capacity.
+    fn requirement(&self, limit: Bytes) -> Bytes;
 
     /// Permission to allocate; resume actions may concern *any*
     /// container of the topology (tickets are globally unique).
@@ -174,6 +160,10 @@ pub trait SchedulerBackend {
     /// Where `id` lives, if registered.
     fn home_of(&self, id: ContainerId) -> Option<Placement>;
 
+    /// The device scheduler `id` lives on, with the full ticket tag that
+    /// device's tickets carry when they leave this backend.
+    fn home_device(&self, id: ContainerId) -> Option<(u64, &Scheduler)>;
+
     /// Snapshot every device in a stable order (node order, then device
     /// index).
     fn devices(&self) -> Vec<BackendDeviceInfo>;
@@ -188,17 +178,56 @@ pub trait SchedulerBackend {
     /// device so gauges never collide.
     fn attach_obs(&mut self, obs: SchedObs);
 
-    /// Mirror progress (stall) assessments into the attached registry.
-    fn observe_progress(&self);
-
     /// The canonical device scheduler (device 0 of node 0) — the
     /// single-device view used by legacy introspection paths.
     fn primary(&self) -> &Scheduler;
 
+    /// Visit every device scheduler in [`devices`](Self::devices) order,
+    /// each with the full ticket tag its tickets leave this backend under
+    /// (`tag` is the enclosing topology's; pass 0 at the top).
+    fn each_device<'a>(&'a self, tag: u64, f: &mut impl FnMut(u64, &'a Scheduler));
+
     /// Every device scheduler in the topology, in [`devices`](Self::devices)
     /// order — for introspection that must see all containers regardless
     /// of where placement homed them (metrics collection, close waits).
-    fn device_schedulers(&self) -> Vec<&Scheduler>;
+    fn device_schedulers(&self) -> Vec<&Scheduler> {
+        let mut out = Vec::new();
+        self.each_device(0, &mut |_, s| out.push(s));
+        out
+    }
+
+    /// Memory not reserved on any device.
+    fn unassigned(&self) -> Bytes {
+        let mut sum = Bytes::ZERO;
+        self.each_device(0, &mut |_, s| sum += s.unassigned());
+        sum
+    }
+
+    /// Largest single-device capacity (admission bound for one container).
+    fn largest_device(&self) -> Bytes {
+        let mut max = Bytes::ZERO;
+        self.each_device(0, &mut |_, s| max = max.max(s.config().capacity));
+        max
+    }
+
+    /// Number of containers registered and not yet closed.
+    fn open_containers(&self) -> usize {
+        let mut open = 0;
+        self.each_device(0, &mut |_, s| {
+            open += s
+                .containers()
+                .filter(|r| r.state != ContainerState::Closed)
+                .count();
+        });
+        open
+    }
+
+    /// Mirror progress (stall) assessments into the attached registry.
+    fn observe_progress(&self) {
+        self.each_device(0, &mut |_, s| {
+            let _ = crate::deadlock::assess_observed(s);
+        });
+    }
 }
 
 impl SchedulerBackend for Scheduler {
@@ -231,6 +260,16 @@ impl SchedulerBackend for Scheduler {
             node: None,
             device: 0,
         })
+    }
+
+    fn requirement(&self, limit: Bytes) -> Bytes {
+        // `Scheduler::effective_requirement`, which is private to `core`.
+        let cfg = self.config();
+        if cfg.charge_ctx_overhead {
+            limit + cfg.ctx_overhead
+        } else {
+            limit
+        }
     }
 
     fn alloc_request(
@@ -303,8 +342,19 @@ impl SchedulerBackend for Scheduler {
         })
     }
 
+    fn home_device(&self, id: ContainerId) -> Option<(u64, &Scheduler)> {
+        self.container(id).map(|_| (0, self))
+    }
+
     fn devices(&self) -> Vec<BackendDeviceInfo> {
-        vec![single_device_info(self, None, 0)]
+        vec![BackendDeviceInfo {
+            node: None,
+            device: 0,
+            capacity: self.config().capacity,
+            unassigned: self.unassigned(),
+            open_containers: SchedulerBackend::open_containers(self),
+            policy: self.policy_name().to_string(),
+        }]
     }
 
     fn check_invariants(&self) -> Result<(), String> {
@@ -319,287 +369,12 @@ impl SchedulerBackend for Scheduler {
         Scheduler::attach_obs(self, obs);
     }
 
-    fn observe_progress(&self) {
-        let _ = crate::deadlock::assess_observed(self);
-    }
-
     fn primary(&self) -> &Scheduler {
         self
     }
 
-    fn device_schedulers(&self) -> Vec<&Scheduler> {
-        vec![self]
-    }
-}
-
-impl SchedulerBackend for MultiGpuScheduler {
-    fn topology_kind(&self) -> &'static str {
-        "multi-gpu"
-    }
-
-    fn register(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        now: SimTime,
-    ) -> Result<Placement, SchedError> {
-        let device = MultiGpuScheduler::register(self, id, limit, now)?;
-        Ok(Placement { node: None, device })
-    }
-
-    fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<Placement, SchedError> {
-        let device = MultiGpuScheduler::adopt(self, id, limit, used, now)?;
-        Ok(Placement { node: None, device })
-    }
-
-    fn alloc_request(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-        now: SimTime,
-    ) -> Result<(AllocOutcome, Vec<ResumeAction>), SchedError> {
-        MultiGpuScheduler::alloc_request(self, id, pid, size, api, now)
-    }
-
-    fn alloc_done(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-        now: SimTime,
-    ) -> Result<(), SchedError> {
-        MultiGpuScheduler::alloc_done(self, id, pid, addr, size, now)
-    }
-
-    fn alloc_failed(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        size: Bytes,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        MultiGpuScheduler::alloc_failed(self, id, pid, size, now)
-    }
-
-    fn free(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        addr: u64,
-        now: SimTime,
-    ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
-        MultiGpuScheduler::free(self, id, pid, addr, now)
-    }
-
-    fn mem_info(&self, id: ContainerId, pid: u64) -> Result<(Bytes, Bytes), SchedError> {
-        MultiGpuScheduler::mem_info(self, id, pid)
-    }
-
-    fn process_exit(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        MultiGpuScheduler::process_exit(self, id, pid, now)
-    }
-
-    fn container_close(
-        &mut self,
-        id: ContainerId,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        MultiGpuScheduler::container_close(self, id, now)
-    }
-
-    fn home_of(&self, id: ContainerId) -> Option<Placement> {
-        MultiGpuScheduler::home_of(self, id).map(|device| Placement { node: None, device })
-    }
-
-    fn devices(&self) -> Vec<BackendDeviceInfo> {
-        (0..self.device_count())
-            .map(|i| single_device_info(self.device(i), None, i))
-            .collect()
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        MultiGpuScheduler::check_invariants(self)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        MultiGpuScheduler::fingerprint(self)
-    }
-
-    fn attach_obs(&mut self, obs: SchedObs) {
-        MultiGpuScheduler::attach_obs(self, obs);
-    }
-
-    fn observe_progress(&self) {
-        MultiGpuScheduler::observe_progress(self);
-    }
-
-    fn primary(&self) -> &Scheduler {
-        self.device(0)
-    }
-
-    fn device_schedulers(&self) -> Vec<&Scheduler> {
-        (0..self.device_count()).map(|d| self.device(d)).collect()
-    }
-}
-
-impl SchedulerBackend for ClusterScheduler {
-    fn topology_kind(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn register(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        now: SimTime,
-    ) -> Result<Placement, SchedError> {
-        let node = ClusterScheduler::register(self, id, limit, now)?;
-        let device = self.node(node).gpus.home_of(id).unwrap_or(0);
-        Ok(Placement {
-            node: Some(self.node(node).name.clone()),
-            device,
-        })
-    }
-
-    fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<Placement, SchedError> {
-        let node = ClusterScheduler::adopt(self, id, limit, used, now)?;
-        let device = self.node(node).gpus.home_of(id).unwrap_or(0);
-        Ok(Placement {
-            node: Some(self.node(node).name.clone()),
-            device,
-        })
-    }
-
-    fn alloc_request(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-        now: SimTime,
-    ) -> Result<(AllocOutcome, Vec<ResumeAction>), SchedError> {
-        ClusterScheduler::alloc_request(self, id, pid, size, api, now)
-    }
-
-    fn alloc_done(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-        now: SimTime,
-    ) -> Result<(), SchedError> {
-        ClusterScheduler::alloc_done(self, id, pid, addr, size, now)
-    }
-
-    fn alloc_failed(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        size: Bytes,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        ClusterScheduler::alloc_failed(self, id, pid, size, now)
-    }
-
-    fn free(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        addr: u64,
-        now: SimTime,
-    ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
-        ClusterScheduler::free(self, id, pid, addr, now)
-    }
-
-    fn mem_info(&self, id: ContainerId, pid: u64) -> Result<(Bytes, Bytes), SchedError> {
-        ClusterScheduler::mem_info(self, id, pid)
-    }
-
-    fn process_exit(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        ClusterScheduler::process_exit(self, id, pid, now)
-    }
-
-    fn container_close(
-        &mut self,
-        id: ContainerId,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        ClusterScheduler::container_close(self, id, now)
-    }
-
-    fn home_of(&self, id: ContainerId) -> Option<Placement> {
-        let node = ClusterScheduler::home_of(self, id)?;
-        let device = self.node(node).gpus.home_of(id)?;
-        Some(Placement {
-            node: Some(self.node(node).name.clone()),
-            device,
-        })
-    }
-
-    fn devices(&self) -> Vec<BackendDeviceInfo> {
-        let mut out = Vec::new();
-        for n in 0..self.node_count() {
-            let node = self.node(n);
-            for d in 0..node.gpus.device_count() {
-                out.push(single_device_info(node.gpus.device(d), Some(&node.name), d));
-            }
-        }
-        out
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        ClusterScheduler::check_invariants(self)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        ClusterScheduler::fingerprint(self)
-    }
-
-    fn attach_obs(&mut self, obs: SchedObs) {
-        ClusterScheduler::attach_obs(self, obs);
-    }
-
-    fn observe_progress(&self) {
-        ClusterScheduler::observe_progress(self);
-    }
-
-    fn primary(&self) -> &Scheduler {
-        self.node(0).gpus.device(0)
-    }
-
-    fn device_schedulers(&self) -> Vec<&Scheduler> {
-        (0..self.node_count())
-            .flat_map(|n| {
-                let gpus = &self.node(n).gpus;
-                (0..gpus.device_count()).map(move |d| gpus.device(d))
-            })
-            .collect()
+    fn each_device<'a>(&'a self, tag: u64, f: &mut impl FnMut(u64, &'a Scheduler)) {
+        f(tag, self);
     }
 }
 
@@ -648,6 +423,10 @@ impl SchedulerBackend for TopologyBackend {
         now: SimTime,
     ) -> Result<Placement, SchedError> {
         dispatch!(self, b => SchedulerBackend::adopt(b, id, limit, used, now))
+    }
+
+    fn requirement(&self, limit: Bytes) -> Bytes {
+        dispatch!(self, b => SchedulerBackend::requirement(b, limit))
     }
 
     fn alloc_request(
@@ -717,6 +496,10 @@ impl SchedulerBackend for TopologyBackend {
         dispatch!(self, b => SchedulerBackend::home_of(b, id))
     }
 
+    fn home_device(&self, id: ContainerId) -> Option<(u64, &Scheduler)> {
+        dispatch!(self, b => SchedulerBackend::home_device(b, id))
+    }
+
     fn devices(&self) -> Vec<BackendDeviceInfo> {
         dispatch!(self, b => SchedulerBackend::devices(b))
     }
@@ -733,16 +516,12 @@ impl SchedulerBackend for TopologyBackend {
         dispatch!(self, b => SchedulerBackend::attach_obs(b, obs))
     }
 
-    fn observe_progress(&self) {
-        dispatch!(self, b => SchedulerBackend::observe_progress(b))
-    }
-
     fn primary(&self) -> &Scheduler {
         dispatch!(self, b => SchedulerBackend::primary(b))
     }
 
-    fn device_schedulers(&self) -> Vec<&Scheduler> {
-        dispatch!(self, b => SchedulerBackend::device_schedulers(b))
+    fn each_device<'a>(&'a self, tag: u64, f: &mut impl FnMut(u64, &'a Scheduler)) {
+        dispatch!(self, b => SchedulerBackend::each_device(b, tag, f))
     }
 }
 

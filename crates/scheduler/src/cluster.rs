@@ -15,21 +15,27 @@
 //! After placement every scheduler message routes to the container's home
 //! node, preserving all single-node semantics (suspension, guarantees,
 //! policy redistribution) unchanged — GPU memory never migrates across
-//! nodes, exactly as in a real Swarm deployment.
+//! nodes, exactly as in a real Swarm deployment. That routing is the
+//! sharding engine's ([`Sharded`]); this module is its node-level
+//! instantiation: the strategies ([`SwarmStrategy::select`], which the
+//! distributed router calls too) as a [`Placer`], and the constructor.
+//! The in-process cluster has no code of its own beyond that — it is the
+//! pure state machine the bounded model checker drives.
 //!
 //! Tickets gain the node index in their top byte ([`NODE_TICKET_SHIFT`]),
 //! stacked above the device tag applied by each node's
 //! [`MultiGpuScheduler`], so one waiter table can serve the whole cluster.
 
-use crate::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, SchedulerConfig};
+use crate::backend::SchedulerBackend;
+use crate::core::SchedulerConfig;
 use crate::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 use crate::policy::PolicyKind;
-use convgpu_ipc::message::ApiKind;
-use convgpu_sim_core::ids::ContainerId;
+use crate::sharded::{Placer, Sharded, TicketLane};
+use convgpu_obs::Registry;
 use convgpu_sim_core::rng::DetRng;
-use convgpu_sim_core::time::SimTime;
 use convgpu_sim_core::units::Bytes;
-use std::collections::BTreeMap;
+
+pub use crate::sharded::{MigrationMove, NODE_TICKET_SHIFT};
 
 /// Docker-Swarm-style node placement strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -61,6 +67,91 @@ impl SwarmStrategy {
             _ => None,
         }
     }
+
+    /// Pick one of `capable` — the nodes still in the running (able to
+    /// host the container, not yet tried, and alive as far as the caller
+    /// knows). The caller brings its own view of them: `need(i)` is what
+    /// the placement would commit on node `i`, `free(i)` the bytes node
+    /// `i` has not promised yet, `open(i)` the containers it hosts, and
+    /// `draw(n)` a uniform index below `n`. Each is consulted only by the
+    /// strategy that scores on it; ties go to the lowest index.
+    pub fn select(
+        self,
+        capable: &[usize],
+        need: impl Fn(usize) -> Bytes,
+        free: impl Fn(usize) -> u64,
+        open: impl Fn(usize) -> u64,
+        draw: impl FnOnce(usize) -> usize,
+    ) -> Option<usize> {
+        if capable.is_empty() {
+            return None;
+        }
+        let nodes = capable.iter().copied();
+        match self {
+            SwarmStrategy::Spread => nodes.min_by_key(|&i| (open(i), i)),
+            // Tightest fit by free memory, preferring nodes that can
+            // serve the requirement *now*.
+            SwarmStrategy::BinPack => nodes
+                .clone()
+                .filter(|&i| free(i) >= need(i).as_u64())
+                .min_by_key(|&i| (free(i), i))
+                .or_else(|| nodes.min_by_key(|&i| (free(i), i))),
+            SwarmStrategy::Random => Some(capable[draw(capable.len())]),
+        }
+    }
+}
+
+/// The node-level [`Placer`]: a [`SwarmStrategy`] plus its seeded RNG.
+#[derive(Clone, Debug)]
+pub struct SwarmPlacer {
+    strategy: SwarmStrategy,
+    rng: DetRng,
+}
+
+impl SwarmPlacer {
+    /// The configured Swarm strategy.
+    pub fn strategy(&self) -> SwarmStrategy {
+        self.strategy
+    }
+}
+
+impl Placer for SwarmPlacer {
+    const KIND: &'static str = "cluster";
+    const LANE: TicketLane = TicketLane::NODE;
+
+    /// The strategy's pick among the untried nodes that could ever host
+    /// the limit; asked again after a refusal, it picks among the rest
+    /// (so Random draws once per attempted node).
+    fn next<B: SchedulerBackend>(
+        &mut self,
+        shards: &[B],
+        limit: Bytes,
+        tried: &[usize],
+    ) -> Option<usize> {
+        let need = |i: usize| shards[i].requirement(limit);
+        let capable: Vec<usize> = (0..shards.len())
+            .filter(|&i| !tried.contains(&i) && shards[i].largest_device() >= need(i))
+            .collect();
+        self.strategy.select(
+            &capable,
+            need,
+            |i| shards[i].unassigned().as_u64(),
+            |i| shards[i].open_containers() as u64,
+            |n| self.rng.index(n),
+        )
+    }
+
+    fn count(&self, registry: &Registry, shard: &str) {
+        registry.inc(
+            "convgpu_sched_swarm_placement_total",
+            &[("strategy", self.strategy.label()), ("node", shard)],
+            1,
+        );
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.rng.state_fingerprint()
+    }
 }
 
 /// One cluster node: a named host with its GPUs.
@@ -80,15 +171,7 @@ impl ClusterNode {
         policy: PolicyKind,
         seed: u64,
     ) -> Self {
-        ClusterNode {
-            name: name.into(),
-            gpus: MultiGpuScheduler::new(
-                gpu_capacities,
-                policy,
-                PlacementPolicy::BestFitDevice,
-                seed,
-            ),
-        }
+        Self::with_config(name, SchedulerConfig::paper(), gpu_capacities, policy, seed)
     }
 
     /// [`new`](Self::new) with an explicit base scheduler config (resume
@@ -116,461 +199,32 @@ impl ClusterNode {
 /// Index of a node within the cluster.
 pub type NodeIndex = usize;
 
-/// One container's move in an in-process node drain
-/// ([`ClusterScheduler::migrate_node`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MigrationMove {
-    /// The migrated container.
-    pub container: ContainerId,
-    /// Node it was drained off.
-    pub from: NodeIndex,
-    /// Node that adopted it; `None` when no surviving node could back the
-    /// committed budget (the container ends closed — clean rejection).
-    pub to: Option<NodeIndex>,
-    /// Declared limit carried over.
-    pub limit: Bytes,
-    /// Committed (used) budget carried over.
-    pub used: Bytes,
-}
-
-/// Bit position where the node index is tagged into outgoing tickets,
-/// above the device tag (`multi_gpu::DEVICE_TICKET_SHIFT`).
-pub const NODE_TICKET_SHIFT: u32 = 56;
-
-fn tag_ticket(node: NodeIndex, tagged_by_device: u64) -> u64 {
-    ((node as u64) << NODE_TICKET_SHIFT) | tagged_by_device
-}
-
-fn tag_actions(node: NodeIndex, mut actions: Vec<ResumeAction>) -> Vec<ResumeAction> {
-    for a in &mut actions {
-        a.ticket = tag_ticket(node, a.ticket);
-    }
-    actions
-}
-
-fn tag_outcome(node: NodeIndex, outcome: AllocOutcome) -> AllocOutcome {
-    match outcome {
-        AllocOutcome::Suspended { ticket } => AllocOutcome::Suspended {
-            ticket: tag_ticket(node, ticket),
-        },
-        other => other,
-    }
-}
-
 /// The cluster-level scheduler.
-#[derive(Clone)]
-pub struct ClusterScheduler {
-    nodes: Vec<ClusterNode>,
-    strategy: SwarmStrategy,
-    homes: BTreeMap<ContainerId, NodeIndex>,
-    rng: DetRng,
-    obs: Option<SchedObs>,
-}
+pub type ClusterScheduler = Sharded<MultiGpuScheduler, SwarmPlacer>;
 
 impl ClusterScheduler {
     /// Build a cluster from `nodes` using `strategy`.
     ///
     /// # Panics
-    /// Panics on an empty node list.
+    /// On an empty node list, or more than [`TicketLane::MAX_SHARDS`]
+    /// nodes.
     pub fn new(nodes: Vec<ClusterNode>, strategy: SwarmStrategy, seed: u64) -> Self {
-        assert!(!nodes.is_empty(), "a cluster needs at least one node");
-        ClusterScheduler {
-            nodes,
+        let (names, shards) = nodes.into_iter().map(|n| (n.name, n.gpus)).unzip();
+        let placer = SwarmPlacer {
             strategy,
-            homes: BTreeMap::new(),
             rng: DetRng::seed_from_u64(seed),
-            obs: None,
-        }
-    }
-
-    /// Attach observability: every node's devices gauge under a
-    /// `node:device` label, Swarm placement decisions counted per node.
-    pub fn attach_obs(&mut self, obs: SchedObs) {
-        for n in self.nodes.iter_mut() {
-            let name = n.name.clone();
-            n.gpus.attach_obs_with_node(obs.clone(), &name);
-        }
-        self.obs = Some(obs);
-    }
-
-    /// The attached observability sink, if any.
-    pub fn obs(&self) -> Option<&SchedObs> {
-        self.obs.as_ref()
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Read access to a node.
-    pub fn node(&self, idx: NodeIndex) -> &ClusterNode {
-        &self.nodes[idx]
-    }
-
-    /// Which node hosts `id`, if registered.
-    pub fn home_of(&self, id: ContainerId) -> Option<NodeIndex> {
-        self.homes.get(&id).copied()
-    }
-
-    /// All container → node assignments, in container order.
-    pub fn homes(&self) -> impl Iterator<Item = (ContainerId, NodeIndex)> + '_ {
-        self.homes.iter().map(|(&c, &n)| (c, n))
-    }
-
-    /// The configured Swarm strategy.
-    pub fn strategy(&self) -> SwarmStrategy {
-        self.strategy
-    }
-
-    fn capable_nodes(&self, hint: Bytes) -> Vec<NodeIndex> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.gpus.max_device_capacity() >= hint)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    fn pick_node(&mut self, hint: Bytes) -> Option<NodeIndex> {
-        self.pick_node_excluding(hint, &[])
-    }
-
-    fn pick_node_excluding(&mut self, hint: Bytes, excluded: &[NodeIndex]) -> Option<NodeIndex> {
-        let capable: Vec<NodeIndex> = self
-            .capable_nodes(hint)
-            .into_iter()
-            .filter(|i| !excluded.contains(i))
-            .collect();
-        if capable.is_empty() {
-            return None;
-        }
-        let pick = match self.strategy {
-            SwarmStrategy::Spread => capable
-                .iter()
-                .copied()
-                .min_by_key(|&i| (self.nodes[i].gpus.open_containers(), i))?,
-            SwarmStrategy::BinPack => {
-                // Tightest fit by free memory, preferring nodes that can
-                // serve the requirement *now*.
-                let fitting: Vec<NodeIndex> = capable
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.nodes[i].gpus.total_unassigned() >= hint)
-                    .collect();
-                let pool = if fitting.is_empty() {
-                    &capable
-                } else {
-                    &fitting
-                };
-                pool.iter()
-                    .copied()
-                    .min_by_key(|&i| (self.nodes[i].gpus.total_unassigned(), i))?
-            }
-            SwarmStrategy::Random => capable[self.rng.index(capable.len())],
         };
-        Some(pick)
-    }
-
-    /// Place and register a container; returns the node chosen.
-    pub fn register(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        now: SimTime,
-    ) -> Result<NodeIndex, SchedError> {
-        if self.homes.contains_key(&id) {
-            return Err(SchedError::AlreadyRegistered(id));
-        }
-        let hint = limit + Bytes::mib(66);
-        let node = self
-            .pick_node(hint)
-            .ok_or(SchedError::LimitExceedsCapacity {
-                container: id,
-                requirement: hint,
-                capacity: self
-                    .nodes
-                    .iter()
-                    .map(|n| n.gpus.max_device_capacity())
-                    .max()
-                    .unwrap_or(Bytes::ZERO),
-            })?;
-        self.nodes[node].gpus.register(id, limit, now)?;
-        self.homes.insert(id, node);
-        if let Some(o) = &self.obs {
-            o.registry.inc(
-                "convgpu_sched_swarm_placement_total",
-                &[
-                    ("strategy", self.strategy.label()),
-                    ("node", &self.nodes[node].name),
-                ],
-                1,
-            );
-        }
-        Ok(node)
-    }
-
-    /// Migration hand-off: adopt a container with its committed budget on
-    /// the strategy's preferred node (see [`MultiGpuScheduler::adopt`]).
-    pub fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<NodeIndex, SchedError> {
-        self.adopt_excluding(id, limit, used, now, &[])
-    }
-
-    /// [`adopt`](Self::adopt) that never places on `excluded` nodes (the
-    /// migration source, or nodes already refused). Falls back through
-    /// strategy candidates while a node cannot back the committed budget;
-    /// errors only when no surviving node can.
-    pub fn adopt_excluding(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-        excluded: &[NodeIndex],
-    ) -> Result<NodeIndex, SchedError> {
-        if self.homes.contains_key(&id) {
-            return Err(SchedError::AlreadyRegistered(id));
-        }
-        let hint = limit + Bytes::mib(66);
-        let mut tried: Vec<NodeIndex> = excluded.to_vec();
-        let mut last_err = None;
-        while let Some(node) = self.pick_node_excluding(hint, &tried) {
-            match self.nodes[node].gpus.adopt(id, limit, used, now) {
-                Ok(_) => {
-                    self.homes.insert(id, node);
-                    if let Some(o) = &self.obs {
-                        o.registry.inc(
-                            "convgpu_sched_swarm_placement_total",
-                            &[
-                                ("strategy", self.strategy.label()),
-                                ("node", &self.nodes[node].name),
-                            ],
-                            1,
-                        );
-                    }
-                    return Ok(node);
-                }
-                Err(
-                    e @ (SchedError::AdoptionOverCommit { .. }
-                    | SchedError::LimitExceedsCapacity { .. }),
-                ) => {
-                    last_err = Some(e);
-                    tried.push(node);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or(SchedError::LimitExceedsCapacity {
-            container: id,
-            requirement: hint,
-            capacity: self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !excluded.contains(i))
-                .map(|(_, n)| n.gpus.max_device_capacity())
-                .max()
-                .unwrap_or(Bytes::ZERO),
-        }))
-    }
-
-    /// Drain `node` in-process: close every container homed on it
-    /// (cancelling its parked requests as clean rejections) and re-adopt
-    /// each on a surviving node with its committed budget carried over.
-    /// Returns the per-container moves plus the node-tagged resume
-    /// actions produced by the source-side closes. A container no
-    /// surviving node can admit ends closed, reported with `to: None`.
-    pub fn migrate_node(
-        &mut self,
-        node: NodeIndex,
-        now: SimTime,
-    ) -> (Vec<MigrationMove>, Vec<ResumeAction>) {
-        let homed: Vec<ContainerId> = self
-            .homes
-            .iter()
-            .filter(|&(_, &n)| n == node)
-            .map(|(&c, _)| c)
-            .collect();
-        let mut moves = Vec::new();
-        let mut actions = Vec::new();
-        for c in homed {
-            let (limit, used) = {
-                let gpus = &self.nodes[node].gpus;
-                let dev = gpus.home_of(c).expect("homed container has a device");
-                let rec = gpus
-                    .device(dev)
-                    .container(c)
-                    .expect("homed container has a record");
-                if rec.state == crate::state::ContainerState::Closed {
-                    // A closed tombstone holds no budget; dropping its
-                    // home with the dead node is the whole migration.
-                    self.homes.remove(&c);
-                    continue;
-                }
-                (rec.limit, rec.used)
-            };
-            let closed = self.nodes[node]
-                .gpus
-                .container_close(c, now)
-                .unwrap_or_default();
-            actions.extend(tag_actions(node, closed));
-            self.homes.remove(&c);
-            let to = self.adopt_excluding(c, limit, used, now, &[node]).ok();
-            moves.push(MigrationMove {
-                container: c,
-                from: node,
-                to,
-                limit,
-                used,
-            });
-        }
-        (moves, actions)
-    }
-
-    fn route(
-        &mut self,
-        id: ContainerId,
-    ) -> Result<(NodeIndex, &mut MultiGpuScheduler), SchedError> {
-        let idx = *self
-            .homes
-            .get(&id)
-            .ok_or(SchedError::UnknownContainer(id))?;
-        Ok((idx, &mut self.nodes[idx].gpus))
-    }
-
-    fn route_ref(&self, id: ContainerId) -> Result<(NodeIndex, &MultiGpuScheduler), SchedError> {
-        let idx = *self
-            .homes
-            .get(&id)
-            .ok_or(SchedError::UnknownContainer(id))?;
-        Ok((idx, &self.nodes[idx].gpus))
-    }
-
-    /// Route an allocation request to the container's home node. Tickets
-    /// carry the node tag over the device tag.
-    pub fn alloc_request(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-        now: SimTime,
-    ) -> Result<(AllocOutcome, Vec<ResumeAction>), SchedError> {
-        let (idx, node) = self.route(id)?;
-        let (out, actions) = node.alloc_request(id, pid, size, api, now)?;
-        Ok((tag_outcome(idx, out), tag_actions(idx, actions)))
-    }
-
-    /// Route an allocation completion.
-    pub fn alloc_done(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-        now: SimTime,
-    ) -> Result<(), SchedError> {
-        self.route(id)?.1.alloc_done(id, pid, addr, size, now)
-    }
-
-    /// Route an allocation failure.
-    pub fn alloc_failed(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        size: Bytes,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        let (idx, node) = self.route(id)?;
-        Ok(tag_actions(idx, node.alloc_failed(id, pid, size, now)?))
-    }
-
-    /// Route a free.
-    pub fn free(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        addr: u64,
-        now: SimTime,
-    ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
-        let (idx, node) = self.route(id)?;
-        let (freed, actions) = node.free(id, pid, addr, now)?;
-        Ok((freed, tag_actions(idx, actions)))
-    }
-
-    /// Route a memory-info query.
-    pub fn mem_info(&self, id: ContainerId, pid: u64) -> Result<(Bytes, Bytes), SchedError> {
-        self.route_ref(id)?.1.mem_info(id, pid)
-    }
-
-    /// Route a process exit.
-    pub fn process_exit(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        let (idx, node) = self.route(id)?;
-        Ok(tag_actions(idx, node.process_exit(id, pid, now)?))
-    }
-
-    /// Route a container close.
-    pub fn container_close(
-        &mut self,
-        id: ContainerId,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        let (idx, node) = self.route(id)?;
-        Ok(tag_actions(idx, node.container_close(id, now)?))
-    }
-
-    /// Check invariants on every node, plus home-map consistency.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for n in &self.nodes {
-            n.gpus
-                .check_invariants()
-                .map_err(|e| format!("node {}: {e}", n.name))?;
-        }
-        for (&c, &n) in &self.homes {
-            if n >= self.nodes.len() {
-                return Err(format!("container {c:?} homed on missing node {n}"));
-            }
-            if self.nodes[n].gpus.home_of(c).is_none() {
-                return Err(format!("container {c:?} missing from home node {n}"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Record per-device progress assessments across all nodes.
-    pub fn observe_progress(&self) {
-        for n in &self.nodes {
-            n.gpus.observe_progress();
-        }
-    }
-
-    /// Deterministic digest of cluster placement + per-node scheduler
-    /// state, folding the (non-advancing) Swarm RNG fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for n in &self.nodes {
-            h ^= n.gpus.fingerprint();
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= self.rng.state_fingerprint();
-        h.wrapping_mul(0x0000_0100_0000_01b3)
+        Sharded::from_shards(shards, names, placer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::{AllocOutcome, SchedError};
+    use convgpu_ipc::message::ApiKind;
+    use convgpu_sim_core::ids::ContainerId;
+    use convgpu_sim_core::time::SimTime;
 
     fn cluster(strategy: SwarmStrategy) -> ClusterScheduler {
         ClusterScheduler::new(
@@ -669,7 +323,7 @@ mod tests {
         assert_eq!(freed, Bytes::gib(2));
         c.process_exit(ContainerId(1), 7, t(2)).unwrap();
         c.container_close(ContainerId(1), t(3)).unwrap();
-        assert_eq!(c.node(home).gpus.open_containers(), 0);
+        assert_eq!(c.shards()[home].open_containers(), 0);
         c.check_invariants().unwrap();
         // Unknown container errors.
         assert!(c.container_close(ContainerId(9), t(4)).is_err());
@@ -784,7 +438,7 @@ mod tests {
         assert_eq!(c.home_of(ContainerId(1)), None);
         c.check_invariants().unwrap();
         // The survivor is untouched by the failed hand-off.
-        assert_eq!(c.node(1).gpus.open_containers(), 1);
+        assert_eq!(c.shards()[1].open_containers(), 1);
     }
 
     #[test]

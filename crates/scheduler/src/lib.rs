@@ -26,13 +26,18 @@
 //!   Random) behind one trait.
 //! * [`metrics`] — per-container and aggregate suspension statistics
 //!   (paper Fig. 8 / Table V).
-//! * [`multi_gpu`] — the paper's §V future-work extension: one scheduler
-//!   per device plus a placement policy.
-//! * [`cluster`] — the other §V item: Docker-Swarm-style dispatch of
-//!   containers across multi-GPU nodes.
 //! * [`backend`] — the [`backend::SchedulerBackend`] trait unifying the
 //!   three topologies behind one message surface, and the
 //!   [`backend::TopologyBackend`] enum the live service dispatches on.
+//! * [`sharded`] — the one sharding engine behind both §V future-work
+//!   extensions: [`sharded::Sharded`] owns the container → shard home
+//!   map, routes every message to the container's home, tags tickets in
+//!   its [`sharded::TicketLane`], and asks a [`sharded::Placer`] where a
+//!   new container goes.
+//! * [`multi_gpu`] — the device-level instantiation: one scheduler per
+//!   GPU plus the three device placement policies.
+//! * [`cluster`] — the node-level instantiation: Docker-Swarm-style
+//!   dispatch of containers across multi-GPU nodes.
 //! * [`deadlock`] — stall detection used to *demonstrate* that ConVGPU's
 //!   guarantee discipline avoids the deadlock of naive sharing.
 //! * [`invariant`] — the typed safety invariants behind
@@ -51,6 +56,7 @@ pub mod log;
 pub mod metrics;
 pub mod multi_gpu;
 pub mod policy;
+pub mod sharded;
 pub mod state;
 pub mod timeline;
 
@@ -64,5 +70,6 @@ pub use log::{Decision, DecisionLog, LogEntry};
 pub use metrics::{AggregateMetrics, ContainerMetrics};
 pub use multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 pub use policy::{CandidateView, Policy, PolicyKind};
+pub use sharded::{Placer, Sharded, TicketLane};
 pub use state::{ContainerRecord, ContainerState, ResumeRule};
 pub use timeline::{UtilizationSample, UtilizationTimeline};

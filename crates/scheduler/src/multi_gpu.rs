@@ -4,22 +4,25 @@
 //! The natural decomposition keeps the single-device scheduler untouched:
 //! one [`Scheduler`] per device plus a **placement policy** that picks the
 //! device when a container registers. Every later message is routed by the
-//! container → device map. Three placement policies are provided and
-//! compared in the `multi_gpu_placement` bench.
+//! container → device map. That routing is the sharding engine's
+//! ([`Sharded`]); this module is its device-level instantiation: the three
+//! placement policies (compared in the `multi_gpu_placement` bench) as a
+//! [`Placer`], and the constructors.
 //!
 //! Tickets handed out by different devices are disambiguated by tagging
-//! the device index into the high bits ([`DEVICE_TICKET_SHIFT`]), so a
+//! the device index into the device lane ([`DEVICE_TICKET_SHIFT`]), so a
 //! multi-GPU service can key its waiter table on the ticket alone. Device
 //! 0 tickets are numerically unchanged, which keeps single-device golden
 //! traces bit-identical when a one-device topology is used.
 
-use crate::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler, SchedulerConfig};
+use crate::backend::SchedulerBackend;
+use crate::core::{Scheduler, SchedulerConfig};
 use crate::policy::PolicyKind;
-use convgpu_ipc::message::ApiKind;
-use convgpu_sim_core::ids::ContainerId;
-use convgpu_sim_core::time::SimTime;
+use crate::sharded::{Placer, Sharded, TicketLane};
+use convgpu_obs::Registry;
 use convgpu_sim_core::units::Bytes;
-use std::collections::BTreeMap;
+
+pub use crate::sharded::DEVICE_TICKET_SHIFT;
 
 /// How to choose the device for a new container.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -58,41 +61,81 @@ impl PlacementPolicy {
 /// Index of a device within a [`MultiGpuScheduler`].
 pub type DeviceIndex = usize;
 
-/// Bit position where the device index is tagged into outgoing tickets.
-/// Raw per-device tickets are small sequential integers, so 48 bits of
-/// ticket space leaves 8 bits for the device index and 8 for the node
-/// index above it (see `cluster::NODE_TICKET_SHIFT`).
-pub const DEVICE_TICKET_SHIFT: u32 = 48;
-
-fn tag_ticket(device: DeviceIndex, raw: u64) -> u64 {
-    ((device as u64) << DEVICE_TICKET_SHIFT) | raw
+/// The device-level [`Placer`]: a [`PlacementPolicy`] plus the
+/// round-robin cursor.
+#[derive(Clone, Debug)]
+pub struct DevicePlacer {
+    policy: PlacementPolicy,
+    rr_next: usize,
 }
 
-fn tag_actions(device: DeviceIndex, mut actions: Vec<ResumeAction>) -> Vec<ResumeAction> {
-    for a in &mut actions {
-        a.ticket = tag_ticket(device, a.ticket);
+impl DevicePlacer {
+    /// The configured placement policy.
+    pub fn policy(&self) -> PlacementPolicy {
+        self.policy
     }
-    actions
 }
 
-fn tag_outcome(device: DeviceIndex, outcome: AllocOutcome) -> AllocOutcome {
-    match outcome {
-        AllocOutcome::Suspended { ticket } => AllocOutcome::Suspended {
-            ticket: tag_ticket(device, ticket),
-        },
-        other => other,
+impl Placer for DevicePlacer {
+    const KIND: &'static str = "multi-gpu";
+    const LANE: TicketLane = TicketLane::DEVICE;
+
+    /// The policy's pick first — once per placement, so the round-robin
+    /// cursor advances once however many candidates follow — then the
+    /// remaining devices in index order.
+    fn next<B: SchedulerBackend>(
+        &mut self,
+        shards: &[B],
+        limit: Bytes,
+        tried: &[usize],
+    ) -> Option<usize> {
+        if !tried.is_empty() {
+            return (0..shards.len()).find(|i| !tried.contains(i));
+        }
+        let most_free = || {
+            (0..shards.len())
+                .max_by_key(|&i| (shards[i].unassigned(), std::cmp::Reverse(i)))
+                .expect("non-empty")
+        };
+        let pick = match self.policy {
+            PlacementPolicy::RoundRobin => {
+                let idx = self.rr_next % shards.len();
+                self.rr_next = self.rr_next.wrapping_add(1);
+                idx
+            }
+            PlacementPolicy::MostFree => most_free(),
+            PlacementPolicy::BestFitDevice => (0..shards.len())
+                .filter(|&i| shards[i].unassigned() >= shards[i].requirement(limit))
+                .min_by_key(|&i| (shards[i].unassigned(), i))
+                // Nothing fits now: fall back to the emptiest device,
+                // where the container will be suspended least long.
+                .unwrap_or_else(most_free),
+        };
+        // A device that cannot ever host the limit is skipped in favour of
+        // any that can.
+        let capable = |i: usize| shards[i].largest_device() >= shards[i].requirement(limit);
+        if capable(pick) {
+            Some(pick)
+        } else {
+            Some((0..shards.len()).find(|&i| capable(i)).unwrap_or(pick))
+        }
+    }
+
+    fn count(&self, registry: &Registry, shard: &str) {
+        registry.inc(
+            "convgpu_sched_placement_total",
+            &[("placement", self.policy.label()), ("device", shard)],
+            1,
+        );
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.rr_next as u64
     }
 }
 
 /// A scheduler spanning several GPUs.
-#[derive(Clone)]
-pub struct MultiGpuScheduler {
-    devices: Vec<Scheduler>,
-    placement: PlacementPolicy,
-    homes: BTreeMap<ContainerId, DeviceIndex>,
-    rr_next: usize,
-    obs: Option<SchedObs>,
-}
+pub type MultiGpuScheduler = Sharded<Scheduler, DevicePlacer>;
 
 impl MultiGpuScheduler {
     /// Build with one single-device scheduler per capacity entry, all
@@ -115,6 +158,10 @@ impl MultiGpuScheduler {
     /// [`new`](Self::new) with an explicit base config (resume rule,
     /// context-overhead charging); each device overrides only the
     /// capacity.
+    ///
+    /// # Panics
+    /// On an empty capacity list, or more than
+    /// [`TicketLane::MAX_SHARDS`] devices.
     pub fn with_config(
         base: SchedulerConfig,
         capacities: &[Bytes],
@@ -122,7 +169,6 @@ impl MultiGpuScheduler {
         placement: PlacementPolicy,
         seed: u64,
     ) -> Self {
-        assert!(!capacities.is_empty(), "need at least one device");
         let devices = capacities
             .iter()
             .enumerate()
@@ -134,374 +180,21 @@ impl MultiGpuScheduler {
                 Scheduler::new(cfg, sched_policy.build(seed.wrapping_add(i as u64)))
             })
             .collect();
-        MultiGpuScheduler {
-            devices,
-            placement,
-            homes: BTreeMap::new(),
+        let placer = DevicePlacer {
+            policy: placement,
             rr_next: 0,
-            obs: None,
-        }
-    }
-
-    /// Attach observability. Each device scheduler gets the sink scoped
-    /// with its device index as the `device` label; placement decisions
-    /// are counted on the shared registry.
-    pub fn attach_obs(&mut self, obs: SchedObs) {
-        for (i, d) in self.devices.iter_mut().enumerate() {
-            d.attach_obs(obs.with_device(i.to_string()));
-        }
-        self.obs = Some(obs);
-    }
-
-    /// [`attach_obs`](Self::attach_obs) for a cluster node: device labels
-    /// become `node:index` so gauges from different nodes stay distinct
-    /// on one registry.
-    pub fn attach_obs_with_node(&mut self, obs: SchedObs, node: &str) {
-        for (i, d) in self.devices.iter_mut().enumerate() {
-            d.attach_obs(obs.with_device(format!("{node}:{i}")));
-        }
-        self.obs = Some(obs.with_device(node));
-    }
-
-    /// The attached observability sink, if any.
-    pub fn obs(&self) -> Option<&SchedObs> {
-        self.obs.as_ref()
-    }
-
-    fn device_label(&self, idx: DeviceIndex) -> String {
-        match self.obs.as_ref().and_then(|o| o.device.as_deref()) {
-            Some(node) => format!("{node}:{idx}"),
-            None => idx.to_string(),
-        }
-    }
-
-    /// Number of devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Which device hosts `id`, if registered.
-    pub fn home_of(&self, id: ContainerId) -> Option<DeviceIndex> {
-        self.homes.get(&id).copied()
-    }
-
-    /// All container → device assignments, in container order.
-    pub fn homes(&self) -> impl Iterator<Item = (ContainerId, DeviceIndex)> + '_ {
-        self.homes.iter().map(|(&c, &d)| (c, d))
-    }
-
-    /// Read access to a device scheduler.
-    pub fn device(&self, idx: DeviceIndex) -> &Scheduler {
-        &self.devices[idx]
-    }
-
-    /// The configured placement policy.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.placement
-    }
-
-    /// Round-robin cursor (state the model checker must canonicalize).
-    pub fn rr_cursor(&self) -> usize {
-        self.rr_next
-    }
-
-    fn pick_device(&mut self, requirement_hint: Bytes) -> DeviceIndex {
-        match self.placement {
-            PlacementPolicy::RoundRobin => {
-                let idx = self.rr_next % self.devices.len();
-                self.rr_next = self.rr_next.wrapping_add(1);
-                idx
-            }
-            PlacementPolicy::MostFree => self
-                .devices
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, d)| (d.unassigned(), std::cmp::Reverse(*i)))
-                .map(|(i, _)| i)
-                .expect("non-empty"),
-            PlacementPolicy::BestFitDevice => {
-                let fitting = self
-                    .devices
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.unassigned() >= requirement_hint)
-                    .min_by_key(|(i, d)| (d.unassigned(), *i));
-                match fitting {
-                    Some((i, _)) => i,
-                    // Nothing fits now: fall back to the emptiest device,
-                    // where the container will be suspended least long.
-                    None => self
-                        .devices
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(i, d)| (d.unassigned(), std::cmp::Reverse(*i)))
-                        .map(|(i, _)| i)
-                        .expect("non-empty"),
-                }
-            }
-        }
-    }
-
-    /// Register a container, placing it on a device. Returns the device
-    /// chosen.
-    pub fn register(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        now: SimTime,
-    ) -> Result<DeviceIndex, SchedError> {
-        if self.homes.contains_key(&id) {
-            return Err(SchedError::AlreadyRegistered(id));
-        }
-        // The hint includes the context overhead the device scheduler
-        // will add.
-        let hint = limit + Bytes::mib(66);
-        let mut idx = self.pick_device(hint);
-        // A device that cannot ever host the limit is skipped in favour of
-        // any that can.
-        if self.devices[idx].config().capacity < hint {
-            if let Some((alt, _)) = self
-                .devices
-                .iter()
-                .enumerate()
-                .find(|(_, d)| d.config().capacity >= hint)
-            {
-                idx = alt;
-            }
-        }
-        self.devices[idx].register(id, limit, now)?;
-        self.homes.insert(id, idx);
-        if let Some(o) = &self.obs {
-            let dev = self.device_label(idx);
-            o.registry.inc(
-                "convgpu_sched_placement_total",
-                &[("placement", self.placement.label()), ("device", &dev)],
-                1,
-            );
-        }
-        Ok(idx)
-    }
-
-    /// Migration hand-off: adopt a container with its committed budget
-    /// (see [`Scheduler::adopt`]). Placement prefers the configured
-    /// policy's pick, but a device that cannot back the committed budget
-    /// right now is skipped in favour of any that can — the budget must
-    /// land whole, never suspended.
-    pub fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<DeviceIndex, SchedError> {
-        if self.homes.contains_key(&id) {
-            return Err(SchedError::AlreadyRegistered(id));
-        }
-        let hint = limit + Bytes::mib(66);
-        let mut first = self.pick_device(hint);
-        if self.devices[first].config().capacity < hint {
-            if let Some((alt, _)) = self
-                .devices
-                .iter()
-                .enumerate()
-                .find(|(_, d)| d.config().capacity >= hint)
-            {
-                first = alt;
-            }
-        }
-        let mut order: Vec<DeviceIndex> = Vec::with_capacity(self.devices.len());
-        order.push(first);
-        order.extend((0..self.devices.len()).filter(|&d| d != first));
-        let mut last_err = None;
-        for d in order {
-            match self.devices[d].adopt(id, limit, used, now) {
-                Ok(()) => {
-                    self.homes.insert(id, d);
-                    if let Some(o) = &self.obs {
-                        let dev = self.device_label(d);
-                        o.registry.inc(
-                            "convgpu_sched_placement_total",
-                            &[("placement", self.placement.label()), ("device", &dev)],
-                            1,
-                        );
-                    }
-                    return Ok(d);
-                }
-                // Fall through to the next candidate device only for
-                // capacity-shaped refusals; protocol errors are final.
-                Err(
-                    e @ (SchedError::AdoptionOverCommit { .. }
-                    | SchedError::LimitExceedsCapacity { .. }),
-                ) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or(SchedError::UnknownContainer(id)))
-    }
-
-    fn route(&mut self, id: ContainerId) -> Result<(DeviceIndex, &mut Scheduler), SchedError> {
-        let idx = *self
-            .homes
-            .get(&id)
-            .ok_or(SchedError::UnknownContainer(id))?;
-        Ok((idx, &mut self.devices[idx]))
-    }
-
-    fn route_ref(&self, id: ContainerId) -> Result<(DeviceIndex, &Scheduler), SchedError> {
-        let idx = *self
-            .homes
-            .get(&id)
-            .ok_or(SchedError::UnknownContainer(id))?;
-        Ok((idx, &self.devices[idx]))
-    }
-
-    /// Route an allocation request to the container's device. Tickets in
-    /// the outcome and resume actions carry the device tag.
-    pub fn alloc_request(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-        now: SimTime,
-    ) -> Result<(AllocOutcome, Vec<ResumeAction>), SchedError> {
-        let (idx, dev) = self.route(id)?;
-        let (out, actions) = dev.alloc_request(id, pid, size, api, now)?;
-        Ok((tag_outcome(idx, out), tag_actions(idx, actions)))
-    }
-
-    /// Route an allocation completion.
-    pub fn alloc_done(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-        now: SimTime,
-    ) -> Result<(), SchedError> {
-        self.route(id)?.1.alloc_done(id, pid, addr, size, now)
-    }
-
-    /// Route an allocation failure (driver-side OOM after a grant).
-    pub fn alloc_failed(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        size: Bytes,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        let (idx, dev) = self.route(id)?;
-        Ok(tag_actions(idx, dev.alloc_failed(id, pid, size, now)?))
-    }
-
-    /// Route a free.
-    pub fn free(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        addr: u64,
-        now: SimTime,
-    ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
-        let (idx, dev) = self.route(id)?;
-        let (freed, actions) = dev.free(id, pid, addr, now)?;
-        Ok((freed, tag_actions(idx, actions)))
-    }
-
-    /// Route a memory-info query (per-device `cudaMemGetInfo` view).
-    pub fn mem_info(&self, id: ContainerId, pid: u64) -> Result<(Bytes, Bytes), SchedError> {
-        self.route_ref(id)?.1.mem_info(id, pid)
-    }
-
-    /// Route a process exit.
-    pub fn process_exit(
-        &mut self,
-        id: ContainerId,
-        pid: u64,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        let (idx, dev) = self.route(id)?;
-        Ok(tag_actions(idx, dev.process_exit(id, pid, now)?))
-    }
-
-    /// Route a container close.
-    pub fn container_close(
-        &mut self,
-        id: ContainerId,
-        now: SimTime,
-    ) -> Result<Vec<ResumeAction>, SchedError> {
-        let (idx, dev) = self.route(id)?;
-        Ok(tag_actions(idx, dev.container_close(id, now)?))
-    }
-
-    /// Memory not reserved on any device (cluster-level scoring).
-    pub fn total_unassigned(&self) -> Bytes {
-        self.devices.iter().map(|d| d.unassigned()).sum()
-    }
-
-    /// Total capacity across devices.
-    pub fn total_capacity(&self) -> Bytes {
-        self.devices.iter().map(|d| d.config().capacity).sum()
-    }
-
-    /// Largest single-device capacity (admission bound for one container).
-    pub fn max_device_capacity(&self) -> Bytes {
-        self.devices
-            .iter()
-            .map(|d| d.config().capacity)
-            .max()
-            .unwrap_or(Bytes::ZERO)
-    }
-
-    /// Number of containers registered and not yet closed.
-    pub fn open_containers(&self) -> usize {
-        self.devices
-            .iter()
-            .flat_map(|d| d.containers())
-            .filter(|r| r.state != crate::state::ContainerState::Closed)
-            .count()
-    }
-
-    /// Check invariants on every device.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, d) in self.devices.iter().enumerate() {
-            d.check_invariants()
-                .map_err(|e| format!("device {i}: {e}"))?;
-        }
-        // Homes must point at devices that actually know the container.
-        for (&c, &d) in &self.homes {
-            if d >= self.devices.len() {
-                return Err(format!("container {c:?} homed on missing device {d}"));
-            }
-            if self.devices[d].container(c).is_none() {
-                return Err(format!("container {c:?} missing from home device {d}"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Record per-device progress assessments into the attached registry.
-    pub fn observe_progress(&self) {
-        for d in &self.devices {
-            let _ = crate::deadlock::assess_observed(d);
-        }
-    }
-
-    /// Deterministic digest of placement + per-device policy state, for
-    /// golden fingerprint tests across topologies.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for d in &self.devices {
-            h ^= d.policy_fingerprint();
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= self.rr_next as u64;
-        h.wrapping_mul(0x0000_0100_0000_01b3)
+        };
+        Sharded::from_shards(devices, Vec::new(), placer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::{AllocOutcome, SchedError};
+    use convgpu_ipc::message::ApiKind;
+    use convgpu_sim_core::ids::ContainerId;
+    use convgpu_sim_core::time::SimTime;
 
     fn two_gpu(placement: PlacementPolicy) -> MultiGpuScheduler {
         MultiGpuScheduler::new(
@@ -620,13 +313,13 @@ mod tests {
             .unwrap();
         assert_eq!(out, AllocOutcome::Granted);
         assert_eq!(
-            m.device(1)
+            m.shards()[1]
                 .container(ContainerId(2))
                 .unwrap()
                 .granted_allocs,
             1
         );
-        assert!(m.device(0).container(ContainerId(2)).is_none());
+        assert!(m.shards()[0].container(ContainerId(2)).is_none());
         m.container_close(ContainerId(2), t(2)).unwrap();
         m.check_invariants().unwrap();
     }

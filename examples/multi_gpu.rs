@@ -10,6 +10,7 @@
 //! time, and compares finished time and suspensions.
 
 use convgpu::ipc::message::{AllocDecision, ApiKind};
+use convgpu::scheduler::backend::SchedulerBackend;
 use convgpu::scheduler::core::AllocOutcome;
 use convgpu::scheduler::metrics;
 use convgpu::scheduler::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
@@ -99,8 +100,8 @@ fn run(placement: PlacementPolicy, n: u32, seed: u64) -> (f64, u64) {
     sched.check_invariants().expect("invariants");
     let mut finished = 0.0_f64;
     let mut suspensions = 0;
-    for dev in 0..sched.device_count() {
-        let ms = metrics::collect(sched.device(dev).containers());
+    for device in sched.shards() {
+        let ms = metrics::collect(device.containers());
         let agg = metrics::aggregate(&ms);
         finished = finished.max(agg.finished_time_secs);
         suspensions += ms.iter().map(|m| m.suspend_episodes).sum::<u64>();

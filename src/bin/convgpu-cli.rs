@@ -93,7 +93,7 @@ fn usage() -> ExitCode {
          \n\
          ENDPOINT is `unix:/path`, `tcp:host:port`, or a bare path\n\
          (a UNIX socket). `tcp:host:0` binds a kernel-assigned port,\n\
-         announced on the ready line."
+         announced on the ready line. `--devices` takes 1 to 256."
     );
     ExitCode::from(2)
 }
@@ -106,6 +106,15 @@ fn parse_policy(s: &str) -> Option<PolicyKind> {
         "rand" | "random" => Some(PolicyKind::Random),
         _ => None,
     }
+}
+
+/// A `--devices=` count: at least one, and no more than a ticket lane
+/// can name (device 256's tag would be node 1's).
+fn parse_devices(s: &str) -> Option<u32> {
+    use convgpu::scheduler::sharded::TicketLane;
+    s.parse()
+        .ok()
+        .filter(|&n| n > 0 && n as usize <= TicketLane::MAX_SHARDS)
 }
 
 fn parse_type(s: &str) -> Option<ContainerType> {
@@ -403,9 +412,9 @@ fn cmd_metrics(args: &[String]) -> ExitCode {
     let mut devices: u32 = 1;
     for a in &rest {
         if let Some(v) = a.strip_prefix("--devices=") {
-            devices = match v.parse() {
-                Ok(n) if n > 0 => n,
-                _ => return usage(),
+            devices = match parse_devices(v) {
+                Some(n) => n,
+                None => return usage(),
             };
         } else {
             return usage();
@@ -513,9 +522,9 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
                 _ => return usage(),
             };
         } else if let Some(v) = a.strip_prefix("--devices=") {
-            devices = match v.parse() {
-                Ok(n) if n > 0 => n,
-                _ => return usage(),
+            devices = match parse_devices(v) {
+                Some(n) => n,
+                None => return usage(),
             };
         } else if let Some(v) = a.strip_prefix("--placement=") {
             placement = match PlacementPolicy::parse(v) {
@@ -683,9 +692,9 @@ fn cmd_cluster_serve_node(args: &[String]) -> ExitCode {
                 Err(_) => return usage(),
             };
         } else if let Some(v) = a.strip_prefix("--devices=") {
-            devices = match v.parse() {
-                Ok(n) if n > 0 => n,
-                _ => return usage(),
+            devices = match parse_devices(v) {
+                Some(n) => n,
+                None => return usage(),
             };
         } else if let Some(v) = a.strip_prefix("--policy=") {
             match parse_policy(v) {

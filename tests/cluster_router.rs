@@ -43,7 +43,7 @@ use convgpu::ipc::transport::EndpointAddr;
 use convgpu::middleware::router::{ClusterRouter, NodeServer, RouterConfig};
 use convgpu::middleware::NodeHealth;
 use convgpu::obs::render_canonical;
-use convgpu::scheduler::backend::TopologyBackend;
+use convgpu::scheduler::backend::{SchedulerBackend, TopologyBackend};
 use convgpu::scheduler::cluster::{
     ClusterNode, ClusterScheduler, SwarmStrategy, NODE_TICKET_SHIFT,
 };

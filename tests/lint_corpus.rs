@@ -52,7 +52,7 @@ fn corpus_matches_goldens() {
     }
     // Guard against the walker silently matching nothing.
     assert!(
-        checked >= 20,
+        checked >= 18,
         "expected the full corpus, found {checked} fixtures"
     );
 }
@@ -90,7 +90,7 @@ fn binary_exits_nonzero_on_bad_fixture() {
         "lock_order_cycle_bad",
         "lock_order_write_bad",
         "metric_names_bad",
-        "ticket_bits_collision_bad",
+        "hashmap_iter_bad",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_convgpu-lint"))
             .arg(fixtures_root().join(fixture))
@@ -114,7 +114,7 @@ fn binary_exits_zero_on_clean_fixture_and_filters_rules() {
 
     // Restricting a bad fixture to an unrelated rule suppresses its
     // findings entirely.
-    let bad = fixtures_root().join("ticket_bits_bad");
+    let bad = fixtures_root().join("metric_names_bad");
     let out = Command::new(env!("CARGO_BIN_EXE_convgpu-lint"))
         .arg(&bad)
         .arg("--rules=wall-clock")
@@ -123,11 +123,11 @@ fn binary_exits_zero_on_clean_fixture_and_filters_rules() {
     assert_eq!(
         out.status.code(),
         Some(0),
-        "ticket_bits_bad is clean under --rules=wall-clock"
+        "metric_names_bad is clean under --rules=wall-clock"
     );
 }
 
-/// `--list-rules` names all eight analyses and exits 0.
+/// `--list-rules` names all seven analyses and exits 0.
 #[test]
 fn binary_lists_rules() {
     let out = Command::new(env!("CARGO_BIN_EXE_convgpu-lint"))

@@ -13,7 +13,10 @@
 
 use convgpu::gpu::memory::{AddressSpaceAllocator, DevicePtr, PagedAllocator};
 use convgpu::ipc::message::{AllocDecision, ApiKind};
-use convgpu::scheduler::core::{AllocOutcome, Scheduler, SchedulerConfig};
+use convgpu::scheduler::backend::{Placement, SchedulerBackend, TopologyBackend};
+use convgpu::scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
+use convgpu::scheduler::core::{AllocOutcome, ResumeAction, Scheduler, SchedulerConfig};
+use convgpu::scheduler::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 use convgpu::scheduler::policy::PolicyKind;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::rng::DetRng;
@@ -63,96 +66,331 @@ fn gen_op(rng: &mut DetRng) -> Op {
     }
 }
 
+/// Driver-side bookkeeping for an op stream: granted allocations, so
+/// `Free` ops can hit live addresses.
+#[derive(Default)]
+struct OpDriver {
+    /// `(container, pid, addr)` of every allocation granted and not yet
+    /// freed, exited or closed.
+    live_addrs: Vec<(ContainerId, u64, u64)>,
+    allocs_done: u64,
+}
+
+fn render_actions(actions: &[ResumeAction]) -> String {
+    let parts: Vec<String> = actions
+        .iter()
+        .map(|a| format!("{:#018x}={:?}", a.ticket, a.decision))
+        .collect();
+    format!("[{}]", parts.join(" "))
+}
+
+/// Apply one generated op to any topology through the backend trait and
+/// render what came back: the outcome (tickets in hex), the resume
+/// actions' tickets and decisions, and — for a registration — where the
+/// container landed. `Err` only when a call the driver is entitled to
+/// (`alloc_done` after a grant) is refused.
+fn apply_op<B: SchedulerBackend>(
+    b: &mut B,
+    d: &mut OpDriver,
+    op: &Op,
+    now: SimTime,
+) -> Result<(String, Option<Placement>), String> {
+    Ok(match *op {
+        Op::Register { id, limit_mib } => {
+            let c = ContainerId(u64::from(id));
+            let limit = Bytes::mib(u64::from(limit_mib));
+            match b.register(c, limit, now) {
+                Ok(p) => (format!("register {c} {limit} -> ok"), Some(p)),
+                Err(e) => (format!("register {c} {limit} -> {e:?}"), None),
+            }
+        }
+        Op::Alloc { id, pid, size_mib } => {
+            let c = ContainerId(u64::from(id));
+            let (pid, size) = (u64::from(pid), Bytes::mib(u64::from(size_mib)));
+            let head = format!("alloc {c}/{pid} {size}");
+            match b.alloc_request(c, pid, size, ApiKind::Malloc, now) {
+                Ok((outcome, actions)) => {
+                    let out = match outcome {
+                        AllocOutcome::Granted => {
+                            let addr = 0x1000 + 0x1000 * d.allocs_done;
+                            d.allocs_done += 1;
+                            b.alloc_done(c, pid, addr, size, now)
+                                .map_err(|e| format!("alloc_done: {e:?}"))?;
+                            d.live_addrs.push((c, pid, addr));
+                            "granted".to_string()
+                        }
+                        AllocOutcome::Rejected => "rejected".to_string(),
+                        // Suspended tickets are simply abandoned here —
+                        // the scheduler must survive that too (a dead
+                        // client); Close/ProcessExit clean them up.
+                        AllocOutcome::Suspended { ticket } => format!("suspended {ticket:#018x}"),
+                    };
+                    (
+                        format!("{head} -> {out} {}", render_actions(&actions)),
+                        None,
+                    )
+                }
+                Err(e) => (format!("{head} -> {e:?}"), None),
+            }
+        }
+        Op::Free { id, addr_idx } => {
+            let c = ContainerId(u64::from(id));
+            let matches: Vec<usize> = d
+                .live_addrs
+                .iter()
+                .enumerate()
+                .filter(|(_, (cc, _, _))| *cc == c)
+                .map(|(i, _)| i)
+                .collect();
+            if matches.is_empty() {
+                (format!("free {c} -> nothing live"), None)
+            } else {
+                let i = matches[usize::from(addr_idx) % matches.len()];
+                let (cc, pid, addr) = d.live_addrs.remove(i);
+                match b.free(cc, pid, addr, now) {
+                    Ok((freed, actions)) => (
+                        format!(
+                            "free {c}/{pid} {addr:#x} -> {freed} {}",
+                            render_actions(&actions)
+                        ),
+                        None,
+                    ),
+                    Err(e) => (format!("free {c}/{pid} {addr:#x} -> {e:?}"), None),
+                }
+            }
+        }
+        Op::ProcessExit { id, pid } => {
+            let c = ContainerId(u64::from(id));
+            let pid = u64::from(pid);
+            match b.process_exit(c, pid, now) {
+                Ok(actions) => {
+                    d.live_addrs.retain(|(cc, p, _)| !(*cc == c && *p == pid));
+                    (
+                        format!("exit {c}/{pid} -> {}", render_actions(&actions)),
+                        None,
+                    )
+                }
+                Err(e) => (format!("exit {c}/{pid} -> {e:?}"), None),
+            }
+        }
+        Op::Close { id } => {
+            let c = ContainerId(u64::from(id));
+            match b.container_close(c, now) {
+                Ok(actions) => {
+                    d.live_addrs.retain(|(cc, _, _)| *cc != c);
+                    (format!("close {c} -> {}", render_actions(&actions)), None)
+                }
+                Err(e) => (format!("close {c} -> {e:?}"), None),
+            }
+        }
+    })
+}
+
 /// Whatever sequence of (possibly nonsensical) operations arrives, the
 /// full invariant oracle holds after every one, and the scheduler never
-/// panics.
+/// panics — and a one-device multi-GPU scheduler and a one-node,
+/// one-device cluster are the single-device scheduler: identical
+/// outcomes, tickets, resume actions and `mem_info` at every step.
 #[test]
 fn scheduler_invariants_hold_under_arbitrary_ops() {
     prop::cases("scheduler_invariants_hold_under_arbitrary_ops").run(|rng| {
         let policy = PolicyKind::ALL[rng.index(PolicyKind::ALL.len())];
         let n_ops = rng.range_inclusive(1, 120);
-        let mut sched = Scheduler::new(
-            SchedulerConfig::with_capacity(Bytes::mib(4096)),
-            policy.build(7),
+        let cap = Bytes::mib(4096);
+        let mut sched = Scheduler::new(SchedulerConfig::with_capacity(cap), policy.build(7));
+        let mut one_device = MultiGpuScheduler::new(&[cap], policy, PlacementPolicy::RoundRobin, 7);
+        let mut one_node = ClusterScheduler::new(
+            vec![ClusterNode::new("n0", &[cap], policy, 7)],
+            SwarmStrategy::Spread,
+            7,
         );
-        // Track granted allocations so Free ops can hit live addresses.
-        let mut live_addrs: Vec<(ContainerId, u64, u64)> = Vec::new(); // (container, pid, addr)
-        let mut next_addr = 0x1000u64;
+        let mut drivers: [OpDriver; 3] = Default::default();
         for t in 1..=n_ops {
             let now = SimTime::from_secs(t);
-            match gen_op(rng) {
-                Op::Register { id, limit_mib } => {
-                    let _ = sched.register(
-                        ContainerId(u64::from(id)),
-                        Bytes::mib(u64::from(limit_mib)),
-                        now,
-                    );
-                }
-                Op::Alloc { id, pid, size_mib } => {
-                    let c = ContainerId(u64::from(id));
-                    if let Ok((outcome, _)) = sched.alloc_request(
-                        c,
-                        u64::from(pid),
-                        Bytes::mib(u64::from(size_mib)),
-                        ApiKind::Malloc,
-                        now,
-                    ) {
-                        if outcome == AllocOutcome::Granted {
-                            let addr = next_addr;
-                            next_addr += 0x1000;
-                            sched
-                                .alloc_done(
-                                    c,
-                                    u64::from(pid),
-                                    addr,
-                                    Bytes::mib(u64::from(size_mib)),
-                                    now,
-                                )
-                                .map_err(|e| format!("alloc_done: {e:?}"))?;
-                            live_addrs.push((c, u64::from(pid), addr));
-                        }
-                        // Suspended tickets are simply abandoned here —
-                        // the scheduler must survive that too (a dead
-                        // client); Close/ProcessExit clean them up.
-                    }
-                }
-                Op::Free { id, addr_idx } => {
-                    let c = ContainerId(u64::from(id));
-                    let matches: Vec<usize> = live_addrs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, (cc, _, _))| *cc == c)
-                        .map(|(i, _)| i)
-                        .collect();
-                    if !matches.is_empty() {
-                        let i = matches[usize::from(addr_idx) % matches.len()];
-                        let (cc, pid, addr) = live_addrs.remove(i);
-                        let _ = sched.free(cc, pid, addr, now);
-                    }
-                }
-                Op::ProcessExit { id, pid } => {
-                    let c = ContainerId(u64::from(id));
-                    if sched.process_exit(c, u64::from(pid), now).is_ok() {
-                        live_addrs.retain(|(cc, p, _)| !(*cc == c && *p == u64::from(pid)));
-                    }
-                }
-                Op::Close { id } => {
-                    let c = ContainerId(u64::from(id));
-                    if sched.container_close(c, now).is_ok() {
-                        live_addrs.retain(|(cc, _, _)| *cc != c);
-                    }
-                }
+            let op = gen_op(rng);
+            let (want, _) = apply_op(&mut sched, &mut drivers[0], &op, now)?;
+            let (multi, _) = apply_op(&mut one_device, &mut drivers[1], &op, now)?;
+            let (cluster, _) = apply_op(&mut one_node, &mut drivers[2], &op, now)?;
+            ensure!(
+                multi == want,
+                "t={t}: one-device multi-GPU `{multi}` != `{want}`"
+            );
+            ensure!(
+                cluster == want,
+                "t={t}: one-node cluster `{cluster}` != `{want}`"
+            );
+            for id in 0..6 {
+                let c = ContainerId(id);
+                let want = sched.mem_info(c, 0);
+                ensure!(
+                    SchedulerBackend::mem_info(&one_device, c, 0) == want
+                        && SchedulerBackend::mem_info(&one_node, c, 0) == want,
+                    "t={t}: mem_info({c}) diverged from {want:?}"
+                );
             }
             if let Err(v) = sched.check_invariants() {
                 return Err(format!("invariant violated at t={t}: {v}"));
             }
-            ensure!(
-                sched.total_assigned() <= Bytes::mib(4096),
-                "over-commit at t={t}"
-            );
+            SchedulerBackend::check_invariants(&one_device)
+                .map_err(|e| format!("multi-GPU invariant violated at t={t}: {e}"))?;
+            SchedulerBackend::check_invariants(&one_node)
+                .map_err(|e| format!("cluster invariant violated at t={t}: {e}"))?;
+            ensure!(sched.total_assigned() <= cap, "over-commit at t={t}");
         }
         Ok(())
     });
+}
+
+/// One combination of the decision golden: a 72-op `gen_op` stream (three
+/// generations of six container ids, so late registrations meet a loaded
+/// topology), an `adopt` of a fresh id every twelfth step, and — for the
+/// cluster — node 0 drained mid-stream.
+fn render_decisions(label: &str, mut b: TopologyBackend, seed: u64, out: &mut String) {
+    use std::fmt::Write;
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut d = OpDriver::default();
+    let mut seen = std::collections::BTreeSet::new();
+    writeln!(out, "== {} {label}", b.topology_kind()).unwrap();
+    for t in 1..=72u64 {
+        let now = SimTime::from_secs(t);
+        let line = if t % 12 == 0 {
+            let c = ContainerId(100 + t);
+            let limit = Bytes::mib(rng.range_inclusive(64, 2047));
+            let used = Bytes::mib(rng.range_inclusive(0, limit.as_u64() >> 22));
+            match b.adopt(c, limit, used, now) {
+                Ok(p) => format!("adopt {c} {limit} used {used} -> ok @{}", p.label()),
+                Err(e) => format!("adopt {c} {limit} used {used} -> {e:?}"),
+            }
+        } else {
+            let mut op = gen_op(&mut rng);
+            let generation = 6 * ((t - 1) / 24) as u8;
+            let id = match &mut op {
+                Op::Register { id, .. }
+                | Op::Alloc { id, .. }
+                | Op::Free { id, .. }
+                | Op::ProcessExit { id, .. }
+                | Op::Close { id } => {
+                    *id += generation;
+                    *id
+                }
+            };
+            // An id's first op is its registration, whatever was drawn:
+            // most of a raw stream is `UnknownContainer` otherwise.
+            if seen.insert(id) && !matches!(op, Op::Register { .. }) {
+                let limit_mib = rng.range_inclusive(64, 2047) as u16;
+                op = Op::Register { id, limit_mib };
+            }
+            let (line, placed) = apply_op(&mut b, &mut d, &op, now).expect("alloc_done refused");
+            match placed {
+                Some(p) => format!("{line} @{}", p.label()),
+                None => line,
+            }
+        };
+        writeln!(out, "{t:>2} {line} fp={:016x}", b.fingerprint()).unwrap();
+        if let (36, TopologyBackend::Cluster(cs)) = (t, &mut b) {
+            let (moves, actions) = cs.migrate_node(0, now);
+            for m in moves {
+                writeln!(
+                    out,
+                    "   migrate {} {}->{:?} {} used {}",
+                    m.container, m.from, m.to, m.limit, m.used
+                )
+                .unwrap();
+            }
+            writeln!(
+                out,
+                "   drained node 0 {} fp={:016x}",
+                render_actions(&actions),
+                b.fingerprint()
+            )
+            .unwrap();
+        }
+        b.check_invariants().expect("topology invariants");
+    }
+    for dev in b.devices() {
+        writeln!(
+            out,
+            "   device {}:{} capacity {} unassigned {} open {} policy {}",
+            dev.node.as_deref().unwrap_or("-"),
+            dev.device,
+            dev.capacity,
+            dev.unassigned,
+            dev.open_containers,
+            dev.policy
+        )
+        .unwrap();
+    }
+}
+
+/// Every placement decision, pinned: `tests/golden/topology_decisions.golden`
+/// holds, for each policy × device placement on a two-GPU host and each
+/// policy × Swarm strategy on a two-node cluster (one node with two GPUs),
+/// what a seeded op stream got back at every step — placement label,
+/// outcome and ticket, resume actions, `fingerprint()` — and the closing
+/// `devices()` snapshot. Re-bless (an intended decision change) with
+/// `UPDATE_GOLDEN=1 cargo test --test scheduler_properties`.
+#[test]
+fn topology_decisions_match_the_golden_file() {
+    let (big, small) = (Bytes::mib(2560), Bytes::mib(2048));
+    let mut got = String::new();
+    let mut seed = 0xD0C5u64;
+    for policy in PolicyKind::ALL {
+        for placement in [
+            PlacementPolicy::RoundRobin,
+            PlacementPolicy::MostFree,
+            PlacementPolicy::BestFitDevice,
+        ] {
+            seed += 1;
+            let b = TopologyBackend::MultiGpu(MultiGpuScheduler::with_config(
+                SchedulerConfig::paper(),
+                &[small, big],
+                policy,
+                placement,
+                seed,
+            ));
+            let label = format!("{}+{}", policy.label(), placement.label());
+            render_decisions(&label, b, seed, &mut got);
+        }
+    }
+    for policy in PolicyKind::ALL {
+        for strategy in [
+            SwarmStrategy::Spread,
+            SwarmStrategy::BinPack,
+            SwarmStrategy::Random,
+        ] {
+            seed += 1;
+            let b = TopologyBackend::Cluster(ClusterScheduler::new(
+                vec![
+                    ClusterNode::new("n0", &[big], policy, seed),
+                    ClusterNode::new("n1", &[small, small], policy, seed + 100),
+                ],
+                strategy,
+                seed,
+            ));
+            let label = format!("{}+{}", policy.label(), strategy.label());
+            render_decisions(&label, b, seed, &mut got);
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/topology_decisions.golden"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(path).expect(
+        "golden file missing — bless with UPDATE_GOLDEN=1 cargo test --test scheduler_properties",
+    );
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(
+            g,
+            w,
+            "first divergence from the golden file at line {}",
+            i + 1
+        );
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
 }
 
 /// Observability is side-effect-only: the same operation trace applied

@@ -5,6 +5,7 @@
 //! Runs on the deterministic harness in `convgpu_audit::prop`.
 
 use convgpu::gpu::stream::{StreamEngine, StreamId};
+use convgpu::scheduler::backend::SchedulerBackend;
 use convgpu::scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
 use convgpu::scheduler::policy::PolicyKind;
 use convgpu::sim::event::EventQueue;

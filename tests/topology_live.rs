@@ -222,3 +222,25 @@ fn single_topology_answers_queries_too() {
     assert_eq!(ep.query_home(ContainerId(9)).unwrap(), (String::new(), 0));
     assert!(ep.query_home(ContainerId(10)).is_err());
 }
+
+/// A device count a ticket lane cannot name (device 256's tag would be
+/// node 1's) is the CLI's usage error, not a panic or a silent collision.
+#[test]
+fn cli_refuses_more_devices_than_a_ticket_lane_names() {
+    for args in [
+        &[
+            "cluster",
+            "serve-node",
+            "--socket=unused.sock",
+            "--devices=257",
+        ][..],
+        &["metrics", "--devices=257"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_convgpu-cli"))
+            .args(args)
+            .output()
+            .expect("convgpu-cli runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+    }
+}
