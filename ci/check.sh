@@ -86,7 +86,7 @@ else
   cargo run --offline -q --release -p convgpu-audit --bin convgpu-audit
 fi
 
-# The four loadgen campaigns only *produce* artifacts here; the single
+# The five loadgen campaigns only *produce* artifacts here; the single
 # "perf trend" step below diffs all of them against ci/perf_baseline.json
 # in one place and is the only perf pass/fail authority.
 quick_flag=()

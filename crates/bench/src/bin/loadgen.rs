@@ -1,4 +1,4 @@
-//! `loadgen` — hot-path throughput campaign + CI perf gate.
+//! `loadgen` — the hot-path throughput campaigns.
 //!
 //! ```text
 //! cargo run --release -p convgpu-bench --bin loadgen -- \
@@ -8,7 +8,7 @@
 //!     [--transport-compare] \
 //!     [--containers=N] [--workers=K] [--rounds=R] [--quick] \
 //!     [--transport=inproc|socket-json|socket-binary|tcp-json|tcp-binary] \
-//!     [--out=BENCH_3.json] [--baseline=ci/perf_baseline.json]
+//!     [--out=BENCH_3.json]
 //! ```
 //!
 //! Runs the [`convgpu_bench::loadgen`] campaign for all four policies
@@ -23,21 +23,16 @@
 //! with `--transport-compare`, the same storm over a UNIX socket and a
 //! TCP loopback socket back to back, writing the `BENCH_9.json` schema
 //! whose per-leg `transport_*_decisions_per_sec` the perf-trend step gates),
-//! prints a summary table, writes the machine-readable report to
-//! `--out`, and — when `--baseline` is given — exits non-zero if the
-//! aggregate throughput regressed more than the allowed envelope
-//! ([`convgpu_bench::loadgen::BASELINE_RETENTION`]). The sharded gate
-//! reads the baseline's `sharded_total_decisions_per_sec` field and the
-//! migration gate `migration_total_decisions_per_sec`. The cluster
-//! campaign is artifact-only (routed throughput is too
-//! machine-sensitive to gate) and rejects `--baseline`.
+//! prints a summary table and writes the machine-readable report to
+//! `--out`. A campaign fails on its own correctness asserts only; its
+//! headline throughput is judged against `ci/perf_baseline.json` by the
+//! `perf_trend` binary, once, over all the reports together.
 
 use convgpu_bench::loadgen::{
-    check_baseline, check_migration_baseline, check_sharded_baseline, render_cluster_json,
-    render_json, render_migration_json, render_sharded_json, render_transport_json, run_cluster,
-    run_loadgen, run_migration, run_sharded, run_transport_compare, BaselineVerdict,
-    ClusterLoadConfig, LoadgenConfig, MigrationLoadConfig, ShardedConfig, Transport,
-    TransportCompareConfig,
+    render_cluster_json, render_json, render_migration_json, render_sharded_json,
+    render_transport_json, run_cluster, run_loadgen, run_migration, run_sharded,
+    run_transport_compare, ClusterLoadConfig, LoadgenConfig, MigrationLoadConfig, ShardedConfig,
+    Transport, TransportCompareConfig,
 };
 use convgpu_bench::report::format_table;
 use convgpu_ipc::binary::WireCodec;
@@ -52,14 +47,12 @@ fn usage() -> ExitCode {
          \x20              [--transport-compare]\n\
          \x20              [--containers=N] [--workers=K] [--rounds=R] [--quick]\n\
          \x20              [--transport=inproc|socket-json|socket-binary|tcp-json|tcp-binary]\n\
-         \x20              [--out=FILE] [--baseline=FILE]"
+         \x20              [--out=FILE]"
     );
     ExitCode::from(2)
 }
 
 /// Report one transport-compare campaign (UNIX vs TCP loopback).
-/// Artifact-only here; each leg's throughput is gated by the unified
-/// perf-trend step against its `transport_*_decisions_per_sec` baseline.
 fn run_transport_campaign(cfg: &TransportCompareConfig, out: Option<PathBuf>) -> ExitCode {
     println!(
         "loadgen (transport): {} containers x {} workers, {} rounds, policy {}, codec {}, \
@@ -117,7 +110,7 @@ fn run_transport_campaign(cfg: &TransportCompareConfig, out: Option<PathBuf>) ->
     ExitCode::SUCCESS
 }
 
-/// Report one routed cluster campaign (artifact-only, never gated).
+/// Report one routed cluster campaign.
 fn run_cluster_campaign(cfg: &ClusterLoadConfig, out: Option<PathBuf>) -> ExitCode {
     println!(
         "loadgen (cluster): {} containers x {} workers, {} nodes x {} device(s) x {} MiB, \
@@ -185,12 +178,8 @@ fn run_cluster_campaign(cfg: &ClusterLoadConfig, out: Option<PathBuf>) -> ExitCo
     ExitCode::SUCCESS
 }
 
-/// Report and gate one kill-node fault campaign.
-fn run_migration_campaign(
-    cfg: &MigrationLoadConfig,
-    out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-) -> ExitCode {
+/// Report one kill-node fault campaign.
+fn run_migration_campaign(cfg: &MigrationLoadConfig, out: Option<PathBuf>) -> ExitCode {
     println!(
         "loadgen (migration): {} containers x {} workers, {} nodes x {} device(s) x {} MiB, \
          policy {}, strategy {}, kill n{} at container {}",
@@ -249,38 +238,11 @@ fn run_migration_campaign(
         }
         println!("wrote {} ({} bytes)", path.display(), text.len());
     }
-
-    if let Some(path) = baseline {
-        match check_migration_baseline(&report, &path) {
-            Ok(BaselineVerdict::Pass { measured, baseline }) => {
-                println!("perf gate: PASS — {measured:.0} decisions/s vs baseline {baseline:.0}");
-            }
-            Ok(BaselineVerdict::Regressed {
-                measured,
-                baseline,
-                floor,
-            }) => {
-                eprintln!(
-                    "perf gate: FAIL — {measured:.0} decisions/s is below the floor \
-                     {floor:.0} (baseline {baseline:.0}, >20% regression)"
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("perf gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
 }
 
-/// Report and gate one sharded campaign.
-fn run_sharded_campaign(
-    cfg: &ShardedConfig,
-    out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-) -> ExitCode {
+/// Report one sharded campaign.
+fn run_sharded_campaign(cfg: &ShardedConfig, out: Option<PathBuf>) -> ExitCode {
     println!(
         "loadgen (sharded): {} containers x {} workers, {} devices x {} MiB, \
          policy {}, transport {}",
@@ -341,29 +303,6 @@ fn run_sharded_campaign(
         }
         println!("wrote {} ({} bytes)", path.display(), text.len());
     }
-
-    if let Some(path) = baseline {
-        match check_sharded_baseline(&report, &path) {
-            Ok(BaselineVerdict::Pass { measured, baseline }) => {
-                println!("perf gate: PASS — {measured:.0} decisions/s vs baseline {baseline:.0}");
-            }
-            Ok(BaselineVerdict::Regressed {
-                measured,
-                baseline,
-                floor,
-            }) => {
-                eprintln!(
-                    "perf gate: FAIL — {measured:.0} decisions/s is below the floor \
-                     {floor:.0} (baseline {baseline:.0}, >20% regression)"
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("perf gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -384,7 +323,6 @@ fn main() -> ExitCode {
     let mut rounds_flag: Option<u32> = None;
     let mut quick = false;
     let mut out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     for a in std::env::args().skip(1) {
         if a == "--quick" {
             quick = true;
@@ -456,8 +394,6 @@ fn main() -> ExitCode {
             };
         } else if let Some(v) = a.strip_prefix("--out=") {
             out = Some(PathBuf::from(v));
-        } else if let Some(v) = a.strip_prefix("--baseline=") {
-            baseline = Some(PathBuf::from(v));
         } else {
             return usage();
         }
@@ -494,7 +430,7 @@ fn main() -> ExitCode {
             kill_at,
             ..template
         };
-        return run_migration_campaign(&mcfg, out, baseline);
+        return run_migration_campaign(&mcfg, out);
     }
     if kill_at.is_some() {
         // --kill-node-at only makes sense for the migration campaign.
@@ -502,9 +438,8 @@ fn main() -> ExitCode {
     }
 
     if transport_compare {
-        if sharded || cluster || baseline.is_some() {
-            // One campaign per invocation; the compare report is gated
-            // by the unified perf-trend step, not `--baseline`.
+        if sharded || cluster {
+            // One campaign per invocation.
             return usage();
         }
         let template = if quick {
@@ -526,9 +461,8 @@ fn main() -> ExitCode {
     }
 
     if cluster {
-        if sharded || baseline.is_some() {
-            // One campaign per invocation; the cluster report is never
-            // gated (see the module docs).
+        if sharded {
+            // One campaign per invocation.
             return usage();
         }
         let template = if quick {
@@ -567,7 +501,7 @@ fn main() -> ExitCode {
             devices,
             ..template
         };
-        return run_sharded_campaign(&scfg, out, baseline);
+        return run_sharded_campaign(&scfg, out);
     }
 
     println!(
@@ -624,29 +558,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("wrote {} ({} bytes)", path.display(), text.len());
-    }
-
-    if let Some(path) = baseline {
-        match check_baseline(&report, &path) {
-            Ok(BaselineVerdict::Pass { measured, baseline }) => {
-                println!("perf gate: PASS — {measured:.0} decisions/s vs baseline {baseline:.0}");
-            }
-            Ok(BaselineVerdict::Regressed {
-                measured,
-                baseline,
-                floor,
-            }) => {
-                eprintln!(
-                    "perf gate: FAIL — {measured:.0} decisions/s is below the floor \
-                     {floor:.0} (baseline {baseline:.0}, >20% regression)"
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("perf gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     ExitCode::SUCCESS
 }

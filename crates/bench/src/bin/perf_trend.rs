@@ -10,15 +10,14 @@
 //! table, appends the same table to `$GITHUB_STEP_SUMMARY` when that
 //! variable is set (GitHub Actions job summaries), and exits non-zero if
 //! any metric regressed below the retention floor
-//! ([`convgpu_bench::loadgen::BASELINE_RETENTION`]) or went missing from
+//! ([`convgpu_bench::trend::BASELINE_RETENTION`]) or went missing from
 //! the artifact set.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use convgpu_bench::loadgen::BASELINE_RETENTION;
-use convgpu_bench::trend::compare_trend;
+use convgpu_bench::trend::{compare_trend, BASELINE_RETENTION};
 
 fn usage() -> ExitCode {
     eprintln!(

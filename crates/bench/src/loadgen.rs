@@ -209,8 +209,8 @@ pub struct LoadgenReport {
 
 impl LoadgenReport {
     /// Aggregate throughput across policies: total decisions over total
-    /// wall time. This is the number the CI perf gate compares against
-    /// the committed baseline.
+    /// wall time. This is the number the perf-trend gate compares
+    /// against the committed baseline.
     pub fn total_decisions_per_sec(&self) -> f64 {
         let decisions: u64 = self.runs.iter().map(|r| r.decisions).sum();
         let elapsed: f64 = self.runs.iter().map(|r| r.elapsed_secs).sum();
@@ -638,7 +638,7 @@ impl TransportCompareReport {
     }
 
     /// TCP throughput as a fraction of UNIX throughput — the gated
-    /// number (baseline `1.0`, floor [`BASELINE_RETENTION`]).
+    /// number (baseline `1.0`, floor [`crate::trend::BASELINE_RETENTION`]).
     pub fn tcp_vs_unix_ratio(&self) -> f64 {
         if self.unix.decisions_per_sec > 0.0 {
             self.tcp.decisions_per_sec / self.unix.decisions_per_sec
@@ -819,9 +819,9 @@ pub struct ShardedReport {
 }
 
 impl ShardedReport {
-    /// Aggregate throughput across placements — the number the CI perf
-    /// gate compares against `sharded_total_decisions_per_sec` in the
-    /// committed baseline.
+    /// Aggregate throughput across placements — the number the
+    /// perf-trend gate compares against `sharded_total_decisions_per_sec`
+    /// in the committed baseline.
     pub fn sharded_total_decisions_per_sec(&self) -> f64 {
         let decisions: u64 = self.runs.iter().map(|r| r.decisions).sum();
         let elapsed: f64 = self.runs.iter().map(|r| r.elapsed_secs).sum();
@@ -991,88 +991,6 @@ pub fn render_sharded_json(report: &ShardedReport) -> String {
         report.sharded_total_decisions_per_sec()
     ));
     out
-}
-
-/// Outcome of a baseline comparison.
-#[derive(Clone, Debug, PartialEq)]
-pub enum BaselineVerdict {
-    /// Throughput is within the allowed envelope of the baseline.
-    Pass {
-        /// Measured aggregate decisions/sec.
-        measured: f64,
-        /// Committed baseline decisions/sec.
-        baseline: f64,
-    },
-    /// Throughput regressed past the threshold.
-    Regressed {
-        /// Measured aggregate decisions/sec.
-        measured: f64,
-        /// Committed baseline decisions/sec.
-        baseline: f64,
-        /// The floor the measurement had to clear.
-        floor: f64,
-    },
-}
-
-/// Fraction of the baseline the measured throughput must retain (the CI
-/// gate fails on a >20 % regression).
-pub const BASELINE_RETENTION: f64 = 0.80;
-
-/// Read one numeric field out of the committed baseline file.
-fn read_baseline_value(baseline_path: &Path, key: &str) -> Result<f64, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
-    let json = convgpu_ipc::json::parse(&text).map_err(|e| {
-        format!(
-            "baseline {} is not valid JSON: {e}",
-            baseline_path.display()
-        )
-    })?;
-    match json.get(key) {
-        Some(convgpu_ipc::json::Json::U64(n)) => Ok(*n as f64),
-        Some(convgpu_ipc::json::Json::F64(f)) => Ok(*f),
-        _ => Err(format!(
-            "baseline {} lacks a numeric {key}",
-            baseline_path.display()
-        )),
-    }
-}
-
-/// Apply the retention envelope to a measured throughput.
-fn apply_baseline(measured: f64, baseline: f64) -> BaselineVerdict {
-    let floor = baseline * BASELINE_RETENTION;
-    if measured >= floor {
-        BaselineVerdict::Pass { measured, baseline }
-    } else {
-        BaselineVerdict::Regressed {
-            measured,
-            baseline,
-            floor,
-        }
-    }
-}
-
-/// Compare `report` against the committed baseline file
-/// (`{"total_decisions_per_sec": N}` plus free-form context fields).
-pub fn check_baseline(
-    report: &LoadgenReport,
-    baseline_path: &Path,
-) -> Result<BaselineVerdict, String> {
-    let baseline = read_baseline_value(baseline_path, "total_decisions_per_sec")?;
-    Ok(apply_baseline(report.total_decisions_per_sec(), baseline))
-}
-
-/// Compare a sharded report against the committed baseline file's
-/// `sharded_total_decisions_per_sec` field.
-pub fn check_sharded_baseline(
-    report: &ShardedReport,
-    baseline_path: &Path,
-) -> Result<BaselineVerdict, String> {
-    let baseline = read_baseline_value(baseline_path, "sharded_total_decisions_per_sec")?;
-    Ok(apply_baseline(
-        report.sharded_total_decisions_per_sec(),
-        baseline,
-    ))
 }
 
 /// One cluster campaign (applied to each Swarm strategy in turn): every
@@ -1890,16 +1808,6 @@ pub fn render_migration_json(report: &MigrationReport) -> String {
     out
 }
 
-/// Compare a fault-campaign report against the committed baseline file's
-/// `migration_total_decisions_per_sec` field.
-pub fn check_migration_baseline(
-    report: &MigrationReport,
-    baseline_path: &Path,
-) -> Result<BaselineVerdict, String> {
-    let baseline = read_baseline_value(baseline_path, "migration_total_decisions_per_sec")?;
-    Ok(apply_baseline(report.decisions_per_sec, baseline))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2155,45 +2063,6 @@ mod tests {
         assert!(json.get("sharded_total_decisions_per_sec").is_some());
     }
 
-    #[test]
-    fn sharded_baseline_gate_reads_its_own_key() {
-        let cfg = ShardedConfig {
-            base: LoadgenConfig {
-                containers: 12,
-                workers: 2,
-                capacity: Bytes::gib(1),
-                ..tiny(Transport::InProc)
-            },
-            ..tiny_sharded(Transport::InProc)
-        };
-        let report = run_sharded(&cfg);
-        let dir =
-            std::env::temp_dir().join(format!("convgpu-sharded-baseline-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-
-        std::fs::write(
-            &path,
-            "{\"total_decisions_per_sec\": 100000000000, \"sharded_total_decisions_per_sec\": 1}",
-        )
-        .unwrap();
-        assert!(matches!(
-            check_sharded_baseline(&report, &path).unwrap(),
-            BaselineVerdict::Pass { .. }
-        ));
-
-        std::fs::write(&path, "{\"sharded_total_decisions_per_sec\": 100000000000}").unwrap();
-        assert!(matches!(
-            check_sharded_baseline(&report, &path).unwrap(),
-            BaselineVerdict::Regressed { .. }
-        ));
-
-        // The single-GPU key alone is not enough for the sharded gate.
-        std::fs::write(&path, "{\"total_decisions_per_sec\": 1}").unwrap();
-        assert!(check_sharded_baseline(&report, &path).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     fn tiny_cluster(codec: WireCodec) -> ClusterLoadConfig {
         ClusterLoadConfig {
             base: LoadgenConfig {
@@ -2353,48 +2222,5 @@ mod tests {
                 assert!(h.get(q).is_some(), "missing {hist}.{q}");
             }
         }
-
-        // The baseline hook reads its own key.
-        let dir =
-            std::env::temp_dir().join(format!("convgpu-migration-baseline-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, "{\"migration_total_decisions_per_sec\": 1}").unwrap();
-        assert!(matches!(
-            check_migration_baseline(&report, &path).unwrap(),
-            BaselineVerdict::Pass { .. }
-        ));
-        std::fs::write(&path, "{\"total_decisions_per_sec\": 1}").unwrap();
-        assert!(check_migration_baseline(&report, &path).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn baseline_gate_passes_and_fails_correctly() {
-        let cfg = LoadgenConfig {
-            containers: 12,
-            workers: 2,
-            ..tiny(Transport::InProc)
-        };
-        let report = run_loadgen(&cfg);
-        let dir = std::env::temp_dir().join(format!("convgpu-baseline-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-
-        std::fs::write(&path, "{\"total_decisions_per_sec\": 1}").unwrap();
-        assert!(matches!(
-            check_baseline(&report, &path).unwrap(),
-            BaselineVerdict::Pass { .. }
-        ));
-
-        std::fs::write(&path, "{\"total_decisions_per_sec\": 100000000000}").unwrap();
-        assert!(matches!(
-            check_baseline(&report, &path).unwrap(),
-            BaselineVerdict::Regressed { .. }
-        ));
-
-        std::fs::write(&path, "not json").unwrap();
-        assert!(check_baseline(&report, &path).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,14 @@
-//! Socket request handler: adapts the wire protocol onto the service.
+//! Socket request handler: hands each wire message to the service.
+//!
+//! What a message *does* is decided in one place,
+//! [`SchedulerService::call`]. The handler adds the one thing a socket
+//! needs on top: a connection thread must never block, so an
+//! `alloc_request` — the one message whose answer may be withheld — goes
+//! through the deferred path, which parks the [`Reply`] instead of the
+//! thread.
 
 use crate::service::SchedulerService;
-use convgpu_ipc::message::{Request, Response};
+use convgpu_ipc::message::Request;
 use convgpu_ipc::server::{ConnId, Reply, RequestHandler};
 use std::sync::Arc;
 
@@ -18,131 +25,19 @@ impl ServiceHandler {
     }
 }
 
-fn ok_or_error<T>(
-    reply: Reply,
-    result: Result<T, impl std::fmt::Display>,
-    f: impl FnOnce(T) -> Response,
-) {
-    match result {
-        Ok(v) => reply.send(f(v)),
-        Err(e) => reply.send(Response::Error {
-            message: e.to_string(),
-        }),
-    }
-}
-
 impl RequestHandler for ServiceHandler {
     fn on_request(&self, _conn: ConnId, req: Request, reply: Reply) {
         match req {
-            Request::Register { container, limit } => {
-                ok_or_error(reply, self.service.register(container, limit), |_| {
-                    Response::Ok
-                });
-            }
-            Request::RequestDir { container } => {
-                ok_or_error(reply, self.service.request_dir(container), |p| {
-                    Response::Dir {
-                        path: p.display().to_string(),
-                    }
-                });
-            }
+            // May park the reply — the suspension mechanism.
             Request::AllocRequest {
                 container,
                 pid,
                 size,
                 api,
-            } => {
-                // May park the reply — the suspension mechanism.
-                self.service
-                    .alloc_request_deferred(container, pid, size, api, reply);
-            }
-            Request::AllocDone {
-                container,
-                pid,
-                addr,
-                size,
-            } => {
-                ok_or_error(
-                    reply,
-                    self.service.alloc_done(container, pid, addr, size),
-                    |_| Response::Ok,
-                );
-            }
-            Request::AllocFailed {
-                container,
-                pid,
-                size,
-            } => {
-                ok_or_error(
-                    reply,
-                    self.service.alloc_failed(container, pid, size),
-                    |_| Response::Ok,
-                );
-            }
-            Request::Free {
-                container,
-                pid,
-                addr,
-            } => {
-                ok_or_error(reply, self.service.free(container, pid, addr), |size| {
-                    Response::Freed { size }
-                });
-            }
-            Request::MemInfo { container, pid } => {
-                ok_or_error(
-                    reply,
-                    self.service.mem_info(container, pid),
-                    |(free, total)| Response::MemInfo { free, total },
-                );
-            }
-            Request::ProcessExit { container, pid } => {
-                ok_or_error(reply, self.service.process_exit(container, pid), |_| {
-                    Response::Ok
-                });
-            }
-            Request::ContainerClose { container } => {
-                ok_or_error(reply, self.service.container_close(container), |_| {
-                    Response::Ok
-                });
-            }
-            Request::Ping => reply.send(Response::Pong),
-            Request::QueryMetrics => reply.send(Response::Metrics {
-                text: self.service.metrics_text(),
-            }),
-            Request::QueryTopology => {
-                let (kind, devices) = self.service.topology();
-                reply.send(Response::Topology { kind, devices });
-            }
-            Request::QueryHome { container } => match self.service.query_home(container) {
-                Some(p) => reply.send(Response::Home {
-                    node: p.node.unwrap_or_default(),
-                    device: p.device as u64,
-                }),
-                None => reply.send(Response::Error {
-                    message: format!("container {container} is not registered"),
-                }),
-            },
-            Request::QueryCluster => match self.service.cluster_status() {
-                Some((strategy, nodes)) => reply.send(Response::Cluster { strategy, nodes }),
-                None => reply.send(Response::Error {
-                    message: "not a cluster daemon".to_string(),
-                }),
-            },
-            Request::Migrate {
-                container,
-                node,
-                limit,
-                used,
-            } => {
-                ok_or_error(
-                    reply,
-                    self.service.migrate(container, &node, limit, used),
-                    |_| Response::Ok,
-                );
-            }
-            Request::QueryMigrations => reply.send(Response::Migrations {
-                records: self.service.migration_records(),
-            }),
+            } => self
+                .service
+                .alloc_request_deferred(container, pid, size, api, reply),
+            req => reply.send(self.service.call(req)),
         }
     }
 }

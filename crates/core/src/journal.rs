@@ -9,8 +9,12 @@
 //! migration off a dead node replayed `limit = 0`, `used = 0` onto the
 //! adopter and committed-memory placement ran blind.
 //!
-//! The journal fixes that with the classic WAL shape, split into two
-//! halves so the atomicity boundary is explicit:
+//! The journal fixes that with the classic WAL shape. What a record
+//! *means* is [`apply`], the one home-map transition: the live router
+//! changes its map by applying a [`JournalOp`] with it, and replay
+//! rebuilds the map by applying each record with it, so the two agree by
+//! construction. The machinery around it is split into two halves so the
+//! atomicity boundary is explicit:
 //!
 //! * **[`WalBuffer`] — the memory half.** The sequencer plus the
 //!   append buffer, owned by the router *inside the same mutex as the
@@ -126,7 +130,7 @@ pub enum JournalOp {
     Close { container: ContainerId },
     /// A migration hand-off committed onto `node`, carrying the
     /// checkpointed budget. The carried `used` is re-seeded under the
-    /// synthetic pid 0, mirroring the live router's books.
+    /// synthetic pid 0 (see [`apply`]).
     Migrate {
         container: ContainerId,
         node: String,
@@ -162,6 +166,16 @@ pub struct RecoveredHome {
     pub hint: Bytes,
     /// The wire-observed live-bytes ledger, per pid.
     pub used_by_pid: BTreeMap<u64, Bytes>,
+}
+
+impl RecoveredHome {
+    /// Total wire-observed live bytes across the container's pids — the
+    /// `used` checkpoint a migration off a dead node carries.
+    pub fn used(&self) -> Bytes {
+        self.used_by_pid
+            .values()
+            .fold(Bytes::ZERO, |acc, &b| acc + b)
+    }
 }
 
 /// What `Journal::open` reconstructed, plus how it got there.
@@ -342,12 +356,16 @@ impl JournalOp {
     }
 }
 
-/// Apply one op to a home map, exactly mirroring the live router's
-/// mutations (the replay-equivalence property tests compare against
-/// this). Ledger arithmetic is hostile-input safe: additions saturate
-/// and subtractions clamp at zero, so an adversarial journal can skew
-/// the books but never wrap or panic them.
-pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) {
+/// Apply one op to a home map. This is *the* home-map transition: the
+/// live router changes its map through it (`ClusterRouter::mutate`) and
+/// replay rebuilds the map through it, so the two cannot disagree about
+/// what an op does. Returns whether the op applied — its container had
+/// a home, or got one; an op that did not apply left the map untouched
+/// and is not journaled. Ledger arithmetic is hostile-input safe:
+/// additions saturate and subtractions clamp at zero, so an adversarial
+/// journal (or a node confirming absurd totals) can skew the books but
+/// never wrap or panic them.
+pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) -> bool {
     match op {
         JournalOp::Place {
             container,
@@ -364,6 +382,7 @@ pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) {
                     used_by_pid: BTreeMap::new(),
                 },
             );
+            true
         }
         JournalOp::Recover { container, node } => {
             homes.insert(
@@ -373,10 +392,9 @@ pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) {
                     ..RecoveredHome::default()
                 },
             );
+            true
         }
-        JournalOp::Close { container } => {
-            homes.remove(container);
-        }
+        JournalOp::Close { container } => homes.remove(container).is_some(),
         JournalOp::Migrate {
             container,
             node,
@@ -384,6 +402,11 @@ pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) {
             hint,
             used,
         } => {
+            // Per-pid attribution does not survive the wire (the adopter
+            // pre-commits one total), so the carried budget is re-seeded
+            // under the synthetic pid 0 — matching the node's books,
+            // where the adopted bytes have no addresses and no real pid
+            // can free them.
             let mut used_by_pid = BTreeMap::new();
             if *used > Bytes::ZERO {
                 used_by_pid.insert(0, *used);
@@ -397,33 +420,33 @@ pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) {
                     used_by_pid,
                 },
             );
+            true
         }
         JournalOp::AllocDone {
             container,
             pid,
             size,
-        } => {
-            if let Some(home) = homes.get_mut(container) {
-                let used = home.used_by_pid.entry(*pid).or_insert(Bytes::ZERO);
-                *used = Bytes::new(used.as_u64().saturating_add(size.as_u64()));
-            }
-        }
+        } => homes.get_mut(container).is_some_and(|home| {
+            let used = home.used_by_pid.entry(*pid).or_insert(Bytes::ZERO);
+            *used = Bytes::new(used.as_u64().saturating_add(size.as_u64()));
+            true
+        }),
+        // A `free` reporting more than the pid's recorded balance
+        // (out-of-order delivery, node restart) zeroes the entry.
         JournalOp::Free {
             container,
             pid,
             size,
-        } => {
-            if let Some(home) = homes.get_mut(container) {
-                if let Some(used) = home.used_by_pid.get_mut(pid) {
-                    *used = used.saturating_sub(*size);
-                }
+        } => homes.get_mut(container).is_some_and(|home| {
+            if let Some(used) = home.used_by_pid.get_mut(pid) {
+                *used = used.saturating_sub(*size);
             }
-        }
-        JournalOp::ProcessExit { container, pid } => {
-            if let Some(home) = homes.get_mut(container) {
-                home.used_by_pid.remove(pid);
-            }
-        }
+            true
+        }),
+        JournalOp::ProcessExit { container, pid } => homes.get_mut(container).is_some_and(|home| {
+            home.used_by_pid.remove(pid);
+            true
+        }),
     }
 }
 

@@ -33,6 +33,19 @@
 //! suspended allocation blocking arbitrarily long *is* the paper's
 //! mechanism. It unblocks through disconnect detection instead.
 //!
+//! **Dispatch.** The router is one function from message to reply,
+//! [`Transact::transact`] on [`ClusterRouter`]: it answers `ping` and
+//! the `query_*` kinds about itself, places a `register`, moves homes
+//! for `container_close` and `migrate`, and forwards **every other
+//! request as it came** to the home node of `req.container()` — so a
+//! new message that only has to reach the container's scheduler needs
+//! no router code. What stands in for an unreachable node is a per-kind
+//! table (`Unreachable`), and the ledger op a forwarded call amounts
+//! to is derived from its `(request, reply)` pair (`ledger_op`). The
+//! home map itself changes only through `ClusterRouter::mutate`, which
+//! applies a [`JournalOp`] with [`journal::apply`] — the function replay
+//! uses — so the live map is what its journal replays to.
+//!
 //! **Threads.** The router owns none for its calls (a journaled one has
 //! its idle flusher): a call runs on its caller's thread, and the
 //! per-node clients are read by whichever caller waits. Served on a
@@ -57,11 +70,13 @@
 //! what the node reported, `process_exit` drops the pid), and a
 //! migration off a *dead* node replays that checkpoint into the
 //! adoption — a live source's acknowledged close genuinely freed the
-//! memory, so only the dead-source path carries a non-zero `used`. Requests racing a migration park on a condvar
-//! (bounded by the router deadline) and then route to the new home.
+//! memory, so only the dead-source path carries a non-zero `used`.
+//! Requests racing a migration park on a condvar (bounded by the router
+//! deadline) and then route to the new home; the same flag reserves a
+//! container id while its `register` is being placed.
 //! When no survivor can adopt a container the migration is recorded as
 //! `rejected` and the container ends closed — a clean rejection, never
-//! a hang. The full history is answered over `query_migrations`.
+//! a hang. The newest records are answered over `query_migrations`.
 //!
 //! Placement accounting is router-local: the router tracks the limits it
 //! has committed per node (plus the 66 MiB context hint) rather than
@@ -98,13 +113,13 @@
 //! `query_cluster`.
 
 use crate::handler::ServiceHandler;
-use crate::journal::{Journal, JournalConfig, JournalOp, RecoveredHome, WalBuffer};
-use crate::service::{ObsHub, SchedulerService};
+use crate::journal::{self, Journal, JournalConfig, JournalOp, RecoveredHome, WalBuffer};
+use crate::service::{MigrationLog, ObsHub, SchedulerService};
 use convgpu_ipc::binary::WireCodec;
 use convgpu_ipc::client::SchedulerClient;
-use convgpu_ipc::endpoint::{IpcError, IpcResult, SchedulerEndpoint};
+use convgpu_ipc::endpoint::{IpcError, IpcResult, Transact};
 use convgpu_ipc::message::{
-    AllocDecision, ApiKind, ClusterNodeStatus, MigrationRecord, Request, Response, TopologyDevice,
+    AllocDecision, ClusterNodeStatus, MigrationRecord, Request, Response, TopologyDevice,
 };
 use convgpu_ipc::server::{ConnId, Reply, RequestHandler, SocketServer};
 use convgpu_ipc::transport::EndpointAddr;
@@ -307,34 +322,14 @@ impl RouterNode {
     }
 }
 
-/// Router-side record of a placed container.
-struct Home {
-    node: usize,
-    /// Memory committed against the node at placement (limit + context
-    /// hint); zero for homes re-learned after a router restart.
-    hint: Bytes,
-    /// The limit the container registered with — the checkpoint a
-    /// migration replays onto the adopting node. Zero for recovered
-    /// homes (the limit is node-side state the router never saw).
-    limit: Bytes,
-    /// Live bytes per pid as the router observed them on the wire
-    /// (`alloc_done` adds, `free` subtracts what the node reported
-    /// freed, `process_exit` drops the pid). This is the `used`
-    /// checkpoint a migration off a *dead* node replays onto the
-    /// adopter — the node-side books are unreachable then, and the
-    /// wire-observed ledger is exactly what the container's processes
-    /// believe they still hold. Empty for recovered homes.
-    used_by_pid: BTreeMap<u64, Bytes>,
-}
-
-impl Home {
-    /// Total wire-observed live bytes across the container's pids.
-    fn used(&self) -> Bytes {
-        self.used_by_pid
-            .values()
-            .fold(Bytes::ZERO, |acc, &b| acc + b)
-    }
-}
+/// The home map: per placed container, the node it lives on (by name —
+/// the journal's shape, so the live map and a replayed one are the same
+/// type, changed by the same [`journal::apply`]), the limit it registered
+/// with, the memory committed against the node at placement (limit +
+/// context hint) and the wire-observed per-pid `used` ledger. A home
+/// re-learned after a journal-less restart has zero limit and hint and
+/// an empty ledger (node-side state the router never saw).
+type Homes = BTreeMap<ContainerId, RecoveredHome>;
 
 /// Everything guarded by the router's home-map lock. The journal's
 /// memory half lives *here*, beside the map it records: one critical
@@ -343,8 +338,8 @@ impl Home {
 /// can never stamp a `covered` sequence whose mutation its map capture
 /// missed. Every operation under this lock is pure memory.
 struct HomesState {
-    /// The home map itself.
-    map: BTreeMap<ContainerId, Home>,
+    /// The home map itself. Every node name in it is an attached node's.
+    map: Homes,
     /// The journal's sequencer + append buffer (`None` without a
     /// journal — the volatile router, byte-for-byte unchanged). File
     /// I/O happens in [`drain_wal`] / [`ClusterRouter::snapshot_now`]
@@ -355,27 +350,7 @@ struct HomesState {
     /// restart with a corrected node list still recovers them; an
     /// entry is evicted when the live cluster journals any op reusing
     /// its container id.
-    orphans: BTreeMap<ContainerId, RecoveredHome>,
-}
-
-/// The home map keyed by node *name* (the journal's shape).
-fn named_homes(
-    nodes: &[RouterNode],
-    map: &BTreeMap<ContainerId, Home>,
-) -> BTreeMap<ContainerId, RecoveredHome> {
-    map.iter()
-        .map(|(container, h)| {
-            (
-                *container,
-                RecoveredHome {
-                    node: nodes[h.node].name.clone(),
-                    limit: h.limit,
-                    hint: h.hint,
-                    used_by_pid: h.used_by_pid.clone(),
-                },
-            )
-        })
-        .collect()
+    orphans: Homes,
 }
 
 /// Drain the buffered journal records to the log file. Lock order is
@@ -418,15 +393,18 @@ pub struct ClusterRouter {
     clock: ClockHandle,
     codec: WireCodec,
     nodes: Vec<RouterNode>,
+    /// Node name → index into `nodes` (the first of that name).
+    node_index: BTreeMap<String, usize>,
     /// The home map plus the journal's in-memory half (see
     /// [`HomesState`]); `Arc` so the idle flusher thread can reach it.
     /// Mutators take only this lock — never the journal lock.
     homes: Arc<Mutex<HomesState>>,
     rng: Mutex<DetRng>,
     obs: Arc<ObsHub>,
-    /// Completed and rejected migrations, oldest first.
-    migrations: Mutex<Vec<MigrationRecord>>,
-    /// Containers mid-migration; requests for them park on the condvar.
+    /// The newest completed and rejected migrations.
+    migrations: Mutex<MigrationLog>,
+    /// Containers whose home is being decided — mid-migration or
+    /// mid-registration; requests for them park on the condvar.
     migrating: Mutex<BTreeSet<ContainerId>>,
     migration_done: Condvar,
     /// Nodes with a drain in flight — collapses the burst of failure
@@ -452,6 +430,77 @@ fn ctx_hint(limit: Bytes) -> Bytes {
     limit + Bytes::mib(66)
 }
 
+/// What the router answers in a node's place when a forwarded request
+/// cannot reach it — the per-kind degradation table. A kind not named
+/// here is forwarded under the deadline and its failure is the answer.
+enum Unreachable {
+    /// `alloc_request`: exactly what the scheduler answers for a killed
+    /// container's parked requests, so a blocked client unblocks. Also
+    /// the one kind forwarded without deadline or retry — a suspension
+    /// blocking arbitrarily long is the mechanism.
+    Reject,
+    /// Teardown-ish calls must never wedge a client: acknowledged with
+    /// this (a dead node freed nothing, so a degraded `free` says zero).
+    Ack(Response),
+    /// Book-keeping answers from a dead node would be fabrications: the
+    /// failure goes back, and a node known to be down is not even asked.
+    Refuse,
+    /// The failure goes back; a down node still gets its one probe.
+    Fail,
+}
+
+impl Unreachable {
+    fn of(req: &Request) -> Unreachable {
+        match req {
+            Request::AllocRequest { .. } => Unreachable::Reject,
+            Request::AllocDone { .. }
+            | Request::AllocFailed { .. }
+            | Request::ProcessExit { .. }
+            | Request::ContainerClose { .. } => Unreachable::Ack(Response::Ok),
+            Request::Free { .. } => Unreachable::Ack(Response::Freed { size: Bytes::ZERO }),
+            Request::MemInfo { .. } => Unreachable::Refuse,
+            _ => Unreachable::Fail,
+        }
+    }
+}
+
+/// The ledger transition a forwarded request and its reply amount to:
+/// the router keeps a wire-observed per-pid `used` ledger — a confirmed
+/// `alloc_done` adds, `free` subtracts what the node reported freed (a
+/// degraded zero subtracts nothing: a dead node freed nothing),
+/// `process_exit` drops the pid — as the checkpoint a migration off a
+/// dead node carries to the adopter.
+fn ledger_op(req: &Request, reply: &Response) -> Option<JournalOp> {
+    match (req, reply) {
+        (
+            &Request::AllocDone {
+                container,
+                pid,
+                size,
+                ..
+            },
+            Response::Ok,
+        ) => Some(JournalOp::AllocDone {
+            container,
+            pid,
+            size,
+        }),
+        (&Request::Free { container, pid, .. }, &Response::Freed { size })
+            if size > Bytes::ZERO =>
+        {
+            Some(JournalOp::Free {
+                container,
+                pid,
+                size,
+            })
+        }
+        (&Request::ProcessExit { container, pid }, Response::Ok) => {
+            Some(JournalOp::ProcessExit { container, pid })
+        }
+        _ => None,
+    }
+}
+
 impl ClusterRouter {
     /// Front the given `(name, endpoint)` nodes — endpoints are anything
     /// convertible to an [`EndpointAddr`] (a `PathBuf` keeps meaning a
@@ -471,14 +520,20 @@ impl ClusterRouter {
         assert!(!nodes.is_empty(), "a cluster needs at least one node");
         let seed = cfg.seed;
         let obs = Arc::new(ObsHub::new());
+        let nodes: Vec<RouterNode> = nodes
+            .into_iter()
+            .map(|(name, endpoint)| RouterNode::new(name, endpoint.into()))
+            .collect();
+        let mut node_index = BTreeMap::new();
+        for (idx, node) in nodes.iter().enumerate() {
+            node_index.entry(node.name.clone()).or_insert(idx);
+        }
         let router = ClusterRouter {
             cfg,
             clock,
             codec,
-            nodes: nodes
-                .into_iter()
-                .map(|(name, endpoint)| RouterNode::new(name, endpoint.into()))
-                .collect(),
+            nodes,
+            node_index,
             homes: Arc::new(Mutex::new(HomesState {
                 map: BTreeMap::new(),
                 wal: None,
@@ -486,7 +541,7 @@ impl ClusterRouter {
             })),
             rng: Mutex::new(DetRng::seed_from_u64(seed)),
             obs,
-            migrations: Mutex::new(Vec::new()),
+            migrations: Mutex::new(MigrationLog::default()),
             migrating: Mutex::new(BTreeSet::new()),
             migration_done: Condvar::new(),
             draining: Mutex::new(BTreeSet::new()),
@@ -528,32 +583,17 @@ impl ClusterRouter {
         let mut router = ClusterRouter::attach(nodes, codec, cfg, clock);
         let (journal, wal, recovery) = Journal::open(journal)?;
         let idle_flush = journal.config().idle_flush;
-        let mut recovered = 0u64;
-        let mut orphaned = 0u64;
-        {
+        let (recovered, orphaned) = {
             let mut state = router.homes.lock();
-            for (container, rec) in recovery.homes {
-                match router.nodes.iter().position(|n| n.name == rec.node) {
-                    Some(idx) => {
-                        state.map.insert(
-                            container,
-                            Home {
-                                node: idx,
-                                hint: rec.hint,
-                                limit: rec.limit,
-                                used_by_pid: rec.used_by_pid,
-                            },
-                        );
-                        recovered += 1;
-                    }
-                    None => {
-                        state.orphans.insert(container, rec);
-                        orphaned += 1;
-                    }
-                }
-            }
+            let (live, orphans) = recovery
+                .homes
+                .into_iter()
+                .partition(|(_, home)| router.node_index.contains_key(&home.node));
+            state.map = live;
+            state.orphans = orphans;
             state.wal = Some(wal);
-        }
+            (state.map.len() as u64, state.orphans.len() as u64)
+        };
         let reg = &router.obs.registry;
         reg.inc(
             "convgpu_router_journal_replayed_records_total",
@@ -609,38 +649,47 @@ impl ClusterRouter {
         Ok(router)
     }
 
-    /// Run one home-map mutation and (with a journal) buffer its
-    /// record **in the same critical section** — the fix for the
-    /// compaction race and the append/apply ordering divergence: the
-    /// record's sequence number is assigned at the instant the map
-    /// changes, so no interleaving can journal mutations in an order
-    /// the map never went through, and no compaction can cover a
-    /// sequence whose mutation its capture missed. The closure returns
-    /// its result plus the op to journal (`None` = nothing changed).
-    /// Everything under the lock is pure memory; the due drain or
-    /// compaction happens after release.
-    fn mutate<R>(
-        &self,
-        f: impl FnOnce(&mut BTreeMap<ContainerId, Home>) -> (R, Option<JournalOp>),
-    ) -> R {
-        let (result, journaled, flush_due, snapshot_due) = {
+    /// Change the home map: apply `op` through [`journal::apply`] — the
+    /// transition replay uses, so the live map is what its journal
+    /// replays to — and (with a journal) buffer the op's record **in
+    /// the same critical section**: the record's sequence number is
+    /// assigned at the instant the map changes, so no interleaving can
+    /// journal mutations in an order the map never went through, and no
+    /// compaction can cover a sequence whose mutation its capture
+    /// missed. Returns whether the op applied; one that did not (its
+    /// container has no home any more) is not journaled. Everything
+    /// under the lock is pure memory; the due drain or compaction
+    /// happens after release.
+    fn mutate(&self, op: JournalOp) -> bool {
+        self.mutate_if_on(op, None)
+    }
+
+    /// [`ClusterRouter::mutate`], with a condition checked in the same
+    /// critical section: given a node, the op applies only while its
+    /// container is still homed there.
+    fn mutate_if_on(&self, op: JournalOp, node: Option<usize>) -> bool {
+        let (applied, journaled, flush_due, snapshot_due) = {
             let mut state = self.homes.lock();
             let state = &mut *state;
-            let (result, op) = f(&mut state.map);
+            let moved = node.is_some_and(|idx| {
+                let home = state.map.get(&op.container());
+                home.is_some_and(|h| h.node != self.nodes[idx].name)
+            });
+            let applied = !moved && journal::apply(&mut state.map, &op);
             let mut journaled = false;
             let mut flush_due = false;
             let mut snapshot_due = false;
-            if let (Some(op), Some(wal)) = (&op, state.wal.as_mut()) {
+            if let (true, Some(wal)) = (applied, state.wal.as_mut()) {
                 // Any journaled op on this container id supersedes a
                 // preserved orphan checkpoint: the live cluster owns
                 // the id now.
                 state.orphans.remove(&op.container());
-                wal.append(op);
+                wal.append(&op);
                 journaled = true;
                 snapshot_due = wal.snapshot_due();
                 flush_due = !snapshot_due && wal.flush_due(self.clock.now());
             }
-            (result, journaled, flush_due, snapshot_due)
+            (applied, journaled, flush_due, snapshot_due)
         };
         if journaled {
             self.obs
@@ -654,7 +703,7 @@ impl ClusterRouter {
                 drain_wal(journal, &self.homes, self.clock.now(), &self.obs);
             }
         }
-        result
+        applied
     }
 
     /// Write a compacted snapshot of the current home map — preserved
@@ -681,7 +730,7 @@ impl ClusterRouter {
                         // Live homes win over a stale orphan (mutate()
                         // evicts on id reuse, so overlap means a race
                         // this snapshot is about to settle).
-                        snap.extend(named_homes(&self.nodes, &state.map));
+                        snap.extend(state.map.clone());
                         Some((covered, snap))
                     }
                     None => None,
@@ -707,12 +756,10 @@ impl ClusterRouter {
         );
     }
 
-    /// The live home map as the journal (and its tests) see it: node
-    /// *names* instead of indices, with the full checkpoint per home.
-    /// Preserved orphans are not part of the live map.
+    /// The live home map, with the full checkpoint per home. Preserved
+    /// orphans are not part of the live map.
     pub fn homes_snapshot(&self) -> BTreeMap<ContainerId, RecoveredHome> {
-        let state = self.homes.lock();
-        named_homes(&self.nodes, &state.map)
+        self.homes.lock().map.clone()
     }
 
     /// Drain any buffered journal records to the OS now, regardless of
@@ -746,29 +793,37 @@ impl ClusterRouter {
 
     /// Current health of the named node, if it exists.
     pub fn node_health(&self, name: &str) -> Option<NodeHealth> {
-        self.nodes
-            .iter()
-            .find(|n| n.name == name)
-            .map(|n| n.health())
+        self.node_index.get(name).map(|&i| self.nodes[i].health())
+    }
+
+    /// Index of the node a home names.
+    fn node_of(&self, home: &RecoveredHome) -> usize {
+        self.node_index[home.node.as_str()]
+    }
+
+    /// Per node, from one pass over the home map: the bytes committed
+    /// against it and the containers homed on it.
+    fn node_loads(&self) -> Vec<(Bytes, u64)> {
+        let mut loads = vec![(Bytes::ZERO, 0u64); self.nodes.len()];
+        let state = self.homes.lock();
+        for home in state.map.values() {
+            let (committed, placed) = &mut loads[self.node_of(home)];
+            *committed += home.hint;
+            *placed += 1;
+        }
+        loads
     }
 
     /// The `query_cluster` answer: strategy plus per-node status.
     pub fn cluster_status(&self) -> (String, Vec<ClusterNodeStatus>) {
-        let mut per_node = vec![0u64; self.nodes.len()];
-        {
-            let state = self.homes.lock();
-            for home in state.map.values() {
-                per_node[home.node] += 1;
-            }
-        }
         let nodes = self
             .nodes
             .iter()
-            .enumerate()
-            .map(|(i, n)| ClusterNodeStatus {
+            .zip(self.node_loads())
+            .map(|(n, (_, containers))| ClusterNodeStatus {
                 node: n.name.clone(),
                 health: n.health().label().to_string(),
-                containers: per_node[i],
+                containers,
                 retries: n.retries.load(Ordering::Relaxed),
                 timeouts: n.timeouts.load(Ordering::Relaxed),
                 failovers: n.failovers.load(Ordering::Relaxed),
@@ -876,24 +931,29 @@ impl ClusterRouter {
         capped.saturating_add(SimDuration::from_nanos(jitter_ns))
     }
 
-    /// Forward a deadline-bounded request to node `idx`, retrying
-    /// transport failures with backoff. A down node gets exactly one
-    /// probe attempt (cheap when the socket is really gone, and the path
-    /// back to `up` when the node returns) — its requests are otherwise
-    /// drained by the callers' degradation rules.
-    fn call_gated(&self, idx: usize, req: Request) -> IpcResult<Response> {
+    /// Send `req` to node `idx` and return what came of it, keeping the
+    /// node's health and the route metrics. `bounded` is the
+    /// control-plane shape: each attempt under
+    /// [`RouterConfig::deadline`], transport failures retried with
+    /// backoff. A down node gets exactly one probe attempt (cheap when
+    /// the socket is really gone, and the path back to `up` when the
+    /// node returns). Unbounded is for `alloc_request` alone: one
+    /// attempt that may block for as long as the node suspends the
+    /// container, ended by the reply or by the connection's death.
+    fn call_node(&self, idx: usize, req: &Request, bounded: bool) -> IpcResult<Response> {
         let node = &self.nodes[idx];
-        let retry_budget = if node.health() == NodeHealth::Down {
-            0
-        } else {
+        let retry_budget = if bounded && node.health() != NodeHealth::Down {
             self.cfg.max_retries
+        } else {
+            0
         };
         let mut attempt: u32 = 0;
         loop {
             let t0 = self.clock.now();
-            let result = self
-                .client_for(idx)
-                .and_then(|c| c.request_deadline(req.clone(), &self.clock, self.cfg.deadline));
+            let result = self.client_for(idx).and_then(|c| match bounded {
+                true => c.request_deadline(req.clone(), &self.clock, self.cfg.deadline),
+                false => c.request(req.clone()),
+            });
             self.obs.registry.observe(
                 "convgpu_router_route_seconds",
                 &[("node", &node.name)],
@@ -936,6 +996,40 @@ impl ClusterRouter {
         }
     }
 
+    /// Forward the request the router was handed to node `idx`, and
+    /// stand in for the node where [`Unreachable`] says so — when it is
+    /// down, or when the transport fails under the call. Returns the
+    /// reply and whether it is such a stand-in rather than the node's
+    /// own (the migration path needs to know if a `container_close`
+    /// really freed memory on a live source or papered over a dead one).
+    /// A refusal by the node's scheduler is never degraded.
+    fn forward(&self, idx: usize, req: &Request) -> IpcResult<(Response, bool)> {
+        let node = &self.nodes[idx];
+        let unreachable = Unreachable::of(req);
+        let stand_in = |unreachable, error: IpcError| match unreachable {
+            Unreachable::Reject => {
+                node.failovers.fetch_add(1, Ordering::Relaxed);
+                self.obs
+                    .registry
+                    .inc("convgpu_router_failovers_total", &[("node", &node.name)], 1);
+                let decision = AllocDecision::Rejected;
+                Ok((Response::Alloc { decision }, true))
+            }
+            Unreachable::Ack(fallback) => Ok((fallback, true)),
+            Unreachable::Refuse | Unreachable::Fail => Err(error),
+        };
+        if node.health() == NodeHealth::Down && !matches!(unreachable, Unreachable::Fail) {
+            let down = IpcError::Scheduler(format!("node {} is down", node.name));
+            return stand_in(unreachable, down);
+        }
+        let bounded = !matches!(unreachable, Unreachable::Reject);
+        match self.call_node(idx, req, bounded) {
+            Ok(resp) => Ok((resp, false)),
+            Err(e @ (IpcError::Scheduler(_) | IpcError::UnexpectedResponse(_))) => Err(e),
+            Err(transport) => stand_in(unreachable, transport),
+        }
+    }
+
     /// Learn `(max device, total)` capacities for nodes that have never
     /// answered a topology probe (skipping down nodes).
     fn ensure_caps(&self) {
@@ -948,7 +1042,7 @@ impl ClusterRouter {
                 }
             }
             if let Ok(Response::Topology { devices, .. }) =
-                self.call_gated(idx, Request::QueryTopology)
+                self.call_node(idx, &Request::QueryTopology, true)
             {
                 let max = devices
                     .iter()
@@ -968,17 +1062,7 @@ impl ClusterRouter {
     /// out. `excluded` marks nodes already tried (and failed) for this
     /// register.
     fn pick_node(&self, hint: Bytes, excluded: &[bool]) -> Option<usize> {
-        // Committed bytes and container counts per node, from one pass
-        // over the homes map.
-        let mut committed = vec![Bytes::ZERO; self.nodes.len()];
-        let mut placed = vec![0u64; self.nodes.len()];
-        {
-            let state = self.homes.lock();
-            for home in state.map.values() {
-                committed[home.node] += home.hint;
-                placed[home.node] += 1;
-            }
-        }
+        let loads = self.node_loads();
         let capable: Vec<usize> = (0..self.nodes.len())
             .filter(|&i| {
                 if excluded[i] {
@@ -996,7 +1080,7 @@ impl ClusterRouter {
         let remaining = |i: usize| -> u64 {
             let caps = self.nodes[i].state.lock().caps;
             match caps {
-                Some((_, total)) => total.as_u64().saturating_sub(committed[i].as_u64()),
+                Some((_, total)) => total.as_u64().saturating_sub(loads[i].0.as_u64()),
                 None => u64::MAX,
             }
         };
@@ -1004,7 +1088,7 @@ impl ClusterRouter {
             &capable,
             |_| hint,
             remaining,
-            |i| placed[i],
+            |i| loads[i].1,
             |n| self.rng.lock().index(n),
         )
     }
@@ -1012,12 +1096,31 @@ impl ClusterRouter {
     /// Place and register a container; returns the chosen node's name.
     /// A node that fails at the transport level during placement is
     /// excluded and the next capable node is tried (placement failover).
+    ///
+    /// The id is reserved for as long as the placement takes: a second
+    /// `register` of it (a retrying or hostile client on another
+    /// connection) is refused without being forwarded anywhere — placed
+    /// independently it could land on another node, and the later home
+    /// would overwrite the earlier one, whose node then keeps an open
+    /// container that nothing will ever close. Other requests for the id
+    /// park until the placement is decided, like requests racing a
+    /// migration.
     pub fn register(&self, container: ContainerId, limit: Bytes) -> IpcResult<String> {
-        if self.homes.lock().map.contains_key(&container) {
-            return Err(IpcError::Scheduler(format!(
+        let reserved = self.migrating.lock().insert(container);
+        let placed = if reserved && !self.homes.lock().map.contains_key(&container) {
+            self.place(container, limit)
+        } else {
+            Err(IpcError::Scheduler(format!(
                 "container {container} is already registered"
-            )));
+            )))
+        };
+        if reserved {
+            self.release(container);
         }
+        placed
+    }
+
+    fn place(&self, container: ContainerId, limit: Bytes) -> IpcResult<String> {
         self.ensure_caps();
         let hint = ctx_hint(limit);
         let mut excluded = vec![false; self.nodes.len()];
@@ -1027,38 +1130,21 @@ impl ClusterRouter {
                     "no capable node for container {container} (requirement {hint})"
                 )));
             };
-            match self.call_gated(pick, Request::Register { container, limit }) {
+            let node = self.nodes[pick].name.clone();
+            match self.call_node(pick, &Request::Register { container, limit }, true) {
                 Ok(Response::Ok) => {
-                    let node_name = self.nodes[pick].name.clone();
-                    self.mutate(|map| {
-                        map.insert(
-                            container,
-                            Home {
-                                node: pick,
-                                hint,
-                                limit,
-                                used_by_pid: BTreeMap::new(),
-                            },
-                        );
-                        (
-                            (),
-                            Some(JournalOp::Place {
-                                container,
-                                node: node_name,
-                                limit,
-                                hint,
-                            }),
-                        )
+                    self.mutate(JournalOp::Place {
+                        container,
+                        node: node.clone(),
+                        limit,
+                        hint,
                     });
                     self.obs.registry.inc(
                         "convgpu_router_placement_total",
-                        &[
-                            ("strategy", self.cfg.strategy.label()),
-                            ("node", &self.nodes[pick].name),
-                        ],
+                        &[("strategy", self.cfg.strategy.label()), ("node", &node)],
                         1,
                     );
-                    return Ok(self.nodes[pick].name.clone());
+                    return Ok(node);
                 }
                 Ok(other) => {
                     return Err(IpcError::UnexpectedResponse(format!("{other:?}")));
@@ -1075,7 +1161,8 @@ impl ClusterRouter {
 
     /// Home node index for a container the router knows.
     fn home_idx(&self, container: ContainerId) -> Option<usize> {
-        self.homes.lock().map.get(&container).map(|h| h.node)
+        let state = self.homes.lock();
+        state.map.get(&container).map(|home| self.node_of(home))
     }
 
     /// Re-learn the home of a container placed by a previous router
@@ -1087,26 +1174,11 @@ impl ClusterRouter {
                 continue;
             }
             if let Ok(Response::Home { .. }) =
-                self.call_gated(idx, Request::QueryHome { container })
+                self.call_node(idx, &Request::QueryHome { container }, true)
             {
-                let node_name = self.nodes[idx].name.clone();
-                self.mutate(|map| {
-                    map.insert(
-                        container,
-                        Home {
-                            node: idx,
-                            hint: Bytes::ZERO,
-                            limit: Bytes::ZERO,
-                            used_by_pid: BTreeMap::new(),
-                        },
-                    );
-                    (
-                        (),
-                        Some(JournalOp::Recover {
-                            container,
-                            node: node_name,
-                        }),
-                    )
+                self.mutate(JournalOp::Recover {
+                    container,
+                    node: self.nodes[idx].name.clone(),
                 });
                 return Some(idx);
             }
@@ -1121,10 +1193,10 @@ impl ClusterRouter {
             .ok_or_else(|| IpcError::Scheduler(format!("unknown container {container}")))
     }
 
-    /// Park the caller while `container` is mid-migration, bounded by
-    /// the router deadline, so a request racing the hand-off routes to
-    /// the new home instead of the dying one. The bound means a stuck
-    /// migration can never wedge a client.
+    /// Park the caller while `container`'s home is being decided,
+    /// bounded by the router deadline, so a request racing the hand-off
+    /// routes to the new home instead of the dying one. The bound means
+    /// a stuck migration can never wedge a client.
     fn await_migration(&self, container: ContainerId) {
         let bound = std::time::Duration::from_nanos(self.cfg.deadline.as_nanos());
         let mut migrating = self.migrating.lock();
@@ -1133,6 +1205,13 @@ impl ClusterRouter {
                 break;
             }
         }
+    }
+
+    /// `container`'s home is decided: let the requests parked on it go.
+    fn release(&self, container: ContainerId) {
+        let mut migrating = self.migrating.lock();
+        migrating.remove(&container);
+        self.migration_done.notify_all();
     }
 
     /// Move one container off node `from`: checkpoint its committed
@@ -1167,16 +1246,12 @@ impl ClusterRouter {
             state
                 .map
                 .get(&container)
-                .filter(|h| h.node == from)
+                .filter(|h| h.node == from_name)
                 .map(|h| (h.limit, h.hint, h.used()))
         };
         let Some((limit, hint, live_used)) = checkpoint else {
             // Raced away (closed or already re-homed): nothing to move.
-            {
-                let mut migrating = self.migrating.lock();
-                migrating.remove(&container);
-                self.migration_done.notify_all();
-            }
+            self.release(container);
             return MigrationRecord {
                 container,
                 from: from_name,
@@ -1186,11 +1261,7 @@ impl ClusterRouter {
                 status: "rejected".to_string(),
             };
         };
-        let close = self.forward_or_degrade_flagged(
-            from,
-            Request::ContainerClose { container },
-            Response::Ok,
-        );
+        let close = self.forward(from, &Request::ContainerClose { container });
         // Capped at the placement hint (limit + context): the ledger can
         // never legitimately exceed what the adopter will reserve, and
         // the cap keeps a drifted ledger from poisoning the adoption.
@@ -1198,14 +1269,11 @@ impl ClusterRouter {
             Ok((_, degraded)) if degraded => live_used.min(hint),
             _ => Bytes::ZERO,
         };
-        self.mutate(|map| {
-            map.remove(&container);
-            ((), Some(JournalOp::Close { container }))
-        });
+        self.mutate(JournalOp::Close { container });
         self.ensure_caps();
         let mut excluded = vec![false; self.nodes.len()];
         excluded[from] = true;
-        let mut to = None;
+        let mut to = String::new();
         while let Some(pick) = self.pick_node(hint, &excluded) {
             let req = Request::Migrate {
                 container,
@@ -1213,40 +1281,16 @@ impl ClusterRouter {
                 limit,
                 used,
             };
-            match self.call_gated(pick, req) {
+            match self.call_node(pick, &req, true) {
                 Ok(Response::Ok) => {
-                    // Per-pid attribution does not survive the wire (the
-                    // adopter pre-commits one total), so the carried
-                    // budget is re-seeded under the synthetic pid 0 —
-                    // matching the node's books, where the adopted bytes
-                    // have no addresses and no real pid can free them.
-                    let mut used_by_pid = BTreeMap::new();
-                    if used > Bytes::ZERO {
-                        used_by_pid.insert(0, used);
-                    }
-                    let node_name = self.nodes[pick].name.clone();
-                    self.mutate(|map| {
-                        map.insert(
-                            container,
-                            Home {
-                                node: pick,
-                                hint,
-                                limit,
-                                used_by_pid,
-                            },
-                        );
-                        (
-                            (),
-                            Some(JournalOp::Migrate {
-                                container,
-                                node: node_name,
-                                limit,
-                                hint,
-                                used,
-                            }),
-                        )
+                    to = self.nodes[pick].name.clone();
+                    self.mutate(JournalOp::Migrate {
+                        container,
+                        node: to.clone(),
+                        limit,
+                        hint,
+                        used,
                     });
-                    to = Some(pick);
                     break;
                 }
                 // The candidate refused (full, duplicate) or its
@@ -1254,15 +1298,11 @@ impl ClusterRouter {
                 _ => excluded[pick] = true,
             }
         }
-        {
-            let mut migrating = self.migrating.lock();
-            migrating.remove(&container);
-            self.migration_done.notify_all();
-        }
-        let status = if to.is_some() {
-            "completed"
-        } else {
+        self.release(container);
+        let status = if to.is_empty() {
             "rejected"
+        } else {
+            "completed"
         };
         self.obs.registry.inc(
             "convgpu_router_migrations_total",
@@ -1277,7 +1317,7 @@ impl ClusterRouter {
         let record = MigrationRecord {
             container,
             from: from_name,
-            to: to.map(|i| self.nodes[i].name.clone()).unwrap_or_default(),
+            to,
             limit,
             used,
             status: status.to_string(),
@@ -1297,7 +1337,7 @@ impl ClusterRouter {
             state
                 .map
                 .iter()
-                .filter(|(_, h)| h.node == idx)
+                .filter(|(_, h)| h.node == self.nodes[idx].name)
                 .map(|(c, _)| *c)
                 .collect()
         };
@@ -1313,11 +1353,10 @@ impl ClusterRouter {
     /// sentinel): move every container off the named node.
     pub fn rebalance(&self, node: &str) -> IpcResult<Vec<MigrationRecord>> {
         let idx = self
-            .nodes
-            .iter()
-            .position(|n| n.name == node)
+            .node_index
+            .get(node)
             .ok_or_else(|| IpcError::Scheduler(format!("unknown node {node:?}")))?;
-        Ok(self.drain_node_idx(idx))
+        Ok(self.drain_node_idx(*idx))
     }
 
     /// Re-home a single container away from its current node.
@@ -1326,293 +1365,49 @@ impl ClusterRouter {
         Ok(self.migrate_from(container, idx))
     }
 
-    /// Every migration this router has performed, oldest first.
+    /// The migrations this router still has on record (the newest
+    /// ones), oldest first.
     pub fn migration_records(&self) -> Vec<MigrationRecord> {
-        self.migrations.lock().clone()
+        self.migrations.lock().records()
     }
 
-    fn failover_reject(&self, idx: usize) -> AllocDecision {
-        let node = &self.nodes[idx];
-        node.failovers.fetch_add(1, Ordering::Relaxed);
-        self.obs
-            .registry
-            .inc("convgpu_router_failovers_total", &[("node", &node.name)], 1);
-        AllocDecision::Rejected
-    }
-
-    /// Forward an allocation request to the container's home node.
-    /// **Unbounded** — suspension is the mechanism — but never hangs on a
-    /// dead node: a transport failure (including the node dying
-    /// mid-suspension) fails over to an `AllocDecision::Rejected`,
-    /// exactly what the scheduler answers for a killed container's parked
-    /// requests.
-    pub fn alloc_request(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-    ) -> IpcResult<AllocDecision> {
+    /// A request that goes where its container lives: forward it to the
+    /// home node and keep the ledger from what came back. This is every
+    /// container-keyed kind the router has no reason to know.
+    fn route(&self, container: ContainerId, req: &Request) -> IpcResult<Response> {
         let idx = self.route_idx(container)?;
-        let node = &self.nodes[idx];
-        if node.health() == NodeHealth::Down {
-            return Ok(self.failover_reject(idx));
+        let (mut reply, _) = self.forward(idx, req)?;
+        if let Some(op) = ledger_op(req, &reply) {
+            self.mutate(op);
         }
-        let client = match self.client_for(idx) {
-            Ok(c) => c,
-            Err(e) => {
-                self.note_failure(idx, &e);
-                return Ok(self.failover_reject(idx));
-            }
-        };
-        let t0 = self.clock.now();
-        let result = client.request(Request::AllocRequest {
-            container,
-            pid,
-            size,
-            api,
-        });
-        self.obs.registry.observe(
-            "convgpu_router_route_seconds",
-            &[("node", &node.name)],
-            self.clock.now().saturating_since(t0),
-        );
-        match result {
-            Ok(Response::Alloc { decision }) => {
-                self.note_success(idx);
-                Ok(decision)
-            }
-            Ok(other) => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-            Err(e @ IpcError::Scheduler(_)) => {
-                self.note_success(idx);
-                Err(e)
-            }
-            Err(e) => {
-                self.note_failure(idx, &e);
-                Ok(self.failover_reject(idx))
-            }
+        // The node does not know what the router calls it.
+        if let Response::Home { node, .. } = &mut reply {
+            node.clone_from(&self.nodes[idx].name);
         }
+        Ok(reply)
     }
 
-    /// Forward a teardown-ish call that must never wedge a client: on a
-    /// down node or after exhausted retries the call degrades to
-    /// `fallback` instead of erroring.
-    fn forward_or_degrade(
-        &self,
-        idx: usize,
-        req: Request,
-        fallback: Response,
-    ) -> IpcResult<Response> {
-        self.forward_or_degrade_flagged(idx, req, fallback)
-            .map(|(resp, _degraded)| resp)
-    }
-
-    /// [`ClusterRouter::forward_or_degrade`], also reporting *whether*
-    /// the answer is the degraded fallback rather than the node's own —
-    /// the migration path needs to know if a `container_close` really
-    /// freed memory on a live source or merely papered over a dead one.
-    fn forward_or_degrade_flagged(
-        &self,
-        idx: usize,
-        req: Request,
-        fallback: Response,
-    ) -> IpcResult<(Response, bool)> {
-        if self.nodes[idx].health() == NodeHealth::Down {
-            return Ok((fallback, true));
-        }
-        match self.call_gated(idx, req) {
-            Ok(resp) => Ok((resp, false)),
-            Err(e @ (IpcError::Scheduler(_) | IpcError::UnexpectedResponse(_))) => Err(e),
-            Err(_transport) => Ok((fallback, true)),
-        }
-    }
-
-    /// `free` for a routed container; degrades to zero bytes (the
-    /// protocol's unknown-address answer) when the home node is gone.
-    /// What the node reports freed is subtracted from the router's
-    /// wire-observed `used` ledger — a degraded zero subtracts nothing,
-    /// which is the point: a dead node freed nothing.
-    pub fn free(&self, container: ContainerId, pid: u64, addr: u64) -> IpcResult<Bytes> {
-        let idx = self.route_idx(container)?;
-        match self.forward_or_degrade(
-            idx,
-            Request::Free {
-                container,
-                pid,
-                addr,
-            },
-            Response::Freed { size: Bytes::ZERO },
-        )? {
-            Response::Freed { size } => {
-                if size > Bytes::ZERO {
-                    self.mutate(|map| match map.get_mut(&container) {
-                        Some(home) => {
-                            // Clamp, never wrap: a `free` reporting
-                            // more bytes than the pid's recorded
-                            // balance (out-of-order delivery, node
-                            // restart) zeroes the entry.
-                            if let Some(used) = home.used_by_pid.get_mut(&pid) {
-                                *used = used.saturating_sub(size);
-                            }
-                            (
-                                (),
-                                Some(JournalOp::Free {
-                                    container,
-                                    pid,
-                                    size,
-                                }),
-                            )
-                        }
-                        None => ((), None),
-                    });
-                }
-                Ok(size)
-            }
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// `alloc_done` for a routed container (degrades to an ack). The
-    /// confirmed bytes are added to the router's wire-observed `used`
-    /// ledger for the container — the checkpoint a dead-node migration
-    /// carries to the adopter.
-    pub fn alloc_done(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-    ) -> IpcResult<()> {
-        let idx = self.route_idx(container)?;
-        match self.forward_or_degrade(
-            idx,
-            Request::AllocDone {
-                container,
-                pid,
-                addr,
-                size,
-            },
-            Response::Ok,
-        )? {
-            Response::Ok => {
-                self.mutate(|map| match map.get_mut(&container) {
-                    Some(home) => {
-                        let used = home.used_by_pid.entry(pid).or_insert(Bytes::ZERO);
-                        // Saturate rather than wrap: a hostile or
-                        // buggy node confirming absurd totals can
-                        // skew the ledger but never panic it.
-                        *used = Bytes::new(used.as_u64().saturating_add(size.as_u64()));
-                        (
-                            (),
-                            Some(JournalOp::AllocDone {
-                                container,
-                                pid,
-                                size,
-                            }),
-                        )
-                    }
-                    None => ((), None),
-                });
-                Ok(())
-            }
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// `alloc_failed` for a routed container (degrades to an ack).
-    pub fn alloc_failed(&self, container: ContainerId, pid: u64, size: Bytes) -> IpcResult<()> {
-        let idx = self.route_idx(container)?;
-        match self.forward_or_degrade(
-            idx,
-            Request::AllocFailed {
-                container,
-                pid,
-                size,
-            },
-            Response::Ok,
-        )? {
-            Response::Ok => Ok(()),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// `mem_info` for a routed container. Not degraded: book-keeping
-    /// answers from a dead node would be fabrications, so this errors.
-    pub fn mem_info(&self, container: ContainerId, pid: u64) -> IpcResult<(Bytes, Bytes)> {
-        let idx = self.route_idx(container)?;
-        if self.nodes[idx].health() == NodeHealth::Down {
-            return Err(IpcError::Scheduler(format!(
-                "node {} is down",
-                self.nodes[idx].name
-            )));
-        }
-        match self.call_gated(idx, Request::MemInfo { container, pid })? {
-            Response::MemInfo { free, total } => Ok((free, total)),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// `process_exit` for a routed container (degrades to an ack). The
-    /// pid's entry leaves the `used` ledger: the client declared the
-    /// process dead, so its memory is reclaimable wherever the
-    /// container lands next.
-    pub fn process_exit(&self, container: ContainerId, pid: u64) -> IpcResult<()> {
-        let idx = self.route_idx(container)?;
-        match self.forward_or_degrade(idx, Request::ProcessExit { container, pid }, Response::Ok)? {
-            Response::Ok => {
-                self.mutate(|map| match map.get_mut(&container) {
-                    Some(home) => {
-                        home.used_by_pid.remove(&pid);
-                        ((), Some(JournalOp::ProcessExit { container, pid }))
-                    }
-                    None => ((), None),
-                });
-                Ok(())
-            }
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// `container_close` for a routed container: the router's home entry
-    /// is dropped, and the node-side close degrades to an ack when the
-    /// node is gone. A close that races a drain re-forwards to the
-    /// adoptive node: without that, the close can land on the dying
-    /// source while the hand-off adopts the container onto a survivor,
-    /// leaving an open copy there that nobody will ever close.
-    pub fn container_close(&self, container: ContainerId) -> IpcResult<()> {
+    /// `container_close`: the router's home entry is dropped, and the
+    /// node-side close degrades to an ack when the node is gone. A close
+    /// that races a drain re-forwards to the adoptive node: without
+    /// that, the close can land on the dying source while the hand-off
+    /// adopts the container onto a survivor, leaving an open copy there
+    /// that nobody will ever close.
+    fn close(&self, container: ContainerId, req: &Request) -> IpcResult<Response> {
         let mut idx = self.route_idx(container)?;
         loop {
-            let result =
-                self.forward_or_degrade(idx, Request::ContainerClose { container }, Response::Ok);
+            let result = self.forward(idx, req);
             // Re-check the home after the forward: a concurrent drain
             // may have re-homed the container while the close was in
             // flight on the old node.
             self.await_migration(container);
-            let rehomed = self.mutate(|map| match map.get(&container).map(|h| h.node) {
-                Some(new_idx) if new_idx != idx => (Some(new_idx), None),
-                _ => {
-                    let removed = map.remove(&container).is_some();
-                    (None, removed.then_some(JournalOp::Close { container }))
+            if !self.mutate_if_on(JournalOp::Close { container }, Some(idx)) {
+                if let Some(rehomed) = self.home_idx(container) {
+                    idx = rehomed;
+                    continue;
                 }
-            });
-            if let Some(new_idx) = rehomed {
-                idx = new_idx;
-                continue;
             }
-            return match result? {
-                Response::Ok => Ok(()),
-                other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-            };
-        }
-    }
-
-    /// `request_dir` for a routed container (the volume directory lives
-    /// on the home node).
-    pub fn request_dir(&self, container: ContainerId) -> IpcResult<String> {
-        let idx = self.route_idx(container)?;
-        match self.call_gated(idx, Request::RequestDir { container })? {
-            Response::Dir { path } => Ok(path),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
+            return result.map(|(reply, _)| reply);
         }
     }
 
@@ -1626,7 +1421,7 @@ impl ClusterRouter {
                 continue;
             }
             if let Ok(Response::Topology { devices, .. }) =
-                self.call_gated(idx, Request::QueryTopology)
+                self.call_node(idx, &Request::QueryTopology, true)
             {
                 for mut d in devices {
                     d.node = self.nodes[idx].name.clone();
@@ -1635,16 +1430,6 @@ impl ClusterRouter {
             }
         }
         ("cluster".to_string(), all)
-    }
-
-    /// `query_home` through the router: the node name is the router's
-    /// label for the home node; the device index comes from the node.
-    pub fn query_home(&self, container: ContainerId) -> IpcResult<(String, u64)> {
-        let idx = self.route_idx(container)?;
-        match self.call_gated(idx, Request::QueryHome { container })? {
-            Response::Home { device, .. } => Ok((self.nodes[idx].name.clone(), device)),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
     }
 
     /// Serve this router on its own UNIX socket, fronting the whole
@@ -1680,68 +1465,58 @@ impl Drop for ClusterRouter {
     }
 }
 
-/// The router behaves as a [`SchedulerEndpoint`], so every existing
-/// driver (loadgen workers, the wrapper, tests) can run against a routed
-/// cluster unchanged.
-impl SchedulerEndpoint for ClusterRouter {
-    fn register(&self, container: ContainerId, limit: Bytes) -> IpcResult<()> {
-        ClusterRouter::register(self, container, limit).map(|_| ())
-    }
-
-    fn request_dir(&self, container: ContainerId) -> IpcResult<String> {
-        ClusterRouter::request_dir(self, container)
-    }
-
-    fn request_alloc(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-    ) -> IpcResult<AllocDecision> {
-        self.alloc_request(container, pid, size, api)
-    }
-
-    fn alloc_done(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-    ) -> IpcResult<()> {
-        ClusterRouter::alloc_done(self, container, pid, addr, size)
-    }
-
-    fn alloc_failed(&self, container: ContainerId, pid: u64, size: Bytes) -> IpcResult<()> {
-        ClusterRouter::alloc_failed(self, container, pid, size)
-    }
-
-    fn free(&self, container: ContainerId, pid: u64, addr: u64) -> IpcResult<Bytes> {
-        ClusterRouter::free(self, container, pid, addr)
-    }
-
-    fn mem_info(&self, container: ContainerId, pid: u64) -> IpcResult<(Bytes, Bytes)> {
-        ClusterRouter::mem_info(self, container, pid)
-    }
-
-    fn process_exit(&self, container: ContainerId, pid: u64) -> IpcResult<()> {
-        ClusterRouter::process_exit(self, container, pid)
-    }
-
-    fn container_close(&self, container: ContainerId) -> IpcResult<()> {
-        ClusterRouter::container_close(self, container)
-    }
-
-    fn ping(&self) -> IpcResult<()> {
-        Ok(())
-    }
-
-    fn query_topology(&self) -> IpcResult<(String, Vec<TopologyDevice>)> {
-        Ok(self.topology())
-    }
-
-    fn query_home(&self, container: ContainerId) -> IpcResult<(String, u64)> {
-        ClusterRouter::query_home(self, container)
+/// The router's one dispatch: what it answers itself, what it treats
+/// specially, and — everything else — what it forwards to the
+/// container's home node as it came. Being a [`Transact`] makes the
+/// router a [`convgpu_ipc::endpoint::SchedulerEndpoint`], so every
+/// driver of that trait (loadgen workers, the wrapper, tests) can run
+/// against a routed cluster in-process; [`RouterHandler`] serves the
+/// same function on a socket.
+impl Transact for ClusterRouter {
+    fn transact(&self, req: Request) -> IpcResult<Response> {
+        match &req {
+            Request::Register { container, limit } => {
+                self.register(*container, *limit).map(|_| Response::Ok)
+            }
+            Request::ContainerClose { container } => self.close(*container, &req),
+            // The zero-container sentinel with a node name drains that
+            // node; a real container id re-homes just it. Both answer
+            // with the migration records they produced (a drain's
+            // newest, as many as fit a frame), so `convgpu-cli cluster
+            // rebalance` can print the outcome.
+            Request::Migrate {
+                container, node, ..
+            } => {
+                let records = if *container == ContainerId(0) && !node.is_empty() {
+                    MigrationLog::newest(self.rebalance(node)?)
+                } else {
+                    vec![self.migrate_container(*container)?]
+                };
+                Ok(Response::Migrations { records })
+            }
+            Request::Ping => Ok(Response::Pong),
+            Request::QueryMetrics => Ok(Response::Metrics {
+                text: self.metrics_text(),
+            }),
+            Request::QueryTopology => {
+                let (kind, devices) = self.topology();
+                Ok(Response::Topology { kind, devices })
+            }
+            Request::QueryCluster => {
+                let (strategy, nodes) = self.cluster_status();
+                Ok(Response::Cluster { strategy, nodes })
+            }
+            Request::QueryMigrations => Ok(Response::Migrations {
+                records: self.migration_records(),
+            }),
+            req => match req.container() {
+                Some(container) => self.route(container, req),
+                None => Err(IpcError::Scheduler(format!(
+                    "a router does not answer {}",
+                    req.kind()
+                ))),
+            },
+        }
     }
 }
 
@@ -1853,7 +1628,8 @@ fn forwarder_loop(idle: &Weak<IdleList>, first: Job) {
     }
 }
 
-/// Wire adapter serving a [`ClusterRouter`] on a socket.
+/// Serves a [`ClusterRouter`] on a socket: every request is answered
+/// with the router's [`Transact::transact`].
 ///
 /// Threads: every request runs on its connection's reader thread, except
 /// `alloc_request`, which may block for as long as a node suspends the
@@ -1878,149 +1654,30 @@ impl RouterHandler {
     }
 }
 
-fn reply_result<T>(reply: Reply, result: IpcResult<T>, f: impl FnOnce(T) -> Response) {
-    match result {
-        Ok(v) => reply.send(f(v)),
-        Err(e) => reply.send(Response::Error {
-            message: e.to_string(),
-        }),
-    }
+/// Answer `req` with what the router makes of it; an `Err` goes out as
+/// an `error` reply carrying its text.
+fn answer(router: &ClusterRouter, req: Request, reply: Reply) {
+    reply.send(router.transact(req).unwrap_or_else(|e| Response::Error {
+        message: e.to_string(),
+    }));
 }
 
 impl RequestHandler for RouterHandler {
     fn on_request(&self, _conn: ConnId, req: Request, reply: Reply) {
         match req {
-            Request::Register { container, limit } => {
-                reply_result(
-                    reply,
-                    ClusterRouter::register(&self.router, container, limit),
-                    |_| Response::Ok,
-                );
-            }
-            Request::RequestDir { container } => {
-                reply_result(reply, self.router.request_dir(container), |path| {
-                    Response::Dir { path }
-                });
-            }
-            Request::AllocRequest {
-                container,
-                pid,
-                size,
-                api,
-            } => {
-                // May block for as long as the node suspends — run it off
-                // the reader thread.
+            // May block for as long as the node suspends — run it off
+            // the reader thread.
+            req @ Request::AllocRequest { .. } => {
                 let router = Arc::clone(&self.router);
-                let spawned = self.forwarders.run(Box::new(move || {
-                    reply_result(
-                        reply,
-                        router.alloc_request(container, pid, size, api),
-                        |decision| Response::Alloc { decision },
-                    );
-                }));
-                if spawned {
+                let job = Box::new(move || answer(&router, req, reply));
+                if self.forwarders.run(job) {
                     self.router
                         .obs
                         .registry
                         .inc("convgpu_router_forwarder_spawns_total", &[], 1);
                 }
             }
-            Request::AllocDone {
-                container,
-                pid,
-                addr,
-                size,
-            } => {
-                reply_result(
-                    reply,
-                    ClusterRouter::alloc_done(&self.router, container, pid, addr, size),
-                    |_| Response::Ok,
-                );
-            }
-            Request::AllocFailed {
-                container,
-                pid,
-                size,
-            } => {
-                reply_result(
-                    reply,
-                    ClusterRouter::alloc_failed(&self.router, container, pid, size),
-                    |_| Response::Ok,
-                );
-            }
-            Request::Free {
-                container,
-                pid,
-                addr,
-            } => {
-                reply_result(
-                    reply,
-                    ClusterRouter::free(&self.router, container, pid, addr),
-                    |size| Response::Freed { size },
-                );
-            }
-            Request::MemInfo { container, pid } => {
-                reply_result(
-                    reply,
-                    ClusterRouter::mem_info(&self.router, container, pid),
-                    |(free, total)| Response::MemInfo { free, total },
-                );
-            }
-            Request::ProcessExit { container, pid } => {
-                reply_result(
-                    reply,
-                    ClusterRouter::process_exit(&self.router, container, pid),
-                    |_| Response::Ok,
-                );
-            }
-            Request::ContainerClose { container } => {
-                reply_result(
-                    reply,
-                    ClusterRouter::container_close(&self.router, container),
-                    |_| Response::Ok,
-                );
-            }
-            Request::Ping => reply.send(Response::Pong),
-            Request::QueryMetrics => reply.send(Response::Metrics {
-                text: self.router.metrics_text(),
-            }),
-            Request::QueryTopology => {
-                let (kind, devices) = self.router.topology();
-                reply.send(Response::Topology { kind, devices });
-            }
-            Request::QueryHome { container } => {
-                reply_result(
-                    reply,
-                    ClusterRouter::query_home(&self.router, container),
-                    |(node, device)| Response::Home { node, device },
-                );
-            }
-            Request::QueryCluster => {
-                let (strategy, nodes) = self.router.cluster_status();
-                reply.send(Response::Cluster { strategy, nodes });
-            }
-            Request::Migrate {
-                container, node, ..
-            } => {
-                // The zero-container sentinel with a node name drains
-                // that node; a real container id re-homes just it. Both
-                // answer with the migration records they produced, so
-                // `convgpu-cli cluster rebalance` can print the outcome.
-                if container == ContainerId(0) && !node.is_empty() {
-                    reply_result(reply, self.router.rebalance(&node), |records| {
-                        Response::Migrations { records }
-                    });
-                } else {
-                    reply_result(reply, self.router.migrate_container(container), |record| {
-                        Response::Migrations {
-                            records: vec![record],
-                        }
-                    });
-                }
-            }
-            Request::QueryMigrations => reply.send(Response::Migrations {
-                records: self.router.migration_records(),
-            }),
+            req => answer(&self.router, req, reply),
         }
     }
 }
@@ -2028,6 +1685,8 @@ impl RequestHandler for RouterHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use convgpu_ipc::endpoint::SchedulerEndpoint;
+    use convgpu_ipc::message::ApiKind;
     use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
     use convgpu_scheduler::policy::PolicyKind;
     use convgpu_sim_core::clock::{RealClock, VirtualClock};
@@ -2099,7 +1758,7 @@ mod tests {
         router.register(ContainerId(1), Bytes::mib(256)).unwrap();
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 7, Bytes::mib(64), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 7, Bytes::mib(64), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2165,7 +1824,7 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(
                 router
-                    .alloc_request(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
+                    .request_alloc(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
                     .unwrap(),
                 AllocDecision::Rejected
             );
@@ -2181,7 +1840,7 @@ mod tests {
         assert_eq!(records[0].status, "completed");
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2190,7 +1849,7 @@ mod tests {
         // The live node also still serves its own container.
         assert_eq!(
             router
-                .alloc_request(ContainerId(2), 2, Bytes::mib(10), ApiKind::Malloc)
+                .request_alloc(ContainerId(2), 2, Bytes::mib(10), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2220,14 +1879,14 @@ mod tests {
         router.register(ContainerId(1), Bytes::mib(400)).unwrap();
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
         ClusterRouter::alloc_done(&router, ContainerId(1), 7, 0xA0, Bytes::mib(200)).unwrap();
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 7, Bytes::mib(100), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 7, Bytes::mib(100), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2242,7 +1901,7 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(
                 router
-                    .alloc_request(ContainerId(1), 7, Bytes::mib(10), ApiKind::Malloc)
+                    .request_alloc(ContainerId(1), 7, Bytes::mib(10), ApiKind::Malloc)
                     .unwrap(),
                 AllocDecision::Rejected
             );
@@ -2263,13 +1922,13 @@ mod tests {
         // used = 0, the 350 MiB request would have been granted.
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 9, Bytes::mib(350), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 9, Bytes::mib(350), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Rejected
         );
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 9, Bytes::mib(250), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 9, Bytes::mib(250), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2317,7 +1976,7 @@ mod tests {
         let second = router_over(&[&n0, &n1], RouterConfig::default(), clock);
         assert_eq!(
             second
-                .alloc_request(ContainerId(2), 2, Bytes::mib(10), ApiKind::Malloc)
+                .request_alloc(ContainerId(2), 2, Bytes::mib(10), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2339,7 +1998,7 @@ mod tests {
         router.register(ContainerId(2), Bytes::mib(100)).unwrap();
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 9, Bytes::mib(20), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 9, Bytes::mib(20), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2360,7 +2019,7 @@ mod tests {
         assert_eq!(status[1].containers, 2);
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 3, Bytes::mib(50), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 3, Bytes::mib(50), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2397,7 +2056,7 @@ mod tests {
         n0.shutdown();
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Rejected
         );
@@ -2408,7 +2067,7 @@ mod tests {
         // The container ends closed — later requests error cleanly
         // instead of hanging, and the survivor is untouched.
         assert!(router
-            .alloc_request(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
+            .request_alloc(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
             .is_err());
         n1.service()
             .with_scheduler(|s| s.check_invariants().unwrap());
@@ -2480,7 +2139,7 @@ mod tests {
         first.register(ContainerId(1), Bytes::mib(400)).unwrap();
         assert_eq!(
             first
-                .alloc_request(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2493,7 +2152,7 @@ mod tests {
         let second = router_over(&[&n0], RouterConfig::default(), clock);
         assert_eq!(
             second
-                .alloc_request(ContainerId(1), 7, Bytes::mib(10), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 7, Bytes::mib(10), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2534,7 +2193,7 @@ mod tests {
             first.register(ContainerId(1), Bytes::mib(400)).unwrap();
             assert_eq!(
                 first
-                    .alloc_request(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
+                    .request_alloc(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
                     .unwrap(),
                 AllocDecision::Granted
             );
@@ -2544,7 +2203,7 @@ mod tests {
             // Lazy re-learn while the home is alive…
             assert_eq!(
                 second
-                    .alloc_request(ContainerId(1), 7, Bytes::mib(10), ApiKind::Malloc)
+                    .request_alloc(ContainerId(1), 7, Bytes::mib(10), ApiKind::Malloc)
                     .unwrap(),
                 AllocDecision::Granted
             );
@@ -2561,7 +2220,7 @@ mod tests {
             for _ in 0..2 {
                 assert_eq!(
                     second
-                        .alloc_request(ContainerId(1), 7, Bytes::mib(10), ApiKind::Malloc)
+                        .request_alloc(ContainerId(1), 7, Bytes::mib(10), ApiKind::Malloc)
                         .unwrap(),
                     AllocDecision::Rejected
                 );
@@ -2596,7 +2255,7 @@ mod tests {
         first.register(ContainerId(1), Bytes::mib(400)).unwrap();
         assert_eq!(
             first
-                .alloc_request(ContainerId(1), 7, Bytes::mib(100), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 7, Bytes::mib(100), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -2667,7 +2326,7 @@ mod tests {
                     for i in 0..OPS {
                         assert_eq!(
                             router
-                                .alloc_request(container, t + 1, Bytes::mib(1), ApiKind::Malloc)
+                                .request_alloc(container, t + 1, Bytes::mib(1), ApiKind::Malloc)
                                 .unwrap(),
                             AllocDecision::Granted
                         );

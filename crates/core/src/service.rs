@@ -6,10 +6,15 @@
 //! the **waiter table** that realizes suspension: a suspended request's
 //! reply handle is parked under its ticket and fired when a later event
 //! produces the matching [`ResumeAction`].
+//!
+//! [`SchedulerService::call`] is the process's one dispatch from wire
+//! message to behaviour: the socket handler
+//! ([`crate::handler::ServiceHandler`]) and the in-process endpoint
+//! ([`InProcEndpoint`]) both answer a [`Request`] with it.
 
-use convgpu_ipc::endpoint::{IpcError, IpcResult, SchedulerEndpoint};
+use convgpu_ipc::endpoint::{IpcResult, Transact};
 use convgpu_ipc::message::{
-    AllocDecision, ApiKind, ClusterNodeStatus, MigrationRecord, Response, TopologyDevice,
+    AllocDecision, ApiKind, ClusterNodeStatus, MigrationRecord, Request, Response, TopologyDevice,
 };
 use convgpu_ipc::server::Reply;
 use convgpu_obs::{chrome, prometheus, Registry, RingSink, SpanSink, Tracer};
@@ -19,7 +24,7 @@ use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::units::Bytes;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
@@ -75,6 +80,38 @@ impl Default for ObsHub {
     }
 }
 
+/// The newest migration records of a daemon or a router, oldest first.
+///
+/// Bounded, because the whole log travels in one `migrations` reply and
+/// a reply has to fit a frame: [`MigrationLog::KEPT`] records with
+/// 20-digit ids and sizes and node names of up to 60 bytes stay under
+/// the 64 KiB frame limit in either codec. Older records are dropped;
+/// `convgpu_router_migrations_total` keeps counting all of them.
+#[derive(Default)]
+pub(crate) struct MigrationLog(VecDeque<MigrationRecord>);
+
+impl MigrationLog {
+    const KEPT: usize = 256;
+
+    pub(crate) fn push(&mut self, record: MigrationRecord) {
+        if self.0.len() == Self::KEPT {
+            self.0.pop_front();
+        }
+        self.0.push_back(record);
+    }
+
+    pub(crate) fn records(&self) -> Vec<MigrationRecord> {
+        self.0.iter().cloned().collect()
+    }
+
+    /// The part of one drain's `records` that fits a reply: its newest.
+    pub(crate) fn newest(mut records: Vec<MigrationRecord>) -> Vec<MigrationRecord> {
+        let dropped = records.len().saturating_sub(Self::KEPT);
+        records.drain(..dropped);
+        records
+    }
+}
+
 /// The live scheduler service shared by every connection and thread.
 ///
 /// Since the topology refactor the service is **backend-agnostic**: it
@@ -89,7 +126,7 @@ pub struct SchedulerService {
     waiters: Mutex<HashMap<u64, Waiter>>,
     base_dir: PathBuf,
     obs: Arc<ObsHub>,
-    migrations: Mutex<Vec<MigrationRecord>>,
+    migrations: Mutex<MigrationLog>,
 }
 
 impl SchedulerService {
@@ -114,7 +151,7 @@ impl SchedulerService {
             waiters: Mutex::new(HashMap::new()),
             base_dir,
             obs,
-            migrations: Mutex::new(Vec::new()),
+            migrations: Mutex::new(MigrationLog::default()),
         }
     }
 
@@ -248,6 +285,109 @@ impl SchedulerService {
         Reply::send_batch(socket_batch);
     }
 
+    /// Answer one request: the one place a wire message becomes a call
+    /// on this service. An `alloc_request` parks the calling thread while
+    /// the container is suspended, so a socket's connection thread goes
+    /// through [`SchedulerService::alloc_request_deferred`] instead (see
+    /// [`crate::handler::ServiceHandler`]).
+    pub fn call(&self, req: Request) -> Response {
+        fn reply<T>(
+            result: Result<T, impl std::fmt::Display>,
+            ok: impl FnOnce(T) -> Response,
+        ) -> Response {
+            match result {
+                Ok(v) => ok(v),
+                Err(e) => Response::Error {
+                    message: e.to_string(),
+                },
+            }
+        }
+        match req {
+            Request::Register { container, limit } => {
+                reply(self.register(container, limit), |_| Response::Ok)
+            }
+            Request::RequestDir { container } => {
+                reply(self.request_dir(container), |p| Response::Dir {
+                    path: p.display().to_string(),
+                })
+            }
+            Request::AllocRequest {
+                container,
+                pid,
+                size,
+                api,
+            } => reply(
+                self.alloc_request_blocking(container, pid, size, api),
+                |decision| Response::Alloc { decision },
+            ),
+            Request::AllocDone {
+                container,
+                pid,
+                addr,
+                size,
+            } => reply(self.alloc_done(container, pid, addr, size), |()| {
+                Response::Ok
+            }),
+            Request::AllocFailed {
+                container,
+                pid,
+                size,
+            } => reply(self.alloc_failed(container, pid, size), |()| Response::Ok),
+            Request::Free {
+                container,
+                pid,
+                addr,
+            } => reply(self.free(container, pid, addr), |size| Response::Freed {
+                size,
+            }),
+            Request::MemInfo { container, pid } => {
+                reply(self.mem_info(container, pid), |(free, total)| {
+                    Response::MemInfo { free, total }
+                })
+            }
+            Request::ProcessExit { container, pid } => {
+                reply(self.process_exit(container, pid), |()| Response::Ok)
+            }
+            Request::ContainerClose { container } => {
+                reply(self.container_close(container), |()| Response::Ok)
+            }
+            Request::Ping => Response::Pong,
+            Request::QueryMetrics => Response::Metrics {
+                text: self.metrics_text(),
+            },
+            Request::QueryTopology => {
+                let (kind, devices) = self.topology();
+                Response::Topology { kind, devices }
+            }
+            Request::QueryHome { container } => match self.query_home(container) {
+                Some(p) => Response::Home {
+                    node: p.node.unwrap_or_default(),
+                    device: p.device as u64,
+                },
+                None => Response::Error {
+                    message: format!("container {container} is not registered"),
+                },
+            },
+            Request::QueryCluster => match self.cluster_status() {
+                Some((strategy, nodes)) => Response::Cluster { strategy, nodes },
+                None => Response::Error {
+                    message: "not a cluster daemon".to_string(),
+                },
+            },
+            Request::Migrate {
+                container,
+                node,
+                limit,
+                used,
+            } => reply(self.migrate(container, &node, limit, used), |()| {
+                Response::Ok
+            }),
+            Request::QueryMigrations => Response::Migrations {
+                records: self.migration_records(),
+            },
+        }
+    }
+
     /// Register a container with its limit; reports where it was placed.
     pub fn register(&self, container: ContainerId, limit: Bytes) -> Result<Placement, SchedError> {
         // `now` is read under the lock: concurrent connections would
@@ -328,14 +468,18 @@ impl SchedulerService {
                 .collect();
             (records, actions)
         };
-        self.migrations.lock().extend(records);
+        {
+            let mut log = self.migrations.lock();
+            records.into_iter().for_each(|r| log.push(r));
+        }
         self.dispatch(actions);
         Ok(())
     }
 
-    /// Every migration this daemon has recorded, oldest first.
+    /// The migrations this daemon still has on record (the newest ones),
+    /// oldest first.
     pub fn migration_records(&self) -> Vec<MigrationRecord> {
-        self.migrations.lock().clone()
+        self.migrations.lock().records()
     }
 
     /// Create (if needed) and return the container's volume directory,
@@ -529,8 +673,10 @@ impl SchedulerService {
     }
 }
 
-/// In-process [`SchedulerEndpoint`] over the service — used by tests, the
-/// transport ablation bench, and the `TransportMode::InProc` stack.
+/// The service called in-process, as one more transport — used by tests,
+/// the transport ablation bench, and the `TransportMode::InProc` stack.
+/// An `alloc_request` parks the calling thread while the container is
+/// suspended.
 pub struct InProcEndpoint {
     service: Arc<SchedulerService>,
 }
@@ -542,92 +688,16 @@ impl InProcEndpoint {
     }
 }
 
-fn sched_err(e: SchedError) -> IpcError {
-    IpcError::Scheduler(e.to_string())
-}
-
-impl SchedulerEndpoint for InProcEndpoint {
-    fn register(&self, container: ContainerId, limit: Bytes) -> IpcResult<()> {
-        self.service
-            .register(container, limit)
-            .map(|_| ())
-            .map_err(sched_err)
-    }
-
-    fn request_dir(&self, container: ContainerId) -> IpcResult<String> {
-        self.service
-            .request_dir(container)
-            .map(|p| p.display().to_string())
-            .map_err(IpcError::Io)
-    }
-
-    fn request_alloc(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-    ) -> IpcResult<AllocDecision> {
-        self.service
-            .alloc_request_blocking(container, pid, size, api)
-            .map_err(sched_err)
-    }
-
-    fn alloc_done(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-    ) -> IpcResult<()> {
-        self.service
-            .alloc_done(container, pid, addr, size)
-            .map_err(sched_err)
-    }
-
-    fn alloc_failed(&self, container: ContainerId, pid: u64, size: Bytes) -> IpcResult<()> {
-        self.service
-            .alloc_failed(container, pid, size)
-            .map_err(sched_err)
-    }
-
-    fn free(&self, container: ContainerId, pid: u64, addr: u64) -> IpcResult<Bytes> {
-        self.service.free(container, pid, addr).map_err(sched_err)
-    }
-
-    fn mem_info(&self, container: ContainerId, pid: u64) -> IpcResult<(Bytes, Bytes)> {
-        self.service.mem_info(container, pid).map_err(sched_err)
-    }
-
-    fn process_exit(&self, container: ContainerId, pid: u64) -> IpcResult<()> {
-        self.service.process_exit(container, pid).map_err(sched_err)
-    }
-
-    fn container_close(&self, container: ContainerId) -> IpcResult<()> {
-        self.service.container_close(container).map_err(sched_err)
-    }
-
-    fn ping(&self) -> IpcResult<()> {
-        Ok(())
-    }
-
-    fn query_topology(&self) -> IpcResult<(String, Vec<TopologyDevice>)> {
-        Ok(self.service.topology())
-    }
-
-    fn query_home(&self, container: ContainerId) -> IpcResult<(String, u64)> {
-        match self.service.query_home(container) {
-            Some(p) => Ok((p.node.unwrap_or_default(), p.device as u64)),
-            None => Err(IpcError::Scheduler(format!(
-                "container {container} is not registered"
-            ))),
-        }
+impl Transact for InProcEndpoint {
+    fn transact(&self, req: Request) -> IpcResult<Response> {
+        Ok(self.service.call(req))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use convgpu_ipc::endpoint::{IpcError, SchedulerEndpoint};
     use convgpu_scheduler::core::SchedulerConfig;
     use convgpu_scheduler::policy::PolicyKind;
     use convgpu_sim_core::clock::RealClock;
@@ -682,6 +752,44 @@ mod tests {
         let decision = waiter.join().unwrap().unwrap();
         assert_eq!(decision, AllocDecision::Granted);
         svc.with_scheduler(|s| s.check_invariants().unwrap());
+    }
+
+    #[test]
+    fn a_full_migration_log_fits_a_frame_in_both_codecs() {
+        use convgpu_ipc::binary::{encode_with, WireCodec, MAX_FRAME_BYTES};
+        use convgpu_ipc::message::Envelope;
+        // The widest record the bound allows for: 20-digit numbers and
+        // 60-byte node names.
+        let widest = |i: u64| MigrationRecord {
+            container: ContainerId(u64::MAX - i),
+            from: "f".repeat(60),
+            to: "t".repeat(60),
+            limit: Bytes::new(u64::MAX),
+            used: Bytes::new(u64::MAX),
+            status: "completed".to_string(),
+        };
+        let mut log = MigrationLog::default();
+        let pushed = MigrationLog::KEPT as u64 + 10;
+        (0..pushed).for_each(|i| log.push(widest(i)));
+        let kept = log.records();
+        assert_eq!(kept.len(), MigrationLog::KEPT);
+        assert_eq!(kept[0], widest(10), "the oldest records go first");
+        assert_eq!(kept[kept.len() - 1], widest(pushed - 1));
+        assert_eq!(
+            MigrationLog::newest((0..pushed).map(widest).collect()),
+            kept,
+            "a drain's reply is cut the same way"
+        );
+        for codec in [WireCodec::Json, WireCodec::Binary] {
+            let reply = Envelope {
+                id: u64::MAX,
+                body: Response::Migrations {
+                    records: kept.clone(),
+                },
+            };
+            let frame = encode_with(&reply, codec);
+            assert!(frame.len() <= MAX_FRAME_BYTES, "{codec:?}: {}", frame.len());
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! wrapper, not an analog of it.
 
 use crate::binary::{encode_with, take_auto, WireCodec};
-use crate::endpoint::{IpcError, IpcResult, SchedulerEndpoint};
-use crate::message::{AllocDecision, ApiKind, ClusterNodeStatus, Envelope, Request, Response};
+use crate::endpoint::{expect_reply, IpcError, IpcResult, Transact};
+use crate::message::{ClusterNodeStatus, Envelope, MigrationRecord, Request, Response};
 use crate::transport::{Conn, EndpointAddr};
 use convgpu_obs::Registry;
 use convgpu_sim_core::clock::ClockHandle;
@@ -447,167 +447,60 @@ impl SchedulerClient {
 
     /// Ask the daemon for its current metrics in Prometheus text format.
     pub fn query_metrics(&self) -> IpcResult<String> {
-        match self.request(Request::QueryMetrics)? {
-            Response::Metrics { text } => Ok(text),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
+        expect_reply!(self.request(Request::QueryMetrics), Response::Metrics { text } => text)
     }
 
     /// Ask a cluster router for its strategy and per-node status. Errors
     /// with the daemon's own message on non-cluster topologies.
     pub fn query_cluster(&self) -> IpcResult<(String, Vec<ClusterNodeStatus>)> {
-        match self.request(Request::QueryCluster)? {
-            Response::Cluster { strategy, nodes } => Ok((strategy, nodes)),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
+        expect_reply!(
+            self.request(Request::QueryCluster),
+            Response::Cluster { strategy, nodes } => (strategy, nodes)
+        )
     }
 
     /// Ask a cluster router to re-home one container off its current
     /// node. Errors with the router's own message when the container is
     /// unknown or no survivor can absorb it.
-    pub fn migrate(
-        &self,
-        container: ContainerId,
-    ) -> IpcResult<Vec<crate::message::MigrationRecord>> {
-        match self.request(Request::Migrate {
-            container,
-            node: String::new(),
-            limit: Bytes::ZERO,
-            used: Bytes::ZERO,
-        })? {
-            Response::Migrations { records } => Ok(records),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
+    pub fn migrate(&self, container: ContainerId) -> IpcResult<Vec<MigrationRecord>> {
+        self.migrate_request(container, "")
     }
 
     /// Ask a cluster router to drain every container homed on `node`
     /// (`cluster rebalance`): the 0-sentinel form of [`Request::Migrate`].
-    pub fn rebalance(&self, node: &str) -> IpcResult<Vec<crate::message::MigrationRecord>> {
-        match self.request(Request::Migrate {
-            container: ContainerId(0),
+    pub fn rebalance(&self, node: &str) -> IpcResult<Vec<MigrationRecord>> {
+        self.migrate_request(ContainerId(0), node)
+    }
+
+    fn migrate_request(
+        &self,
+        container: ContainerId,
+        node: &str,
+    ) -> IpcResult<Vec<MigrationRecord>> {
+        let req = Request::Migrate {
+            container,
             node: node.to_string(),
             limit: Bytes::ZERO,
             used: Bytes::ZERO,
-        })? {
-            Response::Migrations { records } => Ok(records),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
+        };
+        expect_reply!(self.request(req), Response::Migrations { records } => records)
     }
 
-    /// Ask a cluster router for every migration it has performed so far.
-    pub fn query_migrations(&self) -> IpcResult<Vec<crate::message::MigrationRecord>> {
-        match self.request(Request::QueryMigrations)? {
-            Response::Migrations { records } => Ok(records),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    fn expect_ok(&self, req: Request) -> IpcResult<()> {
-        match self.request(req)? {
-            Response::Ok => Ok(()),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
+    /// Ask a cluster router for the migrations it still has on record
+    /// (the newest ones; see `docs/CLUSTER.md`).
+    pub fn query_migrations(&self) -> IpcResult<Vec<MigrationRecord>> {
+        expect_reply!(
+            self.request(Request::QueryMigrations),
+            Response::Migrations { records } => records
+        )
     }
 }
 
-impl SchedulerEndpoint for SchedulerClient {
-    fn register(&self, container: ContainerId, limit: Bytes) -> IpcResult<()> {
-        self.expect_ok(Request::Register { container, limit })
-    }
-
-    fn request_dir(&self, container: ContainerId) -> IpcResult<String> {
-        match self.request(Request::RequestDir { container })? {
-            Response::Dir { path } => Ok(path),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    fn request_alloc(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-    ) -> IpcResult<AllocDecision> {
-        match self.request(Request::AllocRequest {
-            container,
-            pid,
-            size,
-            api,
-        })? {
-            Response::Alloc { decision } => Ok(decision),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    fn alloc_done(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-    ) -> IpcResult<()> {
-        self.expect_ok(Request::AllocDone {
-            container,
-            pid,
-            addr,
-            size,
-        })
-    }
-
-    fn alloc_failed(&self, container: ContainerId, pid: u64, size: Bytes) -> IpcResult<()> {
-        self.expect_ok(Request::AllocFailed {
-            container,
-            pid,
-            size,
-        })
-    }
-
-    fn free(&self, container: ContainerId, pid: u64, addr: u64) -> IpcResult<Bytes> {
-        match self.request(Request::Free {
-            container,
-            pid,
-            addr,
-        })? {
-            Response::Freed { size } => Ok(size),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    fn mem_info(&self, container: ContainerId, pid: u64) -> IpcResult<(Bytes, Bytes)> {
-        match self.request(Request::MemInfo { container, pid })? {
-            Response::MemInfo { free, total } => Ok((free, total)),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    fn process_exit(&self, container: ContainerId, pid: u64) -> IpcResult<()> {
-        self.expect_ok(Request::ProcessExit { container, pid })
-    }
-
-    fn container_close(&self, container: ContainerId) -> IpcResult<()> {
-        self.expect_ok(Request::ContainerClose { container })
-    }
-
-    fn ping(&self) -> IpcResult<()> {
-        match self.request(Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    fn query_topology(&self) -> IpcResult<(String, Vec<crate::message::TopologyDevice>)> {
-        match self.request(Request::QueryTopology)? {
-            Response::Topology { kind, devices } => Ok((kind, devices)),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    fn query_home(&self, container: ContainerId) -> IpcResult<(String, u64)> {
-        match self.request(Request::QueryHome { container })? {
-            Response::Home { node, device } => Ok((node, device)),
-            other => Err(IpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
+/// The socket is one more way to carry a message to the scheduler; the
+/// typed [`crate::endpoint::SchedulerEndpoint`] calls come with it.
+impl Transact for SchedulerClient {
+    fn transact(&self, req: Request) -> IpcResult<Response> {
+        self.request(req)
     }
 }
 
@@ -616,6 +509,8 @@ mod tests {
     use super::*;
     use crate::binary::MAGIC;
     use crate::codec::MAX_LINE_BYTES;
+    use crate::endpoint::SchedulerEndpoint;
+    use crate::message::{AllocDecision, ApiKind};
     use crate::server::{ConnId, Reply, RequestHandler, SocketServer};
     use std::path::PathBuf;
     use std::time::Duration;

@@ -20,10 +20,13 @@
 //!   the first byte of each frame (JSON lines start with `{`; binary
 //!   frames with a magic byte). JSON stays the default — the binary codec
 //!   is the hot-path option for allocation storms.
-//! * [`endpoint`] — [`endpoint::SchedulerEndpoint`], the synchronous
-//!   interface the wrapper module calls. A *suspended* allocation (the
-//!   scheduler withholding its reply, §III-D) surfaces here as a blocking
-//!   call, exactly as `read(2)` on the socket blocks in the original.
+//! * [`endpoint`] — [`endpoint::Transact`], one message in and its reply
+//!   out, and on top of it [`endpoint::SchedulerEndpoint`], the
+//!   synchronous typed interface the wrapper module calls (the
+//!   typed↔message conversions are written there once, for every
+//!   transport). A *suspended* allocation (the scheduler withholding its
+//!   reply, §III-D) surfaces here as a blocking call, exactly as
+//!   `read(2)` on the socket blocks in the original.
 //! * [`client`] — [`client::SchedulerClient`]: the wrapper side of the
 //!   socket, with request correlation so several processes in one
 //!   container can share the socket. It owns no thread: the caller that
@@ -53,7 +56,7 @@ pub mod transport;
 pub use binary::{read_auto, read_binary, write_binary, WireCodec, MAX_FRAME_BYTES};
 pub use client::{ClientObs, SchedulerClient};
 pub use codec::{read_json, write_json, MAX_LINE_BYTES};
-pub use endpoint::{IpcError, IpcResult, SchedulerEndpoint};
+pub use endpoint::{IpcError, IpcResult, SchedulerEndpoint, Transact};
 pub use message::{AllocDecision, ApiKind, ClusterNodeStatus, Envelope, Request, Response};
 pub use server::{Reply, RequestHandler, ServerObs, SocketServer};
 pub use transport::{Conn, EndpointAddr, TransportListener};

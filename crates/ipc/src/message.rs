@@ -43,6 +43,15 @@ fn tagged(tag: &str, fields: Vec<(String, Json)>) -> Json {
     Json::Obj(obj)
 }
 
+/// The value of the field called `container` among a row's fields (each
+/// passed twice: once to be matched by name, once to be used as the
+/// binding the caller's pattern made), `None` for a row without one.
+macro_rules! container_field {
+    () => { None };
+    (container $bound:ident $($rest:ident)*) => { Some(*$bound) };
+    ($other:ident $bound:ident $($rest:ident)*) => { container_field!($($rest)*) };
+}
+
 /// Expand one wire-type table to the type and its four codec impls.
 /// Three shapes: a message (`tagged enum`: tagged JSON object / tag byte
 /// then fields), a value (`enum`: JSON string / tag byte) and a record
@@ -82,6 +91,17 @@ macro_rules! wire {
             pub fn kind(&self) -> &'static str {
                 match self {
                     $( Self::$variant $({ $($field: _),* })? => $wire ),*
+                }
+            }
+
+            /// The container the message concerns: its `container` field,
+            /// if its row has one. This is what a router routes by.
+            pub fn container(&self) -> Option<ContainerId> {
+                match self {
+                    $( Self::$variant $({ $($field),* })? => {
+                        $( let _ = ($($field,)*); )?
+                        container_field!($($($field $field)*)?)
+                    } ),*
                 }
             }
         }
@@ -526,7 +546,8 @@ wire! {
         },
         /// Reply to [`Request::QueryMigrations`].
         Migrations = "migrations", 11 {
-            /// Every migration the router has performed, oldest first.
+            /// The migrations the router still has on record (its newest),
+            /// oldest first.
             records: Vec<MigrationRecord>,
         },
     }

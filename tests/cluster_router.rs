@@ -288,7 +288,7 @@ fn routed_node0_canonical(tag: &str) -> String {
             }
             Op::Alloc { c, pid, mib, addr } => {
                 let decision = router
-                    .alloc_request(ContainerId(c), pid, Bytes::mib(mib), ApiKind::Malloc)
+                    .request_alloc(ContainerId(c), pid, Bytes::mib(mib), ApiKind::Malloc)
                     .unwrap();
                 assert_eq!(decision, AllocDecision::Granted);
                 router
@@ -670,7 +670,7 @@ fn routed_migration_golden_trace() {
     vclock.advance_to(ms(3));
     assert_eq!(
         router
-            .alloc_request(ContainerId(1), 101, Bytes::mib(300), ApiKind::Malloc)
+            .request_alloc(ContainerId(1), 101, Bytes::mib(300), ApiKind::Malloc)
             .unwrap(),
         AllocDecision::Granted
     );
@@ -693,7 +693,7 @@ fn routed_migration_golden_trace() {
     vclock.advance_to(ms(5));
     assert_eq!(
         router
-            .alloc_request(ContainerId(1), 102, Bytes::mib(300), ApiKind::Malloc)
+            .request_alloc(ContainerId(1), 102, Bytes::mib(300), ApiKind::Malloc)
             .unwrap(),
         AllocDecision::Granted
     );
@@ -808,7 +808,7 @@ fn acceptance_run_on(codec: WireCodec, tag: &str, endpoint: fn(&Path, &str) -> E
             std::thread::spawn(move || {
                 let pid = 1000 + c;
                 for round in 0..6u64 {
-                    match router.alloc_request(
+                    match router.request_alloc(
                         ContainerId(c),
                         pid,
                         Bytes::mib(256),
@@ -863,7 +863,7 @@ fn acceptance_run_on(codec: WireCodec, tag: &str, endpoint: fn(&Path, &str) -> E
     let c9 = ContainerId(9);
     assert_eq!(
         router
-            .alloc_request(c9, 9000, Bytes::mib(256), ApiKind::Malloc)
+            .request_alloc(c9, 9000, Bytes::mib(256), ApiKind::Malloc)
             .unwrap(),
         AllocDecision::Granted
     );
@@ -1263,4 +1263,473 @@ fn front_shutdown_ends_idle_forwarders_and_lets_a_parked_one_finish() {
         node.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+// ---------------------------------------------------------------------
+// Dispatch golden: every request kind through the router, in each
+// situation the router distinguishes, over both wires and in-process.
+// ---------------------------------------------------------------------
+
+/// How one leg of the dispatch script reaches the router.
+#[derive(Clone, Copy)]
+enum Leg {
+    /// Through the served front socket, in this codec.
+    Wire(WireCodec),
+    /// `&ClusterRouter as &dyn SchedulerEndpoint`, no socket.
+    InProcess,
+}
+
+/// The typed in-process call a request stands for, rendered back as the
+/// reply the served router would put on the wire for that outcome (its
+/// handler answers an `Err` with `error{message: e.to_string()}`).
+fn in_process_reply(router: &ClusterRouter, req: Request) -> Response {
+    let ep: &dyn SchedulerEndpoint = router;
+    let outcome = match req {
+        Request::Register { container, limit } => {
+            ep.register(container, limit).map(|()| Response::Ok)
+        }
+        Request::RequestDir { container } => {
+            ep.request_dir(container).map(|path| Response::Dir { path })
+        }
+        Request::AllocRequest {
+            container,
+            pid,
+            size,
+            api,
+        } => ep
+            .request_alloc(container, pid, size, api)
+            .map(|decision| Response::Alloc { decision }),
+        Request::AllocDone {
+            container,
+            pid,
+            addr,
+            size,
+        } => ep
+            .alloc_done(container, pid, addr, size)
+            .map(|()| Response::Ok),
+        Request::AllocFailed {
+            container,
+            pid,
+            size,
+        } => ep.alloc_failed(container, pid, size).map(|()| Response::Ok),
+        Request::Free {
+            container,
+            pid,
+            addr,
+        } => ep
+            .free(container, pid, addr)
+            .map(|size| Response::Freed { size }),
+        Request::MemInfo { container, pid } => ep
+            .mem_info(container, pid)
+            .map(|(free, total)| Response::MemInfo { free, total }),
+        Request::ProcessExit { container, pid } => {
+            ep.process_exit(container, pid).map(|()| Response::Ok)
+        }
+        Request::ContainerClose { container } => {
+            ep.container_close(container).map(|()| Response::Ok)
+        }
+        Request::Ping => ep.ping().map(|()| Response::Pong),
+        Request::QueryMetrics => Ok(Response::Metrics {
+            text: router.metrics_text(),
+        }),
+        Request::QueryTopology => ep
+            .query_topology()
+            .map(|(kind, devices)| Response::Topology { kind, devices }),
+        Request::QueryHome { container } => ep
+            .query_home(container)
+            .map(|(node, device)| Response::Home { node, device }),
+        Request::QueryCluster => {
+            let (strategy, nodes) = router.cluster_status();
+            Ok(Response::Cluster { strategy, nodes })
+        }
+        Request::Migrate {
+            container, node, ..
+        } => {
+            if container == ContainerId(0) && !node.is_empty() {
+                router.rebalance(&node)
+            } else {
+                router.migrate_container(container).map(|r| vec![r])
+            }
+        }
+        .map(|records| Response::Migrations { records }),
+        Request::QueryMigrations => Ok(Response::Migrations {
+            records: router.migration_records(),
+        }),
+    };
+    outcome.unwrap_or_else(|e| Response::Error {
+        message: e.to_string(),
+    })
+}
+
+/// Run the dispatch script on a fresh two-node cluster behind a
+/// journaled router on a virtual clock; returns the transcript: per step
+/// the request, the reply and the home map, then the journal's records.
+fn dispatch_transcript(leg: Leg, tag: &str) -> String {
+    use convgpu::ipc::endpoint::IpcError;
+    use convgpu::ipc::json::ToJson;
+    use convgpu::middleware::journal::{JournalConfig, WAL_FILE};
+
+    let dir = temp_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    let vclock = VirtualClock::new();
+    let mut nodes = Vec::new();
+    for (i, cap_mib) in [2048u64, 4096].into_iter().enumerate() {
+        let node_dir = dir.join(format!("n{i}"));
+        std::fs::create_dir_all(&node_dir).unwrap();
+        let backend = TopologyBackend::Single(Scheduler::new(
+            SchedulerConfig::with_capacity(Bytes::mib(cap_mib)),
+            PolicyKind::Fifo.build(POLICY_SEED),
+        ));
+        nodes.push(Some(
+            NodeServer::serve_endpoint(
+                format!("n{i}"),
+                backend,
+                vclock.handle(),
+                node_dir.clone(),
+                &test_endpoint(&node_dir, "node.sock"),
+            )
+            .unwrap(),
+        ));
+    }
+    let endpoints: Vec<(String, EndpointAddr)> = nodes
+        .iter()
+        .flatten()
+        .map(|n| (n.name().to_string(), n.endpoint().clone()))
+        .collect();
+    let jdir = dir.join("journal");
+    let cfg = RouterConfig {
+        max_retries: 1,
+        degraded_after: 2,
+        // High enough that the dead node stays `degraded` while every
+        // kind is sent to it, low enough that a few more failures down it.
+        down_after: 40,
+        ..RouterConfig::default()
+    };
+    let router = Arc::new(
+        ClusterRouter::attach_with_journal(
+            endpoints,
+            WireCodec::Json,
+            cfg,
+            vclock.handle(),
+            JournalConfig::new(&jdir),
+        )
+        .unwrap(),
+    );
+    let front = match leg {
+        Leg::Wire(codec) => {
+            let server = router
+                .serve_on_endpoint(&test_endpoint(&dir, "router.sock"))
+                .unwrap();
+            let client =
+                SchedulerClient::connect_endpoint_with_codec(server.endpoint(), codec, None)
+                    .unwrap();
+            Some((server, client))
+        }
+        Leg::InProcess => None,
+    };
+
+    let mut out = String::new();
+    let tmp_root = dir.display().to_string();
+    // An unchanged home map is shown as `=`.
+    let last_homes = std::cell::RefCell::new(String::new());
+    let send = |out: &mut String, req: Request| -> Response {
+        let reply = match &front {
+            Some((_, client)) => match client.request(req.clone()) {
+                Ok(resp) => resp,
+                // The client folds an `error` reply into this variant.
+                Err(IpcError::Scheduler(message)) => Response::Error { message },
+                Err(e) => panic!("front connection failed on {req:?}: {e}"),
+            },
+            None => in_process_reply(&router, req.clone()),
+        };
+        // Timing data, socket paths and OS error text are not pinned.
+        let shown = match &reply {
+            Response::Metrics { text } => {
+                assert!(text.contains("convgpu_router_node_health"), "{text}");
+                Response::Metrics {
+                    text: "<exposition>".into(),
+                }
+            }
+            Response::Dir { path } => Response::Dir {
+                path: path.replace(&tmp_root, "<tmp>"),
+            },
+            Response::Error { message } => Response::Error {
+                message: match message.split_once("ipc i/o error: ") {
+                    Some((before, _)) => format!("{before}ipc i/o error: <os>"),
+                    None => message.clone(),
+                },
+            },
+            other => other.clone(),
+        };
+        let homes: Vec<String> = router
+            .homes_snapshot()
+            .iter()
+            .map(|(c, h)| {
+                let ledger: Vec<String> = h
+                    .used_by_pid
+                    .iter()
+                    .map(|(pid, b)| format!("{pid}:{b}"))
+                    .collect();
+                format!(
+                    "{c}@{} limit={} hint={} used=[{}]",
+                    h.node,
+                    h.limit,
+                    h.hint,
+                    ledger.join(",")
+                )
+            })
+            .collect();
+        let homes = homes.join("; ");
+        out.push_str(&format!(
+            "> {}\n< {}\n  homes: {}\n",
+            req.to_json_string(),
+            shown.to_json_string(),
+            if homes == last_homes.borrow().as_str() {
+                "="
+            } else {
+                &homes
+            }
+        ));
+        *last_homes.borrow_mut() = homes;
+        reply
+    };
+
+    let c = ContainerId;
+    let mib = Bytes::mib;
+    let alloc = |id: u64, pid: u64, m: u64, api: ApiKind| Request::AllocRequest {
+        container: c(id),
+        pid,
+        size: mib(m),
+        api,
+    };
+    let done = |id: u64, pid: u64, addr: u64, m: u64| Request::AllocDone {
+        container: c(id),
+        pid,
+        addr,
+        size: mib(m),
+    };
+    let migrate = |id: u64, node: &str| Request::Migrate {
+        container: c(id),
+        node: node.to_string(),
+        limit: Bytes::ZERO,
+        used: Bytes::ZERO,
+    };
+    // Every kind, aimed at container `id`; `register` and `migrate` are
+    // left to the caller, which knows what they should do there.
+    let every_kind_for = |id: u64, pid: u64| -> Vec<Request> {
+        vec![
+            Request::RequestDir { container: c(id) },
+            alloc(id, pid, 8, ApiKind::MallocPitch),
+            done(id, pid, 0xC0 + id, 8),
+            Request::AllocFailed {
+                container: c(id),
+                pid,
+                size: mib(8),
+            },
+            Request::MemInfo {
+                container: c(id),
+                pid,
+            },
+            Request::Free {
+                container: c(id),
+                pid,
+                addr: 0xC0 + id,
+            },
+            Request::ProcessExit {
+                container: c(id),
+                pid,
+            },
+            Request::Ping,
+            Request::QueryMetrics,
+            Request::QueryTopology,
+            Request::QueryHome { container: c(id) },
+            Request::QueryCluster,
+            Request::QueryMigrations,
+        ]
+    };
+
+    out.push_str("== setup: six containers, Spread alternates n0 / n1\n");
+    for id in 1..=6 {
+        send(
+            &mut out,
+            Request::Register {
+                container: c(id),
+                limit: mib(256),
+            },
+        );
+    }
+    for id in [2, 4, 6] {
+        assert_eq!(router.homes_snapshot()[&c(id)].node, "n1", "container {id}");
+        send(&mut out, alloc(id, 5, 48, ApiKind::Malloc));
+        send(&mut out, done(id, 5, 0xA0 + id, 48));
+    }
+
+    out.push_str("== (a) every kind for a container whose home is up\n");
+    send(
+        &mut out,
+        Request::Register {
+            container: c(1),
+            limit: mib(256),
+        },
+    );
+    send(&mut out, alloc(1, 7, 64, ApiKind::Malloc));
+    send(&mut out, done(1, 7, 0xA1, 64));
+    send(&mut out, alloc(1, 8, 16, ApiKind::MallocManaged));
+    send(&mut out, done(1, 8, 0xB1, 16));
+    send(
+        &mut out,
+        Request::Free {
+            container: c(1),
+            pid: 7,
+            addr: 0xA1,
+        },
+    );
+    send(
+        &mut out,
+        Request::Free {
+            container: c(1),
+            pid: 7,
+            addr: 0xDEAD,
+        },
+    );
+    for req in every_kind_for(1, 7) {
+        send(&mut out, req);
+    }
+    send(&mut out, migrate(1, ""));
+    send(&mut out, Request::QueryMigrations);
+    send(&mut out, alloc(1, 8, 16, ApiKind::Malloc3D));
+    send(&mut out, Request::ContainerClose { container: c(1) });
+
+    out.push_str("== (c) every kind for a container nobody knows\n");
+    for req in every_kind_for(99, 1) {
+        send(&mut out, req);
+    }
+    send(&mut out, Request::ContainerClose { container: c(99) });
+    send(&mut out, migrate(99, ""));
+    send(&mut out, migrate(0, "nx"));
+    send(
+        &mut out,
+        Request::Register {
+            container: c(99),
+            limit: mib(256),
+        },
+    );
+    send(&mut out, Request::ContainerClose { container: c(99) });
+
+    out.push_str("== (d) a container an earlier router placed: home re-learned\n");
+    nodes[0]
+        .as_ref()
+        .unwrap()
+        .service()
+        .register(c(7), mib(128))
+        .unwrap();
+    send(
+        &mut out,
+        Request::MemInfo {
+            container: c(7),
+            pid: 1,
+        },
+    );
+    send(&mut out, Request::ContainerClose { container: c(7) });
+
+    out.push_str("== (b) every kind for a container whose home n1 was shut down\n");
+    nodes[1].take().unwrap().shutdown();
+    send(
+        &mut out,
+        Request::Register {
+            container: c(2),
+            limit: mib(256),
+        },
+    );
+    // The acknowledged `alloc_done` goes first: it finds the connection
+    // closed, after which every forward fails at the dial.
+    send(&mut out, done(2, 5, 0xD2, 8));
+    for req in every_kind_for(2, 5) {
+        send(&mut out, req);
+    }
+    send(&mut out, Request::ContainerClose { container: c(2) });
+    send(&mut out, migrate(4, ""));
+    send(&mut out, alloc(4, 5, 8, ApiKind::Malloc));
+
+    out.push_str("== n1 driven to down: its last container is drained\n");
+    let mut probes = 0;
+    while router.node_health("n1") != Some(NodeHealth::Down) {
+        probes += 1;
+        assert!(probes <= 64, "n1 never went down");
+        send(
+            &mut out,
+            Request::MemInfo {
+                container: c(6),
+                pid: 5,
+            },
+        );
+    }
+    for req in every_kind_for(6, 5) {
+        send(&mut out, req);
+    }
+
+    out.push_str("== operator drain of the survivor: nowhere to go\n");
+    send(&mut out, migrate(0, "n0"));
+    send(&mut out, Request::QueryMigrations);
+    send(&mut out, Request::QueryCluster);
+    send(
+        &mut out,
+        Request::MemInfo {
+            container: c(3),
+            pid: 1,
+        },
+    );
+
+    out.push_str("== journal\n");
+    router.journal_flush();
+    let wal = std::fs::read_to_string(jdir.join(WAL_FILE)).unwrap();
+    for line in wal.lines() {
+        // `SEQ CRC PAYLOAD`
+        out.push_str(line.splitn(3, ' ').nth(2).expect("a journal record"));
+        out.push('\n');
+    }
+
+    if let Some((server, client)) = front {
+        drop(client);
+        server.shutdown();
+    }
+    drop(router);
+    for node in nodes.into_iter().flatten() {
+        node.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// One scripted, single-threaded run sends every request kind to the
+/// router in each situation it tells apart — home up, home shut down,
+/// container unknown, home re-learned, node down and drained — plus one
+/// single-container `migrate` and two `rebalance`s. Each reply, the home
+/// map after it and the journal at the end are pinned by
+/// `tests/golden/router_dispatch.golden`; the served router in both
+/// codecs and the in-process `SchedulerEndpoint` must all produce it.
+/// Re-bless with `UPDATE_GOLDEN=1 cargo test --test cluster_router`.
+#[test]
+fn router_dispatch_golden() {
+    let got = dispatch_transcript(Leg::Wire(WireCodec::Json), "dispatch-json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/router_dispatch.golden"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &got).unwrap();
+    }
+    let want = std::fs::read_to_string(path)
+        .expect("golden missing; bless with UPDATE_GOLDEN=1 cargo test --test cluster_router");
+    assert_eq!(got, want, "router dispatch drifted from golden (json wire)");
+    assert_eq!(
+        dispatch_transcript(Leg::Wire(WireCodec::Binary), "dispatch-binary"),
+        want,
+        "the binary front socket answers differently from the JSON one"
+    );
+    assert_eq!(
+        dispatch_transcript(Leg::InProcess, "dispatch-inproc"),
+        want,
+        "the in-process endpoint's typed outcomes differ from the wire's"
+    );
 }

@@ -169,6 +169,7 @@ fn in_proc_endpoint_full_crash_recovery_cycle() {
 mod cluster_faults {
     use super::*;
     use convgpu::ipc::binary::WireCodec;
+    use convgpu::ipc::endpoint::SchedulerEndpoint;
     use convgpu::middleware::router::{ClusterRouter, NodeHealth, RouterConfig};
     use convgpu::sim::clock::VirtualClock;
     use convgpu::sim::time::SimDuration;
@@ -240,7 +241,7 @@ mod cluster_faults {
         router.register(ContainerId(2), Bytes::mib(800)).unwrap();
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -250,7 +251,7 @@ mod cluster_faults {
         // Container 2's allocation suspends on the node…
         let waiter_router = Arc::clone(&router);
         let waiter = std::thread::spawn(move || {
-            waiter_router.alloc_request(ContainerId(2), 2, Bytes::mib(800), ApiKind::Malloc)
+            waiter_router.request_alloc(ContainerId(2), 2, Bytes::mib(800), ApiKind::Malloc)
         });
         std::thread::sleep(Duration::from_millis(100));
         assert!(!waiter.is_finished(), "the allocation must be suspended");
@@ -367,7 +368,7 @@ mod cluster_faults {
         first.register(ContainerId(2), Bytes::mib(600)).unwrap();
         assert_eq!(
             first
-                .alloc_request(ContainerId(1), 1, Bytes::mib(300), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 1, Bytes::mib(300), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -478,7 +479,7 @@ mod migration_faults {
         router.register(ContainerId(3), Bytes::mib(800)).unwrap();
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -488,7 +489,7 @@ mod migration_faults {
         // Container 3's allocation parks behind container 1's 800 MiB…
         let waiter_router = Arc::clone(&router);
         let waiter = std::thread::spawn(move || {
-            waiter_router.alloc_request(ContainerId(3), 3, Bytes::mib(800), ApiKind::Malloc)
+            waiter_router.request_alloc(ContainerId(3), 3, Bytes::mib(800), ApiKind::Malloc)
         });
         std::thread::sleep(Duration::from_millis(100));
         assert!(!waiter.is_finished(), "the allocation must be suspended");
@@ -524,7 +525,7 @@ mod migration_faults {
             assert_eq!(home, "n1", "container {c} must re-home on n1");
             assert_eq!(
                 router
-                    .alloc_request(c, 100 + c.as_u64(), Bytes::mib(50), ApiKind::Malloc)
+                    .request_alloc(c, 100 + c.as_u64(), Bytes::mib(50), ApiKind::Malloc)
                     .unwrap(),
                 AllocDecision::Granted
             );
@@ -562,7 +563,7 @@ mod migration_faults {
         router.register(ContainerId(1), Bytes::mib(200)).unwrap(); // → n0
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 1, Bytes::mib(100), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 1, Bytes::mib(100), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -577,7 +578,7 @@ mod migration_faults {
         let started = Instant::now();
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Rejected,
             "the triggering call fails over instead of hanging"
@@ -594,7 +595,7 @@ mod migration_faults {
         // Full lifecycle on the last survivor.
         assert_eq!(
             router
-                .alloc_request(ContainerId(1), 2, Bytes::mib(50), ApiKind::Malloc)
+                .request_alloc(ContainerId(1), 2, Bytes::mib(50), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
@@ -679,7 +680,7 @@ mod migration_faults {
                 std::thread::spawn(move || {
                     let pid = 2000 + c;
                     for round in 0..6u64 {
-                        match router.alloc_request(
+                        match router.request_alloc(
                             ContainerId(c),
                             pid,
                             Bytes::mib(128),
@@ -717,7 +718,7 @@ mod migration_faults {
         let deadline = Instant::now() + Duration::from_secs(20);
         while router.node_health("n1") != Some(NodeHealth::Down) {
             assert!(Instant::now() < deadline, "victim never marked Down");
-            let _ = router.alloc_request(ContainerId(1), 1, Bytes::mib(1), ApiKind::Malloc);
+            let _ = router.request_alloc(ContainerId(1), 1, Bytes::mib(1), ApiKind::Malloc);
             std::thread::sleep(Duration::from_millis(10));
         }
 
@@ -789,6 +790,181 @@ mod migration_faults {
         );
         server.shutdown();
         kill(n0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A long-lived daemon's migration history must stay answerable: the
+    /// log keeps the newest records only, so the `migrations` reply
+    /// always fits a frame. Unbounded, the thousand adoptions below grow
+    /// it past 64 KiB and every later `query_migrations` is the
+    /// frame-limit `error`.
+    #[test]
+    fn a_long_migration_history_still_answers_query_migrations() {
+        use convgpu::ipc::message::{Request, Response};
+        const ROUNDS: u64 = 1000;
+        let n0 = node("history", "n0", 1024, RealClock::handle());
+        let client = SchedulerClient::connect_endpoint(n0.endpoint()).unwrap();
+        for c in 1..=ROUNDS {
+            let adopt = Request::Migrate {
+                container: ContainerId(c),
+                node: String::new(),
+                limit: Bytes::mib(64),
+                used: Bytes::mib(1),
+            };
+            assert_eq!(client.request(adopt).unwrap(), Response::Ok);
+            client.container_close(ContainerId(c)).unwrap();
+        }
+        let records = client
+            .query_migrations()
+            .expect("the history must fit a reply");
+        assert!(records.len() >= 100, "kept only {}", records.len());
+        // The newest ones, oldest first, none missing in between.
+        let first = ROUNDS + 1 - records.len() as u64;
+        for (record, c) in records.iter().zip(first..) {
+            assert_eq!(record.container, ContainerId(c));
+            assert_eq!(record.status, "completed");
+        }
+        client.ping().expect("the same connection still answers");
+        drop(client);
+        n0.shutdown();
+    }
+
+    /// Two `register`s of one container id in flight at once — a
+    /// retrying or hostile client on a second connection — must not be
+    /// placed independently: under `Random` the second draw lands on the
+    /// other node, both nodes answer `ok`, the later home overwrites the
+    /// earlier, and the first node keeps an open container nothing will
+    /// ever close. The stub nodes withhold every `register` reply, so
+    /// the first placement is still undecided when the second arrives.
+    #[test]
+    fn two_in_flight_registers_of_one_id_home_it_once() {
+        use convgpu::ipc::message::{Request, Response, TopologyDevice};
+        use convgpu::ipc::server::{ConnId, Reply, RequestHandler, SocketServer};
+        use convgpu::scheduler::cluster::SwarmStrategy;
+        use convgpu::sim::rng::DetRng;
+        use convgpu::sim::sync::Mutex;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        #[derive(Default)]
+        struct WithholdingNode {
+            registers: AtomicUsize,
+            withheld: Mutex<Vec<Reply>>,
+        }
+        impl RequestHandler for WithholdingNode {
+            fn on_request(&self, _conn: ConnId, req: Request, reply: Reply) {
+                match req {
+                    Request::QueryTopology => reply.send(Response::Topology {
+                        kind: "single".into(),
+                        devices: vec![TopologyDevice {
+                            node: String::new(),
+                            device: 0,
+                            capacity: Bytes::gib(4),
+                            unassigned: Bytes::gib(4),
+                            containers: 0,
+                            policy: "FIFO".into(),
+                        }],
+                    }),
+                    Request::Register { .. } => {
+                        self.withheld.lock().push(reply);
+                        self.registers.fetch_add(1, Ordering::SeqCst);
+                    }
+                    _ => reply.send(Response::Ok),
+                }
+            }
+        }
+
+        let dir = temp_dir("double-register");
+        let stubs = [
+            Arc::new(WithholdingNode::default()),
+            Arc::new(WithholdingNode::default()),
+        ];
+        let servers: Vec<SocketServer> = stubs
+            .iter()
+            .enumerate()
+            .map(|(i, stub)| {
+                let handler = Arc::clone(stub) as Arc<dyn RequestHandler>;
+                SocketServer::bind_endpoint(&test_endpoint(&dir, &format!("s{i}.sock")), handler)
+                    .unwrap()
+            })
+            .collect();
+        // A seed whose first two placement draws pick different nodes.
+        let seed = (0..64)
+            .find(|&seed| {
+                let mut rng = DetRng::seed_from_u64(seed);
+                rng.index(2) != rng.index(2)
+            })
+            .expect("some seed draws two different nodes");
+        let router = Arc::new(ClusterRouter::attach(
+            servers
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (format!("s{i}"), s.endpoint().clone()))
+                .collect(),
+            WireCodec::Binary,
+            RouterConfig {
+                strategy: SwarmStrategy::Random,
+                seed,
+                // The replies are withheld for as long as the test likes.
+                deadline: convgpu::sim::time::SimDuration::from_secs(60),
+                ..RouterConfig::default()
+            },
+            RealClock::handle(),
+        ));
+        let forwarded = || -> usize {
+            stubs
+                .iter()
+                .map(|s| s.registers.load(Ordering::SeqCst))
+                .sum()
+        };
+        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "never happened: {what}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        let register = || {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || router.register(ContainerId(1), Bytes::mib(100)))
+        };
+
+        let first = register();
+        wait_for("the first register reaches a node", &|| forwarded() == 1);
+        let second = register();
+        wait_for("the second register is refused, or forwarded", &|| {
+            second.is_finished() || forwarded() == 2
+        });
+        assert_eq!(forwarded(), 1, "the racing register was placed on its own");
+        let refusal = second.join().unwrap().unwrap_err();
+        assert!(
+            refusal.to_string().contains("already registered"),
+            "{refusal}"
+        );
+
+        for stub in &stubs {
+            for reply in stub.withheld.lock().drain(..) {
+                reply.send(Response::Ok);
+            }
+        }
+        let home = first.join().unwrap().expect("the first register succeeds");
+        let homes = router.homes_snapshot();
+        assert_eq!(homes.len(), 1, "{homes:?}");
+        assert_eq!(homes[&ContainerId(1)].node, home);
+        let other = stubs
+            .iter()
+            .zip(["s0", "s1"])
+            .find(|(_, name)| *name != home)
+            .unwrap()
+            .0;
+        assert_eq!(
+            other.registers.load(Ordering::SeqCst),
+            0,
+            "the other node saw a register"
+        );
+        drop(router);
+        for server in servers {
+            server.shutdown();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

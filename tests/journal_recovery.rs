@@ -26,6 +26,7 @@
 
 use convgpu::ipc::binary::WireCodec;
 use convgpu::ipc::client::SchedulerClient;
+use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::ipc::message::{AllocDecision, ApiKind, Request, Response};
 use convgpu::ipc::transport::EndpointAddr;
 use convgpu::middleware::journal::{
@@ -416,7 +417,7 @@ fn scripted_run(
                 let pid = 1 + rng.next_below(3);
                 let size = Bytes::mib(16 + rng.next_below(32));
                 let decision = router
-                    .alloc_request(ContainerId(*c), pid, size, ApiKind::Malloc)
+                    .request_alloc(ContainerId(*c), pid, size, ApiKind::Malloc)
                     .unwrap();
                 assert_eq!(decision, AllocDecision::Granted, "script sized to fit");
                 let addr = next_addr;
@@ -596,7 +597,7 @@ fn fixture_scenario(dir: &Path) -> BTreeMap<ContainerId, RecoveredHome> {
     first.register(ContainerId(1), Bytes::mib(400)).unwrap();
     assert_eq!(
         first
-            .alloc_request(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
+            .request_alloc(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
             .unwrap(),
         AllocDecision::Granted
     );
@@ -604,7 +605,7 @@ fn fixture_scenario(dir: &Path) -> BTreeMap<ContainerId, RecoveredHome> {
     first.register(ContainerId(2), Bytes::mib(256)).unwrap();
     assert_eq!(
         first
-            .alloc_request(ContainerId(1), 7, Bytes::mib(100), ApiKind::Malloc)
+            .request_alloc(ContainerId(1), 7, Bytes::mib(100), ApiKind::Malloc)
             .unwrap(),
         AllocDecision::Granted
     );
@@ -615,7 +616,7 @@ fn fixture_scenario(dir: &Path) -> BTreeMap<ContainerId, RecoveredHome> {
     );
     assert_eq!(
         first
-            .alloc_request(ContainerId(2), 9, Bytes::mib(64), ApiKind::Malloc)
+            .request_alloc(ContainerId(2), 9, Bytes::mib(64), ApiKind::Malloc)
             .unwrap(),
         AllocDecision::Granted
     );
@@ -627,7 +628,7 @@ fn fixture_scenario(dir: &Path) -> BTreeMap<ContainerId, RecoveredHome> {
     second.register(ContainerId(3), Bytes::mib(128)).unwrap();
     assert_eq!(
         second
-            .alloc_request(ContainerId(3), 3, Bytes::mib(32), ApiKind::Malloc)
+            .request_alloc(ContainerId(3), 3, Bytes::mib(32), ApiKind::Malloc)
             .unwrap(),
         AllocDecision::Granted
     );

@@ -1,13 +1,14 @@
 //! Transport/codec parity battery: the same FIFO contention scenario
-//! driven **over the wire** across every transport × codec combination
+//! driven message by message across every transport × codec combination
 //! must be indistinguishable at the scheduler.
 //!
 //! Two fingerprints are compared across
-//! `{unix, tcp-loopback} × {json, binary}`:
+//! `{unix, tcp-loopback} × {json, binary}` and the in-process endpoint
+//! (one more transport: the same messages, no socket):
 //!
 //! * **Canonical trace** — the served node's span ring, canonicalized
 //!   (ids and absolute times stripped), must be byte-identical across
-//!   all four combos: the transport and codec leave no residue in the
+//!   all five legs: the transport and codec leave no residue in the
 //!   decision tree.
 //! * **Decision log** — every logged scheduling decision, including the
 //!   suspension/resume correlation **tickets**, rendered and compared
@@ -23,9 +24,11 @@
 
 use convgpu::ipc::binary::WireCodec;
 use convgpu::ipc::client::SchedulerClient;
+use convgpu::ipc::endpoint::Transact;
 use convgpu::ipc::message::{AllocDecision, ApiKind, Request, Response};
 use convgpu::ipc::transport::EndpointAddr;
 use convgpu::middleware::router::NodeServer;
+use convgpu::middleware::InProcEndpoint;
 use convgpu::scheduler::backend::TopologyBackend;
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::log::Decision;
@@ -35,7 +38,7 @@ use convgpu::sim::ids::ContainerId;
 use convgpu::sim::time::SimTime;
 use convgpu::sim::units::Bytes;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -52,21 +55,30 @@ fn fifo_backend() -> TopologyBackend {
     ))
 }
 
-/// Drive the FIFO contention scenario over a served node on the given
-/// endpoint/codec; return `(canonical trace, rendered decision log)`.
-fn wire_fifo_run(endpoint: &EndpointAddr, codec: WireCodec, tag: &str) -> (String, Vec<String>) {
+/// Drive the FIFO contention scenario against a served node — over its
+/// socket in `codec`, or with no codec in-process against the service
+/// behind it; return `(canonical trace, rendered decision log)`.
+fn fifo_run(endpoint: &EndpointAddr, codec: Option<WireCodec>, tag: &str) -> (String, Vec<String>) {
     let dir = temp_dir(tag);
     let vclock = VirtualClock::new();
     let node = NodeServer::serve_endpoint("parity", fifo_backend(), vclock.handle(), dir, endpoint)
         .unwrap();
-    let client =
-        SchedulerClient::connect_endpoint_with_codec(node.endpoint(), codec, None).unwrap();
+    let (ep, service) = (node.endpoint().clone(), Arc::clone(node.service()));
+    let connect = move || -> Box<dyn Transact> {
+        match codec {
+            Some(codec) => {
+                Box::new(SchedulerClient::connect_endpoint_with_codec(&ep, codec, None).unwrap())
+            }
+            None => Box::new(InProcEndpoint::new(Arc::clone(&service))),
+        }
+    };
+    let client = connect();
 
     let t = SimTime::from_secs;
     for (i, c) in [1u64, 2, 3].into_iter().enumerate() {
         vclock.advance_to(t(1 + i as u64));
         client
-            .request(Request::Register {
+            .transact(Request::Register {
                 container: ContainerId(c),
                 limit: Bytes::mib(2048),
             })
@@ -76,7 +88,7 @@ fn wire_fifo_run(endpoint: &EndpointAddr, codec: WireCodec, tag: &str) -> (Strin
     for (at, c, addr) in [(11u64, 1u64, 0xA1u64), (12, 2, 0xA2)] {
         vclock.advance_to(t(at));
         let r = client
-            .request(Request::AllocRequest {
+            .transact(Request::AllocRequest {
                 container: ContainerId(c),
                 pid: c,
                 size: Bytes::mib(2048),
@@ -93,7 +105,7 @@ fn wire_fifo_run(endpoint: &EndpointAddr, codec: WireCodec, tag: &str) -> (Strin
             "cnt-{c} not granted: {r:?}"
         );
         client
-            .request(Request::AllocDone {
+            .transact(Request::AllocDone {
                 container: ContainerId(c),
                 pid: c,
                 addr,
@@ -104,12 +116,11 @@ fn wire_fifo_run(endpoint: &EndpointAddr, codec: WireCodec, tag: &str) -> (Strin
     // c3's limit-sized request parks: its reply is withheld, so it must
     // block on its own connection while the main one drives the resume.
     vclock.advance_to(t(13));
-    let ep = node.endpoint().clone();
     let (done_tx, done_rx) = mpsc::channel();
     let waiter = std::thread::spawn(move || {
-        let c3 = SchedulerClient::connect_endpoint_with_codec(&ep, codec, None).unwrap();
+        let c3 = connect();
         let r = c3
-            .request(Request::AllocRequest {
+            .transact(Request::AllocRequest {
                 container: ContainerId(3),
                 pid: 3,
                 size: Bytes::mib(2048),
@@ -125,7 +136,7 @@ fn wire_fifo_run(endpoint: &EndpointAddr, codec: WireCodec, tag: &str) -> (Strin
             ),
             "resumed c3 not granted: {r:?}"
         );
-        c3.request(Request::AllocDone {
+        c3.transact(Request::AllocDone {
             container: ContainerId(3),
             pid: 3,
             addr: 0xA3,
@@ -152,7 +163,7 @@ fn wire_fifo_run(endpoint: &EndpointAddr, codec: WireCodec, tag: &str) -> (Strin
     // c1 closes: redistribution fully guarantees c3 and resumes it.
     vclock.advance_to(t(20));
     client
-        .request(Request::ContainerClose {
+        .transact(Request::ContainerClose {
             container: ContainerId(1),
         })
         .unwrap();
@@ -162,13 +173,13 @@ fn wire_fifo_run(endpoint: &EndpointAddr, codec: WireCodec, tag: &str) -> (Strin
     waiter.join().unwrap();
     vclock.advance_to(t(25));
     client
-        .request(Request::ContainerClose {
+        .transact(Request::ContainerClose {
             container: ContainerId(2),
         })
         .unwrap();
     vclock.advance_to(t(30));
     client
-        .request(Request::ContainerClose {
+        .transact(Request::ContainerClose {
             container: ContainerId(3),
         })
         .unwrap();
@@ -181,15 +192,17 @@ fn wire_fifo_run(endpoint: &EndpointAddr, codec: WireCodec, tag: &str) -> (Strin
     (canon, log)
 }
 
-/// The four transport × codec combos produce byte-identical canonical
-/// traces and bit-identical decision logs (tickets included).
+/// The four transport × codec combos and the in-process endpoint
+/// produce byte-identical canonical traces and bit-identical decision
+/// logs (tickets included).
 #[test]
 fn fifo_scenario_identical_across_transports_and_codecs() {
     let combos = [
-        ("unix-json", WireCodec::Json, false),
-        ("unix-binary", WireCodec::Binary, false),
-        ("tcp-json", WireCodec::Json, true),
-        ("tcp-binary", WireCodec::Binary, true),
+        ("unix-json", Some(WireCodec::Json), false),
+        ("unix-binary", Some(WireCodec::Binary), false),
+        ("tcp-json", Some(WireCodec::Json), true),
+        ("tcp-binary", Some(WireCodec::Binary), true),
+        ("inproc", None, false),
     ];
     let mut runs = Vec::new();
     for (tag, codec, tcp) in combos {
@@ -198,7 +211,7 @@ fn fifo_scenario_identical_across_transports_and_codecs() {
         } else {
             EndpointAddr::from(temp_dir(tag).join("node.sock"))
         };
-        runs.push((tag, wire_fifo_run(&endpoint, codec, tag)));
+        runs.push((tag, fifo_run(&endpoint, codec, tag)));
     }
 
     let (base_tag, (base_canon, base_log)) = &runs[0];
