@@ -12,8 +12,8 @@ use convgpu_ipc::message::Request;
 use convgpu_ipc::server::{ConnId, Reply, RequestHandler};
 use std::sync::Arc;
 
-/// The [`RequestHandler`] ConVGPU binds on its control and per-container
-/// sockets.
+/// The [`RequestHandler`] a daemon binds on its one socket — the
+/// listener every container reaches through the link in its volume.
 pub struct ServiceHandler {
     service: Arc<SchedulerService>,
 }

@@ -2,9 +2,10 @@
 //!
 //! `ConVGpu::start` stands up the whole of the paper's Fig. 2 in one call:
 //! the simulated GPU + raw CUDA runtime, the container engine, the GPU
-//! memory scheduler service (with real UNIX sockets by default), the
-//! customized nvidia-docker front end, and the plugin that converts
-//! volume-unmount events into scheduler close signals.
+//! memory scheduler service (behind one real UNIX socket by default —
+//! one listener per daemon, hard-linked into each live container's
+//! volume), the customized nvidia-docker front end, and the plugin that
+//! converts volume-unmount events into scheduler close signals.
 //! `ConVGpu::run_container` then does what `nvidia-docker run image` did
 //! on the paper's testbed: registers, creates, starts, and executes the
 //! given [`GpuProgram`] inside the container on its own thread, with its
@@ -34,12 +35,10 @@ use convgpu_scheduler::policy::PolicyKind;
 use convgpu_scheduler::state::{ContainerState, ResumeRule};
 use convgpu_sim_core::clock::{ClockHandle, RealClock};
 use convgpu_sim_core::ids::ContainerId;
-use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::units::Bytes;
 use convgpu_wrapper::module::{WrapperModule, WrapperObs};
 use convgpu_wrapper::preload::{resolve_runtime, LinkSpec, ProcessEnv};
-use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -102,8 +101,10 @@ pub struct ConVGpuConfig {
     pub time_scale: f64,
     /// Wrapper↔scheduler transport.
     pub transport: TransportMode,
-    /// Directory for per-container volumes and sockets (default: a fresh
-    /// directory under the system temp dir).
+    /// Directory for the daemon socket (`convgpu.sock`) and the live
+    /// containers' volume directories (default: a fresh directory under
+    /// the system temp dir). A UNIX socket address holds ~107 bytes and
+    /// a container dials `<base_dir>/cnt-NNNN/convgpu.sock`: keep it short.
     pub base_dir: Option<PathBuf>,
     /// Container engine cost model.
     pub engine: EngineConfig,
@@ -164,14 +165,14 @@ pub struct ConVGpu {
     raw: Arc<RawCudaRuntime>,
     engine: Arc<Engine>,
     service: Arc<SchedulerService>,
-    handler: Arc<ServiceHandler>,
     nvidia_docker: NvidiaDocker,
-    plugin: Option<NvidiaDockerPlugin>,
-    transport: TransportMode,
+    /// Held for its lifetime: dropping it stops the close-signal thread.
+    _plugin: NvidiaDockerPlugin,
+    /// The daemon's one listener; `None` under [`TransportMode::InProc`].
+    server: Option<SocketServer>,
     /// Multi-device topologies answer `cudaGetDeviceProperties` from the
     /// container's home device.
     device_aware_props: bool,
-    container_servers: Mutex<HashMap<ContainerId, SocketServer>>,
 }
 
 impl ConVGpu {
@@ -244,7 +245,19 @@ impl ConVGpu {
             Arc::clone(&clock),
             base_dir,
         ));
-        let handler = Arc::new(ServiceHandler::new(Arc::clone(&service)));
+        // One listener for the daemon's whole life; `request_dir` links it
+        // into each container's volume.
+        let server = match cfg.transport {
+            TransportMode::UnixSocket => Some(SocketServer::bind_with_obs(
+                &service.daemon_socket(),
+                Arc::new(ServiceHandler::new(Arc::clone(&service))),
+                Some(ServerObs {
+                    registry: Arc::clone(&service.obs().registry),
+                    clock: Arc::clone(&clock),
+                }),
+            )?),
+            TransportMode::InProc => None,
+        };
         let frontend_endpoint: Arc<dyn SchedulerEndpoint> =
             Arc::new(InProcEndpoint::new(Arc::clone(&service)));
         let nvidia_docker = NvidiaDocker::new(
@@ -259,12 +272,10 @@ impl ConVGpu {
             raw,
             engine,
             service,
-            handler,
             nvidia_docker,
-            plugin: Some(plugin),
-            transport: cfg.transport,
+            _plugin: plugin,
+            server,
             device_aware_props: !matches!(cfg.topology, TopologySpec::SingleGpu),
-            container_servers: Mutex::new(HashMap::new()),
         })
     }
 
@@ -288,6 +299,13 @@ impl ConVGpu {
         &self.service
     }
 
+    /// The daemon socket — the operator's channel (`query_metrics`,
+    /// `query_topology`, …) whether or not any container is alive;
+    /// `None` under [`TransportMode::InProc`].
+    pub fn socket_path(&self) -> Option<&Path> {
+        self.server.as_ref().map(SocketServer::path)
+    }
+
     /// The customized nvidia-docker front end (for command rewriting
     /// without program execution, e.g. the Fig. 5 creation benchmark).
     pub fn nvidia_docker(&self) -> &NvidiaDocker {
@@ -309,32 +327,21 @@ impl ConVGpu {
         let prepared = self.nvidia_docker.run(&cmd)?;
         let id = prepared.id;
 
-        // Build the endpoint the wrapper will use.
+        // Build the endpoint the wrapper will use: it dials the socket in
+        // its own volume, as the module inside a real container would.
         let registry = Arc::clone(&self.service.obs().registry);
-        let endpoint: Arc<dyn SchedulerEndpoint> = match self.transport {
-            TransportMode::UnixSocket => {
-                let sock = self.service.socket_path(id);
-                let server = SocketServer::bind_with_obs(
-                    &sock,
-                    Arc::clone(&self.handler) as _,
-                    Some(ServerObs {
-                        registry: Arc::clone(&registry),
-                        clock: Arc::clone(&self.clock),
-                    }),
-                )
-                .map_err(|e| NvidiaDockerError::Ipc(e.into()))?;
-                let client = SchedulerClient::connect_with_obs(
-                    &sock,
+        let endpoint: Arc<dyn SchedulerEndpoint> = match self.server {
+            Some(_) => Arc::new(
+                SchedulerClient::connect_with_obs(
+                    &self.service.socket_path(id),
                     Some(ClientObs {
                         registry: Arc::clone(&registry),
                         clock: Arc::clone(&self.clock),
                     }),
                 )
-                .map_err(NvidiaDockerError::Ipc)?;
-                self.container_servers.lock().insert(id, server);
-                Arc::new(client)
-            }
-            TransportMode::InProc => Arc::new(InProcEndpoint::new(Arc::clone(&self.service))),
+                .map_err(NvidiaDockerError::Ipc)?,
+            ),
+            None => Arc::new(InProcEndpoint::new(Arc::clone(&self.service))),
         };
         let mut module =
             WrapperModule::new(id, Arc::clone(&self.raw) as Arc<dyn CudaApi>, endpoint).with_obs(
@@ -479,26 +486,9 @@ impl ConVGpu {
         self.service.chrome_trace()
     }
 
-    /// Stop the plugin and every socket server.
-    pub fn shutdown(mut self) {
-        if let Some(p) = self.plugin.take() {
-            p.shutdown();
-        }
-        for (_, server) in self.container_servers.lock().drain() {
-            server.shutdown();
-        }
-    }
-}
-
-impl Drop for ConVGpu {
-    fn drop(&mut self) {
-        if let Some(p) = self.plugin.take() {
-            p.shutdown();
-        }
-        for (_, server) in self.container_servers.lock().drain() {
-            server.shutdown();
-        }
-    }
+    /// Stop the plugin, then the listener — which is what dropping the
+    /// fields does, in that order.
+    pub fn shutdown(self) {}
 }
 
 #[cfg(test)]
@@ -548,16 +538,36 @@ mod tests {
     }
 
     #[test]
-    fn managed_run_in_proc_completes() {
+    fn managed_run_in_proc_completes_without_a_socket() {
         let convgpu = ConVGpu::start(fast_cfg(TransportMode::InProc)).unwrap();
+        assert_eq!(convgpu.socket_path(), None);
+        assert!(!convgpu.service().daemon_socket().exists());
         let session = convgpu
             .run_container(
                 RunCommand::new("cuda-app").nvidia_memory("512m"),
                 alloc_program(256),
             )
             .unwrap();
+        // Nothing to link into the volume either.
+        assert!(!convgpu.service().socket_path(session.container).exists());
         session.wait().unwrap();
         convgpu.shutdown();
+    }
+
+    #[test]
+    fn a_base_dir_too_long_for_a_socket_address_fails_at_start() {
+        // `sun_path` holds ~107 bytes; the daemon socket is bound in
+        // `start`, so the bind error surfaces there, not at the first
+        // container.
+        let base = std::env::temp_dir().join(format!("convgpu-{}", "x".repeat(100)));
+        let err = ConVGpu::start(ConVGpuConfig {
+            base_dir: Some(base.clone()),
+            ..fast_cfg(TransportMode::UnixSocket)
+        })
+        .err()
+        .expect("bind must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let _ = std::fs::remove_dir_all(base);
     }
 
     #[test]

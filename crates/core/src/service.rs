@@ -24,10 +24,13 @@ use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::units::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
+
+/// File name of the daemon's socket, and of its link in a volume.
+const SOCKET_NAME: &str = "convgpu.sock";
 
 /// A parked reply for a suspended allocation.
 enum Waiter {
@@ -125,6 +128,9 @@ pub struct SchedulerService {
     state: Mutex<TopologyBackend>,
     waiters: Mutex<HashMap<u64, Waiter>>,
     base_dir: PathBuf,
+    /// Containers whose volume directory [`SchedulerService::request_dir`]
+    /// made and [`SchedulerService::container_close`] has yet to remove.
+    volumes: Mutex<HashSet<ContainerId>>,
     obs: Arc<ObsHub>,
     migrations: Mutex<MigrationLog>,
 }
@@ -150,6 +156,7 @@ impl SchedulerService {
             state: Mutex::new(backend),
             waiters: Mutex::new(HashMap::new()),
             base_dir,
+            volumes: Mutex::new(HashSet::new()),
             obs,
             migrations: Mutex::new(MigrationLog::default()),
         }
@@ -483,13 +490,32 @@ impl SchedulerService {
     }
 
     /// Create (if needed) and return the container's volume directory,
-    /// with the wrapper-module file "copied" into it (paper §III-D: the
-    /// scheduler "creates a directory to share the volume with the
-    /// container, builds a UNIX socket inside the directory, and copies
-    /// the wrapper module to the directory").
+    /// with the daemon's socket linked and the wrapper-module file
+    /// "copied" into it (paper §III-D: the scheduler "creates a directory
+    /// to share the volume with the container, builds a UNIX socket
+    /// inside the directory, and copies the wrapper module to the
+    /// directory"). The socket is a hard link to the one listener on
+    /// [`SchedulerService::daemon_socket`] — a hard link, not a symlink,
+    /// so it still resolves inside a bind mount; a service nobody bound
+    /// that socket for (in-process transport) links nothing.
+    /// [`SchedulerService::container_close`] removes the directory.
     pub fn request_dir(&self, container: ContainerId) -> std::io::Result<PathBuf> {
+        use std::io::ErrorKind::{AlreadyExists, NotFound};
         let dir = self.base_dir.join(container.to_string());
         std::fs::create_dir_all(&dir)?;
+        self.volumes.lock().insert(container);
+        let (listener, link) = (self.daemon_socket(), self.socket_path(container));
+        match std::fs::hard_link(&listener, &link) {
+            // Asked twice, or left behind by an earlier daemon on this
+            // `base_dir`: the link must name the *live* listener.
+            Err(e) if e.kind() == AlreadyExists => {
+                std::fs::remove_file(&link)?;
+                std::fs::hard_link(&listener, &link)?;
+            }
+            // `NotFound`: no listener to link (in-process transport).
+            Err(e) if e.kind() != NotFound => return Err(e),
+            _ => {}
+        }
         let module = dir.join("libgpushare.so");
         if !module.exists() {
             std::fs::write(
@@ -500,11 +526,16 @@ impl SchedulerService {
         Ok(dir)
     }
 
+    /// Where the daemon's one listener lives: `<base_dir>/convgpu.sock`.
+    /// Operators dial it directly; containers reach it through the link
+    /// in their volume ([`SchedulerService::socket_path`]).
+    pub fn daemon_socket(&self) -> PathBuf {
+        self.base_dir.join(SOCKET_NAME)
+    }
+
     /// Socket path inside a container directory.
     pub fn socket_path(&self, container: ContainerId) -> PathBuf {
-        self.base_dir
-            .join(container.to_string())
-            .join("convgpu.sock")
+        self.base_dir.join(container.to_string()).join(SOCKET_NAME)
     }
 
     /// Blocking allocation request (in-process path): parks the calling
@@ -661,8 +692,15 @@ impl SchedulerService {
         Ok(())
     }
 
-    /// Container close: release everything and redistribute.
+    /// Container close: release everything and redistribute. The volume
+    /// directory `request_dir` made goes first (outside the state lock),
+    /// so whoever sees the container `Closed` also sees it gone; a
+    /// container that never asked for one costs a set lookup, no syscall.
+    /// Best effort: a close does not fail over a file already missing.
     pub fn container_close(&self, container: ContainerId) -> Result<(), SchedError> {
+        if self.volumes.lock().remove(&container) {
+            let _ = std::fs::remove_dir_all(self.base_dir.join(container.to_string()));
+        }
         let actions = {
             let mut state = self.state.lock();
             let now = self.clock.now();
@@ -729,6 +767,36 @@ mod tests {
             .socket_path(ContainerId(1))
             .to_string_lossy()
             .ends_with("cnt-0001/convgpu.sock"));
+    }
+
+    #[test]
+    fn request_dir_links_the_listener_and_close_removes_the_volume() {
+        use convgpu_ipc::transport::{Conn, EndpointAddr, TransportListener};
+        use std::os::unix::fs::MetadataExt;
+        let svc = service(5121);
+        let listener = TransportListener::bind(&svc.daemon_socket().into()).unwrap();
+        let inode = std::fs::metadata(svc.daemon_socket()).unwrap().ino();
+        svc.register(ContainerId(1), Bytes::mib(256)).unwrap();
+        // Asked twice: same directory, same single link to the listener.
+        let dir = svc.request_dir(ContainerId(1)).unwrap();
+        assert_eq!(svc.request_dir(ContainerId(1)).unwrap(), dir);
+        let link = svc.socket_path(ContainerId(1));
+        assert_eq!(std::fs::metadata(&link).unwrap().ino(), inode);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        // A link left by an earlier daemon is re-pointed at the live one.
+        std::fs::remove_file(&link).unwrap();
+        std::fs::write(&link, b"stale").unwrap();
+        svc.request_dir(ContainerId(1)).unwrap();
+        assert_eq!(std::fs::metadata(&link).unwrap().ino(), inode);
+        Conn::connect(&EndpointAddr::from(link)).unwrap();
+
+        svc.container_close(ContainerId(1)).unwrap();
+        assert!(!dir.exists());
+        assert!(svc.daemon_socket().exists());
+        // A second close finds no volume and is the scheduler's business.
+        let _ = svc.container_close(ContainerId(1));
+        drop(listener);
+        std::fs::remove_file(svc.daemon_socket()).unwrap();
     }
 
     #[test]

@@ -89,9 +89,11 @@ fn live_daemon_answers_operational_questions_from_exposition_text() {
     let convgpu = ConVGpu::start(fast_cfg()).unwrap();
     let ids = run_contention_scenario(&convgpu);
 
-    // Fetch over the wire: any container socket serves QueryMetrics.
-    let sock = convgpu.service().socket_path(ids[0]);
-    let client = SchedulerClient::connect(&sock).unwrap();
+    // Fetch over the wire, on the operator's channel: the daemon socket
+    // (the containers are closed and their volumes, socket links
+    // included, are gone).
+    assert!(!convgpu.service().socket_path(ids[0]).exists());
+    let client = SchedulerClient::connect(convgpu.socket_path().unwrap()).unwrap();
     let text = client.query_metrics().unwrap();
     drop(client);
 
@@ -346,10 +348,9 @@ fn oversized_metrics_reply_is_an_error_on_a_connection_that_stays_up() {
         let id = session.container;
         session.wait().unwrap();
         assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
-        id
     };
-    let first = run_one();
-    let client = SchedulerClient::connect(&convgpu.service().socket_path(first)).unwrap();
+    run_one();
+    let client = SchedulerClient::connect(convgpu.socket_path().unwrap()).unwrap();
     assert!(client.query_metrics().unwrap().len() < MAX_FRAME_BYTES);
 
     let mut containers = 1;
