@@ -123,6 +123,13 @@ use convgpu_ipc::message::{
 };
 use convgpu_ipc::server::{ConnId, Reply, RequestHandler, SocketServer};
 use convgpu_ipc::transport::EndpointAddr;
+use convgpu_obs::catalogue::{
+    ROUTER_FAILOVERS, ROUTER_FORWARDER_SPAWNS, ROUTER_JOURNAL_APPENDS,
+    ROUTER_JOURNAL_CORRUPT_SNAPSHOT, ROUTER_JOURNAL_ERRORS, ROUTER_JOURNAL_ORPHANS,
+    ROUTER_JOURNAL_RECOVERED, ROUTER_JOURNAL_REPLAYED, ROUTER_JOURNAL_TORN_TAIL, ROUTER_MIGRATIONS,
+    ROUTER_MIGRATION_SECONDS, ROUTER_NODE_HEALTH, ROUTER_PLACEMENT, ROUTER_RETRIES, ROUTER_ROUTE,
+    ROUTER_SNAPSHOT_SECONDS, ROUTER_TIMEOUTS,
+};
 use convgpu_obs::prometheus;
 use convgpu_scheduler::backend::TopologyBackend;
 use convgpu_scheduler::cluster::SwarmStrategy;
@@ -377,8 +384,7 @@ fn drain_wal(journal: &Mutex<Journal>, homes: &Mutex<HomesState>, now: SimTime, 
         j.write_batch(&batch).is_err()
     };
     if err {
-        obs.registry
-            .inc("convgpu_router_journal_errors_total", &[], 1);
+        obs.registry.inc(ROUTER_JOURNAL_ERRORS, &[], 1);
     }
 }
 
@@ -568,7 +574,7 @@ impl ClusterRouter {
     /// snapshot, evicted only when the live cluster reuses their
     /// container id) so a restart with a corrected node list still
     /// recovers them. The replay outcome is published on the router's
-    /// registry (`convgpu_router_journal_*`, see
+    /// registry (the `ROUTER_JOURNAL_*` counters, see
     /// docs/OBSERVABILITY.md), the on-disk state is immediately
     /// recompacted into one fresh snapshot, and a background flusher
     /// thread drains buffered records on the
@@ -595,22 +601,14 @@ impl ClusterRouter {
             (state.map.len() as u64, state.orphans.len() as u64)
         };
         let reg = &router.obs.registry;
-        reg.inc(
-            "convgpu_router_journal_replayed_records_total",
-            &[],
-            recovery.replayed,
-        );
-        reg.inc(
-            "convgpu_router_journal_recovered_homes_total",
-            &[],
-            recovered,
-        );
-        reg.inc("convgpu_router_journal_orphan_homes_total", &[], orphaned);
+        reg.inc(ROUTER_JOURNAL_REPLAYED, &[], recovery.replayed);
+        reg.inc(ROUTER_JOURNAL_RECOVERED, &[], recovered);
+        reg.inc(ROUTER_JOURNAL_ORPHANS, &[], orphaned);
         if recovery.torn_tail {
-            reg.inc("convgpu_router_journal_torn_tail_total", &[], 1);
+            reg.inc(ROUTER_JOURNAL_TORN_TAIL, &[], 1);
         }
         if recovery.corrupt_snapshot {
-            reg.inc("convgpu_router_journal_corrupt_snapshot_total", &[], 1);
+            reg.inc(ROUTER_JOURNAL_CORRUPT_SNAPSHOT, &[], 1);
         }
         router.journal = Some(Arc::new(Mutex::new(journal)));
         // Compact immediately: recovery collapses to one fresh
@@ -692,9 +690,7 @@ impl ClusterRouter {
             (applied, journaled, flush_due, snapshot_due)
         };
         if journaled {
-            self.obs
-                .registry
-                .inc("convgpu_router_journal_appends_total", &[], 1);
+            self.obs.registry.inc(ROUTER_JOURNAL_APPENDS, &[], 1);
         }
         if snapshot_due {
             self.snapshot_now();
@@ -745,15 +741,12 @@ impl ClusterRouter {
             }
         };
         if err {
-            self.obs
-                .registry
-                .inc("convgpu_router_journal_errors_total", &[], 1);
+            self.obs.registry.inc(ROUTER_JOURNAL_ERRORS, &[], 1);
         }
-        self.obs.registry.observe(
-            "convgpu_router_snapshot_seconds",
-            &[],
-            self.clock.now().saturating_since(t0),
-        );
+        let took = self.clock.now().saturating_since(t0);
+        self.obs
+            .registry
+            .observe(ROUTER_SNAPSHOT_SECONDS, &[], took);
     }
 
     /// The live home map, with the full checkpoint per home. Preserved
@@ -833,11 +826,10 @@ impl ClusterRouter {
     }
 
     fn publish_health(&self, node: &RouterNode, health: NodeHealth) {
-        self.obs.registry.set_gauge(
-            "convgpu_router_node_health",
-            &[("node", &node.name)],
-            health.gauge(),
-        );
+        let labels = [("node", node.name.as_str())];
+        self.obs
+            .registry
+            .set_gauge(ROUTER_NODE_HEALTH, &labels, health.gauge());
     }
 
     /// A connected client for node `idx`, reusing the cached connection
@@ -954,11 +946,9 @@ impl ClusterRouter {
                 true => c.request_deadline(req.clone(), &self.clock, self.cfg.deadline),
                 false => c.request(req.clone()),
             });
-            self.obs.registry.observe(
-                "convgpu_router_route_seconds",
-                &[("node", &node.name)],
-                self.clock.now().saturating_since(t0),
-            );
+            let labels = [("node", node.name.as_str())];
+            let took = self.clock.now().saturating_since(t0);
+            self.obs.registry.observe(ROUTER_ROUTE, &labels, took);
             match result {
                 Ok(resp) => {
                     self.note_success(idx);
@@ -973,11 +963,7 @@ impl ClusterRouter {
                 Err(e) => {
                     if matches!(e, IpcError::TimedOut) {
                         node.timeouts.fetch_add(1, Ordering::Relaxed);
-                        self.obs.registry.inc(
-                            "convgpu_router_timeouts_total",
-                            &[("node", &node.name)],
-                            1,
-                        );
+                        self.obs.registry.inc(ROUTER_TIMEOUTS, &labels, 1);
                     }
                     let health = self.note_failure(idx, &e);
                     attempt += 1;
@@ -985,11 +971,7 @@ impl ClusterRouter {
                         return Err(e);
                     }
                     node.retries.fetch_add(1, Ordering::Relaxed);
-                    self.obs.registry.inc(
-                        "convgpu_router_retries_total",
-                        &[("node", &node.name)],
-                        1,
-                    );
+                    self.obs.registry.inc(ROUTER_RETRIES, &labels, 1);
                     self.clock.sleep(self.backoff(attempt));
                 }
             }
@@ -1009,9 +991,8 @@ impl ClusterRouter {
         let stand_in = |unreachable, error: IpcError| match unreachable {
             Unreachable::Reject => {
                 node.failovers.fetch_add(1, Ordering::Relaxed);
-                self.obs
-                    .registry
-                    .inc("convgpu_router_failovers_total", &[("node", &node.name)], 1);
+                let labels = [("node", node.name.as_str())];
+                self.obs.registry.inc(ROUTER_FAILOVERS, &labels, 1);
                 let decision = AllocDecision::Rejected;
                 Ok((Response::Alloc { decision }, true))
             }
@@ -1139,11 +1120,8 @@ impl ClusterRouter {
                         limit,
                         hint,
                     });
-                    self.obs.registry.inc(
-                        "convgpu_router_placement_total",
-                        &[("strategy", self.cfg.strategy.label()), ("node", &node)],
-                        1,
-                    );
+                    let labels = [("strategy", self.cfg.strategy.label()), ("node", &node)];
+                    self.obs.registry.inc(ROUTER_PLACEMENT, &labels, 1);
                     return Ok(node);
                 }
                 Ok(other) => {
@@ -1304,16 +1282,11 @@ impl ClusterRouter {
         } else {
             "completed"
         };
-        self.obs.registry.inc(
-            "convgpu_router_migrations_total",
-            &[("from", from_name.as_str()), ("status", status)],
-            1,
-        );
-        self.obs.registry.observe(
-            "convgpu_router_migration_seconds",
-            &[("node", &from_name)],
-            self.clock.now().saturating_since(t0),
-        );
+        let reg = &self.obs.registry;
+        let from = from_name.as_str();
+        reg.inc(ROUTER_MIGRATIONS, &[("from", from), ("status", status)], 1);
+        let took = self.clock.now().saturating_since(t0);
+        reg.observe(ROUTER_MIGRATION_SECONDS, &[("node", from)], took);
         let record = MigrationRecord {
             container,
             from: from_name,
@@ -1671,10 +1644,8 @@ impl RequestHandler for RouterHandler {
                 let router = Arc::clone(&self.router);
                 let job = Box::new(move || answer(&router, req, reply));
                 if self.forwarders.run(job) {
-                    self.router
-                        .obs
-                        .registry
-                        .inc("convgpu_router_forwarder_spawns_total", &[], 1);
+                    let reg = &self.router.obs.registry;
+                    reg.inc(ROUTER_FORWARDER_SPAWNS, &[], 1);
                 }
             }
             req => answer(&self.router, req, reply),

@@ -89,7 +89,7 @@ impl Default for ObsHub {
 /// a reply has to fit a frame: [`MigrationLog::KEPT`] records with
 /// 20-digit ids and sizes and node names of up to 60 bytes stay under
 /// the 64 KiB frame limit in either codec. Older records are dropped;
-/// `convgpu_router_migrations_total` keeps counting all of them.
+/// the router's migration counter keeps counting all of them.
 #[derive(Default)]
 pub(crate) struct MigrationLog(VecDeque<MigrationRecord>);
 

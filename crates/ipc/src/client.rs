@@ -16,6 +16,7 @@ use crate::binary::{encode_with, take_auto, WireCodec};
 use crate::endpoint::{expect_reply, IpcError, IpcResult, Transact};
 use crate::message::{ClusterNodeStatus, Envelope, MigrationRecord, Request, Response};
 use crate::transport::{Conn, EndpointAddr};
+use convgpu_obs::catalogue::IPC_CLIENT_RTT;
 use convgpu_obs::Registry;
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
@@ -212,7 +213,7 @@ impl SchedulerClient {
     }
 
     /// Like [`SchedulerClient::connect`], but every round-trip latency is
-    /// recorded into `obs` under `convgpu_ipc_client_rtt_seconds{type}`.
+    /// recorded into `obs` under [`IPC_CLIENT_RTT`]`{type}`.
     pub fn connect_with_obs(path: &Path, obs: Option<ClientObs>) -> IpcResult<SchedulerClient> {
         SchedulerClient::connect_with_codec(path, WireCodec::Json, obs)
     }
@@ -335,11 +336,8 @@ impl SchedulerClient {
         });
         let received = self.await_reply(id, bound.as_ref());
         if let (Some(o), Some(t0)) = (&self.obs, sent_at) {
-            o.registry.observe(
-                "convgpu_ipc_client_rtt_seconds",
-                &[("type", kind)],
-                o.clock.now().saturating_since(t0),
-            );
+            let rtt = o.clock.now().saturating_since(t0);
+            o.registry.observe(IPC_CLIENT_RTT, &[("type", kind)], rtt);
         }
         match received {
             Ok(Response::Error { message }) => Err(IpcError::Scheduler(message)),

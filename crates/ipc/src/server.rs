@@ -10,6 +10,9 @@
 use crate::binary::{encode_with, read_auto, WireCodec, MAX_FRAME_BYTES};
 use crate::message::{Envelope, Request, Response};
 use crate::transport::{self, Conn, EndpointAddr, TransportListener};
+use convgpu_obs::catalogue::{
+    IPC_REQUESTS, IPC_SERVER_HANDLE, IPC_SERVER_TURNAROUND, IPC_SERVER_WRITE,
+};
 use convgpu_obs::Registry;
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::sync::Mutex;
@@ -155,18 +158,13 @@ impl Reply {
         if let (Some(obs), Some(t0)) = (obs, write_started) {
             let now = obs.clock.now();
             let labels = [("type", obs.kind)];
-            obs.registry.observe(
-                "convgpu_ipc_server_write_seconds",
-                &labels,
-                now.saturating_since(t0),
-            );
+            let written = now.saturating_since(t0);
+            obs.registry.observe(IPC_SERVER_WRITE, &labels, written);
             // Receipt → reply: for a suspended allocation this is the
             // whole time the reply was withheld.
-            obs.registry.observe(
-                "convgpu_ipc_server_turnaround_seconds",
-                &labels,
-                now.saturating_since(obs.received_at),
-            );
+            let turnaround = now.saturating_since(obs.received_at);
+            obs.registry
+                .observe(IPC_SERVER_TURNAROUND, &labels, turnaround);
         }
     }
 }
@@ -338,8 +336,7 @@ fn reader_loop(stream: Conn, writer: Arc<Mutex<Conn>>, conn_id: ConnId, shared: 
             Ok(Some((env, codec))) => {
                 let kind = env.body.kind();
                 let received_at = shared.obs.as_ref().map(|o| {
-                    o.registry
-                        .inc("convgpu_ipc_requests_total", &[("type", kind)], 1);
+                    o.registry.inc(IPC_REQUESTS, &[("type", kind)], 1);
                     o.clock.now()
                 });
                 let reply = Reply {
@@ -357,11 +354,9 @@ fn reader_loop(stream: Conn, writer: Arc<Mutex<Conn>>, conn_id: ConnId, shared: 
                 if let (Some(o), Some(t0)) = (&shared.obs, received_at) {
                     // Synchronous handler time; a deferred (suspended) reply
                     // shows up in the turnaround histogram instead.
-                    o.registry.observe(
-                        "convgpu_ipc_server_handle_seconds",
-                        &[("type", kind)],
-                        o.clock.now().saturating_since(t0),
-                    );
+                    let handled = o.clock.now().saturating_since(t0);
+                    o.registry
+                        .observe(IPC_SERVER_HANDLE, &[("type", kind)], handled);
                 }
             }
             Ok(None) => {

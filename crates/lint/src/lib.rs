@@ -3,7 +3,7 @@
 //! A pure-`std` static-analysis library: [`lexer`] turns Rust source
 //! into a token stream (comments become trivia), [`items`] walks it
 //! into function items with `impl` context and `#[cfg(test)]` regions,
-//! and [`rules`] holds the seven analyses. [`run`] loads a workspace
+//! and [`rules`] holds the six analyses. [`run`] loads a workspace
 //! root and returns every finding after `lint:allow` suppression.
 //!
 //! See `docs/LINT.md` for the rule catalogue and suppression grammar.
@@ -14,7 +14,6 @@ pub mod lexer;
 pub mod rules;
 
 use items::SourceFile;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -33,21 +32,18 @@ pub enum Rule {
     ForbidUnsafe,
     /// Lock-acquisition cycles and IPC writes under a held guard.
     LockOrder,
-    /// Registered metric names match `docs/OBSERVABILITY.md` exactly.
-    MetricNames,
     /// Raw socket construction outside `crates/ipc/src/transport.rs`.
     RawTransport,
 }
 
 impl Rule {
     /// All rules, in the order they run and report.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 6] = [
         Rule::WallClock,
         Rule::HashmapIter,
         Rule::LockUnwrap,
         Rule::ForbidUnsafe,
         Rule::LockOrder,
-        Rule::MetricNames,
         Rule::RawTransport,
     ];
 
@@ -59,7 +55,6 @@ impl Rule {
             Rule::LockUnwrap => "lock-unwrap",
             Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::LockOrder => "lock-order",
-            Rule::MetricNames => "metric-names",
             Rule::RawTransport => "raw-transport",
         }
     }
@@ -77,7 +72,6 @@ impl Rule {
             Rule::LockUnwrap => "no .lock().unwrap(); use convgpu_sim_core::sync wrappers",
             Rule::ForbidUnsafe => "crate roots carry #![forbid(unsafe_code)] (wrapper exempt)",
             Rule::LockOrder => "no lock cycles; no socket/Reply write while a guard is held",
-            Rule::MetricNames => "registered metric names match docs/OBSERVABILITY.md",
             Rule::RawTransport => {
                 "no raw Unix/TCP socket construction outside crates/ipc/src/transport.rs"
             }
@@ -114,15 +108,12 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A loaded workspace: every scanned `.rs` file (parsed) plus the
-/// `docs/*.md` texts the cross-checking rules read.
+/// A loaded workspace: every scanned `.rs` file, parsed.
 pub struct Workspace {
     /// Absolute root the relative paths hang off.
     pub root: PathBuf,
     /// Parsed source files, sorted by relative path.
     pub files: Vec<SourceFile>,
-    /// `docs/<name>.md` → contents.
-    pub docs: BTreeMap<String, String>,
 }
 
 /// Top-level directories scanned for Rust sources.
@@ -145,36 +136,15 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        let mut docs = BTreeMap::new();
-        let docs_dir = root.join("docs");
-        if docs_dir.is_dir() {
-            for entry in read_dir_sorted(&docs_dir)? {
-                if entry.extension().is_some_and(|e| e == "md") {
-                    let rel = format!(
-                        "docs/{}",
-                        entry.file_name().unwrap_or_default().to_string_lossy()
-                    );
-                    let text = fs::read_to_string(&entry)
-                        .map_err(|e| format!("read {}: {e}", entry.display()))?;
-                    docs.insert(rel, text);
-                }
-            }
-        }
         Ok(Workspace {
             root: root.to_path_buf(),
             files,
-            docs,
         })
     }
 
     /// The parsed file at `rel`, if it was scanned.
     pub fn file(&self, rel: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.rel == Path::new(rel))
-    }
-
-    /// A doc's text by workspace-relative path.
-    pub fn doc(&self, rel: &str) -> Option<&str> {
-        self.docs.get(rel).map(String::as_str)
     }
 }
 
@@ -231,7 +201,6 @@ pub fn run_on(ws: &Workspace, rules: &[Rule]) -> Vec<Finding> {
             Rule::LockUnwrap => rules::lock_unwrap::check(ws),
             Rule::ForbidUnsafe => rules::forbid_unsafe::check(ws),
             Rule::LockOrder => rules::lock_order::check(ws),
-            Rule::MetricNames => rules::metric_names::check(ws),
             Rule::RawTransport => rules::raw_transport::check(ws),
         });
     }

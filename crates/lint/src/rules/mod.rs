@@ -1,11 +1,10 @@
-//! The seven analyses. Each module exposes `check(&Workspace) -> Vec<Finding>`;
+//! The six analyses. Each module exposes `check(&Workspace) -> Vec<Finding>`;
 //! suppression filtering happens centrally in [`crate::run_on`].
 
 pub mod forbid_unsafe;
 pub mod hashmap_iter;
 pub mod lock_order;
 pub mod lock_unwrap;
-pub mod metric_names;
 pub mod raw_transport;
 pub mod wall_clock;
 

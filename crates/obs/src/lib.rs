@@ -21,6 +21,9 @@
 //!
 //! Modules:
 //!
+//! * [`catalogue`] — every `convgpu_*` metric, declared once: kind,
+//!   labels, help, and whether its series live as long as the daemon or
+//!   as long as one container. Emitters name its typed handles.
 //! * [`metrics`] — [`metrics::Registry`]: counters, gauges, fixed-bucket
 //!   latency histograms with quantile estimation, mergeable
 //!   [`metrics::Snapshot`]s.
@@ -35,6 +38,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod catalogue;
 pub mod chrome;
 pub mod metrics;
 pub mod prometheus;

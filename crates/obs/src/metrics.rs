@@ -3,6 +3,10 @@
 //!
 //! Design points:
 //!
+//! * Series are written only through the typed handles of
+//!   [`crate::catalogue`], and [`Registry::retire`] drops a closed
+//!   container's container-lifetime series, so a long-lived registry
+//!   holds the series of live containers only.
 //! * Series are keyed by `(name, sorted labels)` in a `BTreeMap`, so a
 //!   snapshot — and therefore the Prometheus text rendering — is in a
 //!   deterministic order regardless of update order.
@@ -13,6 +17,7 @@
 //! * All counts saturate instead of wrapping: metrics must never panic
 //!   or corrupt on pathological inputs.
 
+use crate::catalogue::{Counter, Gauge, Latency, Lifetime, CATALOGUE};
 use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::time::SimDuration;
 use std::collections::BTreeMap;
@@ -47,7 +52,7 @@ pub const BUCKET_BOUNDS_NS: [u64; 22] = [
 /// One metric series identity: metric name plus sorted label pairs.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SeriesKey {
-    /// Metric family name (e.g. `convgpu_sched_decisions_total`).
+    /// Metric family name (a [`crate::catalogue`] row's `name`).
     pub name: String,
     /// Label pairs, sorted by label name.
     pub labels: Vec<(String, String)>,
@@ -277,10 +282,9 @@ impl Registry {
     }
 
     /// Add `delta` to a counter (created at zero on first touch).
-    pub fn inc(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let key = SeriesKey::new(name, labels);
+    pub fn inc(&self, counter: Counter, labels: &[(&str, &str)], delta: u64) {
+        let key = SeriesKey::new(counter.0.name, labels);
         let mut series = self.series.lock();
-        // A name collision with another metric kind is silently ignored.
         if let MetricValue::Counter(v) =
             series.entry(key).or_insert_with(|| MetricValue::Counter(0))
         {
@@ -289,26 +293,34 @@ impl Registry {
     }
 
     /// Set a gauge.
-    pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let key = SeriesKey::new(name, labels);
-        let mut series = self.series.lock();
-        *series.entry(key).or_insert(MetricValue::Gauge(0.0)) = MetricValue::Gauge(value);
+    pub fn set_gauge(&self, gauge: Gauge, labels: &[(&str, &str)], value: f64) {
+        let key = SeriesKey::new(gauge.0.name, labels);
+        self.series.lock().insert(key, MetricValue::Gauge(value));
     }
 
     /// Record a duration observation into a histogram.
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
-        self.observe_ns(name, labels, d.as_nanos());
-    }
-
-    /// Record a raw nanosecond observation into a histogram.
-    pub fn observe_ns(&self, name: &str, labels: &[(&str, &str)], ns: u64) {
-        let key = SeriesKey::new(name, labels);
+    pub fn observe(&self, latency: Latency, labels: &[(&str, &str)], d: SimDuration) {
+        let key = SeriesKey::new(latency.0.name, labels);
         let mut series = self.series.lock();
         if let MetricValue::Histogram(h) = series
             .entry(key)
             .or_insert_with(|| MetricValue::Histogram(Histogram::new()))
         {
-            h.observe_ns(ns);
+            h.observe(d);
+        }
+    }
+
+    /// Drop the series of every container-lifetime metric whose label set
+    /// is exactly `labels` — a closing container's `container` label plus
+    /// the labels its scheduler scopes every series with. Series another
+    /// scheduler wrote for the same container keep their own labels, and
+    /// so survive.
+    pub fn retire(&self, labels: &[(&str, &str)]) {
+        let mut series = self.series.lock();
+        for m in CATALOGUE {
+            if m.lifetime == Lifetime::Container {
+                series.remove(&SeriesKey::new(m.name, labels));
+            }
         }
     }
 
@@ -333,6 +345,11 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{
+        IPC_REQUESTS, IPC_SERVER_HANDLE, SCHED_ASSIGNED, SCHED_CONTAINER_USED, SCHED_SUSPEND,
+    };
+
+    const C: &str = "convgpu_ipc_requests_total";
 
     #[test]
     fn empty_registry_snapshots_empty() {
@@ -389,9 +406,9 @@ mod tests {
     #[test]
     fn counts_saturate_instead_of_wrapping() {
         let r = Registry::new();
-        r.inc("c", &[], u64::MAX - 1);
-        r.inc("c", &[], 5);
-        assert_eq!(r.snapshot().counter("c", &[]), Some(u64::MAX));
+        r.inc(IPC_REQUESTS, &[], u64::MAX - 1);
+        r.inc(IPC_REQUESTS, &[], 5);
+        assert_eq!(r.snapshot().counter(C, &[]), Some(u64::MAX));
 
         let mut h = Histogram::new();
         h.sum_ns = u64::MAX - 10;
@@ -412,21 +429,23 @@ mod tests {
     #[test]
     fn merging_two_snapshots_adds_counters_and_buckets() {
         let r1 = Registry::new();
-        r1.inc("reqs", &[("type", "ping")], 3);
-        r1.observe_ns("lat", &[], 1_500);
-        r1.set_gauge("g", &[], 1.0);
+        let ns = SimDuration::from_nanos;
+        r1.inc(IPC_REQUESTS, &[("type", "ping")], 3);
+        r1.observe(IPC_SERVER_HANDLE, &[], ns(1_500));
+        r1.set_gauge(SCHED_ASSIGNED, &[], 1.0);
         let r2 = Registry::new();
-        r2.inc("reqs", &[("type", "ping")], 4);
-        r2.inc("reqs", &[("type", "free")], 1);
-        r2.observe_ns("lat", &[], 700_000);
-        r2.set_gauge("g", &[], 2.0);
+        r2.inc(IPC_REQUESTS, &[("type", "ping")], 4);
+        r2.inc(IPC_REQUESTS, &[("type", "free")], 1);
+        r2.observe(IPC_SERVER_HANDLE, &[], ns(700_000));
+        r2.set_gauge(SCHED_ASSIGNED, &[], 2.0);
 
         let mut merged = r1.snapshot();
         merged.merge(&r2.snapshot());
-        assert_eq!(merged.counter("reqs", &[("type", "ping")]), Some(7));
-        assert_eq!(merged.counter("reqs", &[("type", "free")]), Some(1));
-        assert_eq!(merged.gauge("g", &[]), Some(2.0), "gauge: last write wins");
-        let h = merged.histogram("lat", &[]).unwrap();
+        assert_eq!(merged.counter(C, &[("type", "ping")]), Some(7));
+        assert_eq!(merged.counter(C, &[("type", "free")]), Some(1));
+        let g = SCHED_ASSIGNED.0.name;
+        assert_eq!(merged.gauge(g, &[]), Some(2.0), "gauge: last write wins");
+        let h = merged.histogram(IPC_SERVER_HANDLE.0.name, &[]).unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum_ns(), 701_500);
         // The merged histogram's buckets partition both observations.
@@ -437,13 +456,10 @@ mod tests {
     #[test]
     fn label_order_does_not_split_series() {
         let r = Registry::new();
-        r.inc("c", &[("a", "1"), ("b", "2")], 1);
-        r.inc("c", &[("b", "2"), ("a", "1")], 1);
+        r.inc(IPC_REQUESTS, &[("a", "1"), ("b", "2")], 1);
+        r.inc(IPC_REQUESTS, &[("b", "2"), ("a", "1")], 1);
         assert_eq!(r.len(), 1);
-        assert_eq!(
-            r.snapshot().counter("c", &[("a", "1"), ("b", "2")]),
-            Some(2)
-        );
+        assert_eq!(r.snapshot().counter(C, &[("a", "1"), ("b", "2")]), Some(2));
     }
 
     #[test]
@@ -461,5 +477,45 @@ mod tests {
         );
         assert!(p99 > p50, "p99={p99} must exceed p50={p50}");
         assert!(p99 <= 100_000.0 + f64::EPSILON);
+    }
+
+    #[test]
+    fn retire_drops_exactly_one_scope_of_container_series() {
+        let r = Registry::new();
+        let d = SimDuration::from_nanos(1_000);
+        for dev in ["0", "1"] {
+            let labels = [("container", "cnt-0001"), ("device", dev)];
+            r.set_gauge(SCHED_CONTAINER_USED, &labels, 1.0);
+            r.observe(SCHED_SUSPEND, &labels, d);
+        }
+        r.set_gauge(
+            SCHED_CONTAINER_USED,
+            &[("container", "cnt-0002"), ("device", "0")],
+            1.0,
+        );
+        r.inc(
+            IPC_REQUESTS,
+            &[("container", "cnt-0001"), ("device", "0")],
+            1,
+        );
+
+        r.retire(&[("device", "0"), ("container", "cnt-0001")]);
+        let snap = r.snapshot();
+        let used = SCHED_CONTAINER_USED.0.name;
+        let suspend = SCHED_SUSPEND.0.name;
+        let gone = [("container", "cnt-0001"), ("device", "0")];
+        assert_eq!(snap.gauge(used, &gone), None);
+        assert!(snap.histogram(suspend, &gone).is_none());
+        // The same container on another device, another container on the
+        // same device, and a daemon-lifetime family all stay.
+        let adopter = [("container", "cnt-0001"), ("device", "1")];
+        assert_eq!(snap.gauge(used, &adopter), Some(1.0));
+        assert!(snap.histogram(suspend, &adopter).is_some());
+        assert_eq!(
+            snap.gauge(used, &[("container", "cnt-0002"), ("device", "0")]),
+            Some(1.0)
+        );
+        assert_eq!(snap.counter(C, &gone), Some(1));
+        assert_eq!(r.len(), 4);
     }
 }

@@ -254,20 +254,28 @@ pub fn histogram_buckets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{IPC_CLIENT_RTT, IPC_REQUESTS, SCHED_PROGRESS_STATE};
     use crate::metrics::{quantile_from_cumulative, Registry};
+    use convgpu_sim_core::time::SimDuration;
 
     #[test]
     fn renders_and_reparses_counters_and_gauges() {
         let r = Registry::new();
-        r.inc("convgpu_reqs_total", &[("type", "ping")], 3);
-        r.set_gauge("convgpu_progress", &[], 2.0);
+        r.inc(IPC_REQUESTS, &[("type", "ping")], 3);
+        r.set_gauge(SCHED_PROGRESS_STATE, &[], 2.0);
         let text = render(&r.snapshot());
-        assert!(text.contains("# TYPE convgpu_progress gauge"), "{text}");
-        assert!(text.contains("# TYPE convgpu_reqs_total counter"), "{text}");
+        assert!(
+            text.contains("# TYPE convgpu_sched_progress_state gauge"),
+            "{text}"
+        );
+        assert!(
+            text.contains("# TYPE convgpu_ipc_requests_total counter"),
+            "{text}"
+        );
         let samples = parse_text(&text).unwrap();
         let c = samples
             .iter()
-            .find(|s| s.name == "convgpu_reqs_total")
+            .find(|s| s.name == "convgpu_ipc_requests_total")
             .unwrap();
         assert_eq!(c.value, 3.0);
         assert_eq!(c.label("type"), Some("ping"));
@@ -277,18 +285,20 @@ mod tests {
     fn histogram_round_trips_through_text_with_quantiles() {
         let r = Registry::new();
         for i in 1..=100u64 {
-            r.observe_ns("convgpu_lat_seconds", &[("type", "alloc")], i * 1_000);
+            let d = SimDuration::from_nanos(i * 1_000);
+            r.observe(IPC_CLIENT_RTT, &[("type", "alloc")], d);
         }
+        let name = "convgpu_ipc_client_rtt_seconds";
         let snap = r.snapshot();
         let text = render(&snap);
-        assert!(text.contains("convgpu_lat_seconds_bucket"), "{text}");
+        assert!(text.contains(&format!("{name}_bucket")), "{text}");
         assert!(text.contains("le=\"+Inf\""), "{text}");
         let samples = parse_text(&text).unwrap();
-        let buckets = histogram_buckets(&samples, "convgpu_lat_seconds", &[("type", "alloc")]);
+        let buckets = histogram_buckets(&samples, name, &[("type", "alloc")]);
         assert_eq!(buckets.last().unwrap().1, 100, "all samples in +Inf cum");
         // The text-derived quantile equals the in-memory one.
         let direct = snap
-            .histogram("convgpu_lat_seconds", &[("type", "alloc")])
+            .histogram(name, &[("type", "alloc")])
             .unwrap()
             .quantile_ns(0.99)
             .unwrap();
@@ -300,16 +310,16 @@ mod tests {
         // Sum and count samples accompany the buckets.
         assert!(samples
             .iter()
-            .any(|s| s.name == "convgpu_lat_seconds_count" && s.value == 100.0));
+            .any(|s| s.name == format!("{name}_count") && s.value == 100.0));
         assert!(samples
             .iter()
-            .any(|s| s.name == "convgpu_lat_seconds_sum" && s.value > 0.0));
+            .any(|s| s.name == format!("{name}_sum") && s.value > 0.0));
     }
 
     #[test]
     fn label_values_with_quotes_survive() {
         let r = Registry::new();
-        r.inc("c", &[("k", "a\"b\\c")], 1);
+        r.inc(IPC_REQUESTS, &[("k", "a\"b\\c")], 1);
         let text = render(&r.snapshot());
         let samples = parse_text(&text).unwrap();
         assert_eq!(samples[0].label("k"), Some("a\"b\\c"));
@@ -320,7 +330,7 @@ mod tests {
         let build = |order: &[u64]| {
             let r = Registry::new();
             for &i in order {
-                r.inc("c", &[("i", &i.to_string())], i);
+                r.inc(IPC_REQUESTS, &[("i", &i.to_string())], i);
             }
             render(&r.snapshot())
         };

@@ -31,6 +31,7 @@ use crate::core::SchedulerConfig;
 use crate::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 use crate::policy::PolicyKind;
 use crate::sharded::{Placer, Sharded, TicketLane};
+use convgpu_obs::catalogue::SCHED_SWARM_PLACEMENT;
 use convgpu_obs::Registry;
 use convgpu_sim_core::rng::DetRng;
 use convgpu_sim_core::units::Bytes;
@@ -142,11 +143,8 @@ impl Placer for SwarmPlacer {
     }
 
     fn count(&self, registry: &Registry, shard: &str) {
-        registry.inc(
-            "convgpu_sched_swarm_placement_total",
-            &[("strategy", self.strategy.label()), ("node", shard)],
-            1,
-        );
+        let labels = [("strategy", self.strategy.label()), ("node", shard)];
+        registry.inc(SCHED_SWARM_PLACEMENT, &labels, 1);
     }
 
     fn fingerprint(&self) -> u64 {

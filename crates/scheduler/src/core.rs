@@ -30,6 +30,11 @@ use crate::policy::{CandidateView, Policy};
 use crate::state::{ContainerRecord, ContainerState, PendingAlloc, ResumeRule};
 use crate::timeline::UtilizationTimeline;
 use convgpu_ipc::message::{AllocDecision, ApiKind};
+use convgpu_obs::catalogue::{
+    SCHED_ASSIGNED, SCHED_CONTAINER_ASSIGNED, SCHED_CONTAINER_SUSPENDED_SECONDS,
+    SCHED_CONTAINER_SUSPEND_EPISODES, SCHED_CONTAINER_USED, SCHED_DECISIONS, SCHED_SUSPEND,
+    SCHED_UNASSIGNED,
+};
 use convgpu_obs::{Registry, SpanRecord, Tracer};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::{SimDuration, SimTime};
@@ -89,13 +94,13 @@ impl Default for SchedulerConfig {
 }
 
 /// Observability attachment for a scheduler: every decision ticks
-/// `convgpu_sched_decisions_total{kind}` and emits a trace event, every
-/// completed suspension episode lands in
-/// `convgpu_sched_suspend_seconds{container}`, and each container gets a
-/// lifetime span (emitted at close) that parents its events. Both handles
-/// are shared (`Arc`), so cloning a scheduler — as the model checker does —
-/// shares the sinks rather than forking them; checker runs simply do not
-/// attach one.
+/// [`SCHED_DECISIONS`] and emits a trace event, every completed suspension
+/// episode lands in [`SCHED_SUSPEND`], and each container gets a lifetime
+/// span (emitted at close) that parents its events; closing a container
+/// retires its container-lifetime series. Both handles are shared
+/// (`Arc`), so cloning a scheduler — as the model checker does — shares
+/// the sinks rather than forking them; checker runs simply do not attach
+/// one.
 #[derive(Clone)]
 pub struct SchedObs {
     /// Metrics registry receiving the counters, gauges and histograms.
@@ -104,9 +109,9 @@ pub struct SchedObs {
     pub tracer: Arc<Tracer>,
     /// Device identity for multi-GPU topologies. `None` (the single-GPU
     /// service) emits the exact label sets the exposition always had;
-    /// `Some(d)` appends a `device="d"` label to every gauge/counter and a
-    /// `device` attribute to every span, so per-device series coexist in
-    /// one shared registry.
+    /// `Some(d)` appends a `device="d"` label to every series and a
+    /// `device` attribute to every span ([`SchedObs::scoped`]), so
+    /// per-device series coexist in one shared registry.
     pub device: Option<String>,
 }
 
@@ -130,30 +135,13 @@ impl SchedObs {
         }
     }
 
-    /// Set `value` on gauge `name`, appending the device label if present.
-    /// The `device: None` path forwards `base` untouched so single-device
-    /// output stays bit-identical.
-    pub(crate) fn set_gauge(&self, name: &str, base: &[(&str, &str)], value: f64) {
-        match self.device.as_deref() {
-            None => self.registry.set_gauge(name, base, value),
-            Some(d) => {
-                let mut labels: Vec<(&str, &str)> = base.to_vec();
-                labels.push(("device", d));
-                self.registry.set_gauge(name, &labels, value);
-            }
-        }
-    }
-
-    /// Increment counter `name`, appending the device label if present.
-    pub(crate) fn inc(&self, name: &str, base: &[(&str, &str)], by: u64) {
-        match self.device.as_deref() {
-            None => self.registry.inc(name, base, by),
-            Some(d) => {
-                let mut labels: Vec<(&str, &str)> = base.to_vec();
-                labels.push(("device", d));
-                self.registry.inc(name, &labels, by);
-            }
-        }
+    /// `base` followed by this scheduler's own labels — `device`, when
+    /// scoped: the one path by which a series or span learns which
+    /// scheduler wrote it. Unscoped, it is `base` unchanged.
+    pub(crate) fn scoped<'a>(&'a self, base: &[(&'a str, &'a str)]) -> Vec<(&'a str, &'a str)> {
+        let mut labels = base.to_vec();
+        labels.extend(self.device.as_deref().map(|d| ("device", d)));
+        labels
     }
 }
 
@@ -359,55 +347,42 @@ impl Scheduler {
     /// Mirror headline state into gauges so the exposition endpoint can
     /// answer "what is assigned/used/suspended right now" without walking
     /// scheduler state. Per-container gauges are last-write-wins, so only
-    /// the containers dirtied since the previous publication need
-    /// rewriting; the `touched` list is drained here.
+    /// the open containers dirtied since the previous publication need
+    /// rewriting; the `touched` list is drained here. A closed container's
+    /// series were retired at close and are never written again.
     fn publish_gauges(&mut self) {
         let mut dirty = std::mem::take(&mut self.touched);
         let Some(obs) = &self.obs else { return };
-        obs.set_gauge(
-            "convgpu_sched_assigned_bytes",
-            &[],
-            self.total_assigned.as_u64() as f64,
-        );
-        obs.set_gauge(
-            "convgpu_sched_unassigned_bytes",
-            &[],
-            self.unassigned().as_u64() as f64,
-        );
+        let (reg, pool) = (&obs.registry, obs.scoped(&[]));
+        reg.set_gauge(SCHED_ASSIGNED, &pool, self.total_assigned.as_u64() as f64);
+        reg.set_gauge(SCHED_UNASSIGNED, &pool, self.unassigned().as_u64() as f64);
         dirty.sort_unstable();
         dirty.dedup();
         for id in dirty {
             let Some(rec) = self.containers.get(&id) else {
                 continue;
             };
+            if rec.state == ContainerState::Closed {
+                continue;
+            }
             let c = rec.id.to_string();
-            let labels = [("container", c.as_str())];
-            obs.set_gauge(
-                "convgpu_sched_container_assigned_bytes",
+            let labels = obs.scoped(&[("container", c.as_str())]);
+            reg.set_gauge(
+                SCHED_CONTAINER_ASSIGNED,
                 &labels,
                 rec.assigned.as_u64() as f64,
             );
-            obs.set_gauge(
-                "convgpu_sched_container_used_bytes",
-                &labels,
-                rec.used.as_u64() as f64,
-            );
-            obs.set_gauge(
-                "convgpu_sched_container_suspend_episodes",
-                &labels,
-                rec.suspend_episodes as f64,
-            );
-            obs.set_gauge(
-                "convgpu_sched_container_suspended_seconds_total",
-                &labels,
-                rec.total_suspended.as_secs_f64(),
-            );
+            reg.set_gauge(SCHED_CONTAINER_USED, &labels, rec.used.as_u64() as f64);
+            let episodes = rec.suspend_episodes as f64;
+            reg.set_gauge(SCHED_CONTAINER_SUSPEND_EPISODES, &labels, episodes);
+            let suspended = rec.total_suspended.as_secs_f64();
+            reg.set_gauge(SCHED_CONTAINER_SUSPENDED_SECONDS, &labels, suspended);
         }
     }
 
     /// Log a decision and mirror it into the attached observability layer:
-    /// one `convgpu_sched_decisions_total{kind}` tick plus an instant trace
-    /// event parented under the container's lifetime span. A free function
+    /// one [`SCHED_DECISIONS`] tick plus an instant trace event parented
+    /// under the container's lifetime span. A free function
     /// over the disjoint fields so call sites holding a `&mut` container
     /// record can still record (field-level borrow splitting).
     fn record_parts(
@@ -419,15 +394,14 @@ impl Scheduler {
     ) {
         if let Some(o) = obs {
             let kind = decision.kind();
-            o.inc("convgpu_sched_decisions_total", &[("kind", kind)], 1);
+            o.registry
+                .inc(SCHED_DECISIONS, &o.scoped(&[("kind", kind)]), 1);
             let id = decision.container();
             let parent = container_spans.get(&id).copied();
-            let _ = match o.device.as_deref() {
-                None => o.tracer.instant(kind, Some(id.as_u64()), parent, now, &[]),
-                Some(d) => o
-                    .tracer
-                    .instant(kind, Some(id.as_u64()), parent, now, &[("device", d)]),
-            };
+            let attrs = o.scoped(&[]);
+            let _ = o
+                .tracer
+                .instant(kind, Some(id.as_u64()), parent, now, &attrs);
         }
         log.push(now, decision);
     }
@@ -448,24 +422,9 @@ impl Scheduler {
         if let Some(o) = obs {
             let parent = container_spans.get(&id).copied();
             let t = ticket.to_string();
-            let _ = match o.device.as_deref() {
-                None => o.tracer.span(
-                    "suspend_wait",
-                    Some(id.as_u64()),
-                    parent,
-                    since,
-                    now,
-                    &[("ticket", t.as_str()), ("outcome", outcome)],
-                ),
-                Some(d) => o.tracer.span(
-                    "suspend_wait",
-                    Some(id.as_u64()),
-                    parent,
-                    since,
-                    now,
-                    &[("ticket", t.as_str()), ("outcome", outcome), ("device", d)],
-                ),
-            };
+            let attrs = o.scoped(&[("ticket", t.as_str()), ("outcome", outcome)]);
+            let (container, span) = (Some(id.as_u64()), "suspend_wait");
+            let _ = o.tracer.span(span, container, parent, since, now, &attrs);
         }
     }
 
@@ -474,18 +433,8 @@ impl Scheduler {
     fn observe_suspend_end(obs: &Option<SchedObs>, id: ContainerId, ended: Option<SimDuration>) {
         if let (Some(o), Some(d)) = (obs, ended) {
             let c = id.to_string();
-            match o.device.as_deref() {
-                None => o.registry.observe(
-                    "convgpu_sched_suspend_seconds",
-                    &[("container", c.as_str())],
-                    d,
-                ),
-                Some(dev) => o.registry.observe(
-                    "convgpu_sched_suspend_seconds",
-                    &[("container", c.as_str()), ("device", dev)],
-                    d,
-                ),
-            }
+            let labels = o.scoped(&[("container", c.as_str())]);
+            o.registry.observe(SCHED_SUSPEND, &labels, d);
         }
     }
 
@@ -1060,14 +1009,13 @@ impl Scheduler {
                 );
             }
             // The container's lifetime span closes here, under the id
-            // reserved at registration so its events already parent to it.
+            // reserved at registration so its events already parent to it,
+            // and its container-lifetime series go with it.
             if let Some(o) = &self.obs {
+                let c = id.to_string();
+                o.registry.retire(&o.scoped(&[("container", c.as_str())]));
                 if let Some(sid) = self.container_spans.get(&id).copied() {
-                    let mut attrs: Vec<(String, String)> =
-                        vec![("policy".into(), self.policy.name().into())];
-                    if let Some(d) = o.device.as_deref() {
-                        attrs.push(("device".into(), d.into()));
-                    }
+                    let attrs = o.scoped(&[("policy", self.policy.name())]);
                     o.tracer.emit(SpanRecord {
                         id: sid,
                         parent: None,
@@ -1075,7 +1023,10 @@ impl Scheduler {
                         container: Some(id.as_u64()),
                         start: registered_at,
                         end: now,
-                        attrs,
+                        attrs: attrs
+                            .into_iter()
+                            .map(|(k, v)| (k.into(), v.into()))
+                            .collect(),
                     });
                 }
             }
@@ -1162,11 +1113,7 @@ impl Scheduler {
                     }
                     let picked = self.policy.select(&candidates, remaining);
                     if let Some(obs) = &self.obs {
-                        crate::policy::record_selection(
-                            &obs.registry,
-                            self.policy.name(),
-                            picked.is_some(),
-                        );
+                        crate::policy::record_selection(obs, self.policy.name(), picked.is_some());
                     }
                     let Some(pick) = picked else {
                         break;

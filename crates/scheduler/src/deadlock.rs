@@ -15,6 +15,7 @@
 
 use crate::core::Scheduler;
 use crate::state::ContainerState;
+use convgpu_obs::catalogue::{SCHED_PROGRESS_STATE, SCHED_WAITING};
 use convgpu_sim_core::ids::ContainerId;
 
 /// Progress assessment of the managed system.
@@ -69,49 +70,25 @@ pub fn is_stalled(sched: &Scheduler) -> bool {
     matches!(assess(sched), ProgressState::Stalled { .. })
 }
 
-/// Mirror a progress assessment into `registry`:
-/// `convgpu_sched_progress_state` (0 idle, 1 progressing, 2 resume-pending,
-/// 3 stalled) and `convgpu_sched_waiting_containers` (size of the waiting
-/// set; zero outside a stall).
-pub fn record(state: &ProgressState, registry: &convgpu_obs::Registry) {
-    record_labeled(state, registry, None);
-}
-
-/// [`record`], scoped to one device of a multi-GPU topology. With
-/// `device: None` the label sets are exactly the historical (unlabeled)
-/// ones, so single-GPU exposition is bit-identical.
-pub fn record_labeled(
-    state: &ProgressState,
-    registry: &convgpu_obs::Registry,
-    device: Option<&str>,
-) {
-    let (code, waiting) = match state {
-        ProgressState::Idle => (0.0, 0),
-        ProgressState::Progressing => (1.0, 0),
-        ProgressState::ResumePending => (2.0, 0),
-        ProgressState::Stalled { waiting } => (3.0, waiting.len()),
-    };
-    match device {
-        None => {
-            registry.set_gauge("convgpu_sched_progress_state", &[], code);
-            registry.set_gauge("convgpu_sched_waiting_containers", &[], waiting as f64);
-        }
-        Some(d) => {
-            let labels = [("device", d)];
-            registry.set_gauge("convgpu_sched_progress_state", &labels, code);
-            registry.set_gauge("convgpu_sched_waiting_containers", &labels, waiting as f64);
-        }
-    }
-}
-
 /// [`assess`], and when the scheduler has observability attached also
-/// [`record`] the verdict into its registry (under the scheduler's device
-/// label for multi-GPU topologies). Pure read otherwise — the assessment
-/// itself never mutates scheduler state.
+/// mirror the verdict into its registry, under the scheduler's own labels:
+/// [`SCHED_PROGRESS_STATE`] (0 idle, 1 progressing, 2 resume-pending,
+/// 3 stalled) and [`SCHED_WAITING`] (size of the waiting set; zero
+/// outside a stall). Pure read otherwise — the assessment itself never
+/// mutates scheduler state.
 pub fn assess_observed(sched: &Scheduler) -> ProgressState {
     let state = assess(sched);
     if let Some(obs) = sched.obs() {
-        record_labeled(&state, &obs.registry, obs.device.as_deref());
+        let (code, waiting) = match &state {
+            ProgressState::Idle => (0.0, 0),
+            ProgressState::Progressing => (1.0, 0),
+            ProgressState::ResumePending => (2.0, 0),
+            ProgressState::Stalled { waiting } => (3.0, waiting.len()),
+        };
+        let labels = obs.scoped(&[]);
+        obs.registry.set_gauge(SCHED_PROGRESS_STATE, &labels, code);
+        obs.registry
+            .set_gauge(SCHED_WAITING, &labels, waiting as f64);
     }
     state
 }

@@ -101,8 +101,8 @@ pub enum Decision {
 }
 
 impl Decision {
-    /// Stable kind label: the `kind` label of
-    /// `convgpu_sched_decisions_total` and the trace event name.
+    /// Stable kind label: the `kind` label of the scheduler's decision
+    /// counter and the trace event name.
     pub fn kind(&self) -> &'static str {
         match self {
             Decision::Registered { .. } => "registered",

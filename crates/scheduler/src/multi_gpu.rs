@@ -19,6 +19,7 @@ use crate::backend::SchedulerBackend;
 use crate::core::{Scheduler, SchedulerConfig};
 use crate::policy::PolicyKind;
 use crate::sharded::{Placer, Sharded, TicketLane};
+use convgpu_obs::catalogue::SCHED_PLACEMENT;
 use convgpu_obs::Registry;
 use convgpu_sim_core::units::Bytes;
 
@@ -122,11 +123,8 @@ impl Placer for DevicePlacer {
     }
 
     fn count(&self, registry: &Registry, shard: &str) {
-        registry.inc(
-            "convgpu_sched_placement_total",
-            &[("placement", self.policy.label()), ("device", shard)],
-            1,
-        );
+        let labels = [("placement", self.policy.label()), ("device", shard)];
+        registry.inc(SCHED_PLACEMENT, &labels, 1);
     }
 
     fn fingerprint(&self) -> u64 {

@@ -16,6 +16,8 @@
 //! * **Recent-Use (RU)** — the most recently suspended container first.
 //! * **Random (Rand)** — uniform over suspended containers.
 
+use crate::core::SchedObs;
+use convgpu_obs::catalogue::SCHED_POLICY_DECISIONS;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::rng::DetRng;
 use convgpu_sim_core::time::SimTime;
@@ -190,17 +192,18 @@ impl Policy for RandomPolicy {
     }
 }
 
-/// Record one redistribution selection into the metrics registry:
-/// `convgpu_sched_policy_decisions_total{policy,outcome}` counts how often
-/// each policy picked a candidate (`selected`) vs. declined (`none`). The
-/// scheduler calls this once per [`Policy::select`] invocation.
-pub fn record_selection(registry: &convgpu_obs::Registry, policy: &'static str, selected: bool) {
+/// Record one redistribution selection: [`SCHED_POLICY_DECISIONS`] counts
+/// how often each policy picked a candidate (`selected`) vs. declined
+/// (`none`). The scheduler calls this once per [`Policy::select`]
+/// invocation. Inlined into that caller, `Scheduler::redistribute`: left
+/// out of line, it shifted the release loop's code enough to cost
+/// `sched_contended`'s Best-Fit releases about a third
+/// (docs/PERFORMANCE.md, "`sched_contended` and code layout").
+#[inline]
+pub fn record_selection(obs: &SchedObs, policy: &'static str, selected: bool) {
     let outcome = if selected { "selected" } else { "none" };
-    registry.inc(
-        "convgpu_sched_policy_decisions_total",
-        &[("policy", policy), ("outcome", outcome)],
-        1,
-    );
+    let labels = obs.scoped(&[("policy", policy), ("outcome", outcome)]);
+    obs.registry.inc(SCHED_POLICY_DECISIONS, &labels, 1);
 }
 
 /// Policy selector used by configuration, traces and the bench harness.

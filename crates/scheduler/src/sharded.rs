@@ -584,6 +584,71 @@ mod tests {
     use crate::core::SchedulerConfig;
     use crate::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
     use crate::policy::PolicyKind;
+    use convgpu_obs::Tracer;
+    use std::sync::Arc;
+
+    /// A drain closes each container on its source device and re-adopts it
+    /// on another device of the same registry: the source's
+    /// container-lifetime series are retired, the adopter's stay.
+    #[test]
+    fn migrate_node_retires_the_source_series_and_keeps_the_adopters() {
+        let registry = Arc::new(Registry::new());
+        let tracer = Arc::new(Tracer::new());
+        let mut m = MultiGpuScheduler::new(
+            &[Bytes::gib(2), Bytes::gib(4)],
+            PolicyKind::Fifo,
+            PlacementPolicy::RoundRobin,
+            0,
+        );
+        m.attach_obs(SchedObs::new(Arc::clone(&registry), tracer));
+        let t = SimTime::from_secs;
+        let (c1, c2, c3) = (ContainerId(1), ContainerId(2), ContainerId(3));
+        // Round robin: c1 and c3 on device 0 (c3 only partly reserved),
+        // c2 on device 1. c3's request parks until c1 closes.
+        for c in [c1, c2, c3] {
+            m.register(c, Bytes::gib(1), t(c.as_u64())).unwrap();
+        }
+        let alloc = |m: &mut MultiGpuScheduler, c: ContainerId, at| {
+            m.alloc_request(c, c.as_u64(), Bytes::gib(1), ApiKind::Malloc, t(at))
+                .unwrap()
+                .0
+        };
+        assert_eq!(alloc(&mut m, c1, 4), AllocOutcome::Granted);
+        assert!(matches!(
+            alloc(&mut m, c3, 5),
+            AllocOutcome::Suspended { .. }
+        ));
+        assert_eq!(m.container_close(c1, t(6)).unwrap().len(), 1, "c3 resumes");
+
+        let series_of = |c: ContainerId, device: &str| {
+            let (c, snap) = (c.to_string(), registry.snapshot());
+            let labels = [
+                ("container".to_string(), c),
+                ("device".into(), device.into()),
+            ];
+            let n = snap.series.keys().filter(|k| k.labels == labels).count();
+            n
+        };
+        assert_eq!(series_of(c1, "0"), 0, "closed on device 0");
+        assert_eq!(
+            series_of(c3, "0"),
+            5,
+            "four gauges and the suspend histogram"
+        );
+
+        let (moves, _) = m.migrate_node(0, t(7));
+        assert_eq!(moves.len(), 1);
+        assert_eq!((moves[0].container, moves[0].to), (c3, Some(1)));
+        assert_eq!(m.home_of(c3), Some(1));
+        assert_eq!(series_of(c3, "0"), 0, "the source's series are retired");
+        assert_eq!(series_of(c3, "1"), 4, "the adopter's gauges remain");
+        assert_eq!(series_of(c2, "1"), 4, "a bystander keeps its series");
+        let used = registry.snapshot().gauge(
+            "convgpu_sched_container_used_bytes",
+            &[("container", "cnt-0003"), ("device", "1")],
+        );
+        assert_eq!(used, Some((Bytes::gib(1) + Bytes::mib(66)).as_u64() as f64));
+    }
 
     #[test]
     fn lanes_round_trip_at_the_edges() {

@@ -8,6 +8,7 @@ use convgpu_gpu_sim::memory::DevicePtr;
 use convgpu_gpu_sim::props::DeviceProperties;
 use convgpu_ipc::endpoint::SchedulerEndpoint;
 use convgpu_ipc::message::{AllocDecision, ApiKind};
+use convgpu_obs::catalogue::{WRAPPER_CALLS, WRAPPER_CALL_SECONDS};
 use convgpu_obs::Registry;
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
@@ -18,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Observability attachment for a wrapper module: every interposed Table II
-/// call ticks `convgpu_wrapper_calls_total{api}` and lands its duration in
-/// `convgpu_wrapper_call_seconds{api}`. The clock is the module's own time
+/// call ticks [`WRAPPER_CALLS`]`{api}` and lands its duration in
+/// [`WRAPPER_CALL_SECONDS`]`{api}`. The clock is the module's own time
 /// base (virtual in simulation, scaled-real in the live stack) — the
 /// wrapper crate never reads the wall clock.
 #[derive(Clone)]
@@ -155,18 +156,15 @@ impl WrapperModule {
 
     /// Run one interposed call under observation: count it and time it
     /// (including any scheduler round-trip, i.e. suspension shows up in
-    /// the tail of `convgpu_wrapper_call_seconds`).
+    /// the tail of [`WRAPPER_CALL_SECONDS`]).
     fn observed<T>(&self, api: &'static str, f: impl FnOnce() -> T) -> T {
         let Some(o) = &self.obs else { return f() };
-        o.registry
-            .inc("convgpu_wrapper_calls_total", &[("api", api)], 1);
+        o.registry.inc(WRAPPER_CALLS, &[("api", api)], 1);
         let t0 = o.clock.now();
         let out = f();
-        o.registry.observe(
-            "convgpu_wrapper_call_seconds",
-            &[("api", api)],
-            o.clock.now().saturating_since(t0),
-        );
+        let took = o.clock.now().saturating_since(t0);
+        o.registry
+            .observe(WRAPPER_CALL_SECONDS, &[("api", api)], took);
         out
     }
 

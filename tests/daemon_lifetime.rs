@@ -7,7 +7,10 @@
 //! made by `request_dir` and removed with the directory when the
 //! scheduler processes the close. So thread, file-descriptor and
 //! `base_dir` entry counts after 300 lifecycles are what they were after
-//! the first 10.
+//! the first 10. So is the metrics exposition: a closed container's
+//! series are retired, and what grows is only the digits of the
+//! daemon-lifetime counters, so `query_metrics` keeps answering over the
+//! wire.
 //!
 //! One `#[test]` on purpose: the counts are per process, so this file's
 //! test binary must run nothing else.
@@ -28,6 +31,9 @@ const LIFECYCLES: u64 = 300;
 /// Connection threads end on their own after the client hangs up, so a
 /// count read right after the last close may still see a few of them.
 const SLACK: usize = 4;
+/// Bytes the exposition may gain from 10 to 300 lifecycles: counts and
+/// sums gaining digits, about 300 bytes. Its series are counted exactly.
+const TEXT_SLACK: usize = 1024;
 
 fn entries(dir: impl AsRef<std::path::Path>) -> usize {
     std::fs::read_dir(dir).unwrap().count()
@@ -41,9 +47,9 @@ fn threads_named(prefix: &str) -> usize {
         .count()
 }
 
-/// `(threads, open fds, base_dir entries)` of this process, read once the
-/// thread count has stopped falling.
-fn footprint(convgpu: &ConVGpu) -> (usize, usize, usize) {
+/// `(threads, open fds, base_dir entries, metrics exposition)` of this
+/// process, read once the thread count has stopped falling.
+fn footprint(convgpu: &ConVGpu) -> (usize, usize, usize, String) {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut tasks = entries("/proc/self/task");
     loop {
@@ -58,6 +64,7 @@ fn footprint(convgpu: &ConVGpu) -> (usize, usize, usize) {
         entries("/proc/self/task"),
         entries("/proc/self/fd"),
         entries(convgpu.service().base_dir()),
+        convgpu.metrics_text(),
     )
 }
 
@@ -103,9 +110,9 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
     .unwrap();
 
     run(&convgpu, WARM_LIFECYCLES);
-    let (tasks0, fds0, entries0) = footprint(&convgpu);
+    let (tasks0, fds0, entries0, text0) = footprint(&convgpu);
     run(&convgpu, LIFECYCLES - WARM_LIFECYCLES);
-    let (tasks, fds, entries) = footprint(&convgpu);
+    let (tasks, fds, entries, text) = footprint(&convgpu);
 
     assert!(tasks <= tasks0 + SLACK, "threads {tasks0} -> {tasks}");
     assert!(fds <= fds0 + SLACK, "fds {fds0} -> {fds}");
@@ -113,6 +120,23 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
     assert_eq!((entries0, entries), (1, 1), "entries in base_dir");
     assert!(convgpu.socket_path().unwrap().exists());
     assert_eq!(threads_named("convgpu-ipc-acc"), 1, "accept threads");
+    // Closed containers' series are gone: the wire still carries the whole
+    // text (plus the series counting this very `query_metrics`), which
+    // has the same series as after 10 lifecycles and a few more digits.
+    let daemon = SchedulerClient::connect(convgpu.socket_path().unwrap()).unwrap();
+    let wire = daemon
+        .query_metrics()
+        .expect("query_metrics answers `metrics`");
+    drop(daemon);
+    let series = |text: &str| text.lines().count();
+    assert!(series(&wire) > series(&text), "exposition over the wire");
+    assert_eq!(series(&text0), series(&text), "exposition lines");
+    assert!(
+        text.len() <= text0.len() + TEXT_SLACK,
+        "exposition {} -> {} bytes",
+        text0.len(),
+        text.len()
+    );
 
     assert_eq!(convgpu.metrics().len() as u64, LIFECYCLES);
     convgpu.service().with_backend(|b| {

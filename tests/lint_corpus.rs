@@ -52,7 +52,7 @@ fn corpus_matches_goldens() {
     }
     // Guard against the walker silently matching nothing.
     assert!(
-        checked >= 18,
+        checked >= 16,
         "expected the full corpus, found {checked} fixtures"
     );
 }
@@ -89,7 +89,7 @@ fn binary_exits_nonzero_on_bad_fixture() {
     for fixture in [
         "lock_order_cycle_bad",
         "lock_order_write_bad",
-        "metric_names_bad",
+        "raw_transport_bad",
         "hashmap_iter_bad",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_convgpu-lint"))
@@ -114,7 +114,7 @@ fn binary_exits_zero_on_clean_fixture_and_filters_rules() {
 
     // Restricting a bad fixture to an unrelated rule suppresses its
     // findings entirely.
-    let bad = fixtures_root().join("metric_names_bad");
+    let bad = fixtures_root().join("raw_transport_bad");
     let out = Command::new(env!("CARGO_BIN_EXE_convgpu-lint"))
         .arg(&bad)
         .arg("--rules=wall-clock")
@@ -123,11 +123,11 @@ fn binary_exits_zero_on_clean_fixture_and_filters_rules() {
     assert_eq!(
         out.status.code(),
         Some(0),
-        "metric_names_bad is clean under --rules=wall-clock"
+        "raw_transport_bad is clean under --rules=wall-clock"
     );
 }
 
-/// `--list-rules` names all seven analyses and exits 0.
+/// `--list-rules` names every analysis and exits 0.
 #[test]
 fn binary_lists_rules() {
     let out = Command::new(env!("CARGO_BIN_EXE_convgpu-lint"))

@@ -1,9 +1,11 @@
 //! End-to-end observability: the acceptance criteria of the obs layer.
 //!
 //! * A live daemon run (real UNIX sockets) must answer, **from the
-//!   Prometheus exposition text alone**: each container's suspend count
-//!   and total suspended time, a per-message-type IPC latency histogram
-//!   with p50/p99, and the policy decision counts.
+//!   Prometheus exposition text alone**: each open container's suspend
+//!   count and total suspended time, a per-message-type IPC latency
+//!   histogram with p50/p99, and the policy decision counts — and once
+//!   every container has closed, no per-container series remains while
+//!   the daemon-lifetime families still count them.
 //! * A fixed three-container FIFO scenario must produce the span tree
 //!   checked in at `tests/golden/fifo_three_containers.trace`
 //!   (canonicalized — ids and absolute times do not matter). Re-bless
@@ -37,24 +39,41 @@ fn fast_cfg() -> ConVGpuConfig {
 }
 
 /// Three 2 GiB containers on the 5 GiB device: exactly one must be
-/// suspended, every one completes. Returns the container ids.
+/// suspended, every one completes. `while_resumed` runs once the
+/// suspended container has been resumed, has freed its memory and is
+/// still open; the others have closed by then. Returns the container ids.
 ///
 /// Deterministic regardless of thread scheduling: granted containers
 /// hold their memory until the test has *observed* a suspension on the
 /// scheduler's books, so the third request always parks — a timed hold
 /// would let a fast first container free before the third even starts.
-fn run_contention_scenario(convgpu: &ConVGpu) -> Vec<ContainerId> {
+/// The third container is the suspended one: it registers last, when
+/// only a partial reservation is left for it.
+fn run_contention_scenario(convgpu: &ConVGpu, while_resumed: impl FnOnce()) -> Vec<ContainerId> {
     use std::sync::atomic::{AtomicBool, Ordering};
-    let release = Arc::new(AtomicBool::new(false));
+    let wait = |flag: &AtomicBool, clock: &convgpu::sim::clock::ClockHandle| {
+        while !flag.load(Ordering::Acquire) {
+            clock.sleep(SimDuration::from_millis(50));
+        }
+    };
+    // Gate 1 lets the holders free; gate 2 lets the resumed one exit.
+    let (release, exit, parked) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
     let mut sessions = Vec::new();
-    for _ in 0..3 {
-        let release = Arc::clone(&release);
+    for i in 0..3 {
+        let (release, exit, parked) = (release.clone(), exit.clone(), parked.clone());
         let program = Box::new(FnProgram::new("hold", move |api, pid, clock| {
             let p = api.cuda_malloc(pid, Bytes::mib(2048))?;
-            while !release.load(Ordering::Acquire) {
-                clock.sleep(SimDuration::from_millis(50));
+            wait(&release, clock);
+            api.cuda_free(pid, p)?;
+            if i == 2 {
+                parked.store(true, Ordering::Release);
+                wait(&exit, clock);
             }
-            api.cuda_free(pid, p)
+            Ok(())
         }));
         sessions.push(
             convgpu
@@ -72,6 +91,18 @@ fn run_contention_scenario(convgpu: &ConVGpu) -> Vec<ContainerId> {
         std::thread::sleep(Duration::from_millis(2));
     }
     release.store(true, Ordering::Release);
+    while !parked.load(Ordering::Acquire) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the suspended container never resumed"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    for &id in &ids[..2] {
+        assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
+    }
+    while_resumed();
+    exit.store(true, Ordering::Release);
     for s in sessions {
         s.wait().unwrap();
     }
@@ -83,49 +114,48 @@ fn run_contention_scenario(convgpu: &ConVGpu) -> Vec<ContainerId> {
 
 /// The headline acceptance test: run the live daemon, fetch the metrics
 /// **over the wire** with `QueryMetrics`, and answer every operational
-/// question by parsing the exposition text — no scheduler access.
+/// question by parsing the exposition text — no scheduler access. Asked
+/// while the suspended container has resumed but is still open, and again
+/// once every container has closed.
 #[test]
 fn live_daemon_answers_operational_questions_from_exposition_text() {
     let convgpu = ConVGpu::start(fast_cfg()).unwrap();
-    let ids = run_contention_scenario(&convgpu);
-
-    // Fetch over the wire, on the operator's channel: the daemon socket
-    // (the containers are closed and their volumes, socket links
-    // included, are gone).
-    assert!(!convgpu.service().socket_path(ids[0]).exists());
+    // The operator's channel: the daemon socket, not a container's link.
     let client = SchedulerClient::connect(convgpu.socket_path().unwrap()).unwrap();
-    let text = client.query_metrics().unwrap();
-    drop(client);
-
-    let samples = prometheus::parse_text(&text).unwrap();
+    let query = || prometheus::parse_text(&client.query_metrics().unwrap()).unwrap();
+    let mut open = None;
+    let ids = run_contention_scenario(&convgpu, || open = Some((query(), convgpu.metrics())));
+    let (samples, books) = open.unwrap();
+    let sample = |name: &str, labels: &[(&str, &str)]| {
+        samples
+            .iter()
+            .find(|s| s.name == name && s.has_labels(labels))
+            .map(|s| s.value)
+    };
 
     // 1. Per-container suspend count and total suspended time, checked
-    //    against the scheduler's own books.
-    let expected = convgpu.metrics();
+    //    against the scheduler's own books. The two containers that have
+    //    closed already left no series behind.
     let mut suspended_containers = 0;
-    for m in &expected {
+    for m in &books {
         let label = m.id.to_string();
-        let count = samples
-            .iter()
-            .find(|s| {
-                s.name == "convgpu_sched_suspend_seconds_count"
-                    && s.has_labels(&[("container", label.as_str())])
-            })
-            .map(|s| s.value.round() as u64)
-            .unwrap_or(0);
+        let container = [("container", label.as_str())];
+        if m.closed_at.is_some() {
+            assert!(
+                !samples.iter().any(|s| s.has_labels(&container)),
+                "{label} closed but its series remain"
+            );
+            continue;
+        }
+        let count = sample("convgpu_sched_suspend_seconds_count", &container);
         assert_eq!(
-            count, m.suspend_episodes,
+            count.map_or(0, |c| c.round() as u64),
+            m.suspend_episodes,
             "{label}: exposition suspend count disagrees with the scheduler"
         );
         if m.suspend_episodes > 0 {
             suspended_containers += 1;
-            let sum = samples
-                .iter()
-                .find(|s| {
-                    s.name == "convgpu_sched_suspend_seconds_sum"
-                        && s.has_labels(&[("container", label.as_str())])
-                })
-                .map(|s| s.value)
+            let sum = sample("convgpu_sched_suspend_seconds_sum", &container)
                 .expect("suspended container must expose a _sum");
             let book = m.total_suspended.as_secs_f64();
             assert!(
@@ -134,9 +164,9 @@ fn live_daemon_answers_operational_questions_from_exposition_text() {
             );
         }
     }
-    assert!(
-        suspended_containers >= 1,
-        "the scenario must suspend at least one container"
+    assert_eq!(
+        suspended_containers, 1,
+        "the open container must be the resumed one"
     );
 
     // 2. Per-message-type IPC latency histograms answer p50/p99.
@@ -157,15 +187,9 @@ fn live_daemon_answers_operational_questions_from_exposition_text() {
     }
     // Turnaround (receipt → reply) of a suspended alloc_request includes
     // the parked time, so its histogram must exist too.
-    assert!(
-        !prometheus::histogram_buckets(
-            &samples,
-            "convgpu_ipc_server_turnaround_seconds",
-            &[("type", "alloc_request")],
-        )
-        .is_empty(),
-        "turnaround histogram missing"
-    );
+    let turnaround = [("type", "alloc_request")];
+    let turnaround_count = sample("convgpu_ipc_server_turnaround_seconds_count", &turnaround)
+        .expect("turnaround histogram missing");
 
     // 3. Policy decision counts: Best-Fit (the default) must have made at
     //    least one selection during redistribution.
@@ -182,10 +206,10 @@ fn live_daemon_answers_operational_questions_from_exposition_text() {
         "redistribution must have recorded a policy selection"
     );
 
-    // 4. Scheduler decision counters cover the whole lifecycle. A parked
-    //    request's eventual grant counts as `resumed`, not `granted`, so
-    //    granted + resumed must cover all three containers.
-    let count_kind = |kind: &str| -> f64 {
+    // 4. Scheduler decision counters cover the whole lifecycle so far. A
+    //    parked request's eventual grant counts as `resumed`, not
+    //    `granted`, so granted + resumed must cover all three containers.
+    let count_kind = |samples: &[prometheus::Sample], kind: &str| -> f64 {
         samples
             .iter()
             .filter(|s| {
@@ -194,16 +218,17 @@ fn live_daemon_answers_operational_questions_from_exposition_text() {
             .map(|s| s.value)
             .sum()
     };
-    for kind in ["registered", "closed"] {
-        let n = count_kind(kind);
-        assert!(n >= 3.0, "expected ≥3 {kind} decisions, saw {n}");
-    }
-    let served = count_kind("granted") + count_kind("resumed");
+    assert!(count_kind(&samples, "registered") >= 3.0);
+    assert!(count_kind(&samples, "closed") >= 2.0);
+    let served = count_kind(&samples, "granted") + count_kind(&samples, "resumed");
     assert!(
         served >= 3.0,
         "granted+resumed must cover all three: {served}"
     );
-    assert!(count_kind("suspended") >= 1.0, "no suspension recorded");
+    assert!(
+        count_kind(&samples, "suspended") >= 1.0,
+        "no suspension recorded"
+    );
 
     // 5. Wrapper-side instrumentation saw the CUDA calls.
     let malloc_calls: f64 = samples
@@ -216,6 +241,32 @@ fn live_daemon_answers_operational_questions_from_exposition_text() {
     assert!(
         malloc_calls >= 3.0,
         "wrapper malloc counter: {malloc_calls}"
+    );
+
+    // 6. Every container has closed (and its volume, socket link
+    //    included, is gone): no per-container series remains, while the
+    //    daemon-lifetime families still count the closed containers.
+    assert!(!convgpu.service().socket_path(ids[2]).exists());
+    let after = query();
+    drop(client);
+    let left: Vec<_> = after
+        .iter()
+        .filter(|s| s.label("container").is_some())
+        .collect();
+    assert!(
+        left.is_empty(),
+        "closed containers' series remain: {left:?}"
+    );
+    assert!(count_kind(&after, "closed") >= 3.0);
+    let still = after
+        .iter()
+        .find(|s| {
+            s.name == "convgpu_ipc_server_turnaround_seconds_count" && s.has_labels(&turnaround)
+        })
+        .map(|s| s.value);
+    assert!(
+        still >= Some(turnaround_count),
+        "turnaround count fell from {turnaround_count} to {still:?} at close"
     );
 
     convgpu.shutdown();
@@ -311,7 +362,7 @@ fn golden_scenario_is_deterministic() {
 #[test]
 fn chrome_trace_export_is_valid_nonempty_json() {
     let convgpu = ConVGpu::start(fast_cfg()).unwrap();
-    run_contention_scenario(&convgpu);
+    run_contention_scenario(&convgpu, || {});
     let trace = convgpu.chrome_trace();
     convgpu.shutdown();
     let parsed = convgpu::ipc::json::parse(&trace).unwrap();
@@ -327,46 +378,41 @@ fn chrome_trace_export_is_valid_nonempty_json() {
     }
 }
 
-/// Per-container series never retire, so a lived-in daemon's exposition
-/// outgrows the 64 KiB frame cap. The server must answer that
-/// `query_metrics` with an `error` — a frame the client's reader would
-/// reject takes the connection, and every caller sharing it, down.
+/// A `query_metrics` reply over the 64 KiB frame cap is answered with an
+/// `error` — a frame the client's reader would reject takes the
+/// connection, and every caller sharing it, down. Closed containers leave
+/// no series behind, so it takes enough containers open at once to outgrow
+/// the cap; once they close, the exposition fits again.
 #[test]
 fn oversized_metrics_reply_is_an_error_on_a_connection_that_stays_up() {
     use convgpu::ipc::endpoint::{IpcError, SchedulerEndpoint};
     use convgpu::ipc::MAX_FRAME_BYTES;
 
     let convgpu = ConVGpu::start(fast_cfg()).unwrap();
-    let run_one = || {
-        let program = Box::new(FnProgram::new("touch", |api, pid, _clock| {
-            let p = api.cuda_malloc(pid, Bytes::mib(16))?;
-            api.cuda_free(pid, p)
-        }));
-        let session = convgpu
-            .run_container(RunCommand::new("cuda-app").nvidia_memory("64m"), program)
-            .unwrap();
-        let id = session.container;
-        session.wait().unwrap();
-        assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
-    };
-    run_one();
     let client = SchedulerClient::connect(convgpu.socket_path().unwrap()).unwrap();
     assert!(client.query_metrics().unwrap().len() < MAX_FRAME_BYTES);
 
-    let mut containers = 1;
+    let service = convgpu.service();
+    let mut open = Vec::new();
     while convgpu.metrics_text().len() <= MAX_FRAME_BYTES {
-        assert!(containers < 1000, "exposition never outgrew the frame cap");
-        run_one();
-        containers += 1;
+        assert!(open.len() < 5000, "exposition never outgrew the frame cap");
+        let id = ContainerId(1 + open.len() as u64);
+        service.register(id, Bytes::mib(16)).unwrap();
+        open.push(id);
     }
     match client.query_metrics() {
         Err(IpcError::Scheduler(message)) => {
             assert!(message.contains("exceeds"), "{message}");
             assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
         }
-        other => panic!("after {containers} containers: {other:?}"),
+        other => panic!("with {} containers open: {other:?}", open.len()),
     }
     client.ping().expect("the same connection still answers");
+
+    for id in open {
+        service.container_close(id).unwrap();
+    }
+    assert!(client.query_metrics().unwrap().len() < MAX_FRAME_BYTES);
     drop(client);
     convgpu.shutdown();
 }
@@ -380,7 +426,7 @@ fn in_proc_transport_still_exposes_scheduler_metrics() {
         ..fast_cfg()
     })
     .unwrap();
-    run_contention_scenario(&convgpu);
+    run_contention_scenario(&convgpu, || {});
     let samples = prometheus::parse_text(&convgpu.metrics_text()).unwrap();
     convgpu.shutdown();
     assert!(samples
