@@ -565,6 +565,243 @@ fn wire_bytes_match_the_golden_file() {
     assert_eq!(lines.next(), None, "golden file has trailing lines");
 }
 
+/// One hand-written JSON line, as the golden file shows it: printable
+/// ASCII as itself, every other byte as `\xNN`.
+fn show_line(line: &[u8]) -> String {
+    line.iter()
+        .map(|&b| match b {
+            0x20..=0x7e => char::from(b).to_string(),
+            _ => format!("\\x{b:02x}"),
+        })
+        .collect()
+}
+
+/// What the JSON decoder makes of `line`, read as one `\n`-terminated
+/// frame: `ok <value>` or `err`.
+fn json_decode_outcome<T: FromJson + std::fmt::Debug>(line: &[u8]) -> String {
+    let wire = [line, b"\n"].concat();
+    match read_json::<Envelope<T>, _>(&mut BufReader::new(wire.as_slice())) {
+        Ok(Some(env)) => format!("ok {env:?}"),
+        Ok(None) => "eof".into(),
+        Err(_) => "err".into(),
+    }
+}
+
+/// `n` arrays nested inside each other.
+fn nested_arrays(n: usize) -> String {
+    "[".repeat(n) + &"]".repeat(n)
+}
+
+/// Hand-written request lines: the tag anywhere, keys in any order,
+/// whitespace, unknown keys, duplicates, escapes, number forms, trailing
+/// bytes, truncation, bad UTF-8 and deep nesting.
+fn json_decode_request_cases() -> Vec<Vec<u8>> {
+    let lines: &[&[u8]] = &[
+        // Key order and where the tag sits.
+        br#"{"id":1,"body":{"type":"ping"}}"#,
+        br#"{"body":{"type":"ping"},"id":1}"#,
+        br#"{"id":2,"body":{"container":3,"type":"register","limit":1048576}}"#,
+        br#"{"id":2,"body":{"limit":1048576,"container":3,"type":"register"}}"#,
+        br#"{"body":{"api":"malloc_pitch","size":4096,"pid":7,"container":3,"type":"alloc_request"},"id":3}"#,
+        // Whitespace everywhere JSON allows it (a line holds no `\n`).
+        br#" {"id" :4 , "body":{ "type" : "alloc_done" ,"container":3,"pid":7,"addr":28672,"size":4096 } } "#,
+        b"\t{\t\"id\"\t:\t5,\r\"body\"\r:\r{\"type\":\"free\" ,\t\"container\" : 3 ,\"pid\":7,\"addr\":28672}\t}\r",
+        br#"{"id":1,"body":{ "type":"query_metrics" } }"#,
+        b"",
+        b"   ",
+        b"{ }",
+        // Unknown keys: ignored, but still JSON.
+        br#"{"id":6,"trace":{"parent":[1,2.5,-3e-2,{"x":null}],"flags":[true,false]},"body":{"type":"mem_info","container":3,"extra":"x","pid":7,"nested":{"a":{"b":{"c":[]}}}}}"#,
+        br#"{"id":6,"body":{"type":"ping","container":3,"pid":"not a pid"}}"#,
+        br#"{"id":6,"junk":[1,,2],"body":{"type":"ping"}}"#,
+        br#"{"id":6,"body":{"type":"ping","junk":tru}}"#,
+        br#"{"id":6,"body":{"type":"ping","junk":"\q"}}"#,
+        br#"{"id":6,"body":{"type":"ping"},"junk":01.5e+3}"#,
+        br#"{"id":1,"body":{"type":"ping"},"a":true,"b":false,"c":null,"d":"","":{}}"#,
+        br#"{"id":1,"body":{"type":"ping"},"a":nul}"#,
+        br#"{"id":1,"body":{"type":"ping"},"a":truex}"#,
+        br#"{"id":1,"body":{"type":"ping"},"big":18446744073709551616,"neg":-9223372036854775809,"exp":1E400}"#,
+        // Duplicate keys: the first one counts.
+        br#"{"id":7,"id":8,"body":{"type":"ping"}}"#,
+        br#"{"id":7,"id":"eight","body":{"type":"ping"}}"#,
+        br#"{"id":"seven","id":8,"body":{"type":"ping"}}"#,
+        br#"{"id":7,"body":{"type":"query_home","container":1,"container":2}}"#,
+        br#"{"id":7,"body":{"type":"ping","type":"query_metrics"}}"#,
+        br#"{"id":7,"body":{"container":1,"type":"query_home","type":"nonsense"}}"#,
+        br#"{"id":7,"body":{"type":1,"type":"ping"}}"#,
+        br#"{"id":7,"body":{"type":"ping"},"body":{"type":"query_metrics"}}"#,
+        br#"{"id":7,"body":{"type":"ping"},"body":{"type":"warp_drive"}}"#,
+        br#"{"id":7,"body":{"type":"ping"},"body":[1,]}"#,
+        // Escapes in keys and values.
+        br#"{"\u0069d":9,"b\u006fdy":{"\u0074ype":"p\u0069ng"}}"#,
+        br#"{"id":9,"\u0069d":10,"body":{"type":"ping"}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"n\u00f6de \"q\" \\ \/ \b\f\n\r\t","limit":0,"used":0}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"\ud83d\ude00 \u00e9 \u4F8B","limit":0,"used":0}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"\ud83d","limit":0,"used":0}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"\ud83d\u0041","limit":0,"used":0}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"\ude00","limit":0,"used":0}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"\u+041","limit":0,"used":0}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"\u00e","limit":0,"used":0}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"\U0041","limit":0,"used":0}}"#,
+        br#"{"id":9,"body":{"type":"migrate","container":0,"node":"\u"#,
+        // Number forms.
+        br#"{"id":007,"body":{"type":"query_home","container":00}}"#,
+        br#"{"id":1e2,"body":{"type":"ping"}}"#,
+        br#"{"id":1.0,"body":{"type":"ping"}}"#,
+        br#"{"id":-1,"body":{"type":"ping"}}"#,
+        br#"{"id":-0,"body":{"type":"ping"}}"#,
+        br#"{"id":+1,"body":{"type":"ping"}}"#,
+        br#"{"id":0x10,"body":{"type":"ping"}}"#,
+        br#"{"id":1-2,"body":{"type":"ping"}}"#,
+        br#"{"id":1 2,"body":{"type":"ping"}}"#,
+        br#"{"id":"1","body":{"type":"ping"}}"#,
+        br#"{"id":null,"body":{"type":"ping"}}"#,
+        br#"{"id":18446744073709551615,"body":{"type":"free","container":18446744073709551615,"pid":0,"addr":18446744073709551615}}"#,
+        br#"{"id":18446744073709551616,"body":{"type":"ping"}}"#,
+        br#"{"id":1,"body":{"type":"free","container":1,"pid":0,"addr":18446744073709551616}}"#,
+        br#"{"id":1,"body":{"type":"free","container":1,"pid":0,"addr":00000000000000000000000000042}}"#,
+        // Value enums are exact strings.
+        br#"{"id":1,"body":{"type":"alloc_request","container":1,"pid":2,"size":3,"api":"malloc3_d"}}"#,
+        br#"{"id":1,"body":{"type":"alloc_request","container":1,"pid":2,"size":3,"api":"Malloc"}}"#,
+        br#"{"id":1,"body":{"type":"alloc_request","container":1,"pid":2,"size":3,"api":1}}"#,
+        // Trailing bytes, truncation, broken punctuation.
+        br#"{"id":1,"body":{"type":"ping"}}   "#,
+        br#"{"id":1,"body":{"type":"ping"}} x"#,
+        br#"{"id":1,"body":{"type":"ping"}}}"#,
+        br#"{"id":1,"body":{"type":"ping"}}{"id":2,"body":{"type":"ping"}}"#,
+        b"{\"id\":1,\"body\":{\"type\":\"ping\"}}\x00",
+        br#"{"id":1,"body":{"type":"ping"}"#,
+        br#"{"id":1,"body":{"type":"pi"#,
+        br#"{"id":1,"body":"#,
+        br#"{"id":1,"body":{"type":"ping"},}"#,
+        br#"{"id":1 "body":{"type":"ping"}}"#,
+        br#"{"id":1,"body"{"type":"ping"}}"#,
+        br#"{,"id":1,"body":{"type":"ping"}}"#,
+        // UTF-8: valid multi-byte text, then bytes that are not UTF-8.
+        "{\"id\":1,\"body\":{\"type\":\"migrate\",\"container\":0,\"node\":\"π≈例😀\",\"limit\":0,\"used\":0}}".as_bytes(),
+        b"{\"id\":1,\"body\":{\"type\":\"migrate\",\"container\":0,\"node\":\"\xff\",\"limit\":0,\"used\":0}}",
+        b"{\"id\":1,\"body\":{\"type\":\"ping\"},\"junk\":\"\xc0\x80\"}",
+        b"{\"i\xe2\x28d\":1,\"body\":{\"type\":\"ping\"}}",
+        b"{\"id\":1,\"body\":{\"type\":\"ping\"},\"junk\":\"\xed\xa0\x80\"}",
+        b"\xef\xbb\xbf{\"id\":1,\"body\":{\"type\":\"ping\"}}",
+        b"{\"id\":1,\"body\":{\"type\":\"migrate\",\"container\":0,\"node\":\"a\tb\",\"limit\":0,\"used\":0}}",
+        b"{\"id\":1,\"body\":{\"type\":\"migrate\",\"container\":0,\"node\":\"a\x7fb\",\"limit\":0,\"used\":0}}",
+        // Missing fields and wrong shapes.
+        br#"{"id":1}"#,
+        br#"{"body":{"type":"ping"}}"#,
+        br#"{"id":1,"body":{"type":"register","container":1}}"#,
+        br#"{"id":1,"body":{}}"#,
+        br#"{"id":1,"body":{"container":1}}"#,
+        br#"{"id":1,"body":{"type":"warp_drive"}}"#,
+        br#"{"id":1,"body":{"Type":"ping"}}"#,
+        br#"{"id":1,"body":"ping"}"#,
+        br#"{"id":1,"body":["ping"]}"#,
+        br#"{"id":1,"body":null}"#,
+        br#"[{"id":1,"body":{"type":"ping"}}]"#,
+        br#"{"id":1,"body":{"type":"migrate","container":1,"node":null,"limit":0,"used":0}}"#,
+        br#"{"id":1,"body":{"type":"migrate","container":1,"node":7,"limit":0,"used":0}}"#,
+    ];
+    let mut cases: Vec<Vec<u8>> = lines.iter().map(|l| l.to_vec()).collect();
+    // Nesting inside an unknown key: an envelope member sits at depth 1
+    // and a body member at depth 2; nothing may nest past depth 64.
+    for n in [64, 65] {
+        cases.push(
+            format!(
+                r#"{{"id":1,"junk":{},"body":{{"type":"ping"}}}}"#,
+                nested_arrays(n)
+            )
+            .into(),
+        );
+    }
+    for n in [63, 64] {
+        cases.push(
+            format!(
+                r#"{{"id":1,"body":{{"type":"ping","junk":{}}}}}"#,
+                nested_arrays(n)
+            )
+            .into(),
+        );
+    }
+    let objects = r#"{"a":"#.repeat(70) + "1" + &"}".repeat(70);
+    cases.push(format!(r#"{{"id":1,"body":{{"type":"ping"}},"junk":{objects}}}"#).into());
+    cases
+}
+
+/// Hand-written response lines: value enums, records inside lists (their
+/// keys shuffled, unknown and duplicated), escapes the writer emits, and
+/// a request tag where a response belongs.
+fn json_decode_response_cases() -> Vec<Vec<u8>> {
+    let lines: &[&[u8]] = &[
+        br#"{"id":1,"body":{"type":"ok"}}"#,
+        br#"{"id":2,"body":{"decision" : "granted","type":"alloc"}}"#,
+        br#"{"id":2,"body":{"type":"alloc","decision":"GRANTED"}}"#,
+        br#"{"id":2,"body":{"type":"alloc","decision":"granted","decision":7}}"#,
+        br#"{"id":3,"body":{"devices":[{"policy":"fifo","node":"","zzz":[1,{"q":null}],"device":0,"capacity":1024,"unassigned":512,"containers":2},{"node":"n1","device":1,"capacity":2048,"unassigned":0,"containers":0,"policy":"best_fit","node":"ignored"}],"type":"topology","kind":"multi-gpu"}}"#,
+        br#"{"id":3,"body":{"type":"topology","kind":"single","devices":[ ]}}"#,
+        br#"{"id":3,"body":{"type":"topology","kind":"single","devices":[{"node":"","device":0,"capacity":1,"unassigned":1,"containers":0}]}}"#,
+        br#"{"id":3,"body":{"type":"topology","kind":"single","devices":{}}}"#,
+        br#"{"id":3,"body":{"type":"topology","kind":"single","devices":null}}"#,
+        br#"{"id":3,"body":{"type":"topology","kind":"single","devices":[1]}}"#,
+        br#"{"id":3,"body":{"type":"topology","kind":"single","devices":[{"node":"","device":0,"capacity":1,"unassigned":1,"containers":0,"policy":"fifo"},]}}"#,
+        br#"{"id":4,"body":{"type":"error","message":"line\nbreak \"q\" \u00e9\u0000"}}"#,
+        br#"{"id":4,"body":{"type":"metrics","text":"\u001f\u007f"}}"#,
+        br#"{"id":4,"body":{"nodes":[{"failovers":3,"timeouts":2,"retries":1,"containers":0,"health":"down","node":"n1"}],"strategy":"spread","type":"cluster"}}"#,
+        br#"{"id":4,"body":{"type":"migrations","records":[]}}"#,
+        br#"{"id":4,"body":{"type":"migrations","records":[{"\u0063ontainer":3,"from":"n0","to":"","limit":512,"used":0,"status":"rejected"}]}}"#,
+        br#"{"id":5,"body":{"type":"home","device":3,"node":"n\u0030"}}"#,
+        br#"{"id":5,"body":{"type":"freed","size":1.5}}"#,
+        br#"{"id":5,"body":{"type":"pong"},"id":6}"#,
+        br#"{"id":5,"body":{"type":"ping"}}"#,
+        br#"{"id":5,"body":{"type":"mem_info","free":1,"total":2}}"#,
+    ];
+    let mut cases: Vec<Vec<u8>> = lines.iter().map(|l| l.to_vec()).collect();
+    // A record's members sit at depth 4 (envelope, body, list, record).
+    for n in [61, 62] {
+        cases.push(
+            format!(
+                r#"{{"id":3,"body":{{"type":"topology","kind":"single","devices":[{{"node":"","device":0,"capacity":1,"unassigned":1,"containers":0,"policy":"fifo","junk":{}}}]}}}}"#,
+                nested_arrays(n)
+            )
+            .into(),
+        );
+    }
+    cases
+}
+
+/// The JSON decoder's accept set, pinned:
+/// `tests/golden/json_decode.golden` holds each hand-written line above
+/// with what it decodes to (`ok <value>`) or `err`. A decoder rewrite
+/// must accept and reject exactly these lines. Re-bless (an intended
+/// change) with `UPDATE_GOLDEN=1 cargo test --test protocol_roundtrip`.
+#[test]
+fn json_decode_accept_set_matches_the_golden_file() {
+    let mut got = String::new();
+    for line in json_decode_request_cases() {
+        let outcome = json_decode_outcome::<Request>(&line);
+        got += &format!("request {}\n  {outcome}\n", show_line(&line));
+    }
+    for line in json_decode_response_cases() {
+        let outcome = json_decode_outcome::<Response>(&line);
+        got += &format!("response {}\n  {outcome}\n", show_line(&line));
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/json_decode.golden"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(path).expect(
+        "golden file missing — bless with UPDATE_GOLDEN=1 cargo test --test protocol_roundtrip",
+    );
+    assert_eq!(
+        got, want,
+        "the JSON decoder's accept set drifted from the golden file; if \
+         intended, re-bless with UPDATE_GOLDEN=1 cargo test --test protocol_roundtrip"
+    );
+}
+
 /// Batches of envelopes on one stream arrive intact and in order.
 #[test]
 fn pipelined_envelopes_preserve_order() {
