@@ -360,11 +360,7 @@ where
 /// string, suitable for concatenation into a batched write.
 pub fn encode_with<T: ToBinary + ToJson>(value: &T, codec: WireCodec) -> Vec<u8> {
     match codec {
-        WireCodec::Json => {
-            let mut line = value.to_json_string().into_bytes();
-            line.push(b'\n');
-            line
-        }
+        WireCodec::Json => crate::codec::encode_line(value),
         WireCodec::Binary => encode_frame(value),
     }
 }
@@ -484,28 +480,34 @@ mod tests {
         }
     }
 
-    /// Malformed-frame property test: drive the decoder with a
-    /// deterministic pseudo-random byte fuzzer. It must reject garbage
-    /// with an error (or happen to parse a valid frame) — never panic,
-    /// never read past the frame. The iteration budget defaults to a
-    /// PR-sized 2000 and is raised by the nightly deep tier via
-    /// `CONVGPU_FUZZ_ITERS` (the seed stays fixed; more iterations walk
-    /// further down the same deterministic stream).
-    #[test]
-    fn random_bytes_never_panic_the_decoder() {
-        let iters: u64 = std::env::var("CONVGPU_FUZZ_ITERS")
+    /// Iterations for the decoder fuzzers: a PR-sized 2000 unless the
+    /// nightly deep tier raises it via `CONVGPU_FUZZ_ITERS` (the seeds stay
+    /// fixed; more iterations walk further down the same streams).
+    fn fuzz_iters() -> u64 {
+        std::env::var("CONVGPU_FUZZ_ITERS")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(2000);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            // xorshift* — deterministic, no external RNG dependency.
+            .unwrap_or(2000)
+    }
+
+    /// xorshift* — deterministic, no external RNG dependency.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state >> 12;
             state ^= state << 25;
             state ^= state >> 27;
             state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        for _ in 0..iters {
+        }
+    }
+
+    /// Malformed-frame property test: drive the decoder with a
+    /// deterministic pseudo-random byte fuzzer. It must reject garbage
+    /// with an error (or happen to parse a valid frame) — never panic,
+    /// never read past the frame.
+    #[test]
+    fn random_bytes_never_panic_the_decoder() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..fuzz_iters() {
             let len = (next() % 64) as usize;
             let mut payload = Vec::with_capacity(len);
             for _ in 0..len {
@@ -520,6 +522,113 @@ mod tests {
             let mut r = BufReader::new(frame.as_slice());
             let _ = read_binary::<Envelope<Response>, _>(&mut r);
         }
+    }
+
+    /// The seeds of the JSON-line fuzzer: the JSON line of every message
+    /// in `wire_messages.golden` and every hand-written line of
+    /// `json_decode.golden` (shown there with other bytes as `\xNN`).
+    fn golden_json_lines() -> Vec<Vec<u8>> {
+        let golden = |name: &str| {
+            let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+        };
+        let mut lines: Vec<Vec<u8>> = golden("wire_messages.golden")
+            .lines()
+            .filter(|l| l.starts_with('{'))
+            .map(|l| l.as_bytes().to_vec())
+            .collect();
+        for shown in golden("json_decode.golden").lines() {
+            let Some(shown) = shown
+                .strip_prefix("request ")
+                .or_else(|| shown.strip_prefix("response "))
+            else {
+                continue;
+            };
+            let hex = |d: u8| char::from(d).to_digit(16);
+            let mut line = Vec::new();
+            let mut rest = shown.as_bytes();
+            while let [b, tail @ ..] = rest {
+                let escaped = match rest {
+                    [b'\\', b'x', hi, lo, after @ ..] => hex(*hi)
+                        .zip(hex(*lo))
+                        .map(|(hi, lo)| ((hi * 16 + lo) as u8, after)),
+                    _ => None,
+                };
+                let (byte, after) = escaped.unwrap_or((*b, tail));
+                line.push(byte);
+                rest = after;
+            }
+            lines.push(line);
+        }
+        lines
+    }
+
+    /// What the JSON-line fuzzer asserts of one line read as a `T`: if the
+    /// decoder accepts it, `json::parse` does too, and the decoded value
+    /// comes back unchanged from its own encoding. Says whether it was
+    /// accepted.
+    fn check_json_line<T>(line: &[u8]) -> bool
+    where
+        T: FromJson + ToJson + PartialEq + std::fmt::Debug,
+    {
+        let Ok(value) = crate::codec::decode_line::<T>(line) else {
+            return false;
+        };
+        let text = String::from_utf8_lossy(line);
+        assert!(
+            crate::json::parse(&text).is_ok(),
+            "decoded a line json::parse refuses: {text}"
+        );
+        let again = crate::codec::encode_line(&value);
+        let back = crate::codec::decode_line::<T>(&again[..again.len() - 1])
+            .unwrap_or_else(|e| panic!("{value:?} re-encoded does not decode: {e}"));
+        assert_eq!(back, value, "re-encoding changed the value of {text}");
+        true
+    }
+
+    /// Hostile-line property test for the JSON decoder: golden lines with
+    /// bytes flipped, overwritten, inserted and deleted (often JSON's own
+    /// punctuation), each read as a request and as a response. It must
+    /// never panic, and [`check_json_line`] must hold for every line it
+    /// accepts. Same budget as the byte fuzzer above.
+    #[test]
+    fn random_bytes_never_panic_the_decoder_in_json_lines() {
+        const PUNCTUATION: &[u8] = b"{}[]\":,\\u0189eE+-. \t\rtfnx";
+        let seeds = golden_json_lines();
+        let mut next = xorshift(0x6a09_e667_f3bc_c908);
+        let iters = fuzz_iters();
+        let mut accepted = 0;
+        for _ in 0..iters {
+            let mut line = seeds[next() as usize % seeds.len()].clone();
+            // One edit most of the time, up to three.
+            let edits = if next().is_multiple_of(4) {
+                1 + next() % 3
+            } else {
+                1
+            };
+            for _ in 0..edits {
+                let at = next() as usize % (line.len() + 1);
+                let byte = match next() % 2 {
+                    0 => PUNCTUATION[next() as usize % PUNCTUATION.len()],
+                    _ => next() as u8,
+                };
+                match (next() % 4, at < line.len()) {
+                    (0, true) => line[at] ^= 1 << (next() % 8),
+                    (1, true) => line[at] = byte,
+                    (2, true) => {
+                        line.remove(at);
+                    }
+                    _ => line.insert(at, byte),
+                }
+            }
+            accepted += usize::from(check_json_line::<Envelope<Request>>(&line));
+            accepted += usize::from(check_json_line::<Envelope<Response>>(&line));
+        }
+        // About one line in forty decodes: the accept path is exercised.
+        assert!(
+            accepted as u64 >= iters / 100,
+            "{accepted} of {iters} lines decoded"
+        );
     }
 
     #[test]

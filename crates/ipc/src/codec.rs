@@ -4,7 +4,8 @@
 //! JSON never contains a raw newline (the [`crate::json`] writer escapes
 //! them), so line framing is unambiguous. A line-length cap protects the
 //! scheduler from a misbehaving container writing garbage into the shared
-//! socket.
+//! socket. A line is written straight into its frame buffer and decoded
+//! by pulling fields off it ([`crate::json`]), with no value tree between.
 
 use crate::json::{self, FromJson, ToJson};
 use std::io::{self, BufRead, Write};
@@ -13,11 +14,22 @@ use std::io::{self, BufRead, Write};
 /// leaves generous headroom while bounding a hostile writer.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// Room a line buffer starts with. Every hot-path message fits (an
+/// `alloc_done` with all its numbers at `u64::MAX` is about 170 bytes), so
+/// its buffer is allocated once.
+const LINE_CAPACITY: usize = 256;
+
+/// `value` as one JSON line: its encoding and the `\n`, in one buffer.
+pub(crate) fn encode_line<T: ToJson>(value: &T) -> Vec<u8> {
+    let mut line = Vec::with_capacity(LINE_CAPACITY);
+    value.write_json(&mut line);
+    line.push(b'\n');
+    line
+}
+
 /// Serialize `value` as one JSON line and flush it.
 pub fn write_json<T: ToJson, W: Write>(w: &mut W, value: &T) -> io::Result<()> {
-    let mut line = value.to_json_string().into_bytes();
-    line.push(b'\n');
-    w.write_all(&line)?;
+    w.write_all(&encode_line(value))?;
     w.flush()
 }
 
@@ -63,11 +75,9 @@ pub fn read_json<T: FromJson, R: BufRead>(r: &mut R) -> io::Result<Option<T>> {
 
 /// Decode one complete JSON line (its `\n` already stripped).
 pub(crate) fn decode_line<T: FromJson>(line: &[u8]) -> io::Result<T> {
-    let text = std::str::from_utf8(line)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let value =
-        json::parse(text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    T::from_json(&value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    let text =
+        std::str::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    json::decode(text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]

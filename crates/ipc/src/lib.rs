@@ -11,9 +11,11 @@
 //!   service, process-exit and container-close signals. Each message is
 //!   declared once, as a table row, and its JSON and binary codecs are
 //!   generated from that row.
-//! * [`json`] — JSON value model, parser and writer (the sealed build
-//!   environment has no serde), plus the [`json::ToJson`] /
-//!   [`json::FromJson`] traits the schema implements.
+//! * [`json`] — the JSON codec the schema implements (the sealed build
+//!   environment has no serde): [`json::ToJson`] writes a message straight
+//!   into its frame buffer and [`json::FromJson`] pulls its fields off the
+//!   received line, with no value tree between; plus [`json::Json`] and
+//!   [`json::parse`] for reading arbitrary JSON.
 //! * [`codec`] — newline-delimited JSON framing with a line-length guard.
 //! * [`binary`] — length-prefixed compact binary framing and its
 //!   primitives (varints, strings, lists), negotiated per connection by

@@ -19,7 +19,7 @@
 //! `tests/golden/wire_messages.golden`.
 
 use crate::binary::{BinError, BinReader, FromBinary, ToBinary};
-use crate::json::{field, FromJson, Json, JsonError, ToJson};
+use crate::json::{required, FromJson, JsonError, Parser, ToJson};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::units::Bytes;
 
@@ -35,14 +35,6 @@ pub struct MessageSchema {
     pub fields: &'static [&'static str],
 }
 
-/// Build an internally tagged object: `{"type":<tag>, <fields>...}`.
-fn tagged(tag: &str, fields: Vec<(String, Json)>) -> Json {
-    let mut obj = Vec::with_capacity(fields.len() + 1);
-    obj.push(("type".to_string(), Json::Str(tag.to_string())));
-    obj.extend(fields);
-    Json::Obj(obj)
-}
-
 /// The value of the field called `container` among a row's fields (each
 /// passed twice: once to be matched by name, once to be used as the
 /// binding the caller's pattern made), `None` for a row without one.
@@ -55,9 +47,15 @@ macro_rules! container_field {
 /// Expand one wire-type table to the type and its four codec impls.
 /// Three shapes: a message (`tagged enum`: tagged JSON object / tag byte
 /// then fields), a value (`enum`: JSON string / tag byte) and a record
-/// (`struct`: JSON object / fields in order). A wire name or tag used
-/// twice in one table is an unreachable `match` arm, denied at compile
-/// time.
+/// (`struct`, one field or more: JSON object / fields in order). A wire
+/// name or tag used twice in one table is an unreachable `match` arm,
+/// denied at compile time. Wire names and field names are written into
+/// the JSON unescaped, so they stay plain snake_case.
+///
+/// The JSON writer appends constant key text and each field's own
+/// encoding to the frame buffer. The decoder reads an object's members
+/// in one pass, each into its field's slot (a message finds its tag
+/// first, wherever it sits), and skips the rest.
 macro_rules! wire {
     (
         $(#[$meta:meta])*
@@ -107,27 +105,34 @@ macro_rules! wire {
         }
 
         impl ToJson for $name {
-            fn to_json(&self) -> Json {
+            fn write_json(&self, out: &mut Vec<u8>) {
                 match self {
-                    $( Self::$variant $({ $($field),* })? => tagged(
-                        $wire,
-                        vec![ $($( (stringify!($field).into(), $field.to_json()) ),*)? ],
-                    ) ),*
+                    $( Self::$variant $({ $($field),* })? => {
+                        out.extend_from_slice(concat!("{\"type\":\"", $wire, "\"").as_bytes());
+                        $($(
+                            out.extend_from_slice(concat!(",\"", stringify!($field), "\":").as_bytes());
+                            $field.write_json(out);
+                        )*)?
+                    } )*
                 }
+                out.push(b'}');
             }
         }
 
         impl FromJson for $name {
             #[deny(unreachable_patterns)]
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let tag = v
-                    .get("type")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| JsonError::msg("missing \"type\" tag"))?;
-                match tag {
-                    $( $wire => Ok(Self::$variant $({
-                        $( $field: field(v, stringify!($field))? ),*
-                    })?), )*
+            fn from_json(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+                match &*p.tag()? {
+                    $( $wire => {
+                        $($( let mut $field: Option<$fty> = None; )*)?
+                        p.members(|p, key| match key {
+                            $($( stringify!($field) => p.fill(key, &mut $field), )*)?
+                            _ => p.skip(),
+                        })?;
+                        Ok(Self::$variant $({
+                            $( $field: required($field, stringify!($field))? ),*
+                        })?)
+                    } )*
                     other => Err(JsonError::msg(format!(
                         concat!("unknown ", stringify!($name), " type {:?}"),
                         other
@@ -175,16 +180,17 @@ macro_rules! wire {
         }
 
         impl ToJson for $name {
-            fn to_json(&self) -> Json {
-                Json::Str(match self { $( Self::$variant => $wire ),* }.to_string())
+            fn write_json(&self, out: &mut Vec<u8>) {
+                let quoted = match self { $( Self::$variant => concat!("\"", $wire, "\"") ),* };
+                out.extend_from_slice(quoted.as_bytes());
             }
         }
 
         impl FromJson for $name {
             #[deny(unreachable_patterns)]
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                match v.as_str() {
-                    $( Some($wire) => Ok(Self::$variant), )*
+            fn from_json(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+                match &*p.str()? {
+                    $( $wire => Ok(Self::$variant), )*
                     other => Err(JsonError::msg(format!(
                         concat!("unknown ", stringify!($name), " {:?}"),
                         other
@@ -216,25 +222,35 @@ macro_rules! wire {
     (
         $(#[$meta:meta])*
         struct $name:ident {
-            $( $(#[$fmeta:meta])* $field:ident: $fty:ty ),* $(,)?
+            $( $(#[$fmeta:meta])* $field:ident: $fty:ty ),+ $(,)?
         }
     ) => {
         $(#[$meta])*
         pub struct $name {
-            $( $(#[$fmeta])* pub $field: $fty ),*
+            $( $(#[$fmeta])* pub $field: $fty ),+
         }
 
         impl ToJson for $name {
-            fn to_json(&self) -> Json {
-                Json::Obj(vec![
-                    $( (stringify!($field).into(), self.$field.to_json()) ),*
-                ])
+            fn write_json(&self, out: &mut Vec<u8>) {
+                let open = out.len();
+                $(
+                    out.extend_from_slice(concat!(",\"", stringify!($field), "\":").as_bytes());
+                    self.$field.write_json(out);
+                )+
+                // The first field's comma opens the object.
+                out[open] = b'{';
+                out.push(b'}');
             }
         }
 
         impl FromJson for $name {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                Ok($name { $( $field: field(v, stringify!($field))? ),* })
+            fn from_json(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+                $( let mut $field: Option<$fty> = None; )+
+                p.members(|p, key| match key {
+                    $( stringify!($field) => p.fill(key, &mut $field), )+
+                    _ => p.skip(),
+                })?;
+                Ok($name { $( $field: required($field, stringify!($field))? ),+ })
             }
         }
 
@@ -563,19 +579,26 @@ pub struct Envelope<T> {
 }
 
 impl<T: ToJson> ToJson for Envelope<T> {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("id".to_string(), Json::U64(self.id)),
-            ("body".to_string(), self.body.to_json()),
-        ])
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"id\":");
+        self.id.write_json(out);
+        out.extend_from_slice(b",\"body\":");
+        self.body.write_json(out);
+        out.push(b'}');
     }
 }
 
 impl<T: FromJson> FromJson for Envelope<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn from_json(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        let (mut id, mut body) = (None, None);
+        p.members(|p, key| match key {
+            "id" => p.fill(key, &mut id),
+            "body" => p.fill(key, &mut body),
+            _ => p.skip(),
+        })?;
         Ok(Envelope {
-            id: field(v, "id")?,
-            body: field(v, "body")?,
+            id: required(id, "id")?,
+            body: required(body, "body")?,
         })
     }
 }
