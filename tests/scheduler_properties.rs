@@ -18,6 +18,7 @@ use convgpu::scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
 use convgpu::scheduler::core::{AllocOutcome, ResumeAction, Scheduler, SchedulerConfig};
 use convgpu::scheduler::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 use convgpu::scheduler::policy::PolicyKind;
+use convgpu::scheduler::state::ResumeRule;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::rng::DetRng;
 use convgpu::sim::time::SimTime;
@@ -374,6 +375,225 @@ fn topology_decisions_match_the_golden_file() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/topology_decisions.golden"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(path).expect(
+        "golden file missing — bless with UPDATE_GOLDEN=1 cargo test --test scheduler_properties",
+    );
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(
+            g,
+            w,
+            "first divergence from the golden file at line {}",
+            i + 1
+        );
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+}
+
+/// One container of the redistribution golden's closed population.
+struct Tenant {
+    id: ContainerId,
+    limit: Bytes,
+    pid: u64,
+    /// Live allocations, oldest first: `(addr, size)`.
+    live: Vec<(u64, Bytes)>,
+    /// Allocation rounds left before the container exits.
+    rounds_left: u64,
+    /// Size of the request the scheduler is withholding, if any.
+    parked: Option<Bytes>,
+    /// Holds its full guarantee, so it may keep memory across requests
+    /// without a hold-and-wait.
+    guaranteed: bool,
+}
+
+/// The log entries appended since the log had seen `seen` decisions in
+/// total, as one golden-line suffix: `+id:amount/deficit` per top-up,
+/// `>id#ticket` per granted resume (`!` for a rejection). Empty when the
+/// op redistributed and resumed nothing.
+fn render_redistribution(sched: &Scheduler, seen: u64) -> String {
+    use convgpu::scheduler::log::Decision;
+    let log = sched.log();
+    let total = log.len() as u64 + log.dropped();
+    let fresh = (total - seen) as usize;
+    let mut parts = Vec::new();
+    for e in log.entries().skip(log.len() - fresh) {
+        match e.decision {
+            Decision::ToppedUp {
+                id,
+                amount,
+                deficit,
+            } => parts.push(format!("+{}:{amount}/{deficit}", id.as_u64())),
+            Decision::Resumed {
+                id,
+                ticket,
+                decision,
+            } => {
+                let mark = if decision == AllocDecision::Granted {
+                    '>'
+                } else {
+                    '!'
+                };
+                parts.push(format!("{mark}{}#{ticket}", id.as_u64()));
+            }
+            _ => {}
+        }
+    }
+    parts.join(" ")
+}
+
+/// One combination of the redistribution golden: 256 open containers with
+/// Table III limits (128 MiB … 4 GiB, six values, so deficits tie) on the
+/// paper's 5 GiB card, driven like `sched_contended` for 1500 ops. The
+/// clock ticks once every eight ops, so registrations and suspensions
+/// share a `SimTime` and the FIFO and Recent-Use tie-breaks decide.
+fn render_redistribute_decisions(
+    policy: PolicyKind,
+    rule: ResumeRule,
+    seed: u64,
+    out: &mut String,
+) {
+    use std::fmt::Write;
+    const POPULATION: usize = 256;
+    let cfg = SchedulerConfig {
+        resume_rule: rule,
+        ..SchedulerConfig::paper()
+    };
+    let mut sched = Scheduler::new(cfg, policy.build(seed));
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut tenants: Vec<Tenant> = Vec::with_capacity(POPULATION);
+    let mut runnable: Vec<usize> = Vec::new();
+    let mut next_id = 1u64;
+    let mut next_addr = 0x1000u64;
+    let mut step = 0u64;
+    let mut admit = |sched: &mut Scheduler, rng: &mut DetRng, now: SimTime| {
+        let id = ContainerId(next_id);
+        next_id += 1;
+        let limit = Bytes::mib(128 << rng.next_below(6));
+        sched
+            .register(id, limit, now)
+            .expect("Table III limits fit 5 GiB");
+        Tenant {
+            id,
+            limit,
+            pid: 1000 + id.as_u64(),
+            live: Vec::new(),
+            rounds_left: rng.range_inclusive(2, 6),
+            parked: None,
+            guaranteed: false,
+        }
+    };
+    for s in 0..POPULATION {
+        tenants.push(admit(&mut sched, &mut rng, SimTime::ZERO));
+        runnable.push(s);
+    }
+    writeln!(out, "== {} {rule:?} seed {seed}", policy.label()).unwrap();
+    for _ in 0..1500 {
+        step += 1;
+        let now = SimTime::from_secs(step / 8);
+        if runnable.is_empty() {
+            writeln!(out, "{step:>4} every container suspended").unwrap();
+            break;
+        }
+        let seen = sched.log().len() as u64 + sched.log().dropped();
+        let r = rng.index(runnable.len());
+        let s = runnable[r];
+        let (id, pid, limit) = (tenants[s].id, tenants[s].pid, tenants[s].limit);
+        let (what, actions) = if tenants[s].rounds_left == 0 {
+            let mut actions = sched.process_exit(id, pid, now).expect("open");
+            actions.extend(sched.container_close(id, now).expect("open"));
+            tenants[s] = admit(&mut sched, &mut rng, now);
+            ("release", actions)
+        } else {
+            let held = tenants[s].live.len();
+            let want = Bytes::mib(rng.range_inclusive(limit.as_u64() >> 23, limit.as_u64() >> 21));
+            let used: Bytes = tenants[s].live.iter().map(|&(_, size)| size).sum();
+            let must_free =
+                used + want > limit || held >= 3 || (held > 0 && !tenants[s].guaranteed);
+            if must_free || (held > 0 && rng.next_below(3) == 0) {
+                let (addr, _) = tenants[s].live.remove(0);
+                let (_, actions) = sched.free(id, pid, addr, now).expect("open");
+                ("free", actions)
+            } else {
+                let (outcome, actions) = sched
+                    .alloc_request(id, pid, want, ApiKind::Malloc, now)
+                    .expect("open");
+                match outcome {
+                    AllocOutcome::Granted => {
+                        sched.alloc_done(id, pid, next_addr, want, now).unwrap();
+                        tenants[s].live.push((next_addr, want));
+                        tenants[s].rounds_left -= 1;
+                        next_addr += 1;
+                    }
+                    AllocOutcome::Suspended { .. } => {
+                        tenants[s].parked = Some(want);
+                        runnable.swap_remove(r);
+                    }
+                    AllocOutcome::Rejected => panic!("{id:?}: {want} within {limit} rejected"),
+                }
+                ("alloc", actions)
+            }
+        };
+        for a in &actions {
+            let Some(t) = tenants.iter().position(|t| t.id == a.container) else {
+                continue; // cancelled at its own close
+            };
+            let size = tenants[t].parked.take().expect("resumed a parked request");
+            let rec = sched
+                .container(a.container)
+                .expect("resumed container exists");
+            tenants[t].guaranteed = rec.fully_guaranteed();
+            runnable.push(t);
+            if a.decision == AllocDecision::Granted {
+                sched
+                    .alloc_done(a.container, a.pid, next_addr, size, now)
+                    .unwrap();
+                tenants[t].live.push((next_addr, size));
+                tenants[t].rounds_left = tenants[t].rounds_left.saturating_sub(1);
+                next_addr += 1;
+            }
+        }
+        let picks = render_redistribution(&sched, seen);
+        if !picks.is_empty() {
+            writeln!(out, "{step:>4} {what} {}: {picks}", id.as_u64()).unwrap();
+        }
+        sched.check_invariants().expect("scheduler invariants");
+    }
+    let suspended = sched.containers().filter(|r| r.is_suspended()).count();
+    let episodes: u64 = sched.containers().map(|r| r.suspend_episodes).sum();
+    writeln!(
+        out,
+        "   end: {episodes} episodes, {suspended} suspended, {} unassigned, fingerprint {:016x}",
+        sched.unassigned(),
+        sched.policy_fingerprint()
+    )
+    .unwrap();
+}
+
+/// Every redistribution decision at scale, pinned:
+/// `tests/golden/redistribute_decisions.golden` holds, for each policy ×
+/// resume rule, which suspended container every release and give-back
+/// topped up and resumed, in order, and the policy's final fingerprint.
+/// Hundreds of suspended containers with tied deficits, registrations and
+/// suspension times reach the selection tie-breaks the small goldens
+/// never do. Re-bless (an intended decision change) with
+/// `UPDATE_GOLDEN=1 cargo test --test scheduler_properties`.
+#[test]
+fn redistribute_decisions_match_the_golden_file() {
+    let mut got = String::new();
+    let mut seed = 0x5EED_u64;
+    for policy in PolicyKind::ALL {
+        for rule in [ResumeRule::FullGuarantee, ResumeRule::PendingFits] {
+            seed += 1;
+            render_redistribute_decisions(policy, rule, seed, &mut got);
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/redistribute_decisions.golden"
     );
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(path, &got).unwrap();
