@@ -380,7 +380,11 @@ impl SchedulerBackend for Scheduler {
 
 /// Enum-dispatched backend the service stores — avoids generics in
 /// `convgpu-core`'s public API while keeping static dispatch per arm.
+/// `Single` holds its scheduler inline, larger than the other arms: a
+/// service stores one backend, and boxing the paper's deployment would
+/// put a pointer chase on each of its calls.
 #[derive(Clone)]
+#[allow(clippy::large_enum_variant)]
 pub enum TopologyBackend {
     /// One GPU, the paper's deployment. Bit-identical to the
     /// pre-refactor service.

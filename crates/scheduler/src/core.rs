@@ -24,9 +24,10 @@
 //!   a pid's allocations even if the program leaked them; `ContainerClose`
 //!   (from the volume-unmount signal) drops everything.
 
+use crate::candidates::{Candidate, Candidates};
 use crate::invariant::InvariantViolation;
 use crate::log::{Decision, DecisionLog};
-use crate::policy::{CandidateView, Policy};
+use crate::policy::Policy;
 use crate::state::{ContainerRecord, ContainerState, PendingAlloc, ResumeRule};
 use crate::timeline::UtilizationTimeline;
 use convgpu_ipc::message::{AllocDecision, ApiKind};
@@ -42,12 +43,6 @@ use convgpu_sim_core::units::Bytes;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
-
-/// Ordering key of the suspended-candidate index: the exact candidate
-/// order `redistribute` previously re-derived by sorting a full table
-/// scan on every iteration — suspension order first, then registration,
-/// then id (bit-reproducible under a fixed seed).
-type SuspendKey = (SimTime, SimTime, ContainerId);
 
 /// Scheduler configuration.
 #[derive(Clone, Debug)]
@@ -249,17 +244,23 @@ pub struct Scheduler {
     /// Records keyed by container id in an ordered map, so iteration is
     /// deterministic *structurally* — no per-call sort on any path.
     containers: BTreeMap<ContainerId, ContainerRecord>,
+    /// The largest id ever registered or adopted. `containers` keeps every
+    /// closed record, so it only grows; an id above this mark cannot be in
+    /// it, and registering one skips the duplicate check's walk down it.
+    max_registered: Option<ContainerId>,
     total_assigned: Bytes,
     /// Σ `used` across all containers, maintained incrementally at every
     /// charge/release so the per-event timeline sample is O(1) instead of
     /// a full-table scan.
     total_used: Bytes,
-    /// Suspended containers in candidate order (see [`SuspendKey`]).
-    /// Maintained at every park/resume transition; `redistribute` reads
-    /// its candidates straight off this index.
-    suspend_index: BTreeSet<SuspendKey>,
+    /// Every open suspended container, in each order a policy selects by
+    /// (see [`Candidates`]). Moved at each transition that changes a
+    /// suspended container's keys; `redistribute` hands it to the policy
+    /// as is and reclaims from its holder set.
+    candidates: Candidates,
     /// Containers mutated since the last gauge publication — the gauge
     /// mirror only rewrites these instead of walking the whole table.
+    /// Cleared, never dropped, so its buffer is reused.
     touched: Vec<ContainerId>,
     next_ticket: u64,
     /// The container currently being topped up. Selection is *sticky*:
@@ -301,9 +302,10 @@ impl Scheduler {
             cfg,
             policy,
             containers: BTreeMap::new(),
+            max_registered: None,
             total_assigned: Bytes::ZERO,
             total_used: Bytes::ZERO,
-            suspend_index: BTreeSet::new(),
+            candidates: Candidates::default(),
             touched: Vec::new(),
             next_ticket: 1,
             sticky_target: None,
@@ -348,17 +350,20 @@ impl Scheduler {
     /// answer "what is assigned/used/suspended right now" without walking
     /// scheduler state. Per-container gauges are last-write-wins, so only
     /// the open containers dirtied since the previous publication need
-    /// rewriting; the `touched` list is drained here. A closed container's
+    /// rewriting; the `touched` list is emptied here, keeping its buffer
+    /// (a transition allocates nothing for it). A closed container's
     /// series were retired at close and are never written again.
     fn publish_gauges(&mut self) {
-        let mut dirty = std::mem::take(&mut self.touched);
-        let Some(obs) = &self.obs else { return };
+        let Some(obs) = &self.obs else {
+            self.touched.clear();
+            return;
+        };
         let (reg, pool) = (&obs.registry, obs.scoped(&[]));
         reg.set_gauge(SCHED_ASSIGNED, &pool, self.total_assigned.as_u64() as f64);
         reg.set_gauge(SCHED_UNASSIGNED, &pool, self.unassigned().as_u64() as f64);
-        dirty.sort_unstable();
-        dirty.dedup();
-        for id in dirty {
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        for &id in &self.touched {
             let Some(rec) = self.containers.get(&id) else {
                 continue;
             };
@@ -378,6 +383,7 @@ impl Scheduler {
             let suspended = rec.total_suspended.as_secs_f64();
             reg.set_gauge(SCHED_CONTAINER_SUSPENDED_SECONDS, &labels, suspended);
         }
+        self.touched.clear();
     }
 
     /// Log a decision and mirror it into the attached observability layer:
@@ -484,6 +490,19 @@ impl Scheduler {
         self.policy.fingerprint()
     }
 
+    /// Whether `id` has a record, open or closed. Ids normally arrive in
+    /// increasing order, and one above every id seen so far is answered
+    /// without a lookup.
+    fn is_registered(&self, id: ContainerId) -> bool {
+        self.max_registered.is_some_and(|m| id <= m) && self.containers.contains_key(&id)
+    }
+
+    /// File a new record and raise the registration mark.
+    fn insert_record(&mut self, rec: ContainerRecord) {
+        self.max_registered = self.max_registered.max(Some(rec.id));
+        self.containers.insert(rec.id, rec);
+    }
+
     fn effective_requirement(&self, limit: Bytes) -> Bytes {
         if self.cfg.charge_ctx_overhead {
             limit + self.cfg.ctx_overhead
@@ -499,7 +518,7 @@ impl Scheduler {
         limit: Bytes,
         now: SimTime,
     ) -> Result<(), SchedError> {
-        if self.containers.contains_key(&id) {
+        if self.is_registered(id) {
             return Err(SchedError::AlreadyRegistered(id));
         }
         let requirement = self.effective_requirement(limit);
@@ -516,7 +535,7 @@ impl Scheduler {
         let take = self.unassigned().min(requirement);
         rec.assigned = take;
         self.total_assigned += take;
-        self.containers.insert(id, rec);
+        self.insert_record(rec);
         self.touched.push(id);
         // Reserve the lifetime span id up front; the span itself is
         // emitted at close, when its extent is known.
@@ -552,7 +571,7 @@ impl Scheduler {
         used: Bytes,
         now: SimTime,
     ) -> Result<(), SchedError> {
-        if self.containers.contains_key(&id) {
+        if self.is_registered(id) {
             return Err(SchedError::AlreadyRegistered(id));
         }
         let requirement = self.effective_requirement(limit);
@@ -585,7 +604,7 @@ impl Scheduler {
         rec.used = used;
         self.total_assigned += take;
         self.total_used += used;
-        self.containers.insert(id, rec);
+        self.insert_record(rec);
         self.touched.push(id);
         if let Some(obs) = &self.obs {
             self.container_spans.insert(id, obs.tracer.next_span_id());
@@ -700,6 +719,7 @@ impl Scheduler {
             }
         }
         // Suspend (Fig. 3c): the reply is withheld under this ticket.
+        let before = Candidate::of(rec);
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         rec.pending.push_back(PendingAlloc {
@@ -710,11 +730,6 @@ impl Scheduler {
             since: now,
         });
         rec.note_suspend(now);
-        // Index the suspension under its episode start; idempotent for a
-        // container that was already parked (same key re-inserted).
-        let since = rec.suspended_since.unwrap_or(now);
-        let skey = (since, rec.registered_at, id);
-        self.suspend_index.insert(skey);
         self.touched.push(id);
         record!(self, now, Decision::Suspended { id, ticket, size });
         // Liveness: a suspended container must not sit on reservation it
@@ -722,15 +737,21 @@ impl Scheduler {
         // hold-and-wait pattern that deadlocks naive sharing. Return the
         // unused part to the pool and let the policy redistribute it
         // (the sticky target accumulates it instead).
-        let mut actions = Vec::new();
-        if was_running {
-            let give_back = rec.assigned.saturating_sub(rec.used);
-            if !give_back.is_zero() {
-                rec.assigned -= give_back;
-                self.total_assigned -= give_back;
-                actions = self.redistribute(now);
-            }
-        }
+        let give_back = if was_running {
+            rec.assigned.saturating_sub(rec.used)
+        } else {
+            Bytes::ZERO
+        };
+        rec.assigned -= give_back;
+        self.total_assigned -= give_back;
+        // A fresh park enters the index; a request parking behind earlier
+        // ones changes no key.
+        self.candidates.update(before, Candidate::of(rec));
+        let actions = if give_back.is_zero() {
+            Vec::new()
+        } else {
+            self.redistribute(now)
+        };
         // Checked in debug builds and in release-mode `audit` runs; the
         // stronger state-level version (every parked ticket unique) lives
         // in `check_invariants`.
@@ -774,14 +795,16 @@ impl Scheduler {
         size: Bytes,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        {
+        let before = {
             let rec = self.active_mut(id)?;
+            let before = Candidate::of(rec);
             let released = rec.used.min(size);
             rec.used -= released;
             self.total_used -= released;
             self.touched.push(id);
-        }
-        let actions = self.drain_pending(id, now, false);
+            before
+        };
+        let actions = self.drain_pending(id, before, now, false);
         self.sample(now);
         self.audit_check();
         Ok(actions)
@@ -797,23 +820,25 @@ impl Scheduler {
         addr: u64,
         now: SimTime,
     ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
-        let freed = {
+        let (freed, before) = {
             let rec = self.active_mut(id)?;
-            match rec.allocations.remove(&addr) {
+            let before = Candidate::of(rec);
+            let freed = match rec.allocations.remove(&addr) {
                 Some((_pid, size)) => {
                     let released = rec.used.min(size);
                     rec.used -= released;
                     released
                 }
                 None => Bytes::ZERO,
-            }
+            };
+            (freed, before)
         };
         let resumes = if freed.is_zero() {
             Vec::new()
         } else {
             self.total_used -= freed;
             self.touched.push(id);
-            self.drain_pending(id, now, false)
+            self.drain_pending(id, before, now, false)
         };
         self.sample(now);
         self.audit_check();
@@ -840,11 +865,11 @@ impl Scheduler {
         pid: u64,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let cancelled = {
+        let (cancelled, before) = {
             let ctx = self.cfg.ctx_overhead;
             let charge_ctx = self.cfg.charge_ctx_overhead;
             // Direct field lookup (not `active_mut`) so the disjoint
-            // `total_used` / `suspend_index` fields stay borrowable.
+            // `total_used` / `log` fields stay borrowable.
             let rec = match self.containers.get_mut(&id) {
                 None => return Err(SchedError::UnknownContainer(id)),
                 Some(r) if r.state == ContainerState::Closed => {
@@ -852,6 +877,7 @@ impl Scheduler {
                 }
                 Some(r) => r,
             };
+            let before = Candidate::of(rec);
             let used_before = rec.used;
             let addrs: Vec<u64> = rec
                 .allocations
@@ -893,14 +919,7 @@ impl Scheduler {
                 }
             });
             let ended = if rec.pending.is_empty() {
-                let key = rec.suspended_since.map(|s| (s, rec.registered_at, id));
-                let ended = rec.note_resume(now);
-                if ended.is_some() {
-                    if let Some(k) = key {
-                        self.suspend_index.remove(&k);
-                    }
-                }
-                ended
+                rec.note_resume(now)
             } else {
                 None
             };
@@ -929,10 +948,10 @@ impl Scheduler {
                     now,
                 );
             }
-            cancelled
+            (cancelled, before)
         };
         let mut actions: Vec<ResumeAction> = cancelled.into_iter().map(|(c, _)| c).collect();
-        actions.extend(self.drain_pending(id, now, false));
+        actions.extend(self.drain_pending(id, before, now, false));
         self.sample(now);
         self.audit_check();
         Ok(actions)
@@ -953,13 +972,8 @@ impl Scheduler {
             if rec.state == ContainerState::Closed {
                 return Ok(Vec::new()); // idempotent: plugin + explicit close
             }
-            let suspend_key = rec.suspended_since.map(|s| (s, rec.registered_at, id));
+            self.candidates.update(Candidate::of(rec), None);
             let ended = rec.note_resume(now);
-            if ended.is_some() {
-                if let Some(k) = suspend_key {
-                    self.suspend_index.remove(&k);
-                }
-            }
             let registered_at = rec.registered_at;
             rec.state = ContainerState::Closed;
             rec.closed_at = Some(now);
@@ -1050,21 +1064,20 @@ impl Scheduler {
         // away from a container it partially served before (the paper's
         // starvation behaviour).
         if !self.policy.sticky() {
-            // Every reclaim target is suspended by definition, so the
-            // suspend index *is* the scan — no full-table walk.
-            let reclaim: Vec<ContainerId> =
-                self.suspend_index.iter().map(|&(_, _, id)| id).collect();
-            for id in reclaim {
+            // Only the index's holders have anything to give back: visit
+            // them, not every suspended container. Each leaves the holder
+            // set as its spare returns to the pool.
+            while let Some(id) = self.candidates.pop_holder() {
                 let rec = self
                     .containers
                     .get_mut(&id)
                     .expect("indexed containers exist");
-                if rec.assigned > rec.used {
-                    let back = rec.assigned - rec.used;
-                    rec.assigned = rec.used;
-                    self.total_assigned -= back;
-                    self.touched.push(id);
-                }
+                let before = Candidate::of(rec);
+                let back = rec.assigned - rec.used;
+                rec.assigned = rec.used;
+                self.total_assigned -= back;
+                self.touched.push(id);
+                self.candidates.update(before, Candidate::of(rec));
             }
         }
         loop {
@@ -1087,31 +1100,14 @@ impl Scheduler {
             let pick = match self.sticky_target {
                 Some(t) => t,
                 None => {
-                    // The suspend index iterates in exactly the candidate
-                    // order the old table-scan-and-sort produced —
-                    // (suspended_since, registered_at, id) — so the Random
-                    // policy's slice indexing and Recent-Use's tie-breaks
-                    // stay bit-reproducible under a fixed seed.
-                    let candidates: Vec<CandidateView> = self
-                        .suspend_index
-                        .iter()
-                        .filter_map(|&(since, registered_at, id)| {
-                            let r = self.containers.get(&id)?;
-                            if r.deficit().is_zero() {
-                                return None;
-                            }
-                            Some(CandidateView {
-                                id,
-                                registered_at,
-                                suspended_since: since,
-                                deficit: r.deficit(),
-                            })
-                        })
-                        .collect();
-                    if candidates.is_empty() {
+                    // Every indexed container misses part of its
+                    // requirement (`InvariantViolation::SuspendedWithoutDeficit`),
+                    // so the index is the candidate set as it stands: the
+                    // policy answers with one query on it.
+                    if self.candidates.is_empty() {
                         break;
                     }
-                    let picked = self.policy.select(&candidates, remaining);
+                    let picked = self.policy.select(&self.candidates, remaining);
                     if let Some(obs) = &self.obs {
                         crate::policy::record_selection(obs, self.policy.name(), picked.is_some());
                     }
@@ -1128,6 +1124,7 @@ impl Scheduler {
                 .containers
                 .get_mut(&pick)
                 .expect("policy picked a live candidate");
+            let before = Candidate::of(rec);
             // Top up "until the assigned memory reaches the required
             // memory size", bounded by what is left.
             let take = remaining.min(rec.deficit());
@@ -1148,18 +1145,21 @@ impl Scheduler {
                 self.sticky_target = None;
             }
             let require_full = self.cfg.resume_rule == ResumeRule::FullGuarantee;
-            actions.extend(self.drain_pending(pick, now, require_full));
+            actions.extend(self.drain_pending(pick, before, now, require_full));
         }
         actions
     }
 
-    /// Re-evaluate a container's parked requests in FIFO order.
+    /// Re-evaluate a container's parked requests in FIFO order, then move
+    /// its candidate-index entry from `before` — its entry as the calling
+    /// transition found it — to what the transition and the drain left.
     /// `require_full` gates redistribution-driven resumes on the paper's
     /// full-guarantee rule; releases within the container's own budget
     /// always re-evaluate.
     fn drain_pending(
         &mut self,
         id: ContainerId,
+        before: Option<Candidate>,
         now: SimTime,
         require_full: bool,
     ) -> Vec<ResumeAction> {
@@ -1169,6 +1169,7 @@ impl Scheduler {
             return Vec::new();
         };
         if require_full && !rec.fully_guaranteed() {
+            self.candidates.update(before, Candidate::of(rec));
             return Vec::new();
         }
         let mut actions = Vec::new();
@@ -1241,17 +1242,11 @@ impl Scheduler {
             }
         }
         let ended = if rec.pending.is_empty() {
-            let key = rec.suspended_since.map(|s| (s, rec.registered_at, id));
-            let ended = rec.note_resume(now);
-            if ended.is_some() {
-                if let Some(k) = key {
-                    self.suspend_index.remove(&k);
-                }
-            }
-            ended
+            rec.note_resume(now)
         } else {
             None
         };
+        self.candidates.update(before, Candidate::of(rec));
         if !actions.is_empty() || ended.is_some() {
             self.touched.push(id);
         }
@@ -1277,15 +1272,18 @@ impl Scheduler {
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let mut sum_assigned = Bytes::ZERO;
         let mut sum_used = Bytes::ZERO;
-        let mut expected_index: BTreeSet<SuspendKey> = BTreeSet::new();
+        let mut expected_index: Vec<Candidate> = Vec::new();
         let mut seen_tickets = BTreeSet::new();
         for rec in self.containers() {
             sum_assigned += rec.assigned;
             sum_used += rec.used;
-            if rec.state != ContainerState::Closed && rec.is_suspended() {
-                if let Some(since) = rec.suspended_since {
-                    expected_index.insert((since, rec.registered_at, rec.id));
+            if let Some(c) = Candidate::of(rec) {
+                // A top-up that completes a guarantee drains the parked
+                // requests at once, so nobody waits with nothing missing.
+                if c.deficit.is_zero() {
+                    return Err(InvariantViolation::SuspendedWithoutDeficit { container: rec.id });
                 }
+                expected_index.push(c);
             }
             if rec.used > rec.assigned {
                 return Err(InvariantViolation::UsedExceedsAssigned {
@@ -1358,13 +1356,15 @@ impl Scheduler {
                 tracked: self.total_used,
             });
         }
-        // The suspend index must be exactly the set of suspended open
-        // containers, keyed by their current episode start — any drift
-        // and `redistribute` would see phantom or missing candidates.
-        if expected_index != self.suspend_index {
-            return Err(InvariantViolation::SuspendIndexMismatch {
-                indexed: self.suspend_index.len(),
-                suspended: expected_index.len(),
+        // The candidate index must hold exactly the open suspended
+        // containers, each under its current keys in every order — any
+        // drift and a policy would pick a phantom, miss a candidate or
+        // break a tie differently.
+        let suspended = expected_index.len();
+        if expected_index.into_iter().collect::<Candidates>() != self.candidates {
+            return Err(InvariantViolation::CandidateIndexMismatch {
+                indexed: self.candidates.len(),
+                suspended,
             });
         }
         if self.total_assigned > self.cfg.capacity {
@@ -1449,6 +1449,24 @@ mod tests {
         assert_eq!(
             s.register(C1, mib(100), t(1)),
             Err(SchedError::AlreadyRegistered(C1))
+        );
+    }
+
+    #[test]
+    fn duplicate_check_covers_ids_below_the_mark() {
+        let mut s = sched(5120, PolicyKind::Fifo);
+        let c9 = ContainerId(9);
+        s.register(c9, mib(10), t(0)).unwrap();
+        s.register(C2, mib(10), t(0)).unwrap(); // below the mark, unseen
+        s.container_close(C2, t(1)).unwrap();
+        assert_eq!(
+            s.register(C2, mib(10), t(2)),
+            Err(SchedError::AlreadyRegistered(C2)),
+            "a closed record still holds its id"
+        );
+        assert_eq!(
+            s.adopt(c9, mib(10), Bytes::ZERO, t(2)),
+            Err(SchedError::AlreadyRegistered(c9))
         );
     }
 
@@ -1836,20 +1854,56 @@ mod tests {
     }
 
     #[test]
-    fn suspend_index_tracks_park_and_resume() {
+    fn candidate_index_tracks_park_and_resume() {
         let mut s = sched(1200, PolicyKind::Fifo);
         s.register(C1, mib(1000), t(0)).unwrap();
         s.register(C2, mib(1000), t(0)).unwrap();
         s.alloc_request(C1, 1, mib(1000), ApiKind::Malloc, t(1))
             .unwrap();
-        assert!(s.suspend_index.is_empty());
+        assert!(s.candidates.is_empty());
         s.alloc_request(C2, 2, mib(500), ApiKind::Malloc, t(2))
             .unwrap();
-        assert_eq!(s.suspend_index.len(), 1, "park indexes the container");
+        assert_eq!(s.candidates.len(), 1, "park indexes the container");
         s.check_invariants().unwrap();
         s.container_close(C1, t(3)).unwrap();
-        assert!(s.suspend_index.is_empty(), "resume removes the index entry");
+        assert!(s.candidates.is_empty(), "resume removes the index entry");
         s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn corrupted_candidate_index_is_a_violation() {
+        let mut s = sched(1200, PolicyKind::BestFit);
+        s.register(C1, mib(1000), t(0)).unwrap();
+        s.register(C2, mib(1000), t(0)).unwrap();
+        s.alloc_request(C1, 1, mib(1000), ApiKind::Malloc, t(1))
+            .unwrap();
+        s.alloc_request(C2, 2, mib(500), ApiKind::Malloc, t(2))
+            .unwrap();
+        s.check_invariants().unwrap();
+        // A stale deficit key: the entry is present in every order, but
+        // Best-Fit would rank it wrongly.
+        let entry = Candidate::of(s.container(C2).unwrap()).unwrap();
+        let stale = Candidate {
+            deficit: entry.deficit + mib(1),
+            ..entry
+        };
+        s.candidates.update(Some(entry), Some(stale));
+        assert_eq!(
+            s.check_invariants(),
+            Err(InvariantViolation::CandidateIndexMismatch {
+                indexed: 1,
+                suspended: 1
+            })
+        );
+        // A missing entry.
+        s.candidates.update(Some(stale), None);
+        assert_eq!(
+            s.check_invariants(),
+            Err(InvariantViolation::CandidateIndexMismatch {
+                indexed: 0,
+                suspended: 1
+            })
+        );
     }
 
     #[test]

@@ -29,9 +29,14 @@
 //!    `Suspended` iff it has parked requests, so no wakeup can be lost by
 //!    state skew between `pending` and `state`.
 //! 6. **Index coherence** — the incrementally maintained aggregates
-//!    (`total_used`, the suspended-candidate index) always agree with a
-//!    full recomputation from the record table, so the O(1)/indexed hot
-//!    paths can never drift from the ground truth they replaced.
+//!    (`total_used`, the candidate index in all its orders) always agree
+//!    with a full recomputation from the record table, so the
+//!    O(1)/indexed hot paths can never drift from the ground truth they
+//!    replaced.
+//! 7. **Suspension implies need** — an open suspended container always
+//!    misses part of its requirement: a top-up that completes a guarantee
+//!    drains the parked requests at once. So every indexed container is a
+//!    candidate, and a policy selects from the index with no filter.
 
 use crate::state::ContainerState;
 use convgpu_sim_core::ids::ContainerId;
@@ -125,14 +130,20 @@ pub enum InvariantViolation {
         /// Tracked `total_used`.
         tracked: Bytes,
     },
-    /// The suspended-candidate index disagrees with the records: an entry
-    /// without a matching suspended container, or a suspended container
-    /// missing its entry.
-    SuspendIndexMismatch {
+    /// The candidate index disagrees with the records: an entry without a
+    /// matching suspended container, a suspended container missing its
+    /// entry, or an entry under stale keys in one of its orders.
+    CandidateIndexMismatch {
         /// Entries in the index.
         indexed: usize,
         /// Suspended containers in the record table.
         suspended: usize,
+    },
+    /// An open container is suspended although its whole requirement is
+    /// assigned.
+    SuspendedWithoutDeficit {
+        /// Offending container.
+        container: ContainerId,
     },
 }
 
@@ -198,10 +209,16 @@ impl fmt::Display for InvariantViolation {
             InvariantViolation::UsedSumMismatch { sum, tracked } => {
                 write!(f, "used sum {sum} != tracked total {tracked}")
             }
-            InvariantViolation::SuspendIndexMismatch { indexed, suspended } => {
+            InvariantViolation::CandidateIndexMismatch { indexed, suspended } => {
                 write!(
                     f,
-                    "suspend index has {indexed} entr(ies) but {suspended} container(s) are suspended"
+                    "candidate index has {indexed} entr(ies) but {suspended} container(s) are suspended, or keys differ"
+                )
+            }
+            InvariantViolation::SuspendedWithoutDeficit { container } => {
+                write!(
+                    f,
+                    "{container}: suspended with its full requirement assigned"
                 )
             }
         }

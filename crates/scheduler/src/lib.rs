@@ -24,6 +24,8 @@
 //!   on container exit, and leak reclamation.
 //! * [`policy`] — the four paper policies (FIFO, Best-Fit, Recent-Use,
 //!   Random) behind one trait.
+//! * [`candidates`] — the index of suspended containers the scheduler
+//!   keeps and every policy selects from with one ordered-set query.
 //! * [`metrics`] — per-container and aggregate suspension statistics
 //!   (paper Fig. 8 / Table V).
 //! * [`backend`] — the [`backend::SchedulerBackend`] trait unifying the
@@ -48,6 +50,7 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
+pub mod candidates;
 pub mod cluster;
 pub mod core;
 pub mod deadlock;
@@ -64,12 +67,13 @@ pub use crate::core::{
     AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler, SchedulerConfig,
 };
 pub use backend::{BackendDeviceInfo, Placement, SchedulerBackend, TopologyBackend};
+pub use candidates::{Candidate, Candidates};
 pub use cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
 pub use invariant::InvariantViolation;
 pub use log::{Decision, DecisionLog, LogEntry};
 pub use metrics::{AggregateMetrics, ContainerMetrics};
 pub use multi_gpu::{MultiGpuScheduler, PlacementPolicy};
-pub use policy::{CandidateView, Policy, PolicyKind};
+pub use policy::{Policy, PolicyKind};
 pub use sharded::{Placer, Sharded, TicketLane};
 pub use state::{ContainerRecord, ContainerState, ResumeRule};
 pub use timeline::{UtilizationSample, UtilizationTimeline};
