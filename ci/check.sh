@@ -75,15 +75,19 @@ CONVGPU_TRANSPORT=tcp cargo test --offline -q --test journal_recovery
 step "bounded model check (one explorer over the phase table)"
 # One generic explorer sweeps every universe of the phase table
 # (crates/audit/src/suite.rs): the two single-device universes per
-# policy, the 2-device multi-GPU universe per policy x placement, the
-# 2-node cluster universe per policy x Swarm strategy, and that cluster
-# crossed with every node-death point; then the naive-baseline witness.
-# `cargo test --workspace` above already pinned the trimmed sweep's
-# state counts against crates/audit/tests/golden/explorer_quick.golden.
+# policy, the 2-device multi-GPU universe per policy x placement, and
+# that universe per policy with a container arriving by adoption; then
+# the naive-baseline witness. `cargo test --workspace` above already
+# pinned the trimmed sweep's state counts against
+# crates/audit/tests/golden/explorer_quick.golden; the full gate pins the
+# untrimmed sweep's against explorer_full.golden (the #[ignore]d twin
+# test), then runs the trimmed sweep for the witness.
 if [[ "${QUICK:-0}" == "1" ]]; then
   cargo run --offline -q --release -p convgpu-audit --bin convgpu-audit -- --quick
 else
-  cargo run --offline -q --release -p convgpu-audit --bin convgpu-audit
+  cargo test --offline -q --release -p convgpu-audit --test explorer_golden \
+    -- --ignored full_sweep_reproduces_every_state_count
+  cargo run --offline -q --release -p convgpu-audit --bin convgpu-audit -- --quick
 fi
 
 # The five loadgen campaigns only *produce* artifacts here; the single

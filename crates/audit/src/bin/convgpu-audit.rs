@@ -3,9 +3,9 @@
 //! One explorer over a phase table ([`convgpu_audit::suite::phases`]):
 //! the bounded model checker sweeps every policy on the standard
 //! quantized single-device universes, every policy × placement policy on
-//! the multi-GPU universe, every policy × Swarm strategy on the cluster
-//! universe and again on the **migration** universe (cluster lifecycles
-//! crossed with every node-death point) — positive proof: no invariant
+//! the multi-GPU universe, and every policy on the **adoption** universe
+//! (multi-GPU lifecycles in which a container may arrive migrated,
+//! carrying its committed budget) — positive proof: no invariant
 //! violation, no §III-E stall, no lost wakeup on any interleaving — then
 //! prints the naive baseline's minimal deadlock trace (negative
 //! witness).

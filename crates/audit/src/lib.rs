@@ -8,12 +8,11 @@
 //!   for small quantized universes, checking one property list after
 //!   every transition: the shared invariant oracle, no record off its
 //!   home, the paper's §III-E deadlock-freedom claim per device, wakeup
-//!   consistency and tag canonicality under the stacked ticket tags,
-//!   budget conservation across a node drain, and terminal drain. One
-//!   explorer, generic over the [`SchedulerBackend`] under test;
-//!   [`multi`], [`cluster`] and [`migration`] define the universes that
-//!   put a multi-GPU host, a cluster, and a cluster whose nodes die under
-//!   it.
+//!   consistency and tag canonicality under the device ticket tags,
+//!   the budget an adoption carries, and terminal drain. One explorer,
+//!   generic over the [`SchedulerBackend`] under test; [`multi`] defines
+//!   the universes that put a multi-GPU host under it, with and without
+//!   containers arriving by adoption.
 //! * [`naive`] — the uncoordinated-sharing baseline the paper argues
 //!   against, plus a breadth-first search for its **minimal** deadlock
 //!   trace: the negative witness that makes the positive proof above
@@ -38,8 +37,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cluster;
-pub mod migration;
 pub mod model;
 pub mod multi;
 pub mod naive;

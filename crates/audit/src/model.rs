@@ -5,17 +5,22 @@
 //! through **every** interleaving of container lifecycle events for a
 //! small, quantized universe, and checks the property list below after
 //! every transition. There is one explorer, generic over the
-//! [`SchedulerBackend`] under test: a single device ([`Scheduler`]), a
-//! multi-GPU host, a cluster, or a cluster whose nodes can die. A
-//! universe ([`ModelConfig`]) names the [`Topology`] and the sizes; the
-//! sibling modules [`crate::multi`], [`crate::cluster`] and
-//! [`crate::migration`] only define universes.
+//! [`SchedulerBackend`] under test: a single device ([`Scheduler`]) or a
+//! multi-GPU host. A universe ([`ModelConfig`]) names the [`Topology`]
+//! and the sizes; the sibling module [`crate::multi`] only defines
+//! universes.
 //!
 //! # The model
 //!
 //! Each container is driven by a model of its wrapper + one process:
 //!
 //! * `Register` — nvidia-docker declares the container (fixed limit);
+//! * `Adopt(used)` — in a universe with adoption, the first container
+//!   may arrive instead as a migrated one, among natively registered
+//!   co-tenants: the `migrate` wire message a node daemon answers with
+//!   [`SchedulerBackend::adopt`], carrying `used` bytes of committed
+//!   budget from the size menu. An adoption no device can back is a clean
+//!   rejection: the container ends closed;
 //! * `Alloc(size)` — the process calls `cudaMalloc(size)`; a granted
 //!   request immediately reports `alloc_done` at a fresh address, a
 //!   suspended one records the outstanding ticket;
@@ -23,10 +28,7 @@
 //! * `Exit` — the process dies (`__cudaUnregisterFatBinary`), possibly
 //!   while suspended or while holding memory (leak reclaim path);
 //! * `Close` — the container stops (volume-unmount plugin event),
-//!   allowed at any point after registration;
-//! * `Kill(n)` — node `n` dies and the cluster drains it onto the
-//!   survivors (only in a universe with node death, see
-//!   [`crate::migration`]).
+//!   allowed at any point after registration.
 //!
 //! A suspended container issues no new requests (its thread is blocked in
 //! the CUDA call, exactly as in the live wrapper) but can still `Exit` or
@@ -44,9 +46,9 @@
 //! quantities that the encoding keeps verbatim, so two states with equal
 //! encodings are bisimilar and merging them is sound. Every piece of
 //! hidden mutable state — each device's policy RNG, the round-robin
-//! cursor, the Swarm RNG — is folded in via
-//! [`SchedulerBackend::fingerprint`], so states are only merged when
-//! their future random draws and placements coincide as well.
+//! cursor — is folded in via [`SchedulerBackend::fingerprint`], so states
+//! are only merged when their future random draws and placements
+//! coincide as well.
 //!
 //! Keys are stored as 128-bit FNV-style digests of the canonical vector
 //! (two independent folds); at the ≤ 10⁷ states this checker is meant
@@ -56,34 +58,27 @@
 //!
 //! 1. the **whole-topology invariant oracle**
 //!    ([`SchedulerBackend::check_invariants`]): every device's safety
-//!    invariants plus every level's home-map consistency — with adopted
-//!    budgets in the books, committed memory never exceeds a device;
-//! 2. **no cross-shard record, no double-home** — a container's record
-//!    exists only on its home device, so one device's (or node's)
-//!    guarantees can never be backed by another's capacity. Once a node
-//!    has been drained it may keep the closed tombstone of a container
-//!    that moved on; tombstones hold no budget, so from then on the
-//!    property reads "no *open* record off the home";
+//!    invariants plus the home map's consistency — with adopted budgets
+//!    in the books, committed memory never exceeds a device;
+//! 2. **no cross-device record, no double-home** — a container's record
+//!    exists only on its home device, so one device's guarantees can
+//!    never be backed by another's capacity;
 //! 3. **per-device deadlock-freedom** — [`deadlock::assess`] never
-//!    reports `Stalled` on any device, mid-migration included (the §III-E
-//!    argument applies per device because memory never migrates across
-//!    devices, let alone nodes);
-//! 4. **wakeup consistency under stacked ticket tags** — the set of
-//!    tickets the driver is owed equals the set of requests parked across
-//!    all devices, each under the full tag its device reports
+//!    reports `Stalled` on any device (the §III-E argument applies per
+//!    device because memory never migrates across devices);
+//! 4. **wakeup consistency under device tags** — the set of tickets the
+//!    driver is owed equals the set of requests parked across all
+//!    devices, each under the tag its device reports
 //!    ([`SchedulerBackend::each_device`]), so tagging can neither lose,
-//!    invent, nor cross-wire a wakeup; a drain cancels the dying
-//!    containers' parked tickets with explicit rejections, never silently;
+//!    invent, nor cross-wire a wakeup;
 //! 5. **tag canonicality** — every outstanding ticket is parked on its
-//!    container's *current* home device and carries exactly that device's
-//!    tag, post-move tickets included (shard 0's tags are zero, which is
-//!    why node-0 tickets are bit-for-bit single-host tickets — see
+//!    container's home device and carries exactly that device's tag
+//!    (device 0's tag is zero, which is why a one-device host hands out
+//!    the single-device scheduler's tickets bit for bit — see
 //!    `tests/golden/`);
-//! 6. **budget conservation across a drain** — the `used` bytes a
-//!    migration carries cover every byte the driver had live on the
-//!    source and exceed them by at most what the drain itself granted
-//!    from that container's parked tickets, and the adoptive home's own
-//!    record opens with exactly the carried budget marked used;
+//! 6. **adoption carries the budget whole** — an adopted container's
+//!    record on its home device opens with exactly the carried `used`
+//!    marked used: nothing lost, nothing invented;
 //! 7. at every *terminal* state (all containers closed): no memory is
 //!    still assigned on any device and no ticket is still outstanding.
 //!    Terminal states are reachable from every state (any registered
@@ -92,11 +87,10 @@
 //!    liveness claim.
 
 use convgpu_ipc::message::{AllocDecision, ApiKind};
-use convgpu_scheduler::cluster::{ClusterNode, ClusterScheduler, MigrationMove, SwarmStrategy};
 use convgpu_scheduler::deadlock::{self, ProgressState};
 use convgpu_scheduler::{
     AllocOutcome, ContainerState, MultiGpuScheduler, PlacementPolicy, PolicyKind, ResumeAction,
-    ResumeRule, Scheduler, SchedulerBackend, SchedulerConfig,
+    ResumeRule, SchedError, Scheduler, SchedulerBackend, SchedulerConfig,
 };
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
@@ -112,6 +106,14 @@ pub enum Event {
     Register {
         /// Container index.
         c: usize,
+    },
+    /// Container `c` arrives migrated, with its configured limit and
+    /// `used` bytes of committed budget.
+    Adopt {
+        /// Container index.
+        c: usize,
+        /// Committed budget carried over.
+        used: Bytes,
     },
     /// Container `c`'s process requests `size` of device memory.
     Alloc {
@@ -135,22 +137,17 @@ pub enum Event {
         /// Container index.
         c: usize,
     },
-    /// Node `n` dies; the cluster drains it onto survivors.
-    Kill {
-        /// Node index.
-        n: usize,
-    },
 }
 
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Event::Register { c } => write!(f, "register(C{})", c + 1),
+            Event::Adopt { c, used } => write!(f, "adopt(C{}, used {used})", c + 1),
             Event::Alloc { c, size } => write!(f, "alloc(C{}, {size})", c + 1),
             Event::Free { c } => write!(f, "free(C{}, oldest)", c + 1),
             Event::Exit { c } => write!(f, "exit(C{})", c + 1),
             Event::Close { c } => write!(f, "close(C{})", c + 1),
-            Event::Kill { n } => write!(f, "kill(node {n})"),
         }
     }
 }
@@ -178,15 +175,6 @@ pub enum Topology {
         /// Device placement policy under test.
         placement: PlacementPolicy,
     },
-    /// Several nodes, placed by `strategy`.
-    Cluster {
-        /// Per-node, per-device capacities.
-        nodes: Vec<Vec<Bytes>>,
-        /// Swarm placement strategy under test.
-        strategy: SwarmStrategy,
-        /// Whether nodes can die (the [`crate::migration`] universe).
-        node_death: bool,
-    },
 }
 
 /// A bounded-model-checking configuration: the quantized universe the
@@ -209,9 +197,12 @@ pub struct ModelConfig {
     /// Maximum allocation requests *issued* per container (granted,
     /// rejected or parked all count).
     pub max_allocs: u32,
+    /// Whether the first container may arrive by adoption, carrying each
+    /// size of `alloc_sizes` as committed budget, instead of registering.
+    pub adoption: bool,
     /// Redistribution policy running on every device.
     pub policy: PolicyKind,
-    /// Seed for the Random policy and the Random strategy.
+    /// Seed for the Random policy.
     pub seed: u64,
     /// Abort if the visited set exceeds this bound.
     pub max_states: usize,
@@ -236,6 +227,7 @@ impl ModelConfig {
             ],
             alloc_sizes: vec![u, Bytes::new(u.0 * 2)],
             max_allocs: 2,
+            adoption: false,
             policy,
             seed: 0xC0DE,
             max_states: 10_000_000,
@@ -280,7 +272,7 @@ impl ModelConfig {
             Topology::Single(capacity) => {
                 let root =
                     Scheduler::new(self.device_config(*capacity), self.policy.build(self.seed));
-                search(self, root, None, script)
+                search(self, root, script)
             }
             Topology::MultiGpu {
                 capacities,
@@ -293,50 +285,11 @@ impl ModelConfig {
                     *placement,
                     self.seed,
                 );
-                search(self, root, None, script)
-            }
-            Topology::Cluster {
-                nodes,
-                strategy,
-                node_death,
-            } => {
-                let base = self.device_config(nodes[0][0]);
-                let built = nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, caps)| {
-                        ClusterNode::with_config(
-                            format!("n{i}"),
-                            base.clone(),
-                            caps,
-                            self.policy,
-                            self.seed.wrapping_add(i as u64),
-                        )
-                    })
-                    .collect();
-                let root = ClusterScheduler::new(built, *strategy, self.seed);
-                let death = NodeDeath {
-                    nodes: nodes.len(),
-                    home: ClusterScheduler::home_of,
-                    drain: ClusterScheduler::migrate_node,
-                };
-                search(self, root, node_death.then_some(&death), script)
+                search(self, root, script)
             }
         }
     }
 }
-
-/// How the explorer kills a node of backend `B`: the one thing it needs
-/// that the message surface does not carry.
-struct NodeDeath<B> {
-    nodes: usize,
-    home: fn(&B, ContainerId) -> Option<usize>,
-    drain: fn(&mut B, usize, SimTime) -> Drained,
-}
-
-/// What a drain reports: the moves, and the resume actions of the
-/// source-side closes.
-type Drained = (Vec<MigrationMove>, Vec<ResumeAction>);
 
 /// Why a run failed, if it did.
 #[derive(Clone, Debug)]
@@ -459,9 +412,6 @@ struct DriverContainer {
     registered: bool,
     exited: bool,
     closed: bool,
-    /// Survived a drain onto a new node: its pre-kill device addresses
-    /// died with the source, only the committed budget travelled.
-    migrated: bool,
     allocs_issued: u32,
     /// Live device allocations in issue order (`free` pops the front).
     live: VecDeque<(u64, Bytes)>,
@@ -475,8 +425,6 @@ struct Driver {
     /// out (fully tagged): ticket → (container, size).
     outstanding: BTreeMap<u64, (usize, Bytes)>,
     next_addr: u64,
-    /// The node that died, once one has.
-    killed: Option<usize>,
 }
 
 /// One node of the search: a full system state plus the path that
@@ -496,7 +444,6 @@ impl<B> Node<B> {
                 cs: vec![DriverContainer::default(); containers],
                 outstanding: BTreeMap::new(),
                 next_addr: 0x1000,
-                killed: None,
             },
             trace: Vec::new(),
         }
@@ -520,24 +467,19 @@ fn is_suspended<B: SchedulerBackend>(sched: &B, c: usize) -> bool {
 }
 
 /// Enumerate the events enabled in `node`, in a fixed deterministic
-/// order (container index, then event kind, then size menu order; node
-/// kills last). A universe with node death studies death *after*
-/// admission: it has no `Exit`, offers `Kill` until the first one, and
-/// registers nothing after it (which keeps placement off dead nodes and
-/// bounds the universe).
-fn enabled<B: SchedulerBackend>(
-    cfg: &ModelConfig,
-    node: &Node<B>,
-    death: Option<&NodeDeath<B>>,
-) -> Vec<Event> {
+/// order (container index, then event kind, then size menu order).
+fn enabled<B: SchedulerBackend>(cfg: &ModelConfig, node: &Node<B>) -> Vec<Event> {
     let mut out = Vec::new();
     for (c, d) in node.driver.cs.iter().enumerate() {
         if d.closed {
             continue;
         }
         if !d.registered {
-            if node.driver.killed.is_none() {
-                out.push(Event::Register { c });
+            out.push(Event::Register { c });
+            if cfg.adoption && c == 0 {
+                for &used in &cfg.alloc_sizes {
+                    out.push(Event::Adopt { c, used });
+                }
             }
             continue;
         }
@@ -552,34 +494,19 @@ fn enabled<B: SchedulerBackend>(
                     out.push(Event::Free { c });
                 }
             }
-            if death.is_none() {
-                out.push(Event::Exit { c });
-            }
+            out.push(Event::Exit { c });
         }
         out.push(Event::Close { c });
-    }
-    if let (Some(death), None) = (death, node.driver.killed) {
-        for n in 0..death.nodes {
-            let hosts_any =
-                (0..node.driver.cs.len()).any(|c| (death.home)(&node.sched, cid(c)) == Some(n));
-            if hosts_any {
-                out.push(Event::Kill { n });
-            }
-        }
     }
     out
 }
 
 /// Deliver the scheduler's resume actions to the driver, performing the
-/// follow-up `alloc_done` for granted resumes. `draining` marks the
-/// actions of a node drain, the one place a grant may meet a closed
-/// container: the drain can grant a co-tenant's parked request and then
-/// fail to re-home that same container, whose close released the grant.
+/// follow-up `alloc_done` for granted resumes.
 fn deliver<B: SchedulerBackend>(
     node: &mut Node<B>,
     actions: Vec<ResumeAction>,
     now: SimTime,
-    draining: bool,
 ) -> Result<(), Failure> {
     for a in actions {
         let (c, size) = match node.driver.outstanding.remove(&a.ticket) {
@@ -599,9 +526,6 @@ fn deliver<B: SchedulerBackend>(
         match a.decision {
             AllocDecision::Granted => {
                 let d = &node.driver.cs[c];
-                if d.closed && draining {
-                    continue;
-                }
                 if d.exited || d.closed {
                     return Err(Failure::SchedError(format!(
                         "granted resume (ticket {}) for a dead process of C{}",
@@ -627,7 +551,6 @@ fn apply<B: SchedulerBackend + Clone>(
     node: &Node<B>,
     ev: Event,
     cfg: &ModelConfig,
-    death: Option<&NodeDeath<B>>,
 ) -> Result<Node<B>, (Failure, Vec<Event>)> {
     let mut n = node.clone();
     n.trace.push(ev);
@@ -642,6 +565,30 @@ fn apply<B: SchedulerBackend + Clone>(
                     .map_err(|e| Failure::SchedError(format!("register: {e:?}")))?;
                 n.driver.cs[c].registered = true;
             }
+            Event::Adopt { c, used } => match n.sched.adopt(cid(c), cfg.limits[c], used, now) {
+                Ok(device) => {
+                    n.driver.cs[c].registered = true;
+                    // 6. The adopted record opens, on the device `adopt`
+                    //    reported, with exactly the carried budget used.
+                    let opened = n
+                        .sched
+                        .home_device(cid(c))
+                        .and_then(|(_, dev)| dev.container(cid(c)))
+                        .map(|r| r.used);
+                    if n.sched.home_of(cid(c)) != Some(device) || opened != Some(used) {
+                        return Err(Failure::SchedError(format!(
+                            "C{} adopted on device {device} carrying {used} opened with \
+                             used={opened:?} at home {:?}",
+                            c + 1,
+                            n.sched.home_of(cid(c))
+                        )));
+                    }
+                }
+                // No device can back the budget: a clean rejection, and
+                // the container ends closed, as a router records it.
+                Err(SchedError::AdoptionOverCommit { .. }) => n.driver.cs[c].closed = true,
+                Err(e) => return Err(Failure::SchedError(format!("adopt: {e:?}"))),
+            },
             Event::Alloc { c, size } => {
                 n.driver.cs[c].allocs_issued += 1;
                 let (outcome, actions) = n
@@ -662,7 +609,7 @@ fn apply<B: SchedulerBackend + Clone>(
                         n.driver.outstanding.insert(ticket, (c, size));
                     }
                 }
-                deliver(&mut n, actions, now, false)?;
+                deliver(&mut n, actions, now)?;
             }
             Event::Free { c } => {
                 let (addr, size) = n.driver.cs[c]
@@ -678,7 +625,7 @@ fn apply<B: SchedulerBackend + Clone>(
                         "free(0x{addr:x}) returned {freed}, driver recorded {size}"
                     )));
                 }
-                deliver(&mut n, actions, now, false)?;
+                deliver(&mut n, actions, now)?;
             }
             Event::Exit { c } => {
                 n.driver.cs[c].exited = true;
@@ -687,7 +634,7 @@ fn apply<B: SchedulerBackend + Clone>(
                     .sched
                     .process_exit(cid(c), pid(c), now)
                     .map_err(|e| Failure::SchedError(format!("process_exit: {e:?}")))?;
-                deliver(&mut n, actions, now, false)?;
+                deliver(&mut n, actions, now)?;
             }
             Event::Close { c } => {
                 n.driver.cs[c].closed = true;
@@ -696,81 +643,7 @@ fn apply<B: SchedulerBackend + Clone>(
                     .sched
                     .container_close(cid(c), now)
                     .map_err(|e| Failure::SchedError(format!("container_close: {e:?}")))?;
-                deliver(&mut n, actions, now, false)?;
-            }
-            Event::Kill { n: dead } => {
-                let death = death.ok_or_else(|| {
-                    Failure::SchedError("kill in a universe without node death".into())
-                })?;
-                n.driver.killed = Some(dead);
-                // Quiescent checkpoint: at the kill instant every
-                // container's committed bytes are exactly what the
-                // driver holds live, and its parked budget is the sum of
-                // its outstanding tickets. During the drain a co-tenant's
-                // close may grant a parked request *before* that
-                // container's own checkpoint is captured, so the carried
-                // `used` is bounded by, not equal to, the live bytes.
-                let live_at_kill: Vec<Bytes> = n
-                    .driver
-                    .cs
-                    .iter()
-                    .map(|dc| dc.live.iter().fold(Bytes::ZERO, |acc, &(_, s)| acc + s))
-                    .collect();
-                let mut parked_at_kill = vec![Bytes::ZERO; n.driver.cs.len()];
-                for &(c, size) in n.driver.outstanding.values() {
-                    parked_at_kill[c] += size;
-                }
-                let (moves, actions) = (death.drain)(&mut n.sched, dead, now);
-                for m in &moves {
-                    let c = (m.container.as_u64() - 1) as usize;
-                    // Property 6, first half. Nothing lost: the carried
-                    // `used` covers every byte the driver had live.
-                    // Nothing invented: it exceeds them by at most the
-                    // budget the drain itself granted from the
-                    // container's parked tickets.
-                    if m.used < live_at_kill[c] || m.used > live_at_kill[c] + parked_at_kill[c] {
-                        return Err(Failure::SchedError(format!(
-                            "migration of C{} carried used={} outside the conserved \
-                             range [{}, {}]",
-                            c + 1,
-                            m.used,
-                            live_at_kill[c],
-                            live_at_kill[c] + parked_at_kill[c]
-                        )));
-                    }
-                    // Either way the device addresses died with the
-                    // source; only the budget travelled, if anything did.
-                    n.driver.cs[c].live.clear();
-                    match m.to {
-                        Some(to) => {
-                            // Second half: conservation must hold in the
-                            // adoptive node's *books* too, not just in
-                            // the move record — the adopted container
-                            // shows exactly the carried `used` before
-                            // any post-drain grant lands.
-                            let adopted_used = n
-                                .sched
-                                .home_device(m.container)
-                                .and_then(|(_, dev)| dev.container(m.container))
-                                .map(|r| r.used);
-                            if (death.home)(&n.sched, m.container) != Some(to)
-                                || adopted_used != Some(m.used)
-                            {
-                                return Err(Failure::SchedError(format!(
-                                    "C{} adopted on node {to} with used={adopted_used:?}, \
-                                     but the migration record carried {}",
-                                    c + 1,
-                                    m.used
-                                )));
-                            }
-                            n.driver.cs[c].migrated = true;
-                        }
-                        // No survivor could adopt: a clean rejection,
-                        // the container ends closed.
-                        None => n.driver.cs[c].closed = true,
-                    }
-                }
-                deliver(&mut n, actions, now, true)?;
+                deliver(&mut n, actions, now)?;
             }
         }
         check_state(cfg, &n)
@@ -782,7 +655,7 @@ fn apply<B: SchedulerBackend + Clone>(
 }
 
 /// The per-state property suite (numbering from the module docs; 6 is
-/// checked where the drain happens, in [`apply`]).
+/// checked where the adoption happens, in [`apply`]).
 fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<(), Failure> {
     // 1. Whole-topology invariants, adopted budgets included.
     n.sched.check_invariants().map_err(Failure::Invariant)?;
@@ -793,14 +666,10 @@ fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<()
         .collect();
     // Parked tickets across all devices, under each device's full tag.
     let mut parked: BTreeSet<u64> = BTreeSet::new();
-    n.sched.each_device(0, &mut |tag, dev| {
-        // 2. No cross-shard record, no double-home.
+    n.sched.each_device(&mut |tag, dev| {
+        // 2. No cross-device record, no double-home.
         for (c, home) in homes.iter().enumerate() {
-            let Some(r) = dev.container(cid(c)) else {
-                continue;
-            };
-            let tombstone = n.driver.killed.is_some() && r.state == ContainerState::Closed;
-            if *home != Some(tag) && !tombstone {
+            if dev.container(cid(c)).is_some() && *home != Some(tag) {
                 failure.get_or_insert(Failure::SchedError(format!(
                     "C{} has a record on the device tagged {tag:#x} but its home is {home:x?}",
                     c + 1
@@ -823,7 +692,7 @@ fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<()
         return Err(f);
     }
     // 4. Wakeup consistency: scheduler-parked tickets == driver-owed
-    //    tickets, under the stacked tags.
+    //    tickets, under the device tags.
     let lost: Vec<u64> = n
         .driver
         .outstanding
@@ -844,7 +713,7 @@ fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<()
         return Err(Failure::PhantomWakeup { ticket });
     }
     // 5. Tag canonicality: an outstanding ticket is parked on its
-    //    container's *current* home device, under that device's tag.
+    //    container's home device, under that device's tag.
     for (&ticket, &(c, _)) in &n.driver.outstanding {
         let at_home = n.sched.home_device(cid(c)).is_some_and(|(tag, dev)| {
             dev.container(cid(c))
@@ -863,7 +732,7 @@ fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<()
 /// Checks that apply only at terminal (no-event-enabled) states.
 fn check_terminal<B: SchedulerBackend>(n: &Node<B>) -> Result<(), Failure> {
     let mut assigned = Bytes::ZERO;
-    n.sched.each_device(0, &mut |_, dev| {
+    n.sched.each_device(&mut |_, dev| {
         assigned = assigned.max(dev.total_assigned());
     });
     if !assigned.is_zero() {
@@ -895,23 +764,19 @@ fn digest(words: &[u64]) -> (u64, u64) {
 /// bisimulation argument. Per container: the driver's view and the tag
 /// of its home device. Per device: every record with its time-valued
 /// fields as ranks. Then the topology fingerprint, which folds every
-/// policy RNG, round-robin cursor and Swarm RNG.
+/// policy RNG and the round-robin cursor.
 fn canonical<B: SchedulerBackend>(n: &Node<B>) -> (u64, u64) {
     let mut words: Vec<u64> = Vec::with_capacity(64 + n.driver.cs.len() * 16);
-    words.push(n.driver.killed.map_or(u64::MAX, |k| k as u64));
     for (c, d) in n.driver.cs.iter().enumerate() {
         words.push(
-            u64::from(d.registered)
-                | (u64::from(d.exited) << 1)
-                | (u64::from(d.closed) << 2)
-                | (u64::from(d.migrated) << 3),
+            u64::from(d.registered) | (u64::from(d.exited) << 1) | (u64::from(d.closed) << 2),
         );
         words.push(u64::from(d.allocs_issued));
         words.push(d.live.len() as u64);
         words.extend(d.live.iter().map(|&(_, s)| s.0));
         words.push(n.sched.home_device(cid(c)).map_or(u64::MAX, |(tag, _)| tag));
     }
-    n.sched.each_device(0, &mut |_, s| {
+    n.sched.each_device(&mut |_, s| {
         // Relative ranks of the time-valued fields every policy compares.
         let mut reg: Vec<(SimTime, usize)> = Vec::new();
         let mut susp: Vec<(SimTime, usize)> = Vec::new();
@@ -965,7 +830,6 @@ fn canonical<B: SchedulerBackend>(n: &Node<B>) -> (u64, u64) {
 fn search<B: SchedulerBackend + Clone>(
     cfg: &ModelConfig,
     root: B,
-    death: Option<&NodeDeath<B>>,
     script: Option<&[Event]>,
 ) -> CheckOutcome {
     let root = Node::root(root, cfg.limits.len());
@@ -982,7 +846,7 @@ fn search<B: SchedulerBackend + Clone>(
     } {
         let events = match script {
             Some(script) => script.get(node.trace.len()).copied().into_iter().collect(),
-            None => enabled(cfg, &node, death),
+            None => enabled(cfg, &node),
         };
         if events.is_empty() {
             if script.is_some() {
@@ -1000,7 +864,7 @@ fn search<B: SchedulerBackend + Clone>(
         }
         for ev in events {
             stats.transitions += 1;
-            let next = match apply(&node, ev, cfg, death) {
+            let next = match apply(&node, ev, cfg) {
                 Ok(n) => n,
                 Err((failure, trace)) => {
                     return CheckOutcome::Fail {

@@ -1,10 +1,9 @@
 //! The phase table: every universe the `convgpu-audit` binary sweeps,
 //! `ci/check.sh` gates on, and the state-count golden pins. A phase is a
-//! title plus one [`ModelConfig`] per policy (× placement or strategy);
+//! title plus one [`ModelConfig`] per policy (× placement);
 //! the explorer behind every row is the same.
 
 use crate::model::ModelConfig;
-use convgpu_scheduler::cluster::SwarmStrategy;
 use convgpu_scheduler::{PlacementPolicy, PolicyKind};
 
 /// One phase of the sweep.
@@ -41,12 +40,6 @@ pub fn phases(policies: &[PolicyKind]) -> Vec<Phase> {
         PlacementPolicy::BestFitDevice,
     ]
     .map(|p| (p, p.label()));
-    let strategies = [
-        SwarmStrategy::Spread,
-        SwarmStrategy::BinPack,
-        SwarmStrategy::Random,
-    ]
-    .map(|s| (s, s.label()));
     vec![
         Phase {
             title: "3 containers, 1 GiB device, 256 MiB quanta, no ctx overhead",
@@ -65,18 +58,8 @@ pub fn phases(policies: &[PolicyKind]) -> Vec<Phase> {
             ),
         },
         Phase {
-            title: "cluster: 3 containers on 2 single-GPU 768 MiB nodes, 256 MiB quanta",
-            rows: crossed(
-                policies,
-                strategies,
-                ModelConfig::two_nodes_three_containers,
-            ),
-        },
-        Phase {
-            title: "migration: the cluster universe crossed with every node-death point",
-            rows: crossed(policies, strategies, |p, s| {
-                ModelConfig::two_nodes_three_containers(p, s).with_node_death()
-            }),
+            title: "adoption: the multi-GPU universe (best-fit-device), C1 may arrive adopted",
+            rows: per_policy("adoption", ModelConfig::two_devices_with_adoption),
         },
     ]
 }

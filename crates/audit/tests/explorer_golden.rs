@@ -5,7 +5,7 @@
 //! figures on every row are what shows the generic canonical encoding
 //! merges exactly the same states on every topology.
 //! `tests/golden/explorer_full.golden` pins the full sweep the same way;
-//! its test is `#[ignore]`d (about 25 s in release) and run by
+//! its test is `#[ignore]`d (about 10 s in release) and run by
 //! `ci/check.sh`. Re-bless (an intended change to a universe or the
 //! encoding) with
 //! `UPDATE_GOLDEN=1 cargo test --release -p convgpu-audit --test explorer_golden -- --include-ignored`.

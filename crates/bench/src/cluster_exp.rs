@@ -4,15 +4,20 @@
 //! ConVGPU nodes (each one 5 GiB K20m) under the Docker-Swarm placement
 //! strategies, in virtual time. The question the paper left open: how
 //! does finished time scale when the *cluster*, not the GPU, grows?
+//!
+//! Each node is one [`Scheduler`]; a container is placed by
+//! [`SwarmStrategy::select`] over the nodes' live state (unassigned
+//! memory, open containers) and every later call goes to its node.
 
 use convgpu_ipc::message::{AllocDecision, ApiKind};
 use convgpu_scheduler::backend::SchedulerBackend;
-use convgpu_scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
-use convgpu_scheduler::core::AllocOutcome;
+use convgpu_scheduler::cluster::SwarmStrategy;
+use convgpu_scheduler::core::{AllocOutcome, ResumeAction, Scheduler, SchedulerConfig};
 use convgpu_scheduler::metrics;
 use convgpu_scheduler::policy::PolicyKind;
 use convgpu_sim_core::event::EventQueue;
 use convgpu_sim_core::ids::ContainerId;
+use convgpu_sim_core::rng::DetRng;
 use convgpu_sim_core::stats::Summary;
 use convgpu_sim_core::time::{SimDuration, SimTime};
 use convgpu_sim_core::units::Bytes;
@@ -49,23 +54,24 @@ enum Ev {
     Finish(ContainerId),
 }
 
+/// A container's home node and its plan: limit and run time.
+type Plan = (usize, Bytes, SimDuration);
+
 impl ClusterExperiment {
     /// Execute in virtual time.
     pub fn run(&self) -> ClusterResult {
-        let nodes = (0..self.nodes)
+        let mut nodes: Vec<Scheduler> = (0..self.nodes)
             .map(|i| {
-                ClusterNode::new(
-                    format!("node-{i}"),
-                    &[Bytes::gib(5)],
-                    PolicyKind::BestFit,
-                    self.seed.wrapping_add(u64::from(i)),
+                Scheduler::new(
+                    SchedulerConfig::paper(),
+                    PolicyKind::BestFit.build(self.seed.wrapping_add(u64::from(i))),
                 )
             })
             .collect();
-        let mut cluster = ClusterScheduler::new(nodes, self.strategy, self.seed ^ 0x0Cu64);
+        let mut rng = DetRng::seed_from_u64(self.seed ^ 0x0Cu64);
         let mut queue: EventQueue<Ev> = EventQueue::new();
-        let mut plans: HashMap<ContainerId, (Bytes, SimDuration)> = HashMap::new();
-        let mut per_node = vec![0usize; self.nodes as usize];
+        let mut plans: HashMap<ContainerId, Plan> = HashMap::new();
+        let mut per_node = vec![0usize; nodes.len()];
 
         for a in TraceSpec::paper(self.containers, self.seed).generate() {
             queue.schedule(
@@ -81,41 +87,41 @@ impl ClusterExperiment {
             match ev {
                 Ev::Launch(index, limit, duration) => {
                     let id = ContainerId(u64::from(index) + 1);
-                    let node = cluster.register(id, limit, now).expect("placement");
+                    let node = self.place(&nodes, limit, &mut rng);
+                    nodes[node].register(id, limit, now).expect("placement");
                     per_node[node] += 1;
-                    plans.insert(id, (limit, duration));
-                    let (outcome, actions) = cluster
+                    plans.insert(id, (node, limit, duration));
+                    let (outcome, actions) = nodes[node]
                         .alloc_request(id, 1, limit, ApiKind::Malloc, now)
                         .expect("alloc");
                     if outcome == AllocOutcome::Granted {
-                        cluster
+                        nodes[node]
                             .alloc_done(id, 1, 0xC000_0000 + id.as_u64(), limit, now)
                             .expect("done");
                         queue.schedule(now + duration, Ev::Finish(id));
                     }
-                    Self::apply(&mut cluster, &mut queue, &plans, actions, now);
+                    Self::apply(&mut nodes[node], &mut queue, &plans, actions, now);
                 }
                 Ev::Finish(id) => {
-                    let actions = cluster.container_close(id, now).expect("close");
-                    Self::apply(&mut cluster, &mut queue, &plans, actions, now);
+                    let node = plans[&id].0;
+                    let actions = nodes[node].container_close(id, now).expect("close");
+                    Self::apply(&mut nodes[node], &mut queue, &plans, actions, now);
                 }
             }
         }
-        cluster.check_invariants().expect("cluster invariants");
 
         let mut finished = 0.0_f64;
         let mut susp_sum = 0.0;
         let mut count = 0usize;
-        for (n, node) in cluster.shards().iter().enumerate() {
-            for device in node.shards() {
-                let ms = metrics::collect(device.containers());
-                let agg = metrics::aggregate(&ms);
-                if agg.containers > 0 {
-                    finished = finished.max(agg.finished_time_secs);
-                    susp_sum += agg.avg_suspended_secs * agg.containers as f64;
-                    count += agg.containers;
-                    assert_eq!(agg.closed, agg.containers, "node {n} stranded containers");
-                }
+        for (n, node) in nodes.iter().enumerate() {
+            node.check_invariants().expect("node invariants");
+            let ms = metrics::collect(node.containers());
+            let agg = metrics::aggregate(&ms);
+            if agg.containers > 0 {
+                finished = finished.max(agg.finished_time_secs);
+                susp_sum += agg.avg_suspended_secs * agg.containers as f64;
+                count += agg.containers;
+                assert_eq!(agg.closed, agg.containers, "node {n} stranded containers");
             }
         }
         assert_eq!(count as u32, self.containers, "every container accounted");
@@ -126,25 +132,44 @@ impl ClusterExperiment {
         }
     }
 
+    /// The node for a container declaring `limit`: the strategy's pick
+    /// among the nodes whose device could ever host it.
+    fn place(&self, nodes: &[Scheduler], limit: Bytes, rng: &mut DetRng) -> usize {
+        let need = |i: usize| nodes[i].requirement(limit);
+        let capable: Vec<usize> = (0..nodes.len())
+            .filter(|&i| nodes[i].config().capacity >= need(i))
+            .collect();
+        self.strategy
+            .select(
+                &capable,
+                need,
+                |i| nodes[i].unassigned().as_u64(),
+                |i| nodes[i].open_containers() as u64,
+                |n| rng.index(n),
+            )
+            .expect("placement")
+    }
+
+    /// Deliver a node's resume actions: a granted resume allocates and
+    /// schedules the container's finish.
     fn apply(
-        cluster: &mut ClusterScheduler,
+        node: &mut Scheduler,
         queue: &mut EventQueue<Ev>,
-        plans: &HashMap<ContainerId, (Bytes, SimDuration)>,
-        actions: Vec<convgpu_scheduler::core::ResumeAction>,
+        plans: &HashMap<ContainerId, Plan>,
+        actions: Vec<ResumeAction>,
         now: SimTime,
     ) {
         for act in actions {
             if act.decision == AllocDecision::Granted {
-                let (limit, duration) = plans[&act.container];
-                cluster
-                    .alloc_done(
-                        act.container,
-                        act.pid,
-                        0xC000_0000 + act.container.as_u64(),
-                        limit,
-                        now,
-                    )
-                    .expect("done after resume");
+                let (_, limit, duration) = plans[&act.container];
+                node.alloc_done(
+                    act.container,
+                    act.pid,
+                    0xC000_0000 + act.container.as_u64(),
+                    limit,
+                    now,
+                )
+                .expect("done after resume");
                 queue.schedule(now + duration, Ev::Finish(act.container));
             }
         }

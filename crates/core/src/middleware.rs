@@ -27,12 +27,11 @@ use convgpu_ipc::client::{ClientObs, SchedulerClient};
 use convgpu_ipc::endpoint::SchedulerEndpoint;
 use convgpu_ipc::server::{ServerObs, SocketServer};
 use convgpu_scheduler::backend::{SchedulerBackend, TopologyBackend};
-use convgpu_scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
 use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu_scheduler::metrics::{self, ContainerMetrics};
 use convgpu_scheduler::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 use convgpu_scheduler::policy::PolicyKind;
-use convgpu_scheduler::state::{ContainerState, ResumeRule};
+use convgpu_scheduler::state::ContainerState;
 use convgpu_sim_core::clock::{ClockHandle, RealClock};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::units::Bytes;
@@ -72,13 +71,6 @@ pub enum TopologySpec {
         /// Device placement policy.
         placement: PlacementPolicy,
     },
-    /// Docker-Swarm-style cluster of named nodes.
-    Cluster {
-        /// `(node name, per-GPU capacities)` per node.
-        nodes: Vec<(String, Vec<Bytes>)>,
-        /// Swarm node-selection strategy.
-        strategy: SwarmStrategy,
-    },
 }
 
 /// Middleware configuration.
@@ -92,8 +84,6 @@ pub struct ConVGpuConfig {
     pub policy: PolicyKind,
     /// Seed for the Random policy.
     pub policy_seed: u64,
-    /// Resume discipline (default: the paper's full guarantee).
-    pub resume_rule: ResumeRule,
     /// Charge the 66 MiB per-pid context overhead (default: true).
     pub charge_ctx_overhead: bool,
     /// Wall seconds per workload second (default 1.0; examples compress
@@ -103,8 +93,11 @@ pub struct ConVGpuConfig {
     pub transport: TransportMode,
     /// Directory for the daemon socket (`convgpu.sock`) and the live
     /// containers' volume directories (default: a fresh directory under
-    /// the system temp dir). A UNIX socket address holds ~107 bytes and
-    /// a container dials `<base_dir>/cnt-NNNN/convgpu.sock`: keep it short.
+    /// the system temp dir). A UNIX socket address holds ~107 bytes: a
+    /// `base_dir` too long for `<base_dir>/convgpu.sock` fails `start`,
+    /// and one too long for the link a container dials,
+    /// `<base_dir>/cnt-NNNN/convgpu.sock`, fails each `run_container`
+    /// before the container is created.
     pub base_dir: Option<PathBuf>,
     /// Container engine cost model.
     pub engine: EngineConfig,
@@ -121,7 +114,6 @@ impl Default for ConVGpuConfig {
             latency: LatencyModel::tesla_k20m(),
             policy: PolicyKind::BestFit,
             policy_seed: 0x5eed,
-            resume_rule: ResumeRule::FullGuarantee,
             charge_ctx_overhead: true,
             time_scale: 1.0,
             transport: TransportMode::UnixSocket,
@@ -200,10 +192,8 @@ impl ConVGpu {
         std::fs::create_dir_all(&base_dir)?;
         let sched_cfg = SchedulerConfig {
             capacity: device.capacity(),
-            ctx_overhead: Bytes::mib(66),
             charge_ctx_overhead: cfg.charge_ctx_overhead,
-            resume_rule: cfg.resume_rule,
-            default_limit: Bytes::gib(1),
+            ..SchedulerConfig::paper()
         };
         let backend = match &cfg.topology {
             TopologySpec::SingleGpu => TopologyBackend::Single(Scheduler::new(
@@ -220,25 +210,6 @@ impl ConVGpu {
                 *placement,
                 cfg.policy_seed,
             )),
-            TopologySpec::Cluster { nodes, strategy } => {
-                TopologyBackend::Cluster(ClusterScheduler::new(
-                    nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (name, caps))| {
-                            ClusterNode::with_config(
-                                name.clone(),
-                                sched_cfg.clone(),
-                                caps,
-                                cfg.policy,
-                                cfg.policy_seed.wrapping_add(i as u64),
-                            )
-                        })
-                        .collect(),
-                    *strategy,
-                    cfg.policy_seed,
-                ))
-            }
         };
         let service = Arc::new(SchedulerService::new_with_backend(
             backend,
@@ -318,15 +289,25 @@ impl ConVGpu {
     }
 
     /// Run `program` inside a ConVGPU-managed container (the
-    /// `nvidia-docker run` path). Returns a [`Session`].
+    /// `nvidia-docker run` path). Returns a [`Session`]. On an error the
+    /// container is stopped and closed: its reservation is released.
     pub fn run_container(
         &self,
         cmd: RunCommand,
+        program: Box<dyn GpuProgram>,
+    ) -> Result<Session, NvidiaDockerError> {
+        let id = self.nvidia_docker.run(&cmd)?.id;
+        self.launch(id, program)
+            .inspect_err(|_| self.nvidia_docker.discard(id))
+    }
+
+    /// Execute `program` in the started container `id`, its CUDA calls
+    /// bound to a wrapper module that talks to the scheduler.
+    fn launch(
+        &self,
+        id: ContainerId,
         mut program: Box<dyn GpuProgram>,
     ) -> Result<Session, NvidiaDockerError> {
-        let prepared = self.nvidia_docker.run(&cmd)?;
-        let id = prepared.id;
-
         // Build the endpoint the wrapper will use: it dials the socket in
         // its own volume, as the module inside a real container would.
         let registry = Arc::clone(&self.service.obs().registry);
@@ -567,6 +548,39 @@ mod tests {
         .err()
         .expect("bind must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let _ = std::fs::remove_dir_all(base);
+    }
+
+    /// A `base_dir` short enough for the daemon socket but too long for a
+    /// container's link: the run fails, and nothing of the container
+    /// stays registered, reserved or created.
+    #[test]
+    fn a_failed_run_releases_its_reservation() {
+        let prefix = std::env::temp_dir().join("convgpu-");
+        let pad = 90usize
+            .checked_sub(prefix.as_os_str().len())
+            .expect("temp dir short enough for a 90-byte base_dir");
+        let base = PathBuf::from(format!("{}{}", prefix.display(), "x".repeat(pad)));
+        assert_eq!(base.as_os_str().len(), 90);
+        let convgpu = ConVGpu::start(ConVGpuConfig {
+            base_dir: Some(base.clone()),
+            ..fast_cfg(TransportMode::UnixSocket)
+        })
+        .expect("the 103-byte daemon socket binds");
+        let err = convgpu
+            .run_container(
+                RunCommand::new("cuda-app").nvidia_memory("512m"),
+                alloc_program(256),
+            )
+            .err()
+            .expect("a 112-byte link cannot be dialled");
+        assert!(matches!(err, NvidiaDockerError::Ipc(_)), "{err}");
+        convgpu.service().with_backend(|b| {
+            assert_eq!(b.open_containers(), 0);
+            assert_eq!(b.primary().unassigned(), convgpu.device().capacity());
+        });
+        assert!(convgpu.engine().list().is_empty(), "nothing created");
+        convgpu.shutdown();
         let _ = std::fs::remove_dir_all(base);
     }
 

@@ -171,6 +171,8 @@ impl NvidiaDocker {
 
     /// Rewrite and execute a `run` command: registers with the scheduler,
     /// injects the ConVGPU plumbing, creates **and starts** the container.
+    /// A step that fails after the registration leaves nothing behind
+    /// ([`NvidiaDocker::discard`]).
     pub fn run(&self, cmd: &RunCommand) -> Result<PreparedContainer, NvidiaDockerError> {
         let image = self
             .engine
@@ -185,6 +187,29 @@ impl NvidiaDocker {
         self.scheduler
             .register(id, limit)
             .map_err(NvidiaDockerError::Ipc)?;
+        self.create_and_start(id, limit, cmd, &image)
+            .inspect_err(|_| self.discard(id))
+    }
+
+    /// The one cleanup path for a registered container whose run failed:
+    /// stop it if it was started, then close it with the scheduler, which
+    /// releases its reservation and removes its volume. The plugin also
+    /// closes a stopped container; whichever close comes second is a
+    /// no-op.
+    pub(crate) fn discard(&self, id: ContainerId) {
+        let _ = self.engine.stop(id, 1);
+        let _ = self.scheduler.container_close(id);
+    }
+
+    /// `run` after the registration: the volume, the rewritten options,
+    /// create and start.
+    fn create_and_start(
+        &self,
+        id: ContainerId,
+        limit: Bytes,
+        cmd: &RunCommand,
+        image: &Image,
+    ) -> Result<PreparedContainer, NvidiaDockerError> {
         let dir = self.scheduler.request_dir(id)?;
 
         let mut options = CreateOptions::new(cmd.image.clone())
@@ -260,6 +285,7 @@ mod tests {
     use convgpu_container_rt::engine::EngineConfig;
     use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
     use convgpu_scheduler::policy::PolicyKind;
+    use convgpu_scheduler::state::ContainerState;
     use convgpu_sim_core::clock::VirtualClock;
 
     fn setup(name: &str) -> (Arc<Engine>, NvidiaDocker, Arc<SchedulerService>) {
@@ -346,6 +372,26 @@ mod tests {
         assert!(std::path::Path::new(&prepared.convgpu_dir)
             .join("libgpushare.so")
             .exists());
+    }
+
+    /// The cleanup for a run that failed after its container started:
+    /// stopped, closed, reservation released, volume gone.
+    #[test]
+    fn discard_stops_and_closes_a_started_container() {
+        let (engine, nd, svc) = setup("discard");
+        let prepared = nd
+            .run(&RunCommand::new("cuda-app").nvidia_memory("512m"))
+            .unwrap();
+        nd.discard(prepared.id);
+        assert!(!engine.inspect(prepared.id).unwrap().is_running());
+        svc.with_scheduler(|s| {
+            assert_eq!(
+                s.container(prepared.id).unwrap().state,
+                ContainerState::Closed
+            );
+            assert_eq!(s.unassigned(), s.config().capacity);
+        });
+        assert!(!std::path::Path::new(&prepared.convgpu_dir).exists());
     }
 
     #[test]

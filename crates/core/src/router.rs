@@ -1,15 +1,14 @@
-//! Genuinely distributed cluster mode: per-node server harness + the
-//! fault-tolerant cluster router.
+//! Cluster mode (the paper's §V "clustering system like Docker Swarm"):
+//! per-node server harness + the fault-tolerant cluster router.
 //!
-//! PR 4's [`convgpu_scheduler::cluster::ClusterScheduler`] *simulates* a
-//! Swarm cluster behind one process. This module splits it into real
-//! processes: every node runs its own [`crate::service::SchedulerService`]
-//! on its own UNIX socket (a [`NodeServer`]), and a [`ClusterRouter`]
-//! fronts them — owning Swarm-style placement (Spread / BinPack / Random,
-//! same strategies as the in-process backend) and forwarding gated calls
-//! over the ordinary wire codecs.
+//! A cluster is real processes: every node runs its own
+//! [`crate::service::SchedulerService`] on its own socket (a
+//! [`NodeServer`]), and a [`ClusterRouter`] fronts them — owning
+//! Swarm-style placement (Spread / BinPack / Random,
+//! [`convgpu_scheduler::cluster::SwarmStrategy`]) and forwarding gated
+//! calls over the ordinary wire codecs.
 //!
-//! Distribution buys failure modes the single-process path never had, so
+//! Distribution buys failure modes a single daemon never had, so
 //! the router carries the robustness layer:
 //!
 //! * **per-request deadlines** — control-plane forwards are bounded by
@@ -81,8 +80,7 @@
 //! Placement accounting is router-local: the router tracks the limits it
 //! has committed per node (plus the 66 MiB context hint) rather than
 //! querying live occupancy on every register, so `BinPack` packs by
-//! *committed* memory where the in-process backend packs by live
-//! unassigned memory.
+//! *committed* memory.
 //!
 //! **Durable state** (this PR's layer): a router attached with
 //! [`ClusterRouter::attach_with_journal`] records every home-map
@@ -1036,8 +1034,8 @@ impl ClusterRouter {
         }
     }
 
-    /// Swarm placement, scored by the same [`SwarmStrategy::select`] the
-    /// in-process cluster uses, over the router's own view of the nodes:
+    /// Swarm placement, scored by [`SwarmStrategy::select`] over the
+    /// router's own view of the nodes:
     /// committed hints stand for free memory, the home map for container
     /// counts, a never-probed capacity counts as capable, a down node is
     /// out. `excluded` marks nodes already tried (and failed) for this

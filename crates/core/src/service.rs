@@ -14,12 +14,14 @@
 
 use convgpu_ipc::endpoint::{IpcResult, Transact};
 use convgpu_ipc::message::{
-    AllocDecision, ApiKind, ClusterNodeStatus, MigrationRecord, Request, Response, TopologyDevice,
+    AllocDecision, ApiKind, MigrationRecord, Request, Response, TopologyDevice,
 };
 use convgpu_ipc::server::Reply;
+use convgpu_ipc::transport;
 use convgpu_obs::{chrome, prometheus, Registry, RingSink, SpanSink, Tracer};
-use convgpu_scheduler::backend::{Placement, SchedulerBackend, TopologyBackend};
+use convgpu_scheduler::backend::{SchedulerBackend, TopologyBackend};
 use convgpu_scheduler::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler};
+use convgpu_scheduler::multi_gpu::DeviceIndex;
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::Mutex;
@@ -119,10 +121,11 @@ impl MigrationLog {
 ///
 /// Since the topology refactor the service is **backend-agnostic**: it
 /// stores a [`TopologyBackend`] and speaks only the [`SchedulerBackend`]
-/// trait, so a single-GPU host, a multi-GPU host, and a Swarm cluster are
-/// all served by the same waiter table and IPC stack. Tickets are
-/// globally unique across devices/nodes (the backends tag the high bits),
-/// so suspension plumbing is topology-blind.
+/// trait, so a single-GPU and a multi-GPU host are served by the same
+/// waiter table and IPC stack. Tickets are globally unique across devices
+/// (the multi-GPU backend tags the high bits), so suspension plumbing is
+/// topology-blind. A cluster is a router in front of such daemons
+/// ([`crate::router`]).
 pub struct SchedulerService {
     clock: ClockHandle,
     state: Mutex<TopologyBackend>,
@@ -143,7 +146,7 @@ impl SchedulerService {
         Self::new_with_backend(TopologyBackend::Single(scheduler), clock, base_dir)
     }
 
-    /// Wrap an arbitrary topology backend (multi-GPU host or cluster).
+    /// Wrap an arbitrary topology backend (single- or multi-GPU host).
     pub fn new_with_backend(
         mut backend: TopologyBackend,
         clock: ClockHandle,
@@ -189,8 +192,8 @@ impl SchedulerService {
         &self.clock
     }
 
-    /// Run a closure over the locked primary device scheduler (device 0
-    /// of node 0) — the legacy single-device introspection surface.
+    /// Run a closure over the locked primary device scheduler (device 0)
+    /// — the legacy single-device introspection surface.
     pub fn with_scheduler<T>(&self, f: impl FnOnce(&Scheduler) -> T) -> T {
         f(self.state.lock().primary())
     }
@@ -209,7 +212,7 @@ impl SchedulerService {
             .devices()
             .into_iter()
             .map(|d| TopologyDevice {
-                node: d.node.unwrap_or_default(),
+                node: String::new(),
                 device: d.device as u64,
                 capacity: d.capacity,
                 unassigned: d.unassigned,
@@ -220,41 +223,9 @@ impl SchedulerService {
         (state.topology_kind().to_string(), devices)
     }
 
-    /// A container's home placement, if it is registered.
-    pub fn query_home(&self, container: ContainerId) -> Option<Placement> {
+    /// A container's home device, if it is registered.
+    pub fn query_home(&self, container: ContainerId) -> Option<DeviceIndex> {
         self.state.lock().home_of(container)
-    }
-
-    /// The `query_cluster` answer for the in-process cluster backend, or
-    /// `None` for single / multi-GPU daemons (which answer `error`).
-    ///
-    /// The in-process backend has no transport between router and nodes,
-    /// so every node is `up` and the fault counters are zero; the
-    /// distributed router (`crate::router`) overrides these with its real
-    /// health view.
-    pub fn cluster_status(&self) -> Option<(String, Vec<ClusterNodeStatus>)> {
-        let state = self.state.lock();
-        let TopologyBackend::Cluster(cs) = &*state else {
-            return None;
-        };
-        let mut per_node = vec![0u64; cs.names().len()];
-        for (_, node) in cs.homes() {
-            per_node[node] += 1;
-        }
-        let nodes = cs
-            .names()
-            .iter()
-            .zip(per_node)
-            .map(|(name, containers)| ClusterNodeStatus {
-                node: name.clone(),
-                health: "up".to_string(),
-                containers,
-                retries: 0,
-                timeouts: 0,
-                failovers: 0,
-            })
-            .collect();
-        Some((cs.placer().strategy().label().to_string(), nodes))
     }
 
     /// Deliver resume actions to their parked waiters. Socket replies are
@@ -367,19 +338,16 @@ impl SchedulerService {
                 Response::Topology { kind, devices }
             }
             Request::QueryHome { container } => match self.query_home(container) {
-                Some(p) => Response::Home {
-                    node: p.node.unwrap_or_default(),
-                    device: p.device as u64,
+                Some(device) => Response::Home {
+                    node: String::new(),
+                    device: device as u64,
                 },
                 None => Response::Error {
                     message: format!("container {container} is not registered"),
                 },
             },
-            Request::QueryCluster => match self.cluster_status() {
-                Some((strategy, nodes)) => Response::Cluster { strategy, nodes },
-                None => Response::Error {
-                    message: "not a cluster daemon".to_string(),
-                },
+            Request::QueryCluster => Response::Error {
+                message: "not a cluster daemon".to_string(),
             },
             Request::Migrate {
                 container,
@@ -395,8 +363,13 @@ impl SchedulerService {
         }
     }
 
-    /// Register a container with its limit; reports where it was placed.
-    pub fn register(&self, container: ContainerId, limit: Bytes) -> Result<Placement, SchedError> {
+    /// Register a container with its limit; reports the device it was
+    /// placed on.
+    pub fn register(
+        &self,
+        container: ContainerId,
+        limit: Bytes,
+    ) -> Result<DeviceIndex, SchedError> {
         // `now` is read under the lock: concurrent connections would
         // otherwise hand the scheduler out-of-order timestamps.
         let mut state = self.state.lock();
@@ -404,36 +377,12 @@ impl SchedulerService {
         state.register(container, limit, now)
     }
 
-    /// Adopt a migrated container: register it with `limit` and mark
-    /// `used` bytes pre-committed in one step — the receiving half of a
-    /// migration hand-off. The adoption is appended to this daemon's
-    /// migration log (source unknown at this layer, so `from` is empty).
-    pub fn adopt(
-        &self,
-        container: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-    ) -> Result<Placement, SchedError> {
-        let placement = {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            state.adopt(container, limit, used, now)?
-        };
-        self.migrations.lock().push(MigrationRecord {
-            container,
-            from: String::new(),
-            to: placement.node.clone().unwrap_or_default(),
-            limit,
-            used,
-            status: "completed".to_string(),
-        });
-        Ok(placement)
-    }
-
-    /// Handle the `migrate` wire message. The `container == 0` sentinel
-    /// with a node name drains that node of the in-process cluster
-    /// backend (re-homing every container it hosts onto survivors); any
-    /// other container id is an adoption onto this daemon.
+    /// Handle the `migrate` wire message: adopt a migrated container,
+    /// registering it with `limit` and marking `used` bytes pre-committed
+    /// in one step — the receiving half of a migration hand-off. The
+    /// adoption is appended to this daemon's migration log (source
+    /// unknown at this layer, so `from` is empty). Container 0 names a
+    /// node drain, which only a router answers: here it is an error.
     pub fn migrate(
         &self,
         container: ContainerId,
@@ -441,45 +390,24 @@ impl SchedulerService {
         limit: Bytes,
         used: Bytes,
     ) -> Result<(), SchedError> {
-        if container != ContainerId(0) {
-            return self.adopt(container, limit, used).map(|_| ());
+        if container == ContainerId(0) {
+            return Err(SchedError::ProtocolViolation(format!(
+                "migrate: container 0 asks for a drain of node {node:?}, which only a router answers"
+            )));
         }
-        let (records, actions) = {
-            let mut state = self.state.lock();
-            let TopologyBackend::Cluster(cs) = &mut *state else {
-                return Err(SchedError::ProtocolViolation(
-                    "migrate: node drain requires a cluster backend".into(),
-                ));
-            };
-            let Some(idx) = cs.names().iter().position(|n| n == node) else {
-                return Err(SchedError::ProtocolViolation(format!(
-                    "migrate: unknown node {node:?}"
-                )));
-            };
-            let now = self.clock.now();
-            let (moves, actions) = cs.migrate_node(idx, now);
-            let records: Vec<MigrationRecord> = moves
-                .into_iter()
-                .map(|m| MigrationRecord {
-                    container: m.container,
-                    from: cs.names()[m.from].clone(),
-                    to: m.to.map(|n| cs.names()[n].clone()).unwrap_or_default(),
-                    limit: m.limit,
-                    used: m.used,
-                    status: if m.to.is_some() {
-                        "completed".to_string()
-                    } else {
-                        "rejected".to_string()
-                    },
-                })
-                .collect();
-            (records, actions)
-        };
         {
-            let mut log = self.migrations.lock();
-            records.into_iter().for_each(|r| log.push(r));
+            let mut state = self.state.lock();
+            let now = self.clock.now();
+            state.adopt(container, limit, used, now)?;
         }
-        self.dispatch(actions);
+        self.migrations.lock().push(MigrationRecord {
+            container,
+            from: String::new(),
+            to: String::new(),
+            limit,
+            used,
+            status: "completed".to_string(),
+        });
         Ok(())
     }
 
@@ -497,14 +425,21 @@ impl SchedulerService {
     /// directory"). The socket is a hard link to the one listener on
     /// [`SchedulerService::daemon_socket`] — a hard link, not a symlink,
     /// so it still resolves inside a bind mount; a service nobody bound
-    /// that socket for (in-process transport) links nothing.
+    /// that socket for (in-process transport) links nothing. A link no
+    /// client could dial (a path too long for a socket address) is
+    /// refused with `InvalidInput` before anything is made.
     /// [`SchedulerService::container_close`] removes the directory.
     pub fn request_dir(&self, container: ContainerId) -> std::io::Result<PathBuf> {
         use std::io::ErrorKind::{AlreadyExists, NotFound};
+        let (listener, link) = (self.daemon_socket(), self.socket_path(container));
+        if let Err(e) = transport::check_socket_path(&link) {
+            if listener.exists() {
+                return Err(e);
+            }
+        }
         let dir = self.base_dir.join(container.to_string());
         std::fs::create_dir_all(&dir)?;
         self.volumes.lock().insert(container);
-        let (listener, link) = (self.daemon_socket(), self.socket_path(container));
         match std::fs::hard_link(&listener, &link) {
             // Asked twice, or left behind by an earlier daemon on this
             // `base_dir`: the link must name the *live* listener.

@@ -140,6 +140,13 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
+/// Whether a UNIX socket could ever be dialled at `path`: an
+/// `InvalidInput` error when the path does not fit a socket address
+/// (`sun_path`, about 107 bytes) or holds a NUL byte. Pure: no syscall.
+pub fn check_socket_path(path: &Path) -> io::Result<()> {
+    std::os::unix::net::SocketAddr::from_pathname(path).map(drop)
+}
+
 /// One connected stream, over either transport. Implements [`Read`] and
 /// [`Write`] by direct dispatch so the codec layer never knows which
 /// transport it is framing onto.

@@ -116,8 +116,6 @@ metrics! {
         "suspension book-keeping mirror: seconds suspended";
     SCHED_PLACEMENT: Counter("convgpu_sched_placement_total", Daemon, ["placement", "device"])
         "multi-GPU placement decisions per device";
-    SCHED_SWARM_PLACEMENT: Counter("convgpu_sched_swarm_placement_total", Daemon, ["strategy", "node"])
-        "cluster placement decisions per node";
     SCHED_PROGRESS_STATE: Gauge("convgpu_sched_progress_state", Daemon, [])
         "0 idle, 1 progressing, 2 resume-pending, 3 stalled";
     SCHED_WAITING: Gauge("convgpu_sched_waiting_containers", Daemon, [])

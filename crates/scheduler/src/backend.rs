@@ -2,27 +2,25 @@
 //!
 //! [`SchedulerBackend`] is the exact message surface `SchedulerService`
 //! needs, extracted from the concrete single-device [`Scheduler`] so the
-//! multi-GPU and cluster schedulers can stand behind the same IPC stack.
-//! It has three implementations: the device ([`Scheduler`]), the
-//! sharding engine both multi-device topologies instantiate
-//! ([`Sharded`](crate::sharded::Sharded)), and [`TopologyBackend`], the
-//! enum-dispatch wrapper the service stores (no trait objects, no
-//! generics bleeding into `convgpu-core`'s public types).
+//! multi-GPU scheduler can stand behind the same IPC stack. It has three
+//! implementations: the device ([`Scheduler`]), the multi-GPU host
+//! ([`MultiGpuScheduler`]), and [`TopologyBackend`], the enum-dispatch
+//! wrapper the service stores (no trait objects, no generics bleeding
+//! into `convgpu-core`'s public types).
 //!
 //! Design rules:
 //!
 //! * **Single-device behavior is bit-identical.** The `Single` arm
 //!   forwards straight to `Scheduler` — same tickets, same decision log,
 //!   same metric label sets (`SchedObs.device == None`).
-//! * **Tickets are globally unique** across devices and nodes because
-//!   each sharding level tags its shard index into its own ticket lane
-//!   (`sharded::TicketLane`); a service can therefore keep one waiter
-//!   table keyed on the ticket alone, whatever the topology.
-//! * **Placement is observable.** Registration reports where the
-//!   container landed, and `devices()` snapshots per-device occupancy for
-//!   the `query_topology` wire message.
+//! * **Tickets are globally unique** across devices because the
+//!   multi-GPU scheduler tags the device index into the ticket's device
+//!   lane ([`crate::multi_gpu::tag`]); a service can therefore keep one
+//!   waiter table keyed on the ticket alone, whatever the topology.
+//! * **Placement is observable.** Registration reports the device the
+//!   container landed on, and `devices()` snapshots per-device occupancy
+//!   for the `query_topology` wire message.
 
-use crate::cluster::ClusterScheduler;
 use crate::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler};
 use crate::multi_gpu::{DeviceIndex, MultiGpuScheduler};
 use crate::state::ContainerState;
@@ -31,33 +29,11 @@ use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
 use convgpu_sim_core::units::Bytes;
 
-/// Where a container lives: a device, optionally qualified by a cluster
-/// node. Single-GPU and multi-GPU topologies report `node: None`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Placement {
-    /// Cluster node name, when the backend is a cluster.
-    pub node: Option<String>,
-    /// Device index within the node (or the whole topology).
-    pub device: DeviceIndex,
-}
-
-impl Placement {
-    /// Render as `node:device` (cluster) or the bare device index.
-    pub fn label(&self) -> String {
-        match &self.node {
-            Some(n) => format!("{n}:{}", self.device),
-            None => self.device.to_string(),
-        }
-    }
-}
-
 /// Snapshot of one device, for topology queries and per-device
 /// `cudaGetDeviceProperties` answers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BackendDeviceInfo {
-    /// Cluster node name, if any.
-    pub node: Option<String>,
-    /// Device index within its node.
+    /// Device index within the host.
     pub device: DeviceIndex,
     /// Total device capacity.
     pub capacity: Bytes,
@@ -71,17 +47,17 @@ pub struct BackendDeviceInfo {
 
 /// The message surface `SchedulerService` requires of any topology.
 pub trait SchedulerBackend {
-    /// Short kind tag: `"single"`, `"multi-gpu"`, or `"cluster"`.
+    /// Short kind tag: `"single"` or `"multi-gpu"`.
     fn topology_kind(&self) -> &'static str;
 
-    /// Admit a container, choosing its placement. Rejects (never
-    /// suspends) when no device can ever host the limit.
+    /// Admit a container, choosing its device. Rejects (never suspends)
+    /// when no device can ever host the limit.
     fn register(
         &mut self,
         id: ContainerId,
         limit: Bytes,
         now: SimTime,
-    ) -> Result<Placement, SchedError>;
+    ) -> Result<DeviceIndex, SchedError>;
 
     /// Admit a migrated container with its committed budget pre-reserved
     /// (the migration hand-off path; never suspends, never re-races the
@@ -92,13 +68,7 @@ pub trait SchedulerBackend {
         limit: Bytes,
         used: Bytes,
         now: SimTime,
-    ) -> Result<Placement, SchedError>;
-
-    /// What registering `limit` here will reserve: the limit plus the
-    /// context overhead this backend's config charges, if it charges one.
-    /// Placement compares this — not a guess — against free memory and
-    /// device capacity.
-    fn requirement(&self, limit: Bytes) -> Bytes;
+    ) -> Result<DeviceIndex, SchedError>;
 
     /// Permission to allocate; resume actions may concern *any*
     /// container of the topology (tickets are globally unique).
@@ -157,15 +127,14 @@ pub trait SchedulerBackend {
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError>;
 
-    /// Where `id` lives, if registered.
-    fn home_of(&self, id: ContainerId) -> Option<Placement>;
+    /// The device `id` lives on, if registered.
+    fn home_of(&self, id: ContainerId) -> Option<DeviceIndex>;
 
-    /// The device scheduler `id` lives on, with the full ticket tag that
+    /// The device scheduler `id` lives on, with the ticket tag that
     /// device's tickets carry when they leave this backend.
     fn home_device(&self, id: ContainerId) -> Option<(u64, &Scheduler)>;
 
-    /// Snapshot every device in a stable order (node order, then device
-    /// index).
+    /// Snapshot every device in index order.
     fn devices(&self) -> Vec<BackendDeviceInfo>;
 
     /// Structural invariants across the whole topology.
@@ -174,46 +143,31 @@ pub trait SchedulerBackend {
     /// Deterministic digest of policy/placement state (golden tests).
     fn fingerprint(&self) -> u64;
 
-    /// Attach observability; multi-device topologies scope the sink per
-    /// device so gauges never collide.
+    /// Attach observability; a multi-GPU host scopes the sink per device
+    /// so gauges never collide.
     fn attach_obs(&mut self, obs: SchedObs);
 
-    /// The canonical device scheduler (device 0 of node 0) — the
-    /// single-device view used by legacy introspection paths.
+    /// The canonical device scheduler (device 0) — the single-device view
+    /// used by legacy introspection paths.
     fn primary(&self) -> &Scheduler;
 
     /// Visit every device scheduler in [`devices`](Self::devices) order,
-    /// each with the full ticket tag its tickets leave this backend under
-    /// (`tag` is the enclosing topology's; pass 0 at the top).
-    fn each_device<'a>(&'a self, tag: u64, f: &mut impl FnMut(u64, &'a Scheduler));
+    /// each with the ticket tag its tickets leave this backend under.
+    fn each_device<'a>(&'a self, f: &mut impl FnMut(u64, &'a Scheduler));
 
     /// Every device scheduler in the topology, in [`devices`](Self::devices)
     /// order — for introspection that must see all containers regardless
     /// of where placement homed them (metrics collection, close waits).
     fn device_schedulers(&self) -> Vec<&Scheduler> {
         let mut out = Vec::new();
-        self.each_device(0, &mut |_, s| out.push(s));
+        self.each_device(&mut |_, s| out.push(s));
         out
-    }
-
-    /// Memory not reserved on any device.
-    fn unassigned(&self) -> Bytes {
-        let mut sum = Bytes::ZERO;
-        self.each_device(0, &mut |_, s| sum += s.unassigned());
-        sum
-    }
-
-    /// Largest single-device capacity (admission bound for one container).
-    fn largest_device(&self) -> Bytes {
-        let mut max = Bytes::ZERO;
-        self.each_device(0, &mut |_, s| max = max.max(s.config().capacity));
-        max
     }
 
     /// Number of containers registered and not yet closed.
     fn open_containers(&self) -> usize {
         let mut open = 0;
-        self.each_device(0, &mut |_, s| {
+        self.each_device(&mut |_, s| {
             open += s
                 .containers()
                 .filter(|r| r.state != ContainerState::Closed)
@@ -224,7 +178,7 @@ pub trait SchedulerBackend {
 
     /// Mirror progress (stall) assessments into the attached registry.
     fn observe_progress(&self) {
-        self.each_device(0, &mut |_, s| {
+        self.each_device(&mut |_, s| {
             let _ = crate::deadlock::assess_observed(s);
         });
     }
@@ -240,12 +194,8 @@ impl SchedulerBackend for Scheduler {
         id: ContainerId,
         limit: Bytes,
         now: SimTime,
-    ) -> Result<Placement, SchedError> {
-        Scheduler::register(self, id, limit, now)?;
-        Ok(Placement {
-            node: None,
-            device: 0,
-        })
+    ) -> Result<DeviceIndex, SchedError> {
+        Scheduler::register(self, id, limit, now).map(|()| 0)
     }
 
     fn adopt(
@@ -254,22 +204,8 @@ impl SchedulerBackend for Scheduler {
         limit: Bytes,
         used: Bytes,
         now: SimTime,
-    ) -> Result<Placement, SchedError> {
-        Scheduler::adopt(self, id, limit, used, now)?;
-        Ok(Placement {
-            node: None,
-            device: 0,
-        })
-    }
-
-    fn requirement(&self, limit: Bytes) -> Bytes {
-        // `Scheduler::effective_requirement`, which is private to `core`.
-        let cfg = self.config();
-        if cfg.charge_ctx_overhead {
-            limit + cfg.ctx_overhead
-        } else {
-            limit
-        }
+    ) -> Result<DeviceIndex, SchedError> {
+        Scheduler::adopt(self, id, limit, used, now).map(|()| 0)
     }
 
     fn alloc_request(
@@ -335,11 +271,8 @@ impl SchedulerBackend for Scheduler {
         Scheduler::container_close(self, id, now)
     }
 
-    fn home_of(&self, id: ContainerId) -> Option<Placement> {
-        self.container(id).map(|_| Placement {
-            node: None,
-            device: 0,
-        })
+    fn home_of(&self, id: ContainerId) -> Option<DeviceIndex> {
+        self.container(id).map(|_| 0)
     }
 
     fn home_device(&self, id: ContainerId) -> Option<(u64, &Scheduler)> {
@@ -348,7 +281,6 @@ impl SchedulerBackend for Scheduler {
 
     fn devices(&self) -> Vec<BackendDeviceInfo> {
         vec![BackendDeviceInfo {
-            node: None,
             device: 0,
             capacity: self.config().capacity,
             unassigned: self.unassigned(),
@@ -373,14 +305,14 @@ impl SchedulerBackend for Scheduler {
         self
     }
 
-    fn each_device<'a>(&'a self, tag: u64, f: &mut impl FnMut(u64, &'a Scheduler)) {
-        f(tag, self);
+    fn each_device<'a>(&'a self, f: &mut impl FnMut(u64, &'a Scheduler)) {
+        f(0, self);
     }
 }
 
 /// Enum-dispatched backend the service stores — avoids generics in
 /// `convgpu-core`'s public API while keeping static dispatch per arm.
-/// `Single` holds its scheduler inline, larger than the other arms: a
+/// `Single` holds its scheduler inline, larger than the other arm: a
 /// service stores one backend, and boxing the paper's deployment would
 /// put a pointer chase on each of its calls.
 #[derive(Clone)]
@@ -391,8 +323,6 @@ pub enum TopologyBackend {
     Single(Scheduler),
     /// One host, several GPUs, a placement policy.
     MultiGpu(MultiGpuScheduler),
-    /// Several nodes under a Docker-Swarm strategy.
-    Cluster(ClusterScheduler),
 }
 
 macro_rules! dispatch {
@@ -400,7 +330,6 @@ macro_rules! dispatch {
         match $self {
             TopologyBackend::Single($b) => $e,
             TopologyBackend::MultiGpu($b) => $e,
-            TopologyBackend::Cluster($b) => $e,
         }
     };
 }
@@ -415,7 +344,7 @@ impl SchedulerBackend for TopologyBackend {
         id: ContainerId,
         limit: Bytes,
         now: SimTime,
-    ) -> Result<Placement, SchedError> {
+    ) -> Result<DeviceIndex, SchedError> {
         dispatch!(self, b => SchedulerBackend::register(b, id, limit, now))
     }
 
@@ -425,12 +354,8 @@ impl SchedulerBackend for TopologyBackend {
         limit: Bytes,
         used: Bytes,
         now: SimTime,
-    ) -> Result<Placement, SchedError> {
+    ) -> Result<DeviceIndex, SchedError> {
         dispatch!(self, b => SchedulerBackend::adopt(b, id, limit, used, now))
-    }
-
-    fn requirement(&self, limit: Bytes) -> Bytes {
-        dispatch!(self, b => SchedulerBackend::requirement(b, limit))
     }
 
     fn alloc_request(
@@ -496,7 +421,7 @@ impl SchedulerBackend for TopologyBackend {
         dispatch!(self, b => SchedulerBackend::container_close(b, id, now))
     }
 
-    fn home_of(&self, id: ContainerId) -> Option<Placement> {
+    fn home_of(&self, id: ContainerId) -> Option<DeviceIndex> {
         dispatch!(self, b => SchedulerBackend::home_of(b, id))
     }
 
@@ -524,15 +449,14 @@ impl SchedulerBackend for TopologyBackend {
         dispatch!(self, b => SchedulerBackend::primary(b))
     }
 
-    fn each_device<'a>(&'a self, tag: u64, f: &mut impl FnMut(u64, &'a Scheduler)) {
-        dispatch!(self, b => SchedulerBackend::each_device(b, tag, f))
+    fn each_device<'a>(&'a self, f: &mut impl FnMut(u64, &'a Scheduler)) {
+        dispatch!(self, b => SchedulerBackend::each_device(b, f))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterNode, SwarmStrategy};
     use crate::core::SchedulerConfig;
     use crate::multi_gpu::PlacementPolicy;
     use crate::policy::PolicyKind;
@@ -553,22 +477,14 @@ mod tests {
                 PlacementPolicy::RoundRobin,
                 7,
             )),
-            TopologyBackend::Cluster(ClusterScheduler::new(
-                vec![
-                    ClusterNode::new("n0", &[Bytes::gib(5)], PolicyKind::Fifo, 1),
-                    ClusterNode::new("n1", &[Bytes::gib(5)], PolicyKind::Fifo, 2),
-                ],
-                SwarmStrategy::Spread,
-                9,
-            )),
         ]
     }
 
     #[test]
     fn every_backend_serves_the_same_lifecycle() {
         for mut b in backends() {
-            let place = b.register(ContainerId(1), Bytes::gib(2), t(0)).unwrap();
-            assert_eq!(b.home_of(ContainerId(1)), Some(place.clone()));
+            let device = b.register(ContainerId(1), Bytes::gib(2), t(0)).unwrap();
+            assert_eq!(b.home_of(ContainerId(1)), Some(device));
             let (out, _) = b
                 .alloc_request(ContainerId(1), 7, Bytes::gib(1), ApiKind::Malloc, t(1))
                 .unwrap();
@@ -590,35 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn placement_labels_are_wire_friendly() {
-        let single = Placement {
-            node: None,
-            device: 0,
-        };
-        assert_eq!(single.label(), "0");
-        let clustered = Placement {
-            node: Some("node-3".into()),
-            device: 1,
-        };
-        assert_eq!(clustered.label(), "node-3:1");
-    }
-
-    #[test]
     fn device_schedulers_cover_every_device_and_lead_with_primary() {
         for b in backends() {
             let scheds = b.device_schedulers();
             assert_eq!(scheds.len(), b.devices().len());
             assert!(std::ptr::eq(scheds[0], b.primary()));
         }
-    }
-
-    #[test]
-    fn cluster_devices_snapshot_covers_all_nodes() {
-        let b = backends().pop().unwrap();
-        let devs = b.devices();
-        assert_eq!(devs.len(), 2);
-        assert_eq!(devs[0].node.as_deref(), Some("n0"));
-        assert_eq!(devs[1].node.as_deref(), Some("n1"));
-        assert_eq!(b.topology_kind(), "cluster");
     }
 }

@@ -121,7 +121,7 @@ impl SchedObs {
     }
 
     /// The same sinks, labeled as device `device` (used by the multi-GPU
-    /// and cluster backends, one label per device scheduler).
+    /// backend, one label per device scheduler).
     pub fn with_device(&self, device: impl Into<String>) -> Self {
         SchedObs {
             registry: Arc::clone(&self.registry),
@@ -503,7 +503,10 @@ impl Scheduler {
         self.containers.insert(rec.id, rec);
     }
 
-    fn effective_requirement(&self, limit: Bytes) -> Bytes {
+    /// What registering `limit` here reserves: the limit plus the context
+    /// overhead this config charges, if it charges one. Placement compares
+    /// this, not a guess, against free memory and device capacity.
+    pub fn requirement(&self, limit: Bytes) -> Bytes {
         if self.cfg.charge_ctx_overhead {
             limit + self.cfg.ctx_overhead
         } else {
@@ -521,7 +524,7 @@ impl Scheduler {
         if self.is_registered(id) {
             return Err(SchedError::AlreadyRegistered(id));
         }
-        let requirement = self.effective_requirement(limit);
+        let requirement = self.requirement(limit);
         if requirement > self.cfg.capacity {
             return Err(SchedError::LimitExceedsCapacity {
                 container: id,
@@ -574,7 +577,7 @@ impl Scheduler {
         if self.is_registered(id) {
             return Err(SchedError::AlreadyRegistered(id));
         }
-        let requirement = self.effective_requirement(limit);
+        let requirement = self.requirement(limit);
         if requirement > self.cfg.capacity {
             return Err(SchedError::LimitExceedsCapacity {
                 container: id,

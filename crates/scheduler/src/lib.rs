@@ -29,17 +29,13 @@
 //! * [`metrics`] — per-container and aggregate suspension statistics
 //!   (paper Fig. 8 / Table V).
 //! * [`backend`] — the [`backend::SchedulerBackend`] trait unifying the
-//!   three topologies behind one message surface, and the
-//!   [`backend::TopologyBackend`] enum the live service dispatches on.
-//! * [`sharded`] — the one sharding engine behind both §V future-work
-//!   extensions: [`sharded::Sharded`] owns the container → shard home
-//!   map, routes every message to the container's home, tags tickets in
-//!   its [`sharded::TicketLane`], and asks a [`sharded::Placer`] where a
-//!   new container goes.
-//! * [`multi_gpu`] — the device-level instantiation: one scheduler per
-//!   GPU plus the three device placement policies.
-//! * [`cluster`] — the node-level instantiation: Docker-Swarm-style
-//!   dispatch of containers across multi-GPU nodes.
+//!   single-GPU and multi-GPU topologies behind one message surface, and
+//!   the [`backend::TopologyBackend`] enum the live service dispatches on.
+//! * [`multi_gpu`] — the first §V future-work extension: one scheduler
+//!   per GPU, the three device placement policies, and the container →
+//!   device home map every later message is routed by.
+//! * [`cluster`] — the second: Docker-Swarm-style node placement
+//!   strategies, which the distributed cluster router places by.
 //! * [`deadlock`] — stall detection used to *demonstrate* that ConVGPU's
 //!   guarantee discipline avoids the deadlock of naive sharing.
 //! * [`invariant`] — the typed safety invariants behind
@@ -59,21 +55,19 @@ pub mod log;
 pub mod metrics;
 pub mod multi_gpu;
 pub mod policy;
-pub mod sharded;
 pub mod state;
 pub mod timeline;
 
 pub use crate::core::{
     AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler, SchedulerConfig,
 };
-pub use backend::{BackendDeviceInfo, Placement, SchedulerBackend, TopologyBackend};
+pub use backend::{BackendDeviceInfo, SchedulerBackend, TopologyBackend};
 pub use candidates::{Candidate, Candidates};
-pub use cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
+pub use cluster::SwarmStrategy;
 pub use invariant::InvariantViolation;
 pub use log::{Decision, DecisionLog, LogEntry};
 pub use metrics::{AggregateMetrics, ContainerMetrics};
 pub use multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 pub use policy::{Policy, PolicyKind};
-pub use sharded::{Placer, Sharded, TicketLane};
 pub use state::{ContainerRecord, ContainerState, ResumeRule};
 pub use timeline::{UtilizationSample, UtilizationTimeline};

@@ -3,27 +3,45 @@
 //!
 //! The natural decomposition keeps the single-device scheduler untouched:
 //! one [`Scheduler`] per device plus a **placement policy** that picks the
-//! device when a container registers. Every later message is routed by the
-//! container → device map. That routing is the sharding engine's
-//! ([`Sharded`]); this module is its device-level instantiation: the three
-//! placement policies (compared in the `multi_gpu_placement` bench) as a
-//! [`Placer`], and the constructors.
+//! device when a container registers (the three policies are compared in
+//! the `multi_gpu_placement` bench). Every later message is routed by the
+//! container → device **home map** to the container's device.
 //!
 //! Tickets handed out by different devices are disambiguated by tagging
-//! the device index into the device lane ([`DEVICE_TICKET_SHIFT`]), so a
-//! multi-GPU service can key its waiter table on the ticket alone. Device
-//! 0 tickets are numerically unchanged, which keeps single-device golden
-//! traces bit-identical when a one-device topology is used.
+//! the device index into one byte of the ticket, the device lane at
+//! [`DEVICE_TICKET_SHIFT`], so a multi-GPU service can key its waiter
+//! table on the ticket alone. Device 0's tag is zero, which keeps
+//! single-device golden traces bit-identical when a one-device topology
+//! is used. [`tag`] is the only code that shifts a ticket; the lane's
+//! width bounds a scheduler at [`MultiGpuScheduler::MAX_DEVICES`]
+//! devices, which the constructor enforces.
 
-use crate::backend::SchedulerBackend;
-use crate::core::{Scheduler, SchedulerConfig};
+use crate::backend::{BackendDeviceInfo, SchedulerBackend};
+use crate::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler, SchedulerConfig};
 use crate::policy::PolicyKind;
-use crate::sharded::{Placer, Sharded, TicketLane};
+use convgpu_ipc::message::ApiKind;
 use convgpu_obs::catalogue::SCHED_PLACEMENT;
 use convgpu_obs::Registry;
+use convgpu_sim_core::ids::ContainerId;
+use convgpu_sim_core::time::SimTime;
 use convgpu_sim_core::units::Bytes;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-pub use crate::sharded::DEVICE_TICKET_SHIFT;
+/// Bit position of the device lane: raw per-device tickets are small
+/// sequential integers, far below it.
+pub const DEVICE_TICKET_SHIFT: u32 = 48;
+
+/// `ticket` with `device` written into the device lane.
+pub fn tag(device: DeviceIndex, ticket: u64) -> u64 {
+    debug_assert!(device < MultiGpuScheduler::MAX_DEVICES);
+    debug_assert_eq!(
+        ticket >> DEVICE_TICKET_SHIFT,
+        0,
+        "ticket {ticket:#x} already carries a device tag"
+    );
+    ((device as u64) << DEVICE_TICKET_SHIFT) | ticket
+}
 
 /// How to choose the device for a new container.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -62,80 +80,22 @@ impl PlacementPolicy {
 /// Index of a device within a [`MultiGpuScheduler`].
 pub type DeviceIndex = usize;
 
-/// The device-level [`Placer`]: a [`PlacementPolicy`] plus the
-/// round-robin cursor.
-#[derive(Clone, Debug)]
-pub struct DevicePlacer {
-    policy: PlacementPolicy,
+/// A scheduler spanning several GPUs; see the module docs.
+#[derive(Clone)]
+pub struct MultiGpuScheduler {
+    devices: Vec<Scheduler>,
+    homes: BTreeMap<ContainerId, DeviceIndex>,
+    placement: PlacementPolicy,
+    /// Round-robin cursor: advanced once per placement.
     rr_next: usize,
+    /// Where placements are counted, once observability is attached.
+    registry: Option<Arc<Registry>>,
 }
-
-impl DevicePlacer {
-    /// The configured placement policy.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-}
-
-impl Placer for DevicePlacer {
-    const KIND: &'static str = "multi-gpu";
-    const LANE: TicketLane = TicketLane::DEVICE;
-
-    /// The policy's pick first — once per placement, so the round-robin
-    /// cursor advances once however many candidates follow — then the
-    /// remaining devices in index order.
-    fn next<B: SchedulerBackend>(
-        &mut self,
-        shards: &[B],
-        limit: Bytes,
-        tried: &[usize],
-    ) -> Option<usize> {
-        if !tried.is_empty() {
-            return (0..shards.len()).find(|i| !tried.contains(i));
-        }
-        let most_free = || {
-            (0..shards.len())
-                .max_by_key(|&i| (shards[i].unassigned(), std::cmp::Reverse(i)))
-                .expect("non-empty")
-        };
-        let pick = match self.policy {
-            PlacementPolicy::RoundRobin => {
-                let idx = self.rr_next % shards.len();
-                self.rr_next = self.rr_next.wrapping_add(1);
-                idx
-            }
-            PlacementPolicy::MostFree => most_free(),
-            PlacementPolicy::BestFitDevice => (0..shards.len())
-                .filter(|&i| shards[i].unassigned() >= shards[i].requirement(limit))
-                .min_by_key(|&i| (shards[i].unassigned(), i))
-                // Nothing fits now: fall back to the emptiest device,
-                // where the container will be suspended least long.
-                .unwrap_or_else(most_free),
-        };
-        // A device that cannot ever host the limit is skipped in favour of
-        // any that can.
-        let capable = |i: usize| shards[i].largest_device() >= shards[i].requirement(limit);
-        if capable(pick) {
-            Some(pick)
-        } else {
-            Some((0..shards.len()).find(|&i| capable(i)).unwrap_or(pick))
-        }
-    }
-
-    fn count(&self, registry: &Registry, shard: &str) {
-        let labels = [("placement", self.policy.label()), ("device", shard)];
-        registry.inc(SCHED_PLACEMENT, &labels, 1);
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.rr_next as u64
-    }
-}
-
-/// A scheduler spanning several GPUs.
-pub type MultiGpuScheduler = Sharded<Scheduler, DevicePlacer>;
 
 impl MultiGpuScheduler {
+    /// Most devices the one-byte device lane of a ticket can name.
+    pub const MAX_DEVICES: usize = 1 << 8;
+
     /// Build with one single-device scheduler per capacity entry, all
     /// using the same redistribution policy kind.
     pub fn new(
@@ -159,7 +119,7 @@ impl MultiGpuScheduler {
     ///
     /// # Panics
     /// On an empty capacity list, or more than
-    /// [`TicketLane::MAX_SHARDS`] devices.
+    /// [`MAX_DEVICES`](Self::MAX_DEVICES) devices.
     pub fn with_config(
         base: SchedulerConfig,
         capacities: &[Bytes],
@@ -167,6 +127,13 @@ impl MultiGpuScheduler {
         placement: PlacementPolicy,
         seed: u64,
     ) -> Self {
+        assert!(!capacities.is_empty(), "need at least one device");
+        assert!(
+            capacities.len() <= Self::MAX_DEVICES,
+            "{} devices do not fit the ticket's device lane ({} at most)",
+            capacities.len(),
+            Self::MAX_DEVICES
+        );
         let devices = capacities
             .iter()
             .enumerate()
@@ -178,21 +145,318 @@ impl MultiGpuScheduler {
                 Scheduler::new(cfg, sched_policy.build(seed.wrapping_add(i as u64)))
             })
             .collect();
-        let placer = DevicePlacer {
-            policy: placement,
+        MultiGpuScheduler {
+            devices,
+            homes: BTreeMap::new(),
+            placement,
             rr_next: 0,
+            registry: None,
+        }
+    }
+
+    /// The device schedulers, in index order.
+    pub fn shards(&self) -> &[Scheduler] {
+        &self.devices
+    }
+
+    /// Register a container, placing it on a device; returns the device
+    /// index.
+    pub fn register(
+        &mut self,
+        id: ContainerId,
+        limit: Bytes,
+        now: SimTime,
+    ) -> Result<DeviceIndex, SchedError> {
+        self.place(id, limit, false, |s| s.register(id, limit, now))
+    }
+
+    /// Migration hand-off: adopt a container with its committed budget
+    /// (see [`Scheduler::adopt`]); returns the device index. The budget
+    /// must land whole, so a device that cannot back it right now is
+    /// passed over for the next candidate.
+    pub fn adopt(
+        &mut self,
+        id: ContainerId,
+        limit: Bytes,
+        used: Bytes,
+        now: SimTime,
+    ) -> Result<DeviceIndex, SchedError> {
+        self.place(id, limit, true, |s| s.adopt(id, limit, used, now))
+    }
+
+    /// [`SchedulerBackend::container_close`], callable without the trait
+    /// in scope.
+    pub fn container_close(
+        &mut self,
+        id: ContainerId,
+        now: SimTime,
+    ) -> Result<Vec<ResumeAction>, SchedError> {
+        let device = self.route(id)?;
+        let actions = self.devices[device].container_close(id, now)?;
+        Ok(tag_actions(device, actions))
+    }
+
+    /// The one admission loop: `admit` on the placement policy's pick.
+    /// With `retry`, a capacity-shaped refusal moves on to the remaining
+    /// devices in index order, and the last refusal is the answer
+    /// (protocol errors are always final).
+    fn place(
+        &mut self,
+        id: ContainerId,
+        limit: Bytes,
+        retry: bool,
+        mut admit: impl FnMut(&mut Scheduler) -> Result<(), SchedError>,
+    ) -> Result<DeviceIndex, SchedError> {
+        if self.homes.contains_key(&id) {
+            return Err(SchedError::AlreadyRegistered(id));
+        }
+        let mut device = self.pick(limit);
+        let mut tried = Vec::new();
+        loop {
+            match admit(&mut self.devices[device]) {
+                Ok(()) => break,
+                Err(
+                    e @ (SchedError::AdoptionOverCommit { .. }
+                    | SchedError::LimitExceedsCapacity { .. }),
+                ) if retry => {
+                    tried.push(device);
+                    device = (0..self.devices.len())
+                        .find(|i| !tried.contains(i))
+                        .ok_or(e)?;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        self.homes.insert(id, device);
+        if let Some(registry) = &self.registry {
+            let labels = [
+                ("placement", self.placement.label()),
+                ("device", &device.to_string()),
+            ];
+            registry.inc(SCHED_PLACEMENT, &labels, 1);
+        }
+        Ok(device)
+    }
+
+    /// The placement policy's device for a container declaring `limit`;
+    /// asked once per placement, so the round-robin cursor advances once
+    /// however many candidates follow.
+    fn pick(&mut self, limit: Bytes) -> DeviceIndex {
+        let devices = &self.devices;
+        let most_free = || {
+            (0..devices.len())
+                .max_by_key(|&i| (devices[i].unassigned(), std::cmp::Reverse(i)))
+                .expect("non-empty")
         };
-        Sharded::from_shards(devices, Vec::new(), placer)
+        let pick = match self.placement {
+            PlacementPolicy::RoundRobin => {
+                let idx = self.rr_next % devices.len();
+                self.rr_next = self.rr_next.wrapping_add(1);
+                idx
+            }
+            PlacementPolicy::MostFree => most_free(),
+            PlacementPolicy::BestFitDevice => (0..devices.len())
+                .filter(|&i| devices[i].unassigned() >= devices[i].requirement(limit))
+                .min_by_key(|&i| (devices[i].unassigned(), i))
+                // Nothing fits now: fall back to the emptiest device,
+                // where the container will be suspended least long.
+                .unwrap_or_else(most_free),
+        };
+        // A device that cannot ever host the limit is skipped in favour of
+        // any that can.
+        let capable = |i: usize| devices[i].config().capacity >= devices[i].requirement(limit);
+        if capable(pick) {
+            pick
+        } else {
+            (0..devices.len()).find(|&i| capable(i)).unwrap_or(pick)
+        }
+    }
+
+    /// The one home-map lookup every routed message starts with.
+    fn route(&self, id: ContainerId) -> Result<DeviceIndex, SchedError> {
+        self.homes
+            .get(&id)
+            .copied()
+            .ok_or(SchedError::UnknownContainer(id))
+    }
+}
+
+fn tag_actions(device: DeviceIndex, mut actions: Vec<ResumeAction>) -> Vec<ResumeAction> {
+    for a in &mut actions {
+        a.ticket = tag(device, a.ticket);
+    }
+    actions
+}
+
+impl SchedulerBackend for MultiGpuScheduler {
+    fn topology_kind(&self) -> &'static str {
+        "multi-gpu"
+    }
+
+    fn register(
+        &mut self,
+        id: ContainerId,
+        limit: Bytes,
+        now: SimTime,
+    ) -> Result<DeviceIndex, SchedError> {
+        MultiGpuScheduler::register(self, id, limit, now)
+    }
+
+    fn adopt(
+        &mut self,
+        id: ContainerId,
+        limit: Bytes,
+        used: Bytes,
+        now: SimTime,
+    ) -> Result<DeviceIndex, SchedError> {
+        MultiGpuScheduler::adopt(self, id, limit, used, now)
+    }
+
+    fn alloc_request(
+        &mut self,
+        id: ContainerId,
+        pid: u64,
+        size: Bytes,
+        api: ApiKind,
+        now: SimTime,
+    ) -> Result<(AllocOutcome, Vec<ResumeAction>), SchedError> {
+        let device = self.route(id)?;
+        let (out, actions) = self.devices[device].alloc_request(id, pid, size, api, now)?;
+        let out = match out {
+            AllocOutcome::Suspended { ticket } => AllocOutcome::Suspended {
+                ticket: tag(device, ticket),
+            },
+            other => other,
+        };
+        Ok((out, tag_actions(device, actions)))
+    }
+
+    fn alloc_done(
+        &mut self,
+        id: ContainerId,
+        pid: u64,
+        addr: u64,
+        size: Bytes,
+        now: SimTime,
+    ) -> Result<(), SchedError> {
+        let device = self.route(id)?;
+        self.devices[device].alloc_done(id, pid, addr, size, now)
+    }
+
+    fn alloc_failed(
+        &mut self,
+        id: ContainerId,
+        pid: u64,
+        size: Bytes,
+        now: SimTime,
+    ) -> Result<Vec<ResumeAction>, SchedError> {
+        let device = self.route(id)?;
+        let actions = self.devices[device].alloc_failed(id, pid, size, now)?;
+        Ok(tag_actions(device, actions))
+    }
+
+    fn free(
+        &mut self,
+        id: ContainerId,
+        pid: u64,
+        addr: u64,
+        now: SimTime,
+    ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
+        let device = self.route(id)?;
+        let (freed, actions) = self.devices[device].free(id, pid, addr, now)?;
+        Ok((freed, tag_actions(device, actions)))
+    }
+
+    fn mem_info(&self, id: ContainerId, pid: u64) -> Result<(Bytes, Bytes), SchedError> {
+        self.devices[self.route(id)?].mem_info(id, pid)
+    }
+
+    fn process_exit(
+        &mut self,
+        id: ContainerId,
+        pid: u64,
+        now: SimTime,
+    ) -> Result<Vec<ResumeAction>, SchedError> {
+        let device = self.route(id)?;
+        let actions = self.devices[device].process_exit(id, pid, now)?;
+        Ok(tag_actions(device, actions))
+    }
+
+    fn container_close(
+        &mut self,
+        id: ContainerId,
+        now: SimTime,
+    ) -> Result<Vec<ResumeAction>, SchedError> {
+        MultiGpuScheduler::container_close(self, id, now)
+    }
+
+    fn home_of(&self, id: ContainerId) -> Option<DeviceIndex> {
+        self.route(id).ok()
+    }
+
+    fn home_device(&self, id: ContainerId) -> Option<(u64, &Scheduler)> {
+        let device = self.route(id).ok()?;
+        Some((tag(device, 0), &self.devices[device]))
+    }
+
+    fn devices(&self) -> Vec<BackendDeviceInfo> {
+        let mut out = Vec::new();
+        for (device, s) in self.devices.iter().enumerate() {
+            out.extend(
+                s.devices()
+                    .into_iter()
+                    .map(|info| BackendDeviceInfo { device, ..info }),
+            );
+        }
+        out
+    }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        for (i, s) in self.devices.iter().enumerate() {
+            s.check_invariants()
+                .map_err(|e| format!("device {i}: {e}"))?;
+        }
+        // Homes must point at devices that actually know the container.
+        for (&c, &d) in &self.homes {
+            if self.devices.get(d).and_then(|s| s.container(c)).is_none() {
+                return Err(format!("container {c:?} missing from home device {d}"));
+            }
+        }
+        Ok(())
+    }
+
+    fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for s in &self.devices {
+            h ^= s.policy_fingerprint();
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h ^= self.rr_next as u64;
+        h.wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    fn attach_obs(&mut self, obs: SchedObs) {
+        for (i, s) in self.devices.iter_mut().enumerate() {
+            s.attach_obs(obs.with_device(i.to_string()));
+        }
+        self.registry = Some(obs.registry);
+    }
+
+    fn primary(&self) -> &Scheduler {
+        &self.devices[0]
+    }
+
+    fn each_device<'a>(&'a self, f: &mut impl FnMut(u64, &'a Scheduler)) {
+        for (i, s) in self.devices.iter().enumerate() {
+            f(tag(i, 0), s);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::{AllocOutcome, SchedError};
-    use convgpu_ipc::message::ApiKind;
-    use convgpu_sim_core::ids::ContainerId;
-    use convgpu_sim_core::time::SimTime;
+    use convgpu_obs::Tracer;
 
     fn two_gpu(placement: PlacementPolicy) -> MultiGpuScheduler {
         MultiGpuScheduler::new(
@@ -291,13 +555,34 @@ mod tests {
         // 4 GiB containers leave under 1 GiB unassigned on each device.
         m.register(ContainerId(1), Bytes::gib(4), t(0)).unwrap(); // dev 0
         m.register(ContainerId(2), Bytes::gib(4), t(1)).unwrap(); // dev 1
-                                                                  // A 3 GiB requirement fits no device's unassigned pool right now;
-                                                                  // the fallback picks the emptiest device (tie → index 0) and the
-                                                                  // container registers with a partial reservation instead of being
-                                                                  // rejected — capacity still suffices.
+
+        // A 3 GiB requirement fits no device's unassigned pool right now;
+        // the fallback picks the emptiest device (tie → index 0) and the
+        // container registers with a partial reservation instead of being
+        // rejected — capacity still suffices.
         let idx = m.register(ContainerId(3), Bytes::gib(3), t(2)).unwrap();
         assert_eq!(idx, 0, "fallback lands on the emptiest device");
         assert_eq!(m.open_containers(), 3);
+        m.check_invariants().unwrap();
+    }
+
+    /// An adoption's committed budget must land whole: a device that
+    /// cannot back it now is passed over for one that can.
+    #[test]
+    fn adoption_passes_over_a_device_that_cannot_back_the_budget() {
+        let mut m = two_gpu(PlacementPolicy::RoundRobin);
+        m.register(ContainerId(1), Bytes::gib(4), t(0)).unwrap(); // dev 0
+        m.register(ContainerId(2), Bytes::gib(1), t(1)).unwrap(); // dev 1
+                                                                  // Round robin picks device 0 next, where under 1 GiB is left.
+        let used = Bytes::gib(2);
+        assert_eq!(m.adopt(ContainerId(3), Bytes::gib(2), used, t(2)), Ok(1));
+        assert_eq!(m.shards()[1].container(ContainerId(3)).unwrap().used, used);
+        // Nowhere to back 4 GiB: the last device's refusal is the answer.
+        assert!(matches!(
+            m.adopt(ContainerId(4), Bytes::gib(4), Bytes::gib(4), t(3)),
+            Err(SchedError::AdoptionOverCommit { .. })
+        ));
+        assert_eq!(m.home_of(ContainerId(4)), None);
         m.check_invariants().unwrap();
     }
 
@@ -329,7 +614,8 @@ mod tests {
         m.register(ContainerId(2), Bytes::gib(4), t(0)).unwrap(); // dev 1
         m.register(ContainerId(3), Bytes::gib(4), t(0)).unwrap(); // dev 0
         m.register(ContainerId(4), Bytes::gib(4), t(0)).unwrap(); // dev 1
-                                                                  // Saturate both devices, then suspend one container on each.
+
+        // Saturate both devices, then suspend one container on each.
         for (c, pid) in [(1u64, 10u64), (2, 20)] {
             let (out, _) = m
                 .alloc_request(ContainerId(c), pid, Bytes::gib(4), ApiKind::Malloc, t(1))
@@ -356,6 +642,127 @@ mod tests {
         assert_eq!(resumed.len(), 1);
         assert_eq!(resumed[0].ticket, t1);
         m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn tags_round_trip_at_the_edges() {
+        for device in [0, 1, 255] {
+            let tagged = tag(device, 7);
+            assert_eq!((tagged >> DEVICE_TICKET_SHIFT) as usize, device);
+            assert_eq!(tagged ^ tag(device, 0), 7, "raw ticket survives");
+        }
+        // Device 0 leaves a ticket untouched.
+        assert_eq!(tag(0, 9), 9);
+        assert_eq!(tag(255, 1), 0x00FF_0000_0000_0001);
+    }
+
+    #[test]
+    #[should_panic(expected = "already carries a device tag")]
+    #[cfg(debug_assertions)]
+    fn tagging_a_tagged_ticket_is_a_bug() {
+        tag(1, tag(1, 5));
+    }
+
+    #[test]
+    fn a_full_lane_of_devices_is_accepted() {
+        let m = MultiGpuScheduler::new(
+            &vec![Bytes::gib(1); MultiGpuScheduler::MAX_DEVICES],
+            PolicyKind::Fifo,
+            PlacementPolicy::RoundRobin,
+            0,
+        );
+        assert_eq!(m.shards().len(), 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 devices do not fit the ticket's device lane")]
+    fn one_device_past_the_lane_is_refused() {
+        MultiGpuScheduler::new(
+            &vec![Bytes::gib(1); MultiGpuScheduler::MAX_DEVICES + 1],
+            PolicyKind::Fifo,
+            PlacementPolicy::RoundRobin,
+            0,
+        );
+    }
+
+    /// The placement hint is what the device will charge, not a guess: a
+    /// config that does not charge the context overhead admits a limit
+    /// equal to the device, as the device itself does.
+    #[test]
+    fn placement_asks_the_device_what_it_charges() {
+        let cfg = SchedulerConfig {
+            charge_ctx_overhead: false,
+            ..SchedulerConfig::with_capacity(Bytes::gib(1))
+        };
+        let t = SimTime::from_secs(0);
+        let mut single = Scheduler::new(cfg.clone(), PolicyKind::Fifo.build(0));
+        assert!(single.register(ContainerId(1), Bytes::gib(1), t).is_ok());
+
+        // Round-robin's pick (device 0) can host exactly 1 GiB here; a
+        // fixed `limit + 66 MiB` hint would skip it for device 1.
+        let mut multi = MultiGpuScheduler::with_config(
+            cfg,
+            &[Bytes::gib(1), Bytes::mib(1094)],
+            PolicyKind::Fifo,
+            PlacementPolicy::RoundRobin,
+            0,
+        );
+        assert_eq!(multi.register(ContainerId(1), Bytes::gib(1), t), Ok(0));
+
+        // And a different overhead is honoured too.
+        let cfg = SchedulerConfig {
+            ctx_overhead: Bytes::mib(200),
+            ..SchedulerConfig::with_capacity(Bytes::gib(1))
+        };
+        let mut multi = MultiGpuScheduler::with_config(
+            cfg,
+            &[Bytes::gib(1), Bytes::gib(2)],
+            PolicyKind::Fifo,
+            PlacementPolicy::RoundRobin,
+            0,
+        );
+        assert_eq!(multi.register(ContainerId(1), Bytes::mib(900), t), Ok(1));
+    }
+
+    /// Each device writes its series under its own `device` label, and a
+    /// close retires only the closing container's series on its device.
+    #[test]
+    fn a_close_retires_the_container_series_of_its_own_device() {
+        let registry = Arc::new(Registry::new());
+        let mut m = two_gpu(PlacementPolicy::RoundRobin);
+        m.attach_obs(SchedObs::new(
+            Arc::clone(&registry),
+            Arc::new(Tracer::new()),
+        ));
+        m.register(ContainerId(1), Bytes::gib(1), t(0)).unwrap(); // dev 0
+        m.register(ContainerId(2), Bytes::gib(1), t(1)).unwrap(); // dev 1
+        m.alloc_request(ContainerId(1), 1, Bytes::gib(1), ApiKind::Malloc, t(2))
+            .unwrap();
+        m.alloc_request(ContainerId(2), 2, Bytes::gib(1), ApiKind::Malloc, t(2))
+            .unwrap();
+        let series_of = |c: ContainerId, device: &str| {
+            let (c, snap) = (c.to_string(), registry.snapshot());
+            let labels = [
+                ("container".to_string(), c),
+                ("device".into(), device.into()),
+            ];
+            let n = snap.series.keys().filter(|k| k.labels == labels).count();
+            n
+        };
+        assert_eq!(series_of(ContainerId(1), "0"), 4, "four gauges");
+        assert_eq!(series_of(ContainerId(2), "1"), 4);
+        m.container_close(ContainerId(1), t(3)).unwrap();
+        assert_eq!(series_of(ContainerId(1), "0"), 0, "retired at close");
+        assert_eq!(
+            series_of(ContainerId(2), "1"),
+            4,
+            "a bystander keeps its series"
+        );
+        let placed = registry.snapshot().counter(
+            "convgpu_sched_placement_total",
+            &[("placement", "round-robin"), ("device", "1")],
+        );
+        assert_eq!(placed, Some(1));
     }
 
     #[test]

@@ -108,13 +108,13 @@ fn parse_policy(s: &str) -> Option<PolicyKind> {
     }
 }
 
-/// A `--devices=` count: at least one, and no more than a ticket lane
-/// can name (device 256's tag would be node 1's).
+/// A `--devices=` count: at least one, and no more than the ticket's
+/// one-byte device lane can name.
 fn parse_devices(s: &str) -> Option<u32> {
-    use convgpu::scheduler::sharded::TicketLane;
+    use convgpu::scheduler::multi_gpu::MultiGpuScheduler;
     s.parse()
         .ok()
-        .filter(|&n| n > 0 && n as usize <= TicketLane::MAX_SHARDS)
+        .filter(|&n| n > 0 && n as usize <= MultiGpuScheduler::MAX_DEVICES)
 }
 
 fn parse_type(s: &str) -> Option<ContainerType> {

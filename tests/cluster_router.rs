@@ -1,6 +1,6 @@
 //! Cluster-grade acceptance battery for the routed two-node topology.
 //!
-//! Six properties the distributed mode must hold:
+//! Four properties the distributed mode must hold:
 //!
 //! * **Golden routed trace** — a fixed two-node scenario produces, on
 //!   node 0's span ring, exactly the tree checked in at
@@ -11,13 +11,6 @@
 //!   *bit-for-bit* the trace a standalone single-device daemon emits
 //!   for the same sub-workload: routing adds no scheduler-visible
 //!   behavior to a healthy node.
-//! * **Ticket canonicality** — the in-process cluster scheduler's
-//!   node-0 tickets equal the plain single-device scheduler's tickets
-//!   bit for bit (the node tag at bit [`NODE_TICKET_SHIFT`] is zero for
-//!   node 0), and node-1 tickets carry tag 1.
-//! * **Migrated-ticket canonicality** — after a container migrates, its
-//!   suspension tickets carry the *adoptive* node's tag and the adoptive
-//!   node's own canonical sequence numbers, bit for bit.
 //! * **Golden migration trace** — a scripted drain produces, on the
 //!   adoptive node's span ring, exactly the tree checked in at
 //!   `tests/golden/cluster_migration_routed.trace`: the migrated
@@ -30,8 +23,8 @@
 //!   the surviving node.
 //!
 //! Everything here runs with the router's write-ahead journal *off*:
-//! these goldens and ticket bit-equalities double as the proof that the
-//! journal is opt-in and invisible when disabled. The durability half
+//! these goldens double as the proof that the journal is opt-in and
+//! invisible when disabled. The durability half
 //! (kill -9 the router, replay the journal, migrate with pre-restart
 //! checkpoints) lives in `tests/journal_recovery.rs`.
 
@@ -43,11 +36,8 @@ use convgpu::ipc::transport::EndpointAddr;
 use convgpu::middleware::router::{ClusterRouter, NodeServer, RouterConfig};
 use convgpu::middleware::NodeHealth;
 use convgpu::obs::render_canonical;
-use convgpu::scheduler::backend::{SchedulerBackend, TopologyBackend};
-use convgpu::scheduler::cluster::{
-    ClusterNode, ClusterScheduler, SwarmStrategy, NODE_TICKET_SHIFT,
-};
-use convgpu::scheduler::core::{AllocOutcome, Scheduler, SchedulerConfig};
+use convgpu::scheduler::backend::TopologyBackend;
+use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
 use convgpu::sim::clock::{RealClock, VirtualClock};
 use convgpu::sim::ids::ContainerId;
@@ -416,203 +406,6 @@ fn node0_trace_matches_standalone_single_device_daemon() {
     assert_eq!(
         routed, solo,
         "routing must add no scheduler-visible behavior on a healthy node"
-    );
-}
-
-#[test]
-fn node0_tickets_bit_identical_to_single_device() {
-    let cap = Bytes::mib(NODE_CAP_MIB);
-    let mk_node = |name: &str| {
-        ClusterNode::with_config(
-            name,
-            SchedulerConfig::with_capacity(cap),
-            &[cap],
-            PolicyKind::Fifo,
-            POLICY_SEED,
-        )
-    };
-    let mut cluster = ClusterScheduler::new(
-        vec![mk_node("n0"), mk_node("n1")],
-        SwarmStrategy::Spread,
-        42,
-    );
-    let mut single = Scheduler::new(
-        SchedulerConfig::with_capacity(cap),
-        PolicyKind::Fifo.build(POLICY_SEED),
-    );
-    let (c1, c2, c3, c4) = (
-        ContainerId(1),
-        ContainerId(2),
-        ContainerId(3),
-        ContainerId(4),
-    );
-
-    assert_eq!(cluster.register(c1, Bytes::mib(800), ms(1)).unwrap(), 0);
-    single.register(c1, Bytes::mib(800), ms(1)).unwrap();
-    assert_eq!(cluster.register(c2, Bytes::mib(800), ms(2)).unwrap(), 1);
-    assert_eq!(cluster.register(c3, Bytes::mib(800), ms(3)).unwrap(), 0);
-    single.register(c3, Bytes::mib(800), ms(3)).unwrap();
-    assert_eq!(cluster.register(c4, Bytes::mib(800), ms(4)).unwrap(), 1);
-
-    // First allocation on each node fits; the second suspends.
-    let (out_c, _) = cluster
-        .alloc_request(c1, 11, Bytes::mib(700), ApiKind::Malloc, ms(5))
-        .unwrap();
-    let (out_s, _) = single
-        .alloc_request(c1, 11, Bytes::mib(700), ApiKind::Malloc, ms(5))
-        .unwrap();
-    assert_eq!(out_c, AllocOutcome::Granted);
-    assert_eq!(out_c, out_s);
-    cluster
-        .alloc_done(c1, 11, 0xA, Bytes::mib(700), ms(5))
-        .unwrap();
-    single
-        .alloc_done(c1, 11, 0xA, Bytes::mib(700), ms(5))
-        .unwrap();
-
-    let (out_c, _) = cluster
-        .alloc_request(c3, 33, Bytes::mib(700), ApiKind::Malloc, ms(6))
-        .unwrap();
-    let (out_s, _) = single
-        .alloc_request(c3, 33, Bytes::mib(700), ApiKind::Malloc, ms(6))
-        .unwrap();
-    let node0_ticket = match (out_c, out_s) {
-        (AllocOutcome::Suspended { ticket: tc }, AllocOutcome::Suspended { ticket: ts }) => {
-            assert_eq!(
-                tc, ts,
-                "node-0 ticket must be bit-identical to single-device"
-            );
-            assert_eq!(tc >> NODE_TICKET_SHIFT, 0, "node 0 carries tag 0");
-            tc
-        }
-        other => panic!("expected suspensions on both schedulers, got {other:?}"),
-    };
-
-    // The same pressure on node 1 yields the same sequence number but
-    // the node tag in the top byte.
-    let (out, _) = cluster
-        .alloc_request(c2, 22, Bytes::mib(700), ApiKind::Malloc, ms(7))
-        .unwrap();
-    assert_eq!(out, AllocOutcome::Granted);
-    cluster
-        .alloc_done(c2, 22, 0xB, Bytes::mib(700), ms(7))
-        .unwrap();
-    let (out, _) = cluster
-        .alloc_request(c4, 44, Bytes::mib(700), ApiKind::Malloc, ms(8))
-        .unwrap();
-    match out {
-        AllocOutcome::Suspended { ticket } => {
-            assert_eq!(ticket >> NODE_TICKET_SHIFT, 1, "node 1 carries tag 1");
-            assert_eq!(
-                ticket & ((1u64 << NODE_TICKET_SHIFT) - 1),
-                node0_ticket,
-                "per-node ticket sequences are independent and identical"
-            );
-        }
-        other => panic!("expected a suspension on node 1, got {other:?}"),
-    }
-
-    // Closing the granted container resumes the parked one with the
-    // same ticket and decision on both schedulers.
-    let actions_c = cluster.container_close(c1, ms(9)).unwrap();
-    let actions_s = single.container_close(c1, ms(9)).unwrap();
-    assert_eq!(
-        actions_c, actions_s,
-        "resume actions must match bit for bit"
-    );
-    assert_eq!(actions_c.len(), 1);
-    assert_eq!(actions_c[0].ticket, node0_ticket);
-}
-
-/// After a migration, the container's suspension tickets must be
-/// canonical on the *adoptive* node: node tag from the new home, low
-/// bits from the new node's own sequence — bit-identical to what a
-/// plain single-device scheduler issues for the same sub-workload.
-#[test]
-fn migrated_container_tickets_carry_adoptive_node_tag() {
-    let cap = Bytes::mib(NODE_CAP_MIB);
-    let mk_node = |name: &str| {
-        ClusterNode::with_config(
-            name,
-            SchedulerConfig::with_capacity(cap),
-            &[cap],
-            PolicyKind::Fifo,
-            POLICY_SEED,
-        )
-    };
-    let mut cluster = ClusterScheduler::new(
-        vec![mk_node("n0"), mk_node("n1")],
-        SwarmStrategy::Spread,
-        42,
-    );
-    // The single-device mirror of node 1's eventual workload: c2 native,
-    // c1 arriving later (the migration is, to the adoptive scheduler, a
-    // plain admission with carried budget — zero here, c1 is idle).
-    let mut single = Scheduler::new(
-        SchedulerConfig::with_capacity(cap),
-        PolicyKind::Fifo.build(POLICY_SEED),
-    );
-    let (c1, c2) = (ContainerId(1), ContainerId(2));
-
-    assert_eq!(cluster.register(c1, Bytes::mib(800), ms(1)).unwrap(), 0);
-    assert_eq!(cluster.register(c2, Bytes::mib(800), ms(2)).unwrap(), 1);
-    single.register(c2, Bytes::mib(800), ms(2)).unwrap();
-
-    // Pressure on node 1 before the migration.
-    let (out, _) = cluster
-        .alloc_request(c2, 22, Bytes::mib(700), ApiKind::Malloc, ms(3))
-        .unwrap();
-    assert_eq!(out, AllocOutcome::Granted);
-    cluster
-        .alloc_done(c2, 22, 0xB, Bytes::mib(700), ms(3))
-        .unwrap();
-    let (out, _) = single
-        .alloc_request(c2, 22, Bytes::mib(700), ApiKind::Malloc, ms(3))
-        .unwrap();
-    assert_eq!(out, AllocOutcome::Granted);
-    single
-        .alloc_done(c2, 22, 0xB, Bytes::mib(700), ms(3))
-        .unwrap();
-
-    // Node 0 dies; c1 (idle, so zero carried budget) re-homes on node 1.
-    let (moves, actions) = cluster.migrate_node(0, ms(4));
-    assert_eq!(moves.len(), 1);
-    assert_eq!(moves[0].container, c1);
-    assert_eq!(moves[0].to, Some(1), "c1 must adopt onto node 1: {moves:?}");
-    assert!(actions.is_empty(), "idle source close resumes nothing");
-    single.register(c1, Bytes::mib(800), ms(4)).unwrap();
-
-    // The migrated container's first suspension: adoptive node tag in
-    // the top byte, the adoptive node's own sequence in the low bits.
-    let (out_c, _) = cluster
-        .alloc_request(c1, 11, Bytes::mib(700), ApiKind::Malloc, ms(5))
-        .unwrap();
-    let (out_s, _) = single
-        .alloc_request(c1, 11, Bytes::mib(700), ApiKind::Malloc, ms(5))
-        .unwrap();
-    match (out_c, out_s) {
-        (AllocOutcome::Suspended { ticket: tc }, AllocOutcome::Suspended { ticket: ts }) => {
-            assert_eq!(tc >> NODE_TICKET_SHIFT, 1, "post-move tickets carry tag 1");
-            assert_eq!(
-                tc & ((1u64 << NODE_TICKET_SHIFT) - 1),
-                ts,
-                "post-move ticket sequence must be the adoptive node's own"
-            );
-        }
-        other => panic!("expected suspensions on both schedulers, got {other:?}"),
-    }
-
-    // Resume parity: freeing c2's budget resumes c1 with the same
-    // (untagged) action on both schedulers.
-    let actions_c = cluster.container_close(c2, ms(6)).unwrap();
-    let actions_s = single.container_close(c2, ms(6)).unwrap();
-    assert_eq!(actions_c.len(), 1);
-    assert_eq!(actions_s.len(), 1);
-    assert_eq!(actions_c[0].ticket >> NODE_TICKET_SHIFT, 1);
-    assert_eq!(
-        actions_c[0].ticket & ((1u64 << NODE_TICKET_SHIFT) - 1),
-        actions_s[0].ticket,
-        "resume actions must match the adoptive node bit for bit"
     );
 }
 

@@ -13,10 +13,9 @@
 
 use convgpu::gpu::memory::{AddressSpaceAllocator, DevicePtr, PagedAllocator};
 use convgpu::ipc::message::{AllocDecision, ApiKind};
-use convgpu::scheduler::backend::{Placement, SchedulerBackend, TopologyBackend};
-use convgpu::scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
+use convgpu::scheduler::backend::{SchedulerBackend, TopologyBackend};
 use convgpu::scheduler::core::{AllocOutcome, ResumeAction, Scheduler, SchedulerConfig};
-use convgpu::scheduler::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
+use convgpu::scheduler::multi_gpu::{DeviceIndex, MultiGpuScheduler, PlacementPolicy};
 use convgpu::scheduler::policy::PolicyKind;
 use convgpu::scheduler::state::ResumeRule;
 use convgpu::sim::ids::ContainerId;
@@ -87,15 +86,15 @@ fn render_actions(actions: &[ResumeAction]) -> String {
 
 /// Apply one generated op to any topology through the backend trait and
 /// render what came back: the outcome (tickets in hex), the resume
-/// actions' tickets and decisions, and — for a registration — where the
-/// container landed. `Err` only when a call the driver is entitled to
+/// actions' tickets and decisions, and — for a registration — the device
+/// the container landed on. `Err` only when a call the driver is entitled to
 /// (`alloc_done` after a grant) is refused.
 fn apply_op<B: SchedulerBackend>(
     b: &mut B,
     d: &mut OpDriver,
     op: &Op,
     now: SimTime,
-) -> Result<(String, Option<Placement>), String> {
+) -> Result<(String, Option<DeviceIndex>), String> {
     Ok(match *op {
         Op::Register { id, limit_mib } => {
             let c = ContainerId(u64::from(id));
@@ -189,9 +188,9 @@ fn apply_op<B: SchedulerBackend>(
 
 /// Whatever sequence of (possibly nonsensical) operations arrives, the
 /// full invariant oracle holds after every one, and the scheduler never
-/// panics — and a one-device multi-GPU scheduler and a one-node,
-/// one-device cluster are the single-device scheduler: identical
-/// outcomes, tickets, resume actions and `mem_info` at every step.
+/// panics — and a one-device multi-GPU scheduler is the single-device
+/// scheduler: identical outcomes, tickets, resume actions and `mem_info`
+/// at every step.
 #[test]
 fn scheduler_invariants_hold_under_arbitrary_ops() {
     prop::cases("scheduler_invariants_hold_under_arbitrary_ops").run(|rng| {
@@ -200,32 +199,21 @@ fn scheduler_invariants_hold_under_arbitrary_ops() {
         let cap = Bytes::mib(4096);
         let mut sched = Scheduler::new(SchedulerConfig::with_capacity(cap), policy.build(7));
         let mut one_device = MultiGpuScheduler::new(&[cap], policy, PlacementPolicy::RoundRobin, 7);
-        let mut one_node = ClusterScheduler::new(
-            vec![ClusterNode::new("n0", &[cap], policy, 7)],
-            SwarmStrategy::Spread,
-            7,
-        );
-        let mut drivers: [OpDriver; 3] = Default::default();
+        let mut drivers: [OpDriver; 2] = Default::default();
         for t in 1..=n_ops {
             let now = SimTime::from_secs(t);
             let op = gen_op(rng);
             let (want, _) = apply_op(&mut sched, &mut drivers[0], &op, now)?;
             let (multi, _) = apply_op(&mut one_device, &mut drivers[1], &op, now)?;
-            let (cluster, _) = apply_op(&mut one_node, &mut drivers[2], &op, now)?;
             ensure!(
                 multi == want,
                 "t={t}: one-device multi-GPU `{multi}` != `{want}`"
-            );
-            ensure!(
-                cluster == want,
-                "t={t}: one-node cluster `{cluster}` != `{want}`"
             );
             for id in 0..6 {
                 let c = ContainerId(id);
                 let want = sched.mem_info(c, 0);
                 ensure!(
-                    SchedulerBackend::mem_info(&one_device, c, 0) == want
-                        && SchedulerBackend::mem_info(&one_node, c, 0) == want,
+                    SchedulerBackend::mem_info(&one_device, c, 0) == want,
                     "t={t}: mem_info({c}) diverged from {want:?}"
                 );
             }
@@ -234,8 +222,6 @@ fn scheduler_invariants_hold_under_arbitrary_ops() {
             }
             SchedulerBackend::check_invariants(&one_device)
                 .map_err(|e| format!("multi-GPU invariant violated at t={t}: {e}"))?;
-            SchedulerBackend::check_invariants(&one_node)
-                .map_err(|e| format!("cluster invariant violated at t={t}: {e}"))?;
             ensure!(sched.total_assigned() <= cap, "over-commit at t={t}");
         }
         Ok(())
@@ -244,8 +230,7 @@ fn scheduler_invariants_hold_under_arbitrary_ops() {
 
 /// One combination of the decision golden: a 72-op `gen_op` stream (three
 /// generations of six container ids, so late registrations meet a loaded
-/// topology), an `adopt` of a fresh id every twelfth step, and — for the
-/// cluster — node 0 drained mid-stream.
+/// topology) and an `adopt` of a fresh id every twelfth step.
 fn render_decisions(label: &str, mut b: TopologyBackend, seed: u64, out: &mut String) {
     use std::fmt::Write;
     let mut rng = DetRng::seed_from_u64(seed);
@@ -259,7 +244,7 @@ fn render_decisions(label: &str, mut b: TopologyBackend, seed: u64, out: &mut St
             let limit = Bytes::mib(rng.range_inclusive(64, 2047));
             let used = Bytes::mib(rng.range_inclusive(0, limit.as_u64() >> 22));
             match b.adopt(c, limit, used, now) {
-                Ok(p) => format!("adopt {c} {limit} used {used} -> ok @{}", p.label()),
+                Ok(device) => format!("adopt {c} {limit} used {used} -> ok @{device}"),
                 Err(e) => format!("adopt {c} {limit} used {used} -> {e:?}"),
             }
         } else {
@@ -283,52 +268,28 @@ fn render_decisions(label: &str, mut b: TopologyBackend, seed: u64, out: &mut St
             }
             let (line, placed) = apply_op(&mut b, &mut d, &op, now).expect("alloc_done refused");
             match placed {
-                Some(p) => format!("{line} @{}", p.label()),
+                Some(device) => format!("{line} @{device}"),
                 None => line,
             }
         };
         writeln!(out, "{t:>2} {line} fp={:016x}", b.fingerprint()).unwrap();
-        if let (36, TopologyBackend::Cluster(cs)) = (t, &mut b) {
-            let (moves, actions) = cs.migrate_node(0, now);
-            for m in moves {
-                writeln!(
-                    out,
-                    "   migrate {} {}->{:?} {} used {}",
-                    m.container, m.from, m.to, m.limit, m.used
-                )
-                .unwrap();
-            }
-            writeln!(
-                out,
-                "   drained node 0 {} fp={:016x}",
-                render_actions(&actions),
-                b.fingerprint()
-            )
-            .unwrap();
-        }
         b.check_invariants().expect("topology invariants");
     }
     for dev in b.devices() {
         writeln!(
             out,
-            "   device {}:{} capacity {} unassigned {} open {} policy {}",
-            dev.node.as_deref().unwrap_or("-"),
-            dev.device,
-            dev.capacity,
-            dev.unassigned,
-            dev.open_containers,
-            dev.policy
+            "   device -:{} capacity {} unassigned {} open {} policy {}",
+            dev.device, dev.capacity, dev.unassigned, dev.open_containers, dev.policy
         )
         .unwrap();
     }
 }
 
 /// Every placement decision, pinned: `tests/golden/topology_decisions.golden`
-/// holds, for each policy × device placement on a two-GPU host and each
-/// policy × Swarm strategy on a two-node cluster (one node with two GPUs),
-/// what a seeded op stream got back at every step — placement label,
-/// outcome and ticket, resume actions, `fingerprint()` — and the closing
-/// `devices()` snapshot. Re-bless (an intended decision change) with
+/// holds, for each policy × device placement on a two-GPU host, what a
+/// seeded op stream got back at every step — placement, outcome and
+/// ticket, resume actions, `fingerprint()` — and the closing `devices()`
+/// snapshot. Re-bless (an intended decision change) with
 /// `UPDATE_GOLDEN=1 cargo test --test scheduler_properties`.
 #[test]
 fn topology_decisions_match_the_golden_file() {
@@ -350,25 +311,6 @@ fn topology_decisions_match_the_golden_file() {
                 seed,
             ));
             let label = format!("{}+{}", policy.label(), placement.label());
-            render_decisions(&label, b, seed, &mut got);
-        }
-    }
-    for policy in PolicyKind::ALL {
-        for strategy in [
-            SwarmStrategy::Spread,
-            SwarmStrategy::BinPack,
-            SwarmStrategy::Random,
-        ] {
-            seed += 1;
-            let b = TopologyBackend::Cluster(ClusterScheduler::new(
-                vec![
-                    ClusterNode::new("n0", &[big], policy, seed),
-                    ClusterNode::new("n1", &[small, small], policy, seed + 100),
-                ],
-                strategy,
-                seed,
-            ));
-            let label = format!("{}+{}", policy.label(), strategy.label());
             render_decisions(&label, b, seed, &mut got);
         }
     }

@@ -1,18 +1,16 @@
 //! Property tests on the simulation substrate: the event queue, time
 //! arithmetic, the stream engine, byte-size parsing, and the cluster
-//! dispatcher — the foundations every experiment result rests on.
+//! placement function — the foundations every experiment result rests on.
 //!
 //! Runs on the deterministic harness in `convgpu_audit::prop`.
 
 use convgpu::gpu::stream::{StreamEngine, StreamId};
-use convgpu::scheduler::backend::SchedulerBackend;
-use convgpu::scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
-use convgpu::scheduler::policy::PolicyKind;
+use convgpu::scheduler::cluster::SwarmStrategy;
 use convgpu::sim::event::EventQueue;
-use convgpu::sim::ids::ContainerId;
 use convgpu::sim::time::{SimDuration, SimTime};
 use convgpu::sim::units::Bytes;
 use convgpu_audit::prop;
+use std::cell::Cell;
 
 macro_rules! ensure {
     ($cond:expr, $($arg:tt)+) => {
@@ -114,8 +112,13 @@ fn bytes_display_parse_round_trips() {
     });
 }
 
-/// Any mix of container limits that fits *some* node is placed, and
-/// placement never violates per-node invariants, under any strategy.
+/// `SwarmStrategy::select`, the placement function of the cluster
+/// router, over random capable sets and views (small value ranges, so
+/// ties are common): the pick is a capable node, there is none exactly
+/// when nothing is capable, Spread takes the fewest open containers,
+/// BinPack the least free memory among the nodes that fit (or among all
+/// when none fits), ties go to the lowest index, and Random makes exactly
+/// one draw and takes the drawn node.
 #[test]
 fn cluster_places_every_feasible_container() {
     prop::cases("cluster_places_every_feasible_container").run(|rng| {
@@ -124,35 +127,66 @@ fn cluster_places_every_feasible_container() {
             SwarmStrategy::BinPack,
             SwarmStrategy::Random,
         ][rng.index(3)];
-        let seed = rng.next_below(100);
-        let n = rng.range_inclusive(1, 29) as usize;
-        let limits: Vec<u64> = (0..n).map(|_| rng.range_inclusive(64, 4095)).collect();
-        let mut cluster = ClusterScheduler::new(
-            vec![
-                ClusterNode::new("a", &[Bytes::gib(5)], PolicyKind::BestFit, 1),
-                ClusterNode::new(
-                    "b",
-                    &[Bytes::gib(5), Bytes::gib(16)],
-                    PolicyKind::BestFit,
-                    2,
-                ),
-            ],
-            strategy,
-            seed,
-        );
-        for (i, &mib) in limits.iter().enumerate() {
-            let id = ContainerId(i as u64 + 1);
-            let node = cluster
-                .register(id, Bytes::mib(mib), SimTime::from_secs(i as u64))
-                .map_err(|e| format!("register: {e:?}"))?;
+        let nodes = rng.range_inclusive(1, 8) as usize;
+        let free: Vec<u64> = (0..nodes).map(|_| rng.next_below(4) << 30).collect();
+        let need: Vec<Bytes> = (0..nodes).map(|_| Bytes::gib(rng.next_below(4))).collect();
+        let open: Vec<u64> = (0..nodes).map(|_| rng.next_below(3)).collect();
+        let mut capable: Vec<usize> = (0..nodes).filter(|_| rng.next_below(4) != 0).collect();
+        rng.shuffle(&mut capable);
+        let drawn = rng.next_below(64) as usize;
+        let draws = Cell::new(0);
+        let draw = |n: usize| {
+            draws.set(draws.get() + 1);
+            drawn % n
+        };
+        let pick = strategy.select(&capable, |i| need[i], |i| free[i], |i| open[i], draw);
+        let Some(pick) = pick else {
             ensure!(
-                cluster.home_of(id) == Some(node),
-                "placement record mismatch for {id}"
+                capable.is_empty(),
+                "{strategy:?} picked nothing from {capable:?}"
+            );
+            return Ok(());
+        };
+        ensure!(
+            capable.contains(&pick),
+            "{strategy:?} picked {pick} outside {capable:?}"
+        );
+        let random = strategy == SwarmStrategy::Random;
+        ensure!(
+            draws.get() == usize::from(random),
+            "{strategy:?} drew {} times",
+            draws.get()
+        );
+        // The nodes the strategy ranks, and its score: the pick must
+        // score lowest of them, and lowest-indexed among equal scores.
+        let fits: Vec<usize> = capable
+            .iter()
+            .copied()
+            .filter(|&i| free[i] >= need[i].as_u64())
+            .collect();
+        let (ranked, score): (&[usize], &dyn Fn(usize) -> u64) = match strategy {
+            SwarmStrategy::Spread => (&capable, &|i| open[i]),
+            SwarmStrategy::BinPack if fits.is_empty() => (&capable, &|i| free[i]),
+            SwarmStrategy::BinPack => (&fits, &|i| free[i]),
+            SwarmStrategy::Random => {
+                ensure!(
+                    pick == capable[drawn % capable.len()],
+                    "Random took {pick}, not the drawn node"
+                );
+                return Ok(());
+            }
+        };
+        ensure!(
+            ranked.contains(&pick),
+            "{strategy:?} picked {pick} outside {ranked:?}"
+        );
+        for &i in ranked {
+            ensure!(
+                (score(pick), pick) <= (score(i), i),
+                "{strategy:?} picked {pick} over {i} (free {free:?}, open {open:?}, need {need:?})"
             );
         }
-        cluster
-            .check_invariants()
-            .map_err(|e| format!("cluster invariant: {e:?}"))
+        Ok(())
     });
 }
 

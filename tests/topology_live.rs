@@ -1,15 +1,13 @@
-//! Live-socket integration for the topology backends: the multi-GPU and
-//! cluster schedulers served over the real IPC stack, in both wire
-//! codecs.
+//! Live-socket integration for the topology backends: the multi-GPU
+//! scheduler served over the real IPC stack, in both wire codecs.
 //!
-//! Each scenario drives register → alloc → suspend → close → resume
+//! The scenario drives register → alloc → suspend → close → resume
 //! across two devices through a real UNIX socket, and reads the
 //! topology back over the wire (`query_topology` / `query_home`).
 
 use convgpu::middleware::handler::ServiceHandler;
 use convgpu::middleware::service::SchedulerService;
 use convgpu::scheduler::backend::TopologyBackend;
-use convgpu::scheduler::cluster::{ClusterNode, ClusterScheduler, SwarmStrategy};
 use convgpu::scheduler::core::SchedulerConfig;
 use convgpu::scheduler::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 use convgpu::scheduler::policy::PolicyKind;
@@ -31,30 +29,6 @@ fn multi_gpu_backend() -> TopologyBackend {
         &[Bytes::gib(1), Bytes::gib(1)],
         PolicyKind::Fifo,
         PlacementPolicy::RoundRobin,
-        0xC0DE,
-    ))
-}
-
-/// Two single-GPU nodes under a Swarm Spread strategy.
-fn cluster_backend() -> TopologyBackend {
-    TopologyBackend::Cluster(ClusterScheduler::new(
-        vec![
-            ClusterNode::with_config(
-                "n0",
-                SchedulerConfig::with_capacity(Bytes::gib(1)),
-                &[Bytes::gib(1)],
-                PolicyKind::Fifo,
-                1,
-            ),
-            ClusterNode::with_config(
-                "n1",
-                SchedulerConfig::with_capacity(Bytes::gib(1)),
-                &[Bytes::gib(1)],
-                PolicyKind::Fifo,
-                2,
-            ),
-        ],
-        SwarmStrategy::Spread,
         0xC0DE,
     ))
 }
@@ -84,15 +58,12 @@ fn stack(
     (server, client, svc)
 }
 
-/// The common scenario: three containers, deterministic placement that
-/// homes c1 and c3 together and c2 alone, contention on the shared
-/// device resolved by closing c1 while c2's device stays responsive.
-fn drive_lifecycle(
-    server: SocketServer,
-    client: SchedulerClient,
-    svc: Arc<SchedulerService>,
-    home: impl Fn(usize) -> (String, u64),
-) {
+/// The scenario: three containers, deterministic placement that homes c1
+/// and c3 together and c2 alone, contention on the shared device resolved
+/// by closing c1 while c2's device stays responsive.
+fn drive_lifecycle(server: SocketServer, client: SchedulerClient, svc: Arc<SchedulerService>) {
+    // Host-local devices carry no node name on the wire.
+    let home = |device: u64| (String::new(), device);
     let c1 = ContainerId(1);
     let c2 = ContainerId(2);
     let c3 = ContainerId(3);
@@ -103,8 +74,8 @@ fn drive_lifecycle(
     client.register(c2, limit).unwrap();
     client.register(c3, limit).unwrap();
 
-    // Placement is deterministic for round-robin and Spread alike:
-    // c1 and c3 share the first device, c2 owns the second.
+    // Round-robin placement is deterministic: c1 and c3 share the first
+    // device, c2 owns the second.
     assert_eq!(client.query_home(c1).unwrap(), home(0));
     assert_eq!(client.query_home(c2).unwrap(), home(1));
     assert_eq!(client.query_home(c3).unwrap(), home(0));
@@ -112,7 +83,7 @@ fn drive_lifecycle(
     let (_kind, devices) = client.query_topology().unwrap();
     assert_eq!(devices.len(), 2);
     for (i, d) in devices.iter().enumerate() {
-        let (node, device) = home(i);
+        let (node, device) = home(i as u64);
         assert_eq!(d.node, node);
         assert_eq!(d.device, device);
         assert_eq!(d.capacity, Bytes::gib(1));
@@ -182,18 +153,7 @@ fn multi_gpu_lifecycle_over_live_socket_both_codecs() {
         let (server, client, svc) = stack(&format!("mg-{codec:?}"), multi_gpu_backend(), codec);
         let (kind, _) = client.query_topology().unwrap();
         assert_eq!(kind, "multi-gpu");
-        // Host-local devices carry no node name on the wire.
-        drive_lifecycle(server, client, svc, |i| (String::new(), i as u64));
-    }
-}
-
-#[test]
-fn cluster_lifecycle_over_live_socket_both_codecs() {
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        let (server, client, svc) = stack(&format!("cl-{codec:?}"), cluster_backend(), codec);
-        let (kind, _) = client.query_topology().unwrap();
-        assert_eq!(kind, "cluster");
-        drive_lifecycle(server, client, svc, |i| (format!("n{i}"), 0));
+        drive_lifecycle(server, client, svc);
     }
 }
 
@@ -223,8 +183,8 @@ fn single_topology_answers_queries_too() {
     assert!(ep.query_home(ContainerId(10)).is_err());
 }
 
-/// A device count a ticket lane cannot name (device 256's tag would be
-/// node 1's) is the CLI's usage error, not a panic or a silent collision.
+/// A device count the ticket's one-byte device lane cannot name is the
+/// CLI's usage error, not a panic or a silent collision.
 #[test]
 fn cli_refuses_more_devices_than_a_ticket_lane_names() {
     for args in [
