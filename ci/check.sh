@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, tests, the repo linter, and the
-# bounded model checker. Everything runs offline against the committed
-# tree; any failure fails the script.
+# Full local gate: formatting, lints (clippy.toml and the crate-root
+# attributes; docs/LINT.md), tests (the lock-order analysis is
+# tests/lint_corpus.rs), and the bounded model checker. Everything runs
+# offline against the committed tree; any failure fails the script.
 #
 #   ./ci/check.sh          # full gate (release-mode model check)
 #   QUICK=1 ./ci/check.sh  # smaller model-check sweep for fast iteration
@@ -11,7 +12,7 @@
 #                   and the perf-trend gate (e.g. on loaded machines)
 #   ARTIFACT_DIR=d  keep artifacts (chrome trace, BENCH_3.json,
 #                   BENCH_4.json, BENCH_7.json, BENCH_8.json,
-#                   BENCH_9.json, lint-findings.txt) under d
+#                   BENCH_9.json) under d
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,8 +30,8 @@ fi
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
-step "cargo clippy (deny warnings)"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+step "cargo clippy (deny warnings, forbid unsafe code)"
+cargo clippy --offline --workspace --all-targets -- -D warnings -F unsafe_code
 
 step "cargo build (RUSTFLAGS=-Dwarnings)"
 RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
@@ -48,12 +49,6 @@ cargo run --offline -q --release --bin convgpu-cli -- trace --out="$artifact"
 # artifact landed, is non-empty, and contains trace events.
 [[ -s "$artifact" ]] || { echo "trace artifact missing or empty: $artifact"; exit 1; }
 grep -q '"ph"' "$artifact" || { echo "trace artifact has no events: $artifact"; exit 1; }
-
-step "convgpu-lint (workspace analyzer, docs/LINT.md)"
-# Hard gate: any finding exits non-zero. The findings (or the clean
-# summary line) land in the artifact dir for CI upload; pipefail keeps
-# the lint exit code authoritative through the tee.
-cargo run --offline -q --bin convgpu-lint | tee "$ARTIFACT_DIR/lint-findings.txt"
 
 step "transport matrix (same batteries over TCP loopback)"
 # `cargo test --workspace` above already ran every root suite on the

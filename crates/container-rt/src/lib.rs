@@ -19,6 +19,9 @@
 //! the Fig. 5 container-creation experiment has a realistic baseline.
 
 #![forbid(unsafe_code)]
+// Simulated time comes from SimClock: std::time::Instant / SystemTime are
+// banned here by clippy.toml (docs/LINT.md).
+#![deny(clippy::disallowed_types)]
 
 pub mod container;
 pub mod engine;

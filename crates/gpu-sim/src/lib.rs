@@ -22,6 +22,9 @@
 //! `LD_PRELOAD` interposes on the real shared library.
 
 #![forbid(unsafe_code)]
+// Simulated time comes from SimClock: std::time::Instant / SystemTime are
+// banned here by clippy.toml (docs/LINT.md).
+#![deny(clippy::disallowed_types)]
 
 pub mod api;
 pub mod context;

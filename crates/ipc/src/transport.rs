@@ -5,9 +5,11 @@
 //! cluster mode needs the same wire protocol across machines. This module
 //! is the single place that constructs OS-level streams — an enum-dispatch
 //! mirror of `TopologyBackend`, not a trait object, so the hot path stays
-//! a direct match with no vtable. The `raw-transport` lint freezes the
-//! boundary: `UnixStream` / `UnixListener` / `TcpStream` / `TcpListener`
-//! may be named nowhere else in the workspace.
+//! a direct match with no vtable. clippy.toml freezes the boundary: the
+//! `UnixStream` / `UnixListener` / `TcpStream` / `TcpListener`
+//! constructors are disallowed methods everywhere else in the workspace,
+//! tests included, and [`Conn::connect_raw`] and [`TransportListener::bind`]
+//! are their only callers.
 //!
 //! Endpoints are written as URIs:
 //!
@@ -173,6 +175,10 @@ impl Conn {
     /// and the server's own shutdown wake-up; a raw TCP connection will
     /// be rejected by the server's handshake unless it speaks the hello
     /// itself.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the transport layer is the one place that builds sockets"
+    )]
     pub fn connect_raw(addr: &EndpointAddr) -> io::Result<Conn> {
         match addr {
             EndpointAddr::Unix(path) => Ok(Conn::Unix(UnixStream::connect(path)?)),
@@ -329,6 +335,10 @@ impl TransportListener {
     /// Bind `addr`. A UNIX bind removes a stale socket file and creates
     /// the parent directory first; a TCP bind may use port 0 and read the
     /// kernel-assigned port back via [`TransportListener::local_endpoint`].
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the transport layer is the one place that builds sockets"
+    )]
     pub fn bind(addr: &EndpointAddr) -> io::Result<TransportListener> {
         match addr {
             EndpointAddr::Unix(path) => {

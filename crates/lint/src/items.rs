@@ -1,9 +1,9 @@
 //! Brace-aware item walker over the token stream.
 //!
-//! Extracts what the analyses need from a lexed file without a full
+//! Extracts what the analysis needs from a lexed file without a full
 //! parse: function bodies (with their enclosing `impl` type), item-level
-//! `#[cfg(test)]` regions, and `lint:allow` suppression markers (line-
-//! and file-level).
+//! `#[cfg(test)]` regions, and `// lint:allow(lock-order)` suppression
+//! lines.
 
 use crate::lexer::{lex, Lexed, Tok, Token};
 use std::path::PathBuf;
@@ -19,20 +19,8 @@ pub struct FnItem {
     pub body_start: usize,
     /// Token index one past the body's `}`.
     pub body_end: usize,
-    /// Line of the `fn` keyword.
-    pub line: usize,
     /// Whole item sits in a `#[cfg(test)]` region.
     pub in_test: bool,
-}
-
-impl FnItem {
-    /// `Type::name` or bare `name`.
-    pub fn qualified(&self) -> String {
-        match &self.impl_type {
-            Some(t) => format!("{t}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
 }
 
 /// A lexed-and-walked source file.
@@ -41,13 +29,8 @@ pub struct SourceFile {
     pub rel: PathBuf,
     /// Token stream + comment trivia.
     pub lexed: Lexed,
-    /// Per-token: inside a `#[cfg(test)]` item.
-    pub in_test: Vec<bool>,
     /// Every function item found, in source order.
     pub fns: Vec<FnItem>,
-    /// Rules suppressed for the whole file (`// lint:allow(rule)`
-    /// before the first token).
-    pub file_allows: Vec<String>,
 }
 
 impl SourceFile {
@@ -56,30 +39,7 @@ impl SourceFile {
         let lexed = lex(src);
         let in_test = mark_test_regions(&lexed.tokens);
         let fns = collect_fns(&lexed.tokens, &in_test);
-        let first_code_line = lexed.tokens.first().map(|t| t.line).unwrap_or(usize::MAX);
-        let mut file_allows = Vec::new();
-        for (line, text) in &lexed.comments {
-            if *line < first_code_line {
-                collect_allow_markers(text, &mut file_allows);
-            }
-        }
-        SourceFile {
-            rel,
-            lexed,
-            in_test,
-            fns,
-            file_allows,
-        }
-    }
-
-    /// The crate this file belongs to (`crates/<name>/…`), if any.
-    pub fn crate_name(&self) -> Option<String> {
-        let mut comps = self.rel.components();
-        if comps.next()?.as_os_str() == "crates" {
-            Some(comps.next()?.as_os_str().to_string_lossy().into_owned())
-        } else {
-            None
-        }
+        SourceFile { rel, lexed, fns }
     }
 
     /// File stem (`service` for `crates/core/src/service.rs`).
@@ -90,52 +50,16 @@ impl SourceFile {
             .unwrap_or_default()
     }
 
-    /// Is `rule` suppressed at `line` — by a marker on the same line,
-    /// the line above, or a file-level marker?
-    pub fn allowed(&self, rule: &str, line: usize) -> bool {
-        if self.file_allows.iter().any(|r| r == rule) {
-            return true;
-        }
-        let marker = format!("lint:allow({rule})");
-        let near = |l: usize| self.lexed.comment_on(l).contains(&marker);
-        near(line) || (line > 1 && near(line - 1)) || multi_allow_near(self, rule, line)
+    /// Is a finding at `line` suppressed by a `// lint:allow(lock-order)`
+    /// comment on that line or the line above?
+    pub fn allowed(&self, line: usize) -> bool {
+        let near = |l: usize| self.lexed.comment_on(l).contains("lint:allow(lock-order)");
+        near(line) || (line > 1 && near(line - 1))
     }
 
     /// Tokens of a function body (inclusive of braces).
     pub fn body(&self, f: &FnItem) -> &[Token] {
         &self.lexed.tokens[f.body_start..f.body_end]
-    }
-}
-
-/// `lint:allow(a, b)` lists several rules; check the list form too.
-fn multi_allow_near(file: &SourceFile, rule: &str, line: usize) -> bool {
-    let check = |l: usize| {
-        let text = file.lexed.comment_on(l);
-        allow_list(&text).iter().any(|r| r == rule)
-    };
-    check(line) || (line > 1 && check(line - 1))
-}
-
-/// Extract every rule named by `lint:allow(…)` markers in `text`.
-fn allow_list(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    collect_allow_markers(text, &mut out);
-    out
-}
-
-/// Parse all `lint:allow(r1, r2, …)` markers in a comment's text.
-fn collect_allow_markers(text: &str, out: &mut Vec<String>) {
-    let mut rest = text;
-    while let Some(pos) = rest.find("lint:allow(") {
-        rest = &rest[pos + "lint:allow(".len()..];
-        let Some(close) = rest.find(')') else { break };
-        for rule in rest[..close].split(',') {
-            let rule = rule.trim();
-            if !rule.is_empty() {
-                out.push(rule.to_string());
-            }
-        }
-        rest = &rest[close..];
     }
 }
 
@@ -254,25 +178,17 @@ fn collect_fns(tokens: &[Token], in_test: &[bool]) -> Vec<FnItem> {
         if t.tok.is_ident("fn") {
             if let Some(Tok::Ident(name)) = tokens.get(i + 1).map(|t| &t.tok) {
                 if let Some((body_start, body_end)) = fn_body_range(tokens, i + 2) {
-                    let opens = tokens[body_start..body_end]
-                        .iter()
-                        .filter(|t| t.tok.is_punct("{"))
-                        .count() as i64;
-                    let closes = opens; // body range is brace-balanced
-                    let _ = closes;
                     fns.push(FnItem {
                         name: name.clone(),
                         impl_type: impl_stack.last().map(|(_, ty)| ty.clone()),
                         body_start,
                         body_end,
-                        line: t.line,
                         in_test: in_test[i],
                     });
-                    // Continue walking *inside* the body too? No: nested
-                    // fns/closures belong to their parent's analysis.
-                    depth += 0;
+                    // Nested fns and closures belong to their parent's
+                    // analysis; the body's braces are balanced, so the
+                    // depth is unchanged past it.
                     i = body_end;
-                    // The body's braces were consumed; depth unchanged.
                     continue;
                 }
             }
@@ -387,8 +303,19 @@ mod tests {
              impl Reply { fn send(self) { go(); } }\n\
              impl ToBinary for Request { fn encode(&self) { x(); } }\n",
         );
-        let names: Vec<String> = f.fns.iter().map(|f| f.qualified()).collect();
-        assert_eq!(names, vec!["free", "Reply::send", "Request::encode"]);
+        let names: Vec<_> = f
+            .fns
+            .iter()
+            .map(|f| (f.impl_type.as_deref(), f.name.as_str()))
+            .collect();
+        assert_eq!(
+            names,
+            vec![
+                (None, "free"),
+                (Some("Reply"), "send"),
+                (Some("Request"), "encode")
+            ]
+        );
     }
 
     #[test]
@@ -411,25 +338,18 @@ mod tests {
     }
 
     #[test]
-    fn file_level_allow() {
-        let f = parse("// lint:allow(wall-clock)\n\nfn f() {}\n");
-        assert!(f.allowed("wall-clock", 3));
-        assert!(!f.allowed("lock-unwrap", 3));
-    }
-
-    #[test]
     fn line_level_allow_same_and_previous() {
-        let f = parse("fn f() {\n // lint:allow(a, b)\n bad();\n bad();\n}\n");
-        assert!(f.allowed("a", 2));
-        assert!(f.allowed("a", 3));
-        assert!(f.allowed("b", 3));
-        assert!(!f.allowed("a", 4));
+        let f = parse("fn f() {\n // lint:allow(lock-order)\n bad();\n bad();\n}\n");
+        assert!(f.allowed(2));
+        assert!(f.allowed(3));
+        assert!(!f.allowed(4));
     }
 
     #[test]
     fn impl_with_generics_and_where() {
         let f = parse("impl<T: Clone> Envelope<T> where T: Send { fn go(&self) { x(); } }\n");
-        assert_eq!(f.fns[0].qualified(), "Envelope::go");
+        assert_eq!(f.fns[0].impl_type.as_deref(), Some("Envelope"));
+        assert_eq!(f.fns[0].name, "go");
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! A pure-`std` Rust lexer.
 //!
 //! Produces a token stream with line numbers plus a per-line comment
-//! index. Unlike the retired line scanner this handles every lexical
-//! shape that let violations hide (or phantom violations appear):
-//! nested block comments, raw strings (`r#"…"#`), byte/raw-byte
-//! strings, char literals vs. lifetimes, and numeric literals with
-//! suffixes. Comments become *trivia* — they never reach the rule
-//! matchers, but their text is kept (per line) so `lint:allow`
-//! suppression markers still work.
-
-use std::fmt;
+//! index. It handles every lexical shape that could hide a lock or a
+//! write from the analysis, or make one up: nested block comments, raw
+//! strings (`r#"…"#`), byte/raw-byte strings, char literals vs.
+//! lifetimes, and numeric literals with suffixes. Comments become
+//! *trivia* — they never reach the analysis, but their text is kept (per
+//! line) so `lint:allow(lock-order)` suppression lines still work.
 
 /// One lexical token.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,12 +15,12 @@ pub enum Tok {
     Ident(String),
     /// Lifetime (`'a`, `'static`) — distinguished from char literals.
     Lifetime(String),
-    /// Numeric literal, raw text (`48`, `0x7B`, `1_000u64`).
-    Num(String),
+    /// Numeric literal (`48`, `0x7B`, `1_000u64`, `1.5e3`).
+    Num,
     /// String literal with its *cooked* content (escapes resolved for
     /// ordinary strings, verbatim for raw strings).
     Str(String),
-    /// Char or byte literal (content irrelevant to every rule).
+    /// Char or byte literal (content irrelevant to the analysis).
     Char,
     /// Punctuation. Selected two-char operators arrive joined:
     /// `::`, `=>`, `->`, `<<`, `>>`, `&&`, `||`, `..`.
@@ -48,39 +45,6 @@ impl Tok {
     pub fn is_ident(&self, kw: &str) -> bool {
         matches!(self, Tok::Ident(s) if s == kw)
     }
-
-    /// Numeric value, if this is an integer literal (handles `_`
-    /// separators, `0x`/`0o`/`0b` prefixes, and type suffixes).
-    pub fn int_value(&self) -> Option<u64> {
-        let Tok::Num(raw) = self else { return None };
-        let s: String = raw.chars().filter(|c| *c != '_').collect();
-        let (digits, radix) = if let Some(h) = s.strip_prefix("0x") {
-            (h, 16)
-        } else if let Some(o) = s.strip_prefix("0o") {
-            (o, 8)
-        } else if let Some(b) = s.strip_prefix("0b") {
-            (b, 2)
-        } else {
-            (s.as_str(), 10)
-        };
-        let end = digits
-            .find(|c: char| !c.is_digit(radix))
-            .unwrap_or(digits.len());
-        u64::from_str_radix(&digits[..end], radix).ok()
-    }
-}
-
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Ident(s) => write!(f, "{s}"),
-            Tok::Lifetime(s) => write!(f, "'{s}"),
-            Tok::Num(s) => write!(f, "{s}"),
-            Tok::Str(_) => write!(f, "\"…\""),
-            Tok::Char => write!(f, "'…'"),
-            Tok::Punct(p) => write!(f, "{p}"),
-        }
-    }
 }
 
 /// A token plus the 1-based source line it starts on.
@@ -99,8 +63,6 @@ pub struct Lexed {
     /// Comment text per 1-based line. A block comment contributes its
     /// text to every line it spans.
     pub comments: Vec<(usize, String)>,
-    /// Number of lines the file has.
-    pub lines: usize,
 }
 
 impl Lexed {
@@ -159,7 +121,7 @@ fn is_ident_continue(b: u8) -> bool {
 
 /// Lex `src` into tokens and comment trivia. The lexer is total: any
 /// byte sequence produces *some* stream (unterminated literals run to
-/// end of file), so rules never panic on malformed input.
+/// end of file), so the analysis never panics on malformed input.
 pub fn lex(src: &str) -> Lexed {
     let mut c = Cursor {
         src: src.as_bytes(),
@@ -244,11 +206,7 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
 
-    Lexed {
-        tokens,
-        comments,
-        lines: c.line,
-    }
+    Lexed { tokens, comments }
 }
 
 /// Map a single punctuation byte to a static string.
@@ -336,8 +294,8 @@ fn lex_string_body(c: &mut Cursor<'_>) -> String {
                 Some(b'"') => out.push('"'),
                 Some(b'\n') => { /* line continuation */ }
                 Some(other) => {
-                    // \u{…}, \x.. and friends: keep raw, rules only care
-                    // about plain-ASCII names and tags.
+                    // \u{…}, \x.. and friends: keep raw, the analysis
+                    // only reads plain-ASCII names.
                     out.push('\\');
                     out.push(other as char);
                 }
@@ -488,7 +446,6 @@ fn raw_string_body(c: &mut Cursor<'_>, hashes: usize) -> String {
 /// is consumed only when followed by a digit (so `1.max(2)` and `0..n`
 /// lex as number-then-punct).
 fn lex_number(c: &mut Cursor<'_>) -> Tok {
-    let start = c.pos;
     // 0x / 0o / 0b prefix
     if c.peek() == Some(b'0')
         && matches!(
@@ -510,7 +467,7 @@ fn lex_number(c: &mut Cursor<'_>) -> Tok {
             _ => break,
         }
     }
-    Tok::Num(String::from_utf8_lossy(&c.src[start..c.pos]).into_owned())
+    Tok::Num
 }
 
 #[cfg(test)]
@@ -596,10 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn numbers_parse_with_separators_and_radix() {
-        let l = lex("const A: u64 = 1_000; const B: u8 = 0x7B; const C: u32 = 48u32;");
-        let nums: Vec<u64> = l.tokens.iter().filter_map(|t| t.tok.int_value()).collect();
-        assert_eq!(nums, vec![1000, 0x7B, 48]);
+    fn numbers_are_single_tokens() {
+        let l = lex("const A: u64 = 1_000; let b = 0x7B + 48u32 + 1.5e3; 0..n;");
+        let nums = l.tokens.iter().filter(|t| t.tok == Tok::Num).count();
+        assert_eq!(nums, 5);
+        assert!(l.tokens.iter().any(|t| t.tok.is_punct("..")));
     }
 
     #[test]

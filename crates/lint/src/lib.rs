@@ -1,89 +1,26 @@
-//! `convgpu_lint` — the workspace analyzer behind `convgpu-lint`.
+//! `convgpu_lint` — the lock-order analysis of this workspace.
 //!
-//! A pure-`std` static-analysis library: [`lexer`] turns Rust source
-//! into a token stream (comments become trivia), [`items`] walks it
-//! into function items with `impl` context and `#[cfg(test)]` regions,
-//! and [`rules`] holds the six analyses. [`run`] loads a workspace
-//! root and returns every finding after `lint:allow` suppression.
+//! rustc and clippy check the workspace's other source rules (no wall
+//! clock on the simulation path, poison-recovering locks, one transport
+//! file, no `unsafe`, no unordered scheduler loops): `clippy.toml` and the
+//! crate-root attributes state them, `docs/LINT.md` lists them. No stock
+//! lint follows lock guards through function bodies, so this crate does,
+//! on a pure-`std` token stream: `lexer` turns Rust source into tokens
+//! (comments become trivia), `items` walks them into function items
+//! with `impl` context and `#[cfg(test)]` regions, and [`run`] reports
+//! lock cycles and IPC writes under a held guard.
 //!
-//! See `docs/LINT.md` for the rule catalogue and suppression grammar.
+//! The gate is `tests/lint_corpus.rs::real_workspace_is_clean`.
 #![forbid(unsafe_code)]
 
-pub mod items;
-pub mod lexer;
-pub mod rules;
+mod items;
+mod lexer;
+mod lock_order;
 
 use items::SourceFile;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// The analyses. Names (`Rule::name`) are the stable identifiers used
-/// by `--rules`, `lint:allow(…)`, and the fixture goldens.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Rule {
-    /// `Instant::now` / `SystemTime` inside simulation-path crates.
-    WallClock,
-    /// Unordered `HashMap` iteration in the scheduler.
-    HashmapIter,
-    /// `.lock().unwrap()` / `.expect(…)` instead of the sync wrappers.
-    LockUnwrap,
-    /// Every non-wrapper crate root carries `#![forbid(unsafe_code)]`.
-    ForbidUnsafe,
-    /// Lock-acquisition cycles and IPC writes under a held guard.
-    LockOrder,
-    /// Raw socket construction outside `crates/ipc/src/transport.rs`.
-    RawTransport,
-}
-
-impl Rule {
-    /// All rules, in the order they run and report.
-    pub const ALL: [Rule; 6] = [
-        Rule::WallClock,
-        Rule::HashmapIter,
-        Rule::LockUnwrap,
-        Rule::ForbidUnsafe,
-        Rule::LockOrder,
-        Rule::RawTransport,
-    ];
-
-    /// Stable kebab-case identifier.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rule::WallClock => "wall-clock",
-            Rule::HashmapIter => "hashmap-iter",
-            Rule::LockUnwrap => "lock-unwrap",
-            Rule::ForbidUnsafe => "forbid-unsafe",
-            Rule::LockOrder => "lock-order",
-            Rule::RawTransport => "raw-transport",
-        }
-    }
-
-    /// Reverse of [`Rule::name`].
-    pub fn from_name(s: &str) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| r.name() == s)
-    }
-
-    /// One-line description for `--list-rules`.
-    pub fn describe(self) -> &'static str {
-        match self {
-            Rule::WallClock => "no Instant::now/SystemTime in simulation-path crates",
-            Rule::HashmapIter => "no order-sensitive HashMap iteration in the scheduler",
-            Rule::LockUnwrap => "no .lock().unwrap(); use convgpu_sim_core::sync wrappers",
-            Rule::ForbidUnsafe => "crate roots carry #![forbid(unsafe_code)] (wrapper exempt)",
-            Rule::LockOrder => "no lock cycles; no socket/Reply write while a guard is held",
-            Rule::RawTransport => {
-                "no raw Unix/TCP socket construction outside crates/ipc/src/transport.rs"
-            }
-        }
-    }
-}
-
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One reported violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,8 +29,6 @@ pub struct Finding {
     pub file: String,
     /// 1-based line; 0 when the finding has no single anchor line.
     pub line: usize,
-    /// The rule that fired.
-    pub rule: Rule,
     /// Human-readable explanation.
     pub message: String,
 }
@@ -102,50 +37,39 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: [{}] {}",
-            self.file, self.line, self.rule, self.message
+            "{}:{}: [lock-order] {}",
+            self.file, self.line, self.message
         )
     }
 }
 
-/// A loaded workspace: every scanned `.rs` file, parsed.
-pub struct Workspace {
-    /// Absolute root the relative paths hang off.
-    pub root: PathBuf,
-    /// Parsed source files, sorted by relative path.
-    pub files: Vec<SourceFile>,
-}
+/// Directory names never descended into: build output, the lint corpus
+/// (which deliberately contains violations; corpus runs point the root
+/// *at* a fixture), and integration tests and benches, which hold no
+/// middleware locks.
+const SKIP_DIRS: [&str; 4] = ["target", "fixtures", "tests", "benches"];
 
-/// Top-level directories scanned for Rust sources.
-const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
-
-/// Directory names never descended into. `fixtures` keeps the lint
-/// corpus (which deliberately contains violations) out of real scans —
-/// corpus runs point the root *at* a fixture, so its own `crates/` is
-/// still reached.
-const SKIP_DIRS: [&str; 2] = ["target", "fixtures"];
-
-impl Workspace {
-    /// Read and parse every scanned source under `root`.
-    pub fn load(root: &Path) -> Result<Workspace, String> {
-        let mut files = Vec::new();
-        for top in SCAN_ROOTS {
-            let dir = root.join(top);
-            if dir.is_dir() {
-                walk(root, &dir, &mut files)?;
-            }
+/// Load the modelled crates of the workspace at `root` and run the
+/// analysis. Findings come back with `// lint:allow(lock-order)` lines
+/// removed, deduplicated, and sorted by file and line.
+pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
+    let mut files = Vec::new();
+    for krate in lock_order::SCOPE {
+        let dir = root.join("crates").join(krate);
+        if dir.is_dir() {
+            walk(root, &dir, &mut files)?;
         }
-        files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-        })
     }
-
-    /// The parsed file at `rel`, if it was scanned.
-    pub fn file(&self, rel: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == Path::new(rel))
-    }
+    files.sort_by(|a, b| a.rel.cmp(&b.rel));
+    let mut out = lock_order::check(&files);
+    out.retain(|f| {
+        !files
+            .iter()
+            .any(|sf| sf.rel == Path::new(&f.file) && sf.allowed(f.line))
+    });
+    out.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
+    out.dedup();
+    Ok(out)
 }
 
 /// `read_dir` with deterministic (sorted) order.
@@ -182,45 +106,4 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> Result<(), Stri
         }
     }
     Ok(())
-}
-
-/// Load the workspace at `root` and run `rules` over it.
-pub fn run(root: &Path, rules: &[Rule]) -> Result<Vec<Finding>, String> {
-    let ws = Workspace::load(root)?;
-    Ok(run_on(&ws, rules))
-}
-
-/// Run `rules` over an already-loaded workspace. Findings come back
-/// suppression-filtered, deduplicated, and sorted by file/line/rule.
-pub fn run_on(ws: &Workspace, rules: &[Rule]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for &rule in rules {
-        out.extend(match rule {
-            Rule::WallClock => rules::wall_clock::check(ws),
-            Rule::HashmapIter => rules::hashmap_iter::check(ws),
-            Rule::LockUnwrap => rules::lock_unwrap::check(ws),
-            Rule::ForbidUnsafe => rules::forbid_unsafe::check(ws),
-            Rule::LockOrder => rules::lock_order::check(ws),
-            Rule::RawTransport => rules::raw_transport::check(ws),
-        });
-    }
-    out.retain(|f| {
-        ws.file(&f.file)
-            .is_none_or(|sf| !sf.allowed(f.rule.name(), f.line))
-    });
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule.name()).cmp(&(b.file.as_str(), b.line, b.rule.name()))
-    });
-    out.dedup();
-    out
-}
-
-/// Shorthand used by every rule module.
-pub(crate) fn finding(file: &Path, line: usize, rule: Rule, message: String) -> Finding {
-    Finding {
-        file: file.to_string_lossy().replace('\\', "/"),
-        line,
-        rule,
-        message,
-    }
 }

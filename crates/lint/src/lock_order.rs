@@ -24,14 +24,14 @@
 //! is unambiguous and not a common std method, so `tx.send(…)` on an
 //! mpsc channel never counts as a `Reply::send`.
 
-use super::{ident, ident_in, is_punct};
+use crate::items::{FnItem, SourceFile};
 use crate::lexer::{Tok, Token};
-use crate::{finding, Finding, Rule, Workspace};
+use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Component, Path, PathBuf};
+use std::path::{Path, PathBuf};
 
 /// Crates whose locking behavior is modeled.
-const SCOPE: [&str; 4] = ["scheduler", "ipc", "core", "wrapper"];
+pub(crate) const SCOPE: [&str; 4] = ["scheduler", "ipc", "core", "wrapper"];
 
 /// Guard-producing methods on the sync wrappers.
 const LOCK_METHODS: [&str; 4] = ["lock", "read", "write", "try_lock"];
@@ -62,7 +62,7 @@ const AMBIGUOUS_METHODS: [&str; 24] = [
     "unwrap",
     "take",
     "map",
-]; // lint:allow(lock-unwrap) — method *names*, not calls
+];
 
 /// How a call site names its callee.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,16 +112,11 @@ struct Guard {
     stmt: bool,
 }
 
-pub fn check(ws: &Workspace) -> Vec<Finding> {
+/// Run the analysis over `files`, the [`SCOPE`] crates' sources.
+pub(crate) fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut facts = Vec::new();
     let mut out = Vec::new();
-    for f in &ws.files {
-        let Some(krate) = f.crate_name() else {
-            continue;
-        };
-        if !SCOPE.contains(&krate.as_str()) || is_test_path(&f.rel) {
-            continue;
-        }
+    for f in files {
         for func in &f.fns {
             if func.in_test {
                 continue;
@@ -132,7 +127,6 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                     out.push(finding(
                         &f.rel,
                         *line,
-                        Rule::LockOrder,
                         format!(
                             "{what} while holding {}; replies and socket writes \
                              must happen after every scheduler guard is released",
@@ -148,14 +142,8 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
     out
 }
 
-/// Skip integration-test trees; `#[cfg(test)]` is handled per-item.
-fn is_test_path(rel: &Path) -> bool {
-    rel.components()
-        .any(|c| matches!(c, Component::Normal(n) if n == "tests" || n == "benches"))
-}
-
 /// Walk one body, tracking guard lifetimes.
-fn analyze_body(rel: &Path, stem: &str, func: &crate::items::FnItem, body: &[Token]) -> FnFacts {
+fn analyze_body(rel: &Path, stem: &str, func: &FnItem, body: &[Token]) -> FnFacts {
     let mut fact = FnFacts {
         file: rel.to_path_buf(),
         name: func.name.clone(),
@@ -431,7 +419,6 @@ fn propagate(facts: &[FnFacts], out: &mut Vec<Finding>) {
                 out.push(finding(
                     &facts[i].file,
                     call.line,
-                    Rule::LockOrder,
                     format!(
                         "call to `{}` (which reaches an IPC write) while holding {}",
                         qualified(&facts[*j]),
@@ -504,7 +491,30 @@ fn report_cycles(edges: &BTreeMap<(String, String), (PathBuf, usize)>, out: &mut
                     a
                 )
             };
-            out.push(finding(file, *line, Rule::LockOrder, msg));
+            out.push(finding(file, *line, msg));
         }
+    }
+}
+
+/// Identifier text at token index `i`.
+fn ident(toks: &[Token], i: usize) -> Option<&str> {
+    toks.get(i).and_then(|t| t.tok.ident())
+}
+
+/// Is token `i` the punct `p`?
+fn is_punct(toks: &[Token], i: usize, p: &str) -> bool {
+    toks.get(i).is_some_and(|t| t.tok.is_punct(p))
+}
+
+/// Does the ident at `i` match any of `names`?
+fn ident_in(toks: &[Token], i: usize, names: &[&str]) -> bool {
+    ident(toks, i).is_some_and(|s| names.contains(&s))
+}
+
+fn finding(file: &Path, line: usize, message: String) -> Finding {
+    Finding {
+        file: file.to_string_lossy().replace('\\', "/"),
+        line,
+        message,
     }
 }

@@ -13,8 +13,9 @@
 //! * **no wall-clock reads** — every span and every duration is stamped
 //!   by the caller with [`convgpu_sim_core::time::SimTime`], so the same
 //!   instrumentation works under the real (scaled) clock and the virtual
-//!   clock, and `convgpu-lint`'s determinism rules hold (the scheduler
-//!   instruments itself purely from the `now` it is handed);
+//!   clock, and the scheduler, where clippy bans `Instant` /
+//!   `SystemTime` (docs/LINT.md), instruments itself purely from the
+//!   `now` it is handed;
 //! * **side-effect-only** — attaching or detaching the instrumentation
 //!   must never change a scheduling decision (property-tested in
 //!   `tests/scheduler_properties.rs`).

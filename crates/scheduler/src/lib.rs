@@ -44,6 +44,12 @@
 //!   feature) every mutating transition of the live scheduler.
 
 #![forbid(unsafe_code)]
+// Simulated time comes from SimClock: std::time::Instant / SystemTime are
+// banned here by clippy.toml (docs/LINT.md).
+#![deny(clippy::disallowed_types)]
+// Unordered HashMap/HashSet loops would make policy decisions
+// nondeterministic.
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod backend;
 pub mod candidates;

@@ -14,6 +14,11 @@
 //! run in either mode — exactly the property ConVGPU itself relies on: the
 //! wrapper module does not care whether the GPU "runs" in real time.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the clock shim is the one place that reads the host clock; RealClock is built on Instant"
+)]
+
 use crate::sync::Mutex;
 use crate::time::{SimDuration, SimTime};
 use std::sync::Arc;

@@ -26,6 +26,9 @@
 //!   `std::sync`, the only locking primitives used in the workspace.
 
 #![forbid(unsafe_code)]
+// Simulated time comes from SimClock: std::time::Instant / SystemTime are
+// banned here by clippy.toml (docs/LINT.md).
+#![deny(clippy::disallowed_types)]
 
 pub mod clock;
 pub mod event;

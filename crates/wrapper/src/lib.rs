@@ -28,6 +28,11 @@
 //! * `__cudaUnregisterFatBinary` additionally notifies the scheduler so a
 //!   process's leaked memory is reclaimed.
 
+#![forbid(unsafe_code)]
+// Simulated time comes from SimClock: std::time::Instant / SystemTime are
+// banned here by clippy.toml (docs/LINT.md).
+#![deny(clippy::disallowed_types)]
+
 pub mod module;
 pub mod preload;
 
