@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (clippy.toml and the crate-root
-# attributes; docs/LINT.md), tests (the lock-order analysis is
-# tests/lint_corpus.rs), and the bounded model checker. Everything runs
-# offline against the committed tree; any failure fails the script.
+# attributes; docs/LINT.md), tests (debug builds, so every lock they take
+# is also checked for lock order), and the bounded model checker.
+# Everything runs offline against the committed tree; any failure fails
+# the script.
 #
 #   ./ci/check.sh          # full gate (release-mode model check)
 #   QUICK=1 ./ci/check.sh  # smaller model-check sweep for fast iteration

@@ -676,11 +676,22 @@ mod tests {
         // Without ConVGPU, two 3 GiB containers on a 5 GiB GPU race; the
         // loser gets cudaErrorMemoryAllocation — the paper's motivating
         // failure.
+        use convgpu_sim_core::sync::{Condvar, Mutex};
         let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        // Each hog counts its cuda_malloc once it has returned, and the
+        // winner holds its 3 GiB until both have: the two always overlap.
+        let returned = Arc::new((Mutex::new(0), Condvar::new()));
         let mk = || {
-            Box::new(FnProgram::new("hog", |api, pid, clock| {
-                let p = api.cuda_malloc(pid, Bytes::mib(3072))?;
-                clock.sleep(convgpu_sim_core::time::SimDuration::from_secs(1));
+            let returned = Arc::clone(&returned);
+            Box::new(FnProgram::new("hog", move |api, pid, _clock| {
+                let p = api.cuda_malloc(pid, Bytes::mib(3072));
+                let (count, cv) = &*returned;
+                let mut n = count.lock();
+                *n += 1;
+                cv.notify_all();
+                let p = p?;
+                while *n < 2 && !cv.wait_for(&mut n, Duration::from_secs(10)) {}
+                drop(n);
                 api.cuda_free(pid, p)
             })) as Box<dyn GpuProgram>
         };

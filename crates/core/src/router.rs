@@ -359,11 +359,12 @@ struct HomesState {
 }
 
 /// Drain the buffered journal records to the log file. Lock order is
-/// journal → homes: the batch is extracted from the [`WalBuffer`]
-/// while both are held (so batches hit the file in sequence order and
-/// can never race a compaction's truncation), then the homes lock is
-/// released before the write. Shared by the request path, the idle
-/// flusher thread, and shutdown.
+/// journal → homes (debug builds abort on the reverse, see
+/// `convgpu_sim_core::sync`): the batch is extracted from the
+/// [`WalBuffer`] while both are held (so batches hit the file in
+/// sequence order and can never race a compaction's truncation), then
+/// the homes lock is released before the write. Shared by the request
+/// path, the idle flusher thread, and shutdown.
 fn drain_wal(journal: &Mutex<Journal>, homes: &Mutex<HomesState>, now: SimTime, obs: &ObsHub) {
     let err = {
         let mut j = journal.lock();
@@ -374,11 +375,9 @@ fn drain_wal(journal: &Mutex<Journal>, homes: &Mutex<HomesState>, now: SimTime, 
                 _ => return,
             }
         };
-        // The journal mutex guards exactly the file being written —
-        // the sanctioned Reply::send shape, one call deeper than the
-        // analyzer's guard-receiver exemption can see. The home-map
-        // lock was released above, and no socket peer can wedge this.
-        // lint:allow(lock-order)
+        // The journal mutex guards exactly the file being written; the
+        // home-map lock was released above, and no socket peer can
+        // wedge a file write.
         j.write_batch(&batch).is_err()
     };
     if err {
@@ -418,7 +417,8 @@ pub struct ClusterRouter {
     /// volatile router, byte-for-byte unchanged behavior). Lock order:
     /// the drain and compaction paths acquire this *before* the homes
     /// lock, and the homes lock is released before any file I/O; the
-    /// homes lock is never held first.
+    /// homes lock is never held first (debug builds check this on every
+    /// acquisition, `convgpu_sim_core::sync`).
     journal: Option<Arc<Mutex<Journal>>>,
     /// Shutdown signal for the idle flusher: flag + wakeup condvar.
     flusher_stop: Arc<(Mutex<bool>, Condvar)>,
@@ -733,7 +733,6 @@ impl ClusterRouter {
             match captured {
                 // Guard-is-the-file shape, same as drain_wal; the
                 // home-map lock was released with the capture.
-                // lint:allow(lock-order)
                 Some((covered, snap)) => j.snapshot(covered, &snap).is_err(),
                 None => false,
             }

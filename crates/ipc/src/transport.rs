@@ -246,6 +246,10 @@ impl Read for Conn {
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // A peer that stops reading blocks this write; it must never wedge
+        // a lock, so the only guard it may hold is this stream's own.
+        #[cfg(debug_assertions)]
+        convgpu_sim_core::sync::assert_unguarded_write(self);
         match self {
             Conn::Unix(s) => s.write(buf),
             Conn::Tcp(s) => s.write(buf),

@@ -22,8 +22,9 @@
 //! * [`stats`] — online mean/variance, percentiles, and experiment summary
 //!   rows used by the benchmark harness.
 //! * [`idgen`] — process-wide monotonic ID generation.
-//! * [`sync`] — poison-free `Mutex`/`RwLock`/`Condvar` wrappers over
-//!   `std::sync`, the only locking primitives used in the workspace.
+//! * [`sync`] — poison-free `Mutex`/`Condvar` wrappers over `std::sync`,
+//!   the only locking primitives used in the workspace; debug builds check
+//!   lock order on them.
 
 #![forbid(unsafe_code)]
 // Simulated time comes from SimClock: std::time::Instant / SystemTime are

@@ -942,7 +942,8 @@ mod migration_faults {
         );
 
         for stub in &stubs {
-            for reply in stub.withheld.lock().drain(..) {
+            let withheld = std::mem::take(&mut *stub.withheld.lock());
+            for reply in withheld {
                 reply.send(Response::Ok);
             }
         }
