@@ -11,6 +11,10 @@
 //! allocation is therefore a thread blocked in `read(2)` on the
 //! container's socket until the scheduler decides to answer — the paper's
 //! wrapper, not an analog of it.
+//!
+//! Reports (`alloc_done`, `alloc_failed`, `free`) go one-way through
+//! [`Transact::notify`]: written under envelope id 0, which the server
+//! never answers, with no slot and no wait.
 
 use crate::binary::{encode_with, take_auto, WireCodec};
 use crate::endpoint::{expect_reply, IpcError, IpcResult, Transact};
@@ -132,7 +136,8 @@ impl FrameReader {
 struct ClientState {
     /// One slot per request in flight, filled by whichever caller reads
     /// that reply off the socket. A reply to an id with no slot is
-    /// dropped: its caller already timed out.
+    /// dropped: its caller already timed out, or it answers a report
+    /// (id 0) from a peer that predates one-way reports.
     slots: HashMap<u64, Option<Response>>,
     /// The read half while nobody reads; `None` while a leader has it.
     reader: Option<FrameReader>,
@@ -306,29 +311,7 @@ impl SchedulerClient {
             }
             st.slots.insert(id, None);
         }
-        let frame = encode_with(&Envelope { id, body: req }, self.codec);
-        let write_result = {
-            let mut w = self.writer.lock();
-            w.write_all(&frame).and_then(|()| w.flush())
-        };
-        if let Err(e) = write_result {
-            // Nobody reads while nobody waits, so a peer that went away in
-            // the meantime is first noticed here.
-            let gone = matches!(
-                e.kind(),
-                io::ErrorKind::BrokenPipe
-                    | io::ErrorKind::ConnectionReset
-                    | io::ErrorKind::NotConnected
-            );
-            let mut st = self.state.lock();
-            st.dead |= gone;
-            self.leave(st, id);
-            return Err(if gone {
-                IpcError::Disconnected
-            } else {
-                IpcError::Io(e)
-            });
-        }
+        self.write_frame(&Envelope { id, body: req })?;
         let bound = deadline.map(|(clock, deadline)| Bound {
             clock,
             at: clock.now() + deadline,
@@ -343,6 +326,35 @@ impl SchedulerClient {
             Ok(Response::Error { message }) => Err(IpcError::Scheduler(message)),
             other => other,
         }
+    }
+
+    /// Write `env` as one frame. On failure, unregister its id (0 has no
+    /// slot) and wake whoever that leaves with something to do.
+    fn write_frame(&self, env: &Envelope<Request>) -> IpcResult<()> {
+        let frame = encode_with(env, self.codec);
+        let write_result = {
+            let mut w = self.writer.lock();
+            w.write_all(&frame).and_then(|()| w.flush())
+        };
+        let Err(e) = write_result else {
+            return Ok(());
+        };
+        // Nobody reads while nobody waits, so a peer that went away in
+        // the meantime is first noticed here.
+        let gone = matches!(
+            e.kind(),
+            io::ErrorKind::BrokenPipe
+                | io::ErrorKind::ConnectionReset
+                | io::ErrorKind::NotConnected
+        );
+        let mut st = self.state.lock();
+        st.dead |= gone;
+        self.leave(st, env.id);
+        Err(if gone {
+            IpcError::Disconnected
+        } else {
+            IpcError::Io(e)
+        })
     }
 
     /// Wait for the reply to `id`: as the connection's reader if the role
@@ -499,6 +511,18 @@ impl SchedulerClient {
 impl Transact for SchedulerClient {
     fn transact(&self, req: Request) -> IpcResult<Response> {
         self.request(req)
+    }
+
+    /// Write `req` under envelope id 0, which the server never answers,
+    /// and return once the write completes. Nothing waits, so nothing is
+    /// registered. Frames written under the writer lock reach the server
+    /// in order, and it handles one connection's frames in order, so a
+    /// report lands before any request this connection sends after it.
+    fn notify(&self, req: Request) -> IpcResult<()> {
+        if self.state.lock().dead {
+            return Err(IpcError::Disconnected);
+        }
+        self.write_frame(&Envelope { id: 0, body: req })
     }
 }
 

@@ -71,6 +71,18 @@ pub trait Transact: Send + Sync {
     /// may arrive as `Ok(Response::Error { .. })` or already folded into
     /// `Err(IpcError::Scheduler(..))`; callers treat the two alike.
     fn transact(&self, req: Request) -> IpcResult<Response>;
+
+    /// Deliver a report that needs no answer (`alloc_done`,
+    /// `alloc_failed`, `free`). A socket writes it under envelope id 0
+    /// and returns once the write completes; the default waits for the
+    /// reply like [`transact`](Self::transact), with an `error` reply
+    /// folded into `Err`.
+    fn notify(&self, req: Request) -> IpcResult<()> {
+        match self.transact(req)? {
+            Response::Error { message } => Err(IpcError::Scheduler(message)),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The scheduler as seen by its clients (wrapper module, nvidia-docker,
@@ -107,6 +119,31 @@ pub trait SchedulerEndpoint: Send + Sync {
     /// Serve `cudaMemGetInfo` from scheduler book-keeping:
     /// `(free-for-this-container, container-limit)`.
     fn mem_info(&self, container: ContainerId, pid: u64) -> IpcResult<(Bytes, Bytes)>;
+
+    /// [`alloc_done`](Self::alloc_done) as the wrapper sends it: a
+    /// transport may return before the scheduler has filed the report.
+    /// The default waits for the reply.
+    fn report_alloc_done(
+        &self,
+        container: ContainerId,
+        pid: u64,
+        addr: u64,
+        size: Bytes,
+    ) -> IpcResult<()> {
+        self.alloc_done(container, pid, addr, size)
+    }
+
+    /// [`alloc_failed`](Self::alloc_failed) as the wrapper sends it; see
+    /// [`report_alloc_done`](Self::report_alloc_done).
+    fn report_alloc_failed(&self, container: ContainerId, pid: u64, size: Bytes) -> IpcResult<()> {
+        self.alloc_failed(container, pid, size)
+    }
+
+    /// [`free`](Self::free) as the wrapper sends it, without the recorded
+    /// size; see [`report_alloc_done`](Self::report_alloc_done).
+    fn report_free(&self, container: ContainerId, pid: u64, addr: u64) -> IpcResult<()> {
+        self.free(container, pid, addr).map(drop)
+    }
 
     /// `__cudaUnregisterFatBinary`: the process exited.
     fn process_exit(&self, container: ContainerId, pid: u64) -> IpcResult<()>;
@@ -212,6 +249,37 @@ impl<T: Transact + ?Sized> SchedulerEndpoint for T {
             addr,
         };
         expect_reply!(self.transact(req), Response::Freed { size } => size)
+    }
+
+    fn report_alloc_done(
+        &self,
+        container: ContainerId,
+        pid: u64,
+        addr: u64,
+        size: Bytes,
+    ) -> IpcResult<()> {
+        self.notify(Request::AllocDone {
+            container,
+            pid,
+            addr,
+            size,
+        })
+    }
+
+    fn report_alloc_failed(&self, container: ContainerId, pid: u64, size: Bytes) -> IpcResult<()> {
+        self.notify(Request::AllocFailed {
+            container,
+            pid,
+            size,
+        })
+    }
+
+    fn report_free(&self, container: ContainerId, pid: u64, addr: u64) -> IpcResult<()> {
+        self.notify(Request::Free {
+            container,
+            pid,
+            addr,
+        })
     }
 
     fn mem_info(&self, container: ContainerId, pid: u64) -> IpcResult<(Bytes, Bytes)> {
@@ -357,6 +425,43 @@ mod tests {
             },
             Request::QueryMigrations,
         ]
+    }
+
+    /// Each report sends its waited twin's message. Only a refusal comes
+    /// back as an error: a report has no typed answer to check.
+    #[test]
+    fn reports_send_their_twins_message_and_fold_only_refusals() {
+        type Report = fn(&dyn SchedulerEndpoint) -> IpcResult<()>;
+        let pairs: [(Report, Report); 3] = [
+            (
+                |e| e.report_alloc_done(C, 1, 2, Bytes::mib(1)),
+                |e| e.alloc_done(C, 1, 2, Bytes::mib(1)),
+            ),
+            (
+                |e| e.report_alloc_failed(C, 1, Bytes::mib(1)),
+                |e| e.alloc_failed(C, 1, Bytes::mib(1)),
+            ),
+            (|e| e.report_free(C, 1, 2), |e| e.free(C, 1, 2).map(drop)),
+        ];
+        for (report, twin) in pairs {
+            let acked = answering(|| Ok(Response::Pong));
+            report(&acked).unwrap();
+            let _ = twin(&acked);
+            let sent = std::mem::take(&mut *acked.seen.lock());
+            assert_eq!(sent.len(), 2);
+            assert_eq!(sent[0], sent[1]);
+
+            let refused = answering(|| {
+                Ok(Response::Error {
+                    message: "no".into(),
+                })
+            });
+            assert!(
+                matches!(report(&refused), Err(IpcError::Scheduler(m)) if m == "no"),
+                "{}",
+                sent[0].kind()
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! One JSON object per line; every message is an [`Envelope`] carrying a
 //! correlation `id` and a body. Requests flow wrapper/nvidia-docker →
-//! scheduler; responses flow back with the same `id`. Notifications (an
-//! allocation completed, a process exited, …) still get an
-//! acknowledgement so senders can detect a dead scheduler.
+//! scheduler; responses flow back with the same `id`. A request under
+//! id 0 is a report that gets no response: the wrapper sends
+//! `alloc_done`, `alloc_failed` and `free` that way (see
+//! `docs/PROTOCOL.md`, "Envelope").
 //!
 //! Every type below is declared once, as a `wire!` table row: variant,
 //! JSON wire name, binary tag, fields. The macro expands a table to the
@@ -572,7 +573,8 @@ wire! {
 /// Correlation envelope: `id` ties a [`Response`] to its [`Request`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Envelope<T> {
-    /// Correlation id, unique per connection.
+    /// Correlation id, unique per connection. Clients number from 1; a
+    /// request under id 0 is a report that gets no response.
     pub id: u64,
     /// The payload.
     pub body: T,

@@ -11,7 +11,7 @@ use crate::binary::{encode_with, read_auto, WireCodec, MAX_FRAME_BYTES};
 use crate::message::{Envelope, Request, Response};
 use crate::transport::{self, Conn, EndpointAddr, TransportListener};
 use convgpu_obs::catalogue::{
-    IPC_REQUESTS, IPC_SERVER_HANDLE, IPC_SERVER_TURNAROUND, IPC_SERVER_WRITE,
+    IPC_REPORTS_REFUSED, IPC_REQUESTS, IPC_SERVER_HANDLE, IPC_SERVER_TURNAROUND, IPC_SERVER_WRITE,
 };
 use convgpu_obs::Registry;
 use convgpu_sim_core::clock::ClockHandle;
@@ -64,6 +64,10 @@ struct ReplyObs {
 /// One-shot deferred reply handle. Remembers which codec its request
 /// arrived in, so even a reply fired minutes later (a suspension ending)
 /// answers in the format the client is reading.
+///
+/// A request under envelope id 0 is a report that wants no answer:
+/// sending its reply writes nothing. A refusal is counted under
+/// [`IPC_REPORTS_REFUSED`] instead of going unseen.
 pub struct Reply {
     writer: Arc<Mutex<Conn>>,
     id: u64,
@@ -76,6 +80,9 @@ impl Reply {
     /// scheduler must not crash because a container died mid-wait — the
     /// disconnect path reclaims its state instead.
     pub fn send(self, resp: Response) {
+        if self.unanswered(&resp) {
+            return;
+        }
         let write_started = self.obs.as_ref().map(|o| o.clock.now());
         let frame = self.frame(resp);
         {
@@ -91,7 +98,8 @@ impl Reply {
     /// `write_all`. This is the reply-coalescing path `dispatch` uses when
     /// one release resumes a burst of suspended allocations — N wakeups
     /// previously cost N lock/write/flush cycles per socket.
-    pub fn send_batch(batch: Vec<(Reply, Response)>) {
+    pub fn send_batch(mut batch: Vec<(Reply, Response)>) {
+        batch.retain(|(reply, resp)| !reply.unanswered(resp));
         // Tiny batches (the common case) go through the simple path.
         if batch.len() <= 1 {
             for (reply, resp) in batch {
@@ -134,6 +142,19 @@ impl Reply {
                 Self::observe_sent(&obs, write_started);
             }
         }
+    }
+
+    /// True for a report (id 0), which gets no reply frame; counts `resp`
+    /// if it refuses the report.
+    fn unanswered(&self, resp: &Response) -> bool {
+        if self.id != 0 {
+            return false;
+        }
+        if let (Some(obs), Response::Error { .. }) = (&self.obs, resp) {
+            obs.registry
+                .inc(IPC_REPORTS_REFUSED, &[("type", obs.kind)], 1);
+        }
+        true
     }
 
     /// The bytes that answer this request with `resp`, in its codec. The

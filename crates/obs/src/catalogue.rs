@@ -130,6 +130,8 @@ metrics! {
         "receipt → reply; a suspended `alloc_request` parks here";
     IPC_CLIENT_RTT: Latency("convgpu_ipc_client_rtt_seconds", Daemon, ["type"])
         "client-observed round trip";
+    IPC_REPORTS_REFUSED: Counter("convgpu_ipc_reports_refused_total", Daemon, ["type"])
+        "one-way reports (envelope id 0) the daemon refused; no reply carries the refusal";
     WRAPPER_CALLS: Counter("convgpu_wrapper_calls_total", Daemon, ["api"])
         "interposed CUDA calls (`cuda_malloc`, `cuda_free`, …)";
     WRAPPER_CALL_SECONDS: Latency("convgpu_wrapper_call_seconds", Daemon, ["api"])

@@ -779,7 +779,10 @@ impl Scheduler {
         _now: SimTime,
     ) -> Result<(), SchedError> {
         let rec = self.active_mut(id)?;
-        if rec.allocations.insert(addr, (pid, size)).is_some() {
+        if let Some(first) = rec.allocations.insert(addr, (pid, size)) {
+            // Refused, and the first report's entry stays: a hostile
+            // wrapper must not re-size a live allocation.
+            rec.allocations.insert(addr, first);
             return Err(SchedError::ProtocolViolation(format!(
                 "duplicate AllocDone for address 0x{addr:x}"
             )));

@@ -193,7 +193,9 @@ impl WrapperModule {
     }
 
     /// The gate: ask the scheduler (blocking while suspended), run the
-    /// real allocation, report the outcome.
+    /// real allocation, report the outcome. Only the ask waits for an
+    /// answer: the grant already reserved the bytes, so the report just
+    /// files the address (one-way where the endpoint allows it).
     fn gated_alloc<T>(
         &self,
         pid: Pid,
@@ -215,7 +217,7 @@ impl WrapperModule {
                 Ok((value, ptr)) => {
                     self.charged.lock().insert(ptr, charged_size);
                     self.scheduler
-                        .alloc_done(self.container, pid, ptr.addr(), charged_size)
+                        .report_alloc_done(self.container, pid, ptr.addr(), charged_size)
                         .map_err(|_| CudaError::SchedulerUnavailable)?;
                     self.charge_ipc(2);
                     Ok(value)
@@ -228,7 +230,7 @@ impl WrapperModule {
                         .fetch_add(1, Ordering::Relaxed);
                     let _ = self
                         .scheduler
-                        .alloc_failed(self.container, pid, charged_size);
+                        .report_alloc_failed(self.container, pid, charged_size);
                     Err(e)
                 }
             },
@@ -328,7 +330,7 @@ impl CudaApi for WrapperModule {
             self.charged.lock().remove(&ptr);
             if !ptr.is_null() {
                 self.scheduler
-                    .free(self.container, pid, ptr.addr())
+                    .report_free(self.container, pid, ptr.addr())
                     .map_err(|_| CudaError::SchedulerUnavailable)?;
                 self.charge_ipc(1);
             }
@@ -494,7 +496,9 @@ impl CudaApi for WrapperModule {
             self.inner.cuda_unregister_fat_binary(pid)?;
             // "Wrapper module captures this API and sends the information to
             // the GPU memory scheduler to deallocate the GPU memory used by
-            // the current process."
+            // the current process." Waited, unlike the per-call reports:
+            // its reply means every earlier report of this pid is on the
+            // books before anyone closes the container.
             self.scheduler
                 .process_exit(self.container, pid)
                 .map_err(|_| CudaError::SchedulerUnavailable)?;

@@ -6,10 +6,15 @@
 //! Property tests run on the deterministic harness in
 //! `convgpu_audit::prop`.
 
+use convgpu::gpu::api::CudaApi;
+use convgpu::gpu::device::GpuDevice;
+use convgpu::gpu::error::CudaError;
+use convgpu::gpu::latency::LatencyModel;
+use convgpu::gpu::runtime::RawCudaRuntime;
 use convgpu::ipc::binary::{
     encode_frame, encode_with, read_auto, read_binary, FromBinary, ToBinary, WireCodec, MAGIC,
 };
-use convgpu::ipc::client::SchedulerClient;
+use convgpu::ipc::client::{ClientObs, SchedulerClient};
 use convgpu::ipc::codec::{read_json, write_json};
 use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::ipc::json::{FromJson, ToJson};
@@ -17,14 +22,17 @@ use convgpu::ipc::message::{
     AllocDecision, ApiKind, ClusterNodeStatus, Envelope, MessageSchema, MigrationRecord, Request,
     Response, TopologyDevice,
 };
-use convgpu::ipc::server::SocketServer;
+use convgpu::ipc::server::{ServerObs, SocketServer};
 use convgpu::ipc::transport::{Conn, EndpointAddr};
+use convgpu::obs::metrics::Snapshot;
+use convgpu::obs::Registry;
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
 use convgpu::sim::clock::RealClock;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::rng::DetRng;
 use convgpu::sim::units::Bytes;
+use convgpu::wrapper::WrapperModule;
 use convgpu_audit::prop;
 use convgpu_core::handler::ServiceHandler;
 use convgpu_core::service::SchedulerService;
@@ -856,9 +864,15 @@ fn live_service(tag: &str, capacity_mib: u64) -> (SocketServer, Arc<SchedulerSer
         RealClock::handle(),
         dir.clone(),
     ));
-    let server = SocketServer::bind_endpoint(
+    // The server records into the service's registry, so a test reads
+    // the daemon's request and refusal counts beside its books.
+    let server = SocketServer::bind_endpoint_with_obs(
         &test_endpoint(&dir, "sched.sock"),
         Arc::new(ServiceHandler::new(Arc::clone(&svc))),
+        Some(ServerObs {
+            registry: Arc::clone(&svc.obs().registry),
+            clock: RealClock::handle(),
+        }),
     )
     .unwrap();
     (server, svc)
@@ -1359,4 +1373,357 @@ fn tcp_listener_survives_hostile_clients() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The wrapper of one container over a real socket: the device
+/// simulator behind a `WrapperModule` whose endpoint is a
+/// `SchedulerClient` connected to `server`. The client is returned too,
+/// for the calls a wrapper does not make (register, close).
+fn live_wrapper(
+    server: &SocketServer,
+    container: ContainerId,
+    obs: Option<ClientObs>,
+) -> (Arc<WrapperModule>, Arc<SchedulerClient>) {
+    let client = Arc::new(
+        SchedulerClient::connect_endpoint_with_codec(server.endpoint(), WireCodec::Json, obs)
+            .unwrap(),
+    );
+    let raw = Arc::new(RawCudaRuntime::new(
+        Arc::new(GpuDevice::tesla_k20m()),
+        LatencyModel::zero(),
+        RealClock::handle(),
+    ));
+    let endpoint: Arc<dyn SchedulerEndpoint> = client.clone();
+    let wrapper = WrapperModule::new(container, raw, endpoint);
+    (Arc::new(wrapper), client)
+}
+
+/// A container's entry in the books: what its reservation, its usage
+/// and its live allocations are.
+type Books = (Bytes, Bytes, Vec<(u64, (u64, Bytes))>);
+
+fn books_of(svc: &SchedulerService, container: ContainerId) -> Books {
+    svc.with_scheduler(|s| {
+        let rec = s.container(container).expect("registered");
+        let mut allocations: Vec<_> = rec.allocations.iter().map(|(a, e)| (*a, *e)).collect();
+        allocations.sort_unstable();
+        (rec.assigned, rec.used, allocations)
+    })
+}
+
+/// Guardian's threat model: a wrapper that lies in its reports. Each
+/// report goes one-way (id 0), so a refusal has no reply to travel in:
+/// the daemon counts it, answers nothing, and keeps its books.
+#[test]
+fn hostile_reports_are_counted_and_never_answered() {
+    let (server, svc) = live_service("hostile-reports", 5120);
+    let c = ContainerId(1);
+    let client = SchedulerClient::connect_endpoint(server.endpoint()).unwrap();
+    client.register(c, Bytes::mib(256)).unwrap();
+    let granted = client.request_alloc(c, 7, Bytes::mib(64), ApiKind::Malloc);
+    assert_eq!(granted.unwrap(), AllocDecision::Granted);
+    client.alloc_done(c, 7, 0xA0, Bytes::mib(64)).unwrap();
+    let before = books_of(&svc, c);
+    let assigned = svc.with_scheduler(|s| s.total_assigned());
+
+    let mut raw = Conn::connect(server.endpoint()).unwrap();
+    let stranger = ContainerId(99);
+    let reports = [
+        // A second alloc_done for a live address, re-sizing it.
+        Request::AllocDone {
+            container: c,
+            pid: 7,
+            addr: 0xA0,
+            size: Bytes::mib(200),
+        },
+        // A free of an address nobody allocated: `cudaFree` is
+        // idempotent, so the daemon answers it `freed 0` — no refusal.
+        Request::Free {
+            container: c,
+            pid: 7,
+            addr: 0xDEAD,
+        },
+        // An alloc_done and a free for a container nobody registered.
+        Request::AllocDone {
+            container: stranger,
+            pid: 7,
+            addr: 0xB0,
+            size: Bytes::mib(1),
+        },
+        Request::Free {
+            container: stranger,
+            pid: 7,
+            addr: 0xA0,
+        },
+    ];
+    for body in reports {
+        write_json(&mut raw, &Envelope { id: 0, body }).unwrap();
+    }
+    write_json(
+        &mut raw,
+        &Envelope {
+            id: 5,
+            body: Request::Ping,
+        },
+    )
+    .unwrap();
+    // A connection thread that died on a report would leave this read
+    // hanging: time it out instead.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut r = BufReader::new(raw.try_clone().unwrap());
+    let first: Envelope<Response> = read_json(&mut r).unwrap().unwrap();
+    assert_eq!(
+        (first.id, first.body),
+        (5, Response::Pong),
+        "a report was answered"
+    );
+
+    let snapshot = svc.obs().registry.snapshot();
+    let refused = |kind| {
+        snapshot
+            .counter("convgpu_ipc_reports_refused_total", &[("type", kind)])
+            .unwrap_or(0)
+    };
+    assert_eq!((refused("alloc_done"), refused("free")), (2, 1));
+    assert_eq!(refused("alloc_done") + refused("free"), 3);
+    assert_eq!(
+        books_of(&svc, c),
+        before,
+        "a refused report changed the books"
+    );
+    assert_eq!(svc.with_scheduler(|s| s.total_assigned()), assigned);
+    svc.with_scheduler(|s| s.check_invariants().unwrap());
+    server.shutdown();
+}
+
+/// (a) One connection carries a `cudaMalloc`'s one-way `alloc_done` and a
+/// `cudaFree`'s one-way `free` ahead of the next waited request: the
+/// `cudaMemGetInfo` after them sees both. Had the free overtaken the
+/// alloc_done, it would have found no address and left 100 MiB in use.
+#[test]
+fn reports_land_before_the_next_request_on_their_connection() {
+    let (server, svc) = live_service("report-order", 5120);
+    let c = ContainerId(1);
+    let (wrapper, client) = live_wrapper(&server, c, None);
+    client.register(c, Bytes::mib(512)).unwrap();
+    wrapper.cuda_register_fat_binary(7).unwrap();
+    for _ in 0..64 {
+        let p = wrapper.cuda_malloc(7, Bytes::mib(100)).unwrap();
+        wrapper.cuda_free(7, p).unwrap();
+        let info = wrapper.cuda_mem_get_info(7).unwrap();
+        assert_eq!(info, (Bytes::mib(512), Bytes::mib(512)));
+        assert_eq!(books_of(&svc, c).2, Vec::new());
+    }
+    wrapper.cuda_unregister_fat_binary(7).unwrap();
+    client.container_close(c).unwrap();
+    svc.with_scheduler(|s| s.check_invariants().unwrap());
+    server.shutdown();
+}
+
+/// (b) `process_exit` stays waited: once `__cudaUnregisterFatBinary`
+/// returns, every report that pid sent is on the books — its allocations
+/// are released, none arrives late to leak an entry, and the daemon has
+/// received every one — while another pid's allocation stays.
+#[test]
+fn a_waited_process_exit_puts_every_report_on_the_books() {
+    let (server, svc) = live_service("report-exit", 5120);
+    let c = ContainerId(1);
+    let (wrapper, client) = live_wrapper(&server, c, None);
+    client.register(c, Bytes::mib(512)).unwrap();
+    let other = wrapper.cuda_malloc(8, Bytes::mib(10)).unwrap();
+    // Waited: pid 8's report has arrived before the counts are read.
+    wrapper.cuda_mem_get_info(8).unwrap();
+    let requests = |kind| {
+        svc.obs()
+            .registry
+            .snapshot()
+            .counter("convgpu_ipc_requests_total", &[("type", kind)])
+            .unwrap_or(0)
+    };
+    let (done0, free0) = (requests("alloc_done"), requests("free"));
+    let mut live: Vec<_> = (1..=4)
+        .map(|mib| wrapper.cuda_malloc(7, Bytes::mib(mib)).unwrap())
+        .collect();
+    wrapper.cuda_free(7, live.remove(0)).unwrap();
+    wrapper.cuda_unregister_fat_binary(7).unwrap();
+
+    let (assigned, used, allocations) = books_of(&svc, c);
+    assert_eq!(allocations, vec![(other.addr(), (8, Bytes::mib(10)))]);
+    assert_eq!(used, Bytes::mib(10 + 66), "pid 8's allocation and context");
+    assert!(assigned >= used);
+    assert_eq!(requests("alloc_done") - done0, 4);
+    assert_eq!(requests("free") - free0, 1);
+    svc.with_scheduler(|s| s.check_invariants().unwrap());
+    server.shutdown();
+}
+
+/// (c) A report to a dead daemon fails at its own write or, if the
+/// kernel still took the bytes, the next waited call fails. Neither
+/// hangs.
+#[test]
+fn reports_to_a_dead_daemon_fail_and_never_hang() {
+    let (server, _svc) = live_service("report-dead", 5120);
+    let c = ContainerId(1);
+    let (wrapper, client) = live_wrapper(&server, c, None);
+    client.register(c, Bytes::mib(512)).unwrap();
+    let p = wrapper.cuda_malloc(7, Bytes::mib(64)).unwrap();
+    server.shutdown();
+    let after = std::thread::spawn(move || {
+        let report = wrapper.cuda_free(7, p);
+        (report, wrapper.cuda_mem_get_info(7))
+    });
+    let t0 = std::time::Instant::now();
+    while !after.is_finished() {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(5),
+            "a report to a dead daemon hung"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let (report, next) = after.join().unwrap();
+    assert!(
+        matches!(report, Ok(()) | Err(CudaError::SchedulerUnavailable)),
+        "{report:?}"
+    );
+    assert_eq!(next, Err(CudaError::SchedulerUnavailable));
+}
+
+/// (d) A peer that predates one-way reports answers id 0 like any other
+/// id. No caller waits on id 0, so the caller-reads client drops that
+/// frame and the next waited call still gets its own reply.
+#[test]
+fn an_answer_to_a_report_is_dropped_by_the_client() {
+    use convgpu::ipc::transport::{server_handshake, TransportListener};
+    use convgpu::sim::sync::Mutex;
+    use std::io::Write;
+
+    let dir = std::env::temp_dir().join(format!(
+        "convgpu-itest-proto-old-peer-{}",
+        std::process::id()
+    ));
+    let listener = TransportListener::bind(&test_endpoint(&dir, "old.sock")).unwrap();
+    let endpoint = listener.local_endpoint();
+    let peer = std::thread::spawn(move || {
+        let mut conn = listener.accept().unwrap();
+        let writer = Mutex::new(conn.try_clone().unwrap());
+        server_handshake(&mut conn, &writer).unwrap();
+        let mut reader = BufReader::new(conn);
+        let mut ids = Vec::new();
+        while let Some((env, codec)) = read_auto::<Envelope<Request>, _>(&mut reader).unwrap() {
+            let body = match env.body {
+                Request::Ping => Response::Pong,
+                _ => Response::Ok,
+            };
+            ids.push(env.id);
+            let frame = encode_with(&Envelope { id: env.id, body }, codec);
+            writer.lock().write_all(&frame).unwrap();
+        }
+        ids
+    });
+    let client = SchedulerClient::connect_endpoint(&endpoint).unwrap();
+    let c = ContainerId(1);
+    client.report_alloc_done(c, 7, 0xA0, Bytes::mib(1)).unwrap();
+    client.report_free(c, 7, 0xA0).unwrap();
+    // An `ok` delivered to the ping would be an unexpected response.
+    client.ping().unwrap();
+    client.ping().unwrap();
+    drop(client);
+    assert_eq!(peer.join().unwrap(), vec![0, 0, 1, 2]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Where the saving comes from, counted by the program itself: one
+/// node_json-shaped script (256 calls, malloc/free with at most 8 live,
+/// `cudaMemGetInfo` every 16th call, an over-limit probe every 64th)
+/// through `WrapperModule` → `SchedulerClient`. Only `alloc_request` and
+/// `mem_info` wait — at most one round trip per call, where waiting for
+/// every report too cost about 1.46 — and the daemon still receives
+/// every report and writes no reply to any.
+#[test]
+fn the_wrapper_waits_at_most_one_round_trip_per_call() {
+    let (server, svc) = live_service("round-trips", 5120);
+    let client_registry = Arc::new(Registry::new());
+    let obs = ClientObs {
+        registry: Arc::clone(&client_registry),
+        clock: RealClock::handle(),
+    };
+    let c = ContainerId(1);
+    let (wrapper, client) = live_wrapper(&server, c, Some(obs));
+    client.register(c, Bytes::mib(1024)).unwrap();
+    wrapper.cuda_register_fat_binary(7).unwrap();
+
+    let kinds: Vec<&str> = Request::SCHEMA.iter().map(|row| row.wire).collect();
+    let round_trips = || -> u64 {
+        let snapshot = client_registry.snapshot();
+        kinds
+            .iter()
+            .filter_map(|kind| {
+                snapshot.histogram("convgpu_ipc_client_rtt_seconds", &[("type", kind)])
+            })
+            .map(|h| h.count())
+            .sum()
+    };
+    let waited_before = round_trips();
+    let server_before = svc.obs().registry.snapshot();
+
+    const CALLS: u64 = 256;
+    let mut rng = DetRng::seed_from_u64(0x35);
+    let mut live = Vec::new();
+    let (mut mallocs, mut frees, mut infos, mut probes) = (0u64, 0u64, 0u64, 0u64);
+    for call in 1..=CALLS {
+        if call % 64 == 0 {
+            let over = wrapper.cuda_malloc(7, Bytes::mib(2048));
+            assert_eq!(over, Err(CudaError::SchedulerRejected));
+            probes += 1;
+        } else if call % 16 == 0 {
+            wrapper.cuda_mem_get_info(7).unwrap();
+            infos += 1;
+        } else if live.len() == 8 || (!live.is_empty() && rng.next_below(2) == 0) {
+            let p = live.swap_remove(rng.index(live.len()));
+            wrapper.cuda_free(7, p).unwrap();
+            frees += 1;
+        } else {
+            let size = Bytes::mib(1 + rng.next_below(16));
+            live.push(wrapper.cuda_malloc(7, size).unwrap());
+            mallocs += 1;
+        }
+    }
+    let waited = round_trips() - waited_before;
+    // The barrier that puts the last reports on the books.
+    wrapper.cuda_unregister_fat_binary(7).unwrap();
+    let server_after = svc.obs().registry.snapshot();
+
+    let sent_by_parent = 2 * mallocs + frees + infos + probes;
+    assert_eq!(waited, mallocs + probes + infos);
+    assert!(
+        waited as f64 / CALLS as f64 <= 1.0,
+        "{waited} waited round trips for {CALLS} calls (every report waited: {sent_by_parent})"
+    );
+    let requests = |kind| {
+        let count = |s: &Snapshot| {
+            s.counter("convgpu_ipc_requests_total", &[("type", kind)])
+                .unwrap_or(0)
+        };
+        count(&server_after) - count(&server_before)
+    };
+    assert_eq!(requests("alloc_request"), mallocs + probes);
+    assert_eq!(requests("alloc_done"), mallocs);
+    assert_eq!(requests("free"), frees);
+    assert_eq!(requests("mem_info"), infos);
+    // Each reply is recorded before its connection's next frame is read,
+    // so every one but the process_exit's is counted by now.
+    let written: u64 = ["alloc_request", "alloc_done", "free", "mem_info"]
+        .iter()
+        .map(|kind| {
+            let count = |s: &Snapshot| {
+                s.histogram("convgpu_ipc_server_write_seconds", &[("type", kind)])
+                    .map_or(0, |h| h.count())
+            };
+            count(&server_after) - count(&server_before)
+        })
+        .sum();
+    assert_eq!(written, waited, "a reply was written to a report");
+    client.container_close(c).unwrap();
+    server.shutdown();
 }
