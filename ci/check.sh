@@ -150,6 +150,13 @@ else
     --transport-compare --out="$ARTIFACT_DIR/BENCH_9.json"
 fi
 
+step "benchmark build (links the library types it constructs)"
+# The benchmark is a package of its own outside the workspace, so the
+# build above does not compile it: a change to a type it constructs
+# (`JournalOp`, `RecoveredHome`, `Envelope`) would otherwise fail only
+# when the benchmark runs. Not gated on SKIP_PERF.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 step "benchmark self-check (benchmark/run.sh --check)"
 if [[ "${SKIP_PERF:-0}" == "1" ]]; then
   echo "skipped (SKIP_PERF=1)"

@@ -1,13 +1,12 @@
 //! Durable router state: the write-ahead home-map journal.
 //!
 //! The [`crate::router::ClusterRouter`]'s home map — which node owns
-//! each container, the limit it registered with, the placement hint the
-//! router committed, and the wire-observed per-pid `used` ledger — is
-//! the checkpoint a migration replays onto an adopting node. Before
-//! this module that map lived only in memory: a restarted router
-//! re-learned homes lazily with **zero** checkpoints, so a post-restart
-//! migration off a dead node replayed `limit = 0`, `used = 0` onto the
-//! adopter and committed-memory placement ran blind.
+//! each container, the limit it registered with and the placement hint
+//! the router committed — is the checkpoint a migration replays onto an
+//! adopting node. Before this module that map lived only in memory: a
+//! restarted router re-learned homes lazily with **zero** checkpoints,
+//! so a post-restart migration off a dead node replayed `limit = 0`
+//! onto the adopter and committed-memory placement ran blind.
 //!
 //! The journal fixes that with the classic WAL shape. What a record
 //! *means* is [`apply`], the one home-map transition: the live router
@@ -35,9 +34,13 @@
 //!
 //! * **Append-only log** (`wal.log`) — every home-map mutation is one
 //!   line: `place`, `recover`, `close`, `migrate` (commit of a
-//!   hand-off), and the ledger deltas `done` / `free` / `exit`. Each
-//!   record carries a monotonic sequence number and an FNV-1a checksum,
-//!   so replay can tell a torn tail from a valid record.
+//!   hand-off). Each record carries a monotonic sequence number and an
+//!   FNV-1a checksum, so replay can tell a torn tail from a valid
+//!   record. A journal written before the router stopped keeping a
+//!   `used` ledger also holds `done` / `free` / `exit` lines and a
+//!   `used` field: replay reads them and ignores them, and what this
+//!   module writes keeps their slots (`migrate`'s fifth field is `0`, a
+//!   snapshot's ledger column `-`), so an older router still reads it.
 //! * **Compacted snapshots** (`snapshot.v1`) — the whole map, written
 //!   to a temp file, fsynced, and atomically renamed. The snapshot
 //!   records the last sequence number it covers; journal records at or
@@ -129,28 +132,27 @@ pub enum JournalOp {
     /// out at the start of a migration).
     Close { container: ContainerId },
     /// A migration hand-off committed onto `node`, carrying the
-    /// checkpointed budget. The carried `used` is re-seeded under the
-    /// synthetic pid 0 (see [`apply`]).
+    /// checkpointed budget (the adopter starts from `used = 0`).
     Migrate {
         container: ContainerId,
         node: String,
         limit: Bytes,
         hint: Bytes,
-        used: Bytes,
     },
-    /// Wire-observed `alloc_done`: `size` confirmed live for `pid`.
+    /// Legacy `done` record of the retired `used` ledger: replay reads
+    /// it and ignores it (see [`apply`]). Nothing journals it any more.
     AllocDone {
         container: ContainerId,
         pid: u64,
         size: Bytes,
     },
-    /// Wire-observed `free`: the node reported `size` freed for `pid`.
+    /// Legacy `free` record: read and ignored, like [`JournalOp::AllocDone`].
     Free {
         container: ContainerId,
         pid: u64,
         size: Bytes,
     },
-    /// Wire-observed `process_exit`: `pid`'s ledger entry is dropped.
+    /// Legacy `exit` record: read and ignored, like [`JournalOp::AllocDone`].
     ProcessExit { container: ContainerId, pid: u64 },
 }
 
@@ -164,18 +166,9 @@ pub struct RecoveredHome {
     pub limit: Bytes,
     /// Memory the router committed against the node at placement.
     pub hint: Bytes,
-    /// The wire-observed live-bytes ledger, per pid.
+    /// Legacy per-pid `used` ledger: always empty. Neither the router
+    /// nor replay fills it, and the snapshot writer does not record it.
     pub used_by_pid: BTreeMap<u64, Bytes>,
-}
-
-impl RecoveredHome {
-    /// Total wire-observed live bytes across the container's pids — the
-    /// `used` checkpoint a migration off a dead node carries.
-    pub fn used(&self) -> Bytes {
-        self.used_by_pid
-            .values()
-            .fold(Bytes::ZERO, |acc, &b| acc + b)
-    }
 }
 
 /// What `Journal::open` reconstructed, plus how it got there.
@@ -276,19 +269,19 @@ impl JournalOp {
                 format!("recover {} {}", container.as_u64(), escape(node))
             }
             JournalOp::Close { container } => format!("close {}", container.as_u64()),
+            // The fifth field is the retired `used`, kept as `0` so the
+            // record stays in the grammar older routers read.
             JournalOp::Migrate {
                 container,
                 node,
                 limit,
                 hint,
-                used,
             } => format!(
-                "migrate {} {} {} {} {}",
+                "migrate {} {} {} {} 0",
                 container.as_u64(),
                 escape(node),
                 limit.as_u64(),
-                hint.as_u64(),
-                used.as_u64()
+                hint.as_u64()
             ),
             JournalOp::AllocDone {
                 container,
@@ -326,13 +319,16 @@ impl JournalOp {
             "close" => JournalOp::Close {
                 container: ContainerId(num(&mut parts)?),
             },
-            "migrate" => JournalOp::Migrate {
-                container: ContainerId(num(&mut parts)?),
-                node: unescape(parts.next()?)?,
-                limit: Bytes::new(num(&mut parts)?),
-                hint: Bytes::new(num(&mut parts)?),
-                used: Bytes::new(num(&mut parts)?),
-            },
+            "migrate" => {
+                let op = JournalOp::Migrate {
+                    container: ContainerId(num(&mut parts)?),
+                    node: unescape(parts.next()?)?,
+                    limit: Bytes::new(num(&mut parts)?),
+                    hint: Bytes::new(num(&mut parts)?),
+                };
+                num(&mut parts)?; // the retired `used`
+                op
+            }
             "done" => JournalOp::AllocDone {
                 container: ContainerId(num(&mut parts)?),
                 pid: num(&mut parts)?,
@@ -361,10 +357,7 @@ impl JournalOp {
 /// replay rebuilds the map through it, so the two cannot disagree about
 /// what an op does. Returns whether the op applied — its container had
 /// a home, or got one; an op that did not apply left the map untouched
-/// and is not journaled. Ledger arithmetic is hostile-input safe:
-/// additions saturate and subtractions clamp at zero, so an adversarial
-/// journal (or a node confirming absurd totals) can skew the books but
-/// never wrap or panic them.
+/// and is not journaled. The legacy ledger records apply to nothing.
 pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) -> bool {
     match op {
         JournalOp::Place {
@@ -400,53 +393,21 @@ pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) -
             node,
             limit,
             hint,
-            used,
         } => {
-            // Per-pid attribution does not survive the wire (the adopter
-            // pre-commits one total), so the carried budget is re-seeded
-            // under the synthetic pid 0 — matching the node's books,
-            // where the adopted bytes have no addresses and no real pid
-            // can free them.
-            let mut used_by_pid = BTreeMap::new();
-            if *used > Bytes::ZERO {
-                used_by_pid.insert(0, *used);
-            }
             homes.insert(
                 *container,
                 RecoveredHome {
                     node: node.clone(),
                     limit: *limit,
                     hint: *hint,
-                    used_by_pid,
+                    used_by_pid: BTreeMap::new(),
                 },
             );
             true
         }
-        JournalOp::AllocDone {
-            container,
-            pid,
-            size,
-        } => homes.get_mut(container).is_some_and(|home| {
-            let used = home.used_by_pid.entry(*pid).or_insert(Bytes::ZERO);
-            *used = Bytes::new(used.as_u64().saturating_add(size.as_u64()));
-            true
-        }),
-        // A `free` reporting more than the pid's recorded balance
-        // (out-of-order delivery, node restart) zeroes the entry.
-        JournalOp::Free {
-            container,
-            pid,
-            size,
-        } => homes.get_mut(container).is_some_and(|home| {
-            if let Some(used) = home.used_by_pid.get_mut(pid) {
-                *used = used.saturating_sub(*size);
-            }
-            true
-        }),
-        JournalOp::ProcessExit { container, pid } => homes.get_mut(container).is_some_and(|home| {
-            home.used_by_pid.remove(pid);
-            true
-        }),
+        JournalOp::AllocDone { .. } | JournalOp::Free { .. } | JournalOp::ProcessExit { .. } => {
+            false
+        }
     }
 }
 
@@ -656,17 +617,10 @@ impl Journal {
             let header = format!("snapshot-v1 {}", homes.len());
             out.write_all(encode_line(covered, &header).as_bytes())?;
             for (container, home) in homes {
-                let ledger = if home.used_by_pid.is_empty() {
-                    "-".to_string()
-                } else {
-                    home.used_by_pid
-                        .iter()
-                        .map(|(pid, b)| format!("{pid}:{}", b.as_u64()))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
+                // The last column is the retired ledger, kept as `-` so
+                // the snapshot stays in the grammar older routers read.
                 let payload = format!(
-                    "home {} {} {} {} {ledger}",
+                    "home {} {} {} {} -",
                     container.as_u64(),
                     escape(&home.node),
                     home.limit.as_u64(),
@@ -726,21 +680,16 @@ fn load_snapshot(path: &Path, recovery: &mut Recovery) -> u64 {
             let node = unescape(parts.next()?)?;
             let limit = Bytes::new(parts.next()?.parse().ok()?);
             let hint = Bytes::new(parts.next()?.parse().ok()?);
-            let ledger = parts.next()?;
-            let mut used_by_pid = BTreeMap::new();
-            if ledger != "-" {
-                for entry in ledger.split(',') {
-                    let (pid, bytes) = entry.split_once(':')?;
-                    used_by_pid.insert(pid.parse().ok()?, Bytes::new(bytes.parse().ok()?));
-                }
-            }
+            // The retired ledger column: `-`, or an older router's
+            // `pid:bytes` list, which is dropped.
+            parts.next()?;
             homes.insert(
                 container,
                 RecoveredHome {
                     node,
                     limit,
                     hint,
-                    used_by_pid,
+                    used_by_pid: BTreeMap::new(),
                 },
             );
         }
@@ -813,7 +762,6 @@ mod tests {
                 node: "n0".into(),
                 limit: Bytes::mib(100),
                 hint: Bytes::mib(166),
-                used: Bytes::mib(40),
             },
             JournalOp::Close {
                 container: ContainerId(1),
@@ -990,7 +938,7 @@ mod tests {
             std::fs::write(dir.join(WAL_FILE), stale_log).unwrap();
         }
         let (_j, _w, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
-        assert_eq!(rec.homes, state, "double-apply would skew the ledger");
+        assert_eq!(rec.homes, state, "double-apply would skew the map");
         assert_eq!(rec.replayed, 0);
         assert_eq!(rec.skipped, ops().len() as u64);
     }
@@ -1047,52 +995,70 @@ mod tests {
     }
 
     #[test]
-    fn hostile_ledger_deltas_clamp_instead_of_wrapping() {
+    fn what_this_module_writes_stays_in_the_v1_grammar() {
+        // An older router parses `migrate` with five fields and a
+        // snapshot's ledger column as `-` or a `pid:bytes` list.
+        let dir = temp_dir("v1");
+        let op = JournalOp::Migrate {
+            container: ContainerId(4),
+            node: "n1".into(),
+            limit: Bytes::mib(100),
+            hint: Bytes::mib(166),
+        };
+        let (limit, hint) = (Bytes::mib(100).as_u64(), Bytes::mib(166).as_u64());
+        assert_eq!(op.payload(), format!("migrate 4 n1 {limit} {hint} 0"));
         let mut homes = BTreeMap::new();
-        apply(
-            &mut homes,
-            &JournalOp::Place {
-                container: ContainerId(1),
-                node: "n0".into(),
-                limit: Bytes::mib(10),
-                hint: Bytes::mib(76),
-            },
+        assert!(apply(&mut homes, &op));
+        assert!(homes[&ContainerId(4)].used_by_pid.is_empty());
+        // Even a ledger put in by hand is not written.
+        homes
+            .get_mut(&ContainerId(4))
+            .unwrap()
+            .used_by_pid
+            .insert(7, Bytes::mib(5));
+        let (mut j, mut w, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        j.snapshot(w.begin_snapshot(SimTime::ZERO), &homes).unwrap();
+        let snap = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap();
+        let payloads: Vec<&str> = snap
+            .lines()
+            .map(|l| decode_line(l).expect("valid record").1)
+            .collect();
+        assert_eq!(
+            payloads,
+            [
+                "snapshot-v1 1".to_string(),
+                format!("home 4 n1 {limit} {hint} -")
+            ]
         );
-        // Free more than was ever confirmed: clamps to zero.
-        apply(
-            &mut homes,
-            &JournalOp::AllocDone {
-                container: ContainerId(1),
-                pid: 1,
-                size: Bytes::mib(5),
-            },
-        );
-        apply(
-            &mut homes,
-            &JournalOp::Free {
-                container: ContainerId(1),
-                pid: 1,
-                size: Bytes::mib(500),
-            },
-        );
-        assert_eq!(homes[&ContainerId(1)].used_by_pid[&1], Bytes::ZERO);
-        // Saturating addition near u64::MAX: no wrap, no panic.
-        apply(
-            &mut homes,
-            &JournalOp::AllocDone {
-                container: ContainerId(1),
-                pid: 2,
-                size: Bytes::new(u64::MAX - 1),
-            },
-        );
-        apply(
-            &mut homes,
-            &JournalOp::AllocDone {
-                container: ContainerId(1),
-                pid: 2,
-                size: Bytes::new(u64::MAX - 1),
-            },
-        );
-        assert_eq!(homes[&ContainerId(1)].used_by_pid[&2], Bytes::new(u64::MAX));
+    }
+
+    #[test]
+    fn legacy_ledger_records_replay_as_no_ops() {
+        // A journal written while the router kept a `used` ledger: its
+        // ledger lines and `used` fields are read, counted and ignored.
+        let dir = temp_dir("legacy");
+        let lines = [
+            "place 1 n0 419430400 488636416",
+            "done 1 7 314572800",
+            "free 1 7 209715200",
+            "exit 1 9",
+            "migrate 1 n1 419430400 488636416 104857600",
+        ];
+        let wal: String = (1..)
+            .zip(lines)
+            .map(|(seq, payload)| encode_line(seq, payload))
+            .collect();
+        std::fs::write(dir.join(WAL_FILE), wal).unwrap();
+        let (_j, w, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert!(!rec.torn_tail);
+        assert_eq!(rec.replayed, lines.len() as u64);
+        let want = RecoveredHome {
+            node: "n1".into(),
+            limit: Bytes::mib(400),
+            hint: Bytes::mib(466),
+            used_by_pid: BTreeMap::new(),
+        };
+        assert_eq!(rec.homes, BTreeMap::from([(ContainerId(1), want)]));
+        assert_eq!(w.next_seq, lines.len() as u64 + 1);
     }
 }

@@ -27,7 +27,7 @@
 //! * [`journal`] — the router's write-ahead home-map journal:
 //!   append-only mutation log plus compacted snapshots, replayed on
 //!   startup so a restarted router recovers full migration checkpoints
-//!   (limit / hint / wire-observed `used`) instead of zeros.
+//!   (limit / hint) instead of zeros.
 
 #![forbid(unsafe_code)]
 

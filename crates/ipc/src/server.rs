@@ -144,10 +144,16 @@ impl Reply {
         }
     }
 
+    /// Whether the request came under envelope id 0: a report, whose
+    /// reply writes nothing.
+    pub fn is_report(&self) -> bool {
+        self.id == 0
+    }
+
     /// True for a report (id 0), which gets no reply frame; counts `resp`
     /// if it refuses the report.
     fn unanswered(&self, resp: &Response) -> bool {
-        if self.id != 0 {
+        if !self.is_report() {
             return false;
         }
         if let (Some(obs), Response::Error { .. }) = (&self.obs, resp) {

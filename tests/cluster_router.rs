@@ -30,7 +30,7 @@
 
 use convgpu::ipc::binary::WireCodec;
 use convgpu::ipc::client::SchedulerClient;
-use convgpu::ipc::endpoint::{IpcResult, SchedulerEndpoint};
+use convgpu::ipc::endpoint::{IpcResult, SchedulerEndpoint, Transact};
 use convgpu::ipc::message::{AllocDecision, ApiKind, Request, Response};
 use convgpu::ipc::transport::EndpointAddr;
 use convgpu::middleware::router::{ClusterRouter, NodeServer, RouterConfig};
@@ -39,6 +39,7 @@ use convgpu::obs::render_canonical;
 use convgpu::scheduler::backend::TopologyBackend;
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
+use convgpu::scheduler::state::ContainerState;
 use convgpu::sim::clock::{RealClock, VirtualClock};
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::time::{SimDuration, SimTime};
@@ -457,9 +458,7 @@ fn routed_migration_golden_trace() {
     );
     // A live allocation on the node about to drain. The source is alive,
     // so its acknowledged close really frees these bytes before the
-    // move — the adoption starts from used = 0 (only a *degraded* close,
-    // where the source is dead and nothing was freed, carries the
-    // wire-observed used budget over).
+    // move — the adoption starts from used = 0, as every adoption does.
     vclock.advance_to(ms(3));
     assert_eq!(
         router
@@ -1055,6 +1054,103 @@ fn front_shutdown_ends_idle_forwarders_and_lets_a_parked_one_finish() {
         drop(router);
         node.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The router's share of a report is one write. Over the served front
+/// socket, `alloc_done`, `alloc_failed` and `free` sent one-way go on to
+/// the node one-way, so the router's route histogram counts the waited
+/// calls and not the reports; a waited call after them is the barrier
+/// that puts every report on the node's books. An id-0 `register` or
+/// `container_close` is not a report: it still takes the router's own
+/// path, so its home map follows.
+#[test]
+fn reports_cross_the_router_one_way() {
+    const CYCLES: u64 = 50;
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        let served = Served::start("reports", codec);
+        let routes = || {
+            let snapshot = served.router.obs().registry.snapshot();
+            snapshot
+                .histogram("convgpu_router_route_seconds", &[("node", "n0")])
+                .map_or(0, |h| h.count())
+        };
+        let client = served.client(1, 400);
+        let (c, pid, size) = (ContainerId(1), 77, Bytes::mib(4));
+        let grant = || {
+            assert_eq!(
+                client.request_alloc(c, pid, size, ApiKind::Malloc).unwrap(),
+                AllocDecision::Granted,
+                "{codec:?}"
+            );
+        };
+        let before = routes();
+        for i in 0..CYCLES {
+            grant();
+            client.report_alloc_done(c, pid, 0x1000 + i, size).unwrap();
+            client.report_free(c, pid, 0x1000 + i).unwrap();
+        }
+        // Two allocations stay, one fails on the device.
+        for addr in [0xA0, 0xA1] {
+            grant();
+            client.report_alloc_done(c, pid, addr, size).unwrap();
+        }
+        grant();
+        client.report_alloc_failed(c, pid, size).unwrap();
+        // Waited: every report is on the books by its answer. The pid's
+        // 66 MiB context and the two 4 MiB blocks are used of 400 + 66.
+        assert_eq!(
+            client.mem_info(c, pid).unwrap(),
+            (Bytes::mib(392), Bytes::mib(400)),
+            "{codec:?}"
+        );
+        assert_eq!(routes() - before, CYCLES + 3 + 1, "{codec:?}");
+        let books = || {
+            served.node.service().with_scheduler(|s| {
+                s.check_invariants().unwrap();
+                let rec = s.container(c).expect("registered");
+                let mut addrs: Vec<u64> = rec.allocations.keys().copied().collect();
+                addrs.sort_unstable();
+                (rec.used, addrs)
+            })
+        };
+        assert_eq!(books(), (Bytes::mib(74), vec![0xA0, 0xA1]), "{codec:?}");
+        client.process_exit(c, pid).unwrap();
+        assert_eq!(books(), (Bytes::ZERO, vec![]), "{codec:?}");
+        assert_eq!(routes() - before, CYCLES + 3 + 2, "{codec:?}");
+
+        // Hostile id-0 frames of the router's own kinds; the waited
+        // `ping` after each is answered once the reader thread handled it.
+        let other = ContainerId(2);
+        let on_node = || {
+            served.node.service().with_scheduler(|s| {
+                s.container(other)
+                    .is_some_and(|r| r.state != ContainerState::Closed)
+            })
+        };
+        client
+            .notify(Request::Register {
+                container: other,
+                limit: Bytes::mib(100),
+            })
+            .unwrap();
+        client.ping().unwrap();
+        let homes = served.router.homes_snapshot();
+        assert_eq!(homes[&other].node, "n0", "{codec:?}");
+        assert_eq!(homes[&other].limit, Bytes::mib(100), "{codec:?}");
+        assert!(on_node(), "{codec:?}");
+        client
+            .notify(Request::ContainerClose { container: other })
+            .unwrap();
+        client.ping().unwrap();
+        assert!(!served.router.homes_snapshot().contains_key(&other));
+        assert!(!on_node(), "{codec:?}");
+        assert_eq!(routes() - before, CYCLES + 3 + 4, "{codec:?}");
+
+        client.container_close(c).unwrap();
+        served.front.shutdown();
+        served.node.shutdown();
+        let _ = std::fs::remove_dir_all(&served.dir);
     }
 }
 

@@ -348,8 +348,8 @@ mod cluster_faults {
     /// A router restart must re-attach to containers that live on in the
     /// (still running) node processes: the first routed call for an
     /// unknown container re-learns its home via `query_home`. This lazy
-    /// path recovers the *home* but not the checkpoint (limit/hint/used
-    /// come back zero — pinned by `restart_without_a_journal_is_pinned_
+    /// path recovers the *home* but not the checkpoint (limit/hint come
+    /// back zero — pinned by `restart_without_a_journal_is_pinned_
     /// to_zero_checkpoints` in router.rs); full-checkpoint recovery is
     /// the write-ahead journal's job (`tests/journal_recovery.rs`).
     #[test]

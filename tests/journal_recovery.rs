@@ -6,9 +6,9 @@
 //! * **Kill mid-storm, restart, migrate** — a real `cluster route
 //!   --journal` process is `SIGKILL`ed under concurrent wire load, a
 //!   second process reopens the same journal, and when the home node
-//!   then dies the migration carries the **pre-restart** `limit` and
-//!   wire-observed `used` checkpoint onto the adopter's books — the
-//!   exact scenario that used to replay zeros.
+//!   then dies the migration carries the **pre-restart** `limit` onto
+//!   the adopter's books, which start from `used = 0` — the exact
+//!   scenario that used to replay a zero limit.
 //! * **Replay equivalence** — the journal of *any* byte prefix of a
 //!   live router's operations replays to a home map the router actually
 //!   held (after the corresponding prefix of mutations), and a torn cut
@@ -18,8 +18,9 @@
 //!   iteration budget (nightly runs it wide).
 //! * **Frozen on-disk format** — the checked-in fixture at
 //!   `tests/fixtures/journal/` (snapshot + log + deliberately torn
-//!   tail) must keep recovering to the same hardcoded home map.
-//!   Re-bless with `UPDATE_GOLDEN=1 cargo test --test journal_recovery`.
+//!   tail), written by a router that still kept a `used` ledger, must
+//!   keep recovering to the same hardcoded home map. It is never
+//!   re-blessed: it is the old-journal pin.
 //! * **Idle drain** — a quiescent router's buffered records reach the
 //!   log within about one wall-clock `idle_flush` tick, without any
 //!   further traffic to trigger the sim-clock flush cadence.
@@ -162,9 +163,9 @@ fn wire_alloc(client: &SchedulerClient, c: u64, pid: u64, mib: u64) -> AllocDeci
     }
 }
 
-/// The acceptance scenario from ISSUE 10: the checkpoint a `SIGKILL`ed
-/// router journaled must, after restart, travel with a dead node's
-/// container onto the adopter — pre-restart limit, wire-observed used.
+/// The checkpoint a `SIGKILL`ed router journaled must, after restart,
+/// travel with a dead node's container onto the adopter: the pre-restart
+/// limit, with the adoption starting from `used = 0`.
 #[test]
 fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
     let dir = temp_dir("storm");
@@ -176,9 +177,9 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
     let (r1, rep1) = spawn_router(&test_endpoint(&dir, "router.sock"), &nodes, &jdir);
     let client = connect(&rep1);
 
-    // The checkpoint under test: container 1 registers 400 MiB on n0,
-    // pid 7 confirms 200 + 100 MiB and frees the 200 — the router's
-    // wire-observed ledger ends at 100 MiB.
+    // The checkpoint under test: container 1 registers 400 MiB on n0.
+    // Pid 7 confirms 200 + 100 MiB and frees the 200, so 100 MiB are
+    // live on n0 when it dies; none of it travels.
     for (c, limit) in [(1u64, 400u64), (2, 128), (3, 128), (4, 128), (5, 128)] {
         client
             .request(Request::Register {
@@ -226,10 +227,11 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
         other => panic!("unexpected free answer: {other:?}"),
     }
 
-    // Storm: four concurrent wire clients hammer containers 2–5 while
-    // the router keeps journaling, then the router is SIGKILLed mid-run
-    // — no graceful flush, exactly a crash. The checkpoint records above
-    // are comfortably past the 25 ms flush cadence by then.
+    // Storm: four concurrent wire clients hammer containers 2–5 with
+    // allocations and one-way reports, and churn containers of their own
+    // so the router keeps journaling; then the router is SIGKILLed
+    // mid-run — no graceful flush, exactly a crash. The checkpoint
+    // records above are comfortably past the 25 ms flush cadence by then.
     let stop = Arc::new(AtomicBool::new(false));
     let workers: Vec<_> = (2..=5u64)
         .map(|c| {
@@ -259,17 +261,12 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
                         })
                         .unwrap_or(false);
                     if granted {
-                        let _ = client.request(Request::AllocDone {
-                            container: ContainerId(c),
-                            pid,
-                            addr,
-                            size: Bytes::mib(32),
-                        });
-                        let _ = client.request(Request::Free {
-                            container: ContainerId(c),
-                            pid,
-                            addr,
-                        });
+                        let _ = client.report_alloc_done(ContainerId(c), pid, addr, Bytes::mib(32));
+                        let _ = client.report_free(ContainerId(c), pid, addr);
+                    }
+                    let churn = ContainerId(c * 100_000 + round);
+                    if client.register(churn, Bytes::mib(16)).is_ok() {
+                        let _ = client.container_close(churn);
                     }
                 }
             })
@@ -308,25 +305,22 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
     };
 
     // The acceptance criterion: the migration carried the PRE-restart
-    // checkpoint, not the zeros a journal-less restart re-learns.
+    // limit, not the zero a journal-less restart re-learns, and adopted
+    // at used = 0.
     assert_eq!(record.to, "n1");
     assert_eq!(
         record.limit,
         Bytes::mib(400),
         "pre-restart limit lost: {record:?}"
     );
-    assert_eq!(
-        record.used,
-        Bytes::mib(100),
-        "wire-observed used lost: {record:?}"
-    );
+    assert_eq!(record.used, Bytes::ZERO, "{record:?}");
 
-    // Behavioral proof on the adopting node's books: with used = 100 and
-    // the 66 MiB context for a fresh pid, 350 MiB exceeds the 400 + 66
-    // budget (rejected) while 250 MiB fits (granted). Had the adoption
-    // started from zero, both would have been granted.
-    assert_eq!(wire_alloc(&client2, 1, 9, 350), AllocDecision::Rejected);
-    assert_eq!(wire_alloc(&client2, 1, 9, 250), AllocDecision::Granted);
+    // Behavioral proof on the adopting node's books: a fresh pid's
+    // 350 MiB plus its 66 MiB context fit the 400 + 66 requirement from
+    // used = 0 (a lost limit would refuse them), and 100 MiB more exceed
+    // it (rejected outright).
+    assert_eq!(wire_alloc(&client2, 1, 9, 350), AllocDecision::Granted);
+    assert_eq!(wire_alloc(&client2, 1, 9, 100), AllocDecision::Rejected);
 
     kill(r2);
     kill(n1);
@@ -336,11 +330,13 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
 // Replay equivalence: any journal prefix is a state the router held.
 // ---------------------------------------------------------------------
 
-/// Drive `ops` deterministic pseudo-random home-map mutations through a
-/// journaled in-process two-node router (flush-per-append, virtual
-/// clock); returns the final WAL bytes and the homes snapshot after
-/// every journaled mutation (`states[0]` is the empty map — record `k`
-/// of the WAL moves the map from `states[k]` to `states[k + 1]`).
+/// Drive `ops` deterministic pseudo-random steps through a journaled
+/// in-process two-node router (flush-per-append, virtual clock):
+/// registers and closes, which journal one record each, and allocation,
+/// free and exit traffic, which must journal nothing. Returns the final
+/// WAL bytes and the homes snapshot after every journaled mutation
+/// (`states[0]` is the empty map — record `k` of the WAL moves the map
+/// from `states[k]` to `states[k + 1]`).
 fn scripted_run(
     tag: &str,
     seed: u64,
@@ -381,6 +377,14 @@ fn scripted_run(
     )
     .unwrap();
 
+    let appends = || {
+        router
+            .obs()
+            .registry
+            .snapshot()
+            .counter("convgpu_router_journal_appends_total", &[])
+            .unwrap_or(0)
+    };
     let mut rng = DetRng::seed_from_u64(seed);
     let mut states = vec![router.homes_snapshot()];
     let mut next_c = 1u64;
@@ -389,7 +393,8 @@ fn scripted_run(
     type Allocs = Vec<(u64, u64, Bytes)>;
     let mut live: Vec<(u64, Allocs)> = Vec::new();
     for _ in 0..ops {
-        match rng.next_below(8) {
+        let before = appends();
+        let journals = match rng.next_below(8) {
             // Register a fresh container (kept likely so the map grows).
             0..=2 => {
                 if live.len() >= 5 {
@@ -400,10 +405,11 @@ fn scripted_run(
                     .unwrap();
                 live.push((next_c, Vec::new()));
                 next_c += 1;
+                true
             }
-            // Confirmed allocation: request + done, sized well below the
-            // limit so it is granted, never parked (a suspended reply
-            // would block this single-threaded script).
+            // Confirmed allocation: request + one-way done, sized well
+            // below the limit so it is granted, never parked (a
+            // suspended reply would block this single-threaded script).
             3 | 4 => {
                 if live.is_empty() {
                     continue;
@@ -422,10 +428,14 @@ fn scripted_run(
                 assert_eq!(decision, AllocDecision::Granted, "script sized to fit");
                 let addr = next_addr;
                 next_addr += 1;
-                ClusterRouter::alloc_done(&router, ContainerId(*c), pid, addr, size).unwrap();
+                router
+                    .report_alloc_done(ContainerId(*c), pid, addr, size)
+                    .unwrap();
                 allocs.push((pid, addr, size));
+                false
             }
-            // Free one outstanding allocation.
+            // Free one outstanding allocation (waited: the recorded size
+            // also proves the one-way `done` reached the node first).
             5 => {
                 if live.is_empty() {
                     continue;
@@ -439,8 +449,9 @@ fn scripted_run(
                 let (pid, addr, size) = allocs.remove(j);
                 let freed = ClusterRouter::free(&router, ContainerId(*c), pid, addr).unwrap();
                 assert_eq!(freed, size);
+                false
             }
-            // A pid exits: its ledger entry (and our tracking) go away.
+            // A pid exits: its allocations (and our tracking) go away.
             6 => {
                 if live.is_empty() {
                     continue;
@@ -454,6 +465,7 @@ fn scripted_run(
                 let (c, allocs) = &mut live[i];
                 ClusterRouter::process_exit(&router, ContainerId(*c), pid).unwrap();
                 allocs.retain(|(p, _, _)| *p != pid);
+                false
             }
             // Close a container outright.
             _ => {
@@ -463,9 +475,13 @@ fn scripted_run(
                 let i = rng.index(live.len());
                 let c = live.remove(i).0;
                 ClusterRouter::container_close(&router, ContainerId(c)).unwrap();
+                true
             }
+        };
+        assert_eq!(appends() - before, u64::from(journals), "seed {seed}");
+        if journals {
+            states.push(router.homes_snapshot());
         }
-        states.push(router.homes_snapshot());
     }
     router.journal_flush();
     drop(router);
@@ -490,10 +506,11 @@ fn replay_prefix(scratch: &Path, prefix: &[u8]) -> (BTreeMap<ContainerId, Recove
 
 #[test]
 fn any_journal_prefix_replays_to_a_state_the_router_held() {
-    let (wal, states) = scripted_run("prefix", 0xD15C0, 48);
+    let (wal, states) = scripted_run("prefix", 0xD15C0, 128);
     assert!(
         states.len() > 24,
-        "the script must journal a useful number of mutations"
+        "the script must journal a useful number of mutations: {}",
+        states.len()
     );
     let scratch = temp_dir("prefix").join("replay");
     // Cut at every byte: the recovered map must equal the live map
@@ -522,7 +539,7 @@ fn randomized_kill_points_preserve_replay_equivalence() {
         .unwrap_or(4);
     for iter in 0..iters {
         let seed = 0xC0FFEE ^ (iter.wrapping_mul(0x9E37_79B9));
-        let (wal, states) = scripted_run("campaign", seed, 64);
+        let (wal, states) = scripted_run("campaign", seed, 160);
         let mut rng = DetRng::seed_from_u64(seed ^ 0xDEAD);
         let scratch = temp_dir("campaign").join("replay");
         // A handful of kill points per schedule, anywhere in the file.
@@ -551,166 +568,40 @@ fn fixture_dir() -> PathBuf {
     ))
 }
 
-/// The fixed two-phase scenario behind the fixture. Phase one journals
-/// six mutations; reopening compacts them into `snapshot.v1` (the
-/// startup recompaction) and phase two appends two more records to the
-/// fresh WAL. The torn tail is added by the blesser on top.
-fn fixture_scenario(dir: &Path) -> BTreeMap<ContainerId, RecoveredHome> {
-    let _ = std::fs::remove_dir_all(dir);
-    let vclock = VirtualClock::new();
-    let mut nodes = Vec::new();
-    for i in 0..2usize {
-        let ndir = dir.join(format!("n{i}"));
-        std::fs::create_dir_all(&ndir).unwrap();
-        nodes.push(
-            NodeServer::serve_endpoint(
-                format!("n{i}"),
-                backend(4096),
-                vclock.handle(),
-                ndir.clone(),
-                &EndpointAddr::from(ndir.join("node.sock")),
-            )
-            .unwrap(),
-        );
-    }
-    let endpoints: Vec<(String, EndpointAddr)> = nodes
-        .iter()
-        .map(|n| (n.name().to_string(), n.endpoint().clone()))
-        .collect();
-    let jdir = dir.join("journal");
-    let jcfg = JournalConfig {
-        flush_interval: SimDuration::ZERO,
-        ..JournalConfig::new(&jdir)
-    };
-    let attach = |jcfg: JournalConfig| {
-        ClusterRouter::attach_with_journal(
-            endpoints.clone(),
-            WireCodec::Json,
-            RouterConfig::default(),
-            vclock.handle(),
-            jcfg,
-        )
-        .unwrap()
-    };
-    // Phase one: place two containers, build container 1's ledger.
-    let first = attach(jcfg.clone());
-    first.register(ContainerId(1), Bytes::mib(400)).unwrap();
-    assert_eq!(
-        first
-            .request_alloc(ContainerId(1), 7, Bytes::mib(200), ApiKind::Malloc)
-            .unwrap(),
-        AllocDecision::Granted
-    );
-    ClusterRouter::alloc_done(&first, ContainerId(1), 7, 0xA0, Bytes::mib(200)).unwrap();
-    first.register(ContainerId(2), Bytes::mib(256)).unwrap();
-    assert_eq!(
-        first
-            .request_alloc(ContainerId(1), 7, Bytes::mib(100), ApiKind::Malloc)
-            .unwrap(),
-        AllocDecision::Granted
-    );
-    ClusterRouter::alloc_done(&first, ContainerId(1), 7, 0xA1, Bytes::mib(100)).unwrap();
-    assert_eq!(
-        ClusterRouter::free(&first, ContainerId(1), 7, 0xA0).unwrap(),
-        Bytes::mib(200)
-    );
-    assert_eq!(
-        first
-            .request_alloc(ContainerId(2), 9, Bytes::mib(64), ApiKind::Malloc)
-            .unwrap(),
-        AllocDecision::Granted
-    );
-    ClusterRouter::alloc_done(&first, ContainerId(2), 9, 0xB0, Bytes::mib(64)).unwrap();
-    drop(first);
-    // Phase two: reopen (compacts phase one into the snapshot), then
-    // journal a placement and a ledger delta into the fresh WAL.
-    let second = attach(jcfg);
-    second.register(ContainerId(3), Bytes::mib(128)).unwrap();
-    assert_eq!(
-        second
-            .request_alloc(ContainerId(3), 3, Bytes::mib(32), ApiKind::Malloc)
-            .unwrap(),
-        AllocDecision::Granted
-    );
-    ClusterRouter::alloc_done(&second, ContainerId(3), 3, 0xC0, Bytes::mib(32)).unwrap();
-    second.journal_flush();
-    let expected = second.homes_snapshot();
-    drop(second);
-    for n in nodes {
-        n.shutdown();
-    }
-    expected
-}
-
 /// What the fixture must recover to, written out long-hand so the test
 /// fails loudly if either the format or the replay semantics drift.
+///
+/// The fixture is a journal from a router that still kept a per-pid
+/// `used` ledger. Its snapshot holds containers 1 (400 MiB on n0, ledger
+/// `7:100 MiB`) and 2 (256 MiB on n1, ledger `9:64 MiB`); its log places
+/// container 3 (128 MiB on n0) and records a `done 3 3 32 MiB`, then a
+/// record with a wrong checksum and half a record. Replay reads the
+/// ledgers and the `done` and keeps none of them.
 fn fixture_expected() -> BTreeMap<ContainerId, RecoveredHome> {
-    let hint = |limit_mib: u64| Bytes::mib(limit_mib + 66);
-    let mut homes = BTreeMap::new();
-    homes.insert(
-        ContainerId(1),
-        RecoveredHome {
-            node: "n0".into(),
-            limit: Bytes::mib(400),
-            hint: hint(400),
-            used_by_pid: [(7u64, Bytes::mib(100))].into_iter().collect(),
-        },
-    );
-    homes.insert(
-        ContainerId(2),
-        RecoveredHome {
-            node: "n1".into(),
-            limit: Bytes::mib(256),
-            hint: hint(256),
-            used_by_pid: [(9u64, Bytes::mib(64))].into_iter().collect(),
-        },
-    );
-    homes.insert(
-        ContainerId(3),
-        RecoveredHome {
-            node: "n0".into(),
-            limit: Bytes::mib(128),
-            hint: hint(128),
-            used_by_pid: [(3u64, Bytes::mib(32))].into_iter().collect(),
-        },
-    );
-    homes
+    let home = |node: &str, limit_mib: u64| RecoveredHome {
+        node: node.into(),
+        limit: Bytes::mib(limit_mib),
+        hint: Bytes::mib(limit_mib + 66),
+        used_by_pid: BTreeMap::new(),
+    };
+    BTreeMap::from([
+        (ContainerId(1), home("n0", 400)),
+        (ContainerId(2), home("n1", 256)),
+        (ContainerId(3), home("n0", 128)),
+    ])
 }
 
 #[test]
 fn truncated_tail_fixture_recovers_the_frozen_map() {
     let fixtures = fixture_dir();
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        let work = temp_dir("fixture-bless");
-        let expected = fixture_scenario(&work);
-        assert_eq!(
-            expected,
-            fixture_expected(),
-            "fixture_expected() is out of date with the scenario"
-        );
-        let jdir = work.join("journal");
-        let mut wal = std::fs::read(jdir.join(WAL_FILE)).unwrap();
-        // The torn tail: a record with a wrong checksum (a line the
-        // crash corrupted) followed by half a record with no newline.
-        wal.extend_from_slice(b"00000000000000ff 0000000000000000 free 9 9 1048576\n");
-        wal.extend_from_slice(b"0000000000000100 12ab");
-        std::fs::create_dir_all(&fixtures).unwrap();
-        std::fs::write(fixtures.join(WAL_FILE), wal).unwrap();
-        std::fs::copy(jdir.join(SNAPSHOT_FILE), fixtures.join(SNAPSHOT_FILE)).unwrap();
-        return;
-    }
     // Recovery truncates the torn tail in place, so work on a copy —
     // the checked-in fixture must never be modified by a test run.
     let scratch = temp_dir("fixture").join("copy");
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).unwrap();
     for file in [WAL_FILE, SNAPSHOT_FILE] {
-        std::fs::copy(fixtures.join(file), scratch.join(file)).unwrap_or_else(|e| {
-            panic!(
-                "fixture {file} missing ({e}); bless with \
-                 UPDATE_GOLDEN=1 cargo test --test journal_recovery"
-            )
-        });
+        std::fs::copy(fixtures.join(file), scratch.join(file))
+            .unwrap_or_else(|e| panic!("fixture {file} missing ({e})"));
     }
     let (_journal, _wal, recovery) =
         Journal::open(JournalConfig::new(&scratch)).expect("recovery must not error");
