@@ -71,9 +71,9 @@ CONVGPU_TRANSPORT=tcp cargo test --offline -q --test journal_recovery
 step "bounded model check (one explorer over the phase table)"
 # One generic explorer sweeps every universe of the phase table
 # (crates/audit/src/suite.rs): the two single-device universes per
-# policy, the 2-device multi-GPU universe per policy x placement, and
-# that universe per policy with a container arriving by adoption; then
-# the naive-baseline witness. `cargo test --workspace` above already
+# policy and the 2-device multi-GPU universe per policy x placement
+# (a migrant enters a node by `register`, so these cover it); then the
+# naive-baseline witness. `cargo test --workspace` above already
 # pinned the trimmed sweep's state counts against
 # crates/audit/tests/golden/explorer_quick.golden; the full gate pins the
 # untrimmed sweep's against explorer_full.golden (the #[ignore]d twin

@@ -2,13 +2,12 @@
 //!
 //! One explorer over a phase table ([`convgpu_audit::suite::phases`]):
 //! the bounded model checker sweeps every policy on the standard
-//! quantized single-device universes, every policy × placement policy on
-//! the multi-GPU universe, and every policy on the **adoption** universe
-//! (multi-GPU lifecycles in which a container may arrive migrated,
-//! carrying its committed budget) — positive proof: no invariant
+//! quantized single-device universes and every policy × placement
+//! policy on the multi-GPU universe — positive proof: no invariant
 //! violation, no §III-E stall, no lost wakeup on any interleaving — then
 //! prints the naive baseline's minimal deadlock trace (negative
-//! witness).
+//! witness). A node daemon admits a container only by `register` (a
+//! router's migration included), so these universes cover every way in.
 //!
 //! ```text
 //! convgpu-audit [--policy fifo|bf|ru|rand|all] [--mode dfs|bfs]

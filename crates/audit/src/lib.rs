@@ -8,11 +8,10 @@
 //!   for small quantized universes, checking one property list after
 //!   every transition: the shared invariant oracle, no record off its
 //!   home, the paper's §III-E deadlock-freedom claim per device, wakeup
-//!   consistency and tag canonicality under the device ticket tags,
-//!   the budget an adoption carries, and terminal drain. One explorer,
-//!   generic over the [`SchedulerBackend`] under test; [`multi`] defines
-//!   the universes that put a multi-GPU host under it, with and without
-//!   containers arriving by adoption.
+//!   consistency and tag canonicality under the device ticket tags, and
+//!   terminal drain. One explorer, generic over the [`SchedulerBackend`]
+//!   under test; [`multi`] defines the universes that put a multi-GPU
+//!   host under it.
 //! * [`naive`] — the uncoordinated-sharing baseline the paper argues
 //!   against, plus a breadth-first search for its **minimal** deadlock
 //!   trace: the negative witness that makes the positive proof above

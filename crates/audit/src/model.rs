@@ -15,12 +15,6 @@
 //! Each container is driven by a model of its wrapper + one process:
 //!
 //! * `Register` — nvidia-docker declares the container (fixed limit);
-//! * `Adopt(used)` — in a universe with adoption, the first container
-//!   may arrive instead as a migrated one, among natively registered
-//!   co-tenants: the `migrate` wire message a node daemon answers with
-//!   [`SchedulerBackend::adopt`], carrying `used` bytes of committed
-//!   budget from the size menu. An adoption no device can back is a clean
-//!   rejection: the container ends closed;
 //! * `Alloc(size)` — the process calls `cudaMalloc(size)`; a granted
 //!   request immediately reports `alloc_done` at a fresh address, a
 //!   suspended one records the outstanding ticket;
@@ -58,8 +52,8 @@
 //!
 //! 1. the **whole-topology invariant oracle**
 //!    ([`SchedulerBackend::check_invariants`]): every device's safety
-//!    invariants plus the home map's consistency — with adopted budgets
-//!    in the books, committed memory never exceeds a device;
+//!    invariants plus the home map's consistency — committed memory
+//!    never exceeds a device;
 //! 2. **no cross-device record, no double-home** — a container's record
 //!    exists only on its home device, so one device's guarantees can
 //!    never be backed by another's capacity;
@@ -76,10 +70,7 @@
 //!    (device 0's tag is zero, which is why a one-device host hands out
 //!    the single-device scheduler's tickets bit for bit — see
 //!    `tests/golden/`);
-//! 6. **adoption carries the budget whole** — an adopted container's
-//!    record on its home device opens with exactly the carried `used`
-//!    marked used: nothing lost, nothing invented;
-//! 7. at every *terminal* state (all containers closed): no memory is
+//! 6. at every *terminal* state (all containers closed): no memory is
 //!    still assigned on any device and no ticket is still outstanding.
 //!    Terminal states are reachable from every state (any registered
 //!    container may always close), so these terminal checks imply the
@@ -90,7 +81,7 @@ use convgpu_ipc::message::{AllocDecision, ApiKind};
 use convgpu_scheduler::deadlock::{self, ProgressState};
 use convgpu_scheduler::{
     AllocOutcome, ContainerState, MultiGpuScheduler, PlacementPolicy, PolicyKind, ResumeAction,
-    ResumeRule, SchedError, Scheduler, SchedulerBackend, SchedulerConfig,
+    ResumeRule, Scheduler, SchedulerBackend, SchedulerConfig,
 };
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
@@ -106,14 +97,6 @@ pub enum Event {
     Register {
         /// Container index.
         c: usize,
-    },
-    /// Container `c` arrives migrated, with its configured limit and
-    /// `used` bytes of committed budget.
-    Adopt {
-        /// Container index.
-        c: usize,
-        /// Committed budget carried over.
-        used: Bytes,
     },
     /// Container `c`'s process requests `size` of device memory.
     Alloc {
@@ -143,7 +126,6 @@ impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Event::Register { c } => write!(f, "register(C{})", c + 1),
-            Event::Adopt { c, used } => write!(f, "adopt(C{}, used {used})", c + 1),
             Event::Alloc { c, size } => write!(f, "alloc(C{}, {size})", c + 1),
             Event::Free { c } => write!(f, "free(C{}, oldest)", c + 1),
             Event::Exit { c } => write!(f, "exit(C{})", c + 1),
@@ -197,9 +179,6 @@ pub struct ModelConfig {
     /// Maximum allocation requests *issued* per container (granted,
     /// rejected or parked all count).
     pub max_allocs: u32,
-    /// Whether the first container may arrive by adoption, carrying each
-    /// size of `alloc_sizes` as committed budget, instead of registering.
-    pub adoption: bool,
     /// Redistribution policy running on every device.
     pub policy: PolicyKind,
     /// Seed for the Random policy.
@@ -227,7 +206,6 @@ impl ModelConfig {
             ],
             alloc_sizes: vec![u, Bytes::new(u.0 * 2)],
             max_allocs: 2,
-            adoption: false,
             policy,
             seed: 0xC0DE,
             max_states: 10_000_000,
@@ -476,11 +454,6 @@ fn enabled<B: SchedulerBackend>(cfg: &ModelConfig, node: &Node<B>) -> Vec<Event>
         }
         if !d.registered {
             out.push(Event::Register { c });
-            if cfg.adoption && c == 0 {
-                for &used in &cfg.alloc_sizes {
-                    out.push(Event::Adopt { c, used });
-                }
-            }
             continue;
         }
         if !d.exited {
@@ -565,30 +538,6 @@ fn apply<B: SchedulerBackend + Clone>(
                     .map_err(|e| Failure::SchedError(format!("register: {e:?}")))?;
                 n.driver.cs[c].registered = true;
             }
-            Event::Adopt { c, used } => match n.sched.adopt(cid(c), cfg.limits[c], used, now) {
-                Ok(device) => {
-                    n.driver.cs[c].registered = true;
-                    // 6. The adopted record opens, on the device `adopt`
-                    //    reported, with exactly the carried budget used.
-                    let opened = n
-                        .sched
-                        .home_device(cid(c))
-                        .and_then(|(_, dev)| dev.container(cid(c)))
-                        .map(|r| r.used);
-                    if n.sched.home_of(cid(c)) != Some(device) || opened != Some(used) {
-                        return Err(Failure::SchedError(format!(
-                            "C{} adopted on device {device} carrying {used} opened with \
-                             used={opened:?} at home {:?}",
-                            c + 1,
-                            n.sched.home_of(cid(c))
-                        )));
-                    }
-                }
-                // No device can back the budget: a clean rejection, and
-                // the container ends closed, as a router records it.
-                Err(SchedError::AdoptionOverCommit { .. }) => n.driver.cs[c].closed = true,
-                Err(e) => return Err(Failure::SchedError(format!("adopt: {e:?}"))),
-            },
             Event::Alloc { c, size } => {
                 n.driver.cs[c].allocs_issued += 1;
                 let (outcome, actions) = n
@@ -655,9 +604,9 @@ fn apply<B: SchedulerBackend + Clone>(
 }
 
 /// The per-state property suite (numbering from the module docs; 6 is
-/// checked where the adoption happens, in [`apply`]).
+/// [`check_terminal`]).
 fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<(), Failure> {
-    // 1. Whole-topology invariants, adopted budgets included.
+    // 1. Whole-topology invariants.
     n.sched.check_invariants().map_err(Failure::Invariant)?;
     let mut failure = None;
     // Tag of each container's home device, if it has a home.

@@ -7,12 +7,9 @@
 //! one property list now have something to catch, and the round-robin
 //! cursor joins the canonical state through the topology fingerprint.
 //!
-//! A multi-GPU host is also what a cluster node daemon runs, and the one
-//! piece of the cluster a node serves itself is *adoption*: the `migrate`
-//! wire message, by which a router hands it a container drained off
-//! another node together with the budget it had committed there. The
-//! adoption universe lets one container arrive that way among natively
-//! registered co-tenants (property 6).
+//! A multi-GPU host is also what a cluster node daemon runs. A container
+//! a router migrates onto a node arrives there as a plain `register`, so
+//! this universe covers it too.
 
 use crate::model::{ModelConfig, Topology};
 use convgpu_scheduler::{PlacementPolicy, PolicyKind};
@@ -34,22 +31,11 @@ impl ModelConfig {
             ..ModelConfig::three_containers(policy)
         }
     }
-
-    /// The adoption universe: the CI universe under best-fit-device
-    /// placement (what a multi-GPU node daemon runs), in which container
-    /// C1 may instead arrive by adoption carrying 256 or 512 MiB of
-    /// committed budget.
-    pub fn two_devices_with_adoption(policy: PolicyKind) -> Self {
-        ModelConfig {
-            adoption: true,
-            ..Self::two_devices_three_containers(policy, PlacementPolicy::BestFitDevice)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::model::{explore, replay, CheckOutcome, Event, ModelConfig, SearchMode, Topology};
+    use crate::model::{explore, CheckOutcome, ModelConfig, SearchMode, Topology};
     use convgpu_scheduler::{PlacementPolicy, PolicyKind};
     use convgpu_sim_core::units::Bytes;
 
@@ -122,35 +108,5 @@ mod tests {
             }
             other => panic!("expected both to pass: {other:?}"),
         }
-    }
-
-    /// An adoption no device can back is refused whole and leaves no
-    /// record: the container ends closed, so closing it again is an
-    /// unknown container.
-    #[test]
-    fn an_adoption_no_device_can_back_is_refused() {
-        let cfg = ModelConfig::two_devices_with_adoption(PolicyKind::Fifo);
-        let u = Bytes::mib(256);
-        // Best-fit-device homes C2 and C3 on different devices, leaving
-        // 256 MiB unassigned on each.
-        let arrive = [
-            Event::Register { c: 1 },
-            Event::Register { c: 2 },
-            Event::Adopt {
-                c: 0,
-                used: Bytes::new(u.0 * 2),
-            },
-        ];
-        let closes = [Event::Close { c: 1 }, Event::Close { c: 2 }];
-        replay(&cfg, &[&arrive[..], &closes].concat()).expect("a clean refusal");
-        let (step, _) = replay(&cfg, &[&arrive[..], &[Event::Close { c: 0 }]].concat())
-            .expect_err("C1 never arrived");
-        assert_eq!(step, 3);
-        // 256 MiB fits where 512 did not.
-        let fits = [
-            &arrive[..2],
-            &[Event::Adopt { c: 0, used: u }, Event::Close { c: 0 }],
-        ];
-        replay(&cfg, &fits.concat()).expect("adopted and closed");
     }
 }

@@ -57,9 +57,5 @@ pub fn phases(policies: &[PolicyKind]) -> Vec<Phase> {
                 ModelConfig::two_devices_three_containers,
             ),
         },
-        Phase {
-            title: "adoption: the multi-GPU universe (best-fit-device), C1 may arrive adopted",
-            rows: per_policy("adoption", ModelConfig::two_devices_with_adoption),
-        },
     ]
 }

@@ -2,11 +2,11 @@
 //!
 //! The [`crate::router::ClusterRouter`]'s home map — which node owns
 //! each container, the limit it registered with and the placement hint
-//! the router committed — is the checkpoint a migration replays onto an
-//! adopting node. Before this module that map lived only in memory: a
+//! the router committed — is the checkpoint a migration registers on a
+//! surviving node. Before this module that map lived only in memory: a
 //! restarted router re-learned homes lazily with **zero** checkpoints,
-//! so a post-restart migration off a dead node replayed `limit = 0`
-//! onto the adopter and committed-memory placement ran blind.
+//! so a post-restart migration off a dead node registered `limit = 0`
+//! on the survivor and committed-memory placement ran blind.
 //!
 //! The journal fixes that with the classic WAL shape. What a record
 //! *means* is [`apply`], the one home-map transition: the live router
@@ -132,7 +132,7 @@ pub enum JournalOp {
     /// out at the start of a migration).
     Close { container: ContainerId },
     /// A migration hand-off committed onto `node`, carrying the
-    /// checkpointed budget (the adopter starts from `used = 0`).
+    /// checkpointed budget (the survivor registers it afresh).
     Migrate {
         container: ContainerId,
         node: String,

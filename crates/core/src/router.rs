@@ -61,20 +61,20 @@
 //! `down` — or an operator issues `cluster rebalance` — the router
 //! *drains* that node: every container homed there is closed on the
 //! source (cancelling parked requests the way the paper's kill path
-//! does), then replayed onto a surviving node through the `migrate`
-//! wire message, which the receiving daemon services as an *adoption*
-//! (register + pre-committed budget in one step). The placement budget
-//! the router committed for the container (limit + context hint)
-//! travels with it, so committed memory is conserved and never exceeds
-//! any node's capacity. Live `used` bytes do not: the adoption starts
-//! from `used = 0` on every path. A live source's acknowledged close
-//! freed the memory, and a dead source's allocations died with its GPU.
+//! does), then registered on a surviving node with the limit the router
+//! checkpointed — a plain `register`, so the survivor admits it exactly
+//! as nvidia-docker's registration would. The placement budget the
+//! router committed for the container (limit + context hint) travels
+//! with it, so committed memory is conserved and never exceeds any
+//! node's capacity. Live `used` bytes do not: the migrant starts from
+//! `used = 0` on every path. A live source's acknowledged close freed
+//! the memory, and a dead source's allocations died with its GPU.
 //! The router keeps homes, not books — a container's usage is its
 //! node's scheduler's, as in the paper (§III-D).
 //! Requests racing a migration park on a condvar (bounded by the router
 //! deadline) and then route to the new home; the same flag reserves a
 //! container id while its `register` is being placed.
-//! When no survivor can adopt a container the migration is recorded as
+//! When no survivor can take a container the migration is recorded as
 //! `rejected` and the container ends closed — a clean rejection, never
 //! a hang. The newest records are answered over `query_migrations`.
 //!
@@ -89,7 +89,7 @@
 //! write-ahead journal ([`crate::journal`]), with periodic compacted
 //! snapshots. On restart the journal replays, so recovered homes carry
 //! their full `limit` / `hint` checkpoints and a post-restart migration
-//! hands the adopter the *pre-restart* budget. A mutation and
+//! registers the migrant with its *pre-restart* budget. A mutation and
 //! its journal record are sequenced in **one critical section** (the
 //! WAL's memory half lives inside the home-map mutex), so journal
 //! order always equals apply order and a compaction can never cover a
@@ -112,7 +112,7 @@
 
 use crate::handler::ServiceHandler;
 use crate::journal::{self, Journal, JournalConfig, JournalOp, RecoveredHome, WalBuffer};
-use crate::service::{MigrationLog, ObsHub, SchedulerService};
+use crate::service::{ObsHub, SchedulerService};
 use convgpu_ipc::binary::WireCodec;
 use convgpu_ipc::client::SchedulerClient;
 use convgpu_ipc::endpoint::{IpcError, IpcResult, Transact};
@@ -137,7 +137,7 @@ use convgpu_sim_core::rng::DetRng;
 use convgpu_sim_core::sync::{Condvar, Mutex};
 use convgpu_sim_core::time::{SimDuration, SimTime};
 use convgpu_sim_core::units::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SendError, SyncSender};
@@ -425,6 +425,38 @@ pub struct ClusterRouter {
     /// quiescent router's buffered records still reach the file within
     /// about one [`JournalConfig::idle_flush`] tick.
     flusher: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The newest migration records of a router, oldest first.
+///
+/// Bounded, because the whole log travels in one `migrations` reply and
+/// a reply has to fit a frame: [`MigrationLog::KEPT`] records with
+/// 20-digit ids and sizes and node names of up to 60 bytes stay under
+/// the 64 KiB frame limit in either codec. Older records are dropped;
+/// the router's migration counter keeps counting all of them.
+#[derive(Default)]
+struct MigrationLog(VecDeque<MigrationRecord>);
+
+impl MigrationLog {
+    const KEPT: usize = 256;
+
+    fn push(&mut self, record: MigrationRecord) {
+        if self.0.len() == Self::KEPT {
+            self.0.pop_front();
+        }
+        self.0.push_back(record);
+    }
+
+    fn records(&self) -> Vec<MigrationRecord> {
+        self.0.iter().cloned().collect()
+    }
+
+    /// The part of one drain's `records` that fits a reply: its newest.
+    fn newest(mut records: Vec<MigrationRecord>) -> Vec<MigrationRecord> {
+        let dropped = records.len().saturating_sub(Self::KEPT);
+        records.drain(..dropped);
+        records
+    }
 }
 
 /// The context charge a node budgets on top of each limit; mirrored here
@@ -1151,12 +1183,11 @@ impl ClusterRouter {
     /// Move one container off node `from`: checkpoint its committed
     /// budget from the router's own accounting, close it on the source
     /// (cancelling parked requests exactly like the paper's kill path;
-    /// on a dead node this degrades to an ack), then replay it onto a
-    /// surviving node via the `migrate` wire message, which the target
-    /// daemon services as an adoption. The adoption starts from
-    /// `used = 0` whatever the close did: a live source freed the
-    /// container's memory when it acknowledged the close, and a dead
-    /// source's allocations died with its GPU.
+    /// on a dead node this degrades to an ack), then `register` it on a
+    /// surviving node with the checkpointed limit. The survivor's books
+    /// are a fresh registration's whatever the close did: a live source
+    /// freed the container's memory when it acknowledged the close, and
+    /// a dead source's allocations died with its GPU.
     /// Candidates that refuse (full, unreachable) are excluded and the
     /// next is tried; with no survivor left the record says `rejected`
     /// and the container ends closed. Always returns the record it
@@ -1167,10 +1198,10 @@ impl ClusterRouter {
         // Flag first, checkpoint second: a client call that loses the
         // race parks in `await_migration` before it touches the home
         // map, so a home that is already gone when read under the flag
-        // is gone for good — the container closed, nothing to adopt.
+        // is gone for good — the container closed, nothing to move.
         // (Checkpointing before flagging would let a concurrent close
-        // remove the home mid-drain and still adopt the closed
-        // container onto a survivor, orphaning an open copy there.)
+        // remove the home mid-drain and still register the closed
+        // container on a survivor, orphaning an open copy there.)
         self.migrating.lock().insert(container);
         let checkpoint = {
             let state = self.homes.lock();
@@ -1200,13 +1231,7 @@ impl ClusterRouter {
         excluded[from] = true;
         let mut to = String::new();
         while let Some(pick) = self.pick_node(hint, &excluded) {
-            let req = Request::Migrate {
-                container,
-                node: String::new(),
-                limit,
-                used: Bytes::ZERO,
-            };
-            match self.call_node(pick, &req, true) {
+            match self.call_node(pick, &Request::Register { container, limit }, true) {
                 Ok(Response::Ok) => {
                     to = self.nodes[pick].name.clone();
                     self.mutate(JournalOp::Migrate {
@@ -1305,9 +1330,9 @@ impl ClusterRouter {
 
     /// `container_close`: the router's home entry is dropped, and the
     /// node-side close degrades to an ack when the node is gone. A close
-    /// that races a drain re-forwards to the adoptive node: without
-    /// that, the close can land on the dying source while the hand-off
-    /// adopts the container onto a survivor, leaving an open copy there
+    /// that races a drain re-forwards to the new home: without that,
+    /// the close can land on the dying source while the hand-off
+    /// registers the container on a survivor, leaving an open copy there
     /// that nobody will ever close.
     fn close(&self, container: ContainerId, req: &Request) -> IpcResult<Response> {
         let mut idx = self.route_idx(container)?;
@@ -1810,7 +1835,45 @@ mod tests {
     }
 
     #[test]
-    fn dead_node_migration_adopts_at_zero_used() {
+    fn a_full_migration_log_fits_a_frame_in_both_codecs() {
+        use convgpu_ipc::binary::{encode_with, WireCodec, MAX_FRAME_BYTES};
+        use convgpu_ipc::message::Envelope;
+        // The widest record the bound allows for: 20-digit numbers and
+        // 60-byte node names.
+        let widest = |i: u64| MigrationRecord {
+            container: ContainerId(u64::MAX - i),
+            from: "f".repeat(60),
+            to: "t".repeat(60),
+            limit: Bytes::new(u64::MAX),
+            used: Bytes::new(u64::MAX),
+            status: "completed".to_string(),
+        };
+        let mut log = MigrationLog::default();
+        let pushed = MigrationLog::KEPT as u64 + 10;
+        (0..pushed).for_each(|i| log.push(widest(i)));
+        let kept = log.records();
+        assert_eq!(kept.len(), MigrationLog::KEPT);
+        assert_eq!(kept[0], widest(10), "the oldest records go first");
+        assert_eq!(kept[kept.len() - 1], widest(pushed - 1));
+        assert_eq!(
+            MigrationLog::newest((0..pushed).map(widest).collect()),
+            kept,
+            "a drain's reply is cut the same way"
+        );
+        for codec in [WireCodec::Json, WireCodec::Binary] {
+            let reply = Envelope {
+                id: u64::MAX,
+                body: Response::Migrations {
+                    records: kept.clone(),
+                },
+            };
+            let frame = encode_with(&reply, codec);
+            assert!(frame.len() <= MAX_FRAME_BYTES, "{codec:?}: {}", frame.len());
+        }
+    }
+
+    #[test]
+    fn dead_node_migration_registers_at_zero_used() {
         let clock = RealClock::handle();
         let n0 = node("deadused", "n0", 1024, clock.clone());
         let n1 = node("deadused", "n1", 1024, clock.clone());
@@ -1856,18 +1919,30 @@ mod tests {
         assert_eq!(records[0].to, "n1");
         assert_eq!(records[0].limit, Bytes::mib(400));
         // The dead source's allocations died with its GPU: nothing
-        // travels, and the adopter's books start empty.
+        // travels, and the survivor's books are a fresh registration's.
         assert_eq!(records[0].used, Bytes::ZERO);
         let books = || {
             n1.service().with_scheduler(|s| {
                 s.check_invariants().unwrap();
-                let rec = s.container(c).expect("adopted");
-                (rec.used, rec.assigned, rec.allocations.len())
+                let rec = s.container(c).expect("registered");
+                (rec.limit, rec.used, rec.assigned, rec.allocations.len())
             })
         };
-        let adopted = books();
-        assert_eq!(adopted.0, Bytes::ZERO);
-        // A pre-move address freed on the adopter, waited and as a
+        let registered = books();
+        assert_eq!(
+            registered,
+            (Bytes::mib(400), Bytes::ZERO, Bytes::mib(466), 0),
+            "the checkpointed limit, fully reserved, nothing used"
+        );
+        let decisions: Vec<&str> = n1.service().with_scheduler(|s| {
+            s.log()
+                .for_container(c)
+                .iter()
+                .map(|e| e.decision.kind())
+                .collect()
+        });
+        assert_eq!(decisions, ["registered"]);
+        // A pre-move address freed on the survivor, waited and as a
         // one-way report (the waited `mem_info` after it is the barrier
         // that puts it on the books), changes nothing there.
         assert_eq!(
@@ -1877,7 +1952,7 @@ mod tests {
         router.report_free(c, 7, 0xA1).unwrap();
         let (free, total) = ClusterRouter::mem_info(&router, c, 7).unwrap();
         assert_eq!((free, total), (Bytes::mib(400), Bytes::mib(400)));
-        assert_eq!(books(), adopted);
+        assert_eq!(books(), registered);
         // Behavioral proof: a fresh pid's 350 MiB plus its 66 MiB context
         // fit the 400 + 66 requirement only from used = 0.
         assert_eq!(
@@ -2003,7 +2078,7 @@ mod tests {
         assert_eq!(records[0].to, "n1");
         assert_eq!(records[0].limit, Bytes::mib(100));
         // …but the source was *alive*: its acknowledged close really
-        // freed them, so the adoption starts from zero.
+        // freed them, so the survivor's books start from zero.
         assert_eq!(records[0].used, Bytes::ZERO);
         // Both homes now on n1, none left on n0, and the moved
         // container completes a full lifecycle on its new home.
@@ -2017,8 +2092,8 @@ mod tests {
             AllocDecision::Granted
         );
         ClusterRouter::alloc_done(&router, ContainerId(1), 3, 0xB0, Bytes::mib(50)).unwrap();
-        // The adopting node pre-reserved the migrated budget: committed
-        // memory on n1 never exceeds its capacity.
+        // The survivor registered the migrated budget: committed memory
+        // on n1 never exceeds its capacity.
         n1.service().with_scheduler(|s| {
             s.check_invariants().unwrap();
             assert!(s.total_assigned() <= Bytes::mib(1024));
@@ -2036,7 +2111,7 @@ mod tests {
     fn migration_without_a_capable_survivor_is_a_clean_rejection() {
         let clock = RealClock::handle();
         let n0 = node("nofit", "n0", 1024, clock.clone());
-        // Too small to adopt 100 MiB + the 66 MiB context hint.
+        // Too small to register 100 MiB + the 66 MiB context hint.
         let n1 = node("nofit", "n1", 150, clock.clone());
         let vclock: ClockHandle = VirtualClock::new().handle();
         let cfg = RouterConfig {

@@ -13,9 +13,7 @@
 //! ([`InProcEndpoint`]) both answer a [`Request`] with it.
 
 use convgpu_ipc::endpoint::{IpcResult, Transact};
-use convgpu_ipc::message::{
-    AllocDecision, ApiKind, MigrationRecord, Request, Response, TopologyDevice,
-};
+use convgpu_ipc::message::{AllocDecision, ApiKind, Request, Response, TopologyDevice};
 use convgpu_ipc::server::Reply;
 use convgpu_ipc::transport;
 use convgpu_obs::{chrome, prometheus, Registry, RingSink, SpanSink, Tracer};
@@ -26,7 +24,7 @@ use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::units::Bytes;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
@@ -85,38 +83,6 @@ impl Default for ObsHub {
     }
 }
 
-/// The newest migration records of a daemon or a router, oldest first.
-///
-/// Bounded, because the whole log travels in one `migrations` reply and
-/// a reply has to fit a frame: [`MigrationLog::KEPT`] records with
-/// 20-digit ids and sizes and node names of up to 60 bytes stay under
-/// the 64 KiB frame limit in either codec. Older records are dropped;
-/// the router's migration counter keeps counting all of them.
-#[derive(Default)]
-pub(crate) struct MigrationLog(VecDeque<MigrationRecord>);
-
-impl MigrationLog {
-    const KEPT: usize = 256;
-
-    pub(crate) fn push(&mut self, record: MigrationRecord) {
-        if self.0.len() == Self::KEPT {
-            self.0.pop_front();
-        }
-        self.0.push_back(record);
-    }
-
-    pub(crate) fn records(&self) -> Vec<MigrationRecord> {
-        self.0.iter().cloned().collect()
-    }
-
-    /// The part of one drain's `records` that fits a reply: its newest.
-    pub(crate) fn newest(mut records: Vec<MigrationRecord>) -> Vec<MigrationRecord> {
-        let dropped = records.len().saturating_sub(Self::KEPT);
-        records.drain(..dropped);
-        records
-    }
-}
-
 /// The live scheduler service shared by every connection and thread.
 ///
 /// Since the topology refactor the service is **backend-agnostic**: it
@@ -135,7 +101,6 @@ pub struct SchedulerService {
     /// made and [`SchedulerService::container_close`] has yet to remove.
     volumes: Mutex<HashSet<ContainerId>>,
     obs: Arc<ObsHub>,
-    migrations: Mutex<MigrationLog>,
 }
 
 impl SchedulerService {
@@ -161,7 +126,6 @@ impl SchedulerService {
             base_dir,
             volumes: Mutex::new(HashSet::new()),
             obs,
-            migrations: Mutex::new(MigrationLog::default()),
         }
     }
 
@@ -346,20 +310,12 @@ impl SchedulerService {
                     message: format!("container {container} is not registered"),
                 },
             },
-            Request::QueryCluster => Response::Error {
-                message: "not a cluster daemon".to_string(),
-            },
-            Request::Migrate {
-                container,
-                node,
-                limit,
-                used,
-            } => reply(self.migrate(container, &node, limit, used), |()| {
-                Response::Ok
-            }),
-            Request::QueryMigrations => Response::Migrations {
-                records: self.migration_records(),
-            },
+            // Clusters, migrations and their records are the router's.
+            Request::QueryCluster | Request::Migrate { .. } | Request::QueryMigrations => {
+                Response::Error {
+                    message: "not a cluster daemon".to_string(),
+                }
+            }
         }
     }
 
@@ -375,46 +331,6 @@ impl SchedulerService {
         let mut state = self.state.lock();
         let now = self.clock.now();
         state.register(container, limit, now)
-    }
-
-    /// Handle the `migrate` wire message: adopt a migrated container,
-    /// registering it with `limit` and marking `used` bytes pre-committed
-    /// in one step — the receiving half of a migration hand-off. The
-    /// adoption is appended to this daemon's migration log (source
-    /// unknown at this layer, so `from` is empty). Container 0 names a
-    /// node drain, which only a router answers: here it is an error.
-    pub fn migrate(
-        &self,
-        container: ContainerId,
-        node: &str,
-        limit: Bytes,
-        used: Bytes,
-    ) -> Result<(), SchedError> {
-        if container == ContainerId(0) {
-            return Err(SchedError::ProtocolViolation(format!(
-                "migrate: container 0 asks for a drain of node {node:?}, which only a router answers"
-            )));
-        }
-        {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            state.adopt(container, limit, used, now)?;
-        }
-        self.migrations.lock().push(MigrationRecord {
-            container,
-            from: String::new(),
-            to: String::new(),
-            limit,
-            used,
-            status: "completed".to_string(),
-        });
-        Ok(())
-    }
-
-    /// The migrations this daemon still has on record (the newest ones),
-    /// oldest first.
-    pub fn migration_records(&self) -> Vec<MigrationRecord> {
-        self.migrations.lock().records()
     }
 
     /// Create (if needed) and return the container's volume directory,
@@ -755,44 +671,6 @@ mod tests {
         let decision = waiter.join().unwrap().unwrap();
         assert_eq!(decision, AllocDecision::Granted);
         svc.with_scheduler(|s| s.check_invariants().unwrap());
-    }
-
-    #[test]
-    fn a_full_migration_log_fits_a_frame_in_both_codecs() {
-        use convgpu_ipc::binary::{encode_with, WireCodec, MAX_FRAME_BYTES};
-        use convgpu_ipc::message::Envelope;
-        // The widest record the bound allows for: 20-digit numbers and
-        // 60-byte node names.
-        let widest = |i: u64| MigrationRecord {
-            container: ContainerId(u64::MAX - i),
-            from: "f".repeat(60),
-            to: "t".repeat(60),
-            limit: Bytes::new(u64::MAX),
-            used: Bytes::new(u64::MAX),
-            status: "completed".to_string(),
-        };
-        let mut log = MigrationLog::default();
-        let pushed = MigrationLog::KEPT as u64 + 10;
-        (0..pushed).for_each(|i| log.push(widest(i)));
-        let kept = log.records();
-        assert_eq!(kept.len(), MigrationLog::KEPT);
-        assert_eq!(kept[0], widest(10), "the oldest records go first");
-        assert_eq!(kept[kept.len() - 1], widest(pushed - 1));
-        assert_eq!(
-            MigrationLog::newest((0..pushed).map(widest).collect()),
-            kept,
-            "a drain's reply is cut the same way"
-        );
-        for codec in [WireCodec::Json, WireCodec::Binary] {
-            let reply = Envelope {
-                id: u64::MAX,
-                body: Response::Migrations {
-                    records: kept.clone(),
-                },
-            };
-            let frame = encode_with(&reply, codec);
-            assert!(frame.len() <= MAX_FRAME_BYTES, "{codec:?}: {}", frame.len());
-        }
     }
 
     #[test]

@@ -411,19 +411,19 @@ wire! {
         /// per-node status: health, placements, and fault-tolerance
         /// counters. Non-cluster daemons answer `error`.
         QueryCluster = "query_cluster", 13,
-        /// Migration hand-off. To a node daemon: adopt `container` with its
-        /// declared `limit` and pre-committed `used` budget (`node` ignored).
-        /// To a cluster router: re-home `container` off its current node, or —
-        /// when `container` is the 0 sentinel and `node` names a router node —
-        /// drain every container homed on that node (`cluster rebalance`).
+        /// Ask a cluster router to re-home `container` off its current node,
+        /// or — when `container` is the 0 sentinel and `node` names a router
+        /// node — to drain every container homed on that node (`cluster
+        /// rebalance`). Node daemons answer `error`: a router hands a migrant
+        /// to its new node as a plain `register`.
         Migrate = "migrate", 14 {
             /// The container to hand off (0 = every container on `node`).
             container: ContainerId,
             /// Router only: node to drain when `container` is 0.
             node: String,
-            /// Declared limit carried over (daemon adopt path).
+            /// Retired: read and ignored (kept so the wire bytes hold).
             limit: Bytes,
-            /// Committed (used) budget carried over (daemon adopt path).
+            /// Retired: read and ignored (kept so the wire bytes hold).
             used: Bytes,
         },
         /// Ask a cluster router for the migrations it has performed.
@@ -481,12 +481,12 @@ wire! {
         container: ContainerId,
         /// Node it was drained off.
         from: String,
-        /// Node that adopted it; empty when no node could (`status` says
+        /// Node it was registered on; empty when no node could take it (`status` says
         /// `"rejected"`).
         to: String,
         /// Declared limit carried over.
         limit: Bytes,
-        /// Committed (used) budget carried over.
+        /// Retired: always 0, since a migrant starts with nothing used.
         used: Bytes,
         /// `"completed"` or `"rejected"`.
         status: String,

@@ -97,7 +97,7 @@ macro_rules! metrics {
 
 metrics! {
     SCHED_DECISIONS: Counter("convgpu_sched_decisions_total", Daemon, ["kind"])
-        "scheduler decisions (`registered`, `adopted`, `granted`, `rejected`, `suspended`, `topped_up`, `resumed`, `closed`, `process_exited`)";
+        "scheduler decisions (`registered`, `granted`, `rejected`, `suspended`, `topped_up`, `resumed`, `closed`, `process_exited`)";
     SCHED_SUSPEND: Latency("convgpu_sched_suspend_seconds", Container, ["container"])
         "suspension episodes: `_count` = episodes, `_sum` = total suspended seconds";
     SCHED_POLICY_DECISIONS: Counter("convgpu_sched_policy_decisions_total", Daemon, ["policy", "outcome"])

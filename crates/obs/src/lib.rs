@@ -29,9 +29,9 @@
 //!   latency histograms with quantile estimation, mergeable
 //!   [`metrics::Snapshot`]s.
 //! * [`trace`] — [`trace::Tracer`]: spans with ids/parents and typed
-//!   attributes, pluggable sinks (bounded ring, JSONL writer, test
-//!   collector), plus the canonical span-tree renderer the golden-trace
-//!   regression tests diff against.
+//!   attributes, pluggable sinks (bounded ring, test collector), plus
+//!   the canonical span-tree renderer the golden-trace regression tests
+//!   diff against.
 //! * [`prometheus`] — Prometheus text exposition (the payload of the
 //!   `query_metrics` protocol message) and a small parser for tests.
 //! * [`chrome`] — `chrome://tracing` JSON export: one timeline row per
@@ -48,6 +48,4 @@ pub mod trace;
 pub use metrics::{
     quantile_from_cumulative, Histogram, MetricValue, Registry, SeriesKey, Snapshot,
 };
-pub use trace::{
-    render_canonical, CollectorSink, JsonlSink, RingSink, SpanRecord, SpanSink, Tracer,
-};
+pub use trace::{render_canonical, CollectorSink, RingSink, SpanRecord, SpanSink, Tracer};

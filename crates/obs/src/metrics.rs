@@ -508,9 +508,9 @@ mod tests {
         assert!(snap.histogram(suspend, &gone).is_none());
         // The same container on another device, another container on the
         // same device, and a daemon-lifetime family all stay.
-        let adopter = [("container", "cnt-0001"), ("device", "1")];
-        assert_eq!(snap.gauge(used, &adopter), Some(1.0));
-        assert!(snap.histogram(suspend, &adopter).is_some());
+        let elsewhere = [("container", "cnt-0001"), ("device", "1")];
+        assert_eq!(snap.gauge(used, &elsewhere), Some(1.0));
+        assert!(snap.histogram(suspend, &elsewhere).is_some());
         assert_eq!(
             snap.gauge(used, &[("container", "cnt-0002"), ("device", "0")]),
             Some(1.0)

@@ -14,12 +14,10 @@
 //!   for the Chrome-trace export.
 //! * [`CollectorSink`] — unbounded, for tests (the golden-trace
 //!   regression diffs its contents via [`render_canonical`]).
-//! * [`JsonlSink`] — one JSON object per line to any writer.
 
 use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::time::SimTime;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -216,68 +214,6 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// One span as a JSON object line.
-fn span_to_json_line(span: &SpanRecord) -> String {
-    let mut s = String::from("{\"id\":");
-    s.push_str(&span.id.to_string());
-    if let Some(p) = span.parent {
-        s.push_str(",\"parent\":");
-        s.push_str(&p.to_string());
-    }
-    s.push_str(",\"name\":");
-    escape_json(&span.name, &mut s);
-    if let Some(c) = span.container {
-        s.push_str(",\"container\":");
-        s.push_str(&c.to_string());
-    }
-    s.push_str(",\"start_ns\":");
-    s.push_str(&span.start.as_nanos().to_string());
-    s.push_str(",\"end_ns\":");
-    s.push_str(&span.end.as_nanos().to_string());
-    if !span.attrs.is_empty() {
-        s.push_str(",\"attrs\":{");
-        for (i, (k, v)) in span.attrs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            escape_json(k, &mut s);
-            s.push(':');
-            escape_json(v, &mut s);
-        }
-        s.push('}');
-    }
-    s.push('}');
-    s
-}
-
-/// Streams spans as newline-delimited JSON to a writer.
-pub struct JsonlSink<W: Write + Send> {
-    writer: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink {
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// Recover the writer (e.g. to inspect a `Vec<u8>` in tests).
-    pub fn into_inner(self) -> W {
-        self.writer.into_inner()
-    }
-}
-
-impl<W: Write + Send> SpanSink for JsonlSink<W> {
-    fn record(&self, span: &SpanRecord) {
-        let line = span_to_json_line(span);
-        let mut w = self.writer.lock();
-        // A full disk must not take the middleware down with it.
-        let _ = writeln!(w, "{line}");
-    }
-}
-
 /// Render spans as a canonical, diffable tree: ids remapped to
 /// first-seen ordinals, absolute timestamps dropped (only the relative
 /// order of span starts survives), children indented under parents.
@@ -375,26 +311,6 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].name, "s2");
         assert_eq!(snap[1].name, "s3");
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_span() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.record(&SpanRecord {
-            id: 7,
-            parent: Some(3),
-            name: "alloc \"x\"".into(),
-            container: Some(2),
-            start: t(1),
-            end: t(2),
-            attrs: vec![("size".into(), "1024".into())],
-        });
-        let out = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(out.lines().count(), 1);
-        assert!(out.contains("\"id\":7"), "{out}");
-        assert!(out.contains("\"parent\":3"), "{out}");
-        assert!(out.contains("\\\"x\\\""), "escaped quote: {out}");
-        assert!(out.contains("\"size\":\"1024\""), "{out}");
     }
 
     #[test]

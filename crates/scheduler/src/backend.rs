@@ -59,17 +59,6 @@ pub trait SchedulerBackend {
         now: SimTime,
     ) -> Result<DeviceIndex, SchedError>;
 
-    /// Admit a migrated container with its committed budget pre-reserved
-    /// (the migration hand-off path; never suspends, never re-races the
-    /// budget). See [`Scheduler::adopt`].
-    fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<DeviceIndex, SchedError>;
-
     /// Permission to allocate; resume actions may concern *any*
     /// container of the topology (tickets are globally unique).
     fn alloc_request(
@@ -196,16 +185,6 @@ impl SchedulerBackend for Scheduler {
         now: SimTime,
     ) -> Result<DeviceIndex, SchedError> {
         Scheduler::register(self, id, limit, now).map(|()| 0)
-    }
-
-    fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<DeviceIndex, SchedError> {
-        Scheduler::adopt(self, id, limit, used, now).map(|()| 0)
     }
 
     fn alloc_request(
@@ -346,16 +325,6 @@ impl SchedulerBackend for TopologyBackend {
         now: SimTime,
     ) -> Result<DeviceIndex, SchedError> {
         dispatch!(self, b => SchedulerBackend::register(b, id, limit, now))
-    }
-
-    fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<DeviceIndex, SchedError> {
-        dispatch!(self, b => SchedulerBackend::adopt(b, id, limit, used, now))
     }
 
     fn alloc_request(

@@ -190,18 +190,6 @@ pub enum SchedError {
     ContainerClosed(ContainerId),
     /// Malformed message sequence (e.g. duplicate `AllocDone` address).
     ProtocolViolation(String),
-    /// A migration hand-off could not be admitted: the container's
-    /// pre-committed budget does not fit the device's unassigned pool
-    /// right now. Distinct from [`SchedError::LimitExceedsCapacity`] so a
-    /// migration driver can fall back to the next placement candidate.
-    AdoptionOverCommit {
-        /// The container being migrated in.
-        container: ContainerId,
-        /// Its pre-committed (already used) budget.
-        committed: Bytes,
-        /// Unassigned memory available on this device.
-        unassigned: Bytes,
-    },
 }
 
 impl fmt::Display for SchedError {
@@ -219,14 +207,6 @@ impl fmt::Display for SchedError {
             ),
             SchedError::ContainerClosed(c) => write!(f, "container {c} is closed"),
             SchedError::ProtocolViolation(m) => write!(f, "protocol violation: {m}"),
-            SchedError::AdoptionOverCommit {
-                container,
-                committed,
-                unassigned,
-            } => write!(
-                f,
-                "container {container} adoption needs {committed} committed but only {unassigned} is unassigned"
-            ),
         }
     }
 }
@@ -244,7 +224,7 @@ pub struct Scheduler {
     /// Records keyed by container id in an ordered map, so iteration is
     /// deterministic *structurally* — no per-call sort on any path.
     containers: BTreeMap<ContainerId, ContainerRecord>,
-    /// The largest id ever registered or adopted. `containers` keeps every
+    /// The largest id ever registered. `containers` keeps every
     /// closed record, so it only grows; an id above this mark cannot be in
     /// it, and registering one skips the duplicate check's walk down it.
     max_registered: Option<ContainerId>,
@@ -552,74 +532,6 @@ impl Scheduler {
                 id,
                 limit,
                 assigned: take,
-            }
-        );
-        self.sample(now);
-        self.audit_check();
-        Ok(())
-    }
-
-    /// Migration hand-off: admit a container whose committed budget moves
-    /// with it. Unlike [`register`](Self::register), the container arrives
-    /// with `used` bytes already charged on its previous home, so that
-    /// amount is reserved *and marked used* atomically — it is never
-    /// re-raced against concurrent admissions. The adopted container holds
-    /// no recorded allocations (they died with, or stayed behind on, the
-    /// source); frees of pre-migration addresses report zero, and the
-    /// budget is reclaimed at process exit or close.
-    pub fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<(), SchedError> {
-        if self.is_registered(id) {
-            return Err(SchedError::AlreadyRegistered(id));
-        }
-        let requirement = self.requirement(limit);
-        if requirement > self.cfg.capacity {
-            return Err(SchedError::LimitExceedsCapacity {
-                container: id,
-                requirement,
-                capacity: self.cfg.capacity,
-            });
-        }
-        if used > requirement {
-            return Err(SchedError::ProtocolViolation(format!(
-                "adopt: committed {used} exceeds effective requirement {requirement}"
-            )));
-        }
-        if used > self.unassigned() {
-            return Err(SchedError::AdoptionOverCommit {
-                container: id,
-                committed: used,
-                unassigned: self.unassigned(),
-            });
-        }
-        let mut rec = ContainerRecord::new(id, limit, requirement, now);
-        // The committed budget must be fully backed by reservation; beyond
-        // it, reserve opportunistically like registration does. Both terms
-        // are ≤ unassigned and ≤ requirement, so the invariants
-        // used ≤ assigned ≤ requirement and Σ assigned ≤ capacity hold.
-        let take = used.max(self.unassigned().min(requirement));
-        rec.assigned = take;
-        rec.used = used;
-        self.total_assigned += take;
-        self.total_used += used;
-        self.insert_record(rec);
-        self.touched.push(id);
-        if let Some(obs) = &self.obs {
-            self.container_spans.insert(id, obs.tracer.next_span_id());
-        }
-        record!(
-            self,
-            now,
-            Decision::Adopted {
-                id,
-                limit,
-                assigned: take,
-                used,
             }
         );
         self.sample(now);
@@ -1471,7 +1383,7 @@ mod tests {
             "a closed record still holds its id"
         );
         assert_eq!(
-            s.adopt(c9, mib(10), Bytes::ZERO, t(2)),
+            s.register(c9, mib(10), t(2)),
             Err(SchedError::AlreadyRegistered(c9))
         );
     }
@@ -1811,7 +1723,6 @@ mod tests {
             .entries()
             .map(|e| match &e.decision {
                 Decision::Registered { .. } => "registered",
-                Decision::Adopted { .. } => "adopted",
                 Decision::Granted { .. } => "granted",
                 Decision::Rejected { .. } => "rejected",
                 Decision::Suspended { .. } => "suspended",
@@ -1929,56 +1840,6 @@ mod tests {
         // `check_invariants` recomputes Σ used and compares it to the
         // incrementally maintained total after every step above (audit
         // builds), and once more here for non-audit builds.
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn adopt_pre_commits_the_migrated_budget() {
-        let mut s = sched(5120, PolicyKind::Fifo);
-        s.adopt(C1, mib(1024), mib(700), t(0)).unwrap();
-        let r = s.container(C1).unwrap();
-        assert_eq!(r.used, mib(700), "committed budget arrives used");
-        assert_eq!(r.assigned, mib(1090), "fully reserved while memory lasts");
-        assert!(r.allocations.is_empty(), "no recorded addresses travel");
-        s.check_invariants().unwrap();
-        // The budget behaves like normal usage: within assigned, further
-        // allocations grant; the whole thing is reclaimed at close.
-        let (out, _) = s
-            .alloc_request(C1, 9, mib(100), ApiKind::Malloc, t(1))
-            .unwrap();
-        assert_eq!(out, AllocOutcome::Granted);
-        s.container_close(C1, t(2)).unwrap();
-        assert_eq!(s.total_assigned(), Bytes::ZERO);
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn adopt_rejects_overcommit_and_misuse() {
-        let mut s = sched(1200, PolicyKind::Fifo);
-        s.register(C1, mib(1000), t(0)).unwrap(); // reserves 1066
-                                                  // Only 134 MiB unassigned: a 200 MiB committed budget cannot land.
-        assert!(matches!(
-            s.adopt(C2, mib(500), mib(200), t(1)).unwrap_err(),
-            SchedError::AdoptionOverCommit { .. }
-        ));
-        assert!(s.container(C2).is_none(), "failed adoption leaves no state");
-        // A budget over the effective requirement is a protocol violation.
-        let mut s = sched(5120, PolicyKind::Fifo);
-        assert!(matches!(
-            s.adopt(C2, mib(100), mib(200), t(0)).unwrap_err(),
-            SchedError::ProtocolViolation(_)
-        ));
-        // Duplicate ids and impossible limits behave like register.
-        let mut s = sched(5120, PolicyKind::Fifo);
-        s.register(C1, mib(100), t(0)).unwrap();
-        assert!(matches!(
-            s.adopt(C1, mib(100), Bytes::ZERO, t(1)).unwrap_err(),
-            SchedError::AlreadyRegistered(_)
-        ));
-        assert!(matches!(
-            s.adopt(C3, mib(9000), Bytes::ZERO, t(1)).unwrap_err(),
-            SchedError::LimitExceedsCapacity { .. }
-        ));
         s.check_invariants().unwrap();
     }
 

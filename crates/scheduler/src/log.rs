@@ -25,18 +25,6 @@ pub enum Decision {
         /// Reservation made at registration.
         assigned: Bytes,
     },
-    /// Container adopted from another node (migration hand-off): its
-    /// committed budget arrives pre-reserved and marked used.
-    Adopted {
-        /// The container.
-        id: ContainerId,
-        /// Declared limit.
-        limit: Bytes,
-        /// Reservation made at adoption.
-        assigned: Bytes,
-        /// Pre-committed (already used) budget carried over.
-        used: Bytes,
-    },
     /// Allocation granted immediately.
     Granted {
         /// The container.
@@ -106,7 +94,6 @@ impl Decision {
     pub fn kind(&self) -> &'static str {
         match self {
             Decision::Registered { .. } => "registered",
-            Decision::Adopted { .. } => "adopted",
             Decision::Granted { .. } => "granted",
             Decision::Rejected { .. } => "rejected",
             Decision::Suspended { .. } => "suspended",
@@ -121,7 +108,6 @@ impl Decision {
     pub fn container(&self) -> ContainerId {
         match self {
             Decision::Registered { id, .. }
-            | Decision::Adopted { id, .. }
             | Decision::Granted { id, .. }
             | Decision::Rejected { id, .. }
             | Decision::Suspended { id, .. }
@@ -152,17 +138,6 @@ impl fmt::Display for LogEntry {
                 assigned,
             } => {
                 write!(f, "{id} registered limit={limit} assigned={assigned}")
-            }
-            Decision::Adopted {
-                id,
-                limit,
-                assigned,
-                used,
-            } => {
-                write!(
-                    f,
-                    "{id} adopted limit={limit} assigned={assigned} used={used}"
-                )
             }
             Decision::Granted { id, pid, charged } => {
                 write!(f, "{id} pid={pid} GRANTED {charged}")
@@ -240,21 +215,7 @@ impl DecisionLog {
     pub fn for_container(&self, id: ContainerId) -> Vec<&LogEntry> {
         self.entries
             .iter()
-            .filter(|e| {
-                matches!(
-                    &e.decision,
-                    Decision::Registered { id: i, .. }
-                    | Decision::Adopted { id: i, .. }
-                    | Decision::Granted { id: i, .. }
-                    | Decision::Rejected { id: i, .. }
-                    | Decision::Suspended { id: i, .. }
-                    | Decision::ToppedUp { id: i, .. }
-                    | Decision::Resumed { id: i, .. }
-                    | Decision::Closed { id: i, .. }
-                    | Decision::ProcessExited { id: i, .. }
-                    if *i == id
-                )
-            })
+            .filter(|e| e.decision.container() == id)
             .collect()
     }
 

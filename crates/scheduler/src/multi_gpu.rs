@@ -159,29 +159,28 @@ impl MultiGpuScheduler {
         &self.devices
     }
 
-    /// Register a container, placing it on a device; returns the device
-    /// index.
+    /// Register a container on the placement policy's device; returns the
+    /// device index.
     pub fn register(
         &mut self,
         id: ContainerId,
         limit: Bytes,
         now: SimTime,
     ) -> Result<DeviceIndex, SchedError> {
-        self.place(id, limit, false, |s| s.register(id, limit, now))
-    }
-
-    /// Migration hand-off: adopt a container with its committed budget
-    /// (see [`Scheduler::adopt`]); returns the device index. The budget
-    /// must land whole, so a device that cannot back it right now is
-    /// passed over for the next candidate.
-    pub fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<DeviceIndex, SchedError> {
-        self.place(id, limit, true, |s| s.adopt(id, limit, used, now))
+        if self.homes.contains_key(&id) {
+            return Err(SchedError::AlreadyRegistered(id));
+        }
+        let device = self.pick(limit);
+        self.devices[device].register(id, limit, now)?;
+        self.homes.insert(id, device);
+        if let Some(registry) = &self.registry {
+            let labels = [
+                ("placement", self.placement.label()),
+                ("device", &device.to_string()),
+            ];
+            registry.inc(SCHED_PLACEMENT, &labels, 1);
+        }
+        Ok(device)
     }
 
     /// [`SchedulerBackend::container_close`], callable without the trait
@@ -196,51 +195,9 @@ impl MultiGpuScheduler {
         Ok(tag_actions(device, actions))
     }
 
-    /// The one admission loop: `admit` on the placement policy's pick.
-    /// With `retry`, a capacity-shaped refusal moves on to the remaining
-    /// devices in index order, and the last refusal is the answer
-    /// (protocol errors are always final).
-    fn place(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        retry: bool,
-        mut admit: impl FnMut(&mut Scheduler) -> Result<(), SchedError>,
-    ) -> Result<DeviceIndex, SchedError> {
-        if self.homes.contains_key(&id) {
-            return Err(SchedError::AlreadyRegistered(id));
-        }
-        let mut device = self.pick(limit);
-        let mut tried = Vec::new();
-        loop {
-            match admit(&mut self.devices[device]) {
-                Ok(()) => break,
-                Err(
-                    e @ (SchedError::AdoptionOverCommit { .. }
-                    | SchedError::LimitExceedsCapacity { .. }),
-                ) if retry => {
-                    tried.push(device);
-                    device = (0..self.devices.len())
-                        .find(|i| !tried.contains(i))
-                        .ok_or(e)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.homes.insert(id, device);
-        if let Some(registry) = &self.registry {
-            let labels = [
-                ("placement", self.placement.label()),
-                ("device", &device.to_string()),
-            ];
-            registry.inc(SCHED_PLACEMENT, &labels, 1);
-        }
-        Ok(device)
-    }
-
     /// The placement policy's device for a container declaring `limit`;
-    /// asked once per placement, so the round-robin cursor advances once
-    /// however many candidates follow.
+    /// asked once per registration, so the round-robin cursor advances
+    /// once per container.
     fn pick(&mut self, limit: Bytes) -> DeviceIndex {
         let devices = &self.devices;
         let most_free = || {
@@ -300,16 +257,6 @@ impl SchedulerBackend for MultiGpuScheduler {
         now: SimTime,
     ) -> Result<DeviceIndex, SchedError> {
         MultiGpuScheduler::register(self, id, limit, now)
-    }
-
-    fn adopt(
-        &mut self,
-        id: ContainerId,
-        limit: Bytes,
-        used: Bytes,
-        now: SimTime,
-    ) -> Result<DeviceIndex, SchedError> {
-        MultiGpuScheduler::adopt(self, id, limit, used, now)
     }
 
     fn alloc_request(
@@ -563,26 +510,6 @@ mod tests {
         let idx = m.register(ContainerId(3), Bytes::gib(3), t(2)).unwrap();
         assert_eq!(idx, 0, "fallback lands on the emptiest device");
         assert_eq!(m.open_containers(), 3);
-        m.check_invariants().unwrap();
-    }
-
-    /// An adoption's committed budget must land whole: a device that
-    /// cannot back it now is passed over for one that can.
-    #[test]
-    fn adoption_passes_over_a_device_that_cannot_back_the_budget() {
-        let mut m = two_gpu(PlacementPolicy::RoundRobin);
-        m.register(ContainerId(1), Bytes::gib(4), t(0)).unwrap(); // dev 0
-        m.register(ContainerId(2), Bytes::gib(1), t(1)).unwrap(); // dev 1
-                                                                  // Round robin picks device 0 next, where under 1 GiB is left.
-        let used = Bytes::gib(2);
-        assert_eq!(m.adopt(ContainerId(3), Bytes::gib(2), used, t(2)), Ok(1));
-        assert_eq!(m.shards()[1].container(ContainerId(3)).unwrap().used, used);
-        // Nowhere to back 4 GiB: the last device's refusal is the answer.
-        assert!(matches!(
-            m.adopt(ContainerId(4), Bytes::gib(4), Bytes::gib(4), t(3)),
-            Err(SchedError::AdoptionOverCommit { .. })
-        ));
-        assert_eq!(m.home_of(ContainerId(4)), None);
         m.check_invariants().unwrap();
     }
 

@@ -22,15 +22,6 @@
 //!   N-GPU topology and the exposition carries per-device gauges.
 //! * `trace [--policy=P] [--out=FILE]` — run the same scenario and write
 //!   a Chrome-trace JSON timeline (load in `chrome://tracing`).
-//! * `loadgen [--containers=N] [--workers=K] [--quick]
-//!   [--codec=inproc|json|binary] [--devices=N]
-//!   [--placement=rr|most-free|best-fit] [--out=FILE]` — the hot-path
-//!   throughput campaign: drive thousands of containers through the live
-//!   scheduler service under every policy, in-process or over a real
-//!   socket in either wire codec, and optionally write `BENCH_3.json`.
-//!   With `--devices=N` the storm runs against the multi-GPU service
-//!   instead, sweeping every placement policy (or only `--placement`)
-//!   and writing the `BENCH_4.json` schema.
 //! * `cluster serve-node --socket=ENDPOINT [--name=N] [--capacity-mib=M]
 //!   [--devices=D] [--policy=P] [--seed=S]` — run one cluster node: a
 //!   full `SchedulerService` on its own socket, serving until the
@@ -55,7 +46,7 @@
 //!   drain every container homed on `--node` (or re-home just
 //!   `--container`) onto the surviving nodes, then print one line per
 //!   migration record: who moved, from where to where, with what
-//!   limit/used budget, completed or rejected (see `docs/CLUSTER.md`).
+//!   limit, completed or rejected (see `docs/CLUSTER.md`).
 
 use convgpu::gpu::GpuProgram;
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
@@ -71,7 +62,7 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: convgpu-cli <run|burst|info|metrics|trace|loadgen|cluster> [options]\n\
+        "usage: convgpu-cli <run|burst|info|metrics|trace|cluster> [options]\n\
          \n\
          run     [--nvidia-memory=<size>] [--policy=<fifo|bf|ru|rand>]\n\
                  [--workload=<sample:TYPE|mnist[:STEPS]|pipeline[:CHUNKS]|inference[:REQS]>]\n\
@@ -80,9 +71,6 @@ fn usage() -> ExitCode {
          info\n\
          metrics [--policy=P] [--devices=N]\n\
          trace   [--policy=P] [--out=FILE]\n\
-         loadgen [--containers=N] [--workers=K] [--quick]\n\
-                 [--codec=inproc|json|binary] [--out=FILE]\n\
-                 [--devices=N] [--placement=rr|most-free|best-fit]\n\
          cluster serve-node --socket=ENDPOINT [--name=N] [--capacity-mib=M]\n\
                  [--devices=D] [--policy=P] [--seed=S]\n\
          cluster route --socket=ENDPOINT --node=NAME=ENDPOINT [--node=...]\n\
@@ -485,159 +473,6 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_loadgen(args: &[String]) -> ExitCode {
-    use convgpu::bench::loadgen::{
-        render_json, render_sharded_json, run_loadgen, run_sharded_placement, LoadgenConfig,
-        PlacementRun, ShardedConfig, ShardedReport, Transport, PLACEMENTS,
-    };
-    use convgpu::ipc::binary::WireCodec;
-    use convgpu::scheduler::multi_gpu::PlacementPolicy;
-    let mut cfg = LoadgenConfig::standard();
-    let mut quick = false;
-    let mut devices: u32 = 1;
-    let mut placement: Option<PlacementPolicy> = None;
-    let mut out: Option<String> = None;
-    for a in args {
-        if a == "--quick" {
-            quick = true;
-            cfg = LoadgenConfig {
-                transport: cfg.transport,
-                ..LoadgenConfig::smoke()
-            };
-        } else if let Some(v) = a.strip_prefix("--containers=") {
-            match v.parse() {
-                Ok(n) => cfg.containers = n,
-                Err(_) => return usage(),
-            }
-        } else if let Some(v) = a.strip_prefix("--workers=") {
-            match v.parse() {
-                Ok(n) => cfg.workers = n,
-                Err(_) => return usage(),
-            }
-        } else if let Some(v) = a.strip_prefix("--codec=") {
-            cfg.transport = match v {
-                "inproc" => Transport::InProc,
-                "json" => Transport::Socket(WireCodec::Json),
-                "binary" => Transport::Socket(WireCodec::Binary),
-                _ => return usage(),
-            };
-        } else if let Some(v) = a.strip_prefix("--devices=") {
-            devices = match parse_devices(v) {
-                Some(n) => n,
-                None => return usage(),
-            };
-        } else if let Some(v) = a.strip_prefix("--placement=") {
-            placement = match PlacementPolicy::parse(v) {
-                Some(p) => Some(p),
-                None => return usage(),
-            };
-        } else if let Some(v) = a.strip_prefix("--out=") {
-            out = Some(v.to_string());
-        } else {
-            return usage();
-        }
-    }
-
-    if devices > 1 || placement.is_some() {
-        let template = if quick {
-            ShardedConfig::smoke()
-        } else {
-            ShardedConfig::standard()
-        };
-        let scfg = ShardedConfig {
-            base: LoadgenConfig {
-                containers: cfg.containers,
-                workers: cfg.workers,
-                transport: cfg.transport,
-                ..template.base
-            },
-            // `--placement` alone implies the standard device count.
-            devices: if devices > 1 {
-                devices
-            } else {
-                template.devices
-            },
-            ..template
-        };
-        println!(
-            "loadgen (sharded): {} containers x {} workers, {} devices, transport {}",
-            scfg.base.containers,
-            scfg.base.workers,
-            scfg.devices,
-            scfg.base.transport.label()
-        );
-        let sweep: Vec<PlacementPolicy> = match placement {
-            Some(p) => vec![p],
-            None => PLACEMENTS.to_vec(),
-        };
-        let runs: Vec<PlacementRun> = sweep
-            .into_iter()
-            .map(|p| run_sharded_placement(&scfg, p))
-            .collect();
-        for run in &runs {
-            let homes = run
-                .containers_per_device
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join("/");
-            println!(
-                "  {:<15} {:>8.0} decisions/s | p50 {:.4} ms, p95 {:.4} ms, p99 {:.4} ms | \
-                 {} suspensions | homes {homes}",
-                run.placement.label(),
-                run.decisions_per_sec,
-                run.quantile_ms(0.50),
-                run.quantile_ms(0.95),
-                run.quantile_ms(0.99),
-                run.suspensions,
-            );
-        }
-        let report = ShardedReport { config: scfg, runs };
-        println!(
-            "total: {:.0} decisions/s",
-            report.sharded_total_decisions_per_sec()
-        );
-        if let Some(path) = out {
-            let text = render_sharded_json(&report);
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path} ({} bytes)", text.len());
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    println!(
-        "loadgen: {} containers x {} workers, transport {}",
-        cfg.containers,
-        cfg.workers,
-        cfg.transport.label()
-    );
-    let report = run_loadgen(&cfg);
-    for run in &report.runs {
-        println!(
-            "  {:<4} {:>8.0} decisions/s | p50 {:.4} ms, p95 {:.4} ms, p99 {:.4} ms | {} suspensions",
-            run.policy.label(),
-            run.decisions_per_sec,
-            run.quantile_ms(0.50),
-            run.quantile_ms(0.95),
-            run.quantile_ms(0.99),
-            run.suspensions,
-        );
-    }
-    println!("total: {:.0} decisions/s", report.total_decisions_per_sec());
-    if let Some(path) = out {
-        let text = render_json(&report);
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path} ({} bytes)", text.len());
-    }
-    ExitCode::SUCCESS
-}
-
 /// Announce readiness on stdout and block until the process is killed.
 /// The line is flushed explicitly so a parent waiting on a pipe sees it
 /// even before the process's buffered exit.
@@ -943,14 +778,14 @@ fn cmd_cluster_rebalance(args: &[String]) -> ExitCode {
     for r in &records {
         if r.status == "completed" {
             println!(
-                "migrated {} {} -> {} (limit {}, used {})",
-                r.container, r.from, r.to, r.limit, r.used
+                "migrated {} {} -> {} (limit {})",
+                r.container, r.from, r.to, r.limit
             );
         } else {
             rejected += 1;
             println!(
-                "REJECTED {} off {} (limit {}, used {}): no survivor could absorb it",
-                r.container, r.from, r.limit, r.used
+                "REJECTED {} off {} (limit {}): no survivor could absorb it",
+                r.container, r.from, r.limit
             );
         }
     }
@@ -979,7 +814,6 @@ fn main() -> ExitCode {
         Some("info") => cmd_info(),
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
         _ => usage(),
     }

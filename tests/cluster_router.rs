@@ -12,7 +12,7 @@
 //!   for the same sub-workload: routing adds no scheduler-visible
 //!   behavior to a healthy node.
 //! * **Golden migration trace** — a scripted drain produces, on the
-//!   adoptive node's span ring, exactly the tree checked in at
+//!   survivor's span ring, exactly the tree checked in at
 //!   `tests/golden/cluster_migration_routed.trace`: the migrated
 //!   container's post-move lifecycle is indistinguishable from a native
 //!   registration.
@@ -458,7 +458,8 @@ fn routed_migration_golden_trace() {
     );
     // A live allocation on the node about to drain. The source is alive,
     // so its acknowledged close really frees these bytes before the
-    // move — the adoption starts from used = 0, as every adoption does.
+    // move — the survivor registers the migrant from used = 0, as every
+    // migration does.
     vclock.advance_to(ms(3));
     assert_eq!(
         router
@@ -508,10 +509,10 @@ fn routed_migration_golden_trace() {
     for n in nodes {
         n.shutdown();
     }
-    // Both the native container and the migrant appear on the adoptive
-    // node; the migrant's pre-move allocation must not follow it.
-    assert!(got.contains("cnt-0001"), "adoptive node trace:\n{got}");
-    assert!(got.contains("cnt-0002"), "adoptive node trace:\n{got}");
+    // Both the native container and the migrant appear on the survivor;
+    // the migrant's pre-move allocation must not follow it.
+    assert!(got.contains("cnt-0001"), "survivor trace:\n{got}");
+    assert!(got.contains("cnt-0002"), "survivor trace:\n{got}");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/cluster_migration_routed.trace"

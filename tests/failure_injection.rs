@@ -793,40 +793,46 @@ mod migration_faults {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A long-lived daemon's migration history must stay answerable: the
-    /// log keeps the newest records only, so the `migrations` reply
-    /// always fits a frame. Unbounded, the thousand adoptions below grow
-    /// it past 64 KiB and every later `query_migrations` is the
-    /// frame-limit `error`.
+    /// A long-lived router's migration history must stay answerable: the
+    /// log keeps the newest records only (256 of them), so the
+    /// `migrations` reply always fits a frame. Unbounded, a long enough
+    /// history grows it past 64 KiB and every later `query_migrations` is
+    /// the frame-limit `error`.
     #[test]
     fn a_long_migration_history_still_answers_query_migrations() {
-        use convgpu::ipc::message::{Request, Response};
-        const ROUNDS: u64 = 1000;
-        let n0 = node("history", "n0", 1024, RealClock::handle());
-        let client = SchedulerClient::connect_endpoint(n0.endpoint()).unwrap();
-        for c in 1..=ROUNDS {
-            let adopt = Request::Migrate {
-                container: ContainerId(c),
-                node: String::new(),
-                limit: Bytes::mib(64),
-                used: Bytes::mib(1),
-            };
-            assert_eq!(client.request(adopt).unwrap(), Response::Ok);
-            client.container_close(ContainerId(c)).unwrap();
+        const ROUNDS: u64 = 300;
+        const KEPT: usize = 256;
+        let clock = RealClock::handle();
+        let n0 = node("history", "n0", 1024, clock.clone());
+        let n1 = node("history", "n1", 1024, clock);
+        let router = router_over(&[&n0, &n1], RouterConfig::default());
+        let server = router
+            .serve_on_endpoint(&test_endpoint(&temp_dir("history"), "router.sock"))
+            .unwrap();
+        let client = SchedulerClient::connect_endpoint(server.endpoint()).unwrap();
+        for c in (1..=ROUNDS).map(ContainerId) {
+            client.register(c, Bytes::mib(64)).unwrap();
+            let moved = client.migrate(c).unwrap();
+            assert_eq!(moved.len(), 1, "{moved:?}");
+            assert_eq!(moved[0].status, "completed", "{moved:?}");
+            client.container_close(c).unwrap();
         }
         let records = client
             .query_migrations()
             .expect("the history must fit a reply");
-        assert!(records.len() >= 100, "kept only {}", records.len());
+        assert_eq!(records.len(), KEPT);
         // The newest ones, oldest first, none missing in between.
-        let first = ROUNDS + 1 - records.len() as u64;
+        let first = ROUNDS + 1 - KEPT as u64;
         for (record, c) in records.iter().zip(first..) {
             assert_eq!(record.container, ContainerId(c));
             assert_eq!(record.status, "completed");
+            assert_ne!(record.from, record.to);
         }
         client.ping().expect("the same connection still answers");
         drop(client);
+        server.shutdown();
         n0.shutdown();
+        n1.shutdown();
     }
 
     /// Two `register`s of one container id in flight at once — a

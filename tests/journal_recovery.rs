@@ -6,8 +6,8 @@
 //! * **Kill mid-storm, restart, migrate** — a real `cluster route
 //!   --journal` process is `SIGKILL`ed under concurrent wire load, a
 //!   second process reopens the same journal, and when the home node
-//!   then dies the migration carries the **pre-restart** `limit` onto
-//!   the adopter's books, which start from `used = 0` — the exact
+//!   then dies the migration registers the **pre-restart** `limit` on
+//!   the survivor, whose books start from `used = 0` — the exact
 //!   scenario that used to replay a zero limit.
 //! * **Replay equivalence** — the journal of *any* byte prefix of a
 //!   live router's operations replays to a home map the router actually
@@ -164,8 +164,8 @@ fn wire_alloc(client: &SchedulerClient, c: u64, pid: u64, mib: u64) -> AllocDeci
 }
 
 /// The checkpoint a `SIGKILL`ed router journaled must, after restart,
-/// travel with a dead node's container onto the adopter: the pre-restart
-/// limit, with the adoption starting from `used = 0`.
+/// travel with a dead node's container onto the survivor: the pre-restart
+/// limit, registered there from `used = 0`.
 #[test]
 fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
     let dir = temp_dir("storm");
@@ -305,8 +305,8 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
     };
 
     // The acceptance criterion: the migration carried the PRE-restart
-    // limit, not the zero a journal-less restart re-learns, and adopted
-    // at used = 0.
+    // limit, not the zero a journal-less restart re-learns, and started
+    // from used = 0.
     assert_eq!(record.to, "n1");
     assert_eq!(
         record.limit,
@@ -315,7 +315,7 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
     );
     assert_eq!(record.used, Bytes::ZERO, "{record:?}");
 
-    // Behavioral proof on the adopting node's books: a fresh pid's
+    // Behavioral proof on the survivor's books: a fresh pid's
     // 350 MiB plus its 66 MiB context fit the 400 + 66 requirement from
     // used = 0 (a lost limit would refuse them), and 100 MiB more exceed
     // it (rejected outright).

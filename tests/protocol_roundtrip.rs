@@ -1030,6 +1030,40 @@ fn malformed_client_does_not_disturb_others() {
     server.shutdown();
 }
 
+/// Migration is the router's: a node daemon answers `migrate` and
+/// `query_migrations` with the `error` it gives `query_cluster`, admits
+/// nothing, and keeps serving the connection. A router hands a migrant
+/// to its new node as a plain `register`.
+#[test]
+fn a_node_daemon_refuses_migrate_and_query_migrations() {
+    use convgpu::ipc::endpoint::IpcError;
+    let (server, svc) = live_service("nodemigrate", 5120);
+    let client = SchedulerClient::connect_endpoint(server.endpoint()).unwrap();
+    let refused = |req: Request| match client.request(req) {
+        Err(IpcError::Scheduler(message)) => message,
+        other => panic!("expected an error reply, got {other:?}"),
+    };
+    let container = ContainerId(7);
+    let migrate = Request::Migrate {
+        container,
+        node: String::new(),
+        limit: Bytes::mib(512),
+        used: Bytes::mib(128),
+    };
+    assert_eq!(refused(migrate), "not a cluster daemon");
+    assert_eq!(refused(Request::QueryMigrations), "not a cluster daemon");
+    assert!(
+        client.query_home(container).is_err(),
+        "a refused migrate registers nothing"
+    );
+    svc.with_scheduler(|s| assert!(s.container(container).is_none()));
+    // The same connection keeps answering, a registration included.
+    client.ping().unwrap();
+    client.register(container, Bytes::mib(512)).unwrap();
+    assert_eq!(client.query_home(container).unwrap().1, 0);
+    server.shutdown();
+}
+
 /// Hostile clients against a *served cluster router*: garbage lines,
 /// truncated binary frames, bad magic bytes, and unknown message types
 /// kill only their own connection. Well-behaved clients on both codecs

@@ -230,7 +230,7 @@ fn scheduler_invariants_hold_under_arbitrary_ops() {
 
 /// One combination of the decision golden: a 72-op `gen_op` stream (three
 /// generations of six container ids, so late registrations meet a loaded
-/// topology) and an `adopt` of a fresh id every twelfth step.
+/// topology) and a `register` of a fresh id every twelfth step.
 fn render_decisions(label: &str, mut b: TopologyBackend, seed: u64, out: &mut String) {
     use std::fmt::Write;
     let mut rng = DetRng::seed_from_u64(seed);
@@ -239,13 +239,15 @@ fn render_decisions(label: &str, mut b: TopologyBackend, seed: u64, out: &mut St
     writeln!(out, "== {} {label}", b.topology_kind()).unwrap();
     for t in 1..=72u64 {
         let now = SimTime::from_secs(t);
-        let line = if t % 12 == 0 {
-            let c = ContainerId(100 + t);
-            let limit = Bytes::mib(rng.range_inclusive(64, 2047));
-            let used = Bytes::mib(rng.range_inclusive(0, limit.as_u64() >> 22));
-            match b.adopt(c, limit, used, now) {
-                Ok(device) => format!("adopt {c} {limit} used {used} -> ok @{device}"),
-                Err(e) => format!("adopt {c} {limit} used {used} -> {e:?}"),
+        let op = if t % 12 == 0 {
+            let limit_mib = rng.range_inclusive(64, 2047);
+            // This step used to adopt the container with a drawn `used`.
+            // The draw stays, discarded, so that every later step draws
+            // the op it always drew.
+            let _used = rng.range_inclusive(0, limit_mib >> 2);
+            Op::Register {
+                id: 100 + t as u8,
+                limit_mib: limit_mib as u16,
             }
         } else {
             let mut op = gen_op(&mut rng);
@@ -266,11 +268,12 @@ fn render_decisions(label: &str, mut b: TopologyBackend, seed: u64, out: &mut St
                 let limit_mib = rng.range_inclusive(64, 2047) as u16;
                 op = Op::Register { id, limit_mib };
             }
-            let (line, placed) = apply_op(&mut b, &mut d, &op, now).expect("alloc_done refused");
-            match placed {
-                Some(device) => format!("{line} @{device}"),
-                None => line,
-            }
+            op
+        };
+        let (line, placed) = apply_op(&mut b, &mut d, &op, now).expect("alloc_done refused");
+        let line = match placed {
+            Some(device) => format!("{line} @{device}"),
+            None => line,
         };
         writeln!(out, "{t:>2} {line} fp={:016x}", b.fingerprint()).unwrap();
         b.check_invariants().expect("topology invariants");
