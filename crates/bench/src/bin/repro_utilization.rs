@@ -5,33 +5,6 @@
 //! scheduler's utilization timeline over the Fig. 7 sweep: time-weighted
 //! mean of live GPU memory over capacity, per policy and container count.
 
-use convgpu_bench::policies::PolicyExperiment;
-use convgpu_bench::report::format_table;
-use convgpu_scheduler::policy::PolicyKind;
-
 fn main() {
-    println!("== ConVGPU extension: mean GPU memory utilization (%) by policy ==");
-    println!("(paper trace, 6 reps, virtual time, 5 GiB K20m)\n");
-    let ns = [8u32, 16, 24, 32, 38];
-    let mut headers = vec!["policy".to_string()];
-    headers.extend(ns.iter().map(|n| n.to_string()));
-    let rows: Vec<Vec<String>> = PolicyKind::ALL
-        .iter()
-        .map(|&policy| {
-            let mut row = vec![policy.label().to_string()];
-            for &n in &ns {
-                let mut total = 0.0;
-                let reps = 6;
-                for rep in 0..reps {
-                    let r = PolicyExperiment::paper(n, policy, 4000 + rep).run();
-                    total += r.mean_utilization;
-                }
-                row.push(format!("{:.1}", 100.0 * total / reps as f64));
-            }
-            row
-        })
-        .collect();
-    println!("{}", format_table(&headers, &rows));
-    println!("expectation (paper §IV-C): BF sustains the highest utilization under");
-    println!("load — the mechanism behind its Fig. 7 finished-time win.");
+    print!("{}", convgpu_bench::report::utilization_report());
 }

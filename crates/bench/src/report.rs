@@ -3,6 +3,9 @@
 //! Plain aligned-pipe tables so the output drops straight into
 //! EXPERIMENTS.md next to the paper's numbers.
 
+use crate::policies::PolicyExperiment;
+use convgpu_scheduler::policy::PolicyKind;
+
 /// Render an aligned markdown-style table.
 pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
@@ -48,6 +51,40 @@ pub fn ms3(v: f64) -> String {
 /// Format a percentage with one decimal.
 pub fn pct1(v: f64) -> String {
     format!("{v:+.1}%")
+}
+
+/// The whole stdout of `repro_utilization`: time-weighted mean GPU
+/// memory utilization per policy and container count over the Fig. 7
+/// sweep (6 reps, virtual time). Pinned by
+/// `tests/golden/utilization.golden`.
+pub fn utilization_report() -> String {
+    let ns = [8u32, 16, 24, 32, 38];
+    let mut headers = vec!["policy".to_string()];
+    headers.extend(ns.iter().map(|n| n.to_string()));
+    let rows: Vec<Vec<String>> = PolicyKind::ALL
+        .iter()
+        .map(|&policy| {
+            let mut row = vec![policy.label().to_string()];
+            for &n in &ns {
+                let mut total = 0.0;
+                let reps = 6;
+                for rep in 0..reps {
+                    let r = PolicyExperiment::paper(n, policy, 4000 + rep).run();
+                    total += r.mean_utilization;
+                }
+                row.push(format!("{:.1}", 100.0 * total / reps as f64));
+            }
+            row
+        })
+        .collect();
+    format!(
+        "== ConVGPU extension: mean GPU memory utilization (%) by policy ==\n\
+         (paper trace, 6 reps, virtual time, 5 GiB K20m)\n\n\
+         {}\n\
+         expectation (paper §IV-C): BF sustains the highest utilization under\n\
+         load — the mechanism behind its Fig. 7 finished-time win.\n",
+        format_table(&headers, &rows)
+    )
 }
 
 #[cfg(test)]

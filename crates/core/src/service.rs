@@ -134,8 +134,9 @@ impl SchedulerService {
         &self.obs
     }
 
-    /// Current metrics in Prometheus text exposition format. Refreshes
-    /// the progress-state gauges from a fresh stall assessment first.
+    /// Current metrics in Prometheus text exposition format. Writes the
+    /// scheduler's gauges first, under the scheduler lock: its books and
+    /// a fresh stall assessment (no transition writes a gauge).
     pub fn metrics_text(&self) -> String {
         self.state.lock().observe_progress();
         prometheus::render(&self.obs.registry.snapshot())
@@ -671,6 +672,81 @@ mod tests {
         let decision = waiter.join().unwrap().unwrap();
         assert_eq!(decision, AllocDecision::Granted);
         svc.with_scheduler(|s| s.check_invariants().unwrap());
+    }
+
+    /// No transition writes a `convgpu_sched_*` gauge; a scrape writes
+    /// them all from the books, and a closed container has none.
+    #[test]
+    fn scheduler_gauges_are_written_at_scrape() {
+        use convgpu_obs::MetricValue;
+        // Room for two full reservations (300 MiB + the 66 MiB context
+        // charge) and part of a third.
+        let svc = service(1002);
+        let ep = InProcEndpoint::new(Arc::clone(&svc));
+        let (c1, c2, c3) = (ContainerId(1), ContainerId(2), ContainerId(3));
+        for c in [c1, c2, c3] {
+            ep.register(c, Bytes::mib(300)).unwrap();
+        }
+        ep.request_alloc(c1, 1, Bytes::mib(300), ApiKind::Malloc)
+            .unwrap();
+        ep.alloc_done(c1, 1, 0xA, Bytes::mib(300)).unwrap();
+        ep.request_alloc(c2, 2, Bytes::mib(200), ApiKind::Malloc)
+            .unwrap();
+        ep.alloc_done(c2, 2, 0xB, Bytes::mib(200)).unwrap();
+        // c3 parks until c1's close hands it c1's reservation.
+        let svc3 = Arc::clone(&svc);
+        let waiter = std::thread::spawn(move || {
+            svc3.alloc_request_blocking(c3, 3, Bytes::mib(300), ApiKind::Malloc)
+        });
+        while svc.with_scheduler(|s| !s.container(c3).unwrap().is_suspended()) {
+            assert!(!waiter.is_finished(), "c3 must park");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        ep.free(c2, 2, 0xB).unwrap();
+        ep.container_close(c1).unwrap();
+        assert_eq!(waiter.join().unwrap().unwrap(), AllocDecision::Granted);
+
+        let sched_gauges = || {
+            let snap = svc.obs().registry.snapshot();
+            snap.series
+                .into_iter()
+                .filter(|(k, v)| {
+                    k.name.starts_with("convgpu_sched_") && matches!(v, MetricValue::Gauge(_))
+                })
+                .count()
+        };
+        assert_eq!(sched_gauges(), 0, "a transition wrote a gauge");
+        let Response::Metrics { .. } = svc.call(Request::QueryMetrics) else {
+            panic!("query_metrics answers `metrics`");
+        };
+        let snap = svc.obs().registry.snapshot();
+        svc.with_scheduler(|s| {
+            let gauge = |name: &str, labels: &[(&str, &str)]| {
+                snap.gauge(&format!("convgpu_sched_{name}"), labels)
+            };
+            let bytes = |b: Bytes| Some(b.as_u64() as f64);
+            assert_eq!(gauge("assigned_bytes", &[]), bytes(s.total_assigned()));
+            assert_eq!(gauge("unassigned_bytes", &[]), bytes(s.unassigned()));
+            for c in [c2, c3] {
+                let (rec, id) = (s.container(c).unwrap(), c.to_string());
+                let l = [("container", id.as_str())];
+                assert_eq!(gauge("container_assigned_bytes", &l), bytes(rec.assigned));
+                assert_eq!(gauge("container_used_bytes", &l), bytes(rec.used));
+                let episodes = Some(rec.suspend_episodes as f64);
+                assert_eq!(gauge("container_suspend_episodes", &l), episodes);
+                let suspended = Some(rec.total_suspended.as_secs_f64());
+                assert_eq!(gauge("container_suspended_seconds_total", &l), suspended);
+            }
+            assert_eq!(s.container(c3).unwrap().suspend_episodes, 1);
+        });
+        let closed = c1.to_string();
+        assert!(
+            !snap
+                .series
+                .keys()
+                .any(|k| k.labels.iter().any(|(_, v)| *v == closed)),
+            "a closed container kept a series"
+        );
     }
 
     #[test]

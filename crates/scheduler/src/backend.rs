@@ -165,9 +165,13 @@ pub trait SchedulerBackend {
         open
     }
 
-    /// Mirror progress (stall) assessments into the attached registry.
+    /// The scrape hook: write each device's books
+    /// (`Scheduler::publish_gauges`) and progress (stall) assessment
+    /// into the attached registry. Call it under the lock that guards
+    /// the backend, right before reading the registry.
     fn observe_progress(&self) {
         self.each_device(&mut |_, s| {
+            s.publish_gauges();
             let _ = crate::deadlock::assess_observed(s);
         });
     }

@@ -238,10 +238,6 @@ pub struct Scheduler {
     /// suspended container's keys; `redistribute` hands it to the policy
     /// as is and reclaims from its holder set.
     candidates: Candidates,
-    /// Containers mutated since the last gauge publication — the gauge
-    /// mirror only rewrites these instead of walking the whole table.
-    /// Cleared, never dropped, so its buffer is reused.
-    touched: Vec<ContainerId>,
     next_ticket: u64,
     /// The container currently being topped up. Selection is *sticky*:
     /// the paper's policies assign released memory to the selected
@@ -286,7 +282,6 @@ impl Scheduler {
             total_assigned: Bytes::ZERO,
             total_used: Bytes::ZERO,
             candidates: Candidates::default(),
-            touched: Vec::new(),
             next_ticket: 1,
             sticky_target: None,
             log: DecisionLog::default(),
@@ -318,35 +313,29 @@ impl Scheduler {
     }
 
     /// Record the current memory state on the timeline. Called by every
-    /// public mutating entry point; O(1) — both totals are maintained
-    /// incrementally rather than summed over the table.
+    /// public mutating entry point; O(1) in time and memory — both totals
+    /// are maintained incrementally, and the timeline keeps an integral.
     fn sample(&mut self, now: SimTime) {
         self.timeline
             .record(now, self.total_assigned, self.total_used);
-        self.publish_gauges();
     }
 
-    /// Mirror headline state into gauges so the exposition endpoint can
-    /// answer "what is assigned/used/suspended right now" without walking
-    /// scheduler state. Per-container gauges are last-write-wins, so only
-    /// the open containers dirtied since the previous publication need
-    /// rewriting; the `touched` list is emptied here, keeping its buffer
-    /// (a transition allocates nothing for it). A closed container's
-    /// series were retired at close and are never written again.
-    fn publish_gauges(&mut self) {
+    /// Write the books into the attached registry's gauges: the pool's
+    /// assigned/unassigned bytes, then the four gauges of each open
+    /// container. The scrape hook ([`SchedulerBackend::observe_progress`])
+    /// calls it under the scheduler lock, so a transition writes no gauge
+    /// and a close, which retires the container's series, cannot race a
+    /// scrape that would recreate them.
+    ///
+    /// [`SchedulerBackend::observe_progress`]: crate::backend::SchedulerBackend::observe_progress
+    pub(crate) fn publish_gauges(&self) {
         let Some(obs) = &self.obs else {
-            self.touched.clear();
             return;
         };
         let (reg, pool) = (&obs.registry, obs.scoped(&[]));
         reg.set_gauge(SCHED_ASSIGNED, &pool, self.total_assigned.as_u64() as f64);
         reg.set_gauge(SCHED_UNASSIGNED, &pool, self.unassigned().as_u64() as f64);
-        self.touched.sort_unstable();
-        self.touched.dedup();
-        for &id in &self.touched {
-            let Some(rec) = self.containers.get(&id) else {
-                continue;
-            };
+        for rec in self.containers.values() {
             if rec.state == ContainerState::Closed {
                 continue;
             }
@@ -363,7 +352,6 @@ impl Scheduler {
             let suspended = rec.total_suspended.as_secs_f64();
             reg.set_gauge(SCHED_CONTAINER_SUSPENDED_SECONDS, &labels, suspended);
         }
-        self.touched.clear();
     }
 
     /// Log a decision and mirror it into the attached observability layer:
@@ -519,7 +507,6 @@ impl Scheduler {
         rec.assigned = take;
         self.total_assigned += take;
         self.insert_record(rec);
-        self.touched.push(id);
         // Reserve the lifetime span id up front; the span itself is
         // emitted at close, when its extent is known.
         if let Some(obs) = &self.obs {
@@ -582,7 +569,6 @@ impl Scheduler {
             rec.charged_pids.insert(pid);
             rec.granted_allocs += 1;
             self.total_used += need;
-            self.touched.push(id);
             record!(
                 self,
                 now,
@@ -618,7 +604,6 @@ impl Scheduler {
                 rec.charged_pids.insert(pid);
                 rec.granted_allocs += 1;
                 self.total_used += need;
-                self.touched.push(id);
                 record!(
                     self,
                     now,
@@ -645,7 +630,6 @@ impl Scheduler {
             since: now,
         });
         rec.note_suspend(now);
-        self.touched.push(id);
         record!(self, now, Decision::Suspended { id, ticket, size });
         // Liveness: a suspended container must not sit on reservation it
         // is not using — scattered partial holds are exactly the
@@ -719,7 +703,6 @@ impl Scheduler {
             let released = rec.used.min(size);
             rec.used -= released;
             self.total_used -= released;
-            self.touched.push(id);
             before
         };
         let actions = self.drain_pending(id, before, now, false);
@@ -755,7 +738,6 @@ impl Scheduler {
             Vec::new()
         } else {
             self.total_used -= freed;
-            self.touched.push(id);
             self.drain_pending(id, before, now, false)
         };
         self.sample(now);
@@ -843,7 +825,6 @@ impl Scheduler {
             };
             let released = used_before.saturating_sub(rec.used);
             self.total_used -= released;
-            self.touched.push(id);
             Self::observe_suspend_end(&self.obs, id, ended);
             record!(self, now, Decision::ProcessExited { id, pid, reclaimed });
             for (c, since) in &cancelled {
@@ -917,7 +898,6 @@ impl Scheduler {
             let released = rec.assigned;
             self.total_assigned -= rec.assigned;
             rec.assigned = Bytes::ZERO;
-            self.touched.push(id);
             Self::observe_suspend_end(&self.obs, id, ended);
             record!(self, now, Decision::Closed { id, released });
             for (c, since) in &cancelled {
@@ -946,7 +926,7 @@ impl Scheduler {
             if let Some(o) = &self.obs {
                 let c = id.to_string();
                 o.registry.retire(&o.scoped(&[("container", c.as_str())]));
-                if let Some(sid) = self.container_spans.get(&id).copied() {
+                if let Some(sid) = self.container_spans.remove(&id) {
                     let attrs = o.scoped(&[("policy", self.policy.name())]);
                     o.tracer.emit(SpanRecord {
                         id: sid,
@@ -994,7 +974,6 @@ impl Scheduler {
                 let back = rec.assigned - rec.used;
                 rec.assigned = rec.used;
                 self.total_assigned -= back;
-                self.touched.push(id);
                 self.candidates.update(before, Candidate::of(rec));
             }
         }
@@ -1048,7 +1027,6 @@ impl Scheduler {
             let take = remaining.min(rec.deficit());
             rec.assigned += take;
             self.total_assigned += take;
-            self.touched.push(pick);
             let deficit = rec.deficit();
             record!(
                 self,
@@ -1165,9 +1143,6 @@ impl Scheduler {
             None
         };
         self.candidates.update(before, Candidate::of(rec));
-        if !actions.is_empty() || ended.is_some() {
-            self.touched.push(id);
-        }
         Self::observe_suspend_end(&self.obs, id, ended);
         actions
     }
@@ -1841,6 +1816,26 @@ mod tests {
         // incrementally maintained total after every step above (audit
         // builds), and once more here for non-audit builds.
         s.check_invariants().unwrap();
+    }
+
+    /// A container's lifetime span id lives from its registration to its
+    /// close, so the map holds the open containers, not every one served.
+    #[test]
+    fn span_ids_are_dropped_at_close() {
+        let mut s = sched(5120, PolicyKind::Fifo);
+        s.attach_obs(SchedObs::new(
+            Arc::new(Registry::new()),
+            Arc::new(Tracer::new()),
+        ));
+        for i in 1..=300 {
+            s.register(ContainerId(i), mib(10), t(i)).unwrap();
+            if i > 2 {
+                s.container_close(ContainerId(i - 2), t(i)).unwrap();
+            }
+        }
+        let mut open: Vec<_> = s.container_spans.keys().copied().collect();
+        open.sort_unstable();
+        assert_eq!(open, [ContainerId(299), ContainerId(300)]);
     }
 
     #[test]

@@ -76,4 +76,4 @@ pub use metrics::{AggregateMetrics, ContainerMetrics};
 pub use multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 pub use policy::{Policy, PolicyKind};
 pub use state::{ContainerRecord, ContainerState, ResumeRule};
-pub use timeline::{UtilizationSample, UtilizationTimeline};
+pub use timeline::UtilizationTimeline;

@@ -653,6 +653,7 @@ mod tests {
 
     /// Each device writes its series under its own `device` label, and a
     /// close retires only the closing container's series on its device.
+    /// Gauges are written at scrape, so each count scrapes first.
     #[test]
     fn a_close_retires_the_container_series_of_its_own_device() {
         let registry = Arc::new(Registry::new());
@@ -676,9 +677,11 @@ mod tests {
             let n = snap.series.keys().filter(|k| k.labels == labels).count();
             n
         };
+        m.observe_progress();
         assert_eq!(series_of(ContainerId(1), "0"), 4, "four gauges");
         assert_eq!(series_of(ContainerId(2), "1"), 4);
         m.container_close(ContainerId(1), t(3)).unwrap();
+        m.observe_progress();
         assert_eq!(series_of(ContainerId(1), "0"), 0, "retired at close");
         assert_eq!(
             series_of(ContainerId(2), "1"),

@@ -12,14 +12,21 @@
 //! daemon-lifetime counters, so `query_metrics` keeps answering over the
 //! wire.
 //!
+//! The same holds for the operations it serves: once the daemon is warm,
+//! a long run of malloc/done/free cycles on one open container leaves
+//! its resident memory where it was, because no scheduler transition
+//! keeps a record of itself.
+//!
 //! One `#[test]` on purpose: the counts are per process, so this file's
 //! test binary must run nothing else.
 
 use convgpu::gpu::{FnProgram, LatencyModel};
 use convgpu::ipc::client::SchedulerClient;
 use convgpu::ipc::endpoint::SchedulerEndpoint;
+use convgpu::ipc::message::{AllocDecision, ApiKind};
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand, TransportMode};
 use convgpu::scheduler::backend::SchedulerBackend;
+use convgpu::sim::ids::ContainerId;
 use convgpu::sim::units::Bytes;
 use convgpu_container_rt::engine::EngineConfig;
 use std::sync::mpsc::channel;
@@ -34,6 +41,14 @@ const SLACK: usize = 4;
 /// Bytes the exposition may gain from 10 to 300 lifecycles: counts and
 /// sums gaining digits, about 300 bytes. Its series are counted exactly.
 const TEXT_SLACK: usize = 1024;
+/// Cycles that fill the decision log's and the span ring's 4096 entries
+/// before resident memory is read.
+const WARM_CYCLES: u64 = 5_000;
+/// malloc/done/free cycles between the two resident-memory readings.
+const CYCLES: u64 = 32_000;
+/// Resident memory those cycles may add. A scheduler that kept one
+/// 24-byte timeline sample per transition added about 1.5 MiB here.
+const RSS_SLACK_KIB: u64 = 256;
 
 fn entries(dir: impl AsRef<std::path::Path>) -> usize {
     std::fs::read_dir(dir).unwrap().count()
@@ -88,6 +103,24 @@ fn lifecycle(convgpu: &ConVGpu) {
     session.wait().unwrap();
     assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
     assert!(!sock.exists(), "{} after {id} closed", sock.display());
+}
+
+/// This process' resident set, in KiB.
+fn vm_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// `n` malloc/done/free cycles of 1 MiB on `id`, through the service.
+fn cycles(convgpu: &ConVGpu, id: ContainerId, n: u64) {
+    let service = convgpu.service();
+    for _ in 0..n {
+        let decision = service.alloc_request_blocking(id, 1, Bytes::mib(1), ApiKind::Malloc);
+        assert_eq!(decision.unwrap(), AllocDecision::Granted);
+        service.alloc_done(id, 1, 0x1000, Bytes::mib(1)).unwrap();
+        assert_eq!(service.free(id, 1, 0x1000).unwrap(), Bytes::mib(1));
+    }
 }
 
 fn run(convgpu: &ConVGpu, lifecycles: u64) {
@@ -145,5 +178,18 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
     });
     let (free, total) = convgpu.device().mem_info();
     assert_eq!(free, total);
+
+    // Flat in operations served: one open container, many cycles.
+    let id = ContainerId(10_000);
+    convgpu.service().register(id, Bytes::mib(64)).unwrap();
+    cycles(&convgpu, id, WARM_CYCLES);
+    let rss0 = vm_rss_kib();
+    cycles(&convgpu, id, CYCLES);
+    let rss = vm_rss_kib();
+    assert!(
+        rss <= rss0 + RSS_SLACK_KIB,
+        "VmRSS {rss0} -> {rss} KiB over {CYCLES} malloc/done/free cycles"
+    );
+    convgpu.service().container_close(id).unwrap();
     convgpu.shutdown();
 }

@@ -163,3 +163,22 @@ fn per_container_metrics_are_internally_consistent() {
         assert!(m.granted_allocs <= 1, "sample program allocates once");
     }
 }
+
+/// `repro_utilization`'s whole output is pinned, digit for digit: the
+/// scheduler's utilization integral feeds every cell. Re-bless an
+/// intended change with `UPDATE_GOLDEN=1 cargo test --test policy_experiments`.
+#[test]
+fn utilization_table_golden() {
+    let got = convgpu_bench::report::utilization_report();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/utilization.golden"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .expect("golden missing — bless with UPDATE_GOLDEN=1 cargo test --test policy_experiments");
+    assert_eq!(got, want, "repro_utilization output moved");
+}
