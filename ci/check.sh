@@ -12,8 +12,7 @@
 #   SKIP_PERF=1     skip the loadgen campaigns, the benchmark self-check
 #                   and the perf-trend gate (e.g. on loaded machines)
 #   ARTIFACT_DIR=d  keep artifacts (chrome trace, BENCH_3.json,
-#                   BENCH_4.json, BENCH_7.json, BENCH_8.json,
-#                   BENCH_9.json) under d
+#                   BENCH_4.json, BENCH_7.json, BENCH_9.json) under d
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,21 +57,20 @@ step "transport matrix (same batteries over TCP loopback)"
 # (CONVGPU_TRANSPORT=tcp swaps unix:/path for tcp:127.0.0.1:0), so here
 # the protocol round-trip + hostile-client battery, the cluster battery
 # (golden routed trace, ticket canonicality, node death, the
-# cluster_faults + migration_faults halves of the fault-injection suite)
+# cluster_faults half of the fault-injection suite)
 # and the journal battery (restart recovery, truncated-tail fixture)
 # rerun over real TCP connections, asserting byte-identical canonical
 # traces and ticket bit-equality against the same goldens.
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test protocol_roundtrip
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test cluster_router
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test failure_injection cluster_faults
-CONVGPU_TRANSPORT=tcp cargo test --offline -q --test failure_injection migration_faults
 CONVGPU_TRANSPORT=tcp cargo test --offline -q --test journal_recovery
 
 step "bounded model check (one explorer over the phase table)"
 # One generic explorer sweeps every universe of the phase table
 # (crates/audit/src/suite.rs): the two single-device universes per
 # policy and the 2-device multi-GPU universe per policy x placement
-# (a migrant enters a node by `register`, so these cover it); then the
+# (a router enters a node only by `register`, so these cover it); then the
 # naive-baseline witness. `cargo test --workspace` above already
 # pinned the trimmed sweep's state counts against
 # crates/audit/tests/golden/explorer_quick.golden; the full gate pins the
@@ -86,7 +84,7 @@ else
   cargo run --offline -q --release -p convgpu-audit --bin convgpu-audit -- --quick
 fi
 
-# The five loadgen campaigns only *produce* artifacts here; the single
+# The four loadgen campaigns only *produce* artifacts here; the single
 # "perf trend" step below diffs all of them against ci/perf_baseline.json
 # in one place and is the only perf pass/fail authority.
 quick_flag=()
@@ -121,18 +119,6 @@ else
   # the artifact records per-strategy throughput and placement.
   cargo run --offline -q --release -p convgpu-bench --bin loadgen -- \
     --cluster --out="$ARTIFACT_DIR/BENCH_7.json" "${quick_flag[@]}"
-fi
-
-step "migration fault campaign (kill-node loadgen -> BENCH_8.json)"
-if [[ "${SKIP_PERF:-0}" == "1" ]]; then
-  echo "skipped (SKIP_PERF=1)"
-else
-  # The cluster storm with one node shut down mid-run: asserts the
-  # victim is marked down, its containers drain onto the survivor, and
-  # the survivor ends the run clean; records steady vs recovery
-  # admission percentiles.
-  cargo run --offline -q --release -p convgpu-bench --bin loadgen -- \
-    --migration --out="$ARTIFACT_DIR/BENCH_8.json" "${quick_flag[@]}"
 fi
 
 step "transport compare campaign (unix vs tcp loadgen -> BENCH_9.json)"
@@ -178,8 +164,7 @@ else
   cargo run --offline -q --release -p convgpu-bench --bin perf_trend -- \
     --baseline=ci/perf_baseline.json \
     "$ARTIFACT_DIR/BENCH_3.json" "$ARTIFACT_DIR/BENCH_4.json" \
-    "$ARTIFACT_DIR/BENCH_7.json" "$ARTIFACT_DIR/BENCH_8.json" \
-    "$ARTIFACT_DIR/BENCH_9.json"
+    "$ARTIFACT_DIR/BENCH_7.json" "$ARTIFACT_DIR/BENCH_9.json"
 fi
 
 if [[ "$keep_artifacts" == "1" ]]; then

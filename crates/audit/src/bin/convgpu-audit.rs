@@ -7,7 +7,7 @@
 //! violation, no §III-E stall, no lost wakeup on any interleaving — then
 //! prints the naive baseline's minimal deadlock trace (negative
 //! witness). A node daemon admits a container only by `register` (a
-//! router's migration included), so these universes cover every way in.
+//! router's placement included), so these universes cover every way in.
 //!
 //! ```text
 //! convgpu-audit [--policy fifo|bf|ru|rand|all] [--mode dfs|bfs]

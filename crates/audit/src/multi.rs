@@ -7,9 +7,9 @@
 //! one property list now have something to catch, and the round-robin
 //! cursor joins the canonical state through the topology fingerprint.
 //!
-//! A multi-GPU host is also what a cluster node daemon runs. A container
-//! a router migrates onto a node arrives there as a plain `register`, so
-//! this universe covers it too.
+//! A multi-GPU host is also what a cluster node daemon runs. A router
+//! reaches a node only by a plain `register` and the container's own
+//! messages, so this universe covers it too.
 
 use crate::model::{ModelConfig, Topology};
 use convgpu_scheduler::{PlacementPolicy, PolicyKind};

@@ -4,7 +4,6 @@
 //! cargo run --release -p convgpu-bench --bin loadgen -- \
 //!     [--sharded] [--devices=N] \
 //!     [--cluster] [--nodes=N] [--codec=json|binary] \
-//!     [--migration] [--kill-node-at=N] \
 //!     [--transport-compare] \
 //!     [--containers=N] [--workers=K] [--rounds=R] [--quick] \
 //!     [--transport=inproc|socket-json|socket-binary|tcp-json|tcp-binary] \
@@ -16,11 +15,7 @@
 //! placement policies, writing the `BENCH_4.json` schema; or, with
 //! `--cluster`, the routed multi-socket campaign for all three Swarm
 //! strategies, writing the `BENCH_7.json` schema; or, with
-//! `--migration`, the kill-node fault campaign — one node's server is
-//! shut down `--kill-node-at` containers into the storm and the router
-//! must migrate its containers to the survivor — writing the
-//! `BENCH_8.json` schema with steady/recovery latency percentiles; or,
-//! with `--transport-compare`, the same storm over a UNIX socket and a
+//! `--transport-compare`, the same storm over a UNIX socket and a
 //! TCP loopback socket back to back, writing the `BENCH_9.json` schema
 //! whose per-leg `transport_*_decisions_per_sec` the perf-trend step gates),
 //! prints a summary table and writes the machine-readable report to
@@ -29,10 +24,9 @@
 //! `perf_trend` binary, once, over all the reports together.
 
 use convgpu_bench::loadgen::{
-    render_cluster_json, render_json, render_migration_json, render_sharded_json,
-    render_transport_json, run_cluster, run_loadgen, run_migration, run_sharded,
-    run_transport_compare, ClusterLoadConfig, LoadgenConfig, MigrationLoadConfig, ShardedConfig,
-    Transport, TransportCompareConfig,
+    render_cluster_json, render_json, render_sharded_json, render_transport_json, run_cluster,
+    run_loadgen, run_sharded, run_transport_compare, ClusterLoadConfig, LoadgenConfig,
+    ShardedConfig, Transport, TransportCompareConfig,
 };
 use convgpu_bench::report::format_table;
 use convgpu_ipc::binary::WireCodec;
@@ -43,7 +37,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: loadgen [--sharded] [--devices=N]\n\
          \x20              [--cluster] [--nodes=N] [--codec=json|binary]\n\
-         \x20              [--migration] [--kill-node-at=N]\n\
          \x20              [--transport-compare]\n\
          \x20              [--containers=N] [--workers=K] [--rounds=R] [--quick]\n\
          \x20              [--transport=inproc|socket-json|socket-binary|tcp-json|tcp-binary]\n\
@@ -178,69 +171,6 @@ fn run_cluster_campaign(cfg: &ClusterLoadConfig, out: Option<PathBuf>) -> ExitCo
     ExitCode::SUCCESS
 }
 
-/// Report one kill-node fault campaign.
-fn run_migration_campaign(cfg: &MigrationLoadConfig, out: Option<PathBuf>) -> ExitCode {
-    println!(
-        "loadgen (migration): {} containers x {} workers, {} nodes x {} device(s) x {} MiB, \
-         policy {}, strategy {}, kill n{} at container {}",
-        cfg.base.containers,
-        cfg.base.workers,
-        cfg.nodes,
-        cfg.devices_per_node,
-        cfg.base.capacity.as_mib(),
-        cfg.policy.label(),
-        cfg.strategy.label(),
-        cfg.kill_node,
-        cfg.kill_at
-    );
-    let report = run_migration(cfg);
-
-    let table = format_table(
-        &[
-            "phase".into(),
-            "decisions".into(),
-            "p50 ms".into(),
-            "p95 ms".into(),
-            "p99 ms".into(),
-        ],
-        &[&report.steady, &report.recovery]
-            .iter()
-            .zip(["steady", "recovery"])
-            .map(|(h, phase)| {
-                let q = |q: f64| format!("{:.4}", h.quantile_ns(q).unwrap_or(0.0) / 1e6);
-                vec![
-                    phase.into(),
-                    h.count().to_string(),
-                    q(0.50),
-                    q(0.95),
-                    q(0.99),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("{table}");
-    println!(
-        "migrations: {} completed, {} rejected; {} tolerated errors in the death window",
-        report.migrations_completed, report.migrations_rejected, report.errors
-    );
-    println!(
-        "PERF loadgen migration_total_decisions_per_sec={:.0} nodes={} strategy={}",
-        report.decisions_per_sec,
-        cfg.nodes,
-        cfg.strategy.label()
-    );
-
-    if let Some(path) = out {
-        let text = render_migration_json(&report);
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("loadgen: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {} ({} bytes)", path.display(), text.len());
-    }
-    ExitCode::SUCCESS
-}
-
 /// Report one sharded campaign.
 fn run_sharded_campaign(cfg: &ShardedConfig, out: Option<PathBuf>) -> ExitCode {
     println!(
@@ -310,9 +240,7 @@ fn main() -> ExitCode {
     let mut cfg = LoadgenConfig::standard();
     let mut sharded = false;
     let mut cluster = false;
-    let mut migration = false;
     let mut transport_compare = false;
-    let mut kill_at: Option<u32> = None;
     let mut devices: u32 = ShardedConfig::standard().devices;
     let mut nodes: u32 = ClusterLoadConfig::standard().nodes;
     let mut codec: WireCodec = ClusterLoadConfig::standard().codec;
@@ -334,15 +262,8 @@ fn main() -> ExitCode {
             sharded = true;
         } else if a == "--cluster" {
             cluster = true;
-        } else if a == "--migration" {
-            migration = true;
         } else if a == "--transport-compare" {
             transport_compare = true;
-        } else if let Some(v) = a.strip_prefix("--kill-node-at=") {
-            match v.parse() {
-                Ok(n) => kill_at = Some(n),
-                Err(_) => return usage(),
-            }
         } else if let Some(v) = a.strip_prefix("--devices=") {
             match v.parse() {
                 Ok(n) if n > 0 => devices = n,
@@ -397,44 +318,6 @@ fn main() -> ExitCode {
         } else {
             return usage();
         }
-    }
-
-    if migration {
-        if sharded || cluster {
-            // One campaign per invocation.
-            return usage();
-        }
-        let template = if quick {
-            MigrationLoadConfig::smoke()
-        } else {
-            MigrationLoadConfig::standard()
-        };
-        let containers = containers_flag.unwrap_or(template.base.containers);
-        let kill_at = kill_at.unwrap_or_else(|| {
-            // Default kill point scales with the storm: a third in.
-            if containers_flag.is_some() {
-                containers / 3
-            } else {
-                template.kill_at
-            }
-        });
-        let mcfg = MigrationLoadConfig {
-            base: LoadgenConfig {
-                containers,
-                workers: workers_flag.unwrap_or(template.base.workers),
-                rounds: rounds_flag.unwrap_or(template.base.rounds),
-                ..template.base
-            },
-            nodes,
-            codec,
-            kill_at,
-            ..template
-        };
-        return run_migration_campaign(&mcfg, out);
-    }
-    if kill_at.is_some() {
-        // --kill-node-at only makes sense for the migration campaign.
-        return usage();
     }
 
     if transport_compare {

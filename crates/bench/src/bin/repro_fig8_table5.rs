@@ -49,6 +49,6 @@ fn main() {
     println!("paper reference (Table V): little difference below N=24; beyond N=26 BF");
     println!("waits ~15 s MORE per container on average (fast overall, slower individually).");
     println!("NOTE (deviation, see EXPERIMENTS.md): in this reproduction BF's MEAN wait is");
-    println!("lower, but its WORST-CASE wait exceeds the other policies — the starvation");
-    println!("mechanism the paper describes shows up in the tail rather than the mean.");
+    println!("the lowest, but its WORST-CASE wait stays near FIFO's, about 4x its own mean —");
+    println!("the starvation the paper describes shows up in the tail rather than the mean.");
 }

@@ -41,7 +41,7 @@ use convgpu_ipc::message::{AllocDecision, ApiKind};
 use convgpu_ipc::server::SocketServer;
 use convgpu_ipc::transport::EndpointAddr;
 use convgpu_obs::metrics::Histogram;
-use convgpu_scheduler::backend::{SchedulerBackend, TopologyBackend};
+use convgpu_scheduler::backend::TopologyBackend;
 use convgpu_scheduler::cluster::SwarmStrategy;
 use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu_scheduler::metrics as sched_metrics;
@@ -50,11 +50,10 @@ use convgpu_scheduler::policy::PolicyKind;
 use convgpu_scheduler::state::ResumeRule;
 use convgpu_sim_core::clock::{RealClock, VirtualClock};
 use convgpu_sim_core::ids::ContainerId;
-use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::time::{SimDuration, SimTime};
 use convgpu_sim_core::units::Bytes;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -1332,482 +1331,6 @@ pub fn render_cluster_json(report: &ClusterReport) -> String {
     out
 }
 
-/// The kill-node fault campaign behind `BENCH_8.json`: the routed
-/// cluster storm, except one node's server is **shut down mid-run**
-/// (`kill_at` containers in). The router must detect the death, drain
-/// the dead node's homed containers onto the survivor via checkpointed
-/// migration, and keep serving — so unlike the healthy campaigns the
-/// driver here is *tolerant*: operations interrupted by the death window
-/// may error or reject, and are counted rather than asserted. What the
-/// campaign does assert: every worker finishes (zero hung clients),
-/// every surviving node ends with zero open containers and clean
-/// invariants (committed memory never exceeded capacity), the router
-/// marked the victim down, and admissions kept flowing after the kill.
-///
-/// Admission latency is split into a **steady** histogram (decisions
-/// before the kill) and a **recovery** histogram (decisions after) —
-/// the recovery percentiles are the headline numbers of the report.
-#[derive(Clone, Copy, Debug)]
-pub struct MigrationLoadConfig {
-    /// Per-node-device campaign parameters (as [`ClusterLoadConfig`]).
-    pub base: LoadgenConfig,
-    /// Nodes in the cluster, each with its own socket server.
-    pub nodes: u32,
-    /// GPU devices each node manages.
-    pub devices_per_node: u32,
-    /// Redistribution policy every node's device schedulers run.
-    pub policy: PolicyKind,
-    /// Wire codec on the router → node hop.
-    pub codec: WireCodec,
-    /// Swarm placement strategy the router runs.
-    pub strategy: SwarmStrategy,
-    /// Index of the node whose server the campaign kills.
-    pub kill_node: u32,
-    /// The worker that picks up this container index kills the node
-    /// first — so the death lands mid-storm, with live allocations and
-    /// suspensions in flight.
-    pub kill_at: u32,
-}
-
-impl MigrationLoadConfig {
-    /// The standard fault campaign: the cluster campaign's two-node
-    /// shape, node 0 killed a third of the way in.
-    pub fn standard() -> Self {
-        MigrationLoadConfig {
-            base: LoadgenConfig {
-                containers: 600,
-                capacity: Bytes::gib(1),
-                ..LoadgenConfig::standard()
-            },
-            nodes: 2,
-            devices_per_node: 1,
-            policy: PolicyKind::BestFit,
-            codec: WireCodec::Binary,
-            strategy: SwarmStrategy::Spread,
-            kill_node: 0,
-            kill_at: 200,
-        }
-    }
-
-    /// A seconds-scale smoke campaign for CI and debug builds.
-    pub fn smoke() -> Self {
-        let std_cfg = Self::standard();
-        MigrationLoadConfig {
-            base: LoadgenConfig {
-                containers: 200,
-                ..std_cfg.base
-            },
-            kill_at: 60,
-            ..std_cfg
-        }
-    }
-}
-
-/// Measured outcome of one kill-node fault campaign.
-#[derive(Clone, Debug)]
-pub struct MigrationReport {
-    /// The configuration the campaign ran under.
-    pub config: MigrationLoadConfig,
-    /// Admission decisions delivered (granted + rejected).
-    pub decisions: u64,
-    /// Granted decisions.
-    pub granted: u64,
-    /// Rejected decisions.
-    pub rejected: u64,
-    /// Operations that errored in the death window (tolerated, counted).
-    pub errors: u64,
-    /// Suspend episodes summed over the surviving nodes' books.
-    pub suspensions: u64,
-    /// Migrations the router completed onto a survivor.
-    pub migrations_completed: u64,
-    /// Migrations no survivor could admit (clean rejections).
-    pub migrations_rejected: u64,
-    /// Admission latency before the kill.
-    pub steady: Histogram,
-    /// Admission latency after the kill — the recovery percentiles.
-    pub recovery: Histogram,
-    /// Wall-clock duration of the campaign, seconds.
-    pub elapsed_secs: f64,
-    /// `decisions / elapsed_secs` across the whole campaign, death
-    /// window included — the number the perf-trend gate tracks.
-    pub decisions_per_sec: f64,
-}
-
-impl MigrationReport {
-    /// Quantile of `h` in milliseconds (0 when empty).
-    fn quantile_ms(h: &Histogram, q: f64) -> f64 {
-        h.quantile_ns(q).unwrap_or(0.0) / 1e6
-    }
-
-    /// Mean of `h` in milliseconds (0 when empty).
-    fn mean_ms(h: &Histogram) -> f64 {
-        if h.count() == 0 {
-            0.0
-        } else {
-            h.sum_ns() as f64 / h.count() as f64 / 1e6
-        }
-    }
-}
-
-struct MigStats {
-    steady: Histogram,
-    recovery: Histogram,
-    granted: u64,
-    rejected: u64,
-    errors: u64,
-}
-
-impl MigStats {
-    fn new() -> Self {
-        MigStats {
-            steady: Histogram::new(),
-            recovery: Histogram::new(),
-            granted: 0,
-            rejected: 0,
-            errors: 0,
-        }
-    }
-
-    fn merge(&mut self, other: MigStats) {
-        self.steady.merge(&other.steady);
-        self.recovery.merge(&other.recovery);
-        self.granted += other.granted;
-        self.rejected += other.rejected;
-        self.errors += other.errors;
-    }
-
-    fn observe(&mut self, started: Instant, decision: AllocDecision, killed: bool) {
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if killed {
-            self.recovery.observe_ns(ns);
-        } else {
-            self.steady.observe_ns(ns);
-        }
-        match decision {
-            AllocDecision::Granted => self.granted += 1,
-            AllocDecision::Rejected => self.rejected += 1,
-        }
-    }
-}
-
-/// One container's lifecycle under fault tolerance: the same sequence as
-/// [`drive_container`], but an operation caught in the death window may
-/// error (counted) or see an unexpected rejection (counted), and the
-/// lifecycle presses on to its close either way.
-fn drive_container_tolerant(
-    endpoint: &dyn SchedulerEndpoint,
-    cfg: &LoadgenConfig,
-    id: ContainerId,
-    vclock: &VirtualClock,
-    ticks: &AtomicU64,
-    stats: &mut MigStats,
-    killed: &AtomicBool,
-) {
-    tick(vclock, ticks);
-    if endpoint.register(id, cfg.limit).is_err() {
-        stats.errors += 1;
-        return;
-    }
-    let pid = 100_000 + id.as_u64();
-    let mut next_addr = id.as_u64() << 20;
-    let mut held: Option<u64> = None;
-
-    let admit = |stats: &mut MigStats, pid: u64, size: Bytes, next_addr: &mut u64| -> Option<u64> {
-        tick(vclock, ticks);
-        let t0 = Instant::now();
-        match endpoint.request_alloc(id, pid, size, ApiKind::Malloc) {
-            Ok(decision) => {
-                stats.observe(t0, decision, killed.load(Ordering::Relaxed));
-                if decision == AllocDecision::Granted {
-                    let addr = *next_addr;
-                    *next_addr += 1;
-                    if endpoint.alloc_done(id, pid, addr, size).is_err() {
-                        stats.errors += 1;
-                        None
-                    } else {
-                        Some(addr)
-                    }
-                } else {
-                    None
-                }
-            }
-            Err(_) => {
-                stats.errors += 1;
-                None
-            }
-        }
-    };
-
-    for round in 0..cfg.rounds {
-        if let Some(addr) = held.take() {
-            tick(vclock, ticks);
-            if endpoint.free(id, pid, addr).is_err() {
-                // The held address died with the source node; its budget
-                // travelled with the migration and is released at close.
-                stats.errors += 1;
-            }
-        }
-        let probe = cfg.reject_every != 0 && round % cfg.reject_every == cfg.reject_every - 1;
-        let size = if probe {
-            cfg.limit + Bytes::new(1)
-        } else {
-            cfg.chunk
-        };
-        if let Some(addr) = admit(&mut *stats, pid, size, &mut next_addr) {
-            held = Some(addr);
-            if cfg.hold_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(cfg.hold_us));
-            }
-        }
-    }
-
-    tick(vclock, ticks);
-    if endpoint.process_exit(id, pid).is_err() {
-        stats.errors += 1;
-    }
-    let pid2 = pid + 1_000_000;
-    admit(&mut *stats, pid2, cfg.chunk, &mut next_addr);
-    tick(vclock, ticks);
-    if endpoint.container_close(id).is_err() {
-        stats.errors += 1;
-    }
-}
-
-/// Run the kill-node fault campaign.
-///
-/// # Panics
-/// Panics when the campaign itself is broken — the kill never fired, a
-/// worker hung, a surviving node ended with open containers or invalid
-/// books, or no admission landed after the kill. Tolerated faults
-/// (errors/rejections in the death window) are counted, not panicked.
-pub fn run_migration(cfg: &MigrationLoadConfig) -> MigrationReport {
-    check_config(&cfg.base);
-    assert!(cfg.nodes > 1, "need a survivor to migrate onto");
-    assert!(
-        cfg.devices_per_node > 0,
-        "need at least one device per node"
-    );
-    assert!((cfg.kill_node) < cfg.nodes, "kill_node out of range");
-    assert!(
-        cfg.kill_at < cfg.base.containers,
-        "kill_at must land inside the storm"
-    );
-
-    let vclock = VirtualClock::new();
-    let dir = run_dir("migration");
-    let capacities = vec![cfg.base.capacity; cfg.devices_per_node as usize];
-    let mut survivors = Vec::new();
-    let mut victim = None;
-    let mut sockets = Vec::with_capacity(cfg.nodes as usize);
-    for i in 0..cfg.nodes {
-        let name = format!("n{i}");
-        let node_dir = dir.join(&name);
-        std::fs::create_dir_all(&node_dir).expect("create cluster node dir");
-        let backend = TopologyBackend::MultiGpu(MultiGpuScheduler::with_config(
-            sched_config(&cfg.base),
-            &capacities,
-            cfg.policy,
-            PlacementPolicy::BestFitDevice,
-            0xC0DE + u64::from(i),
-        ));
-        let socket = node_dir.join("node.sock");
-        let node = NodeServer::serve(name.clone(), backend, vclock.handle(), node_dir, &socket)
-            .expect("serve cluster node");
-        sockets.push((name, socket));
-        if i == cfg.kill_node {
-            victim = Some(node);
-        } else {
-            survivors.push(node);
-        }
-    }
-    let victim = Mutex::new(victim);
-
-    let router = Arc::new(ClusterRouter::attach(
-        sockets,
-        cfg.codec,
-        RouterConfig {
-            strategy: cfg.strategy,
-            deadline: SimDuration::from_secs(30),
-            ..RouterConfig::default()
-        },
-        RealClock::handle(),
-    ));
-
-    let killed = AtomicBool::new(false);
-    let next = AtomicU64::new(0);
-    let ticks = AtomicU64::new(1);
-    let started = Instant::now();
-    let mut merged = MigStats::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.base.workers)
-            .map(|_| {
-                let next = &next;
-                let ticks = &ticks;
-                let killed = &killed;
-                let victim = &victim;
-                let router = &router;
-                let vclock = &vclock;
-                scope.spawn(move || {
-                    let mut stats = MigStats::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= u64::from(cfg.base.containers) {
-                            break;
-                        }
-                        if idx == u64::from(cfg.kill_at) {
-                            if let Some(node) = victim.lock().take() {
-                                node.shutdown();
-                            }
-                            killed.store(true, Ordering::SeqCst);
-                        }
-                        drive_container_tolerant(
-                            &**router,
-                            &cfg.base,
-                            ContainerId(idx + 1),
-                            vclock,
-                            ticks,
-                            &mut stats,
-                            killed,
-                        );
-                    }
-                    stats
-                })
-            })
-            .collect();
-        for h in handles {
-            merged.merge(h.join().expect("loadgen worker panicked"));
-        }
-    });
-    let elapsed_secs = started.elapsed().as_secs_f64();
-
-    assert!(killed.load(Ordering::SeqCst), "the kill never fired");
-    let (_, status) = router.cluster_status();
-    let victim_name = format!("n{}", cfg.kill_node);
-    let victim_status = status
-        .iter()
-        .find(|n| n.node == victim_name)
-        .expect("victim node is in the cluster status");
-    assert_eq!(
-        victim_status.health, "down",
-        "the router must have marked the killed node down"
-    );
-
-    let records = router.migration_records();
-    let migrations_completed = records.iter().filter(|r| r.status == "completed").count() as u64;
-    let migrations_rejected = records.len() as u64 - migrations_completed;
-
-    let mut suspensions = 0u64;
-    for node in &survivors {
-        let (node_susp, node_open) = node.service().with_backend(|b| match b {
-            TopologyBackend::MultiGpu(m) => {
-                m.check_invariants()
-                    .expect("surviving node's books must stay valid");
-                let mut susp = 0u64;
-                let mut open = 0usize;
-                for device in m.shards() {
-                    let per = sched_metrics::collect(device.containers());
-                    susp += per.iter().map(|c| c.suspend_episodes).sum::<u64>();
-                    open += per.iter().filter(|c| c.closed_at.is_none()).count();
-                }
-                (susp, open)
-            }
-            _ => unreachable!("cluster nodes always run a MultiGpu backend"),
-        });
-        suspensions += node_susp;
-        assert_eq!(
-            node_open, 0,
-            "every container on a surviving node must close"
-        );
-    }
-    for node in survivors {
-        node.shutdown();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let decisions = merged.granted + merged.rejected;
-    assert!(
-        merged.recovery.count() > 0,
-        "no admission landed after the kill — the cluster never recovered"
-    );
-    MigrationReport {
-        config: *cfg,
-        decisions,
-        granted: merged.granted,
-        rejected: merged.rejected,
-        errors: merged.errors,
-        suspensions,
-        migrations_completed,
-        migrations_rejected,
-        steady: merged.steady,
-        recovery: merged.recovery,
-        elapsed_secs,
-        decisions_per_sec: if elapsed_secs > 0.0 {
-            decisions as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Render the machine-readable fault-campaign report (the `BENCH_8.json`
-/// schema).
-pub fn render_migration_json(report: &MigrationReport) -> String {
-    let cfg = &report.config;
-    let base = &cfg.base;
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"loadgen-migration\",\n  \"version\": 1,\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"containers\": {}, \"workers\": {}, \"rounds\": {}, \
-         \"chunk_mib\": {}, \"limit_mib\": {}, \"device_capacity_mib\": {}, \
-         \"nodes\": {}, \"devices_per_node\": {}, \"policy\": \"{}\", \
-         \"codec\": \"{}\", \"strategy\": \"{}\", \"kill_node\": {}, \
-         \"kill_at\": {}, \"reject_every\": {}, \"hold_us\": {}}},\n",
-        base.containers,
-        base.workers,
-        base.rounds,
-        base.chunk.as_mib(),
-        base.limit.as_mib(),
-        base.capacity.as_mib(),
-        cfg.nodes,
-        cfg.devices_per_node,
-        cfg.policy.label(),
-        cfg.codec.label(),
-        cfg.strategy.label(),
-        cfg.kill_node,
-        cfg.kill_at,
-        base.reject_every,
-        base.hold_us,
-    ));
-    out.push_str(&format!(
-        "  \"decisions\": {}, \"granted\": {}, \"rejected\": {}, \"errors\": {},\n",
-        report.decisions, report.granted, report.rejected, report.errors
-    ));
-    out.push_str(&format!(
-        "  \"suspensions\": {}, \"migrations_completed\": {}, \"migrations_rejected\": {},\n",
-        report.suspensions, report.migrations_completed, report.migrations_rejected
-    ));
-    for (key, h) in [
-        ("steady_admission_ms", &report.steady),
-        ("recovery_admission_ms", &report.recovery),
-    ] {
-        out.push_str(&format!(
-            "  \"{key}\": {{\"p50\": {:.6}, \"p95\": {:.6}, \"p99\": {:.6}, \
-             \"mean\": {:.6}, \"count\": {}}},\n",
-            MigrationReport::quantile_ms(h, 0.50),
-            MigrationReport::quantile_ms(h, 0.95),
-            MigrationReport::quantile_ms(h, 0.99),
-            MigrationReport::mean_ms(h),
-            h.count(),
-        ));
-    }
-    out.push_str(&format!(
-        "  \"elapsed_secs\": {:.6},\n  \"migration_total_decisions_per_sec\": {:.1}\n}}\n",
-        report.elapsed_secs, report.decisions_per_sec
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2176,51 +1699,5 @@ mod tests {
             }
         }
         assert!(json.get("cluster_total_decisions_per_sec").is_some());
-    }
-
-    #[test]
-    fn migration_campaign_survives_a_mid_storm_kill() {
-        let cfg = MigrationLoadConfig {
-            base: LoadgenConfig {
-                containers: 48,
-                workers: 4,
-                capacity: Bytes::gib(1),
-                hold_us: 100,
-                ..tiny(Transport::InProc)
-            },
-            kill_at: 12,
-            ..MigrationLoadConfig::standard()
-        };
-        // run_migration itself asserts the hard properties: the kill
-        // fired, the router marked the victim down, surviving nodes end
-        // with zero open containers and clean invariants, and admissions
-        // kept landing after the kill.
-        let report = run_migration(&cfg);
-        assert!(report.decisions > 0);
-        assert_eq!(
-            report.steady.count() + report.recovery.count(),
-            report.decisions
-        );
-        assert!(report.recovery.count() > 0);
-
-        let text = render_migration_json(&report);
-        let json = convgpu_ipc::json::parse(&text).expect("BENCH_8.json must parse");
-        for key in [
-            "decisions",
-            "granted",
-            "rejected",
-            "errors",
-            "migrations_completed",
-            "migrations_rejected",
-            "migration_total_decisions_per_sec",
-        ] {
-            assert!(json.get(key).is_some(), "missing {key}");
-        }
-        for hist in ["steady_admission_ms", "recovery_admission_ms"] {
-            let h = json.get(hist).expect("histogram object");
-            for q in ["p50", "p95", "p99", "mean", "count"] {
-                assert!(h.get(q).is_some(), "missing {hist}.{q}");
-            }
-        }
     }
 }

@@ -2,15 +2,16 @@
 //! artifact's headline throughput metric against the committed baseline
 //! (`ci/perf_baseline.json`).
 //!
-//! The loadgen campaigns (`BENCH_3/4/7/8.json`) each carry exactly one
+//! The loadgen campaigns (`BENCH_3/4/7.json`) each carry exactly one
 //! headline metric — `total_decisions_per_sec`,
-//! `sharded_total_decisions_per_sec`, `cluster_total_decisions_per_sec`
-//! and `migration_total_decisions_per_sec` respectively. No campaign
+//! `sharded_total_decisions_per_sec` and
+//! `cluster_total_decisions_per_sec` respectively — and the
+//! transport-compare campaign (`BENCH_9.json`) one per leg. No campaign
 //! gates itself: CI runs them all with `--out` and then invokes the
 //! `perf-trend` binary once over the whole artifact set. That yields a single per-metric
 //! delta table (also appended to `$GITHUB_STEP_SUMMARY` on Actions) and
 //! one place where the retention threshold ([`BASELINE_RETENTION`]) is
-//! enforced — for the cluster and migration metrics too, not just the
+//! enforced — for the cluster and transport metrics too, not just the
 //! original two.
 //!
 //! A baseline metric that no supplied artifact reports is itself a gate
@@ -28,7 +29,7 @@ pub const BASELINE_RETENTION: f64 = 0.80;
 /// One metric's baseline-vs-measured comparison.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrendRow {
-    /// Metric key, e.g. `migration_total_decisions_per_sec`.
+    /// Metric key, e.g. `cluster_total_decisions_per_sec`.
     pub metric: String,
     /// Artifact file the measurement came from (display name).
     pub artifact: String,

@@ -2,11 +2,11 @@
 //!
 //! The [`crate::router::ClusterRouter`]'s home map — which node owns
 //! each container, the limit it registered with and the placement hint
-//! the router committed — is the checkpoint a migration registers on a
-//! surviving node. Before this module that map lived only in memory: a
-//! restarted router re-learned homes lazily with **zero** checkpoints,
-//! so a post-restart migration off a dead node registered `limit = 0`
-//! on the survivor and committed-memory placement ran blind.
+//! the router committed — is what a restarted router needs to keep
+//! routing and to keep its placement accounting (the committed memory
+//! `BinPack` and Spread score by). Without a journal a restarted router
+//! re-learns homes lazily with **zero** checkpoints, so placement
+//! counts nothing against the nodes those containers live on.
 //!
 //! The journal fixes that with the classic WAL shape. What a record
 //! *means* is [`apply`], the one home-map transition: the live router
@@ -33,14 +33,14 @@
 //! On-disk shapes:
 //!
 //! * **Append-only log** (`wal.log`) — every home-map mutation is one
-//!   line: `place`, `recover`, `close`, `migrate` (commit of a
-//!   hand-off). Each record carries a monotonic sequence number and an
-//!   FNV-1a checksum, so replay can tell a torn tail from a valid
-//!   record. A journal written before the router stopped keeping a
-//!   `used` ledger also holds `done` / `free` / `exit` lines and a
-//!   `used` field: replay reads them and ignores them, and what this
-//!   module writes keeps their slots (`migrate`'s fifth field is `0`, a
-//!   snapshot's ledger column `-`), so an older router still reads it.
+//!   line: `place`, `recover` or `close`. Each record carries a
+//!   monotonic sequence number and an FNV-1a checksum, so replay can
+//!   tell a torn tail from a valid record. A journal written by an
+//!   older router may also hold `migrate` lines (a hand-off it
+//!   committed; replay reads one as the `place` it amounts to and drops
+//!   its retired fifth field) and `done` / `free` / `exit` lines of the
+//!   retired `used` ledger (read and ignored). A snapshot keeps the
+//!   ledger column as `-`, so an older router still reads it.
 //! * **Compacted snapshots** (`snapshot.v1`) — the whole map, written
 //!   to a temp file, fsynced, and atomically renamed. The snapshot
 //!   records the last sequence number it covers; journal records at or
@@ -128,17 +128,8 @@ pub enum JournalOp {
         container: ContainerId,
         node: String,
     },
-    /// The home entry was dropped (container closed, or checkpointed
-    /// out at the start of a migration).
+    /// The home entry was dropped (container closed).
     Close { container: ContainerId },
-    /// A migration hand-off committed onto `node`, carrying the
-    /// checkpointed budget (the survivor registers it afresh).
-    Migrate {
-        container: ContainerId,
-        node: String,
-        limit: Bytes,
-        hint: Bytes,
-    },
     /// Legacy `done` record of the retired `used` ledger: replay reads
     /// it and ignores it (see [`apply`]). Nothing journals it any more.
     AllocDone {
@@ -243,7 +234,6 @@ impl JournalOp {
             JournalOp::Place { container, .. }
             | JournalOp::Recover { container, .. }
             | JournalOp::Close { container }
-            | JournalOp::Migrate { container, .. }
             | JournalOp::AllocDone { container, .. }
             | JournalOp::Free { container, .. }
             | JournalOp::ProcessExit { container, .. } => *container,
@@ -269,20 +259,6 @@ impl JournalOp {
                 format!("recover {} {}", container.as_u64(), escape(node))
             }
             JournalOp::Close { container } => format!("close {}", container.as_u64()),
-            // The fifth field is the retired `used`, kept as `0` so the
-            // record stays in the grammar older routers read.
-            JournalOp::Migrate {
-                container,
-                node,
-                limit,
-                hint,
-            } => format!(
-                "migrate {} {} {} {} 0",
-                container.as_u64(),
-                escape(node),
-                limit.as_u64(),
-                hint.as_u64()
-            ),
             JournalOp::AllocDone {
                 container,
                 pid,
@@ -306,12 +282,21 @@ impl JournalOp {
         let num =
             |parts: &mut std::str::Split<'_, char>| -> Option<u64> { parts.next()?.parse().ok() };
         let op = match kind {
-            "place" => JournalOp::Place {
-                container: ContainerId(num(&mut parts)?),
-                node: unescape(parts.next()?)?,
-                limit: Bytes::new(num(&mut parts)?),
-                hint: Bytes::new(num(&mut parts)?),
-            },
+            // A legacy `migrate` line (a hand-off a retired router
+            // committed) set the home the way a placement does; its
+            // fifth field, the retired `used`, is read and dropped.
+            "place" | "migrate" => {
+                let op = JournalOp::Place {
+                    container: ContainerId(num(&mut parts)?),
+                    node: unescape(parts.next()?)?,
+                    limit: Bytes::new(num(&mut parts)?),
+                    hint: Bytes::new(num(&mut parts)?),
+                };
+                if kind == "migrate" {
+                    num(&mut parts)?;
+                }
+                op
+            }
             "recover" => JournalOp::Recover {
                 container: ContainerId(num(&mut parts)?),
                 node: unescape(parts.next()?)?,
@@ -319,16 +304,6 @@ impl JournalOp {
             "close" => JournalOp::Close {
                 container: ContainerId(num(&mut parts)?),
             },
-            "migrate" => {
-                let op = JournalOp::Migrate {
-                    container: ContainerId(num(&mut parts)?),
-                    node: unescape(parts.next()?)?,
-                    limit: Bytes::new(num(&mut parts)?),
-                    hint: Bytes::new(num(&mut parts)?),
-                };
-                num(&mut parts)?; // the retired `used`
-                op
-            }
             "done" => JournalOp::AllocDone {
                 container: ContainerId(num(&mut parts)?),
                 pid: num(&mut parts)?,
@@ -388,23 +363,6 @@ pub fn apply(homes: &mut BTreeMap<ContainerId, RecoveredHome>, op: &JournalOp) -
             true
         }
         JournalOp::Close { container } => homes.remove(container).is_some(),
-        JournalOp::Migrate {
-            container,
-            node,
-            limit,
-            hint,
-        } => {
-            homes.insert(
-                *container,
-                RecoveredHome {
-                    node: node.clone(),
-                    limit: *limit,
-                    hint: *hint,
-                    used_by_pid: BTreeMap::new(),
-                },
-            );
-            true
-        }
         JournalOp::AllocDone { .. } | JournalOp::Free { .. } | JournalOp::ProcessExit { .. } => {
             false
         }
@@ -757,7 +715,7 @@ mod tests {
                 container: ContainerId(2),
                 pid: 9,
             },
-            JournalOp::Migrate {
+            JournalOp::Place {
                 container: ContainerId(2),
                 node: "n0".into(),
                 limit: Bytes::mib(100),
@@ -996,17 +954,22 @@ mod tests {
 
     #[test]
     fn what_this_module_writes_stays_in_the_v1_grammar() {
-        // An older router parses `migrate` with five fields and a
-        // snapshot's ledger column as `-` or a `pid:bytes` list.
+        // An older router wrote a hand-off as `migrate` with five fields:
+        // it reads as the placement it set, the retired fifth dropped. A
+        // snapshot's ledger column is `-` or a `pid:bytes` list.
         let dir = temp_dir("v1");
-        let op = JournalOp::Migrate {
+        let op = JournalOp::Place {
             container: ContainerId(4),
             node: "n1".into(),
             limit: Bytes::mib(100),
             hint: Bytes::mib(166),
         };
         let (limit, hint) = (Bytes::mib(100).as_u64(), Bytes::mib(166).as_u64());
-        assert_eq!(op.payload(), format!("migrate 4 n1 {limit} {hint} 0"));
+        let legacy = format!("migrate 4 n1 {limit} {hint} 0");
+        assert_eq!(JournalOp::parse(&legacy), Some(op.clone()));
+        let short = format!("migrate 4 n1 {limit} {hint}");
+        assert_eq!(JournalOp::parse(&short), None, "a torn legacy line");
+        assert_eq!(op.payload(), format!("place 4 n1 {limit} {hint}"));
         let mut homes = BTreeMap::new();
         assert!(apply(&mut homes, &op));
         assert!(homes[&ContainerId(4)].used_by_pid.is_empty());

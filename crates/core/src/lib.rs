@@ -26,8 +26,8 @@
 //!   deadlines, bounded backoff, node health, failover).
 //! * [`journal`] — the router's write-ahead home-map journal:
 //!   append-only mutation log plus compacted snapshots, replayed on
-//!   startup so a restarted router recovers full migration checkpoints
-//!   (limit / hint) instead of zeros.
+//!   startup so a restarted router recovers its homes with their full
+//!   placement checkpoints (limit / hint) instead of zeros.
 
 #![forbid(unsafe_code)]
 

@@ -311,7 +311,8 @@ impl SchedulerService {
                     message: format!("container {container} is not registered"),
                 },
             },
-            // Clusters, migrations and their records are the router's.
+            // Clusters are the router's; nothing answers the retired
+            // migration kinds.
             Request::QueryCluster | Request::Migrate { .. } | Request::QueryMigrations => {
                 Response::Error {
                     message: "not a cluster daemon".to_string(),

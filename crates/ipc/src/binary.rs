@@ -675,8 +675,8 @@ mod tests {
         for payload in [
             // id 1, tag 8 (topology), kind "", 8192 devices, nothing more.
             &[1u8, 8, 0, 0x80, 0x40][..],
-            // id 1, tag 11 (migrations), 3 records in 2 bytes.
-            &[1, 11, 3, 0, 0][..],
+            // id 1, tag 10 (cluster), strategy "", 3 nodes in 2 bytes.
+            &[1, 10, 0, 3, 0, 0][..],
         ] {
             let mut frame = vec![MAGIC];
             frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());

@@ -18,15 +18,13 @@
 
 use crate::binary::{encode_with, take_auto, WireCodec};
 use crate::endpoint::{expect_reply, IpcError, IpcResult, Transact};
-use crate::message::{ClusterNodeStatus, Envelope, MigrationRecord, Request, Response};
+use crate::message::{ClusterNodeStatus, Envelope, Request, Response};
 use crate::transport::{Conn, EndpointAddr};
 use convgpu_obs::catalogue::IPC_CLIENT_RTT;
 use convgpu_obs::Registry;
 use convgpu_sim_core::clock::ClockHandle;
-use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::{Mutex, MutexGuard};
 use convgpu_sim_core::time::{SimDuration, SimTime};
-use convgpu_sim_core::units::Bytes;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -468,42 +466,6 @@ impl SchedulerClient {
             Response::Cluster { strategy, nodes } => (strategy, nodes)
         )
     }
-
-    /// Ask a cluster router to re-home one container off its current
-    /// node. Errors with the router's own message when the container is
-    /// unknown or no survivor can absorb it.
-    pub fn migrate(&self, container: ContainerId) -> IpcResult<Vec<MigrationRecord>> {
-        self.migrate_request(container, "")
-    }
-
-    /// Ask a cluster router to drain every container homed on `node`
-    /// (`cluster rebalance`): the 0-sentinel form of [`Request::Migrate`].
-    pub fn rebalance(&self, node: &str) -> IpcResult<Vec<MigrationRecord>> {
-        self.migrate_request(ContainerId(0), node)
-    }
-
-    fn migrate_request(
-        &self,
-        container: ContainerId,
-        node: &str,
-    ) -> IpcResult<Vec<MigrationRecord>> {
-        let req = Request::Migrate {
-            container,
-            node: node.to_string(),
-            limit: Bytes::ZERO,
-            used: Bytes::ZERO,
-        };
-        expect_reply!(self.request(req), Response::Migrations { records } => records)
-    }
-
-    /// Ask a cluster router for the migrations it still has on record
-    /// (the newest ones; see `docs/CLUSTER.md`).
-    pub fn query_migrations(&self) -> IpcResult<Vec<MigrationRecord>> {
-        expect_reply!(
-            self.request(Request::QueryMigrations),
-            Response::Migrations { records } => records
-        )
-    }
 }
 
 /// The socket is one more way to carry a message to the scheduler; the
@@ -534,6 +496,8 @@ mod tests {
     use crate::endpoint::SchedulerEndpoint;
     use crate::message::{AllocDecision, ApiKind};
     use crate::server::{ConnId, Reply, RequestHandler, SocketServer};
+    use convgpu_sim_core::ids::ContainerId;
+    use convgpu_sim_core::units::Bytes;
     use std::path::PathBuf;
     use std::time::Duration;
 

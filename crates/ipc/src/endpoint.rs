@@ -317,7 +317,6 @@ impl<T: Transact + ?Sized> SchedulerEndpoint for T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MigrationRecord;
     use convgpu_sim_core::sync::Mutex;
 
     /// A transport that records what it is asked and answers from a
@@ -474,14 +473,15 @@ mod tests {
             let req = ok.seen.lock().pop().expect("one request per call");
             let kind = req.kind();
 
-            // No wrapper-facing call expects `migrations`.
+            // No wrapper-facing call expects `cluster`.
             let wrong = answering(|| {
-                Ok(Response::Migrations {
-                    records: Vec::<MigrationRecord>::new(),
+                Ok(Response::Cluster {
+                    strategy: "spread".into(),
+                    nodes: Vec::new(),
                 })
             });
             assert!(
-                matches!(call(&wrong), Err(IpcError::UnexpectedResponse(m)) if m.contains("Migrations")),
+                matches!(call(&wrong), Err(IpcError::UnexpectedResponse(m)) if m.contains("Cluster")),
                 "{kind}: a reply of the wrong variant"
             );
             // An `error` reply is the scheduler's refusal, whichever way

@@ -411,23 +411,21 @@ wire! {
         /// per-node status: health, placements, and fault-tolerance
         /// counters. Non-cluster daemons answer `error`.
         QueryCluster = "query_cluster", 13,
-        /// Ask a cluster router to re-home `container` off its current node,
-        /// or — when `container` is the 0 sentinel and `node` names a router
-        /// node — to drain every container homed on that node (`cluster
-        /// rebalance`). Node daemons answer `error`: a router hands a migrant
-        /// to its new node as a plain `register`.
+        /// Retired: nothing moves a container between nodes any more,
+        /// and every daemon — node or router — answers `error`. Kept in
+        /// the kind set (and its wire bytes) until the benchmark package,
+        /// which names every kind, can drop it.
         Migrate = "migrate", 14 {
-            /// The container to hand off (0 = every container on `node`).
+            /// Read and ignored.
             container: ContainerId,
-            /// Router only: node to drain when `container` is 0.
+            /// Read and ignored.
             node: String,
-            /// Retired: read and ignored (kept so the wire bytes hold).
+            /// Read and ignored.
             limit: Bytes,
-            /// Retired: read and ignored (kept so the wire bytes hold).
+            /// Read and ignored.
             used: Bytes,
         },
-        /// Ask a cluster router for the migrations it has performed.
-        /// Non-router daemons answer `error`.
+        /// Retired like [`Request::Migrate`]: every daemon answers `error`.
         QueryMigrations = "query_migrations", 15,
     }
 }
@@ -469,27 +467,6 @@ wire! {
         timeouts: u64,
         /// Containers failed over to rejection because the node went down.
         failovers: u64,
-    }
-}
-
-wire! {
-    /// One completed (or refused) container move in a
-    /// [`Response::Migrations`] answer.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    struct MigrationRecord {
-        /// The migrated container.
-        container: ContainerId,
-        /// Node it was drained off.
-        from: String,
-        /// Node it was registered on; empty when no node could take it (`status` says
-        /// `"rejected"`).
-        to: String,
-        /// Declared limit carried over.
-        limit: Bytes,
-        /// Retired: always 0, since a migrant starts with nothing used.
-        used: Bytes,
-        /// `"completed"` or `"rejected"`.
-        status: String,
     }
 }
 
@@ -560,12 +537,6 @@ wire! {
             strategy: String,
             /// Every node, in router configuration order.
             nodes: Vec<ClusterNodeStatus>,
-        },
-        /// Reply to [`Request::QueryMigrations`].
-        Migrations = "migrations", 11 {
-            /// The migrations the router still has on record (its newest),
-            /// oldest first.
-            records: Vec<MigrationRecord>,
         },
     }
 }

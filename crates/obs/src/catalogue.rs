@@ -148,10 +148,6 @@ metrics! {
         "the router's health view: 0 up, 1 degraded, 2 down";
     ROUTER_PLACEMENT: Counter("convgpu_router_placement_total", Daemon, ["strategy", "node"])
         "router placement decisions per node";
-    ROUTER_MIGRATIONS: Counter("convgpu_router_migrations_total", Daemon, ["from", "status"])
-        "container migrations off a node (`completed` / `rejected`)";
-    ROUTER_MIGRATION_SECONDS: Latency("convgpu_router_migration_seconds", Daemon, ["node"])
-        "end-to-end latency of one container's migration off `node`";
     ROUTER_FORWARDER_SPAWNS: Counter("convgpu_router_forwarder_spawns_total", Daemon, [])
         "forwarder threads a served router created";
     ROUTER_JOURNAL_APPENDS: Counter("convgpu_router_journal_appends_total", Daemon, [])

@@ -38,15 +38,9 @@
 //!   node-health driven degradation, serving the same wire protocol on
 //!   `--socket`. With `--journal=DIR` the router's home map is durable:
 //!   every mutation lands in a write-ahead journal under `DIR` and a
-//!   restarted router replays it, recovering full migration checkpoints
-//!   instead of re-learning homes with zeros (`docs/CLUSTER.md`,
-//!   "Durability & restart").
-//! * `cluster rebalance --socket=ROUTER_ENDPOINT (--node=NAME |
-//!   --container=ID) [--codec=json|binary]` — ask a running router to
-//!   drain every container homed on `--node` (or re-home just
-//!   `--container`) onto the surviving nodes, then print one line per
-//!   migration record: who moved, from where to where, with what
-//!   limit, completed or rejected (see `docs/CLUSTER.md`).
+//!   restarted router replays it, recovering every home with its full
+//!   placement checkpoint instead of re-learning homes with zeros
+//!   (`docs/CLUSTER.md`, "Durability & restart").
 
 use convgpu::gpu::GpuProgram;
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
@@ -76,8 +70,6 @@ fn usage() -> ExitCode {
          cluster route --socket=ENDPOINT --node=NAME=ENDPOINT [--node=...]\n\
                  [--strategy=spread|binpack|random] [--codec=json|binary]\n\
                  [--deadline-ms=N] [--retries=N] [--journal=DIR]\n\
-         cluster rebalance --socket=ROUTER_ENDPOINT (--node=NAME | --container=ID)\n\
-                 [--codec=json|binary]\n\
          \n\
          ENDPOINT is `unix:/path`, `tcp:host:port`, or a bare path\n\
          (a UNIX socket). `tcp:host:0` binds a kernel-assigned port,\n\
@@ -713,95 +705,10 @@ fn cmd_cluster_route(args: &[String]) -> ExitCode {
     serve_forever(ready)
 }
 
-fn cmd_cluster_rebalance(args: &[String]) -> ExitCode {
-    use convgpu::ipc::binary::WireCodec;
-    use convgpu::ipc::client::SchedulerClient;
-    use convgpu::ipc::transport::EndpointAddr;
-    use convgpu::sim::ids::ContainerId;
-
-    let mut socket: Option<EndpointAddr> = None;
-    let mut node: Option<String> = None;
-    let mut container: Option<u64> = None;
-    let mut codec = WireCodec::Json;
-    for a in args {
-        if let Some(v) = a.strip_prefix("--socket=") {
-            socket = match parse_endpoint(v) {
-                Some(e) => Some(e),
-                None => return usage(),
-            };
-        } else if let Some(v) = a.strip_prefix("--node=") {
-            node = Some(v.to_string());
-        } else if let Some(v) = a.strip_prefix("--container=") {
-            container = match v.parse() {
-                Ok(n) => Some(n),
-                Err(_) => return usage(),
-            };
-        } else if let Some(v) = a.strip_prefix("--codec=") {
-            codec = match v {
-                "json" => WireCodec::Json,
-                "binary" => WireCodec::Binary,
-                _ => return usage(),
-            };
-        } else {
-            return usage();
-        }
-    }
-    let Some(socket) = socket else { return usage() };
-    if node.is_some() == container.is_some() {
-        eprintln!("convgpu-cli: cluster rebalance needs exactly one of --node or --container");
-        return usage();
-    }
-    let client = match SchedulerClient::connect_endpoint_with_codec(&socket, codec, None) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("convgpu-cli: cannot connect to {socket}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let records = match (node, container) {
-        (Some(n), None) => client.rebalance(&n),
-        (None, Some(c)) => client.migrate(ContainerId(c)),
-        _ => unreachable!("validated above"),
-    };
-    let records = match records {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("convgpu-cli: rebalance failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if records.is_empty() {
-        println!("nothing to migrate");
-        return ExitCode::SUCCESS;
-    }
-    let mut rejected = 0;
-    for r in &records {
-        if r.status == "completed" {
-            println!(
-                "migrated {} {} -> {} (limit {})",
-                r.container, r.from, r.to, r.limit
-            );
-        } else {
-            rejected += 1;
-            println!(
-                "REJECTED {} off {} (limit {}): no survivor could absorb it",
-                r.container, r.from, r.limit
-            );
-        }
-    }
-    println!("{} migrated, {rejected} rejected", records.len() - rejected);
-    if rejected == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn cmd_cluster(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("serve-node") => cmd_cluster_serve_node(&args[1..]),
         Some("route") => cmd_cluster_route(&args[1..]),
-        Some("rebalance") => cmd_cluster_rebalance(&args[1..]),
         _ => usage(),
     }
 }

@@ -1,6 +1,6 @@
 //! Cluster-grade acceptance battery for the routed two-node topology.
 //!
-//! Four properties the distributed mode must hold:
+//! Three properties the distributed mode must hold:
 //!
 //! * **Golden routed trace** — a fixed two-node scenario produces, on
 //!   node 0's span ring, exactly the tree checked in at
@@ -11,11 +11,6 @@
 //!   *bit-for-bit* the trace a standalone single-device daemon emits
 //!   for the same sub-workload: routing adds no scheduler-visible
 //!   behavior to a healthy node.
-//! * **Golden migration trace** — a scripted drain produces, on the
-//!   survivor's span ring, exactly the tree checked in at
-//!   `tests/golden/cluster_migration_routed.trace`: the migrated
-//!   container's post-move lifecycle is indistinguishable from a native
-//!   registration.
 //! * **Lifecycle under fire** — real node *processes* on both codecs:
 //!   concurrent full lifecycles complete with zero hung clients when
 //!   one node is killed mid-run, failovers are observable through
@@ -25,8 +20,8 @@
 //! Everything here runs with the router's write-ahead journal *off*:
 //! these goldens double as the proof that the journal is opt-in and
 //! invisible when disabled. The durability half
-//! (kill -9 the router, replay the journal, migrate with pre-restart
-//! checkpoints) lives in `tests/journal_recovery.rs`.
+//! (kill -9 the router, replay the journal to the pre-kill homes and
+//! their checkpoints) lives in `tests/journal_recovery.rs`.
 
 use convgpu::ipc::binary::WireCodec;
 use convgpu::ipc::client::SchedulerClient;
@@ -408,122 +403,6 @@ fn node0_trace_matches_standalone_single_device_daemon() {
         routed, solo,
         "routing must add no scheduler-visible behavior on a healthy node"
     );
-}
-
-/// A scripted drain through the real routed stack: after `rebalance`
-/// moves container 1 off node 0, its post-move lifecycle on node 1
-/// must leave exactly the span tree checked in at
-/// `tests/golden/cluster_migration_routed.trace` — indistinguishable
-/// from a natively registered container. Re-bless with
-/// `UPDATE_GOLDEN=1 cargo test --test cluster_router`.
-#[test]
-fn routed_migration_golden_trace() {
-    let dir = temp_dir("migration-golden");
-    let vclock = VirtualClock::new();
-    let mut nodes = Vec::new();
-    for i in 0..2usize {
-        let node_dir = dir.join(format!("n{i}"));
-        std::fs::create_dir_all(&node_dir).unwrap();
-        nodes.push(
-            NodeServer::serve_endpoint(
-                format!("n{i}"),
-                fifo_single_backend(),
-                vclock.handle(),
-                node_dir.clone(),
-                &test_endpoint(&node_dir, "node.sock"),
-            )
-            .unwrap(),
-        );
-    }
-    let endpoints: Vec<(String, EndpointAddr)> = nodes
-        .iter()
-        .map(|n| (n.name().to_string(), n.endpoint().clone()))
-        .collect();
-    let router = Arc::new(ClusterRouter::attach(
-        endpoints,
-        WireCodec::Json,
-        RouterConfig::default(),
-        RealClock::handle(),
-    ));
-
-    vclock.advance_to(ms(1));
-    assert_eq!(
-        router.register(ContainerId(1), Bytes::mib(400)).unwrap(),
-        "n0"
-    );
-    vclock.advance_to(ms(2));
-    assert_eq!(
-        router.register(ContainerId(2), Bytes::mib(400)).unwrap(),
-        "n1"
-    );
-    // A live allocation on the node about to drain. The source is alive,
-    // so its acknowledged close really frees these bytes before the
-    // move — the survivor registers the migrant from used = 0, as every
-    // migration does.
-    vclock.advance_to(ms(3));
-    assert_eq!(
-        router
-            .request_alloc(ContainerId(1), 101, Bytes::mib(300), ApiKind::Malloc)
-            .unwrap(),
-        AllocDecision::Granted
-    );
-    router
-        .alloc_done(ContainerId(1), 101, 0xA1, Bytes::mib(300))
-        .unwrap();
-
-    vclock.advance_to(ms(4));
-    let records = router.rebalance("n0").unwrap();
-    assert_eq!(records.len(), 1, "{records:?}");
-    assert_eq!(records[0].status, "completed");
-    assert_eq!(records[0].to, "n1");
-    assert_eq!(
-        records[0].used,
-        Bytes::ZERO,
-        "a live-source drain must not carry used budget"
-    );
-
-    // The migrated container's full post-move lifecycle, all on node 1.
-    vclock.advance_to(ms(5));
-    assert_eq!(
-        router
-            .request_alloc(ContainerId(1), 102, Bytes::mib(300), ApiKind::Malloc)
-            .unwrap(),
-        AllocDecision::Granted
-    );
-    router
-        .alloc_done(ContainerId(1), 102, 0xB1, Bytes::mib(300))
-        .unwrap();
-    vclock.advance_to(ms(6));
-    assert_eq!(
-        router.free(ContainerId(1), 102, 0xB1).unwrap(),
-        Bytes::mib(300)
-    );
-    vclock.advance_to(ms(7));
-    router.process_exit(ContainerId(1), 102).unwrap();
-    vclock.advance_to(ms(8));
-    router.container_close(ContainerId(1)).unwrap();
-    vclock.advance_to(ms(9));
-    router.container_close(ContainerId(2)).unwrap();
-
-    let got = render_canonical(&nodes[1].service().obs().ring.snapshot());
-    for n in nodes {
-        n.shutdown();
-    }
-    // Both the native container and the migrant appear on the survivor;
-    // the migrant's pre-move allocation must not follow it.
-    assert!(got.contains("cnt-0001"), "survivor trace:\n{got}");
-    assert!(got.contains("cnt-0002"), "survivor trace:\n{got}");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/cluster_migration_routed.trace"
-    );
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(path, &got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("golden missing; bless with UPDATE_GOLDEN=1 cargo test --test cluster_router");
-    assert_eq!(got, want, "migration trace drifted from golden");
 }
 
 // ---------------------------------------------------------------------
@@ -1232,19 +1111,9 @@ fn in_process_reply(router: &ClusterRouter, req: Request) -> Response {
             let (strategy, nodes) = router.cluster_status();
             Ok(Response::Cluster { strategy, nodes })
         }
-        Request::Migrate {
-            container, node, ..
-        } => {
-            if container == ContainerId(0) && !node.is_empty() {
-                router.rebalance(&node)
-            } else {
-                router.migrate_container(container).map(|r| vec![r])
-            }
-        }
-        .map(|records| Response::Migrations { records }),
-        Request::QueryMigrations => Ok(Response::Migrations {
-            records: router.migration_records(),
-        }),
+        // Retired kinds: no typed call sends them, and the router
+        // refuses them itself.
+        req @ (Request::Migrate { .. } | Request::QueryMigrations) => router.transact(req),
     };
     outcome.unwrap_or_else(|e| Response::Error {
         message: e.to_string(),
@@ -1404,8 +1273,8 @@ fn dispatch_transcript(leg: Leg, tag: &str) -> String {
         limit: Bytes::ZERO,
         used: Bytes::ZERO,
     };
-    // Every kind, aimed at container `id`; `register` and `migrate` are
-    // left to the caller, which knows what they should do there.
+    // Every kind, aimed at container `id`; `register` and the retired
+    // `migrate` are left to the caller.
     let every_kind_for = |id: u64, pid: u64| -> Vec<Request> {
         vec![
             Request::RequestDir { container: c(id) },
@@ -1541,7 +1410,7 @@ fn dispatch_transcript(leg: Leg, tag: &str) -> String {
     send(&mut out, migrate(4, ""));
     send(&mut out, alloc(4, 5, 8, ApiKind::Malloc));
 
-    out.push_str("== n1 driven to down: its last container is drained\n");
+    out.push_str("== n1 driven to down: its containers stay homed there\n");
     let mut probes = 0;
     while router.node_health("n1") != Some(NodeHealth::Down) {
         probes += 1;
@@ -1558,7 +1427,7 @@ fn dispatch_transcript(leg: Leg, tag: &str) -> String {
         send(&mut out, req);
     }
 
-    out.push_str("== operator drain of the survivor: nowhere to go\n");
+    out.push_str("== a drain of the survivor is refused\n");
     send(&mut out, migrate(0, "n0"));
     send(&mut out, Request::QueryMigrations);
     send(&mut out, Request::QueryCluster);
@@ -1593,9 +1462,9 @@ fn dispatch_transcript(leg: Leg, tag: &str) -> String {
 
 /// One scripted, single-threaded run sends every request kind to the
 /// router in each situation it tells apart — home up, home shut down,
-/// container unknown, home re-learned, node down and drained — plus one
-/// single-container `migrate` and two `rebalance`s. Each reply, the home
-/// map after it and the journal at the end are pinned by
+/// container unknown, home re-learned, home down — plus the retired
+/// `migrate` kind in each of them, which the router refuses. Each
+/// reply, the home map after it and the journal at the end are pinned by
 /// `tests/golden/router_dispatch.golden`; the served router in both
 /// codecs and the in-process `SchedulerEndpoint` must all produce it.
 /// Re-bless with `UPDATE_GOLDEN=1 cargo test --test cluster_router`.

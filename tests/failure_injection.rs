@@ -403,437 +403,6 @@ mod cluster_faults {
         kill(n1);
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// Migration-specific fault injection (`migration_faults`): the drain
-/// path under the ugliest timings — a requester parked in a suspension
-/// while its node drains, a second node dying in the middle of a
-/// migration, and a node process killed under a live allocation storm
-/// with the outcome asserted purely over the wire. See the migration
-/// section of `docs/CLUSTER.md` for the guarantees pinned here.
-mod migration_faults {
-    use super::*;
-    use convgpu::ipc::binary::WireCodec;
-    use convgpu::ipc::client::SchedulerClient;
-    use convgpu::ipc::endpoint::SchedulerEndpoint;
-    use convgpu::middleware::router::{ClusterRouter, NodeServer, RouterConfig};
-    use convgpu::middleware::NodeHealth;
-    use convgpu::scheduler::backend::TopologyBackend;
-    use convgpu::sim::clock::ClockHandle;
-    use std::path::PathBuf;
-    use std::process::{Child, Command, Stdio};
-    use std::time::Instant;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "convgpu-itest-migration-{}-{tag}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("create migration test dir");
-        dir
-    }
-
-    fn node(tag: &str, name: &str, capacity_mib: u64, clock: ClockHandle) -> NodeServer {
-        let dir = temp_dir(tag).join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        let backend = TopologyBackend::Single(Scheduler::new(
-            SchedulerConfig::with_capacity(Bytes::mib(capacity_mib)),
-            PolicyKind::Fifo.build(0),
-        ));
-        NodeServer::serve_endpoint(
-            name,
-            backend,
-            clock,
-            dir.clone(),
-            &test_endpoint(&dir, "node.sock"),
-        )
-        .unwrap()
-    }
-
-    fn router_over(nodes: &[&NodeServer], cfg: RouterConfig) -> Arc<ClusterRouter> {
-        Arc::new(ClusterRouter::attach(
-            nodes
-                .iter()
-                .map(|n| (n.name().to_string(), n.endpoint().clone()))
-                .collect(),
-            WireCodec::Binary,
-            cfg,
-            RealClock::handle(),
-        ))
-    }
-
-    /// A migration fired while a requester is PARKED in a suspension on
-    /// the draining node. The drain's source-side close must unblock the
-    /// parked requester (granted by the freed memory or cancelled —
-    /// never hung), and both containers must land on the survivor and
-    /// complete full lifecycles there.
-    #[test]
-    fn rebalance_with_a_parked_suspension_unblocks_the_requester() {
-        let clock = RealClock::handle();
-        let n0 = node("parked", "n0", 1000, clock.clone());
-        let n1 = node("parked", "n1", 1000, clock.clone());
-        let router = router_over(&[&n0, &n1], RouterConfig::default());
-        // Spread: c1 → n0, c2 → n1, c3 → n0.
-        router.register(ContainerId(1), Bytes::mib(800)).unwrap();
-        router.register(ContainerId(2), Bytes::mib(100)).unwrap();
-        router.register(ContainerId(3), Bytes::mib(800)).unwrap();
-        assert_eq!(
-            router
-                .request_alloc(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
-                .unwrap(),
-            AllocDecision::Granted
-        );
-        router
-            .alloc_done(ContainerId(1), 1, 0xA, Bytes::mib(800))
-            .unwrap();
-        // Container 3's allocation parks behind container 1's 800 MiB…
-        let waiter_router = Arc::clone(&router);
-        let waiter = std::thread::spawn(move || {
-            waiter_router.request_alloc(ContainerId(3), 3, Bytes::mib(800), ApiKind::Malloc)
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(!waiter.is_finished(), "the allocation must be suspended");
-        // …and the operator drains n0 while it is parked.
-        let records = router.rebalance("n0").unwrap();
-        assert_eq!(records.len(), 2, "{records:?}");
-        assert!(
-            records
-                .iter()
-                .all(|r| r.status == "completed" && r.to == "n1"),
-            "both containers must re-home on the survivor: {records:?}"
-        );
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !waiter.is_finished() {
-            assert!(
-                Instant::now() < deadline,
-                "requester hung across the migration"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // The source-side close either granted the parked request (the
-        // drain freed container 1's memory first) or cancelled it — both
-        // are clean unblocks.
-        let decision = waiter.join().unwrap().unwrap();
-        assert!(
-            matches!(decision, AllocDecision::Granted | AllocDecision::Rejected),
-            "unexpected decision {decision:?}"
-        );
-        // Post-move lifecycles run entirely on the survivor, and its
-        // committed budget never exceeds its capacity.
-        for c in [ContainerId(1), ContainerId(3)] {
-            let (home, _) = router.query_home(c).unwrap();
-            assert_eq!(home, "n1", "container {c} must re-home on n1");
-            assert_eq!(
-                router
-                    .request_alloc(c, 100 + c.as_u64(), Bytes::mib(50), ApiKind::Malloc)
-                    .unwrap(),
-                AllocDecision::Granted
-            );
-            router
-                .alloc_done(c, 100 + c.as_u64(), 0xB0 + c.as_u64(), Bytes::mib(50))
-                .unwrap();
-            router.free(c, 100 + c.as_u64(), 0xB0 + c.as_u64()).unwrap();
-            router.container_close(c).unwrap();
-        }
-        router.container_close(ContainerId(2)).unwrap();
-        n1.service().with_scheduler(|s| {
-            s.check_invariants().unwrap();
-            assert!(s.total_assigned() <= Bytes::mib(1000));
-        });
-        n0.shutdown();
-        n1.shutdown();
-    }
-
-    /// DOUBLE node death: the migration target dies while the drain off
-    /// the first dead node is in flight. The drain must exclude the
-    /// second corpse and fall through to the last survivor — no hang,
-    /// and the container completes its lifecycle there.
-    #[test]
-    fn double_node_death_falls_through_to_the_last_survivor() {
-        let clock = RealClock::handle();
-        let n0 = node("double", "n0", 1000, clock.clone());
-        let n1 = node("double", "n1", 1000, clock.clone());
-        let n2 = node("double", "n2", 1000, clock.clone());
-        let cfg = RouterConfig {
-            max_retries: 0,
-            down_after: 1,
-            ..RouterConfig::default()
-        };
-        let router = router_over(&[&n0, &n1, &n2], cfg);
-        router.register(ContainerId(1), Bytes::mib(200)).unwrap(); // → n0
-        assert_eq!(
-            router
-                .request_alloc(ContainerId(1), 1, Bytes::mib(100), ApiKind::Malloc)
-                .unwrap(),
-            AllocDecision::Granted
-        );
-        router
-            .alloc_done(ContainerId(1), 1, 0xA, Bytes::mib(100))
-            .unwrap();
-        // Both n0 (the home) and n1 (Spread's next pick) die.
-        n0.shutdown();
-        n1.shutdown();
-        // The next routed call trips the failover, marks n0 Down, and
-        // the automatic drain re-homes c1 — stepping over dead n1.
-        let started = Instant::now();
-        assert_eq!(
-            router
-                .request_alloc(ContainerId(1), 1, Bytes::mib(10), ApiKind::Malloc)
-                .unwrap(),
-            AllocDecision::Rejected,
-            "the triggering call fails over instead of hanging"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(20),
-            "double death must not wedge the drain"
-        );
-        let records = router.migration_records();
-        assert_eq!(records.len(), 1, "{records:?}");
-        assert_eq!(records[0].status, "completed");
-        assert_eq!(records[0].to, "n2", "must fall through the second corpse");
-        assert_eq!(router.node_health("n0"), Some(NodeHealth::Down));
-        // Full lifecycle on the last survivor.
-        assert_eq!(
-            router
-                .request_alloc(ContainerId(1), 2, Bytes::mib(50), ApiKind::Malloc)
-                .unwrap(),
-            AllocDecision::Granted
-        );
-        ClusterRouter::alloc_done(&router, ContainerId(1), 2, 0xC, Bytes::mib(50)).unwrap();
-        ClusterRouter::free(&router, ContainerId(1), 2, 0xC).unwrap();
-        ClusterRouter::container_close(&router, ContainerId(1)).unwrap();
-        n2.service().with_scheduler(|s| {
-            s.check_invariants().unwrap();
-            assert!(s.total_assigned() <= Bytes::mib(1000));
-        });
-        n2.shutdown();
-    }
-
-    /// Spawn one node process and return it with the endpoint it
-    /// actually bound, read from its ready line (transport-agnostic).
-    fn spawn_node(endpoint: &EndpointAddr, name: &str, capacity_mib: u64) -> (Child, EndpointAddr) {
-        use std::io::BufRead;
-        let mut child = Command::new(env!("CARGO_BIN_EXE_convgpu-cli"))
-            .args([
-                "cluster".to_string(),
-                "serve-node".to_string(),
-                format!("--socket={endpoint}"),
-                format!("--name={name}"),
-                format!("--capacity-mib={capacity_mib}"),
-            ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn cluster node process");
-        let stdout = child.stdout.take().expect("child stdout is piped");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read the node's ready line");
-        let resolved = line
-            .trim()
-            .rsplit(' ')
-            .next()
-            .and_then(|uri| EndpointAddr::parse(uri).ok())
-            .unwrap_or_else(|| panic!("node {name} announced no endpoint: {line:?}"));
-        (child, resolved)
-    }
-
-    fn kill(mut child: Child) {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-
-    /// The ISSUE's acceptance scenario, end to end over real OS
-    /// processes: a node is killed mid-run with active allocations; its
-    /// containers re-home onto the survivor and complete lifecycles
-    /// there; zero clients hang; and the outcome is asserted purely
-    /// through the wire protocol — `query_cluster` (victim down,
-    /// survivor holding the homes), `query_migrations` (records off the
-    /// victim), the router's `query_metrics`
-    /// (`convgpu_router_migrations_total`), and the survivor daemon's
-    /// own `query_metrics` (committed bytes within capacity).
-    #[test]
-    fn node_killed_mid_storm_rehomes_onto_survivor_observably() {
-        let dir = temp_dir("storm");
-        let (n0, ep0) = spawn_node(&test_endpoint(&dir, "n0.sock"), "n0", 8192);
-        let (n1, ep1) = spawn_node(&test_endpoint(&dir, "n1.sock"), "n1", 8192);
-        let cfg = RouterConfig {
-            max_retries: 0,
-            down_after: 2,
-            ..RouterConfig::default()
-        };
-        let router = Arc::new(ClusterRouter::attach(
-            vec![("n0".into(), ep0.clone()), ("n1".into(), ep1)],
-            WireCodec::Binary,
-            cfg,
-            RealClock::handle(),
-        ));
-        for c in 1..=8u64 {
-            router.register(ContainerId(c), Bytes::mib(512)).unwrap();
-        }
-        // Eight concurrent lifecycles; node n1 dies ~30 ms in, while
-        // half the fleet holds live allocations on it.
-        let workers: Vec<_> = (1..=8u64)
-            .map(|c| {
-                let router = Arc::clone(&router);
-                std::thread::spawn(move || {
-                    let pid = 2000 + c;
-                    for round in 0..6u64 {
-                        match router.request_alloc(
-                            ContainerId(c),
-                            pid,
-                            Bytes::mib(128),
-                            ApiKind::Malloc,
-                        ) {
-                            Ok(AllocDecision::Granted) => {
-                                let addr = c << 16 | round;
-                                let _ =
-                                    router.alloc_done(ContainerId(c), pid, addr, Bytes::mib(128));
-                                let _ = router.free(ContainerId(c), pid, addr);
-                            }
-                            Ok(AllocDecision::Rejected) | Err(_) => {}
-                        }
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                })
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(30));
-        kill(n1);
-        // Zero hung clients.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !workers.iter().all(|w| w.is_finished()) {
-            assert!(
-                Instant::now() < deadline,
-                "a client hung after the node was killed"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
-        // Force the detection/drain if the storm didn't already: route
-        // until the victim is marked Down and drained.
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while router.node_health("n1") != Some(NodeHealth::Down) {
-            assert!(Instant::now() < deadline, "victim never marked Down");
-            let _ = router.request_alloc(ContainerId(1), 1, Bytes::mib(1), ApiKind::Malloc);
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        // Everything below is asserted over the wire.
-        let server = router
-            .serve_on_endpoint(&test_endpoint(&dir, "router.sock"))
-            .unwrap();
-        let client = SchedulerClient::connect_endpoint_with_codec(
-            server.endpoint(),
-            WireCodec::Binary,
-            None,
-        )
-        .unwrap();
-        let (_, nodes) = client.query_cluster().unwrap();
-        let victim = nodes.iter().find(|n| n.node == "n1").unwrap();
-        assert_eq!(victim.health, "down");
-        assert_eq!(victim.containers, 0, "no homes may remain on the corpse");
-        let records = client.query_migrations().unwrap();
-        assert!(
-            records.iter().any(|r| r.from == "n1"),
-            "migrations off the victim must be on the books: {records:?}"
-        );
-        let completed: Vec<_> = records
-            .iter()
-            .filter(|r| r.from == "n1" && r.status == "completed")
-            .collect();
-        for r in &completed {
-            assert_eq!(r.to, "n0", "the only survivor is n0: {r:?}");
-        }
-        let metrics = client.query_metrics().unwrap();
-        assert!(
-            metrics.contains("convgpu_router_migrations_total"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("convgpu_router_migration_seconds"),
-            "{metrics}"
-        );
-        // Migrated containers complete a full lifecycle on the survivor.
-        for r in &completed {
-            let c = r.container;
-            let pid = 9000 + c.as_u64();
-            assert_eq!(
-                client
-                    .request_alloc(c, pid, Bytes::mib(64), ApiKind::Malloc)
-                    .unwrap(),
-                AllocDecision::Granted
-            );
-            client
-                .alloc_done(c, pid, 0xD000 + c.as_u64(), Bytes::mib(64))
-                .unwrap();
-            assert_eq!(
-                client.free(c, pid, 0xD000 + c.as_u64()).unwrap(),
-                Bytes::mib(64)
-            );
-        }
-        // The survivor daemon's own books: committed bytes ≤ capacity.
-        let direct = SchedulerClient::connect_endpoint(&ep0).unwrap();
-        let node_metrics = direct.query_metrics().unwrap();
-        let assigned = node_metrics
-            .lines()
-            .find(|l| l.starts_with("convgpu_sched_assigned_bytes"))
-            .and_then(|l| l.split_whitespace().last())
-            .and_then(|v| v.parse::<f64>().ok())
-            .expect("survivor exposes convgpu_sched_assigned_bytes");
-        assert!(
-            assigned <= (Bytes::mib(8192).as_u64() as f64),
-            "committed {assigned} exceeds the survivor's capacity"
-        );
-        server.shutdown();
-        kill(n0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A long-lived router's migration history must stay answerable: the
-    /// log keeps the newest records only (256 of them), so the
-    /// `migrations` reply always fits a frame. Unbounded, a long enough
-    /// history grows it past 64 KiB and every later `query_migrations` is
-    /// the frame-limit `error`.
-    #[test]
-    fn a_long_migration_history_still_answers_query_migrations() {
-        const ROUNDS: u64 = 300;
-        const KEPT: usize = 256;
-        let clock = RealClock::handle();
-        let n0 = node("history", "n0", 1024, clock.clone());
-        let n1 = node("history", "n1", 1024, clock);
-        let router = router_over(&[&n0, &n1], RouterConfig::default());
-        let server = router
-            .serve_on_endpoint(&test_endpoint(&temp_dir("history"), "router.sock"))
-            .unwrap();
-        let client = SchedulerClient::connect_endpoint(server.endpoint()).unwrap();
-        for c in (1..=ROUNDS).map(ContainerId) {
-            client.register(c, Bytes::mib(64)).unwrap();
-            let moved = client.migrate(c).unwrap();
-            assert_eq!(moved.len(), 1, "{moved:?}");
-            assert_eq!(moved[0].status, "completed", "{moved:?}");
-            client.container_close(c).unwrap();
-        }
-        let records = client
-            .query_migrations()
-            .expect("the history must fit a reply");
-        assert_eq!(records.len(), KEPT);
-        // The newest ones, oldest first, none missing in between.
-        let first = ROUNDS + 1 - KEPT as u64;
-        for (record, c) in records.iter().zip(first..) {
-            assert_eq!(record.container, ContainerId(c));
-            assert_eq!(record.status, "completed");
-            assert_ne!(record.from, record.to);
-        }
-        client.ping().expect("the same connection still answers");
-        drop(client);
-        server.shutdown();
-        n0.shutdown();
-        n1.shutdown();
-    }
 
     /// Two `register`s of one container id in flight at once — a
     /// retrying or hostile client on a second connection — must not be

@@ -3,12 +3,11 @@
 //! Five properties the journal must hold (`docs/CLUSTER.md`,
 //! "Durability & restart"):
 //!
-//! * **Kill mid-storm, restart, migrate** — a real `cluster route
-//!   --journal` process is `SIGKILL`ed under concurrent wire load, a
-//!   second process reopens the same journal, and when the home node
-//!   then dies the migration registers the **pre-restart** `limit` on
-//!   the survivor, whose books start from `used = 0` — the exact
-//!   scenario that used to replay a zero limit.
+//! * **Kill mid-storm, restart** — a real `cluster route --journal`
+//!   process is `SIGKILL`ed under concurrent wire load, and a router
+//!   reopening the same journal holds exactly the homes the killed one
+//!   had drained, each with its **pre-restart** `limit` and `hint` —
+//!   the checkpoint a journal-less restart re-learns as zeros.
 //! * **Replay equivalence** — the journal of *any* byte prefix of a
 //!   live router's operations replays to a home map the router actually
 //!   held (after the corresponding prefix of mutations), and a torn cut
@@ -37,7 +36,7 @@ use convgpu::middleware::router::{ClusterRouter, NodeServer, RouterConfig};
 use convgpu::scheduler::backend::TopologyBackend;
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
-use convgpu::sim::clock::VirtualClock;
+use convgpu::sim::clock::{RealClock, VirtualClock};
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::rng::DetRng;
 use convgpu::sim::time::SimDuration;
@@ -76,7 +75,7 @@ fn backend(capacity_mib: u64) -> TopologyBackend {
 }
 
 // ---------------------------------------------------------------------
-// Kill the router mid-storm, restart it from its journal, migrate.
+// Kill the router mid-storm, restart it from its journal.
 // ---------------------------------------------------------------------
 
 /// Spawn a real `convgpu-cli cluster serve-node` process; returns it
@@ -163,11 +162,11 @@ fn wire_alloc(client: &SchedulerClient, c: u64, pid: u64, mib: u64) -> AllocDeci
     }
 }
 
-/// The checkpoint a `SIGKILL`ed router journaled must, after restart,
-/// travel with a dead node's container onto the survivor: the pre-restart
-/// limit, registered there from `used = 0`.
+/// A `SIGKILL`ed router loses at most its buffered tail: restarted from
+/// its journal, it holds exactly the homes the killed process had
+/// drained, each with its pre-restart `limit` and `hint`.
 #[test]
-fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
+fn router_killed_mid_storm_recovers_its_drained_homes() {
     let dir = temp_dir("storm");
     let jdir = dir.join("journal");
     let _ = std::fs::remove_dir_all(&jdir);
@@ -177,9 +176,10 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
     let (r1, rep1) = spawn_router(&test_endpoint(&dir, "router.sock"), &nodes, &jdir);
     let client = connect(&rep1);
 
-    // The checkpoint under test: container 1 registers 400 MiB on n0.
-    // Pid 7 confirms 200 + 100 MiB and frees the 200, so 100 MiB are
-    // live on n0 when it dies; none of it travels.
+    // The checkpoints under test: container 1 registers 400 MiB, the
+    // others 128 MiB. Pid 7 confirms 200 + 100 MiB on container 1 and
+    // frees the 200, so 100 MiB are live on n0 across the restart; the
+    // allocations journal nothing.
     for (c, limit) in [(1u64, 400u64), (2, 128), (3, 128), (4, 128), (5, 128)] {
         client
             .request(Request::Register {
@@ -188,15 +188,26 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
             })
             .unwrap();
     }
-    match client
-        .request(Request::QueryHome {
-            container: ContainerId(1),
-        })
-        .unwrap()
-    {
-        Response::Home { node, .. } => assert_eq!(node, "n0", "Spread places container 1 first"),
-        other => panic!("unexpected query_home answer: {other:?}"),
+    let mut placed = BTreeMap::new();
+    for (c, limit) in [(1u64, 400u64), (2, 128), (3, 128), (4, 128), (5, 128)] {
+        let node = match client
+            .request(Request::QueryHome {
+                container: ContainerId(c),
+            })
+            .unwrap()
+        {
+            Response::Home { node, .. } => node,
+            other => panic!("unexpected query_home answer: {other:?}"),
+        };
+        let home = RecoveredHome {
+            node,
+            limit: Bytes::mib(limit),
+            hint: Bytes::mib(limit + 66),
+            used_by_pid: BTreeMap::new(),
+        };
+        placed.insert(ContainerId(c), home);
     }
+    assert_eq!(placed[&ContainerId(1)].node, "n0", "Spread places 1 first");
     assert_eq!(wire_alloc(&client, 1, 7, 200), AllocDecision::Granted);
     client
         .request(Request::AllocDone {
@@ -279,50 +290,53 @@ fn router_killed_mid_storm_recovers_checkpoints_and_migrates() {
         w.join().unwrap();
     }
 
-    // Restart the router from the same journal, then kill the home node
-    // and drive the drain with rejected allocations.
-    let (r2, rep2) = spawn_router(&test_endpoint(&dir, "router2.sock"), &nodes, &jdir);
-    let client2 = connect(&rep2);
-    kill(n0);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let record = loop {
-        let records = match client2.request(Request::QueryMigrations).unwrap() {
-            Response::Migrations { records } => records,
-            other => panic!("unexpected migrations answer: {other:?}"),
-        };
-        if let Some(r) = records
-            .iter()
-            .find(|r| r.container == ContainerId(1) && r.status == "completed")
-        {
-            break r.clone();
+    // What the killed router had drained is what its files hold, at
+    // rest now that the process is gone: the five checkpoints, plus at
+    // most one churn container per worker (each registers and closes
+    // its own in sequence, and replay lands on a state the router held).
+    let (_, _, at_kill) = Journal::open(JournalConfig::new(&jdir)).unwrap();
+    assert!(!at_kill.homes.is_empty());
+    let mut churn_per_worker = BTreeMap::new();
+    for (c, home) in &at_kill.homes {
+        match placed.get(c) {
+            Some(want) => assert_eq!(home, want, "checkpoint of {c} lost"),
+            None => {
+                assert_eq!((home.limit, home.hint), (Bytes::mib(16), Bytes::mib(82)));
+                *churn_per_worker.entry(c.as_u64() / 100_000).or_insert(0) += 1;
+            }
         }
-        assert!(
-            Instant::now() < deadline,
-            "container 1 never migrated off the dead node: {records:?}"
-        );
-        let _ = wire_alloc(&client2, 1, 7, 10);
-        std::thread::sleep(Duration::from_millis(20));
-    };
-
-    // The acceptance criterion: the migration carried the PRE-restart
-    // limit, not the zero a journal-less restart re-learns, and started
-    // from used = 0.
-    assert_eq!(record.to, "n1");
-    assert_eq!(
-        record.limit,
-        Bytes::mib(400),
-        "pre-restart limit lost: {record:?}"
+    }
+    assert!(placed.keys().all(|c| at_kill.homes.contains_key(c)));
+    assert!(
+        churn_per_worker.values().all(|&n| n == 1),
+        "{churn_per_worker:?}"
     );
-    assert_eq!(record.used, Bytes::ZERO, "{record:?}");
 
-    // Behavioral proof on the survivor's books: a fresh pid's
-    // 350 MiB plus its 66 MiB context fit the 400 + 66 requirement from
-    // used = 0 (a lost limit would refuse them), and 100 MiB more exceed
-    // it (rejected outright).
-    assert_eq!(wire_alloc(&client2, 1, 9, 350), AllocDecision::Granted);
-    assert_eq!(wire_alloc(&client2, 1, 9, 100), AllocDecision::Rejected);
+    // A restarted router holds exactly those homes, full limit and hint
+    // included, and routes to them: container 1's books are still on n0.
+    let restarted = ClusterRouter::attach_with_journal(
+        nodes.clone(),
+        WireCodec::Json,
+        RouterConfig::default(),
+        RealClock::handle(),
+        JournalConfig::new(&jdir),
+    )
+    .unwrap();
+    assert_eq!(restarted.homes_snapshot(), at_kill.homes);
+    assert_eq!(
+        restarted
+            .request_alloc(ContainerId(1), 9, Bytes::mib(10), ApiKind::Malloc)
+            .unwrap(),
+        AllocDecision::Granted
+    );
+    assert_eq!(
+        restarted.free(ContainerId(1), 7, 0xA1).unwrap(),
+        Bytes::mib(100),
+        "the pre-kill allocation is on n0's books"
+    );
 
-    kill(r2);
+    drop(restarted);
+    kill(n0);
     kill(n1);
 }
 

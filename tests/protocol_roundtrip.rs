@@ -19,8 +19,8 @@ use convgpu::ipc::codec::{read_json, write_json};
 use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::ipc::json::{FromJson, ToJson};
 use convgpu::ipc::message::{
-    AllocDecision, ApiKind, ClusterNodeStatus, Envelope, MessageSchema, MigrationRecord, Request,
-    Response, TopologyDevice,
+    AllocDecision, ApiKind, ClusterNodeStatus, Envelope, MessageSchema, Request, Response,
+    TopologyDevice,
 };
 use convgpu::ipc::server::{ServerObs, SocketServer};
 use convgpu::ipc::transport::{Conn, EndpointAddr};
@@ -184,7 +184,7 @@ fn gen_response_of(row: usize, rng: &mut DetRng) -> Response {
             node: gen_text(rng),
             device: rng.next_u64(),
         },
-        10 => Response::Cluster {
+        _ => Response::Cluster {
             strategy: gen_text(rng),
             nodes: (0..rng.range_inclusive(0, 5))
                 .map(|_| ClusterNodeStatus {
@@ -194,18 +194,6 @@ fn gen_response_of(row: usize, rng: &mut DetRng) -> Response {
                     retries: rng.next_u64(),
                     timeouts: rng.next_u64(),
                     failovers: rng.next_u64(),
-                })
-                .collect(),
-        },
-        _ => Response::Migrations {
-            records: (0..rng.range_inclusive(0, 3))
-                .map(|_| MigrationRecord {
-                    container: ContainerId(rng.next_u64()),
-                    from: gen_text(rng),
-                    to: gen_text(rng),
-                    limit: Bytes::new(rng.next_u64()),
-                    used: Bytes::new(rng.next_u64()),
-                    status: gen_text(rng),
                 })
                 .collect(),
         },
@@ -450,27 +438,6 @@ fn sample_responses() -> Vec<Response> {
             strategy: "random".into(),
             nodes: vec![],
         },
-        Response::Migrations {
-            records: vec![
-                MigrationRecord {
-                    container: ContainerId(3),
-                    from: "node-0".into(),
-                    to: "node-1".into(),
-                    limit: Bytes::mib(512),
-                    used: Bytes::mib(128),
-                    status: "completed".into(),
-                },
-                MigrationRecord {
-                    container: ContainerId(4),
-                    from: "node-0".into(),
-                    to: String::new(),
-                    limit: Bytes::mib(256),
-                    used: Bytes::ZERO,
-                    status: "rejected".into(),
-                },
-            ],
-        },
-        Response::Migrations { records: vec![] },
     ]
 }
 
@@ -754,8 +721,6 @@ fn json_decode_response_cases() -> Vec<Vec<u8>> {
         br#"{"id":4,"body":{"type":"error","message":"line\nbreak \"q\" \u00e9\u0000"}}"#,
         br#"{"id":4,"body":{"type":"metrics","text":"\u001f\u007f"}}"#,
         br#"{"id":4,"body":{"nodes":[{"failovers":3,"timeouts":2,"retries":1,"containers":0,"health":"down","node":"n1"}],"strategy":"spread","type":"cluster"}}"#,
-        br#"{"id":4,"body":{"type":"migrations","records":[]}}"#,
-        br#"{"id":4,"body":{"type":"migrations","records":[{"\u0063ontainer":3,"from":"n0","to":"","limit":512,"used":0,"status":"rejected"}]}}"#,
         br#"{"id":5,"body":{"type":"home","device":3,"node":"n\u0030"}}"#,
         br#"{"id":5,"body":{"type":"freed","size":1.5}}"#,
         br#"{"id":5,"body":{"type":"pong"},"id":6}"#,
@@ -1030,10 +995,9 @@ fn malformed_client_does_not_disturb_others() {
     server.shutdown();
 }
 
-/// Migration is the router's: a node daemon answers `migrate` and
+/// Migration is retired: a node daemon answers `migrate` and
 /// `query_migrations` with the `error` it gives `query_cluster`, admits
-/// nothing, and keeps serving the connection. A router hands a migrant
-/// to its new node as a plain `register`.
+/// nothing, and keeps serving the connection.
 #[test]
 fn a_node_daemon_refuses_migrate_and_query_migrations() {
     use convgpu::ipc::endpoint::IpcError;
