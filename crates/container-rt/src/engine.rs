@@ -1,7 +1,7 @@
 //! The container engine (the `dockerd` analog).
 //!
 //! Thread-safe: the ConVGPU orchestrator creates/starts containers from the
-//! submission thread while per-container program threads stop them. The
+//! submission thread while the containers' program threads stop them. The
 //! engine charges a configurable creation cost on the session clock so the
 //! Fig. 5 experiment has its baseline (~0.4 s for Docker 1.12 on the
 //! paper's testbed).

@@ -19,7 +19,7 @@
 //!   *close* signal.
 //! * [`middleware`] — [`middleware::ConVGpu`], the one-call orchestrator
 //!   examples and benches use: device + engine + scheduler + sockets +
-//!   per-container program threads.
+//!   container programs run on reused threads.
 //! * [`router`] — genuinely distributed cluster mode: per-node
 //!   [`router::NodeServer`] socket harnesses fronted by the
 //!   fault-tolerant [`router::ClusterRouter`] (Swarm placement,

@@ -8,8 +8,10 @@
 //! converts volume-unmount events into scheduler close signals.
 //! `ConVGpu::run_container` then does what `nvidia-docker run image` did
 //! on the paper's testbed: registers, creates, starts, and executes the
-//! given [`GpuProgram`] inside the container on its own thread, with its
-//! CUDA calls bound through the `LD_PRELOAD` resolution rules.
+//! given [`GpuProgram`] inside the container, with its CUDA calls bound
+//! through the `LD_PRELOAD` resolution rules. The container's process is
+//! a job on a reused thread ([`ThreadPool`]): one parked since an earlier
+//! container exited, or a new one when none is.
 
 use crate::handler::ServiceHandler;
 use crate::nvidia_docker::{NvidiaDocker, NvidiaDockerError, RunCommand};
@@ -34,13 +36,14 @@ use convgpu_scheduler::policy::PolicyKind;
 use convgpu_scheduler::state::ContainerState;
 use convgpu_sim_core::clock::{ClockHandle, RealClock};
 use convgpu_sim_core::ids::ContainerId;
+use convgpu_sim_core::pool::ThreadPool;
 use convgpu_sim_core::units::Bytes;
 use convgpu_wrapper::module::{WrapperModule, WrapperObs};
 use convgpu_wrapper::preload::{resolve_runtime, LinkSpec, ProcessEnv};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How wrapper modules reach the scheduler.
@@ -127,27 +130,47 @@ impl Default for ConVGpuConfig {
 
 static INSTANCE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// A running container session: join handle for the program thread.
+/// A running container session: where the program's result arrives.
 pub struct Session {
     /// The container executing the program.
     pub container: ContainerId,
-    handle: JoinHandle<CudaResult<()>>,
+    result: Receiver<CudaResult<()>>,
 }
 
 impl Session {
     /// Wait for the program to finish; returns its result. The container
     /// is stopped (and its memory released through the plugin) regardless
-    /// of the outcome.
+    /// of the outcome, and the program and its wrapper — with it the
+    /// container's socket connection — are gone when this returns. A
+    /// program that panicked yields `LaunchFailure`.
     pub fn wait(self) -> CudaResult<()> {
-        self.handle
-            .join()
+        self.result
+            .recv()
             .unwrap_or(Err(convgpu_gpu_sim::error::CudaError::LaunchFailure))
     }
+}
 
-    /// True when the program thread has exited.
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
+/// The container `id`'s process: a pid, the program between the implicit
+/// fat-binary registration and unregistration, and the container's stop
+/// with the program's exit code. Consumes `api` and `program`, so the
+/// wrapper — and a socket it holds — is dropped on return.
+fn run_process(
+    engine: &Engine,
+    id: ContainerId,
+    api: Arc<dyn CudaApi>,
+    mut program: Box<dyn GpuProgram>,
+    clock: &ClockHandle,
+) -> CudaResult<()> {
+    let pid = engine
+        .spawn_pid(id)
+        .map_err(|_| convgpu_gpu_sim::error::CudaError::LaunchFailure)?;
+    let _ = api.cuda_register_fat_binary(pid);
+    let result = program.run(&*api, pid, clock);
+    // Implicit at process exit even when the program errored.
+    let _ = api.cuda_unregister_fat_binary(pid);
+    let exit_code = if result.is_ok() { 0 } else { 1 };
+    let _ = engine.stop(id, exit_code);
+    result
 }
 
 /// The assembled middleware.
@@ -162,6 +185,8 @@ pub struct ConVGpu {
     _plugin: NvidiaDockerPlugin,
     /// The daemon's one listener; `None` under [`TransportMode::InProc`].
     server: Option<SocketServer>,
+    /// Runs the containers' programs; dropping it ends the parked threads.
+    programs: ThreadPool,
     /// Multi-device topologies answer `cudaGetDeviceProperties` from the
     /// container's home device.
     device_aware_props: bool,
@@ -246,6 +271,7 @@ impl ConVGpu {
             nvidia_docker,
             _plugin: plugin,
             server,
+            programs: ThreadPool::new("convgpu-program"),
             device_aware_props: !matches!(cfg.topology, TopologySpec::SingleGpu),
         })
     }
@@ -306,7 +332,7 @@ impl ConVGpu {
     fn launch(
         &self,
         id: ContainerId,
-        mut program: Box<dyn GpuProgram>,
+        program: Box<dyn GpuProgram>,
     ) -> Result<Session, NvidiaDockerError> {
         // Build the endpoint the wrapper will use: it dials the socket in
         // its own volume, as the module inside a real container would.
@@ -343,29 +369,7 @@ impl ConVGpu {
             cudart_shared: program.link().cudart_shared,
         };
         let api = resolve_runtime(&env, link, wrapper, Arc::clone(&self.raw) as _);
-
-        let engine = Arc::clone(&self.engine);
-        let clock = Arc::clone(&self.clock);
-        let handle = std::thread::Builder::new()
-            .name(format!("convgpu-{id}"))
-            .spawn(move || {
-                let pid = match engine.spawn_pid(id) {
-                    Ok(pid) => pid,
-                    Err(_) => return Err(convgpu_gpu_sim::error::CudaError::LaunchFailure),
-                };
-                let _ = api.cuda_register_fat_binary(pid);
-                let result = program.run(&*api, pid, &clock);
-                // Implicit at process exit even when the program errored.
-                let _ = api.cuda_unregister_fat_binary(pid);
-                let exit_code = if result.is_ok() { 0 } else { 1 };
-                let _ = engine.stop(id, exit_code);
-                result
-            })
-            .expect("spawn container program thread");
-        Ok(Session {
-            container: id,
-            handle,
-        })
+        Ok(self.start_program(id, api, program))
     }
 
     /// Run `program` in a container *without* ConVGPU management — the
@@ -374,31 +378,32 @@ impl ConVGpu {
     pub fn run_container_unmanaged(
         &self,
         cmd: RunCommand,
-        mut program: Box<dyn GpuProgram>,
+        program: Box<dyn GpuProgram>,
     ) -> Result<Session, NvidiaDockerError> {
         let id = self.nvidia_docker.run_unmanaged(&cmd)?;
-        let api: Arc<dyn CudaApi> = Arc::clone(&self.raw) as _;
+        Ok(self.start_program(id, Arc::clone(&self.raw) as _, program))
+    }
+
+    /// Start the container `id`'s process on a program thread: `program`
+    /// runs against `api`, and its result arrives at the [`Session`].
+    fn start_program(
+        &self,
+        id: ContainerId,
+        api: Arc<dyn CudaApi>,
+        program: Box<dyn GpuProgram>,
+    ) -> Session {
         let engine = Arc::clone(&self.engine);
         let clock = Arc::clone(&self.clock);
-        let handle = std::thread::Builder::new()
-            .name(format!("convgpu-raw-{id}"))
-            .spawn(move || {
-                let pid = match engine.spawn_pid(id) {
-                    Ok(pid) => pid,
-                    Err(_) => return Err(convgpu_gpu_sim::error::CudaError::LaunchFailure),
-                };
-                let _ = api.cuda_register_fat_binary(pid);
-                let result = program.run(&*api, pid, &clock);
-                let _ = api.cuda_unregister_fat_binary(pid);
-                let exit_code = if result.is_ok() { 0 } else { 1 };
-                let _ = engine.stop(id, exit_code);
-                result
-            })
-            .expect("spawn container program thread");
-        Ok(Session {
+        let (tx, result) = sync_channel(1);
+        self.programs.run(move || {
+            // `api` and `program` are gone before the result is sent;
+            // on a panic, `tx` goes unsent and `wait` sees LaunchFailure.
+            let _ = tx.send(run_process(&engine, id, api, program, &clock));
+        });
+        Session {
             container: id,
-            handle,
-        })
+            result,
+        }
     }
 
     /// Block until the scheduler has processed the close signal for `id`
@@ -668,6 +673,80 @@ mod tests {
         );
         let (free, total) = convgpu.device().mem_info();
         assert_eq!(free, total);
+        convgpu.shutdown();
+    }
+
+    #[test]
+    fn sequential_containers_reuse_one_program_and_one_connection_thread() {
+        use std::collections::BTreeSet;
+        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let threads = Arc::new(convgpu_sim_core::sync::Mutex::new(BTreeSet::new()));
+        for _ in 0..50 {
+            let threads = Arc::clone(&threads);
+            let program = FnProgram::new("where", move |api, pid, _clock| {
+                let me = std::fs::read_link("/proc/thread-self").unwrap();
+                threads.lock().insert(me);
+                let p = api.cuda_malloc(pid, Bytes::mib(64))?;
+                api.cuda_free(pid, p)
+            });
+            let session = convgpu
+                .run_container(
+                    RunCommand::new("cuda-app").nvidia_memory("512m"),
+                    Box::new(program),
+                )
+                .unwrap();
+            let id = session.container;
+            session.wait().unwrap();
+            assert!(convgpu.wait_closed(id, Duration::from_secs(5)));
+        }
+        // One container at a time: a thread whose container exited takes
+        // the next one (a second only if the first had not parked yet).
+        let programs = threads.lock().len();
+        assert!(
+            programs <= 2,
+            "{programs} program threads for 50 containers"
+        );
+        let readers = convgpu.server.as_ref().unwrap().readers_spawned();
+        assert!(
+            readers <= 2,
+            "{readers} connection threads for 50 containers"
+        );
+        convgpu.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_program_fails_its_launch_and_the_next_run_succeeds() {
+        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let cmd = || RunCommand::new("cuda-app").nvidia_memory("512m");
+        let program = FnProgram::new("panics", |_api, _pid, _clock| panic!("the program panics"));
+        let session = convgpu.run_container(cmd(), Box::new(program)).unwrap();
+        assert!(matches!(
+            session.wait(),
+            Err(convgpu_gpu_sim::error::CudaError::LaunchFailure)
+        ));
+        let session = convgpu.run_container(cmd(), alloc_program(256)).unwrap();
+        session.wait().unwrap();
+        convgpu.shutdown();
+    }
+
+    #[test]
+    fn what_the_program_held_is_dropped_when_wait_returns() {
+        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let held = Arc::new(());
+        let captured = Arc::clone(&held);
+        let program = FnProgram::new("holds", move |api, pid, _clock| {
+            let _still_here = &captured;
+            let p = api.cuda_malloc(pid, Bytes::mib(64))?;
+            api.cuda_free(pid, p)
+        });
+        let session = convgpu
+            .run_container(
+                RunCommand::new("cuda-app").nvidia_memory("512m"),
+                Box::new(program),
+            )
+            .unwrap();
+        session.wait().unwrap();
+        assert_eq!(Arc::strong_count(&held), 1);
         convgpu.shutdown();
     }
 

@@ -32,6 +32,14 @@ use std::sync::Arc;
 /// File name of the daemon's socket, and of its link in a volume.
 const SOCKET_NAME: &str = "convgpu.sock";
 
+/// File name of the wrapper module in a volume.
+const MODULE_NAME: &str = "libgpushare.so";
+
+/// Closed containers' volumes kept for reuse, each renamed to
+/// `<base_dir>/.spare-<id>`. Steady traffic needs one per container open
+/// at once; what a burst closed beyond this is removed.
+pub const SPARE_VOLUMES: usize = 8;
+
 /// A parked reply for a suspended allocation.
 enum Waiter {
     /// In-process caller blocked on a channel.
@@ -100,6 +108,9 @@ pub struct SchedulerService {
     /// Containers whose volume directory [`SchedulerService::request_dir`]
     /// made and [`SchedulerService::container_close`] has yet to remove.
     volumes: Mutex<HashSet<ContainerId>>,
+    /// Closed containers' volumes, links in place, for `request_dir` to
+    /// rename into the next container's; at most [`SPARE_VOLUMES`].
+    spares: Mutex<Vec<PathBuf>>,
     obs: Arc<ObsHub>,
 }
 
@@ -125,6 +136,7 @@ impl SchedulerService {
             waiters: Mutex::new(HashMap::new()),
             base_dir,
             volumes: Mutex::new(HashSet::new()),
+            spares: Mutex::new(Vec::new()),
             obs,
         }
     }
@@ -346,7 +358,11 @@ impl SchedulerService {
     /// that socket for (in-process transport) links nothing. A link no
     /// client could dial (a path too long for a socket address) is
     /// refused with `InvalidInput` before anything is made.
-    /// [`SchedulerService::container_close`] removes the directory.
+    /// [`SchedulerService::container_close`] takes the directory off the
+    /// container's name. A first request renames a closed container's
+    /// spare volume into place when there is one: a directory and two
+    /// links made and removed per container were most of a lifecycle's
+    /// file-system work, on a disk filesystem the bulk of its creation.
     pub fn request_dir(&self, container: ContainerId) -> std::io::Result<PathBuf> {
         use std::io::ErrorKind::{AlreadyExists, NotFound};
         let (listener, link) = (self.daemon_socket(), self.socket_path(container));
@@ -356,8 +372,17 @@ impl SchedulerService {
             }
         }
         let dir = self.base_dir.join(container.to_string());
+        if self.volumes.lock().insert(container) {
+            let spare = self.spares.lock().pop();
+            if let Some(spare) = spare {
+                if std::fs::rename(&spare, &dir).is_ok() {
+                    return Ok(dir);
+                }
+                // Its name was taken (a directory an earlier daemon left).
+                let _ = std::fs::remove_dir_all(&spare);
+            }
+        }
         std::fs::create_dir_all(&dir)?;
-        self.volumes.lock().insert(container);
         match std::fs::hard_link(&listener, &link) {
             // Asked twice, or left behind by an earlier daemon on this
             // `base_dir`: the link must name the *live* listener.
@@ -369,7 +394,7 @@ impl SchedulerService {
             Err(e) if e.kind() != NotFound => return Err(e),
             _ => {}
         }
-        let module = dir.join("libgpushare.so");
+        let module = dir.join(MODULE_NAME);
         if !module.exists() {
             std::fs::write(
                 &module,
@@ -547,12 +572,12 @@ impl SchedulerService {
 
     /// Container close: release everything and redistribute. The volume
     /// directory `request_dir` made goes first (outside the state lock),
-    /// so whoever sees the container `Closed` also sees it gone; a
+    /// so whoever sees the container `Closed` also sees its name gone; a
     /// container that never asked for one costs a set lookup, no syscall.
     /// Best effort: a close does not fail over a file already missing.
     pub fn container_close(&self, container: ContainerId) -> Result<(), SchedError> {
         if self.volumes.lock().remove(&container) {
-            let _ = std::fs::remove_dir_all(self.base_dir.join(container.to_string()));
+            self.retire_volume(container);
         }
         let actions = {
             let mut state = self.state.lock();
@@ -561,6 +586,40 @@ impl SchedulerService {
         };
         self.dispatch(actions);
         Ok(())
+    }
+
+    /// Take the closed `container`'s volume off its name: kept as a spare
+    /// when it holds just the socket link and the module, as
+    /// `request_dir` made it, and fewer than [`SPARE_VOLUMES`] are kept;
+    /// else removed.
+    fn retire_volume(&self, container: ContainerId) {
+        let dir = self.base_dir.join(container.to_string());
+        let names = std::fs::read_dir(&dir).and_then(|entries| {
+            entries
+                .map(|e| Ok(e?.file_name()))
+                .collect::<std::io::Result<Vec<_>>>()
+        });
+        let as_made = names.is_ok_and(|names| {
+            names.len() == 2 && names.iter().all(|n| n == SOCKET_NAME || n == MODULE_NAME)
+        });
+        if as_made {
+            let mut spares = self.spares.lock();
+            let spare = self.base_dir.join(format!(".spare-{container}"));
+            if spares.len() < SPARE_VOLUMES && std::fs::rename(&dir, &spare).is_ok() {
+                spares.push(spare);
+                return;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Spare volumes go with the service that kept them.
+impl Drop for SchedulerService {
+    fn drop(&mut self) {
+        for spare in self.spares.get_mut().drain(..) {
+            let _ = std::fs::remove_dir_all(spare);
+        }
     }
 }
 
@@ -650,6 +709,62 @@ mod tests {
         let _ = svc.container_close(ContainerId(1));
         drop(listener);
         std::fs::remove_file(svc.daemon_socket()).unwrap();
+    }
+
+    #[test]
+    fn a_closed_volume_is_renamed_into_the_next_one_and_spares_are_capped() {
+        use convgpu_ipc::transport::TransportListener;
+        use std::os::unix::fs::MetadataExt;
+        let svc = service(5122);
+        let listener = TransportListener::bind(&svc.daemon_socket().into()).unwrap();
+        let volume = |id: u64| svc.base_dir().join(ContainerId(id).to_string());
+        let spares = || {
+            let mut names: Vec<String> = std::fs::read_dir(svc.base_dir())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|n| n.starts_with(".spare-"))
+                .collect();
+            names.sort();
+            names
+        };
+        let open = |id: u64| {
+            svc.register(ContainerId(id), Bytes::mib(64)).unwrap();
+            svc.request_dir(ContainerId(id)).unwrap()
+        };
+        let inode = std::fs::metadata(open(1)).unwrap().ino();
+        svc.container_close(ContainerId(1)).unwrap();
+        assert!(!volume(1).exists());
+        assert_eq!(spares(), [".spare-cnt-0001"]);
+        // The next container gets that directory, its links in place.
+        let dir = open(2);
+        assert_eq!(std::fs::metadata(&dir).unwrap().ino(), inode);
+        assert_eq!(spares(), Vec::<String>::new());
+        assert_eq!(
+            std::fs::metadata(svc.socket_path(ContainerId(2)))
+                .unwrap()
+                .ino(),
+            std::fs::metadata(svc.daemon_socket()).unwrap().ino()
+        );
+        assert!(dir.join("libgpushare.so").exists());
+        // A volume the container wrote into is removed, not kept.
+        std::fs::write(dir.join("out.log"), b"ran").unwrap();
+        svc.container_close(ContainerId(2)).unwrap();
+        assert!(!dir.exists());
+        assert_eq!(spares(), Vec::<String>::new());
+        // A burst of closes keeps at most SPARE_VOLUMES of them.
+        let burst = 3..3 + SPARE_VOLUMES as u64 + 2;
+        burst.clone().for_each(|id| drop(open(id)));
+        for id in burst {
+            svc.container_close(ContainerId(id)).unwrap();
+            assert!(!volume(id).exists());
+        }
+        assert_eq!(spares().len(), SPARE_VOLUMES);
+        // They go with the service.
+        let base = svc.base_dir().to_path_buf();
+        drop(svc);
+        assert_eq!(std::fs::read_dir(&base).unwrap().count(), 1);
+        drop(listener);
+        std::fs::remove_dir_all(base).unwrap();
     }
 
     #[test]

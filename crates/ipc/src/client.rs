@@ -31,7 +31,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Real-time length of one wait round of a deadline caller: the window a
 /// live server gets to answer before any virtual time is charged.
@@ -379,13 +379,18 @@ impl SchedulerClient {
             }
             st.parked.push((id, std::thread::current()));
             drop(st);
+            let parked_at = bound.map(|_| Instant::now());
             match bound {
                 Some(_) => std::thread::park_timeout(POLL),
                 None => std::thread::park(),
             }
             let mut st = self.state.lock();
-            // Still listed: nobody woke this caller, its poll ran out.
-            let full_poll = st.unlist(id).is_some();
+            // Still listed after a whole poll: nobody woke this caller, its
+            // poll ran out. A wake-up before that with the caller still
+            // listed is spurious — or a stale token that a reused thread
+            // carried over from an earlier job — and no round.
+            let full_poll =
+                st.unlist(id).is_some() && parked_at.is_some_and(|t| t.elapsed() >= POLL);
             if let Some(outcome) = st.settled(id) {
                 return outcome;
             }
@@ -901,6 +906,67 @@ mod tests {
             .request_deadline(Request::Ping, &clock, SimDuration::from_millis(5))
             .unwrap();
         assert_eq!(resp, Response::Pong);
+        server.shutdown();
+    }
+
+    /// A virtual clock that records the real instant of every quantum a
+    /// deadline caller charges it.
+    struct ChargedClock {
+        inner: convgpu_sim_core::clock::VirtualClock,
+        charged: Mutex<Vec<std::time::Instant>>,
+    }
+
+    impl convgpu_sim_core::clock::Clock for ChargedClock {
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+        fn sleep(&self, d: SimDuration) {
+            self.charged.lock().push(std::time::Instant::now());
+            self.inner.sleep(d);
+        }
+    }
+
+    #[test]
+    fn a_stale_wake_up_charges_no_poll_round() {
+        let path = temp_sock("deadline-stale-token");
+        let gate = Arc::new(Gate::default());
+        let server = SocketServer::bind(&path, gate.clone()).unwrap();
+        let client = Arc::new(SchedulerClient::connect(&path).unwrap());
+        // An unbounded caller holds the read role, so the deadline caller
+        // waits as a follower, parked.
+        let c = Arc::clone(&client);
+        let leader = start(move || c.request(big_alloc(500)));
+        wait_until("the leader to read", || role(&client) == (true, 0));
+        let clock = Arc::new(ChargedClock {
+            inner: convgpu_sim_core::clock::VirtualClock::new(),
+            charged: Mutex::new(Vec::new()),
+        });
+        let handle: ClockHandle = clock.clone();
+        let c = Arc::clone(&client);
+        let follower = start(move || {
+            // What a thread reused from an earlier job may carry: its
+            // first park returns at once.
+            std::thread::current().unpark();
+            let began = std::time::Instant::now();
+            let res = c.request_deadline(big_alloc(550), &handle, SimDuration::from_millis(5));
+            (began, res)
+        });
+        let (began, res) = finish(follower);
+        assert!(matches!(res, Err(IpcError::TimedOut)), "{res:?}");
+        // Eight quanta reach the deadline, each after a whole real poll.
+        let charged = clock.charged.lock().clone();
+        assert_eq!(charged.len(), 8);
+        let mut since = began;
+        for at in charged {
+            assert!(
+                at - since >= POLL,
+                "a quantum charged {:?} into its round",
+                at - since
+            );
+            since = at;
+        }
+        gate.release(Bytes::mib(500), AllocDecision::Granted);
+        assert!(finish(leader).is_ok());
         server.shutdown();
     }
 

@@ -34,9 +34,11 @@
 //!   container can share the socket. It owns no thread: the caller that
 //!   waits for a reply reads the socket itself, and hands replies meant
 //!   for other callers to them.
-//! * [`server`] — [`server::SocketServer`]: accept loop + per-connection
-//!   reader threads + deferred [`server::Reply`] handles, which is what
-//!   lets the scheduler park a reply and release the thread.
+//! * [`server`] — [`server::SocketServer`]: accept loop + a reader thread
+//!   per open connection (reused: it parks for the next connection when
+//!   its peer hangs up, and ends with the server) + deferred
+//!   [`server::Reply`] handles, which is what lets the scheduler park a
+//!   reply and release the thread.
 //! * [`transport`] — the pluggable transport layer:
 //!   [`transport::EndpointAddr`] (`unix:/path`, `tcp:host:port`),
 //!   [`transport::Conn`] and [`transport::TransportListener`]. UNIX

@@ -1,6 +1,11 @@
 //! The scheduler side of the socket: accept loop, per-connection readers,
 //! and deferred replies.
 //!
+//! A connection's reader runs as one job on the server's
+//! [`ThreadPool`]: handshake, reader loop and `on_disconnect`, start to
+//! end. When the peer hangs up the thread parks for the next connection
+//! instead of exiting; the parked ones end with the server.
+//!
 //! The key requirement comes from the paper's suspension mechanism: when a
 //! container must wait for memory, the scheduler simply *does not answer
 //! yet*. [`Reply`] is therefore a detachable one-shot handle — the handler
@@ -15,6 +20,7 @@ use convgpu_obs::catalogue::{
 };
 use convgpu_obs::Registry;
 use convgpu_sim_core::clock::ClockHandle;
+use convgpu_sim_core::pool::ThreadPool;
 use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::time::SimTime;
 use std::collections::HashMap;
@@ -202,6 +208,10 @@ struct ServerShared {
     conns: Mutex<HashMap<ConnId, Arc<Mutex<Conn>>>>,
     next_conn: AtomicU64,
     obs: Option<ServerObs>,
+    /// Runs each connection's reader. Dropped with the last reference to
+    /// this state — the server gone and its last connection closed —
+    /// which ends the parked readers.
+    readers: ThreadPool,
 }
 
 /// A socket server for the wire protocol, over any
@@ -215,8 +225,9 @@ pub struct SocketServer {
 
 impl SocketServer {
     /// Bind a UNIX socket at `path` (removing a stale socket file first)
-    /// and start accepting. Each connection gets its own reader thread;
-    /// requests are dispatched to `handler`.
+    /// and start accepting. Each connection gets a reader thread of its
+    /// own (a parked one when there is one); requests are dispatched to
+    /// `handler`.
     pub fn bind(path: &Path, handler: Arc<dyn RequestHandler>) -> io::Result<SocketServer> {
         SocketServer::bind_with_obs(path, handler, None)
     }
@@ -256,6 +267,7 @@ impl SocketServer {
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(1),
             obs,
+            readers: ThreadPool::new("convgpu-ipc-conn"),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -285,8 +297,20 @@ impl SocketServer {
         &self.endpoint
     }
 
+    /// Reader threads created so far: the peak number of connections open
+    /// at once, not the number ever accepted, while readers are reused.
+    pub fn readers_spawned(&self) -> u64 {
+        self.shared.readers.spawned()
+    }
+
+    /// Reader threads parked at this instant, waiting for a connection.
+    pub fn readers_parked(&self) -> usize {
+        self.shared.readers.parked()
+    }
+
     /// Stop accepting, close every live connection, and join the accept
-    /// loop. Reader threads exit as their streams shut down.
+    /// loop. Readers leave their connections as the streams shut down and
+    /// park; the parked ones end once the last connection has gone.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -331,25 +355,23 @@ fn accept_loop(listener: TransportListener, shared: Arc<ServerShared>) {
         }));
         shared.conns.lock().insert(conn_id, Arc::clone(&writer));
         let conn_shared = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name(format!("convgpu-ipc-conn-{conn_id}"))
-            .spawn(move || {
-                let mut stream = stream;
-                // The TCP hello runs on the connection's own thread so a
-                // client that never says hello stalls only itself, not
-                // the accept loop. A failed handshake (bad magic/version,
-                // hello timeout) drops the connection without ever
-                // reaching the handler.
-                let greeted = transport::server_handshake(&mut stream, &writer);
-                match greeted {
-                    Ok(()) => reader_loop(stream, writer, conn_id, &conn_shared),
-                    Err(e) => debug_log(&format!("conn {conn_id}: handshake failed: {e}")),
-                }
-                conn_shared.conns.lock().remove(&conn_id);
-                if !conn_shared.shutting_down.load(Ordering::SeqCst) {
-                    conn_shared.handler.on_disconnect(conn_id);
-                }
-            });
+        shared.readers.run(move || {
+            let mut stream = stream;
+            // The TCP hello runs on the connection's own thread so a
+            // client that never says hello stalls only itself, not the
+            // accept loop. A failed handshake (bad magic/version, hello
+            // timeout) drops the connection without ever reaching the
+            // handler.
+            let greeted = transport::server_handshake(&mut stream, &writer);
+            match greeted {
+                Ok(()) => reader_loop(stream, writer, conn_id, &conn_shared),
+                Err(e) => debug_log(&format!("conn {conn_id}: handshake failed: {e}")),
+            }
+            conn_shared.conns.lock().remove(&conn_id);
+            if !conn_shared.shutting_down.load(Ordering::SeqCst) {
+                conn_shared.handler.on_disconnect(conn_id);
+            }
+        });
     }
 }
 

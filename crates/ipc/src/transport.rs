@@ -297,7 +297,7 @@ fn check_hello(frame: &[u8; 4], expected_role: u8) -> io::Result<()> {
     Ok(())
 }
 
-/// Server side of the TCP hello, run from the per-connection thread (not
+/// Server side of the TCP hello, run on the connection's reader thread (not
 /// the accept loop — a hostile client that never sends its hello must
 /// only stall its own connection, never the server's accept path).
 /// `reader` and `writer` are clones of the same accepted stream. A no-op

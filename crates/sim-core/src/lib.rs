@@ -22,6 +22,8 @@
 //! * [`stats`] — online mean/variance, percentiles, and experiment summary
 //!   rows used by the benchmark harness.
 //! * [`idgen`] — process-wide monotonic ID generation.
+//! * [`pool`] — [`pool::ThreadPool`], reused threads for jobs that may
+//!   block: server connections, container programs, router forwards.
 //! * [`sync`] — poison-free `Mutex`/`Condvar` wrappers over `std::sync`,
 //!   the only locking primitives used in the workspace; debug builds check
 //!   lock order on them.
@@ -35,6 +37,7 @@ pub mod clock;
 pub mod event;
 pub mod idgen;
 pub mod ids;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod sync;

@@ -37,6 +37,7 @@ use convgpu::scheduler::policy::PolicyKind;
 use convgpu::scheduler::state::ContainerState;
 use convgpu::sim::clock::{RealClock, VirtualClock};
 use convgpu::sim::ids::ContainerId;
+use convgpu::sim::pool::MAX_IDLE_THREADS;
 use convgpu::sim::time::{SimDuration, SimTime};
 use convgpu::sim::units::Bytes;
 use std::io::{BufRead, BufReader};
@@ -597,10 +598,6 @@ fn routed_lifecycle_survives_node_death_tcp_loopback() {
 // concurrently blocked `alloc_request`, reused while idle, never queued.
 // ---------------------------------------------------------------------
 
-/// Mirrors `MAX_IDLE_FORWARDERS` in `crates/core/src/router.rs` (private
-/// there): how many idle forwarders a handler keeps for reuse.
-const IDLE_CAP: usize = 8;
-
 const SPAWNS: &str = "convgpu_router_forwarder_spawns_total";
 
 fn thread_count() -> usize {
@@ -788,7 +785,7 @@ fn a_suspension_storm_parks_each_forward_on_its_own_thread() {
         let served = Served::start("fwd-storm", codec);
         // The node's 1000 MiB: the holder's 800 + 66 of context, the
         // bystander's 60 + 66; the 8 left over cover no waiter's 4 + 66.
-        let storm = IDLE_CAP as u64 + 4;
+        let storm = MAX_IDLE_THREADS as u64 + 4;
         let holder = served.client(1, 800);
         let bystander = served.client(2, 60);
         let waiters: Vec<_> = (0..storm).map(|i| served.client(10 + i, 4)).collect();
@@ -827,7 +824,7 @@ fn a_suspension_storm_parks_each_forward_on_its_own_thread() {
         }
         // The forwarders park again up to the cap; the surplus exits.
         wait_until("surplus forwarders exit", || {
-            thread_count() == baseline + IDLE_CAP
+            thread_count() == baseline + MAX_IDLE_THREADS
         });
         // ... and steady traffic afterwards creates none.
         let before = served.spawns();
@@ -841,7 +838,7 @@ fn a_suspension_storm_parks_each_forward_on_its_own_thread() {
             client.container_close(id).unwrap();
         }
         assert_eq!(served.spawns(), before);
-        assert_eq!(thread_count(), baseline + IDLE_CAP);
+        assert_eq!(thread_count(), baseline + MAX_IDLE_THREADS);
 
         bystander.container_close(ContainerId(2)).unwrap();
         served

@@ -4,10 +4,15 @@
 //! One `ConVGpu` (real UNIX sockets) runs 300 container lifecycles, two
 //! at a time. It binds one listener for its whole life; a container's
 //! socket is a hard link to it inside the container's volume directory,
-//! made by `request_dir` and removed with the directory when the
-//! scheduler processes the close. So thread, file-descriptor and
+//! made by `request_dir` and taken off the container's name when the
+//! scheduler processes the close. A container's program and its
+//! connection's reader run on reused threads, which park between
+//! containers, and a closed container's volume is kept as a spare for the
+//! next one: at most `MAX_IDLE_THREADS` threads of each kind and
+//! `SPARE_VOLUMES` spares. So the other threads, file-descriptor and
 //! `base_dir` entry counts after 300 lifecycles are what they were after
-//! the first 10. So is the metrics exposition: a closed container's
+//! the first 10, and the reused ones stay within their caps. So is the
+//! metrics exposition: a closed container's
 //! series are retired, and what grows is only the digits of the
 //! daemon-lifetime counters, so `query_metrics` keeps answering over the
 //! wire.
@@ -24,9 +29,11 @@ use convgpu::gpu::{FnProgram, LatencyModel};
 use convgpu::ipc::client::SchedulerClient;
 use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::ipc::message::{AllocDecision, ApiKind};
+use convgpu::middleware::service::SPARE_VOLUMES;
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand, TransportMode};
 use convgpu::scheduler::backend::SchedulerBackend;
 use convgpu::sim::ids::ContainerId;
+use convgpu::sim::pool::MAX_IDLE_THREADS;
 use convgpu::sim::units::Bytes;
 use convgpu_container_rt::engine::EngineConfig;
 use std::sync::mpsc::channel;
@@ -35,8 +42,9 @@ use std::time::{Duration, Instant};
 const CLIENTS: u64 = 2;
 const WARM_LIFECYCLES: u64 = 10;
 const LIFECYCLES: u64 = 300;
-/// Connection threads end on their own after the client hangs up, so a
-/// count read right after the last close may still see a few of them.
+/// A connection's socket is closed by its reader after the client hangs
+/// up, so an fd count read right after the last close may still see a
+/// few of them.
 const SLACK: usize = 4;
 /// Bytes the exposition may gain from 10 to 300 lifecycles: counts and
 /// sums gaining digits, about 300 bytes. Its series are counted exactly.
@@ -62,9 +70,26 @@ fn threads_named(prefix: &str) -> usize {
         .count()
 }
 
-/// `(threads, open fds, base_dir entries, metrics exposition)` of this
-/// process, read once the thread count has stopped falling.
-fn footprint(convgpu: &ConVGpu) -> (usize, usize, usize, String) {
+/// The footprint of this process that must not grow with the containers
+/// it has run.
+#[derive(Debug, PartialEq)]
+struct Footprint {
+    /// Threads of the server's reader pool (`convgpu-ipc-conn-N`, a
+    /// `comm` cut to 15 bytes) and of the program pool.
+    readers: usize,
+    programs: usize,
+    /// Every other thread.
+    others: usize,
+    fds: usize,
+    /// `base_dir` entries: spare volumes, and every other one.
+    spares: usize,
+    entries: usize,
+    text: String,
+}
+
+/// This process' footprint, read once the thread count has stopped
+/// falling.
+fn footprint(convgpu: &ConVGpu) -> Footprint {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut tasks = entries("/proc/self/task");
     loop {
@@ -75,12 +100,25 @@ fn footprint(convgpu: &ConVGpu) -> (usize, usize, usize, String) {
         }
         tasks = now;
     }
-    (
-        entries("/proc/self/task"),
-        entries("/proc/self/fd"),
-        entries(convgpu.service().base_dir()),
-        convgpu.metrics_text(),
-    )
+    let (readers, programs) = (
+        threads_named("convgpu-ipc-con"),
+        threads_named("convgpu-program"),
+    );
+    let base_dir = convgpu.service().base_dir();
+    let spares = std::fs::read_dir(base_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|name| name.to_string_lossy().starts_with(".spare-"))
+        .count();
+    Footprint {
+        readers,
+        programs,
+        others: entries("/proc/self/task") - readers - programs,
+        fds: entries("/proc/self/fd"),
+        spares,
+        entries: entries(base_dir) - spares,
+        text: convgpu.metrics_text(),
+    }
 }
 
 /// One container lifecycle. While the program holds its allocation the
@@ -143,14 +181,29 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
     .unwrap();
 
     run(&convgpu, WARM_LIFECYCLES);
-    let (tasks0, fds0, entries0, text0) = footprint(&convgpu);
+    let before = footprint(&convgpu);
     run(&convgpu, LIFECYCLES - WARM_LIFECYCLES);
-    let (tasks, fds, entries, text) = footprint(&convgpu);
+    let after = footprint(&convgpu);
 
-    assert!(tasks <= tasks0 + SLACK, "threads {tasks0} -> {tasks}");
-    assert!(fds <= fds0 + SLACK, "fds {fds0} -> {fds}");
+    // Kept between containers, and no more than the caps.
+    for f in [&before, &after] {
+        assert!(f.readers >= 1 && f.readers <= MAX_IDLE_THREADS, "{f:?}");
+        assert!(f.programs >= 1 && f.programs <= MAX_IDLE_THREADS, "{f:?}");
+        assert!(f.spares >= 1 && f.spares <= SPARE_VOLUMES, "{f:?}");
+    }
+    assert_eq!(before.others, after.others, "threads besides the pools");
+    assert!(
+        after.fds <= before.fds + SLACK,
+        "fds {} -> {}",
+        before.fds,
+        after.fds
+    );
     // The daemon socket, and nothing per closed container.
-    assert_eq!((entries0, entries), (1, 1), "entries in base_dir");
+    assert_eq!(
+        (before.entries, after.entries),
+        (1, 1),
+        "entries in base_dir"
+    );
     assert!(convgpu.socket_path().unwrap().exists());
     assert_eq!(threads_named("convgpu-ipc-acc"), 1, "accept threads");
     // Closed containers' series are gone: the wire still carries the whole
@@ -161,9 +214,10 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
         .query_metrics()
         .expect("query_metrics answers `metrics`");
     drop(daemon);
+    let (text0, text) = (&before.text, &after.text);
     let series = |text: &str| text.lines().count();
-    assert!(series(&wire) > series(&text), "exposition over the wire");
-    assert_eq!(series(&text0), series(&text), "exposition lines");
+    assert!(series(&wire) > series(text), "exposition over the wire");
+    assert_eq!(series(text0), series(text), "exposition lines");
     assert!(
         text.len() <= text0.len() + TEXT_SLACK,
         "exposition {} -> {} bytes",

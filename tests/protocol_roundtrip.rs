@@ -30,6 +30,7 @@ use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
 use convgpu::sim::clock::RealClock;
 use convgpu::sim::ids::ContainerId;
+use convgpu::sim::pool::MAX_IDLE_THREADS;
 use convgpu::sim::rng::DetRng;
 use convgpu::sim::units::Bytes;
 use convgpu::wrapper::WrapperModule;
@@ -889,8 +890,10 @@ fn thread_count() -> usize {
 /// A client owns no thread: the caller that waits for a reply reads the
 /// socket itself. Interleaving `QueryMetrics` round trips with abrupt
 /// disconnects must neither drop a response silently (every issued
-/// request gets its answer) nor leave a server connection thread behind
-/// once the clients are gone.
+/// request gets its answer) nor leak server threads: a connection's
+/// reader parks for the next connection when its client leaves (at most
+/// `MAX_IDLE_THREADS` stay parked), and the parked ones end with the
+/// server.
 #[test]
 fn query_metrics_interleaved_with_disconnects_leaks_nothing() {
     // Exact thread accounting needs the process to itself, and libtest
@@ -920,42 +923,63 @@ fn query_metrics_interleaved_with_disconnects_leaks_nothing() {
     let baseline = thread_count();
 
     // Phase 1: clients connect, mix metrics queries with regular
-    // traffic, and disconnect without ceremony.
-    let mut clients = Vec::new();
-    for round in 0..8u64 {
-        let client = SchedulerClient::connect_endpoint(&endpoint).unwrap();
-        let container = ContainerId(100 + round);
-        client.register(container, Bytes::mib(64)).unwrap();
-        for _ in 0..4 {
-            let text = client.query_metrics().unwrap();
-            assert!(
-                text.contains("convgpu_sched_decisions_total"),
-                "metrics response lost or truncated: {text:?}"
-            );
-            client.ping().unwrap();
+    // traffic, and disconnect without ceremony. A round has as many
+    // clients as a server keeps parked readers.
+    const CLIENTS: usize = MAX_IDLE_THREADS;
+    let round = |first: u64| {
+        let mut clients = Vec::new();
+        for c in first..first + CLIENTS as u64 {
+            let client = SchedulerClient::connect_endpoint(&endpoint).unwrap();
+            let container = ContainerId(c);
+            client.register(container, Bytes::mib(64)).unwrap();
+            for _ in 0..4 {
+                let text = client.query_metrics().unwrap();
+                assert!(
+                    text.contains("convgpu_sched_decisions_total"),
+                    "metrics response lost or truncated: {text:?}"
+                );
+                client.ping().unwrap();
+            }
+            client.container_close(container).unwrap();
+            clients.push(client);
         }
-        client.container_close(container).unwrap();
-        clients.push(client);
-    }
+        clients
+    };
+    let clients = round(100);
     // Every client has had an answer, so its connection thread exists on
     // the server side; the clients themselves added none.
     assert_eq!(
         thread_count(),
-        baseline + 8,
-        "8 live clients must cost the server's 8 connection threads and nothing else"
+        baseline + CLIENTS,
+        "{CLIENTS} live clients must cost the server's {CLIENTS} connection threads and nothing else"
     );
     drop(clients);
 
-    // Phase 2: the connection threads must exit once the clients close.
+    // Phase 2: the connection threads park once the clients close, as
+    // many as a server keeps; none is left behind beyond those.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while thread_count() != baseline {
+    while server.readers_parked() != CLIENTS {
         assert!(
             std::time::Instant::now() < deadline,
-            "threads leaked: {} now vs {baseline} baseline",
-            thread_count()
+            "{} of {CLIENTS} readers parked",
+            server.readers_parked()
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    assert!(
+        thread_count() <= baseline + CLIENTS,
+        "threads leaked: {} now vs {baseline} baseline",
+        thread_count()
+    );
+    // A second round of clients is served by the parked threads.
+    let clients = round(200);
+    assert_eq!(
+        thread_count(),
+        baseline + CLIENTS,
+        "a second round added threads"
+    );
+    assert_eq!(server.readers_spawned(), CLIENTS as u64);
+    drop(clients);
 
     // Phase 3: a request in flight when the server goes away must error
     // out, never hang or vanish.
@@ -972,6 +996,17 @@ fn query_metrics_interleaved_with_disconnects_leaks_nothing() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     assert!(answered.join().unwrap().is_err());
+    // No connection left and the server gone: its accept thread and every
+    // reader end, parked or not.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while thread_count() != baseline - 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "threads leaked: {} now vs {baseline} baseline with the accept thread",
+            thread_count()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
     svc.with_scheduler(|s| s.check_invariants().unwrap());
 }
 
