@@ -21,7 +21,7 @@
 //! * `Free` — the process frees its oldest live allocation;
 //! * `Exit` — the process dies (`__cudaUnregisterFatBinary`), possibly
 //!   while suspended or while holding memory (leak reclaim path);
-//! * `Close` — the container stops (volume-unmount plugin event),
+//! * `Close` — the container stops (its volume driver's close),
 //!   allowed at any point after registration.
 //!
 //! A suspended container issues no new requests (its thread is blocked in

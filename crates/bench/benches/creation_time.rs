@@ -37,7 +37,6 @@ fn bench_creation(c: &mut Criterion) {
                 .run(&RunCommand::new("cuda-app").nvidia_memory("256m"))
                 .unwrap();
             convgpu.engine().stop(prepared.id, 0).unwrap();
-            convgpu.wait_closed(prepared.id, Duration::from_secs(5));
         })
     });
     group.finish();

@@ -18,6 +18,7 @@ use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::units::Bytes;
 use convgpu_workloads::apibench::measure_api_response;
 use convgpu_wrapper::module::WrapperModule;
+use std::path::Path;
 use std::sync::Arc;
 
 /// One Fig. 4 pair.
@@ -38,27 +39,18 @@ impl Fig4Row {
     }
 }
 
-/// Run the Fig. 4 experiment with `reps` repetitions per API (paper: 10).
-pub fn run_fig4(reps: usize) -> Vec<Fig4Row> {
-    let clock = RealClock::handle();
-    let device = Arc::new(GpuDevice::tesla_k20m());
-    let raw = Arc::new(RawCudaRuntime::new(
-        Arc::clone(&device),
-        LatencyModel::tesla_k20m(),
-        Arc::clone(&clock),
-    ));
-
-    // Live scheduler behind a real socket.
-    let dir = std::env::temp_dir().join(format!("convgpu-fig4-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create fig4 dir");
+/// The "with ConVGPU" side: container 1's wrapper over `raw`, its
+/// scheduler live behind a real socket in `dir`.
+fn wrapped(raw: &Arc<RawCudaRuntime>, dir: &Path) -> (WrapperModule, SocketServer) {
+    std::fs::create_dir_all(dir).expect("create fig4 dir");
     let service = Arc::new(SchedulerService::new(
         Scheduler::new(SchedulerConfig::paper(), PolicyKind::BestFit.build(0)),
-        clock,
-        dir.clone(),
+        Arc::clone(raw.clock()),
+        dir.to_path_buf(),
     ));
     let server = SocketServer::bind(
         &dir.join("sched.sock"),
-        Arc::new(ServiceHandler::new(Arc::clone(&service))),
+        Arc::new(ServiceHandler::new(service)),
     )
     .expect("bind fig4 socket");
     let client = SchedulerClient::connect(server.path()).expect("connect fig4 socket");
@@ -66,7 +58,20 @@ pub fn run_fig4(reps: usize) -> Vec<Fig4Row> {
     client
         .register(container, Bytes::gib(2))
         .expect("register fig4 container");
-    let wrapper = WrapperModule::new(container, Arc::clone(&raw) as _, Arc::new(client));
+    let wrapper = WrapperModule::new(container, Arc::clone(raw) as _, Arc::new(client));
+    (wrapper, server)
+}
+
+/// Run the Fig. 4 experiment with `reps` repetitions per API (paper: 10).
+pub fn run_fig4(reps: usize) -> Vec<Fig4Row> {
+    let raw = Arc::new(RawCudaRuntime::new(
+        Arc::new(GpuDevice::tesla_k20m()),
+        LatencyModel::tesla_k20m(),
+        RealClock::handle(),
+    ));
+
+    let dir = std::env::temp_dir().join(format!("convgpu-fig4-{}", std::process::id()));
+    let (wrapper, server) = wrapped(&raw, &dir);
 
     // "Without the solution": straight to the runtime.
     let without = measure_api_response(&*raw, 1, reps).expect("baseline probe");
@@ -94,6 +99,8 @@ pub fn run_fig4(reps: usize) -> Vec<Fig4Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use convgpu_gpu_sim::api::CudaApi;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn fig4_shape_holds() {
@@ -117,22 +124,34 @@ mod tests {
         // the host's speed, not the code; on this box it does not hold
         // even in a release build (0.054 ms with, 0.045 ms without).
         // `repro_fig4` prints both and docs/PERFORMANCE.md records them.
-        // First pitch call costs more than steady-state pitch calls with
-        // ConVGPU (property fetch). A single first-call sample is noisy
-        // under an unoptimized build, so the strict ordering is asserted
-        // in release only.
-        let pitch_first = get("cudaMallocPitch (first)");
-        let pitch = get("cudaMallocPitch");
-        if cfg!(debug_assertions) {
-            assert!(
-                pitch_first.with_ms > pitch.with_ms * 0.5,
-                "{pitch_first:?} vs {pitch:?}"
-            );
-        } else {
-            assert!(
-                pitch_first.with_ms > pitch.with_ms,
-                "{pitch_first:?} vs {pitch:?}"
-            );
+        // Not asserted either: the first wrapped `cudaMallocPitch`
+        // costing more than the later ones. In a debug build one
+        // wall-clock sample against a ten-call mean came out either way
+        // round; its cause, the one property fetch, is counted below.
+    }
+
+    /// The first wrapped `cudaMallocPitch` makes the wrapper's one
+    /// `cudaGetDeviceProperties` fetch (what the "(first)" row adds), and
+    /// later calls use the cached geometry.
+    #[test]
+    fn only_the_first_wrapped_pitch_call_fetches_device_properties() {
+        let raw = Arc::new(RawCudaRuntime::new(
+            Arc::new(GpuDevice::tesla_k20m()),
+            LatencyModel::zero(),
+            RealClock::handle(),
+        ));
+        let dir = std::env::temp_dir().join(format!("convgpu-fig4-pitch-{}", std::process::id()));
+        let (wrapper, server) = wrapped(&raw, &dir);
+        let fetches = || wrapper.stats().property_fetches.load(Ordering::Relaxed);
+        let p = wrapper.cuda_malloc(2, Bytes::mib(1)).unwrap();
+        wrapper.cuda_free(2, p).unwrap();
+        assert_eq!(fetches(), 0, "cudaMalloc needs no geometry");
+        for call in 0..11 {
+            let (p, _) = wrapper.cuda_malloc_pitch(2, Bytes::new(1000), 512).unwrap();
+            wrapper.cuda_free(2, p).unwrap();
+            assert_eq!(fetches(), 1, "after pitch call {call}");
         }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

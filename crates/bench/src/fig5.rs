@@ -9,7 +9,6 @@
 use convgpu_core::middleware::{ConVGpu, ConVGpuConfig, TransportMode};
 use convgpu_core::nvidia_docker::RunCommand;
 use convgpu_sim_core::stats::Summary;
-use std::time::Duration;
 
 /// Fig. 5 outcome.
 #[derive(Clone, Debug)]
@@ -64,8 +63,6 @@ pub fn run_fig5(reps: usize, time_scale: f64) -> Fig5Result {
             .expect("convgpu run");
         with.push((clock.now() - t0).as_secs_f64());
         convgpu.engine().stop(prepared.id, 0).expect("stop convgpu");
-        // Let the plugin release the registration before the next rep.
-        convgpu.wait_closed(prepared.id, Duration::from_secs(5));
     }
     convgpu.shutdown();
     Fig5Result {

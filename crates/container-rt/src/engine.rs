@@ -7,7 +7,6 @@
 //! paper's testbed).
 
 use crate::container::{Container, ContainerStatus};
-use crate::events::{EngineEvent, EventBus, EventKind};
 use crate::image::{Image, ImageRegistry};
 use crate::spec::CreateOptions;
 use convgpu_sim_core::clock::ClockHandle;
@@ -17,7 +16,7 @@ use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::time::SimDuration;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 
 /// Engine construction parameters.
 ///
@@ -96,13 +95,23 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// A volume driver: Docker's volume plugin protocol, reduced to the one
+/// call ConVGPU needs. Docker posts `/VolumeDriver.Unmount` to a volume's
+/// driver while it tears the container down and waits for the answer, so
+/// [`Engine::stop`] calls `unmount` on the stopping thread and returns
+/// after it.
+pub trait VolumeDriver: Send + Sync {
+    /// `container` exited and its volume `source` was unmounted.
+    fn unmount(&self, container: ContainerId, source: &str);
+}
+
 /// The engine.
 pub struct Engine {
     config: EngineConfig,
     clock: ClockHandle,
     images: Mutex<ImageRegistry>,
     containers: Mutex<HashMap<ContainerId, Container>>,
-    bus: EventBus,
+    drivers: Mutex<HashMap<String, Arc<dyn VolumeDriver>>>,
     ids: IdGen,
     pids: IdGen,
 }
@@ -115,7 +124,7 @@ impl Engine {
             clock,
             images: Mutex::new(ImageRegistry::new()),
             containers: Mutex::new(HashMap::new()),
-            bus: EventBus::new(),
+            drivers: Mutex::new(HashMap::new()),
             ids: IdGen::new(),
             pids: IdGen::starting_at(1000),
         }
@@ -131,9 +140,11 @@ impl Engine {
         self.images.lock().get(reference).cloned()
     }
 
-    /// Subscribe to lifecycle events.
-    pub fn events(&self) -> Receiver<EngineEvent> {
-        self.bus.subscribe()
+    /// Serve the volumes whose driver is `name` by `driver` (a volume
+    /// plugin's activation); a second registration of `name` replaces
+    /// the first.
+    pub fn register_driver(&self, name: impl Into<String>, driver: Arc<dyn VolumeDriver>) {
+        self.drivers.lock().insert(name.into(), driver);
     }
 
     /// The clock the engine charges costs on.
@@ -182,11 +193,6 @@ impl Engine {
             exit_code: None,
         };
         self.containers.lock().insert(id, container);
-        self.bus.publish(EngineEvent {
-            at: self.clock.now(),
-            container: id,
-            kind: EventKind::Created,
-        });
         Ok(())
     }
 
@@ -208,11 +214,6 @@ impl Engine {
             c.status = ContainerStatus::Running;
             c.started_at = Some(self.clock.now());
         }
-        self.bus.publish(EngineEvent {
-            at: self.clock.now(),
-            container: id,
-            kind: EventKind::Started,
-        });
         Ok(())
     }
 
@@ -251,11 +252,6 @@ impl Engine {
             }
             c.status = ContainerStatus::Paused;
         }
-        self.bus.publish(EngineEvent {
-            at: self.clock.now(),
-            container: id,
-            kind: EventKind::Paused,
-        });
         Ok(())
     }
 
@@ -275,18 +271,15 @@ impl Engine {
             }
             c.status = ContainerStatus::Running;
         }
-        self.bus.publish(EngineEvent {
-            at: self.clock.now(),
-            container: id,
-            kind: EventKind::Unpaused,
-        });
         Ok(())
     }
 
-    /// Stop a running container: emits `Died` then one `VolumeUnmounted`
-    /// per mounted volume (the plugin watches for its driver).
+    /// Stop a running or paused container, then unmount each of its
+    /// volumes whose driver is registered through that driver, on this
+    /// thread and with no engine lock held. A container that is not
+    /// running or paused is left as it is: nothing is unmounted twice.
     pub fn stop(&self, id: ContainerId, exit_code: i32) -> Result<(), EngineError> {
-        let volumes = {
+        let unmounts: Vec<(Arc<dyn VolumeDriver>, String)> = {
             let mut containers = self.containers.lock();
             let c = containers
                 .get_mut(&id)
@@ -301,23 +294,18 @@ impl Engine {
             c.status = ContainerStatus::Exited;
             c.exited_at = Some(self.clock.now());
             c.exit_code = Some(exit_code);
-            c.options.volumes.clone()
+            let drivers = self.drivers.lock();
+            c.options
+                .volumes
+                .iter()
+                .filter_map(|v| {
+                    let driver = drivers.get(v.driver.as_deref()?)?;
+                    Some((Arc::clone(driver), v.source.clone()))
+                })
+                .collect()
         };
-        let at = self.clock.now();
-        self.bus.publish(EngineEvent {
-            at,
-            container: id,
-            kind: EventKind::Died { exit_code },
-        });
-        for v in volumes {
-            self.bus.publish(EngineEvent {
-                at,
-                container: id,
-                kind: EventKind::VolumeUnmounted {
-                    source: v.source,
-                    driver: v.driver,
-                },
-            });
+        for (driver, source) in unmounts {
+            driver.unmount(id, &source);
         }
         Ok(())
     }
@@ -338,11 +326,6 @@ impl Engine {
             }
             c.status = ContainerStatus::Removed;
         }
-        self.bus.publish(EngineEvent {
-            at: self.clock.now(),
-            container: id,
-            kind: EventKind::Removed,
-        });
         Ok(())
     }
 
@@ -368,6 +351,7 @@ mod tests {
     use super::*;
     use crate::spec::VolumeMount;
     use convgpu_sim_core::clock::VirtualClock;
+    use std::sync::Weak;
 
     fn engine() -> (Engine, VirtualClock) {
         let clock = VirtualClock::new();
@@ -454,39 +438,92 @@ mod tests {
         assert!(e.spawn_pid(ContainerId(999)).is_err());
     }
 
+    /// Records each unmount with the status the engine reports while it
+    /// runs. It reads that status back through the engine, which would
+    /// deadlock if `stop` held an engine lock around the call.
+    struct Recorder {
+        engine: Weak<Engine>,
+        calls: Mutex<Vec<(ContainerId, String, ContainerStatus)>>,
+    }
+
+    impl VolumeDriver for Recorder {
+        fn unmount(&self, container: ContainerId, source: &str) {
+            let engine = self.engine.upgrade().expect("engine alive");
+            let status = engine.inspect(container).unwrap().status;
+            self.calls.lock().push((container, source.into(), status));
+        }
+    }
+
+    impl Recorder {
+        fn register(e: &Arc<Engine>, name: &str) -> Arc<Recorder> {
+            let r = Arc::new(Recorder {
+                engine: Arc::downgrade(e),
+                calls: Mutex::new(Vec::new()),
+            });
+            e.register_driver(name, Arc::clone(&r) as Arc<dyn VolumeDriver>);
+            r
+        }
+
+        fn calls(&self) -> Vec<(ContainerId, String, ContainerStatus)> {
+            self.calls.lock().clone()
+        }
+    }
+
     #[test]
-    fn stop_emits_died_then_volume_unmounts() {
+    fn stop_unmounts_each_volume_through_its_own_driver_once() {
         let (e, _clock) = engine();
-        let rx = e.events();
+        let e = Arc::new(e);
+        let convgpu = Recorder::register(&e, "convgpu");
+        let other = Recorder::register(&e, "other");
         let id = e
             .create(
                 CreateOptions::new("cuda-app")
                     .with_volume(VolumeMount::bind("/data", "/data"))
-                    .with_volume(VolumeMount::plugin("convgpu-cnt", "/convgpu", "convgpu")),
+                    .with_volume(VolumeMount::plugin("convgpu-a", "/a", "convgpu"))
+                    .with_volume(VolumeMount::plugin("nv-driver", "/nv", "unregistered"))
+                    .with_volume(VolumeMount::plugin("convgpu-b", "/b", "convgpu")),
             )
             .unwrap();
         e.start(id).unwrap();
+        assert!(
+            convgpu.calls().is_empty(),
+            "create and start unmount nothing"
+        );
         e.stop(id, 137).unwrap();
-        let kinds: Vec<EventKind> = rx.try_iter().map(|ev| ev.kind).collect();
-        assert_eq!(kinds[0], EventKind::Created);
-        assert_eq!(kinds[1], EventKind::Started);
-        assert_eq!(kinds[2], EventKind::Died { exit_code: 137 });
+        // On the stopping thread, before `stop` returned, with the
+        // container already exited.
+        assert_eq!(
+            convgpu.calls(),
+            vec![
+                (id, "convgpu-a".into(), ContainerStatus::Exited),
+                (id, "convgpu-b".into(), ContainerStatus::Exited),
+            ]
+        );
+        assert!(other.calls().is_empty(), "another driver's volumes only");
+        assert_eq!(e.inspect(id).unwrap().exit_code, Some(137));
+        // A second stop is refused and unmounts nothing again.
         assert!(matches!(
-            &kinds[3],
-            EventKind::VolumeUnmounted { source, driver: None } if source == "/data"
+            e.stop(id, 0).unwrap_err(),
+            EngineError::InvalidState { op: "stop", .. }
         ));
-        assert!(matches!(
-            &kinds[4],
-            EventKind::VolumeUnmounted { source, driver: Some(d) }
-                if source == "convgpu-cnt" && d == "convgpu"
-        ));
+        assert_eq!(convgpu.calls().len(), 2);
+        assert_eq!(e.inspect(id).unwrap().exit_code, Some(137));
     }
 
     #[test]
     fn pause_unpause_lifecycle() {
         let (e, _clock) = engine();
-        let rx = e.events();
-        let id = e.create(CreateOptions::new("cuda-app")).unwrap();
+        let e = Arc::new(e);
+        let driver = Recorder::register(&e, "convgpu");
+        let id = e
+            .create(
+                CreateOptions::new("cuda-app").with_volume(VolumeMount::plugin(
+                    "convgpu-cnt",
+                    "/convgpu",
+                    "convgpu",
+                )),
+            )
+            .unwrap();
         // Cannot pause before start.
         assert!(matches!(
             e.pause(id).unwrap_err(),
@@ -502,13 +539,18 @@ mod tests {
         e.unpause(id).unwrap();
         assert!(e.inspect(id).unwrap().is_running());
         assert!(e.unpause(id).is_err());
-        // Stop works from Paused too (docker semantics).
+        // A frozen container keeps its volumes mounted.
         e.pause(id).unwrap();
+        assert!(
+            driver.calls().is_empty(),
+            "pause and unpause unmount nothing"
+        );
+        // Stop works from Paused too (docker semantics).
         e.stop(id, 0).unwrap();
-        let kinds: Vec<EventKind> = rx.try_iter().map(|ev| ev.kind).collect();
-        assert!(kinds.contains(&EventKind::Paused));
-        assert!(kinds.contains(&EventKind::Unpaused));
-        assert!(kinds.contains(&EventKind::Died { exit_code: 0 }));
+        assert_eq!(
+            driver.calls(),
+            vec![(id, "convgpu-cnt".into(), ContainerStatus::Exited)]
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * **container creation options** — `--env` (ConVGPU injects
 //!   `LD_PRELOAD`), `--volume` (the wrapper-module directory and the dummy
 //!   plugin volume), `--device` (the GPU nodes);
-//! * **lifecycle + events** — `create` / `start` / `die` / `destroy`, and
-//!   the volume-unmount notification on stop, which is exactly how
+//! * **lifecycle + volume drivers** — `create` / `start` / `stop` /
+//!   `remove`, and the unmount a registered [`VolumeDriver`] answers
+//!   while `stop` tears the container down, which is exactly how
 //!   nvidia-docker-plugin learns that a container exited and tells the
 //!   scheduler to release its memory.
 //!
@@ -25,12 +26,10 @@
 
 pub mod container;
 pub mod engine;
-pub mod events;
 pub mod image;
 pub mod spec;
 
 pub use container::{Container, ContainerStatus};
-pub use engine::{Engine, EngineConfig, EngineError};
-pub use events::{EngineEvent, EventKind};
+pub use engine::{Engine, EngineConfig, EngineError, VolumeDriver};
 pub use image::{labels, Image, ImageRegistry};
 pub use spec::{CreateOptions, ResourceSpec, VolumeMount};

@@ -29,9 +29,9 @@ pub struct VolumeMount {
     pub source: String,
     /// Path inside the container.
     pub target: String,
-    /// Volume driver; `Some("nvidia-docker")` marks plugin volumes, whose
-    /// unmount the plugin observes (paper §III-B: the "dummy volume" that
-    /// signals container exit).
+    /// Volume driver; `Some(name)` marks a plugin volume, whose unmount
+    /// the engine hands to the driver registered under `name` (paper
+    /// §III-B: the "dummy volume" that signals container exit).
     pub driver: Option<String>,
 }
 

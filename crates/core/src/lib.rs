@@ -13,10 +13,9 @@
 //! * [`nvidia_docker`] — the customized nvidia-docker (paper §III-B):
 //!   `--nvidia-memory` parsing, label fallback, 1 GiB default, scheduler
 //!   registration, volume/env injection (`LD_PRELOAD`), dummy plugin
-//!   volume.
-//! * [`plugin`] — the nvidia-docker-plugin analog: watches engine volume
-//!   events and converts the dummy volume's unmount into the scheduler's
-//!   *close* signal.
+//!   volume, and the nvidia-docker-plugin analog: the dummy volume's
+//!   driver, which sends the scheduler's *close* signal when the engine
+//!   unmounts the volume while it stops the container.
 //! * [`middleware`] — [`middleware::ConVGpu`], the one-call orchestrator
 //!   examples and benches use: device + engine + scheduler + sockets +
 //!   container programs run on reused threads.
@@ -35,7 +34,6 @@ pub mod handler;
 pub mod journal;
 pub mod middleware;
 pub mod nvidia_docker;
-pub mod plugin;
 pub mod router;
 pub mod service;
 
@@ -43,6 +41,5 @@ pub use journal::{Journal, JournalConfig, JournalOp, RecoveredHome, Recovery};
 pub use middleware::{ConVGpu, ConVGpuConfig, Session, TopologySpec, TransportMode};
 pub use nvidia_docker::RunCommand;
 pub use nvidia_docker::{resolve_memory_limit, NvidiaDocker, CONVGPU_VOLUME_DRIVER};
-pub use plugin::NvidiaDockerPlugin;
 pub use router::{ClusterRouter, NodeHealth, NodeServer, RouterConfig, RouterHandler};
 pub use service::{InProcEndpoint, ObsHub, SchedulerService};

@@ -4,8 +4,9 @@
 //! the simulated GPU + raw CUDA runtime, the container engine, the GPU
 //! memory scheduler service (behind one real UNIX socket by default —
 //! one listener per daemon, hard-linked into each live container's
-//! volume), the customized nvidia-docker front end, and the plugin that
-//! converts volume-unmount events into scheduler close signals.
+//! volume), and the customized nvidia-docker front end with the dummy
+//! volume's driver, which closes a container with the scheduler when the
+//! engine stops it.
 //! `ConVGpu::run_container` then does what `nvidia-docker run image` did
 //! on the paper's testbed: registers, creates, starts, and executes the
 //! given [`GpuProgram`] inside the container, with its CUDA calls bound
@@ -15,13 +16,12 @@
 
 use crate::handler::ServiceHandler;
 use crate::nvidia_docker::{NvidiaDocker, NvidiaDockerError, RunCommand};
-use crate::plugin::NvidiaDockerPlugin;
 use crate::service::{InProcEndpoint, SchedulerService};
 use convgpu_container_rt::engine::{Engine, EngineConfig};
 use convgpu_container_rt::image::Image;
 use convgpu_gpu_sim::api::CudaApi;
 use convgpu_gpu_sim::device::{DeviceConfig, GpuDevice};
-use convgpu_gpu_sim::error::CudaResult;
+use convgpu_gpu_sim::error::{CudaError, CudaResult};
 use convgpu_gpu_sim::latency::LatencyModel;
 use convgpu_gpu_sim::program::GpuProgram;
 use convgpu_gpu_sim::runtime::RawCudaRuntime;
@@ -40,6 +40,7 @@ use convgpu_sim_core::pool::ThreadPool;
 use convgpu_sim_core::units::Bytes;
 use convgpu_wrapper::module::{WrapperModule, WrapperObs};
 use convgpu_wrapper::preload::{resolve_runtime, LinkSpec, ProcessEnv};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -139,35 +140,44 @@ pub struct Session {
 
 impl Session {
     /// Wait for the program to finish; returns its result. The container
-    /// is stopped (and its memory released through the plugin) regardless
-    /// of the outcome, and the program and its wrapper — with it the
-    /// container's socket connection — are gone when this returns. A
-    /// program that panicked yields `LaunchFailure`.
+    /// is stopped and closed with the scheduler — its memory released —
+    /// regardless of the outcome, and the program and its wrapper — with
+    /// it the container's socket connection — are gone when this returns.
+    /// A program that panicked yields `LaunchFailure`.
     pub fn wait(self) -> CudaResult<()> {
-        self.result
-            .recv()
-            .unwrap_or(Err(convgpu_gpu_sim::error::CudaError::LaunchFailure))
+        self.result.recv().unwrap_or(Err(CudaError::LaunchFailure))
     }
 }
 
 /// The container `id`'s process: a pid, the program between the implicit
 /// fat-binary registration and unregistration, and the container's stop
-/// with the program's exit code. Consumes `api` and `program`, so the
-/// wrapper — and a socket it holds — is dropped on return.
+/// with the program's exit code, which closes it. A program that panics
+/// dies like a killed process: the device reclaims its context, the
+/// container stops with a non-zero code, and the result is
+/// `LaunchFailure`. Consumes `api` and `program`, so the wrapper — and a
+/// socket it holds — is dropped on return.
 fn run_process(
     engine: &Engine,
+    device: &GpuDevice,
     id: ContainerId,
     api: Arc<dyn CudaApi>,
     mut program: Box<dyn GpuProgram>,
     clock: &ClockHandle,
 ) -> CudaResult<()> {
-    let pid = engine
-        .spawn_pid(id)
-        .map_err(|_| convgpu_gpu_sim::error::CudaError::LaunchFailure)?;
+    let pid = engine.spawn_pid(id).map_err(|_| CudaError::LaunchFailure)?;
     let _ = api.cuda_register_fat_binary(pid);
-    let result = program.run(&*api, pid, clock);
-    // Implicit at process exit even when the program errored.
-    let _ = api.cuda_unregister_fat_binary(pid);
+    let result = match catch_unwind(AssertUnwindSafe(|| program.run(&*api, pid, clock))) {
+        Ok(result) => {
+            // Implicit at process exit even when the program errored.
+            let _ = api.cuda_unregister_fat_binary(pid);
+            result
+        }
+        Err(_) => {
+            // A crashed process runs no exit handler.
+            device.destroy_context(pid);
+            Err(CudaError::LaunchFailure)
+        }
+    };
     let exit_code = if result.is_ok() { 0 } else { 1 };
     let _ = engine.stop(id, exit_code);
     result
@@ -181,8 +191,6 @@ pub struct ConVGpu {
     engine: Arc<Engine>,
     service: Arc<SchedulerService>,
     nvidia_docker: NvidiaDocker,
-    /// Held for its lifetime: dropping it stops the close-signal thread.
-    _plugin: NvidiaDockerPlugin,
     /// The daemon's one listener; `None` under [`TransportMode::InProc`].
     server: Option<SocketServer>,
     /// Runs the containers' programs; dropping it ends the parked threads.
@@ -254,14 +262,11 @@ impl ConVGpu {
             )?),
             TransportMode::InProc => None,
         };
-        let frontend_endpoint: Arc<dyn SchedulerEndpoint> =
-            Arc::new(InProcEndpoint::new(Arc::clone(&service)));
         let nvidia_docker = NvidiaDocker::new(
             Arc::clone(&engine),
-            Arc::clone(&frontend_endpoint),
+            Arc::new(InProcEndpoint::new(Arc::clone(&service))),
             cfg.driver_version.clone(),
         );
-        let plugin = NvidiaDockerPlugin::spawn(&engine, frontend_endpoint);
         Ok(ConVGpu {
             clock,
             device,
@@ -269,7 +274,6 @@ impl ConVGpu {
             engine,
             service,
             nvidia_docker,
-            _plugin: plugin,
             server,
             programs: ThreadPool::new("convgpu-program"),
             device_aware_props: !matches!(cfg.topology, TopologySpec::SingleGpu),
@@ -393,12 +397,12 @@ impl ConVGpu {
         program: Box<dyn GpuProgram>,
     ) -> Session {
         let engine = Arc::clone(&self.engine);
+        let device = Arc::clone(&self.device);
         let clock = Arc::clone(&self.clock);
         let (tx, result) = sync_channel(1);
         self.programs.run(move || {
-            // `api` and `program` are gone before the result is sent;
-            // on a panic, `tx` goes unsent and `wait` sees LaunchFailure.
-            let _ = tx.send(run_process(&engine, id, api, program, &clock));
+            // `api` and `program` are gone before the result is sent.
+            let _ = tx.send(run_process(&engine, &device, id, api, program, &clock));
         });
         Session {
             container: id,
@@ -406,9 +410,10 @@ impl ConVGpu {
         }
     }
 
-    /// Block until the scheduler has processed the close signal for `id`
-    /// (the plugin delivers it asynchronously after the program thread
-    /// stops the container). Returns `false` on timeout.
+    /// Block until the scheduler has processed the close signal for `id`;
+    /// `false` on timeout. The close is part of the engine's stop, so a
+    /// container whose [`Session::wait`] or `Engine::stop` has returned
+    /// is closed already and this returns on its first scan.
     pub fn wait_closed(&self, id: ContainerId, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
@@ -472,14 +477,15 @@ impl ConVGpu {
         self.service.chrome_trace()
     }
 
-    /// Stop the plugin, then the listener — which is what dropping the
-    /// fields does, in that order.
+    /// Stop the listener and the parked program threads — which is what
+    /// dropping the middleware does.
     pub fn shutdown(self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use convgpu_container_rt::container::ContainerStatus;
     use convgpu_gpu_sim::program::FnProgram;
 
     fn fast_cfg(transport: TransportMode) -> ConVGpuConfig {
@@ -714,18 +720,91 @@ mod tests {
         convgpu.shutdown();
     }
 
+    /// Nothing of a container outlives its stop: the record is `Closed`
+    /// and the reservation released when `Engine::stop` returns (Fig. 5
+    /// stops its containers that way) and when `Session::wait` does,
+    /// with no polling.
+    #[test]
+    fn a_container_is_closed_when_stop_or_wait_returns() {
+        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let cmd = || RunCommand::new("cuda-app").nvidia_memory("512m");
+        let assert_closed = |id| {
+            convgpu.service().with_backend(|b| {
+                assert_eq!(
+                    b.primary().container(id).unwrap().state,
+                    ContainerState::Closed
+                );
+                assert_eq!(b.open_containers(), 0);
+            })
+        };
+        for _ in 0..20 {
+            let id = convgpu.nvidia_docker().run(&cmd()).unwrap().id;
+            convgpu.engine().stop(id, 0).unwrap();
+            assert_closed(id);
+            let session = convgpu.run_container(cmd(), alloc_program(64)).unwrap();
+            let id = session.container;
+            session.wait().unwrap();
+            assert_closed(id);
+        }
+        convgpu.shutdown();
+    }
+
+    /// A program that panics holding device memory: the wrapper's exit
+    /// hook never runs, so the device reclaims the pid's context (the
+    /// kill path) and the container stops and closes like any other.
+    fn panics_holding_memory() -> Box<dyn GpuProgram> {
+        Box::new(FnProgram::new("panics", |api, pid, _clock| {
+            let _held = api.cuda_malloc(pid, Bytes::mib(64))?;
+            panic!("the program panics")
+        }))
+    }
+
+    /// The device, the scheduler's books and the engine hold nothing of
+    /// any container.
+    fn assert_nothing_held(convgpu: &ConVGpu) {
+        let (free, total) = convgpu.device().mem_info();
+        assert_eq!(free, total, "device memory still in use");
+        convgpu.service().with_backend(|b| {
+            assert_eq!(b.open_containers(), 0);
+            assert_eq!(b.primary().total_assigned(), Bytes::ZERO);
+        });
+        assert!(convgpu.engine().list().iter().all(|c| !c.is_running()));
+    }
+
+    #[test]
+    fn a_panicking_program_leaks_nothing() {
+        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let session = convgpu
+            .run_container(
+                RunCommand::new("cuda-app").nvidia_memory("512m"),
+                panics_holding_memory(),
+            )
+            .unwrap();
+        let id = session.container;
+        assert!(matches!(session.wait(), Err(CudaError::LaunchFailure)));
+        let c = convgpu.engine().inspect(id).unwrap();
+        assert_eq!(c.status, ContainerStatus::Exited);
+        assert_eq!(c.exit_code, Some(1));
+        convgpu.service().with_scheduler(|s| {
+            assert_eq!(s.container(id).unwrap().state, ContainerState::Closed);
+            s.check_invariants().unwrap();
+        });
+        assert_nothing_held(&convgpu);
+        convgpu.shutdown();
+    }
+
     #[test]
     fn a_panicking_program_fails_its_launch_and_the_next_run_succeeds() {
         let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
         let cmd = || RunCommand::new("cuda-app").nvidia_memory("512m");
-        let program = FnProgram::new("panics", |_api, _pid, _clock| panic!("the program panics"));
-        let session = convgpu.run_container(cmd(), Box::new(program)).unwrap();
-        assert!(matches!(
-            session.wait(),
-            Err(convgpu_gpu_sim::error::CudaError::LaunchFailure)
-        ));
+        let session = convgpu
+            .run_container(cmd(), panics_holding_memory())
+            .unwrap();
+        assert!(matches!(session.wait(), Err(CudaError::LaunchFailure)));
+        assert_nothing_held(&convgpu);
         let session = convgpu.run_container(cmd(), alloc_program(256)).unwrap();
         session.wait().unwrap();
+        assert_nothing_held(&convgpu);
         convgpu.shutdown();
     }
 

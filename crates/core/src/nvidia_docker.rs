@@ -11,8 +11,19 @@
 //! 4. set `LD_PRELOAD` (`--env`) so the wrapper loads first;
 //! 5. mount the usual NVIDIA driver volume and `--device` entries;
 //! 6. add the dummy plugin volume whose unmount signals container exit.
+//!
+//! The front end also registers the dummy volume's driver on the engine:
+//! the nvidia-docker-plugin analog. "When the container exits its
+//! execution by any reasons, docker unmounts the volume; therefore,
+//! nvidia-docker-plugin can identify the container is exited.
+//! Subsequently, nvidia-docker-plugin can send a *close* signal to the
+//! scheduler for that container." Docker waits for a volume driver's
+//! answer while it tears a container down, so the close is part of
+//! [`Engine::stop`], on the stopping thread. It comes from the engine's
+//! teardown, not from the program's own cleanup, so crashed and killed
+//! containers close too.
 
-use convgpu_container_rt::engine::{Engine, EngineError};
+use convgpu_container_rt::engine::{Engine, EngineError, VolumeDriver};
 #[cfg(test)]
 use convgpu_container_rt::image::labels;
 use convgpu_container_rt::image::Image;
@@ -24,8 +35,20 @@ use convgpu_sim_core::units::{Bytes, ParseBytesError};
 use std::fmt;
 use std::sync::Arc;
 
-/// Driver name of the dummy volume the plugin watches.
+/// Driver name of the dummy volume whose unmount closes the container.
 pub const CONVGPU_VOLUME_DRIVER: &str = "convgpu";
+
+/// The `convgpu` volume driver: an unmount is the container's exit, and
+/// the driver sends the scheduler its *close*.
+struct CloseOnUnmount(Arc<dyn SchedulerEndpoint>);
+
+impl VolumeDriver for CloseOnUnmount {
+    fn unmount(&self, container: ContainerId, _source: &str) {
+        // A dead scheduler must not fail the teardown; closes are
+        // best-effort like the original plugin's HTTP callbacks.
+        let _ = self.0.container_close(container);
+    }
+}
 
 /// The paper's default limit when neither option nor label is present.
 pub const DEFAULT_MEMORY_LIMIT: Bytes = Bytes(1 << 30);
@@ -156,12 +179,17 @@ pub struct PreparedContainer {
 }
 
 impl NvidiaDocker {
-    /// Build the front end.
+    /// Build the front end, and register on `engine` the driver that
+    /// closes a container with `scheduler` when its dummy volume unmounts.
     pub fn new(
         engine: Arc<Engine>,
         scheduler: Arc<dyn SchedulerEndpoint>,
         driver_version: impl Into<String>,
     ) -> Self {
+        engine.register_driver(
+            CONVGPU_VOLUME_DRIVER,
+            Arc::new(CloseOnUnmount(Arc::clone(&scheduler))),
+        );
         NvidiaDocker {
             engine,
             scheduler,
@@ -192,13 +220,14 @@ impl NvidiaDocker {
     }
 
     /// The one cleanup path for a registered container whose run failed:
-    /// stop it if it was started, then close it with the scheduler, which
-    /// releases its reservation and removes its volume. The plugin also
-    /// closes a stopped container; whichever close comes second is a
-    /// no-op.
+    /// close it with the scheduler, which releases its reservation and
+    /// removes its volume. A started container closes through its
+    /// driver when it is stopped; one the engine never created or never
+    /// started gets the close sent here.
     pub(crate) fn discard(&self, id: ContainerId) {
-        let _ = self.engine.stop(id, 1);
-        let _ = self.scheduler.container_close(id);
+        if self.engine.stop(id, 1).is_err() {
+            let _ = self.scheduler.container_close(id);
+        }
     }
 
     /// `run` after the registration: the volume, the rewritten options,
@@ -231,8 +260,7 @@ impl NvidiaDocker {
                     "nvidia-docker",
                 ));
         }
-        // The dummy volume whose unmount tells the plugin the container
-        // exited.
+        // The dummy volume whose unmount closes the container.
         options = options.with_volume(VolumeMount::plugin(
             format!("convgpu-close-{id}"),
             "/convgpu-close",
@@ -392,6 +420,45 @@ mod tests {
             assert_eq!(s.unassigned(), s.config().capacity);
         });
         assert!(!std::path::Path::new(&prepared.convgpu_dir).exists());
+    }
+
+    /// The driver closes a stopped container on the stopping thread: the
+    /// record is `Closed` when `stop` returns, with nothing to wait for.
+    #[test]
+    fn stop_closes_the_container_before_it_returns() {
+        let (engine, nd, svc) = setup("close");
+        let prepared = nd
+            .run(&RunCommand::new("cuda-app").nvidia_memory("512m"))
+            .unwrap();
+        engine.stop(prepared.id, 0).unwrap();
+        svc.with_scheduler(|s| {
+            assert_eq!(
+                s.container(prepared.id).unwrap().state,
+                ContainerState::Closed
+            );
+            assert_eq!(s.total_assigned(), Bytes::ZERO);
+        });
+        assert!(!std::path::Path::new(&prepared.convgpu_dir).exists());
+    }
+
+    #[test]
+    fn another_drivers_volume_closes_nothing() {
+        let (engine, _nd, svc) = setup("foreign");
+        let id = engine.reserve_id();
+        svc.register(id, Bytes::mib(128)).unwrap();
+        engine
+            .create_with_id(
+                id,
+                CreateOptions::new("cuda-app").with_volume(VolumeMount::plugin(
+                    "nvidia_driver_375.51",
+                    "/usr/local/nvidia",
+                    "nvidia-docker",
+                )),
+            )
+            .unwrap();
+        engine.start(id).unwrap();
+        engine.stop(id, 0).unwrap();
+        svc.with_scheduler(|s| assert_ne!(s.container(id).unwrap().state, ContainerState::Closed));
     }
 
     #[test]

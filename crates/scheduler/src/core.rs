@@ -869,7 +869,9 @@ impl Scheduler {
                 None => return Err(SchedError::UnknownContainer(id)),
             };
             if rec.state == ContainerState::Closed {
-                return Ok(Vec::new()); // idempotent: plugin + explicit close
+                // Idempotent: a close the router retries after a lost
+                // reply finds the record closed.
+                return Ok(Vec::new());
             }
             self.candidates.update(Candidate::of(rec), None);
             let ended = rec.note_resume(now);

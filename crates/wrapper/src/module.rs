@@ -48,6 +48,9 @@ pub struct WrapperStats {
     pub mem_get_info: AtomicU64,
     /// `cudaGetDeviceProperties` interceptions.
     pub get_device_properties: AtomicU64,
+    /// Device-property fetches the wrapper made on its own: the geometry
+    /// cache's misses (the paper's first-call `cudaGetDeviceProperties`).
+    pub property_fetches: AtomicU64,
     /// `__cudaUnregisterFatBinary` interceptions.
     pub unregister_fat_binary: AtomicU64,
     /// Requests the scheduler rejected.
@@ -186,6 +189,7 @@ impl WrapperModule {
         if let Some(cached) = *self.cached_props.lock() {
             return Ok(cached);
         }
+        self.stats.property_fetches.fetch_add(1, Ordering::Relaxed);
         let props = self.inner.cuda_get_device_properties(pid)?;
         let geom = (props.pitch_alignment, props.managed_granularity);
         *self.cached_props.lock() = Some(geom);
@@ -706,18 +710,17 @@ mod tests {
     #[test]
     fn pitch_charges_adjusted_size_and_caches_props() {
         let ep = Arc::new(FakeEndpoint::default());
-        let (w, dev) = wrapper_with(Arc::clone(&ep));
+        let (w, _dev) = wrapper_with(Arc::clone(&ep));
         // width 1000 → pitch 1024; height 1024 → charged 1 MiB.
         let (_p, pitch) = w.cuda_malloc_pitch(10, Bytes::new(1000), 1024).unwrap();
         assert_eq!(pitch, Bytes::new(1024));
         assert!(ep.entries()[0].contains("1MiB"), "{:?}", ep.entries());
         // The first pitch call fetched device properties once…
-        let props_calls_after_first = dev.counters();
-        let _ = props_calls_after_first;
+        let fetches = || w.stats().property_fetches.load(Ordering::Relaxed);
+        assert_eq!(fetches(), 1);
         w.cuda_malloc_pitch(10, Bytes::new(1000), 1024).unwrap();
-        // …and the cache means no further fetches: verify via the inner
-        // counter being stable is not tracked per-API on the device, so
-        // check the cached value directly.
+        // …and the cache means no further fetches.
+        assert_eq!(fetches(), 1);
         assert!(w.cached_props.lock().is_some());
     }
 

@@ -20,7 +20,6 @@ use convgpu::scheduler::policy::PolicyKind;
 use convgpu::sim::rng::DetRng;
 use convgpu::sim::time::SimDuration;
 use convgpu::workloads::{ContainerType, SampleProgram};
-use std::time::Duration;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -72,12 +71,8 @@ fn main() {
         clock.sleep(SimDuration::from_secs(5));
     }
 
-    let ids: Vec<_> = sessions.iter().map(|s| s.container).collect();
     for s in sessions {
         s.wait().expect("sample program");
-    }
-    for id in &ids {
-        convgpu.wait_closed(*id, Duration::from_secs(10));
     }
 
     println!(

@@ -22,7 +22,6 @@ use convgpu::gpu::{CudaApi, GpuProgram};
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::sim::time::SimDuration;
 use convgpu::sim::units::Bytes;
-use std::time::Duration;
 
 /// Two-phase allocator: the classic hold-and-wait shape.
 fn two_phase(name: &str) -> Box<dyn GpuProgram> {
@@ -89,15 +88,11 @@ fn main() {
                     .expect("launch")
             })
             .collect();
-        let ids: Vec<_> = sessions.iter().map(|s| s.container).collect();
         for (i, s) in sessions.into_iter().enumerate() {
             match s.wait() {
                 Ok(()) => println!("  container {i}: completed"),
                 Err(e) => println!("  container {i}: failed — {e} (unexpected!)"),
             }
-        }
-        for id in ids {
-            convgpu.wait_closed(id, Duration::from_secs(10));
         }
         let metrics = convgpu.metrics();
         let suspended = metrics.iter().filter(|m| m.suspend_episodes > 0).count();

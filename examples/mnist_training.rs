@@ -13,7 +13,6 @@
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::sim::units::Bytes;
 use convgpu::workloads::MnistCnnProgram;
-use std::time::Duration;
 
 fn main() {
     let steps: u32 = std::env::args()
@@ -50,16 +49,12 @@ fn main() {
         })
         .collect();
 
-    let ids: Vec<_> = trainers.iter().map(|s| s.container).collect();
     for (i, s) in trainers.into_iter().enumerate() {
         s.wait().expect("training run");
         println!(
             "  trainer {i} finished at t={:.1}s",
             clock.now().as_secs_f64()
         );
-    }
-    for id in ids {
-        convgpu.wait_closed(id, Duration::from_secs(10));
     }
     println!(
         "both finished in {:.1}s workload time; device kernels executed: {}",

@@ -16,7 +16,6 @@ use convgpu::gpu::{CudaApi, GpuProgram};
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::sim::time::SimDuration;
 use convgpu::sim::units::Bytes;
-use std::time::Duration;
 
 fn hold_and_compute(mib: u64, secs: u64) -> Box<dyn GpuProgram> {
     Box::new(FnProgram::new(
@@ -60,11 +59,8 @@ fn main() {
         )
         .expect("run container B");
 
-    let (ida, idb) = (a.container, b.container);
     a.wait().expect("container A program");
     b.wait().expect("container B program");
-    convgpu.wait_closed(ida, Duration::from_secs(5));
-    convgpu.wait_closed(idb, Duration::from_secs(5));
 
     println!("\nscheduler metrics:");
     for m in convgpu.metrics() {

@@ -13,7 +13,6 @@
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::sim::units::Bytes;
 use convgpu::workloads::{InferenceServer, PipelineProgram};
-use std::time::Duration;
 
 fn main() {
     let convgpu = ConVGpu::start(ConVGpuConfig {
@@ -44,7 +43,6 @@ fn main() {
         )
         .expect("launch pipeline");
 
-    let ids = [server_session.container, pipeline_session.container];
     server_session.wait().expect("server");
     println!(
         "  inference server done at t={:.1}s",
@@ -52,9 +50,6 @@ fn main() {
     );
     pipeline_session.wait().expect("pipeline");
     println!("  pipeline done at t={:.1}s", clock.now().as_secs_f64());
-    for id in ids {
-        convgpu.wait_closed(id, Duration::from_secs(10));
-    }
 
     let c = convgpu.device().counters();
     println!(

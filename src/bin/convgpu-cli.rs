@@ -194,7 +194,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     };
     let id = session.container;
     let result = session.wait();
-    convgpu.wait_closed(id, Duration::from_secs(10));
     let code = match result {
         Ok(()) => {
             println!("container {id} completed");
@@ -265,15 +264,11 @@ fn cmd_burst(args: &[String]) -> ExitCode {
         }
         clock.sleep(SimDuration::from_secs(5));
     }
-    let ids: Vec<_> = sessions.iter().map(|s| s.container).collect();
     let mut failures = 0;
     for s in sessions {
         if s.wait().is_err() {
             failures += 1;
         }
-    }
-    for id in ids {
-        convgpu.wait_closed(id, Duration::from_secs(10));
     }
     let metrics = convgpu.metrics();
     let avg_susp: f64 = metrics
@@ -349,7 +344,6 @@ fn run_sample_scenario(convgpu: &ConVGpu) -> Result<(), ExitCode> {
             }
         }
     }
-    let ids: Vec<_> = sessions.iter().map(|s| s.container).collect();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while std::time::Instant::now() < deadline
         && !convgpu.metrics().iter().any(|m| m.suspend_episodes > 0)
@@ -359,9 +353,6 @@ fn run_sample_scenario(convgpu: &ConVGpu) -> Result<(), ExitCode> {
     release.store(true, Ordering::Release);
     for s in sessions {
         let _ = s.wait();
-    }
-    for id in ids {
-        convgpu.wait_closed(id, Duration::from_secs(10));
     }
     Ok(())
 }
