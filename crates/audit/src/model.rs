@@ -81,7 +81,7 @@ use convgpu_ipc::message::{AllocDecision, ApiKind};
 use convgpu_scheduler::deadlock::{self, ProgressState};
 use convgpu_scheduler::{
     AllocOutcome, ContainerState, MultiGpuScheduler, PlacementPolicy, PolicyKind, ResumeAction,
-    ResumeRule, Scheduler, SchedulerBackend, SchedulerConfig,
+    Scheduler, SchedulerBackend, SchedulerConfig,
 };
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
@@ -169,8 +169,6 @@ pub struct ModelConfig {
     pub ctx_overhead: Bytes,
     /// Whether to charge the context overhead.
     pub charge_ctx: bool,
-    /// Resume discipline under test.
-    pub resume_rule: ResumeRule,
     /// Declared limit per container (the vector length is the container
     /// count).
     pub limits: Vec<Bytes>,
@@ -198,7 +196,6 @@ impl ModelConfig {
             topology: Topology::Single(Bytes::new(u.0 * 4)),
             ctx_overhead: Bytes::ZERO,
             charge_ctx: false,
-            resume_rule: ResumeRule::FullGuarantee,
             limits: vec![
                 Bytes::new(u.0 * 2),
                 Bytes::new(u.0 * 2),
@@ -238,7 +235,6 @@ impl ModelConfig {
             capacity,
             ctx_overhead: self.ctx_overhead,
             charge_ctx_overhead: self.charge_ctx,
-            resume_rule: self.resume_rule,
             default_limit: self.limits[0],
         }
     }
@@ -595,7 +591,7 @@ fn apply<B: SchedulerBackend + Clone>(
                 deliver(&mut n, actions, now)?;
             }
         }
-        check_state(cfg, &n)
+        check_state(&n)
     })();
     match res {
         Ok(()) => Ok(n),
@@ -605,7 +601,7 @@ fn apply<B: SchedulerBackend + Clone>(
 
 /// The per-state property suite (numbering from the module docs; 6 is
 /// [`check_terminal`]).
-fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<(), Failure> {
+fn check_state<B: SchedulerBackend>(n: &Node<B>) -> Result<(), Failure> {
     // 1. Whole-topology invariants.
     n.sched.check_invariants().map_err(Failure::Invariant)?;
     let mut failure = None;
@@ -626,10 +622,8 @@ fn check_state<B: SchedulerBackend>(cfg: &ModelConfig, n: &Node<B>) -> Result<()
             }
         }
         // 3. Per-device deadlock-freedom.
-        if cfg.resume_rule == ResumeRule::FullGuarantee {
-            if let ProgressState::Stalled { waiting } = deadlock::assess(dev) {
-                failure.get_or_insert(Failure::Stalled { waiting });
-            }
+        if let ProgressState::Stalled { waiting } = deadlock::assess(dev) {
+            failure.get_or_insert(Failure::Stalled { waiting });
         }
         for r in dev.containers() {
             for p in r.pending.iter() {

@@ -6,7 +6,7 @@
 //! here spans the same window — from issuing the (rewritten) run command
 //! until the container is started — on the session clock.
 
-use convgpu_core::middleware::{ConVGpu, ConVGpuConfig, TransportMode};
+use convgpu_core::middleware::{ConVGpu, ConVGpuConfig};
 use convgpu_core::nvidia_docker::RunCommand;
 use convgpu_sim_core::stats::Summary;
 
@@ -36,7 +36,6 @@ impl Fig5Result {
 pub fn run_fig5(reps: usize, time_scale: f64) -> Fig5Result {
     let convgpu = ConVGpu::start(ConVGpuConfig {
         time_scale,
-        transport: TransportMode::UnixSocket,
         ..ConVGpuConfig::default()
     })
     .expect("start middleware");

@@ -1,7 +1,5 @@
 //! The experiment harness: one module per table/figure of the paper's
-//! evaluation (§IV), shared by the `repro_*` binaries and the micro
-//! benches under `benches/` (which run on [`micro`], a std-only
-//! Criterion-shaped harness).
+//! evaluation (§IV), run by the `repro_*` binaries.
 //!
 //! | paper artifact | module | regenerate with |
 //! |---|---|---|
@@ -32,7 +30,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod loadgen;
-pub mod micro;
 pub mod policies;
 pub mod report;
 pub mod trend;

@@ -47,7 +47,6 @@ use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu_scheduler::metrics as sched_metrics;
 use convgpu_scheduler::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 use convgpu_scheduler::policy::PolicyKind;
-use convgpu_scheduler::state::ResumeRule;
 use convgpu_sim_core::clock::{RealClock, VirtualClock};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::{SimDuration, SimTime};
@@ -249,7 +248,6 @@ fn sched_config(cfg: &LoadgenConfig) -> SchedulerConfig {
         capacity: cfg.capacity,
         ctx_overhead: CTX_OVERHEAD,
         charge_ctx_overhead: true,
-        resume_rule: ResumeRule::FullGuarantee,
         default_limit: cfg.limit,
     }
 }

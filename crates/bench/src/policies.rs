@@ -20,7 +20,6 @@ use convgpu_ipc::message::{AllocDecision, ApiKind};
 use convgpu_scheduler::core::{AllocOutcome, ResumeAction, SchedError, Scheduler, SchedulerConfig};
 use convgpu_scheduler::metrics::{self, AggregateMetrics, ContainerMetrics};
 use convgpu_scheduler::policy::PolicyKind;
-use convgpu_scheduler::state::ResumeRule;
 use convgpu_sim_core::event::EventQueue;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::stats::Summary;
@@ -42,12 +41,6 @@ pub struct PolicyExperiment {
     pub workload_seed: u64,
     /// GPU capacity (paper: 5 GiB K20m).
     pub capacity: Bytes,
-    /// Resume rule (paper: full guarantee; the `resume_rule` ablation
-    /// flips this).
-    pub resume_rule: ResumeRule,
-    /// Charge the 66 MiB context overhead (the `ctx_overhead` ablation
-    /// flips this).
-    pub charge_ctx_overhead: bool,
     /// Container creation delay before the program's first allocation.
     pub create_delay: SimDuration,
     /// Arrival process (paper: fixed 5 s gaps).
@@ -62,8 +55,6 @@ impl PolicyExperiment {
             policy,
             workload_seed,
             capacity: Bytes::gib(5),
-            resume_rule: ResumeRule::FullGuarantee,
-            charge_ctx_overhead: true,
             create_delay: SimDuration::from_millis(450),
             arrival: ArrivalProcess::Fixed,
         }
@@ -121,13 +112,7 @@ impl PolicyExperiment {
     /// Panics on scheduler protocol violations or broken invariants —
     /// these would invalidate the experiment, so they are not recoverable.
     pub fn run(&self) -> RunResult {
-        let cfg = SchedulerConfig {
-            capacity: self.capacity,
-            ctx_overhead: Bytes::mib(66),
-            charge_ctx_overhead: self.charge_ctx_overhead,
-            resume_rule: self.resume_rule,
-            default_limit: Bytes::gib(1),
-        };
+        let cfg = SchedulerConfig::with_capacity(self.capacity);
         // The policy seed is fixed relative to the workload seed so the
         // Random policy is reproducible but independent of the draw that
         // produced the trace.
@@ -150,7 +135,7 @@ impl PolicyExperiment {
                 Ev::Launch(arrival) => {
                     let id = ContainerId(u64::from(arrival.index) + 1);
                     let limit = arrival.container_type.gpu_memory();
-                    // On small-capacity ablations a type can be
+                    // On small-capacity sensitivity runs a type can be
                     // physically impossible; registration refuses it
                     // (the user would see `nvidia-docker run` fail).
                     if let Err(SchedError::LimitExceedsCapacity { .. }) =

@@ -25,9 +25,9 @@ use convgpu_gpu_sim::error::{CudaError, CudaResult};
 use convgpu_gpu_sim::latency::LatencyModel;
 use convgpu_gpu_sim::program::GpuProgram;
 use convgpu_gpu_sim::runtime::RawCudaRuntime;
-use convgpu_ipc::client::{ClientObs, SchedulerClient};
-use convgpu_ipc::endpoint::SchedulerEndpoint;
-use convgpu_ipc::server::{ServerObs, SocketServer};
+use convgpu_ipc::client::SchedulerClient;
+use convgpu_ipc::server::SocketServer;
+use convgpu_obs::ObsHook;
 use convgpu_scheduler::backend::{SchedulerBackend, TopologyBackend};
 use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu_scheduler::metrics::{self, ContainerMetrics};
@@ -38,7 +38,7 @@ use convgpu_sim_core::clock::{ClockHandle, RealClock};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::pool::ThreadPool;
 use convgpu_sim_core::units::Bytes;
-use convgpu_wrapper::module::{WrapperModule, WrapperObs};
+use convgpu_wrapper::module::WrapperModule;
 use convgpu_wrapper::preload::{resolve_runtime, LinkSpec, ProcessEnv};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -47,14 +47,12 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How wrapper modules reach the scheduler.
+/// How wrapper modules reach the scheduler: the paper's one way, a UNIX
+/// domain socket with JSON framing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportMode {
-    /// Real UNIX domain sockets with JSON framing — the paper's design
-    /// and the default.
+    /// Real UNIX domain sockets with JSON framing.
     UnixSocket,
-    /// Direct in-process calls — the `transport` ablation and fast tests.
-    InProc,
 }
 
 /// The GPU topology the scheduler service manages.
@@ -88,12 +86,11 @@ pub struct ConVGpuConfig {
     pub policy: PolicyKind,
     /// Seed for the Random policy.
     pub policy_seed: u64,
-    /// Charge the 66 MiB per-pid context overhead (default: true).
-    pub charge_ctx_overhead: bool,
     /// Wall seconds per workload second (default 1.0; examples compress
     /// with 0.001 so a "45 s" container runs in 45 ms).
     pub time_scale: f64,
-    /// Wrapper↔scheduler transport.
+    /// Wrapper↔scheduler transport: it has one value, and names it for
+    /// callers that spell it out.
     pub transport: TransportMode,
     /// Directory for the daemon socket (`convgpu.sock`) and the live
     /// containers' volume directories (default: a fresh directory under
@@ -118,7 +115,6 @@ impl Default for ConVGpuConfig {
             latency: LatencyModel::tesla_k20m(),
             policy: PolicyKind::BestFit,
             policy_seed: 0x5eed,
-            charge_ctx_overhead: true,
             time_scale: 1.0,
             transport: TransportMode::UnixSocket,
             base_dir: None,
@@ -191,8 +187,8 @@ pub struct ConVGpu {
     engine: Arc<Engine>,
     service: Arc<SchedulerService>,
     nvidia_docker: NvidiaDocker,
-    /// The daemon's one listener; `None` under [`TransportMode::InProc`].
-    server: Option<SocketServer>,
+    /// The daemon's one listener.
+    server: SocketServer,
     /// Runs the containers' programs; dropping it ends the parked threads.
     programs: ThreadPool,
     /// Multi-device topologies answer `cudaGetDeviceProperties` from the
@@ -223,11 +219,7 @@ impl ConVGpu {
             ))
         });
         std::fs::create_dir_all(&base_dir)?;
-        let sched_cfg = SchedulerConfig {
-            capacity: device.capacity(),
-            charge_ctx_overhead: cfg.charge_ctx_overhead,
-            ..SchedulerConfig::paper()
-        };
+        let sched_cfg = SchedulerConfig::with_capacity(device.capacity());
         let backend = match &cfg.topology {
             TopologySpec::SingleGpu => TopologyBackend::Single(Scheduler::new(
                 sched_cfg,
@@ -251,17 +243,14 @@ impl ConVGpu {
         ));
         // One listener for the daemon's whole life; `request_dir` links it
         // into each container's volume.
-        let server = match cfg.transport {
-            TransportMode::UnixSocket => Some(SocketServer::bind_with_obs(
-                &service.daemon_socket(),
-                Arc::new(ServiceHandler::new(Arc::clone(&service))),
-                Some(ServerObs {
-                    registry: Arc::clone(&service.obs().registry),
-                    clock: Arc::clone(&clock),
-                }),
-            )?),
-            TransportMode::InProc => None,
-        };
+        let server = SocketServer::bind_with_obs(
+            &service.daemon_socket(),
+            Arc::new(ServiceHandler::new(Arc::clone(&service))),
+            Some(ObsHook {
+                registry: Arc::clone(&service.obs().registry),
+                clock: Arc::clone(&clock),
+            }),
+        )?;
         let nvidia_docker = NvidiaDocker::new(
             Arc::clone(&engine),
             Arc::new(InProcEndpoint::new(Arc::clone(&service))),
@@ -301,10 +290,9 @@ impl ConVGpu {
     }
 
     /// The daemon socket — the operator's channel (`query_metrics`,
-    /// `query_topology`, …) whether or not any container is alive;
-    /// `None` under [`TransportMode::InProc`].
-    pub fn socket_path(&self) -> Option<&Path> {
-        self.server.as_ref().map(SocketServer::path)
+    /// `query_topology`, …) whether or not any container is alive.
+    pub fn socket_path(&self) -> &Path {
+        self.server.path()
     }
 
     /// The customized nvidia-docker front end (for command rewriting
@@ -340,27 +328,19 @@ impl ConVGpu {
     ) -> Result<Session, NvidiaDockerError> {
         // Build the endpoint the wrapper will use: it dials the socket in
         // its own volume, as the module inside a real container would.
-        let registry = Arc::clone(&self.service.obs().registry);
-        let endpoint: Arc<dyn SchedulerEndpoint> = match self.server {
-            Some(_) => Arc::new(
-                SchedulerClient::connect_with_obs(
-                    &self.service.socket_path(id),
-                    Some(ClientObs {
-                        registry: Arc::clone(&registry),
-                        clock: Arc::clone(&self.clock),
-                    }),
-                )
-                .map_err(NvidiaDockerError::Ipc)?,
-            ),
-            None => Arc::new(InProcEndpoint::new(Arc::clone(&self.service))),
+        let obs = ObsHook {
+            registry: Arc::clone(&self.service.obs().registry),
+            clock: Arc::clone(&self.clock),
         };
-        let mut module =
-            WrapperModule::new(id, Arc::clone(&self.raw) as Arc<dyn CudaApi>, endpoint).with_obs(
-                WrapperObs {
-                    registry,
-                    clock: Arc::clone(&self.clock),
-                },
-            );
+        let endpoint =
+            SchedulerClient::connect_with_obs(&self.service.socket_path(id), Some(obs.clone()))
+                .map_err(NvidiaDockerError::Ipc)?;
+        let mut module = WrapperModule::new(
+            id,
+            Arc::clone(&self.raw) as Arc<dyn CudaApi>,
+            Arc::new(endpoint),
+        )
+        .with_obs(obs);
         if self.device_aware_props {
             module = module.with_device_aware_props();
         }
@@ -436,15 +416,20 @@ impl ConVGpu {
         }
     }
 
-    /// The most recent scheduler decisions, rendered for humans (the
-    /// operator's `journalctl` view; see
-    /// `convgpu_scheduler::log::DecisionLog`).
+    /// The most recent `limit` scheduler decisions of every device,
+    /// merged by time and rendered for humans (the operator's
+    /// `journalctl` view; see `convgpu_scheduler::log::DecisionLog`).
     pub fn recent_decisions(&self, limit: usize) -> Vec<String> {
-        self.service.with_scheduler(|s| {
-            let len = s.log().len();
-            s.log()
-                .entries()
-                .skip(len.saturating_sub(limit))
+        self.service.with_backend(|b| {
+            let mut entries: Vec<_> = b
+                .device_schedulers()
+                .into_iter()
+                .flat_map(|s| s.log().entries())
+                .collect();
+            // Stable: a device's own entries keep their order.
+            entries.sort_by_key(|e| e.at);
+            entries[entries.len().saturating_sub(limit)..]
+                .iter()
                 .map(|e| e.to_string())
                 .collect()
         })
@@ -488,12 +473,11 @@ mod tests {
     use convgpu_container_rt::container::ContainerStatus;
     use convgpu_gpu_sim::program::FnProgram;
 
-    fn fast_cfg(transport: TransportMode) -> ConVGpuConfig {
+    fn fast_cfg() -> ConVGpuConfig {
         ConVGpuConfig {
             time_scale: 0.001,
             latency: LatencyModel::zero(),
             engine: EngineConfig::instant(),
-            transport,
             ..ConVGpuConfig::default()
         }
     }
@@ -507,7 +491,7 @@ mod tests {
 
     #[test]
     fn managed_run_over_unix_sockets_completes() {
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let session = convgpu
             .run_container(
                 RunCommand::new("cuda-app").nvidia_memory("512m"),
@@ -529,20 +513,46 @@ mod tests {
         convgpu.shutdown();
     }
 
+    /// Under a multi-GPU topology a container homed off device 0 still
+    /// shows in the decision view, in time order with the others.
     #[test]
-    fn managed_run_in_proc_completes_without_a_socket() {
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::InProc)).unwrap();
-        assert_eq!(convgpu.socket_path(), None);
-        assert!(!convgpu.service().daemon_socket().exists());
-        let session = convgpu
-            .run_container(
-                RunCommand::new("cuda-app").nvidia_memory("512m"),
-                alloc_program(256),
-            )
-            .unwrap();
-        // Nothing to link into the volume either.
-        assert!(!convgpu.service().socket_path(session.container).exists());
-        session.wait().unwrap();
+    fn recent_decisions_merge_every_devices_log() {
+        let convgpu = ConVGpu::start(ConVGpuConfig {
+            topology: TopologySpec::MultiGpu {
+                capacities: vec![Bytes::gib(1), Bytes::gib(5)],
+                placement: PlacementPolicy::BestFitDevice,
+            },
+            ..fast_cfg()
+        })
+        .unwrap();
+        let mut ids = Vec::new();
+        // 512 MiB fits device 0 most tightly; 2 GiB fits only device 1.
+        for limit in ["512m", "2048m"] {
+            let session = convgpu
+                .run_container(
+                    RunCommand::new("cuda-app").nvidia_memory(limit),
+                    alloc_program(256),
+                )
+                .unwrap();
+            ids.push(session.container);
+            session.wait().unwrap();
+        }
+        convgpu.service().with_backend(|b| {
+            let devices = b.device_schedulers();
+            assert!(devices[0].container(ids[0]).is_some());
+            assert!(devices[1].container(ids[1]).is_some());
+        });
+        let log = convgpu.recent_decisions(64);
+        let at = |what: String| {
+            log.iter()
+                .position(|l| l.contains(&what))
+                .unwrap_or_else(|| panic!("no `{what}` in {log:#?}"))
+        };
+        assert!(at(format!("{} closed", ids[0])) < at(format!("{} registered", ids[1])));
+        let last = convgpu.recent_decisions(1);
+        assert_eq!(last.len(), 1);
+        assert_eq!(&last[0], log.last().unwrap());
+        assert!(last[0].contains(&format!("{} closed", ids[1])), "{last:?}");
         convgpu.shutdown();
     }
 
@@ -554,7 +564,7 @@ mod tests {
         let base = std::env::temp_dir().join(format!("convgpu-{}", "x".repeat(100)));
         let err = ConVGpu::start(ConVGpuConfig {
             base_dir: Some(base.clone()),
-            ..fast_cfg(TransportMode::UnixSocket)
+            ..fast_cfg()
         })
         .err()
         .expect("bind must fail");
@@ -575,7 +585,7 @@ mod tests {
         assert_eq!(base.as_os_str().len(), 90);
         let convgpu = ConVGpu::start(ConVGpuConfig {
             base_dir: Some(base.clone()),
-            ..fast_cfg(TransportMode::UnixSocket)
+            ..fast_cfg()
         })
         .expect("the 103-byte daemon socket binds");
         let err = convgpu
@@ -597,7 +607,7 @@ mod tests {
 
     #[test]
     fn over_limit_program_fails_cleanly() {
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let session = convgpu
             .run_container(
                 RunCommand::new("cuda-app").nvidia_memory("128m"),
@@ -616,7 +626,7 @@ mod tests {
 
     #[test]
     fn statically_linked_program_bypasses_convgpu() {
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let program = Box::new(
             FnProgram::new("static-alloc", |api, pid, _clock| {
                 let p = api.cuda_malloc(pid, Bytes::mib(256))?;
@@ -646,7 +656,7 @@ mod tests {
     fn contention_serializes_via_suspension() {
         // 5 GiB GPU; three containers of 2 GiB each cannot all hold
         // memory at once — ConVGPU suspends, everyone completes.
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let mut sessions = Vec::new();
         for _ in 0..3 {
             // Hold long enough (20 ms wall at the 0.001 scale) that all
@@ -685,7 +695,7 @@ mod tests {
     #[test]
     fn sequential_containers_reuse_one_program_and_one_connection_thread() {
         use std::collections::BTreeSet;
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let threads = Arc::new(convgpu_sim_core::sync::Mutex::new(BTreeSet::new()));
         for _ in 0..50 {
             let threads = Arc::clone(&threads);
@@ -712,7 +722,7 @@ mod tests {
             programs <= 2,
             "{programs} program threads for 50 containers"
         );
-        let readers = convgpu.server.as_ref().unwrap().readers_spawned();
+        let readers = convgpu.server.readers_spawned();
         assert!(
             readers <= 2,
             "{readers} connection threads for 50 containers"
@@ -726,7 +736,7 @@ mod tests {
     /// with no polling.
     #[test]
     fn a_container_is_closed_when_stop_or_wait_returns() {
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let cmd = || RunCommand::new("cuda-app").nvidia_memory("512m");
         let assert_closed = |id| {
             convgpu.service().with_backend(|b| {
@@ -773,7 +783,7 @@ mod tests {
 
     #[test]
     fn a_panicking_program_leaks_nothing() {
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let session = convgpu
             .run_container(
                 RunCommand::new("cuda-app").nvidia_memory("512m"),
@@ -795,7 +805,7 @@ mod tests {
 
     #[test]
     fn a_panicking_program_fails_its_launch_and_the_next_run_succeeds() {
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let cmd = || RunCommand::new("cuda-app").nvidia_memory("512m");
         let session = convgpu
             .run_container(cmd(), panics_holding_memory())
@@ -810,7 +820,7 @@ mod tests {
 
     #[test]
     fn what_the_program_held_is_dropped_when_wait_returns() {
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let held = Arc::new(());
         let captured = Arc::clone(&held);
         let program = FnProgram::new("holds", move |api, pid, _clock| {
@@ -835,7 +845,7 @@ mod tests {
         // loser gets cudaErrorMemoryAllocation — the paper's motivating
         // failure.
         use convgpu_sim_core::sync::{Condvar, Mutex};
-        let convgpu = ConVGpu::start(fast_cfg(TransportMode::UnixSocket)).unwrap();
+        let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         // Each hog counts its cuda_malloc once it has returned, and the
         // winner holds its 3 GiB until both have: the two always overlap.
         let returned = Arc::new((Mutex::new(0), Condvar::new()));

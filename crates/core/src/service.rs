@@ -355,7 +355,7 @@ impl SchedulerService {
     /// directory"). The socket is a hard link to the one listener on
     /// [`SchedulerService::daemon_socket`] — a hard link, not a symlink,
     /// so it still resolves inside a bind mount; a service nobody bound
-    /// that socket for (in-process transport) links nothing. A link no
+    /// that socket for (one called only in process) links nothing. A link no
     /// client could dial (a path too long for a socket address) is
     /// refused with `InvalidInput` before anything is made.
     /// [`SchedulerService::container_close`] takes the directory off the
@@ -390,7 +390,9 @@ impl SchedulerService {
                 std::fs::remove_file(&link)?;
                 std::fs::hard_link(&listener, &link)?;
             }
-            // `NotFound`: no listener to link (in-process transport).
+            // `NotFound`: no listener at `<base_dir>/convgpu.sock` — a
+            // service called only in-process, or served on another
+            // endpoint.
             Err(e) if e.kind() != NotFound => return Err(e),
             _ => {}
         }
@@ -425,36 +427,32 @@ impl SchedulerService {
         size: Bytes,
         api: ApiKind,
     ) -> Result<AllocDecision, SchedError> {
-        let (wait_rx, actions) = {
+        // Decided now (`Ok`), or parked on the channel its resume answers.
+        let (answer, actions) = {
             let mut state = self.state.lock();
             let now = self.clock.now();
             let (outcome, actions) = state.alloc_request(container, pid, size, api, now)?;
-            let wait_rx = match outcome {
-                AllocOutcome::Granted => Some(Ok(AllocDecision::Granted)),
-                AllocOutcome::Rejected => Some(Ok(AllocDecision::Rejected)),
+            let answer = match outcome {
+                AllocOutcome::Granted => Ok(AllocDecision::Granted),
+                AllocOutcome::Rejected => Ok(AllocDecision::Rejected),
                 AllocOutcome::Suspended { ticket } => {
                     let (tx, rx) = sync_channel(1);
                     // Park under the scheduler lock so no resume can race
                     // ahead of the registration.
                     self.waiters.lock().insert(ticket, Waiter::Channel(tx));
-                    let _ = tx; // moved into the map
-                    None.or(Some(Err(rx)))
+                    Err(rx)
                 }
             };
-            (wait_rx, actions)
+            (answer, actions)
         };
         // Side-effect resumes first (they cannot contain our ticket).
         self.dispatch(actions);
-        match wait_rx {
-            Some(Ok(decision)) => Ok(decision),
-            Some(Err(rx)) => {
-                // Blocked: this is the container "pausing its execution".
-                rx.recv().map_err(|_| {
-                    SchedError::ProtocolViolation("scheduler dropped a suspended request".into())
-                })
-            }
-            None => unreachable!(),
-        }
+        // Blocked: this is the container "pausing its execution".
+        answer.or_else(|rx| {
+            rx.recv().map_err(|_| {
+                SchedError::ProtocolViolation("scheduler dropped a suspended request".into())
+            })
+        })
     }
 
     /// Deferred allocation request (socket path): replies immediately or
@@ -623,10 +621,11 @@ impl Drop for SchedulerService {
     }
 }
 
-/// The service called in-process, as one more transport — used by tests,
-/// the transport ablation bench, and the `TransportMode::InProc` stack.
-/// An `alloc_request` parks the calling thread while the container is
-/// suspended.
+/// The service called in-process, with no socket between: the front
+/// end's own channel to its scheduler (nvidia-docker's `register` and
+/// the volume driver's `close`), the experiment harnesses, and
+/// tests. An `alloc_request` parks the calling thread while the container
+/// is suspended.
 pub struct InProcEndpoint {
     service: Arc<SchedulerService>,
 }

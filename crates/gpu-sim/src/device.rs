@@ -10,7 +10,7 @@
 use crate::context::{ContextTable, Pid};
 use crate::error::{CudaError, CudaResult};
 use crate::fault::FaultPlan;
-use crate::memory::{AllocatorKind, AllocatorStats, DeviceAllocator, DevicePtr};
+use crate::memory::{AllocatorStats, DevicePtr, PagedAllocator};
 use crate::props::DeviceProperties;
 use convgpu_sim_core::sync::{Condvar, Mutex};
 use convgpu_sim_core::units::Bytes;
@@ -24,11 +24,6 @@ pub struct DeviceConfig {
     /// (0 = disabled). Used by fault-injection tests to model driver
     /// reservations.
     pub reserve: Bytes,
-    /// Allocation model. [`AllocatorKind::Paged`] matches real CUDA
-    /// (virtually contiguous, physically paged — fragmentation cannot
-    /// fail an allocation); [`AllocatorKind::FirstFit`] is the
-    /// contiguity-constrained ablation.
-    pub allocator: AllocatorKind,
     /// Fault injection (default: none).
     pub faults: std::sync::Arc<FaultPlan>,
 }
@@ -38,7 +33,6 @@ impl Default for DeviceConfig {
         DeviceConfig {
             props: DeviceProperties::tesla_k20m(),
             reserve: Bytes::ZERO,
-            allocator: AllocatorKind::Paged,
             faults: std::sync::Arc::new(FaultPlan::none()),
         }
     }
@@ -68,7 +62,7 @@ pub struct DeviceCounters {
 }
 
 struct DeviceState {
-    allocator: DeviceAllocator,
+    allocator: PagedAllocator,
     contexts: ContextTable,
     counters: DeviceCounters,
 }
@@ -94,7 +88,7 @@ impl GpuDevice {
             reserve: config.reserve,
             faults: config.faults,
             state: Mutex::new(DeviceState {
-                allocator: DeviceAllocator::new(config.allocator, capacity),
+                allocator: PagedAllocator::new(capacity),
                 contexts: ContextTable::new(),
                 counters: DeviceCounters::default(),
             }),
@@ -161,14 +155,10 @@ impl GpuDevice {
         }
     }
 
-    fn fits(&self, allocator: &DeviceAllocator, size: Bytes) -> bool {
-        if self.reserve.is_zero() {
-            // Still subject to fragmentation — a precise check happens in
-            // the allocator; this is the fast path.
-            allocator.free_bytes() >= size
-        } else {
-            allocator.free_bytes() >= size + self.reserve
-        }
+    /// Admission by total free bytes, less the modelled driver reserve:
+    /// paged memory cannot fail an allocation that fits the total.
+    fn fits(&self, allocator: &PagedAllocator, size: Bytes) -> bool {
+        allocator.free_bytes() >= size + self.reserve
     }
 
     /// Free `ptr` on behalf of `pid`. Errors when the pointer is unknown

@@ -45,7 +45,7 @@ pub use error::{CudaError, CudaResult};
 pub use fault::{FaultPlan, FaultRates};
 pub use kernel::KernelSpec;
 pub use latency::LatencyModel;
-pub use memory::{AllocatorKind, DevicePtr};
+pub use memory::DevicePtr;
 pub use program::{FnProgram, GpuProgram, ProgramLink};
 pub use props::DeviceProperties;
 pub use runtime::RawCudaRuntime;

@@ -1,19 +1,11 @@
-//! Device memory allocators.
+//! The device memory allocator.
 //!
-//! Two models:
-//!
-//! * [`PagedAllocator`] — the realistic default. `cudaMalloc` returns
-//!   *virtually* contiguous ranges backed by physical pages, so an
-//!   allocation succeeds whenever enough total memory is free; physical
-//!   fragmentation cannot fail it. This matters for ConVGPU: the
-//!   scheduler's guarantee (`Σ assigned ≤ capacity`) is only sound if the
-//!   device admits by total free space, as real GPUs do.
-//! * [`AddressSpaceAllocator`] — a first-fit free-list over one flat
-//!   address space, where fragmentation *can* fail an allocation. Kept
-//!   for the `allocator` ablation bench, which quantifies how often a
-//!   contiguity-constrained device would break the scheduler's guarantee.
-//!
-//! [`DeviceAllocator`] dispatches between them.
+//! [`PagedAllocator`] models CUDA's `cudaMalloc`: it returns *virtually*
+//! contiguous ranges backed by physical pages, so an allocation succeeds
+//! whenever enough total memory is free; physical fragmentation cannot
+//! fail it. This matters for ConVGPU: the scheduler's guarantee
+//! (`Σ assigned ≤ capacity`) is only sound if the device admits by total
+//! free space, as real GPUs do (DESIGN.md §7.1).
 
 use crate::error::{CudaError, CudaResult};
 use convgpu_sim_core::units::Bytes;
@@ -69,191 +61,12 @@ pub struct AllocatorStats {
     pub in_use: Bytes,
     /// Bytes currently free.
     pub free: Bytes,
-    /// Largest single free block.
-    pub largest_free_block: Bytes,
     /// Number of live allocations.
     pub live_allocations: usize,
-    /// Number of free-list fragments.
-    pub free_fragments: usize,
     /// Total allocations served over the allocator's lifetime.
     pub total_allocs: u64,
     /// Total frees over the allocator's lifetime.
     pub total_frees: u64,
-}
-
-/// First-fit free-list allocator with address-ordered coalescing.
-pub struct AddressSpaceAllocator {
-    capacity: Bytes,
-    /// Free blocks keyed by start address → length. Address order makes
-    /// coalescing a neighbour lookup.
-    free: BTreeMap<u64, u64>,
-    /// Live blocks keyed by start address → length.
-    live: BTreeMap<u64, u64>,
-    total_allocs: u64,
-    total_frees: u64,
-}
-
-impl AddressSpaceAllocator {
-    /// An empty allocator over `capacity` bytes of device memory.
-    pub fn new(capacity: Bytes) -> Self {
-        let mut free = BTreeMap::new();
-        if capacity.as_u64() > 0 {
-            free.insert(HEAP_BASE, capacity.as_u64());
-        }
-        AddressSpaceAllocator {
-            capacity,
-            free,
-            live: BTreeMap::new(),
-            total_allocs: 0,
-            total_frees: 0,
-        }
-    }
-
-    /// Total device memory.
-    pub fn capacity(&self) -> Bytes {
-        self.capacity
-    }
-
-    /// Bytes currently allocated (rounded to granules).
-    pub fn in_use(&self) -> Bytes {
-        Bytes::new(self.live.values().sum())
-    }
-
-    /// Bytes currently free.
-    pub fn free_bytes(&self) -> Bytes {
-        Bytes::new(self.free.values().sum())
-    }
-
-    /// Allocate `size` bytes (rounded up to the 256-byte granule),
-    /// first-fit. Fails with [`CudaError::MemoryAllocation`] when no free
-    /// block is large enough and with [`CudaError::InvalidValue`] for a
-    /// zero size.
-    pub fn alloc(&mut self, size: Bytes) -> CudaResult<DevicePtr> {
-        if size.is_zero() {
-            return Err(CudaError::InvalidValue);
-        }
-        let want = size.align_up(Bytes::new(GRANULE)).as_u64();
-        // First fit in address order.
-        let found = self
-            .free
-            .iter()
-            .find(|(_, &len)| len >= want)
-            .map(|(&addr, &len)| (addr, len));
-        let (addr, len) = found.ok_or(CudaError::MemoryAllocation)?;
-        self.free.remove(&addr);
-        if len > want {
-            self.free.insert(addr + want, len - want);
-        }
-        self.live.insert(addr, want);
-        self.total_allocs += 1;
-        Ok(DevicePtr(addr))
-    }
-
-    /// Free a previously allocated block, returning its (rounded) size.
-    /// Freeing an unknown address fails with
-    /// [`CudaError::InvalidDevicePointer`]; freeing NULL is a no-op
-    /// returning zero (matching `cudaFree(0)` being legal).
-    pub fn free(&mut self, ptr: DevicePtr) -> CudaResult<Bytes> {
-        if ptr.is_null() {
-            return Ok(Bytes::ZERO);
-        }
-        let len = self
-            .live
-            .remove(&ptr.0)
-            .ok_or(CudaError::InvalidDevicePointer)?;
-        self.insert_free(ptr.0, len);
-        self.total_frees += 1;
-        Ok(Bytes::new(len))
-    }
-
-    /// Size of a live allocation, if any.
-    pub fn size_of(&self, ptr: DevicePtr) -> Option<Bytes> {
-        self.live.get(&ptr.0).copied().map(Bytes::new)
-    }
-
-    /// Insert a block into the free list, coalescing with adjacent blocks.
-    fn insert_free(&mut self, addr: u64, len: u64) {
-        let mut start = addr;
-        let mut length = len;
-        // Coalesce with the previous block if contiguous.
-        if let Some((&prev_addr, &prev_len)) = self.free.range(..addr).next_back() {
-            if prev_addr + prev_len == addr {
-                self.free.remove(&prev_addr);
-                start = prev_addr;
-                length += prev_len;
-            }
-        }
-        // Coalesce with the next block if contiguous.
-        if let Some((&next_addr, &next_len)) = self.free.range(addr..).next() {
-            if start + length == next_addr {
-                self.free.remove(&next_addr);
-                length += next_len;
-            }
-        }
-        self.free.insert(start, length);
-    }
-
-    /// Snapshot of allocator statistics.
-    pub fn stats(&self) -> AllocatorStats {
-        AllocatorStats {
-            in_use: self.in_use(),
-            free: self.free_bytes(),
-            largest_free_block: Bytes::new(self.free.values().copied().max().unwrap_or(0)),
-            live_allocations: self.live.len(),
-            free_fragments: self.free.len(),
-            total_allocs: self.total_allocs,
-            total_frees: self.total_frees,
-        }
-    }
-
-    /// Iterate over live blocks as `(ptr, size)`; used by context teardown
-    /// to reclaim a process's leaked allocations.
-    pub fn live_blocks(&self) -> impl Iterator<Item = (DevicePtr, Bytes)> + '_ {
-        self.live
-            .iter()
-            .map(|(&a, &l)| (DevicePtr(a), Bytes::new(l)))
-    }
-
-    /// Internal consistency check, used by tests and debug assertions:
-    /// free + live partition the address space with no overlap.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        let mut regions: Vec<(u64, u64, bool)> = Vec::new();
-        regions.extend(self.free.iter().map(|(&a, &l)| (a, l, true)));
-        regions.extend(self.live.iter().map(|(&a, &l)| (a, l, false)));
-        regions.sort_by_key(|r| r.0);
-        let mut cursor = HEAP_BASE;
-        let mut covered = 0u64;
-        for (addr, len, _) in &regions {
-            if *addr < cursor {
-                return Err(format!("overlap at 0x{addr:x}"));
-            }
-            if *addr > cursor {
-                return Err(format!(
-                    "gap between 0x{cursor:x} and 0x{addr:x} (lost memory)"
-                ));
-            }
-            if *len == 0 {
-                return Err(format!("zero-length region at 0x{addr:x}"));
-            }
-            cursor = addr + len;
-            covered += len;
-        }
-        if covered != self.capacity.as_u64() {
-            return Err(format!(
-                "coverage {covered} != capacity {}",
-                self.capacity.as_u64()
-            ));
-        }
-        // Adjacent free blocks must have been coalesced.
-        let mut prev_end: Option<u64> = None;
-        for (&a, &l) in &self.free {
-            if prev_end == Some(a) {
-                return Err(format!("uncoalesced free blocks at 0x{a:x}"));
-            }
-            prev_end = Some(a + l);
-        }
-        Ok(())
-    }
 }
 
 /// Paged allocator: virtual bump addresses, physical accounting by
@@ -338,24 +151,15 @@ impl PagedAllocator {
         self.live.get(&ptr.0).copied().map(Bytes::new)
     }
 
-    /// Statistics snapshot (free space is one "fragment" by definition).
+    /// Statistics snapshot.
     pub fn stats(&self) -> AllocatorStats {
         AllocatorStats {
             in_use: self.in_use(),
             free: self.free,
-            largest_free_block: self.free,
             live_allocations: self.live.len(),
-            free_fragments: usize::from(!self.free.is_zero()),
             total_allocs: self.total_allocs,
             total_frees: self.total_frees,
         }
-    }
-
-    /// Iterate live blocks.
-    pub fn live_blocks(&self) -> impl Iterator<Item = (DevicePtr, Bytes)> + '_ {
-        self.live
-            .iter()
-            .map(|(&a, &l)| (DevicePtr(a), Bytes::new(l)))
     }
 
     /// Consistency: live total + free == capacity.
@@ -371,220 +175,9 @@ impl PagedAllocator {
     }
 }
 
-/// Which allocation model a device uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocatorKind {
-    /// Realistic CUDA semantics (default).
-    Paged,
-    /// Contiguity-constrained first fit (ablation).
-    FirstFit,
-}
-
-/// Dispatching wrapper over the two allocator models.
-pub enum DeviceAllocator {
-    /// Paged (default).
-    Paged(PagedAllocator),
-    /// First-fit (ablation).
-    FirstFit(AddressSpaceAllocator),
-}
-
-impl DeviceAllocator {
-    /// Build the chosen model over `capacity`.
-    pub fn new(kind: AllocatorKind, capacity: Bytes) -> Self {
-        match kind {
-            AllocatorKind::Paged => DeviceAllocator::Paged(PagedAllocator::new(capacity)),
-            AllocatorKind::FirstFit => {
-                DeviceAllocator::FirstFit(AddressSpaceAllocator::new(capacity))
-            }
-        }
-    }
-
-    /// Allocate `size` bytes.
-    pub fn alloc(&mut self, size: Bytes) -> CudaResult<DevicePtr> {
-        match self {
-            DeviceAllocator::Paged(a) => a.alloc(size),
-            DeviceAllocator::FirstFit(a) => a.alloc(size),
-        }
-    }
-
-    /// Free `ptr`.
-    pub fn free(&mut self, ptr: DevicePtr) -> CudaResult<Bytes> {
-        match self {
-            DeviceAllocator::Paged(a) => a.free(ptr),
-            DeviceAllocator::FirstFit(a) => a.free(ptr),
-        }
-    }
-
-    /// Bytes in use.
-    pub fn in_use(&self) -> Bytes {
-        match self {
-            DeviceAllocator::Paged(a) => a.in_use(),
-            DeviceAllocator::FirstFit(a) => a.in_use(),
-        }
-    }
-
-    /// Bytes free.
-    pub fn free_bytes(&self) -> Bytes {
-        match self {
-            DeviceAllocator::Paged(a) => a.free_bytes(),
-            DeviceAllocator::FirstFit(a) => a.free_bytes(),
-        }
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> AllocatorStats {
-        match self {
-            DeviceAllocator::Paged(a) => a.stats(),
-            DeviceAllocator::FirstFit(a) => a.stats(),
-        }
-    }
-
-    /// Consistency checks.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        match self {
-            DeviceAllocator::Paged(a) => a.check_invariants(),
-            DeviceAllocator::FirstFit(a) => a.check_invariants(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn alloc_mib(a: &mut AddressSpaceAllocator, mib: u64) -> DevicePtr {
-        a.alloc(Bytes::mib(mib)).expect("alloc")
-    }
-
-    #[test]
-    fn alloc_free_roundtrip() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(64));
-        let p = alloc_mib(&mut a, 16);
-        assert!(!p.is_null());
-        assert_eq!(a.in_use(), Bytes::mib(16));
-        assert_eq!(a.free(p).unwrap(), Bytes::mib(16));
-        assert_eq!(a.in_use(), Bytes::ZERO);
-        assert_eq!(a.free_bytes(), Bytes::mib(64));
-        a.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn exhaustion_returns_memory_allocation() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(10));
-        let _p = alloc_mib(&mut a, 8);
-        assert_eq!(a.alloc(Bytes::mib(4)), Err(CudaError::MemoryAllocation));
-        // A fitting request still succeeds.
-        assert!(a.alloc(Bytes::mib(2)).is_ok());
-    }
-
-    #[test]
-    fn zero_size_rejected() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(1));
-        assert_eq!(a.alloc(Bytes::ZERO), Err(CudaError::InvalidValue));
-    }
-
-    #[test]
-    fn free_null_is_noop() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(1));
-        assert_eq!(a.free(DevicePtr::NULL).unwrap(), Bytes::ZERO);
-    }
-
-    #[test]
-    fn double_free_detected() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(8));
-        let p = alloc_mib(&mut a, 1);
-        a.free(p).unwrap();
-        assert_eq!(a.free(p), Err(CudaError::InvalidDevicePointer));
-    }
-
-    #[test]
-    fn unknown_pointer_rejected() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(8));
-        assert_eq!(
-            a.free(DevicePtr(0xdead_beef)),
-            Err(CudaError::InvalidDevicePointer)
-        );
-    }
-
-    #[test]
-    fn coalescing_reassembles_full_space() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(30));
-        let p1 = alloc_mib(&mut a, 10);
-        let p2 = alloc_mib(&mut a, 10);
-        let p3 = alloc_mib(&mut a, 10);
-        // Free out of order: middle, last, first.
-        a.free(p2).unwrap();
-        a.free(p3).unwrap();
-        a.free(p1).unwrap();
-        let s = a.stats();
-        assert_eq!(s.free_fragments, 1, "blocks must coalesce");
-        assert_eq!(s.largest_free_block, Bytes::mib(30));
-        a.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn first_fit_reuses_earliest_hole() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(30));
-        let p1 = alloc_mib(&mut a, 10);
-        let _p2 = alloc_mib(&mut a, 10);
-        a.free(p1).unwrap();
-        let p3 = alloc_mib(&mut a, 5);
-        assert_eq!(p3.addr(), p1.addr(), "first fit takes the first hole");
-        a.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn sizes_round_to_granule() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(1));
-        let p = a.alloc(Bytes::new(1)).unwrap();
-        assert_eq!(a.size_of(p), Some(Bytes::new(256)));
-        assert_eq!(a.in_use(), Bytes::new(256));
-    }
-
-    #[test]
-    fn fragmentation_can_fail_despite_total_free() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(30));
-        let p1 = alloc_mib(&mut a, 10);
-        let _p2 = alloc_mib(&mut a, 10);
-        let p3 = alloc_mib(&mut a, 10);
-        a.free(p1).unwrap();
-        a.free(p3).unwrap();
-        // 20 MiB free but split 10+10: a 15 MiB request must fail.
-        assert_eq!(a.alloc(Bytes::mib(15)), Err(CudaError::MemoryAllocation));
-        let s = a.stats();
-        assert_eq!(s.free, Bytes::mib(20));
-        assert_eq!(s.largest_free_block, Bytes::mib(10));
-    }
-
-    #[test]
-    fn live_blocks_enumerates_allocations() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(8));
-        let p1 = alloc_mib(&mut a, 1);
-        let p2 = alloc_mib(&mut a, 2);
-        let blocks: Vec<_> = a.live_blocks().collect();
-        assert_eq!(blocks.len(), 2);
-        assert!(blocks.contains(&(p1, Bytes::mib(1))));
-        assert!(blocks.contains(&(p2, Bytes::mib(2))));
-    }
-
-    #[test]
-    fn stats_counters_accumulate() {
-        let mut a = AddressSpaceAllocator::new(Bytes::mib(8));
-        let p = alloc_mib(&mut a, 1);
-        a.free(p).unwrap();
-        let p = alloc_mib(&mut a, 1);
-        a.free(p).unwrap();
-        let s = a.stats();
-        assert_eq!(s.total_allocs, 2);
-        assert_eq!(s.total_frees, 2);
-        assert_eq!(s.live_allocations, 0);
-    }
-
-    #[test]
-    fn zero_capacity_allocator_always_fails() {
-        let mut a = AddressSpaceAllocator::new(Bytes::ZERO);
-        assert_eq!(a.alloc(Bytes::new(1)), Err(CudaError::MemoryAllocation));
-    }
 
     #[test]
     fn paged_alloc_free_roundtrip() {
@@ -599,7 +192,7 @@ mod tests {
 
     #[test]
     fn paged_is_immune_to_fragmentation() {
-        // The scenario that fails first-fit: 10+10 free but split.
+        // 10+10 free but split: a contiguous allocator would fail 15.
         let mut a = PagedAllocator::new(Bytes::mib(30));
         let p1 = a.alloc(Bytes::mib(10)).unwrap();
         let _p2 = a.alloc(Bytes::mib(10)).unwrap();
@@ -634,15 +227,22 @@ mod tests {
     }
 
     #[test]
-    fn device_allocator_dispatch() {
-        for kind in [AllocatorKind::Paged, AllocatorKind::FirstFit] {
-            let mut a = DeviceAllocator::new(kind, Bytes::mib(16));
-            let p = a.alloc(Bytes::mib(4)).unwrap();
-            assert_eq!(a.in_use(), Bytes::mib(4));
-            assert_eq!(a.free(p).unwrap(), Bytes::mib(4));
-            assert_eq!(a.free_bytes(), Bytes::mib(16));
-            assert_eq!(a.stats().total_allocs, 1);
-            a.check_invariants().unwrap();
-        }
+    fn paged_sizes_round_to_granule_and_counters_accumulate() {
+        let mut a = PagedAllocator::new(Bytes::mib(1));
+        let p = a.alloc(Bytes::new(1)).unwrap();
+        assert_eq!(a.size_of(p), Some(Bytes::new(256)));
+        assert_eq!(a.in_use(), Bytes::new(256));
+        a.free(p).unwrap();
+        let p = a.alloc(Bytes::new(1)).unwrap();
+        a.free(p).unwrap();
+        let s = a.stats();
+        assert_eq!(
+            (s.total_allocs, s.total_frees, s.live_allocations),
+            (2, 2, 0)
+        );
+        assert_eq!(
+            PagedAllocator::new(Bytes::ZERO).alloc(Bytes::new(1)),
+            Err(CudaError::MemoryAllocation)
+        );
     }
 }

@@ -21,7 +21,7 @@ use crate::endpoint::{expect_reply, IpcError, IpcResult, Transact};
 use crate::message::{ClusterNodeStatus, Envelope, Request, Response};
 use crate::transport::{Conn, EndpointAddr};
 use convgpu_obs::catalogue::IPC_CLIENT_RTT;
-use convgpu_obs::Registry;
+use convgpu_obs::ObsHook;
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::sync::{Mutex, MutexGuard};
 use convgpu_sim_core::time::{SimDuration, SimTime};
@@ -29,24 +29,12 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Real-time length of one wait round of a deadline caller: the window a
 /// live server gets to answer before any virtual time is charged.
 const POLL: Duration = Duration::from_millis(1);
-
-/// Instrumentation hook for a client: records the full request→response
-/// round-trip per message type. For a suspended allocation the round-trip
-/// *is* the suspension — the histogram's tail is the paper's wait time.
-#[derive(Clone)]
-pub struct ClientObs {
-    /// Shared metrics registry.
-    pub registry: Arc<Registry>,
-    /// Time source for the latency measurements.
-    pub clock: ClockHandle,
-}
 
 /// The read half of the connection. Whoever holds it holds the read role.
 ///
@@ -206,7 +194,7 @@ pub struct SchedulerClient {
     state: Mutex<ClientState>,
     next_id: AtomicU64,
     codec: WireCodec,
-    obs: Option<ClientObs>,
+    obs: Option<ObsHook>,
 }
 
 impl SchedulerClient {
@@ -216,8 +204,10 @@ impl SchedulerClient {
     }
 
     /// Like [`SchedulerClient::connect`], but every round-trip latency is
-    /// recorded into `obs` under [`IPC_CLIENT_RTT`]`{type}`.
-    pub fn connect_with_obs(path: &Path, obs: Option<ClientObs>) -> IpcResult<SchedulerClient> {
+    /// recorded into `obs` under [`IPC_CLIENT_RTT`]`{type}`. For a
+    /// suspended allocation the round trip *is* the suspension: the
+    /// histogram's tail is the paper's wait time.
+    pub fn connect_with_obs(path: &Path, obs: Option<ObsHook>) -> IpcResult<SchedulerClient> {
         SchedulerClient::connect_with_codec(path, WireCodec::Json, obs)
     }
 
@@ -226,7 +216,7 @@ impl SchedulerClient {
     pub fn connect_with_codec(
         path: &Path,
         codec: WireCodec,
-        obs: Option<ClientObs>,
+        obs: Option<ObsHook>,
     ) -> IpcResult<SchedulerClient> {
         SchedulerClient::connect_endpoint_with_codec(&EndpointAddr::from(path), codec, obs)
     }
@@ -247,7 +237,7 @@ impl SchedulerClient {
     pub fn connect_endpoint_with_codec(
         addr: &EndpointAddr,
         codec: WireCodec,
-        obs: Option<ClientObs>,
+        obs: Option<ObsHook>,
     ) -> IpcResult<SchedulerClient> {
         let writer = Conn::connect(addr)?;
         let reader = FrameReader::new(writer.try_clone()?);
@@ -501,9 +491,11 @@ mod tests {
     use crate::endpoint::SchedulerEndpoint;
     use crate::message::{AllocDecision, ApiKind};
     use crate::server::{ConnId, Reply, RequestHandler, SocketServer};
+    use convgpu_obs::Registry;
     use convgpu_sim_core::ids::ContainerId;
     use convgpu_sim_core::units::Bytes;
     use std::path::PathBuf;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn temp_sock(name: &str) -> PathBuf {
@@ -665,9 +657,9 @@ mod tests {
             .map_or(0, |h| h.count())
     }
 
-    fn client_obs() -> (Arc<Registry>, Option<ClientObs>) {
+    fn client_obs() -> (Arc<Registry>, Option<ObsHook>) {
         let registry = Arc::new(Registry::new());
-        let obs = ClientObs {
+        let obs = ObsHook {
             registry: Arc::clone(&registry),
             clock: convgpu_sim_core::clock::RealClock::handle(),
         };

@@ -58,9 +58,9 @@ pub mod server;
 pub mod transport;
 
 pub use binary::{read_auto, read_binary, write_binary, WireCodec, MAX_FRAME_BYTES};
-pub use client::{ClientObs, SchedulerClient};
+pub use client::SchedulerClient;
 pub use codec::{read_json, write_json, MAX_LINE_BYTES};
 pub use endpoint::{IpcError, IpcResult, SchedulerEndpoint, Transact};
 pub use message::{AllocDecision, ApiKind, ClusterNodeStatus, Envelope, Request, Response};
-pub use server::{Reply, RequestHandler, ServerObs, SocketServer};
+pub use server::{Reply, RequestHandler, SocketServer};
 pub use transport::{Conn, EndpointAddr, TransportListener};

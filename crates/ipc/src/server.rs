@@ -18,7 +18,7 @@ use crate::transport::{self, Conn, EndpointAddr, TransportListener};
 use convgpu_obs::catalogue::{
     IPC_REPORTS_REFUSED, IPC_REQUESTS, IPC_SERVER_HANDLE, IPC_SERVER_TURNAROUND, IPC_SERVER_WRITE,
 };
-use convgpu_obs::Registry;
+use convgpu_obs::{ObsHook, Registry};
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::pool::ThreadPool;
 use convgpu_sim_core::sync::Mutex;
@@ -45,19 +45,7 @@ pub trait RequestHandler: Send + Sync + 'static {
     }
 }
 
-/// Instrumentation hook for a server: where to record per-message-type
-/// request counts and latency histograms, and which clock stamps them
-/// (the same scaled/virtual clock the rest of the stack runs on — the
-/// ipc layer never reads the wall clock directly).
-#[derive(Clone)]
-pub struct ServerObs {
-    /// Shared metrics registry.
-    pub registry: Arc<Registry>,
-    /// Time source for the latency measurements.
-    pub clock: ClockHandle,
-}
-
-/// Per-reply slice of [`ServerObs`]: carried inside the [`Reply`] handle
+/// Per-reply slice of [`ObsHook`]: carried inside the [`Reply`] handle
 /// so a *deferred* reply (a suspended allocation) still records its
 /// write-back and full receipt→reply turnaround when it finally fires.
 struct ReplyObs {
@@ -207,7 +195,7 @@ struct ServerShared {
     shutting_down: AtomicBool,
     conns: Mutex<HashMap<ConnId, Arc<Mutex<Conn>>>>,
     next_conn: AtomicU64,
-    obs: Option<ServerObs>,
+    obs: Option<ObsHook>,
     /// Runs each connection's reader. Dropped with the last reference to
     /// this state — the server gone and its last connection closed —
     /// which ends the parked readers.
@@ -238,7 +226,7 @@ impl SocketServer {
     pub fn bind_with_obs(
         path: &Path,
         handler: Arc<dyn RequestHandler>,
-        obs: Option<ServerObs>,
+        obs: Option<ObsHook>,
     ) -> io::Result<SocketServer> {
         SocketServer::bind_endpoint_with_obs(&EndpointAddr::from(path), handler, obs)
     }
@@ -257,7 +245,7 @@ impl SocketServer {
     pub fn bind_endpoint_with_obs(
         addr: &EndpointAddr,
         handler: Arc<dyn RequestHandler>,
-        obs: Option<ServerObs>,
+        obs: Option<ObsHook>,
     ) -> io::Result<SocketServer> {
         let listener = TransportListener::bind(addr)?;
         let endpoint = listener.local_endpoint();

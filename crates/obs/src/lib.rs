@@ -49,3 +49,19 @@ pub use metrics::{
     quantile_from_cumulative, Histogram, MetricValue, Registry, SeriesKey, Snapshot,
 };
 pub use trace::{render_canonical, CollectorSink, RingSink, SpanRecord, SpanSink, Tracer};
+
+use convgpu_sim_core::clock::ClockHandle;
+use std::sync::Arc;
+
+/// Where a layer records its metrics and which clock times them: the one
+/// instrumentation hook a wrapper module, an IPC client and an IPC server
+/// each take. The clock is the layer's own time base (virtual in
+/// simulation, scaled-real in the live stack), so no layer reads the wall
+/// clock for a latency.
+#[derive(Clone)]
+pub struct ObsHook {
+    /// Shared metrics registry.
+    pub registry: Arc<Registry>,
+    /// Time source for the latency measurements.
+    pub clock: ClockHandle,
+}

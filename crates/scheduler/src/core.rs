@@ -28,7 +28,7 @@ use crate::candidates::{Candidate, Candidates};
 use crate::invariant::InvariantViolation;
 use crate::log::{Decision, DecisionLog};
 use crate::policy::Policy;
-use crate::state::{ContainerRecord, ContainerState, PendingAlloc, ResumeRule};
+use crate::state::{ContainerRecord, ContainerState, PendingAlloc};
 use crate::timeline::UtilizationTimeline;
 use convgpu_ipc::message::{AllocDecision, ApiKind};
 use convgpu_obs::catalogue::{
@@ -52,10 +52,9 @@ pub struct SchedulerConfig {
     /// Per-pid context overhead charged on first allocation (66 MiB in
     /// the paper).
     pub ctx_overhead: Bytes,
-    /// Whether to charge the overhead at all (ablation `ctx_overhead`).
+    /// Whether to charge the overhead at all (paper: yes; the model
+    /// checker explores both values).
     pub charge_ctx_overhead: bool,
-    /// Resume discipline (paper: full guarantee).
-    pub resume_rule: ResumeRule,
     /// Limit applied when neither option nor label is present (1 GiB).
     pub default_limit: Bytes,
 }
@@ -68,7 +67,6 @@ impl SchedulerConfig {
             capacity: Bytes::gib(5),
             ctx_overhead: Bytes::mib(66),
             charge_ctx_overhead: true,
-            resume_rule: ResumeRule::FullGuarantee,
             default_limit: Bytes::gib(1),
         }
     }
@@ -1042,8 +1040,7 @@ impl Scheduler {
             if rec.deficit().is_zero() {
                 self.sticky_target = None;
             }
-            let require_full = self.cfg.resume_rule == ResumeRule::FullGuarantee;
-            actions.extend(self.drain_pending(pick, before, now, require_full));
+            actions.extend(self.drain_pending(pick, before, now, true));
         }
         actions
     }

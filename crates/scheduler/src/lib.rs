@@ -75,5 +75,5 @@ pub use log::{Decision, DecisionLog, LogEntry};
 pub use metrics::{AggregateMetrics, ContainerMetrics};
 pub use multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 pub use policy::{Policy, PolicyKind};
-pub use state::{ContainerRecord, ContainerState, ResumeRule};
+pub use state::{ContainerRecord, ContainerState};
 pub use timeline::UtilizationTimeline;

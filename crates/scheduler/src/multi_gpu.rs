@@ -113,8 +113,8 @@ impl MultiGpuScheduler {
         )
     }
 
-    /// [`new`](Self::new) with an explicit base config (resume rule,
-    /// context-overhead charging); each device overrides only the
+    /// [`new`](Self::new) with an explicit base config (context
+    /// overhead and its charging); each device overrides only the
     /// capacity.
     ///
     /// # Panics

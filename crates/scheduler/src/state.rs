@@ -18,20 +18,6 @@ use convgpu_sim_core::time::{SimDuration, SimTime};
 use convgpu_sim_core::units::Bytes;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-/// When may a suspended container resume?
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResumeRule {
-    /// The paper's rule (Fig. 3d): only once the container's **full
-    /// requirement** is assigned — "the scheduler … guarantees all GPU
-    /// memory which the container firstly requested". Eliminates
-    /// hold-and-wait among running containers.
-    FullGuarantee,
-    /// Ablation: resume as soon as the pending allocation fits within the
-    /// assigned budget. Faster in the average case but re-introduces
-    /// partial-progress waiting; compared in the `resume_rule` bench.
-    PendingFits,
-}
-
 /// Lifecycle of a container as the scheduler sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ContainerState {

@@ -36,5 +36,5 @@
 pub mod module;
 pub mod preload;
 
-pub use module::{WrapperModule, WrapperObs, WrapperStats};
+pub use module::{WrapperModule, WrapperStats};
 pub use preload::{resolve_runtime, LinkSpec, ProcessEnv, GPUSHARE_SONAME};

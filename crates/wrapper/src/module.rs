@@ -9,27 +9,13 @@ use convgpu_gpu_sim::props::DeviceProperties;
 use convgpu_ipc::endpoint::SchedulerEndpoint;
 use convgpu_ipc::message::{AllocDecision, ApiKind};
 use convgpu_obs::catalogue::{WRAPPER_CALLS, WRAPPER_CALL_SECONDS};
-use convgpu_obs::Registry;
-use convgpu_sim_core::clock::ClockHandle;
+use convgpu_obs::ObsHook;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::Mutex;
 use convgpu_sim_core::units::Bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Observability attachment for a wrapper module: every interposed Table II
-/// call ticks [`WRAPPER_CALLS`]`{api}` and lands its duration in
-/// [`WRAPPER_CALL_SECONDS`]`{api}`. The clock is the module's own time
-/// base (virtual in simulation, scaled-real in the live stack) — the
-/// wrapper crate never reads the wall clock.
-#[derive(Clone)]
-pub struct WrapperObs {
-    /// Shared metrics registry.
-    pub registry: Arc<Registry>,
-    /// Time source for call durations.
-    pub clock: ClockHandle,
-}
 
 /// Interception counters, one per Table II API (coverage tests, traces).
 #[derive(Debug, Default)]
@@ -102,7 +88,7 @@ pub struct WrapperModule {
     /// reports the host device unchanged.
     device_aware_props: bool,
     stats: WrapperStats,
-    obs: Option<WrapperObs>,
+    obs: Option<ObsHook>,
 }
 
 impl WrapperModule {
@@ -134,8 +120,10 @@ impl WrapperModule {
         self
     }
 
-    /// Record every interposed call into `obs` (count + duration per API).
-    pub fn with_obs(mut self, obs: WrapperObs) -> Self {
+    /// Record every interposed Table II call into `obs`: it ticks
+    /// [`WRAPPER_CALLS`]`{api}` and lands its duration in
+    /// [`WRAPPER_CALL_SECONDS`]`{api}`, timed on `obs.clock`.
+    pub fn with_obs(mut self, obs: ObsHook) -> Self {
         self.obs = Some(obs);
         self
     }

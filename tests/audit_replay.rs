@@ -15,7 +15,6 @@ use convgpu::ipc::message::{AllocDecision, ApiKind};
 use convgpu::scheduler::core::{AllocOutcome, Scheduler, SchedulerConfig};
 use convgpu::scheduler::deadlock::{self, ProgressState};
 use convgpu::scheduler::policy::PolicyKind;
-use convgpu::scheduler::state::ResumeRule;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::time::SimTime;
 use convgpu::sim::units::Bytes;
@@ -65,7 +64,6 @@ fn replay_under_convgpu(policy: PolicyKind) {
             capacity: cfg.capacity,
             ctx_overhead: Bytes::ZERO,
             charge_ctx_overhead: false,
-            resume_rule: ResumeRule::FullGuarantee,
             default_limit: cfg.capacity,
         },
         policy.build(7),

@@ -10,7 +10,7 @@
 //! expected within tolerance, not bit-exactness.
 
 use convgpu::ipc::message::{AllocDecision, ApiKind};
-use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand, TransportMode};
+use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::scheduler::core::{AllocOutcome, Scheduler, SchedulerConfig};
 use convgpu::scheduler::metrics;
 use convgpu::scheduler::policy::PolicyKind;
@@ -123,7 +123,6 @@ fn run_live() -> Outcome {
         // contention from parallel test binaries cannot distort the
         // schedule by more than a few percent.
         time_scale: 0.01,
-        transport: TransportMode::UnixSocket,
         policy: PolicyKind::BestFit,
         ..ConVGpuConfig::default()
     })

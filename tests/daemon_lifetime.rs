@@ -30,7 +30,7 @@ use convgpu::ipc::client::SchedulerClient;
 use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::ipc::message::{AllocDecision, ApiKind};
 use convgpu::middleware::service::SPARE_VOLUMES;
-use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand, TransportMode};
+use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::scheduler::backend::SchedulerBackend;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::pool::MAX_IDLE_THREADS;
@@ -175,7 +175,6 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
         time_scale: 0.001,
         latency: LatencyModel::zero(),
         engine: EngineConfig::instant(),
-        transport: TransportMode::UnixSocket,
         ..ConVGpuConfig::default()
     })
     .unwrap();
@@ -204,12 +203,12 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
         (1, 1),
         "entries in base_dir"
     );
-    assert!(convgpu.socket_path().unwrap().exists());
+    assert!(convgpu.socket_path().exists());
     assert_eq!(threads_named("convgpu-ipc-acc"), 1, "accept threads");
     // Closed containers' series are gone: the wire still carries the whole
     // text (plus the series counting this very `query_metrics`), which
     // has the same series as after 10 lifecycles and a few more digits.
-    let daemon = SchedulerClient::connect(convgpu.socket_path().unwrap()).unwrap();
+    let daemon = SchedulerClient::connect(convgpu.socket_path()).unwrap();
     let wire = daemon
         .query_metrics()
         .expect("query_metrics answers `metrics`");

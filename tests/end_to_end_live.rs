@@ -2,18 +2,26 @@
 //! nvidia-docker → engine → wrapper module → UNIX socket → scheduler →
 //! simulated K20m — under realistic multi-container workloads.
 
+use convgpu::gpu::device::GpuDevice;
+use convgpu::gpu::latency::LatencyModel;
 use convgpu::gpu::program::FnProgram;
+use convgpu::gpu::runtime::RawCudaRuntime;
 use convgpu::gpu::CudaApi;
-use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand, TransportMode};
+use convgpu::middleware::{ConVGpu, ConVGpuConfig, InProcEndpoint, RunCommand, SchedulerService};
+use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
+use convgpu::scheduler::policy::PolicyKind;
+use convgpu::sim::clock::RealClock;
+use convgpu::sim::ids::ContainerId;
 use convgpu::sim::time::SimDuration;
 use convgpu::sim::units::Bytes;
 use convgpu::workloads::{ContainerType, SampleProgram};
+use convgpu::wrapper::WrapperModule;
+use std::sync::Arc;
 use std::time::Duration;
 
-fn fast(transport: TransportMode) -> ConVGpuConfig {
+fn fast() -> ConVGpuConfig {
     ConVGpuConfig {
         time_scale: 0.001,
-        transport,
         engine: convgpu::container::engine::EngineConfig::instant(),
         ..ConVGpuConfig::default()
     }
@@ -21,7 +29,7 @@ fn fast(transport: TransportMode) -> ConVGpuConfig {
 
 #[test]
 fn mixed_container_types_share_one_gpu_over_sockets() {
-    let convgpu = ConVGpu::start(fast(TransportMode::UnixSocket)).unwrap();
+    let convgpu = ConVGpu::start(fast()).unwrap();
     let types = [
         ContainerType::Nano,
         ContainerType::Small,
@@ -64,7 +72,7 @@ fn mixed_container_types_share_one_gpu_over_sockets() {
 
 #[test]
 fn device_usage_never_exceeds_capacity_under_load() {
-    let convgpu = ConVGpu::start(fast(TransportMode::UnixSocket)).unwrap();
+    let convgpu = ConVGpu::start(fast()).unwrap();
     let capacity = convgpu.device().capacity();
     let mut sessions = Vec::new();
     for _ in 0..8 {
@@ -93,26 +101,54 @@ fn device_usage_never_exceeds_capacity_under_load() {
     convgpu.shutdown();
 }
 
+/// The same program through the daemon's UNIX socket and through an
+/// in-process endpoint on a bare service: both complete with the same
+/// grants, and both devices end empty.
 #[test]
 fn transports_agree_on_outcomes() {
-    for transport in [TransportMode::UnixSocket, TransportMode::InProc] {
-        let convgpu = ConVGpu::start(fast(transport)).unwrap();
-        let session = convgpu
-            .run_container(
-                RunCommand::new("cuda-app").nvidia_memory("256m"),
-                SampleProgram::for_type(ContainerType::Micro).boxed(),
-            )
-            .unwrap();
-        session
-            .wait()
-            .unwrap_or_else(|e| panic!("{transport:?}: {e}"));
-        convgpu.shutdown();
-    }
+    let program = || SampleProgram::for_type(ContainerType::Micro).boxed();
+    let convgpu = ConVGpu::start(fast()).unwrap();
+    let session = convgpu
+        .run_container(RunCommand::new("cuda-app").nvidia_memory("256m"), program())
+        .unwrap();
+    session.wait().unwrap();
+    let socket_grants = convgpu.metrics()[0].granted_allocs;
+    let (free, total) = convgpu.device().mem_info();
+    assert_eq!(free, total, "socket: device memory still in use");
+    convgpu.shutdown();
+
+    let clock = RealClock::scaled_handle(0.001);
+    let device = Arc::new(GpuDevice::tesla_k20m());
+    let raw = Arc::new(RawCudaRuntime::new(
+        Arc::clone(&device),
+        LatencyModel::tesla_k20m(),
+        Arc::clone(&clock),
+    ));
+    let service = Arc::new(SchedulerService::new(
+        Scheduler::new(SchedulerConfig::paper(), PolicyKind::BestFit.build(0)),
+        Arc::clone(&clock),
+        std::env::temp_dir().join(format!("convgpu-itest-inproc-{}", std::process::id())),
+    ));
+    let id = ContainerId(1);
+    service.register(id, Bytes::mib(256)).unwrap();
+    let wrapper = WrapperModule::new(
+        id,
+        raw as Arc<dyn CudaApi>,
+        Arc::new(InProcEndpoint::new(Arc::clone(&service))),
+    );
+    let pid = 1;
+    wrapper.cuda_register_fat_binary(pid).unwrap();
+    program().run(&wrapper, pid, &clock).unwrap();
+    wrapper.cuda_unregister_fat_binary(pid).unwrap();
+    let grants = service.with_scheduler(|s| s.container(id).unwrap().granted_allocs);
+    assert_eq!(grants, socket_grants, "in-process grants");
+    let (free, total) = device.mem_info();
+    assert_eq!(free, total, "in-process: device memory still in use");
 }
 
 #[test]
 fn rejected_over_limit_allocation_is_an_oom_to_the_program() {
-    let convgpu = ConVGpu::start(fast(TransportMode::UnixSocket)).unwrap();
+    let convgpu = ConVGpu::start(fast()).unwrap();
     let program = Box::new(FnProgram::new("greedy", |api: &dyn CudaApi, pid, _| {
         // 300 MiB against a 128 MiB limit: the scheduler must reject.
         api.cuda_malloc(pid, Bytes::mib(300)).map(|_| ())
@@ -129,7 +165,7 @@ fn rejected_over_limit_allocation_is_an_oom_to_the_program() {
 
 #[test]
 fn mem_get_info_reports_container_virtualized_view() {
-    let convgpu = ConVGpu::start(fast(TransportMode::UnixSocket)).unwrap();
+    let convgpu = ConVGpu::start(fast()).unwrap();
     let program = Box::new(FnProgram::new("introspect", |api: &dyn CudaApi, pid, _| {
         let (free0, total) = api.cuda_mem_get_info(pid)?;
         assert_eq!(total, Bytes::mib(512), "total is the container limit");
@@ -152,7 +188,7 @@ fn mem_get_info_reports_container_virtualized_view() {
 
 #[test]
 fn sequential_batches_reuse_the_device_cleanly() {
-    let convgpu = ConVGpu::start(fast(TransportMode::UnixSocket)).unwrap();
+    let convgpu = ConVGpu::start(fast()).unwrap();
     for batch in 0..3 {
         let sessions: Vec<_> = (0..3)
             .map(|_| {
@@ -180,7 +216,7 @@ fn sequential_batches_reuse_the_device_cleanly() {
 
 #[test]
 fn decision_log_narrates_the_live_run() {
-    let convgpu = ConVGpu::start(fast(TransportMode::UnixSocket)).unwrap();
+    let convgpu = ConVGpu::start(fast()).unwrap();
     let session = convgpu
         .run_container(
             RunCommand::new("cuda-app").nvidia_memory("256m"),
@@ -201,7 +237,7 @@ fn decision_log_narrates_the_live_run() {
 
 #[test]
 fn program_crash_mid_allocation_releases_memory() {
-    let convgpu = ConVGpu::start(fast(TransportMode::UnixSocket)).unwrap();
+    let convgpu = ConVGpu::start(fast()).unwrap();
     // The program leaks its buffer and "crashes" (returns an error).
     let program = Box::new(FnProgram::new("crasher", |api: &dyn CudaApi, pid, _| {
         let _leaked = api.cuda_malloc(pid, Bytes::mib(800))?;

@@ -566,11 +566,10 @@ fn injected_device_faults_stay_contained_per_container() {
     use convgpu::gpu::fault::{FaultPlan, FaultRates};
     use convgpu::gpu::program::FnProgram;
     use convgpu::gpu::CudaApi;
-    use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand, TransportMode};
+    use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 
     let convgpu = ConVGpu::start(ConVGpuConfig {
         time_scale: 0.001,
-        transport: TransportMode::UnixSocket,
         engine: convgpu::container::engine::EngineConfig::instant(),
         device: DeviceConfig {
             faults: Arc::new(FaultPlan::new(

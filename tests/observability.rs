@@ -15,7 +15,7 @@
 use convgpu::gpu::{FnProgram, LatencyModel};
 use convgpu::ipc::client::SchedulerClient;
 use convgpu::ipc::message::ApiKind;
-use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand, TransportMode};
+use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::obs::{
     prometheus, quantile_from_cumulative, CollectorSink, Registry, SpanSink, Tracer,
 };
@@ -33,7 +33,6 @@ fn fast_cfg() -> ConVGpuConfig {
         time_scale: 0.001,
         latency: LatencyModel::zero(),
         engine: EngineConfig::instant(),
-        transport: TransportMode::UnixSocket,
         ..ConVGpuConfig::default()
     }
 }
@@ -121,7 +120,7 @@ fn run_contention_scenario(convgpu: &ConVGpu, while_resumed: impl FnOnce()) -> V
 fn live_daemon_answers_operational_questions_from_exposition_text() {
     let convgpu = ConVGpu::start(fast_cfg()).unwrap();
     // The operator's channel: the daemon socket, not a container's link.
-    let client = SchedulerClient::connect(convgpu.socket_path().unwrap()).unwrap();
+    let client = SchedulerClient::connect(convgpu.socket_path()).unwrap();
     let query = || prometheus::parse_text(&client.query_metrics().unwrap()).unwrap();
     let mut open = None;
     let ids = run_contention_scenario(&convgpu, || open = Some((query(), convgpu.metrics())));
@@ -389,7 +388,7 @@ fn oversized_metrics_reply_is_an_error_on_a_connection_that_stays_up() {
     use convgpu::ipc::MAX_FRAME_BYTES;
 
     let convgpu = ConVGpu::start(fast_cfg()).unwrap();
-    let client = SchedulerClient::connect(convgpu.socket_path().unwrap()).unwrap();
+    let client = SchedulerClient::connect(convgpu.socket_path()).unwrap();
     assert!(client.query_metrics().unwrap().len() < MAX_FRAME_BYTES);
 
     let service = convgpu.service();
@@ -415,24 +414,4 @@ fn oversized_metrics_reply_is_an_error_on_a_connection_that_stays_up() {
     assert!(client.query_metrics().unwrap().len() < MAX_FRAME_BYTES);
     drop(client);
     convgpu.shutdown();
-}
-
-/// The in-proc transport shares the same hub: metrics_text works there
-/// too (no sockets, no ServerObs — scheduler + wrapper metrics only).
-#[test]
-fn in_proc_transport_still_exposes_scheduler_metrics() {
-    let convgpu = ConVGpu::start(ConVGpuConfig {
-        transport: TransportMode::InProc,
-        ..fast_cfg()
-    })
-    .unwrap();
-    run_contention_scenario(&convgpu, || {});
-    let samples = prometheus::parse_text(&convgpu.metrics_text()).unwrap();
-    convgpu.shutdown();
-    assert!(samples
-        .iter()
-        .any(|s| s.name == "convgpu_sched_decisions_total"));
-    assert!(samples
-        .iter()
-        .any(|s| s.name == "convgpu_wrapper_calls_total"));
 }

@@ -117,36 +117,6 @@ fn light_load_shows_no_policy_differences() {
 }
 
 #[test]
-fn ablation_resume_rules_both_complete() {
-    use convgpu::scheduler::state::ResumeRule;
-    for rule in [ResumeRule::FullGuarantee, ResumeRule::PendingFits] {
-        for seed in 0..3 {
-            let mut exp = PolicyExperiment::paper(20, PolicyKind::Fifo, seed);
-            exp.resume_rule = rule;
-            let r = exp.run();
-            assert_eq!(r.aggregate.closed, 20, "{rule:?} seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn ablation_ctx_overhead_increases_contention() {
-    // Charging 66 MiB per pid tightens memory; with it disabled the same
-    // trace should never wait longer.
-    let mut with = PolicyExperiment::paper(30, PolicyKind::Fifo, 11);
-    let mut without = with;
-    with.charge_ctx_overhead = true;
-    without.charge_ctx_overhead = false;
-    let (rw, ro) = (with.run(), without.run());
-    assert!(
-        ro.avg_suspended_secs <= rw.avg_suspended_secs + 1e-9,
-        "without overhead ({:.1}s) must not wait more than with ({:.1}s)",
-        ro.avg_suspended_secs,
-        rw.avg_suspended_secs
-    );
-}
-
-#[test]
 fn per_container_metrics_are_internally_consistent() {
     let r = PolicyExperiment::paper(26, PolicyKind::RecentUse, 3).run();
     for m in &r.per_container {

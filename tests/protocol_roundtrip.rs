@@ -14,7 +14,7 @@ use convgpu::gpu::runtime::RawCudaRuntime;
 use convgpu::ipc::binary::{
     encode_frame, encode_with, read_auto, read_binary, FromBinary, ToBinary, WireCodec, MAGIC,
 };
-use convgpu::ipc::client::{ClientObs, SchedulerClient};
+use convgpu::ipc::client::SchedulerClient;
 use convgpu::ipc::codec::{read_json, write_json};
 use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::ipc::json::{FromJson, ToJson};
@@ -22,9 +22,10 @@ use convgpu::ipc::message::{
     AllocDecision, ApiKind, ClusterNodeStatus, Envelope, MessageSchema, Request, Response,
     TopologyDevice,
 };
-use convgpu::ipc::server::{ServerObs, SocketServer};
+use convgpu::ipc::server::SocketServer;
 use convgpu::ipc::transport::{Conn, EndpointAddr};
 use convgpu::obs::metrics::Snapshot;
+use convgpu::obs::ObsHook;
 use convgpu::obs::Registry;
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
@@ -835,7 +836,7 @@ fn live_service(tag: &str, capacity_mib: u64) -> (SocketServer, Arc<SchedulerSer
     let server = SocketServer::bind_endpoint_with_obs(
         &test_endpoint(&dir, "sched.sock"),
         Arc::new(ServiceHandler::new(Arc::clone(&svc))),
-        Some(ServerObs {
+        Some(ObsHook {
             registry: Arc::clone(&svc.obs().registry),
             clock: RealClock::handle(),
         }),
@@ -1415,7 +1416,7 @@ fn tcp_listener_survives_hostile_clients() {
 fn live_wrapper(
     server: &SocketServer,
     container: ContainerId,
-    obs: Option<ClientObs>,
+    obs: Option<ObsHook>,
 ) -> (Arc<WrapperModule>, Arc<SchedulerClient>) {
     let client = Arc::new(
         SchedulerClient::connect_endpoint_with_codec(server.endpoint(), WireCodec::Json, obs)
@@ -1677,7 +1678,7 @@ fn an_answer_to_a_report_is_dropped_by_the_client() {
 fn the_wrapper_waits_at_most_one_round_trip_per_call() {
     let (server, svc) = live_service("round-trips", 5120);
     let client_registry = Arc::new(Registry::new());
-    let obs = ClientObs {
+    let obs = ObsHook {
         registry: Arc::clone(&client_registry),
         clock: RealClock::handle(),
     };
