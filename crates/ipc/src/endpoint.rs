@@ -148,7 +148,8 @@ pub trait SchedulerEndpoint: Send + Sync {
     /// `__cudaUnregisterFatBinary`: the process exited.
     fn process_exit(&self, container: ContainerId, pid: u64) -> IpcResult<()>;
 
-    /// The container stopped (plugin saw the dummy volume unmount).
+    /// The container stopped: the `convgpu` volume driver saw its dummy
+    /// volume unmount, inside `Engine::stop`.
     fn container_close(&self, container: ContainerId) -> IpcResult<()>;
 
     /// Liveness probe.

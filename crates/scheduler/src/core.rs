@@ -246,27 +246,182 @@ pub struct Scheduler {
     /// system with every container holding a fragment — the very
     /// hold-and-wait deadlock ConVGPU exists to prevent.
     sticky_target: Option<ContainerId>,
-    log: DecisionLog,
+    recorder: Recorder,
     timeline: UtilizationTimeline,
+}
+
+/// Where a transition writes down what it did: the decision log and,
+/// once observability is attached, the decision counter, trace events,
+/// the suspension histogram and each container's lifetime span. A field
+/// of its own, so a transition records while it holds a container record
+/// mutably (field-level borrow splitting).
+#[derive(Clone, Default)]
+struct Recorder {
+    log: DecisionLog,
     obs: Option<SchedObs>,
-    /// Pre-allocated lifetime span id per container, so decision events
-    /// can parent under it before the span itself is emitted at close.
+    /// Pre-allocated lifetime span id per open container, so decision
+    /// events can parent under it before the span itself is emitted at
+    /// close.
     container_spans: HashMap<ContainerId, u64>,
 }
 
-/// `record!(self, now, decision)` — shorthand for `Scheduler::record_parts`
-/// that expands to disjoint field borrows in the caller's body, so it stays
-/// usable while a container record is mutably borrowed.
-macro_rules! record {
-    ($sched:ident, $now:expr, $decision:expr) => {
-        Scheduler::record_parts(
-            &$sched.obs,
-            &$sched.container_spans,
-            &mut $sched.log,
-            $now,
-            $decision,
-        )
-    };
+/// How a parked request is answered.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// Its memory is booked; the request proceeds.
+    Granted,
+    /// Stacked behind earlier requests, it now overruns the limit.
+    Rejected,
+    /// Its process exited or its container closed. Delivered as a
+    /// rejection, so a still-live waiter unblocks instead of hanging.
+    Cancelled,
+}
+
+impl Recorder {
+    /// Log a decision and mirror it into the attached observability layer:
+    /// one [`SCHED_DECISIONS`] tick plus an instant trace event parented
+    /// under the container's lifetime span. A registration first reserves
+    /// that span's id; the span is emitted at close, when its extent is
+    /// known.
+    fn decision(&mut self, now: SimTime, decision: Decision) {
+        if let Some(o) = &self.obs {
+            let id = decision.container();
+            if let Decision::Registered { .. } = decision {
+                self.container_spans.insert(id, o.tracer.next_span_id());
+            }
+            let kind = decision.kind();
+            o.registry
+                .inc(SCHED_DECISIONS, &o.scoped(&[("kind", kind)]), 1);
+            let parent = self.container_spans.get(&id).copied();
+            let attrs = o.scoped(&[]);
+            let _ = o
+                .tracer
+                .instant(kind, Some(id.as_u64()), parent, now, &attrs);
+        }
+        self.log.push(now, decision);
+    }
+
+    /// The one way a parked request leaves its queue: take entry `at` out
+    /// of `rec.pending`, log its `Resumed` decision, emit the span
+    /// covering its wait (park → answer) labelled with the outcome, and
+    /// return the reply to deliver.
+    fn answer(
+        &mut self,
+        rec: &mut ContainerRecord,
+        at: usize,
+        answer: Answer,
+        now: SimTime,
+    ) -> ResumeAction {
+        let p = rec.pending.remove(at).expect("answering a parked request");
+        let (id, ticket) = (rec.id, p.ticket);
+        let (decision, outcome) = match answer {
+            Answer::Granted => (AllocDecision::Granted, "granted"),
+            Answer::Rejected => (AllocDecision::Rejected, "rejected"),
+            Answer::Cancelled => (AllocDecision::Rejected, "cancelled"),
+        };
+        self.decision(
+            now,
+            Decision::Resumed {
+                id,
+                ticket,
+                decision,
+            },
+        );
+        if let Some(o) = &self.obs {
+            let parent = self.container_spans.get(&id).copied();
+            let t = ticket.to_string();
+            let attrs = o.scoped(&[("ticket", t.as_str()), ("outcome", outcome)]);
+            let (container, span) = (Some(id.as_u64()), "suspend_wait");
+            let _ = o.tracer.span(span, container, parent, p.since, now, &attrs);
+        }
+        ResumeAction {
+            container: id,
+            pid: p.pid,
+            ticket,
+            decision,
+        }
+    }
+
+    /// Feed a finished suspension episode into the per-container
+    /// histogram (`_count` = episodes, `_sum` = total suspended time).
+    fn episode_ended(&self, id: ContainerId, ended: Option<SimDuration>) {
+        if let (Some(o), Some(d)) = (&self.obs, ended) {
+            let c = id.to_string();
+            let labels = o.scoped(&[("container", c.as_str())]);
+            o.registry.observe(SCHED_SUSPEND, &labels, d);
+        }
+    }
+
+    /// Close `id`'s lifetime span, under the id reserved at registration
+    /// so its events already parent to it, and retire its
+    /// container-lifetime series.
+    fn closed(&mut self, id: ContainerId, opened: SimTime, policy: &str, now: SimTime) {
+        let Some(o) = &self.obs else {
+            return;
+        };
+        let c = id.to_string();
+        o.registry.retire(&o.scoped(&[("container", c.as_str())]));
+        if let Some(sid) = self.container_spans.remove(&id) {
+            let attrs = o.scoped(&[("policy", policy)]);
+            o.tracer.emit(SpanRecord {
+                id: sid,
+                parent: None,
+                name: "container".into(),
+                container: Some(id.as_u64()),
+                start: opened,
+                end: now,
+                attrs: attrs
+                    .into_iter()
+                    .map(|(k, v)| (k.into(), v.into()))
+                    .collect(),
+            });
+        }
+    }
+}
+
+impl SchedulerConfig {
+    /// What granting `size` to `pid` charges `rec`: the size, plus the
+    /// context overhead on the pid's first charge when this config charges
+    /// one.
+    fn need(&self, rec: &ContainerRecord, pid: u64, size: Bytes) -> Bytes {
+        if self.charge_ctx_overhead && !rec.charged_pids.contains(&pid) {
+            size + self.ctx_overhead
+        } else {
+            size
+        }
+    }
+}
+
+/// Book a grant of `need` bytes to `pid`, first topping `rec`'s
+/// reservation up by `top_up` from the pool: the one place a grant
+/// changes the books, whether it is answered at once or from the queue.
+fn book_grant(
+    rec: &mut ContainerRecord,
+    total_assigned: &mut Bytes,
+    total_used: &mut Bytes,
+    pid: u64,
+    need: Bytes,
+    top_up: Bytes,
+) {
+    rec.assigned += top_up;
+    *total_assigned += top_up;
+    rec.used += need;
+    *total_used += need;
+    rec.charged_pids.insert(pid);
+    rec.granted_allocs += 1;
+}
+
+/// `id`'s record, if it is registered and open. Over the map alone, so
+/// the caller's other fields stay borrowable while it holds the record.
+fn open_record(
+    containers: &mut BTreeMap<ContainerId, ContainerRecord>,
+    id: ContainerId,
+) -> Result<&mut ContainerRecord, SchedError> {
+    match containers.get_mut(&id) {
+        None => Err(SchedError::UnknownContainer(id)),
+        Some(rec) if rec.state == ContainerState::Closed => Err(SchedError::ContainerClosed(id)),
+        Some(rec) => Ok(rec),
+    }
 }
 
 impl Scheduler {
@@ -282,27 +437,25 @@ impl Scheduler {
             candidates: Candidates::default(),
             next_ticket: 1,
             sticky_target: None,
-            log: DecisionLog::default(),
+            recorder: Recorder::default(),
             timeline: UtilizationTimeline::new(),
-            obs: None,
-            container_spans: HashMap::new(),
         }
     }
 
     /// Attach an observability sink. Purely additive: metrics and spans
     /// are side effects only and never feed back into scheduling.
     pub fn attach_obs(&mut self, obs: SchedObs) {
-        self.obs = Some(obs);
+        self.recorder.obs = Some(obs);
     }
 
     /// The attached observability sink, if any.
     pub fn obs(&self) -> Option<&SchedObs> {
-        self.obs.as_ref()
+        self.recorder.obs.as_ref()
     }
 
     /// The decision log (bounded ring of recent scheduling decisions).
     pub fn log(&self) -> &DecisionLog {
-        &self.log
+        &self.recorder.log
     }
 
     /// The utilization timeline (assigned/used after every event).
@@ -327,7 +480,7 @@ impl Scheduler {
     ///
     /// [`SchedulerBackend::observe_progress`]: crate::backend::SchedulerBackend::observe_progress
     pub(crate) fn publish_gauges(&self) {
-        let Some(obs) = &self.obs else {
+        let Some(obs) = &self.recorder.obs else {
             return;
         };
         let (reg, pool) = (&obs.registry, obs.scoped(&[]));
@@ -349,64 +502,6 @@ impl Scheduler {
             reg.set_gauge(SCHED_CONTAINER_SUSPEND_EPISODES, &labels, episodes);
             let suspended = rec.total_suspended.as_secs_f64();
             reg.set_gauge(SCHED_CONTAINER_SUSPENDED_SECONDS, &labels, suspended);
-        }
-    }
-
-    /// Log a decision and mirror it into the attached observability layer:
-    /// one [`SCHED_DECISIONS`] tick plus an instant trace event parented
-    /// under the container's lifetime span. A free function
-    /// over the disjoint fields so call sites holding a `&mut` container
-    /// record can still record (field-level borrow splitting).
-    fn record_parts(
-        obs: &Option<SchedObs>,
-        container_spans: &HashMap<ContainerId, u64>,
-        log: &mut DecisionLog,
-        now: SimTime,
-        decision: Decision,
-    ) {
-        if let Some(o) = obs {
-            let kind = decision.kind();
-            o.registry
-                .inc(SCHED_DECISIONS, &o.scoped(&[("kind", kind)]), 1);
-            let id = decision.container();
-            let parent = container_spans.get(&id).copied();
-            let attrs = o.scoped(&[]);
-            let _ = o
-                .tracer
-                .instant(kind, Some(id.as_u64()), parent, now, &attrs);
-        }
-        log.push(now, decision);
-    }
-
-    /// Emit the span covering one parked request's wait (park → answer),
-    /// parented under the container's lifetime span. Associated fn over
-    /// disjoint fields for the same borrow-splitting reason as
-    /// `record_parts`.
-    fn emit_suspend_wait(
-        obs: &Option<SchedObs>,
-        container_spans: &HashMap<ContainerId, u64>,
-        id: ContainerId,
-        ticket: u64,
-        outcome: &str,
-        since: SimTime,
-        now: SimTime,
-    ) {
-        if let Some(o) = obs {
-            let parent = container_spans.get(&id).copied();
-            let t = ticket.to_string();
-            let attrs = o.scoped(&[("ticket", t.as_str()), ("outcome", outcome)]);
-            let (container, span) = (Some(id.as_u64()), "suspend_wait");
-            let _ = o.tracer.span(span, container, parent, since, now, &attrs);
-        }
-    }
-
-    /// Feed a completed suspension episode into the per-container
-    /// histogram (`_count` = episodes, `_sum` = total suspended time).
-    fn observe_suspend_end(obs: &Option<SchedObs>, id: ContainerId, ended: Option<SimDuration>) {
-        if let (Some(o), Some(d)) = (obs, ended) {
-            let c = id.to_string();
-            let labels = o.scoped(&[("container", c.as_str())]);
-            o.registry.observe(SCHED_SUSPEND, &labels, d);
         }
     }
 
@@ -505,19 +600,13 @@ impl Scheduler {
         rec.assigned = take;
         self.total_assigned += take;
         self.insert_record(rec);
-        // Reserve the lifetime span id up front; the span itself is
-        // emitted at close, when its extent is known.
-        if let Some(obs) = &self.obs {
-            self.container_spans.insert(id, obs.tracer.next_span_id());
-        }
-        record!(
-            self,
+        self.recorder.decision(
             now,
             Decision::Registered {
                 id,
                 limit,
                 assigned: take,
-            }
+            },
         );
         self.sample(now);
         self.audit_check();
@@ -539,78 +628,38 @@ impl Scheduler {
         now: SimTime,
     ) -> Result<(AllocOutcome, Vec<ResumeAction>), SchedError> {
         let unassigned = self.cfg.capacity.saturating_sub(self.total_assigned);
-        let ctx = self.cfg.ctx_overhead;
-        let charge_ctx = self.cfg.charge_ctx_overhead;
-        // Single lookup: validate existence and state on the same borrow
-        // that serves the decision (the hot path used to pay two).
-        let rec = match self.containers.get_mut(&id) {
-            None => return Err(SchedError::UnknownContainer(id)),
-            Some(r) if r.state == ContainerState::Closed => {
-                return Err(SchedError::ContainerClosed(id))
-            }
-            Some(r) => r,
-        };
+        let rec = open_record(&mut self.containers, id)?;
         if size.is_zero() {
             return Ok((AllocOutcome::Rejected, Vec::new()));
         }
-        let need = if charge_ctx && !rec.charged_pids.contains(&pid) {
-            size + ctx
-        } else {
-            size
-        };
-        // Fast path: a running container whose request fits the budget it
-        // already holds grants immediately — no limit check needed
-        // (`assigned ≤ requirement` makes the over-limit branch
-        // unreachable here), no pool math, no policy machinery.
-        if !rec.is_suspended() && rec.used + need <= rec.assigned {
-            rec.used += need;
-            rec.charged_pids.insert(pid);
-            rec.granted_allocs += 1;
-            self.total_used += need;
-            record!(
-                self,
-                now,
-                Decision::Granted {
-                    id,
-                    pid,
-                    charged: need,
-                }
-            );
-            self.sample(now);
-            self.audit_check();
-            return Ok((AllocOutcome::Granted, Vec::new()));
-        }
+        let need = self.cfg.need(rec, pid, size);
         // Over the declared limit → reject outright (paper: "rejects if
         // the memory is already exceeded").
         if rec.used + need > rec.requirement {
             rec.rejected_allocs += 1;
-            record!(self, now, Decision::Rejected { id, pid, size });
+            self.recorder
+                .decision(now, Decision::Rejected { id, pid, size });
             return Ok((AllocOutcome::Rejected, Vec::new()));
         }
         // Fairness: while earlier requests are parked, later ones park
-        // behind them regardless of size.
-        let mut was_running = false;
-        if !rec.is_suspended() {
-            was_running = true;
-            // Would exceed the assigned budget: top the budget up from the
-            // unassigned pool (Fig. 3b), then re-check.
-            let take = unassigned.min(rec.deficit());
-            if rec.used + need <= rec.assigned + take {
-                rec.assigned += take;
-                self.total_assigned += take;
-                rec.used += need;
-                rec.charged_pids.insert(pid);
-                rec.granted_allocs += 1;
-                self.total_used += need;
-                record!(
-                    self,
-                    now,
-                    Decision::Granted {
-                        id,
-                        pid,
-                        charged: need,
-                    }
-                );
+        // behind them regardless of size. A running container is granted
+        // when the request fits its budget once topped up from the
+        // unassigned pool (Fig. 3b); within the budget it already holds
+        // the top-up is zero, and no pool math runs.
+        let running = !rec.is_suspended();
+        if running {
+            let short = (rec.used + need).saturating_sub(rec.assigned);
+            let top_up = if short.is_zero() {
+                Bytes::ZERO
+            } else {
+                unassigned.min(rec.deficit())
+            };
+            if short <= top_up {
+                let (assigned, used) = (&mut self.total_assigned, &mut self.total_used);
+                book_grant(rec, assigned, used, pid, need, top_up);
+                let charged = need;
+                self.recorder
+                    .decision(now, Decision::Granted { id, pid, charged });
                 self.sample(now);
                 self.audit_check();
                 return Ok((AllocOutcome::Granted, Vec::new()));
@@ -628,13 +677,14 @@ impl Scheduler {
             since: now,
         });
         rec.note_suspend(now);
-        record!(self, now, Decision::Suspended { id, ticket, size });
+        self.recorder
+            .decision(now, Decision::Suspended { id, ticket, size });
         // Liveness: a suspended container must not sit on reservation it
         // is not using — scattered partial holds are exactly the
         // hold-and-wait pattern that deadlocks naive sharing. Return the
         // unused part to the pool and let the policy redistribute it
         // (the sticky target accumulates it instead).
-        let give_back = if was_running {
+        let give_back = if running {
             rec.assigned.saturating_sub(rec.used)
         } else {
             Bytes::ZERO
@@ -672,7 +722,7 @@ impl Scheduler {
         size: Bytes,
         _now: SimTime,
     ) -> Result<(), SchedError> {
-        let rec = self.active_mut(id)?;
+        let rec = open_record(&mut self.containers, id)?;
         if let Some(first) = rec.allocations.insert(addr, (pid, size)) {
             // Refused, and the first report's entry stays: a hostile
             // wrapper must not re-size a live allocation.
@@ -695,18 +745,8 @@ impl Scheduler {
         size: Bytes,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let before = {
-            let rec = self.active_mut(id)?;
-            let before = Candidate::of(rec);
-            let released = rec.used.min(size);
-            rec.used -= released;
-            self.total_used -= released;
-            before
-        };
-        let actions = self.drain_pending(id, before, now, false);
-        self.sample(now);
-        self.audit_check();
-        Ok(actions)
+        let released = self.release(id, now, |rec| Ok(rec.used.min(size)));
+        released.map(|(_, resumes)| resumes)
     }
 
     /// Wrapper: `cudaFree(addr)` completed. Returns the recorded size
@@ -719,28 +759,35 @@ impl Scheduler {
         addr: u64,
         now: SimTime,
     ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
-        let (freed, before) = {
-            let rec = self.active_mut(id)?;
-            let before = Candidate::of(rec);
-            let freed = match rec.allocations.remove(&addr) {
-                Some((_pid, size)) => {
-                    let released = rec.used.min(size);
-                    rec.used -= released;
-                    released
-                }
-                None => Bytes::ZERO,
-            };
-            (freed, before)
-        };
-        let resumes = if freed.is_zero() {
+        self.release(id, now, |rec| {
+            let size = rec.allocations.remove(&addr).map(|(_pid, size)| size);
+            Ok(size.map_or(Bytes::ZERO, |size| rec.used.min(size)))
+        })
+    }
+
+    /// The release both `free` and `alloc_failed` are: take the bytes
+    /// `bytes` picks (or refuses) off `id`'s charge, then re-evaluate the
+    /// container's parked requests within its own budget. A release of
+    /// nothing changes nothing.
+    fn release(
+        &mut self,
+        id: ContainerId,
+        now: SimTime,
+        bytes: impl FnOnce(&mut ContainerRecord) -> Result<Bytes, SchedError>,
+    ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
+        let rec = open_record(&mut self.containers, id)?;
+        let before = Candidate::of(rec);
+        let released = bytes(rec)?;
+        let resumes = if released.is_zero() {
             Vec::new()
         } else {
-            self.total_used -= freed;
+            rec.used -= released;
+            self.total_used -= released;
             self.drain_pending(id, before, now, false)
         };
         self.sample(now);
         self.audit_check();
-        Ok((freed, resumes))
+        Ok((released, resumes))
     }
 
     /// Wrapper: serve `cudaMemGetInfo` from the books — the container's
@@ -756,198 +803,95 @@ impl Scheduler {
 
     /// Wrapper: `__cudaUnregisterFatBinary` — process `pid` exited. Drops
     /// every allocation recorded for the pid (leak reclaim) and its
-    /// context charge, then re-evaluates the container's parked requests.
+    /// context charge, cancels its parked requests (a dead process cannot
+    /// receive a resume), then re-evaluates the container's others.
     pub fn process_exit(
         &mut self,
         id: ContainerId,
         pid: u64,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let (cancelled, before) = {
-            let ctx = self.cfg.ctx_overhead;
-            let charge_ctx = self.cfg.charge_ctx_overhead;
-            // Direct field lookup (not `active_mut`) so the disjoint
-            // `total_used` / `log` fields stay borrowable.
-            let rec = match self.containers.get_mut(&id) {
-                None => return Err(SchedError::UnknownContainer(id)),
-                Some(r) if r.state == ContainerState::Closed => {
-                    return Err(SchedError::ContainerClosed(id))
-                }
-                Some(r) => r,
-            };
-            let before = Candidate::of(rec);
-            let used_before = rec.used;
-            let addrs: Vec<u64> = rec
-                .allocations
-                .iter()
-                .filter(|(_, (p, _))| *p == pid)
-                .map(|(&a, _)| a)
-                .collect();
-            let mut reclaimed = Bytes::ZERO;
-            for a in addrs {
-                if let Some((_, size)) = rec.allocations.remove(&a) {
-                    rec.used = rec.used.saturating_sub(size);
-                    reclaimed += size;
-                }
+        let rec = open_record(&mut self.containers, id)?;
+        let before = Candidate::of(rec);
+        let used_before = rec.used;
+        let addrs: Vec<u64> = rec
+            .allocations
+            .iter()
+            .filter(|(_, (p, _))| *p == pid)
+            .map(|(&a, _)| a)
+            .collect();
+        let mut reclaimed = Bytes::ZERO;
+        for a in addrs {
+            if let Some((_, size)) = rec.allocations.remove(&a) {
+                rec.used = rec.used.saturating_sub(size);
+                reclaimed += size;
             }
-            if charge_ctx && rec.charged_pids.remove(&pid) {
-                rec.used = rec.used.saturating_sub(ctx);
-                reclaimed += ctx;
-            }
-            // A dead process cannot receive a resume: cancel its parked
-            // requests. The cancellations are delivered as Rejected so a
-            // live waiter (e.g. a thread of a killed container still
-            // blocked on the socket) unblocks instead of hanging. Each
-            // cancellation keeps its park time for the suspend_wait span.
-            let mut cancelled: Vec<(ResumeAction, SimTime)> = Vec::new();
-            rec.pending.retain(|p| {
-                if p.pid == pid {
-                    cancelled.push((
-                        ResumeAction {
-                            container: id,
-                            pid: p.pid,
-                            ticket: p.ticket,
-                            decision: AllocDecision::Rejected,
-                        },
-                        p.since,
-                    ));
-                    false
-                } else {
-                    true
-                }
-            });
-            let ended = if rec.pending.is_empty() {
-                rec.note_resume(now)
+        }
+        if self.cfg.charge_ctx_overhead && rec.charged_pids.remove(&pid) {
+            rec.used = rec.used.saturating_sub(self.cfg.ctx_overhead);
+            reclaimed += self.cfg.ctx_overhead;
+        }
+        self.total_used -= used_before.saturating_sub(rec.used);
+        self.recorder
+            .decision(now, Decision::ProcessExited { id, pid, reclaimed });
+        let mut actions = Vec::new();
+        let mut at = 0;
+        while at < rec.pending.len() {
+            if rec.pending[at].pid == pid {
+                let answer = Answer::Cancelled;
+                actions.push(self.recorder.answer(rec, at, answer, now));
             } else {
-                None
-            };
-            let released = used_before.saturating_sub(rec.used);
-            self.total_used -= released;
-            Self::observe_suspend_end(&self.obs, id, ended);
-            record!(self, now, Decision::ProcessExited { id, pid, reclaimed });
-            for (c, since) in &cancelled {
-                record!(
-                    self,
-                    now,
-                    Decision::Resumed {
-                        id: c.container,
-                        ticket: c.ticket,
-                        decision: c.decision,
-                    }
-                );
-                Self::emit_suspend_wait(
-                    &self.obs,
-                    &self.container_spans,
-                    id,
-                    c.ticket,
-                    "cancelled",
-                    *since,
-                    now,
-                );
+                at += 1;
             }
-            (cancelled, before)
-        };
-        let mut actions: Vec<ResumeAction> = cancelled.into_iter().map(|(c, _)| c).collect();
+        }
         actions.extend(self.drain_pending(id, before, now, false));
         self.sample(now);
         self.audit_check();
         Ok(actions)
     }
 
-    /// Plugin: the container stopped. Releases its whole reservation and
+    /// The `convgpu` volume driver, from inside `Engine::stop`: the
+    /// container stopped. Releases its whole reservation and
     /// redistributes to suspended containers per the policy (Fig. 3d).
     pub fn container_close(
         &mut self,
         id: ContainerId,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        {
-            let rec = match self.containers.get_mut(&id) {
-                Some(r) => r,
-                None => return Err(SchedError::UnknownContainer(id)),
-            };
-            if rec.state == ContainerState::Closed {
-                // Idempotent: a close the router retries after a lost
-                // reply finds the record closed.
-                return Ok(Vec::new());
-            }
-            self.candidates.update(Candidate::of(rec), None);
-            let ended = rec.note_resume(now);
-            let registered_at = rec.registered_at;
-            rec.state = ContainerState::Closed;
-            rec.closed_at = Some(now);
-            // Cancel parked requests so any still-live waiter unblocks.
-            let cancelled: Vec<(ResumeAction, SimTime)> = rec
-                .pending
-                .drain(..)
-                .map(|p| {
-                    (
-                        ResumeAction {
-                            container: id,
-                            pid: p.pid,
-                            ticket: p.ticket,
-                            decision: AllocDecision::Rejected,
-                        },
-                        p.since,
-                    )
-                })
-                .collect();
-            rec.allocations.clear();
-            self.total_used -= rec.used;
-            rec.used = Bytes::ZERO;
-            let released = rec.assigned;
-            self.total_assigned -= rec.assigned;
-            rec.assigned = Bytes::ZERO;
-            Self::observe_suspend_end(&self.obs, id, ended);
-            record!(self, now, Decision::Closed { id, released });
-            for (c, since) in &cancelled {
-                record!(
-                    self,
-                    now,
-                    Decision::Resumed {
-                        id: c.container,
-                        ticket: c.ticket,
-                        decision: c.decision,
-                    }
-                );
-                Self::emit_suspend_wait(
-                    &self.obs,
-                    &self.container_spans,
-                    id,
-                    c.ticket,
-                    "cancelled",
-                    *since,
-                    now,
-                );
-            }
-            // The container's lifetime span closes here, under the id
-            // reserved at registration so its events already parent to it,
-            // and its container-lifetime series go with it.
-            if let Some(o) = &self.obs {
-                let c = id.to_string();
-                o.registry.retire(&o.scoped(&[("container", c.as_str())]));
-                if let Some(sid) = self.container_spans.remove(&id) {
-                    let attrs = o.scoped(&[("policy", self.policy.name())]);
-                    o.tracer.emit(SpanRecord {
-                        id: sid,
-                        parent: None,
-                        name: "container".into(),
-                        container: Some(id.as_u64()),
-                        start: registered_at,
-                        end: now,
-                        attrs: attrs
-                            .into_iter()
-                            .map(|(k, v)| (k.into(), v.into()))
-                            .collect(),
-                    });
-                }
-            }
-            let mut actions: Vec<ResumeAction> = cancelled.into_iter().map(|(c, _)| c).collect();
-            actions.extend(self.redistribute(now));
-            self.sample(now);
-            self.audit_check();
-            Ok(actions)
+        let rec = match self.containers.get_mut(&id) {
+            Some(r) => r,
+            None => return Err(SchedError::UnknownContainer(id)),
+        };
+        if rec.state == ContainerState::Closed {
+            // Idempotent: a close the router retries after a lost reply
+            // finds the record closed.
+            return Ok(Vec::new());
         }
+        self.candidates.update(Candidate::of(rec), None);
+        let ended = rec.note_resume(now);
+        rec.state = ContainerState::Closed;
+        rec.closed_at = Some(now);
+        rec.allocations.clear();
+        self.total_used -= rec.used;
+        rec.used = Bytes::ZERO;
+        let released = rec.assigned;
+        self.total_assigned -= rec.assigned;
+        rec.assigned = Bytes::ZERO;
+        self.recorder.episode_ended(id, ended);
+        self.recorder
+            .decision(now, Decision::Closed { id, released });
+        // Cancel parked requests so any still-live waiter unblocks.
+        let mut actions = Vec::new();
+        while !rec.pending.is_empty() {
+            let answer = Answer::Cancelled;
+            actions.push(self.recorder.answer(rec, 0, answer, now));
+        }
+        let opened = rec.registered_at;
+        self.recorder.closed(id, opened, self.policy.name(), now);
+        actions.extend(self.redistribute(now));
+        self.sample(now);
+        self.audit_check();
+        Ok(actions)
     }
 
     /// Policy-driven redistribution of unassigned memory to suspended
@@ -1005,7 +949,7 @@ impl Scheduler {
                         break;
                     }
                     let picked = self.policy.select(&self.candidates, remaining);
-                    if let Some(obs) = &self.obs {
+                    if let Some(obs) = &self.recorder.obs {
                         crate::policy::record_selection(obs, self.policy.name(), picked.is_some());
                     }
                     let Some(pick) = picked else {
@@ -1028,16 +972,15 @@ impl Scheduler {
             rec.assigned += take;
             self.total_assigned += take;
             let deficit = rec.deficit();
-            record!(
-                self,
+            self.recorder.decision(
                 now,
                 Decision::ToppedUp {
                     id: pick,
                     amount: take,
                     deficit,
-                }
+                },
             );
-            if rec.deficit().is_zero() {
+            if deficit.is_zero() {
                 self.sticky_target = None;
             }
             actions.extend(self.drain_pending(pick, before, now, true));
@@ -1058,8 +1001,6 @@ impl Scheduler {
         now: SimTime,
         require_full: bool,
     ) -> Vec<ResumeAction> {
-        let ctx = self.cfg.ctx_overhead;
-        let charge_ctx = self.cfg.charge_ctx_overhead;
         let Some(rec) = self.containers.get_mut(&id) else {
             return Vec::new();
         };
@@ -1068,73 +1009,20 @@ impl Scheduler {
             return Vec::new();
         }
         let mut actions = Vec::new();
-        while let Some(p) = rec.pending.front().cloned() {
-            let need = if charge_ctx && !rec.charged_pids.contains(&p.pid) {
-                p.size + ctx
-            } else {
-                p.size
-            };
-            if rec.used + need > rec.requirement {
+        while let Some(&PendingAlloc { pid, size, .. }) = rec.pending.front() {
+            let need = self.cfg.need(rec, pid, size);
+            let answer = if rec.used + need > rec.requirement {
                 // Stacked pendings overran the limit: reject this one now.
-                rec.pending.pop_front();
                 rec.rejected_allocs += 1;
-                record!(
-                    self,
-                    now,
-                    Decision::Resumed {
-                        id,
-                        ticket: p.ticket,
-                        decision: AllocDecision::Rejected,
-                    }
-                );
-                Self::emit_suspend_wait(
-                    &self.obs,
-                    &self.container_spans,
-                    id,
-                    p.ticket,
-                    "rejected",
-                    p.since,
-                    now,
-                );
-                actions.push(ResumeAction {
-                    container: id,
-                    pid: p.pid,
-                    ticket: p.ticket,
-                    decision: AllocDecision::Rejected,
-                });
+                Answer::Rejected
             } else if rec.used + need <= rec.assigned {
-                rec.pending.pop_front();
-                rec.used += need;
-                rec.charged_pids.insert(p.pid);
-                rec.granted_allocs += 1;
-                self.total_used += need;
-                record!(
-                    self,
-                    now,
-                    Decision::Resumed {
-                        id,
-                        ticket: p.ticket,
-                        decision: AllocDecision::Granted,
-                    }
-                );
-                Self::emit_suspend_wait(
-                    &self.obs,
-                    &self.container_spans,
-                    id,
-                    p.ticket,
-                    "granted",
-                    p.since,
-                    now,
-                );
-                actions.push(ResumeAction {
-                    container: id,
-                    pid: p.pid,
-                    ticket: p.ticket,
-                    decision: AllocDecision::Granted,
-                });
+                let (assigned, used) = (&mut self.total_assigned, &mut self.total_used);
+                book_grant(rec, assigned, used, pid, need, Bytes::ZERO);
+                Answer::Granted
             } else {
                 break; // head still does not fit; keep FIFO order
-            }
+            };
+            actions.push(self.recorder.answer(rec, 0, answer, now));
         }
         let ended = if rec.pending.is_empty() {
             rec.note_resume(now)
@@ -1142,20 +1030,9 @@ impl Scheduler {
             None
         };
         self.candidates.update(before, Candidate::of(rec));
-        Self::observe_suspend_end(&self.obs, id, ended);
+        self.recorder.episode_ended(id, ended);
         actions
     }
-
-    fn active_mut(&mut self, id: ContainerId) -> Result<&mut ContainerRecord, SchedError> {
-        match self.containers.get_mut(&id) {
-            None => Err(SchedError::UnknownContainer(id)),
-            Some(rec) if rec.state == ContainerState::Closed => {
-                Err(SchedError::ContainerClosed(id))
-            }
-            Some(rec) => Ok(rec),
-        }
-    }
-
     /// The shared safety oracle: evaluates every invariant documented in
     /// [`crate::invariant`] and reports the first violation. Used by unit
     /// and property tests, by the `convgpu-audit` bounded model checker
@@ -1832,7 +1709,7 @@ mod tests {
                 s.container_close(ContainerId(i - 2), t(i)).unwrap();
             }
         }
-        let mut open: Vec<_> = s.container_spans.keys().copied().collect();
+        let mut open: Vec<_> = s.recorder.container_spans.keys().copied().collect();
         open.sort_unstable();
         assert_eq!(open, [ContainerId(299), ContainerId(300)]);
     }
@@ -1857,5 +1734,79 @@ mod tests {
             convgpu_sim_core::time::SimDuration::from_secs(30)
         );
         assert_eq!(r.suspend_episodes, 1);
+    }
+
+    /// Every parked request is answered exactly once, whichever way it
+    /// leaves its queue: granted or rejected by a drain, cancelled by its
+    /// process's exit or by its container's close. Each answer is one
+    /// `ResumeAction` and one `suspend_wait` span naming the outcome.
+    #[test]
+    fn every_parked_request_is_answered_once() {
+        use convgpu_obs::trace::CollectorSink;
+        let tracer = Arc::new(Tracer::new());
+        let spans = Arc::new(CollectorSink::new());
+        tracer.add_sink(Arc::clone(&spans) as Arc<dyn convgpu_obs::trace::SpanSink>);
+        let mut s = sched(1000, PolicyKind::Fifo);
+        s.attach_obs(SchedObs::new(Arc::new(Registry::new()), tracer));
+        s.register(C2, mib(300), t(0)).unwrap(); // 366 assigned
+        s.register(C1, mib(600), t(0)).unwrap(); // 634 of 666 assigned
+        let grant = |s: &mut Scheduler, pid, size, addr| {
+            let (out, _) = s
+                .alloc_request(C1, pid, mib(size), ApiKind::Malloc, t(1))
+                .unwrap();
+            assert_eq!(out, AllocOutcome::Granted);
+            s.alloc_done(C1, pid, addr, mib(size), t(1)).unwrap();
+        };
+        grant(&mut s, 1, 200, 0xA);
+        grant(&mut s, 1, 100, 0xB); // used 366
+        let mut tickets = Vec::new();
+        // pid 2 (286 with its context) parks; pid 1's 200 parks behind it
+        // and overruns the limit once pid 2 is granted; pid 3's 40 (106)
+        // and pid 1's 100 do not fit the 634 assigned; pid 2's 50 waits
+        // behind them.
+        for (pid, size) in [(2, 220), (1, 200), (3, 40), (1, 100), (2, 50)] {
+            let (out, resumes) = s
+                .alloc_request(C1, pid, mib(size), ApiKind::Malloc, t(2))
+                .unwrap();
+            let AllocOutcome::Suspended { ticket } = out else {
+                panic!("pid {pid}'s {size} MiB should park, got {out:?}");
+            };
+            assert!(resumes.is_empty());
+            tickets.push(ticket);
+        }
+        let mut answered = Vec::new();
+        let (freed, resumes) = s.free(C1, 1, 0xB, t(3)).unwrap();
+        assert_eq!(freed, mib(100));
+        answered.extend(resumes);
+        answered.extend(s.process_exit(C1, 3, t(4)).unwrap());
+        answered.extend(s.container_close(C1, t(5)).unwrap());
+        s.check_invariants().unwrap();
+
+        let rejected = AllocDecision::Rejected;
+        let expected = [
+            (tickets[0], AllocDecision::Granted, "granted"),
+            (tickets[1], rejected, "rejected"),
+            (tickets[2], rejected, "cancelled"),
+            (tickets[3], rejected, "cancelled"),
+            (tickets[4], rejected, "cancelled"),
+        ];
+        let got: Vec<(u64, AllocDecision)> =
+            answered.iter().map(|a| (a.ticket, a.decision)).collect();
+        let want: Vec<(u64, AllocDecision)> = expected.iter().map(|&(t, d, _)| (t, d)).collect();
+        assert_eq!(got, want, "each ticket answered once, in this order");
+        let waits: Vec<(u64, String)> = spans
+            .records()
+            .into_iter()
+            .filter(|r| r.name == "suspend_wait")
+            .map(|r| {
+                let attr = |k: &str| r.attrs.iter().find(|(n, _)| n == k).unwrap().1.clone();
+                (attr("ticket").parse().unwrap(), attr("outcome"))
+            })
+            .collect();
+        let want: Vec<(u64, String)> = expected
+            .iter()
+            .map(|&(t, _, o)| (t, o.to_string()))
+            .collect();
+        assert_eq!(waits, want, "one suspend_wait span per ticket");
     }
 }

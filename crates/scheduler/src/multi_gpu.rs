@@ -190,9 +190,7 @@ impl MultiGpuScheduler {
         id: ContainerId,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let device = self.route(id)?;
-        let actions = self.devices[device].container_close(id, now)?;
-        Ok(tag_actions(device, actions))
+        self.on_home(id, |s| s.container_close(id, now))
     }
 
     /// The placement policy's device for a container declaring `limit`;
@@ -236,13 +234,56 @@ impl MultiGpuScheduler {
             .copied()
             .ok_or(SchedError::UnknownContainer(id))
     }
+
+    /// The one route-and-tag: run `op` on `id`'s home device, then write
+    /// that device into every ticket it answers with.
+    fn on_home<T: Tickets>(
+        &mut self,
+        id: ContainerId,
+        op: impl FnOnce(&mut Scheduler) -> Result<T, SchedError>,
+    ) -> Result<T, SchedError> {
+        let device = self.route(id)?;
+        Ok(op(&mut self.devices[device])?.tagged(device))
+    }
 }
 
-fn tag_actions(device: DeviceIndex, mut actions: Vec<ResumeAction>) -> Vec<ResumeAction> {
-    for a in &mut actions {
-        a.ticket = tag(device, a.ticket);
+/// What a device's transition answers with, and the tickets in it.
+trait Tickets {
+    /// The same answer, each ticket carrying `device` in its lane.
+    fn tagged(self, device: DeviceIndex) -> Self;
+}
+
+impl Tickets for Vec<ResumeAction> {
+    fn tagged(mut self, device: DeviceIndex) -> Self {
+        for a in &mut self {
+            a.ticket = tag(device, a.ticket);
+        }
+        self
     }
-    actions
+}
+
+impl Tickets for AllocOutcome {
+    fn tagged(self, device: DeviceIndex) -> Self {
+        match self {
+            AllocOutcome::Suspended { ticket } => AllocOutcome::Suspended {
+                ticket: tag(device, ticket),
+            },
+            other => other,
+        }
+    }
+}
+
+/// A freed size carries no ticket.
+impl Tickets for Bytes {
+    fn tagged(self, _device: DeviceIndex) -> Self {
+        self
+    }
+}
+
+impl<T: Tickets> Tickets for (T, Vec<ResumeAction>) {
+    fn tagged(self, device: DeviceIndex) -> Self {
+        (self.0.tagged(device), self.1.tagged(device))
+    }
 }
 
 impl SchedulerBackend for MultiGpuScheduler {
@@ -267,15 +308,7 @@ impl SchedulerBackend for MultiGpuScheduler {
         api: ApiKind,
         now: SimTime,
     ) -> Result<(AllocOutcome, Vec<ResumeAction>), SchedError> {
-        let device = self.route(id)?;
-        let (out, actions) = self.devices[device].alloc_request(id, pid, size, api, now)?;
-        let out = match out {
-            AllocOutcome::Suspended { ticket } => AllocOutcome::Suspended {
-                ticket: tag(device, ticket),
-            },
-            other => other,
-        };
-        Ok((out, tag_actions(device, actions)))
+        self.on_home(id, |s| s.alloc_request(id, pid, size, api, now))
     }
 
     fn alloc_done(
@@ -297,9 +330,7 @@ impl SchedulerBackend for MultiGpuScheduler {
         size: Bytes,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let device = self.route(id)?;
-        let actions = self.devices[device].alloc_failed(id, pid, size, now)?;
-        Ok(tag_actions(device, actions))
+        self.on_home(id, |s| s.alloc_failed(id, pid, size, now))
     }
 
     fn free(
@@ -309,9 +340,7 @@ impl SchedulerBackend for MultiGpuScheduler {
         addr: u64,
         now: SimTime,
     ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
-        let device = self.route(id)?;
-        let (freed, actions) = self.devices[device].free(id, pid, addr, now)?;
-        Ok((freed, tag_actions(device, actions)))
+        self.on_home(id, |s| s.free(id, pid, addr, now))
     }
 
     fn mem_info(&self, id: ContainerId, pid: u64) -> Result<(Bytes, Bytes), SchedError> {
@@ -324,9 +353,7 @@ impl SchedulerBackend for MultiGpuScheduler {
         pid: u64,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let device = self.route(id)?;
-        let actions = self.devices[device].process_exit(id, pid, now)?;
-        Ok(tag_actions(device, actions))
+        self.on_home(id, |s| s.process_exit(id, pid, now))
     }
 
     fn container_close(

@@ -25,8 +25,8 @@ pub enum ContainerState {
     Active,
     /// At least one allocation request is parked.
     Suspended,
-    /// Closed (plugin reported the volume unmount); state retained for
-    /// metrics only.
+    /// Closed (the `convgpu` volume driver reported the unmount from
+    /// inside `Engine::stop`); state retained for metrics only.
     Closed,
 }
 
