@@ -737,7 +737,10 @@ impl Scheduler {
 
     /// Wrapper: a granted allocation failed on the device (fragmentation).
     /// Releases the reservation made at grant time; the container's own
-    /// parked requests may now fit.
+    /// parked requests may now fit. Only bytes in flight — granted, not
+    /// filed by `alloc_done`, not a context charge — can have failed: a
+    /// larger report is refused and the books stay as they were, as for
+    /// a duplicate `alloc_done`.
     pub fn alloc_failed(
         &mut self,
         id: ContainerId,
@@ -745,7 +748,22 @@ impl Scheduler {
         size: Bytes,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let released = self.release(id, now, |rec| Ok(rec.used.min(size)));
+        let ctx = if self.cfg.charge_ctx_overhead {
+            self.cfg.ctx_overhead
+        } else {
+            Bytes::ZERO
+        };
+        let released = self.release(id, now, |rec| {
+            let recorded: Bytes = rec.allocations.values().map(|&(_, s)| s).sum();
+            let charges = Bytes::new(ctx.as_u64() * rec.charged_pids.len() as u64);
+            let in_flight = rec.used.saturating_sub(recorded).saturating_sub(charges);
+            if size > in_flight {
+                return Err(SchedError::ProtocolViolation(format!(
+                    "AllocFailed for {size} with {in_flight} in flight"
+                )));
+            }
+            Ok(size)
+        });
         released.map(|(_, resumes)| resumes)
     }
 
@@ -1734,6 +1752,44 @@ mod tests {
             convgpu_sim_core::time::SimDuration::from_secs(30)
         );
         assert_eq!(r.suspend_episodes, 1);
+    }
+
+    /// A report of a failed grant may release only bytes that are in
+    /// flight: granted, not yet filed by `alloc_done`, and not a context
+    /// charge. Once the grant is filed, its failure report is refused and
+    /// the books stay as they were.
+    #[test]
+    fn alloc_failed_refuses_bytes_already_filed() {
+        let mut s = sched(5120, PolicyKind::Fifo);
+        s.register(C1, mib(512), t(0)).unwrap();
+        s.alloc_request(C1, 1, mib(100), ApiKind::Malloc, t(1))
+            .unwrap();
+        s.alloc_done(C1, 1, 0xA, mib(100), t(1)).unwrap();
+        assert!(matches!(
+            s.alloc_failed(C1, 1, mib(100), t(2)),
+            Err(SchedError::ProtocolViolation(_))
+        ));
+        assert_eq!(s.container(C1).unwrap().used, mib(166));
+        s.check_invariants().unwrap();
+    }
+
+    /// One failed grant is released once: a second report for it would
+    /// take the pid's context charge, and is refused.
+    #[test]
+    fn second_alloc_failed_for_one_grant_keeps_the_context_charge() {
+        let mut s = sched(5120, PolicyKind::Fifo);
+        s.register(C1, mib(512), t(0)).unwrap();
+        s.alloc_request(C1, 1, mib(100), ApiKind::Malloc, t(1))
+            .unwrap();
+        s.alloc_failed(C1, 1, mib(100), t(2)).unwrap();
+        assert_eq!(s.container(C1).unwrap().used, mib(66));
+        assert!(matches!(
+            s.alloc_failed(C1, 1, mib(100), t(3)),
+            Err(SchedError::ProtocolViolation(_))
+        ));
+        assert_eq!(s.container(C1).unwrap().used, mib(66));
+        assert!(s.container(C1).unwrap().charged_pids.contains(&1));
+        s.check_invariants().unwrap();
     }
 
     /// Every parked request is answered exactly once, whichever way it
