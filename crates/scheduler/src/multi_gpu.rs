@@ -247,11 +247,15 @@ impl MultiGpuScheduler {
     }
 }
 
-/// What a device's transition answers with, and the tickets in it.
-trait Tickets {
-    /// The same answer, each ticket carrying `device` in its lane.
-    fn tagged(self, device: DeviceIndex) -> Self;
+/// What a device's transition answers with: `tagged` writes the device
+/// into each ticket in it. A freed size has none and stays as it is.
+trait Tickets: Sized {
+    fn tagged(self, _device: DeviceIndex) -> Self {
+        self
+    }
 }
+
+impl Tickets for Bytes {}
 
 impl Tickets for Vec<ResumeAction> {
     fn tagged(mut self, device: DeviceIndex) -> Self {
@@ -270,13 +274,6 @@ impl Tickets for AllocOutcome {
             },
             other => other,
         }
-    }
-}
-
-/// A freed size carries no ticket.
-impl Tickets for Bytes {
-    fn tagged(self, _device: DeviceIndex) -> Self {
-        self
     }
 }
 
