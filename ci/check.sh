@@ -39,9 +39,6 @@ RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
 step "cargo test"
 cargo test --offline --workspace -q
 
-step "cargo test (audit feature: invariants after every transition)"
-cargo test --offline -q -p convgpu-scheduler --features audit
-
 step "chrome-trace artifact export"
 artifact="$ARTIFACT_DIR/convgpu-trace.json"
 cargo run --offline -q --release --bin convgpu-cli -- trace --out="$artifact"

@@ -18,6 +18,7 @@ use convgpu_gpu_sim::device::GpuDevice;
 use convgpu_gpu_sim::latency::LatencyModel;
 use convgpu_gpu_sim::program::GpuProgram;
 use convgpu_gpu_sim::runtime::RawCudaRuntime;
+use convgpu_ipc::endpoint::SchedulerEndpoint;
 use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu_scheduler::policy::PolicyKind;
 use convgpu_sim_core::clock::{Clock, VirtualClock};
@@ -68,19 +69,20 @@ fn run_once(steps: u32, wrapped: Option<SimDuration>) -> f64 {
                 clock.handle(),
                 std::env::temp_dir().join(format!("convgpu-fig6-{}", std::process::id())),
             ));
-            service
+            let endpoint = Arc::new(InProcEndpoint::new(service));
+            endpoint
                 .register(container, Bytes::mib(4096))
                 .expect("register");
             let wrapper = WrapperModule::new(
                 container,
                 Arc::clone(&raw) as Arc<dyn CudaApi>,
-                Arc::new(InProcEndpoint::new(Arc::clone(&service))),
+                Arc::clone(&endpoint) as Arc<dyn SchedulerEndpoint>,
             )
             .with_modeled_ipc(clock.handle(), ipc_cost);
             let handle = clock.handle();
             program.run(&wrapper, pid, &handle).expect("wrapped mnist");
             wrapper.cuda_unregister_fat_binary(pid).expect("cleanup");
-            service.container_close(container).expect("close");
+            endpoint.container_close(container).expect("close");
         }
     }
     (clock.now() - t0).as_secs_f64()

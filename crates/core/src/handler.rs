@@ -1,11 +1,9 @@
 //! Socket request handler: hands each wire message to the service.
 //!
-//! What a message *does* is decided in one place,
-//! [`SchedulerService::call`]. The handler adds the one thing a socket
-//! needs on top: a connection thread must never block, so an
-//! `alloc_request` — the one message whose answer may be withheld — goes
-//! through the deferred path, which parks the [`Reply`] instead of the
-//! thread.
+//! What a message *does*, and when it is answered, is decided in one
+//! place, [`SchedulerService::serve`]. A connection thread never blocks
+//! in it: an `alloc_request` whose container is suspended parks the
+//! [`Reply`], not the thread.
 
 use crate::service::SchedulerService;
 use convgpu_ipc::message::Request;
@@ -27,18 +25,7 @@ impl ServiceHandler {
 
 impl RequestHandler for ServiceHandler {
     fn on_request(&self, _conn: ConnId, req: Request, reply: Reply) {
-        match req {
-            // May park the reply — the suspension mechanism.
-            Request::AllocRequest {
-                container,
-                pid,
-                size,
-                api,
-            } => self
-                .service
-                .alloc_request_deferred(container, pid, size, api, reply),
-            req => reply.send(self.service.call(req)),
-        }
+        self.service.serve(req, reply);
     }
 }
 

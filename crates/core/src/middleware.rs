@@ -697,7 +697,19 @@ mod tests {
         use std::collections::BTreeSet;
         let convgpu = ConVGpu::start(fast_cfg()).unwrap();
         let threads = Arc::new(convgpu_sim_core::sync::Mutex::new(BTreeSet::new()));
-        for _ in 0..50 {
+        for n in 0..50 {
+            // The last container's program thread and connection reader
+            // park on their own time after `wait` returns: the next
+            // container may only be judged once both have.
+            let t0 = std::time::Instant::now();
+            while n > 0 && (convgpu.programs.parked() == 0 || convgpu.server.readers_parked() == 0)
+            {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(5),
+                    "container {n}: never parked"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let threads = Arc::clone(&threads);
             let program = FnProgram::new("where", move |api, pid, _clock| {
                 let me = std::fs::read_link("/proc/thread-self").unwrap();
@@ -715,17 +727,13 @@ mod tests {
             session.wait().unwrap();
             assert!(convgpu.wait_closed(id, Duration::from_secs(5)));
         }
-        // One container at a time: a thread whose container exited takes
-        // the next one (a second only if the first had not parked yet).
-        let programs = threads.lock().len();
-        assert!(
-            programs <= 2,
-            "{programs} program threads for 50 containers"
-        );
-        let readers = convgpu.server.readers_spawned();
-        assert!(
-            readers <= 2,
-            "{readers} connection threads for 50 containers"
+        // One container at a time: the thread whose container exited, and
+        // parked, takes the next one.
+        assert_eq!(threads.lock().len(), 1, "program threads for 50 containers");
+        assert_eq!(
+            convgpu.server.readers_spawned(),
+            1,
+            "connection threads for 50 containers"
         );
         convgpu.shutdown();
     }

@@ -445,7 +445,9 @@ mod tests {
     fn another_drivers_volume_closes_nothing() {
         let (engine, _nd, svc) = setup("foreign");
         let id = engine.reserve_id();
-        svc.register(id, Bytes::mib(128)).unwrap();
+        InProcEndpoint::new(Arc::clone(&svc))
+            .register(id, Bytes::mib(128))
+            .unwrap();
         engine
             .create_with_id(
                 id,

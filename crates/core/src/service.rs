@@ -7,26 +7,26 @@
 //! reply handle is parked under its ticket and fired when a later event
 //! produces the matching [`ResumeAction`].
 //!
-//! [`SchedulerService::call`] is the process's one dispatch from wire
-//! message to behaviour: the socket handler
+//! [`SchedulerService::serve`] is the process's one function from a
+//! request to its answer: the socket handler
 //! ([`crate::handler::ServiceHandler`]) and the in-process endpoint
-//! ([`InProcEndpoint`]) both answer a [`Request`] with it.
+//! ([`InProcEndpoint`]) both answer a [`Request`] with it, each handing
+//! it a [`Reply`] — so a parked waiter is always a `Reply`.
 
-use convgpu_ipc::endpoint::{IpcResult, Transact};
+use convgpu_ipc::endpoint::{IpcError, IpcResult, Transact};
 use convgpu_ipc::message::{AllocDecision, ApiKind, Request, Response, TopologyDevice};
 use convgpu_ipc::server::Reply;
 use convgpu_ipc::transport;
 use convgpu_obs::{chrome, prometheus, Registry, RingSink, SpanSink, Tracer};
 use convgpu_scheduler::backend::{SchedulerBackend, TopologyBackend};
 use convgpu_scheduler::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler};
-use convgpu_scheduler::multi_gpu::DeviceIndex;
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::Mutex;
+use convgpu_sim_core::time::SimTime;
 use convgpu_sim_core::units::Bytes;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 
 /// File name of the daemon's socket, and of its link in a volume.
@@ -39,14 +39,6 @@ const MODULE_NAME: &str = "libgpushare.so";
 /// `<base_dir>/.spare-<id>`. Steady traffic needs one per container open
 /// at once; what a burst closed beyond this is removed.
 pub const SPARE_VOLUMES: usize = 8;
-
-/// A parked reply for a suspended allocation.
-enum Waiter {
-    /// In-process caller blocked on a channel.
-    Channel(SyncSender<AllocDecision>),
-    /// Socket caller; the reply handle writes to its connection.
-    Socket(Reply),
-}
 
 /// The service's observability fan-in: one metrics registry and one
 /// tracer shared by the scheduler, the IPC layer, and the wrapper
@@ -103,10 +95,11 @@ impl Default for ObsHub {
 pub struct SchedulerService {
     clock: ClockHandle,
     state: Mutex<TopologyBackend>,
-    waiters: Mutex<HashMap<u64, Waiter>>,
+    /// Suspended allocations' replies, by ticket.
+    waiters: Mutex<HashMap<u64, Reply>>,
     base_dir: PathBuf,
     /// Containers whose volume directory [`SchedulerService::request_dir`]
-    /// made and [`SchedulerService::container_close`] has yet to remove.
+    /// made and their `container_close` has yet to remove.
     volumes: Mutex<HashSet<ContainerId>>,
     /// Closed containers' volumes, links in place, for `request_dir` to
     /// rename into the next container's; at most [`SPARE_VOLUMES`].
@@ -181,170 +174,208 @@ impl SchedulerService {
         f(&self.state.lock())
     }
 
-    /// Snapshot the topology for the `query_topology` wire message:
-    /// `(kind, devices)`.
-    pub fn topology(&self) -> (String, Vec<TopologyDevice>) {
-        let state = self.state.lock();
-        let devices = state
-            .devices()
-            .into_iter()
-            .map(|d| TopologyDevice {
-                node: String::new(),
-                device: d.device as u64,
-                capacity: d.capacity,
-                unassigned: d.unassigned,
-                containers: d.open_containers as u64,
-                policy: d.policy,
-            })
-            .collect();
-        (state.topology_kind().to_string(), devices)
-    }
-
-    /// A container's home device, if it is registered.
-    pub fn query_home(&self, container: ContainerId) -> Option<DeviceIndex> {
-        self.state.lock().home_of(container)
-    }
-
-    /// Deliver resume actions to their parked waiters. Socket replies are
-    /// batched: one release can resume many suspended allocations, and
-    /// `Reply::send_batch` coalesces their frames into a single write per
-    /// connection instead of a lock/write/flush cycle per wakeup.
-    fn dispatch(&self, actions: Vec<ResumeAction>) {
-        if actions.is_empty() {
-            return;
-        }
-        let mut socket_batch: Vec<(Reply, Response)> = Vec::new();
-        {
-            let mut waiters = self.waiters.lock();
-            for action in actions {
-                match waiters.remove(&action.ticket) {
-                    Some(Waiter::Channel(tx)) => {
-                        let _ = tx.send(action.decision);
-                    }
-                    Some(Waiter::Socket(reply)) => {
-                        socket_batch.push((
-                            reply,
-                            Response::Alloc {
-                                decision: action.decision,
-                            },
-                        ));
-                    }
-                    // Waiter already gone (connection died): the scheduler
-                    // state was cleaned by process_exit/container_close.
-                    None => {}
-                }
-            }
-        }
-        // Write outside the waiter lock: a slow client must not stall
-        // other dispatchers.
-        Reply::send_batch(socket_batch);
-    }
-
-    /// Answer one request: the one place a wire message becomes a call
-    /// on this service. An `alloc_request` parks the calling thread while
-    /// the container is suspended, so a socket's connection thread goes
-    /// through [`SchedulerService::alloc_request_deferred`] instead (see
-    /// [`crate::handler::ServiceHandler`]).
-    pub fn call(&self, req: Request) -> Response {
-        fn reply<T>(
-            result: Result<T, impl std::fmt::Display>,
-            ok: impl FnOnce(T) -> Response,
-        ) -> Response {
-            match result {
-                Ok(v) => ok(v),
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            }
-        }
+    /// Answer one request: the one place a wire message becomes a change
+    /// of the books, whoever sent it. An `alloc_request` whose container
+    /// is suspended parks `reply` under its ticket, and a later release
+    /// sends it; every other request is answered before this returns.
+    /// Nothing is sent under a lock: a blocked peer must never be able to
+    /// wedge a scheduler lock through a full socket buffer.
+    pub fn serve(&self, req: Request, reply: Reply) {
         match req {
-            Request::Register { container, limit } => {
-                reply(self.register(container, limit), |_| Response::Ok)
-            }
-            Request::RequestDir { container } => {
-                reply(self.request_dir(container), |p| Response::Dir {
-                    path: p.display().to_string(),
-                })
-            }
             Request::AllocRequest {
                 container,
                 pid,
                 size,
                 api,
-            } => reply(
-                self.alloc_request_blocking(container, pid, size, api),
-                |decision| Response::Alloc { decision },
-            ),
+            } => self.alloc_request(container, pid, size, api, reply),
+            Request::Register { container, limit } => self.apply(reply, |state, now| {
+                state.register(container, limit, now)?;
+                Ok((Response::Ok, Vec::new()))
+            }),
+            Request::RequestDir { container } => reply.send(match self.request_dir(container) {
+                Ok(path) => Response::Dir {
+                    path: path.display().to_string(),
+                },
+                Err(e) => error(e),
+            }),
             Request::AllocDone {
                 container,
                 pid,
                 addr,
                 size,
-            } => reply(self.alloc_done(container, pid, addr, size), |()| {
-                Response::Ok
+            } => self.apply(reply, |state, now| {
+                state.alloc_done(container, pid, addr, size, now)?;
+                Ok((Response::Ok, Vec::new()))
             }),
             Request::AllocFailed {
                 container,
                 pid,
                 size,
-            } => reply(self.alloc_failed(container, pid, size), |()| Response::Ok),
+            } => self.apply(reply, |state, now| {
+                let actions = state.alloc_failed(container, pid, size, now)?;
+                Ok((Response::Ok, actions))
+            }),
             Request::Free {
                 container,
                 pid,
                 addr,
-            } => reply(self.free(container, pid, addr), |size| Response::Freed {
-                size,
+            } => self.apply(reply, |state, now| {
+                let (size, actions) = state.free(container, pid, addr, now)?;
+                Ok((Response::Freed { size }, actions))
             }),
-            Request::MemInfo { container, pid } => {
-                reply(self.mem_info(container, pid), |(free, total)| {
-                    Response::MemInfo { free, total }
+            Request::MemInfo { container, pid } => self.apply(reply, |state, _| {
+                let (free, total) = state.mem_info(container, pid)?;
+                Ok((Response::MemInfo { free, total }, Vec::new()))
+            }),
+            Request::ProcessExit { container, pid } => self.apply(reply, |state, now| {
+                let actions = state.process_exit(container, pid, now)?;
+                Ok((Response::Ok, actions))
+            }),
+            Request::ContainerClose { container } => {
+                // The volume goes first, outside the state lock, so
+                // whoever sees the container `Closed` also sees its name
+                // gone; a container that never asked for one costs a set
+                // lookup, no syscall. Best effort: a close does not fail
+                // over a file already missing.
+                if self.volumes.lock().remove(&container) {
+                    self.retire_volume(container);
+                }
+                self.apply(reply, |state, now| {
+                    let actions = state.container_close(container, now)?;
+                    Ok((Response::Ok, actions))
                 })
             }
-            Request::ProcessExit { container, pid } => {
-                reply(self.process_exit(container, pid), |()| Response::Ok)
-            }
-            Request::ContainerClose { container } => {
-                reply(self.container_close(container), |()| Response::Ok)
-            }
-            Request::Ping => Response::Pong,
-            Request::QueryMetrics => Response::Metrics {
+            Request::Ping => reply.send(Response::Pong),
+            Request::QueryMetrics => reply.send(Response::Metrics {
                 text: self.metrics_text(),
-            },
-            Request::QueryTopology => {
-                let (kind, devices) = self.topology();
-                Response::Topology { kind, devices }
-            }
-            Request::QueryHome { container } => match self.query_home(container) {
-                Some(device) => Response::Home {
-                    node: String::new(),
-                    device: device as u64,
-                },
-                None => Response::Error {
-                    message: format!("container {container} is not registered"),
-                },
-            },
+            }),
+            Request::QueryTopology => self.apply(reply, |state, _| {
+                let devices = state
+                    .devices()
+                    .into_iter()
+                    .map(|d| TopologyDevice {
+                        node: String::new(),
+                        device: d.device as u64,
+                        capacity: d.capacity,
+                        unassigned: d.unassigned,
+                        containers: d.open_containers as u64,
+                        policy: d.policy,
+                    })
+                    .collect();
+                let kind = state.topology_kind().to_string();
+                Ok((Response::Topology { kind, devices }, Vec::new()))
+            }),
+            Request::QueryHome { container } => self.apply(reply, |state, _| {
+                let home = match state.home_of(container) {
+                    Some(device) => Response::Home {
+                        node: String::new(),
+                        device: device as u64,
+                    },
+                    None => Response::Error {
+                        message: format!("container {container} is not registered"),
+                    },
+                };
+                Ok((home, Vec::new()))
+            }),
             // Clusters are the router's; nothing answers the retired
             // migration kinds.
-            Request::QueryCluster | Request::Migrate { .. } | Request::QueryMigrations => {
-                Response::Error {
+            Request::QueryCluster | Request::Migrate { .. } | Request::QueryMigrations => reply
+                .send(Response::Error {
                     message: "not a cluster daemon".to_string(),
-                }
-            }
+                }),
         }
     }
 
-    /// Register a container with its limit; reports the device it was
-    /// placed on.
-    pub fn register(
+    /// Apply one transition: lock the backend, read the clock under the
+    /// lock (concurrent connections would otherwise hand the scheduler
+    /// out-of-order timestamps), run `f`, then — both locks released —
+    /// dispatch the resumes it produced and answer `reply`.
+    fn apply(
+        &self,
+        reply: Reply,
+        f: impl FnOnce(
+            &mut TopologyBackend,
+            SimTime,
+        ) -> Result<(Response, Vec<ResumeAction>), SchedError>,
+    ) {
+        let result = {
+            let mut state = self.state.lock();
+            let now = self.clock.now();
+            f(&mut state, now)
+        };
+        let response = match result {
+            Ok((response, actions)) => {
+                self.dispatch(actions);
+                response
+            }
+            Err(e) => error(e),
+        };
+        reply.send(response);
+    }
+
+    /// Decide an allocation. A grant or a rejection answers the caller
+    /// before the resumes its give-back produced are dispatched; a
+    /// suspension parks `reply` instead — the container "pausing its
+    /// execution" until a release answers it.
+    fn alloc_request(
         &self,
         container: ContainerId,
-        limit: Bytes,
-    ) -> Result<DeviceIndex, SchedError> {
-        // `now` is read under the lock: concurrent connections would
-        // otherwise hand the scheduler out-of-order timestamps.
-        let mut state = self.state.lock();
-        let now = self.clock.now();
-        state.register(container, limit, now)
+        pid: u64,
+        size: Bytes,
+        api: ApiKind,
+        reply: Reply,
+    ) {
+        let alloc = |decision| Response::Alloc { decision };
+        let (to_send, actions) = {
+            let mut state = self.state.lock();
+            let now = self.clock.now();
+            match state.alloc_request(container, pid, size, api, now) {
+                Ok((AllocOutcome::Granted, actions)) => {
+                    (Some((reply, alloc(AllocDecision::Granted))), actions)
+                }
+                Ok((AllocOutcome::Rejected, actions)) => {
+                    (Some((reply, alloc(AllocDecision::Rejected))), actions)
+                }
+                Ok((AllocOutcome::Suspended { ticket }, actions)) => {
+                    // Parked under the scheduler lock, so no resume can
+                    // race ahead of the registration.
+                    self.waiters.lock().insert(ticket, reply);
+                    (None, actions)
+                }
+                Err(e) => (Some((reply, error(e))), Vec::new()),
+            }
+        };
+        if let Some((reply, response)) = to_send {
+            reply.send(response);
+        }
+        self.dispatch(actions);
+    }
+
+    /// Deliver resume actions to their parked replies. One release can
+    /// resume many suspended allocations, and `Reply::send_batch`
+    /// coalesces their frames into a single write per connection instead
+    /// of a lock/write/flush cycle per wakeup.
+    fn dispatch(&self, actions: Vec<ResumeAction>) {
+        if actions.is_empty() {
+            return;
+        }
+        let alloc = |decision| Response::Alloc { decision };
+        let batch: Vec<(Reply, Response)> = {
+            let mut waiters = self.waiters.lock();
+            actions
+                .into_iter()
+                // No reply under the ticket: nothing is left to answer,
+                // and process_exit / container_close cleaned the
+                // scheduler state.
+                .filter_map(|action| {
+                    let reply = waiters.remove(&action.ticket)?;
+                    Some((reply, alloc(action.decision)))
+                })
+                .collect()
+        };
+        // Written outside the waiter lock: a slow client must not stall
+        // other dispatchers.
+        Reply::send_batch(batch);
     }
 
     /// Create (if needed) and return the container's volume directory,
@@ -358,7 +389,7 @@ impl SchedulerService {
     /// that socket for (one called only in process) links nothing. A link no
     /// client could dial (a path too long for a socket address) is
     /// refused with `InvalidInput` before anything is made.
-    /// [`SchedulerService::container_close`] takes the directory off the
+    /// The container's `container_close` takes the directory off the
     /// container's name. A first request renames a closed container's
     /// spare volume into place when there is one: a directory and two
     /// links made and removed per container were most of a lifecycle's
@@ -418,174 +449,6 @@ impl SchedulerService {
         self.base_dir.join(container.to_string()).join(SOCKET_NAME)
     }
 
-    /// Blocking allocation request (in-process path): parks the calling
-    /// thread while suspended.
-    pub fn alloc_request_blocking(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-    ) -> Result<AllocDecision, SchedError> {
-        // Decided now (`Ok`), or parked on the channel its resume answers.
-        let (answer, actions) = {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            let (outcome, actions) = state.alloc_request(container, pid, size, api, now)?;
-            let answer = match outcome {
-                AllocOutcome::Granted => Ok(AllocDecision::Granted),
-                AllocOutcome::Rejected => Ok(AllocDecision::Rejected),
-                AllocOutcome::Suspended { ticket } => {
-                    let (tx, rx) = sync_channel(1);
-                    // Park under the scheduler lock so no resume can race
-                    // ahead of the registration.
-                    self.waiters.lock().insert(ticket, Waiter::Channel(tx));
-                    Err(rx)
-                }
-            };
-            (answer, actions)
-        };
-        // Side-effect resumes first (they cannot contain our ticket).
-        self.dispatch(actions);
-        // Blocked: this is the container "pausing its execution".
-        answer.or_else(|rx| {
-            rx.recv().map_err(|_| {
-                SchedError::ProtocolViolation("scheduler dropped a suspended request".into())
-            })
-        })
-    }
-
-    /// Deferred allocation request (socket path): replies immediately or
-    /// parks the [`Reply`].
-    pub fn alloc_request_deferred(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-        reply: Reply,
-    ) {
-        // Decide under the state lock, but send only after it (and the
-        // waiter lock) are released — a blocked peer must never be able
-        // to wedge a scheduler lock through a full socket buffer. The
-        // suspended arm parks the `Reply` instead of answering.
-        let (to_send, actions) = {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            match state.alloc_request(container, pid, size, api, now) {
-                Ok((AllocOutcome::Granted, actions)) => (
-                    Some((
-                        reply,
-                        Response::Alloc {
-                            decision: AllocDecision::Granted,
-                        },
-                    )),
-                    actions,
-                ),
-                Ok((AllocOutcome::Rejected, actions)) => (
-                    Some((
-                        reply,
-                        Response::Alloc {
-                            decision: AllocDecision::Rejected,
-                        },
-                    )),
-                    actions,
-                ),
-                Ok((AllocOutcome::Suspended { ticket }, actions)) => {
-                    self.waiters.lock().insert(ticket, Waiter::Socket(reply));
-                    (None, actions)
-                }
-                Err(e) => (
-                    Some((
-                        reply,
-                        Response::Error {
-                            message: e.to_string(),
-                        },
-                    )),
-                    Vec::new(),
-                ),
-            }
-        };
-        if let Some((reply, response)) = to_send {
-            reply.send(response);
-        }
-        self.dispatch(actions);
-    }
-
-    /// Record a completed device allocation.
-    pub fn alloc_done(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        addr: u64,
-        size: Bytes,
-    ) -> Result<(), SchedError> {
-        let mut state = self.state.lock();
-        let now = self.clock.now();
-        state.alloc_done(container, pid, addr, size, now)
-    }
-
-    /// Release a reservation whose device allocation failed.
-    pub fn alloc_failed(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        size: Bytes,
-    ) -> Result<(), SchedError> {
-        let actions = {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            state.alloc_failed(container, pid, size, now)?
-        };
-        self.dispatch(actions);
-        Ok(())
-    }
-
-    /// Record a free; may resume the container's own parked requests.
-    pub fn free(&self, container: ContainerId, pid: u64, addr: u64) -> Result<Bytes, SchedError> {
-        let (freed, actions) = {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            state.free(container, pid, addr, now)?
-        };
-        self.dispatch(actions);
-        Ok(freed)
-    }
-
-    /// Serve `cudaMemGetInfo` from the books.
-    pub fn mem_info(&self, container: ContainerId, pid: u64) -> Result<(Bytes, Bytes), SchedError> {
-        self.state.lock().mem_info(container, pid)
-    }
-
-    /// Process exit: reclaim the pid's memory.
-    pub fn process_exit(&self, container: ContainerId, pid: u64) -> Result<(), SchedError> {
-        let actions = {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            state.process_exit(container, pid, now)?
-        };
-        self.dispatch(actions);
-        Ok(())
-    }
-
-    /// Container close: release everything and redistribute. The volume
-    /// directory `request_dir` made goes first (outside the state lock),
-    /// so whoever sees the container `Closed` also sees its name gone; a
-    /// container that never asked for one costs a set lookup, no syscall.
-    /// Best effort: a close does not fail over a file already missing.
-    pub fn container_close(&self, container: ContainerId) -> Result<(), SchedError> {
-        if self.volumes.lock().remove(&container) {
-            self.retire_volume(container);
-        }
-        let actions = {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            state.container_close(container, now)?
-        };
-        self.dispatch(actions);
-        Ok(())
-    }
-
     /// Take the closed `container`'s volume off its name: kept as a spare
     /// when it holds just the socket link and the module, as
     /// `request_dir` made it, and fewer than [`SPARE_VOLUMES`] are kept;
@@ -624,8 +487,9 @@ impl Drop for SchedulerService {
 /// The service called in-process, with no socket between: the front
 /// end's own channel to its scheduler (nvidia-docker's `register` and
 /// the volume driver's `close`), the experiment harnesses, and
-/// tests. An `alloc_request` parks the calling thread while the container
-/// is suspended.
+/// tests. Each request is served with an in-process [`Reply`]; an
+/// `alloc_request` parks the calling thread on it while the container is
+/// suspended.
 pub struct InProcEndpoint {
     service: Arc<SchedulerService>,
 }
@@ -639,7 +503,16 @@ impl InProcEndpoint {
 
 impl Transact for InProcEndpoint {
     fn transact(&self, req: Request) -> IpcResult<Response> {
-        Ok(self.service.call(req))
+        let (reply, answer) = Reply::in_process();
+        self.service.serve(req, reply);
+        answer.recv().map_err(|_| IpcError::Disconnected)
+    }
+}
+
+/// A refusal, as the wire carries it.
+fn error(e: impl std::fmt::Display) -> Response {
+    Response::Error {
+        message: e.to_string(),
     }
 }
 
@@ -671,7 +544,8 @@ mod tests {
     #[test]
     fn request_dir_creates_module_file() {
         let svc = service(5120);
-        svc.register(ContainerId(1), Bytes::mib(256)).unwrap();
+        let ep = InProcEndpoint::new(Arc::clone(&svc));
+        ep.register(ContainerId(1), Bytes::mib(256)).unwrap();
         let dir = svc.request_dir(ContainerId(1)).unwrap();
         assert!(dir.join("libgpushare.so").exists());
         assert!(svc
@@ -687,7 +561,8 @@ mod tests {
         let svc = service(5121);
         let listener = TransportListener::bind(&svc.daemon_socket().into()).unwrap();
         let inode = std::fs::metadata(svc.daemon_socket()).unwrap().ino();
-        svc.register(ContainerId(1), Bytes::mib(256)).unwrap();
+        let ep = InProcEndpoint::new(Arc::clone(&svc));
+        ep.register(ContainerId(1), Bytes::mib(256)).unwrap();
         // Asked twice: same directory, same single link to the listener.
         let dir = svc.request_dir(ContainerId(1)).unwrap();
         assert_eq!(svc.request_dir(ContainerId(1)).unwrap(), dir);
@@ -701,11 +576,11 @@ mod tests {
         assert_eq!(std::fs::metadata(&link).unwrap().ino(), inode);
         Conn::connect(&EndpointAddr::from(link)).unwrap();
 
-        svc.container_close(ContainerId(1)).unwrap();
+        ep.container_close(ContainerId(1)).unwrap();
         assert!(!dir.exists());
         assert!(svc.daemon_socket().exists());
         // A second close finds no volume and is the scheduler's business.
-        let _ = svc.container_close(ContainerId(1));
+        let _ = ep.container_close(ContainerId(1));
         drop(listener);
         std::fs::remove_file(svc.daemon_socket()).unwrap();
     }
@@ -715,6 +590,7 @@ mod tests {
         use convgpu_ipc::transport::TransportListener;
         use std::os::unix::fs::MetadataExt;
         let svc = service(5122);
+        let ep = InProcEndpoint::new(Arc::clone(&svc));
         let listener = TransportListener::bind(&svc.daemon_socket().into()).unwrap();
         let volume = |id: u64| svc.base_dir().join(ContainerId(id).to_string());
         let spares = || {
@@ -727,11 +603,11 @@ mod tests {
             names
         };
         let open = |id: u64| {
-            svc.register(ContainerId(id), Bytes::mib(64)).unwrap();
+            ep.register(ContainerId(id), Bytes::mib(64)).unwrap();
             svc.request_dir(ContainerId(id)).unwrap()
         };
         let inode = std::fs::metadata(open(1)).unwrap().ino();
-        svc.container_close(ContainerId(1)).unwrap();
+        ep.container_close(ContainerId(1)).unwrap();
         assert!(!volume(1).exists());
         assert_eq!(spares(), [".spare-cnt-0001"]);
         // The next container gets that directory, its links in place.
@@ -747,20 +623,20 @@ mod tests {
         assert!(dir.join("libgpushare.so").exists());
         // A volume the container wrote into is removed, not kept.
         std::fs::write(dir.join("out.log"), b"ran").unwrap();
-        svc.container_close(ContainerId(2)).unwrap();
+        ep.container_close(ContainerId(2)).unwrap();
         assert!(!dir.exists());
         assert_eq!(spares(), Vec::<String>::new());
         // A burst of closes keeps at most SPARE_VOLUMES of them.
         let burst = 3..3 + SPARE_VOLUMES as u64 + 2;
         burst.clone().for_each(|id| drop(open(id)));
         for id in burst {
-            svc.container_close(ContainerId(id)).unwrap();
+            ep.container_close(ContainerId(id)).unwrap();
             assert!(!volume(id).exists());
         }
         assert_eq!(spares().len(), SPARE_VOLUMES);
         // They go with the service.
         let base = svc.base_dir().to_path_buf();
-        drop(svc);
+        drop((ep, svc));
         assert_eq!(std::fs::read_dir(&base).unwrap().count(), 1);
         drop(listener);
         std::fs::remove_dir_all(base).unwrap();
@@ -769,24 +645,110 @@ mod tests {
     #[test]
     fn blocking_suspension_resumes_on_close() {
         let svc = service(1200);
-        svc.register(ContainerId(1), Bytes::mib(1000)).unwrap();
-        svc.register(ContainerId(2), Bytes::mib(1000)).unwrap();
+        let ep = InProcEndpoint::new(Arc::clone(&svc));
+        ep.register(ContainerId(1), Bytes::mib(1000)).unwrap();
+        ep.register(ContainerId(2), Bytes::mib(1000)).unwrap();
         assert_eq!(
-            svc.alloc_request_blocking(ContainerId(1), 1, Bytes::mib(1000), ApiKind::Malloc)
+            ep.request_alloc(ContainerId(1), 1, Bytes::mib(1000), ApiKind::Malloc)
                 .unwrap(),
             AllocDecision::Granted
         );
-        let svc2 = Arc::clone(&svc);
+        let ep2 = InProcEndpoint::new(Arc::clone(&svc));
         let waiter = std::thread::spawn(move || {
-            svc2.alloc_request_blocking(ContainerId(2), 2, Bytes::mib(1000), ApiKind::Malloc)
+            ep2.request_alloc(ContainerId(2), 2, Bytes::mib(1000), ApiKind::Malloc)
         });
         // Give the waiter time to park.
         std::thread::sleep(Duration::from_millis(30));
         assert!(!waiter.is_finished(), "request must be suspended");
-        svc.container_close(ContainerId(1)).unwrap();
+        ep.container_close(ContainerId(1)).unwrap();
         let decision = waiter.join().unwrap().unwrap();
         assert_eq!(decision, AllocDecision::Granted);
         svc.with_scheduler(|s| s.check_invariants().unwrap());
+    }
+
+    /// One release resumes an in-process waiter and two socket waiters
+    /// parked on one connection. Each gets exactly one answer, with its
+    /// own decision: the container's stacked second request overruns
+    /// its limit once the first is granted.
+    #[test]
+    fn one_release_answers_in_process_and_socket_waiters_once_each() {
+        use crate::handler::ServiceHandler;
+        use convgpu_ipc::codec::{read_json, write_json};
+        use convgpu_ipc::message::Envelope;
+        use convgpu_ipc::server::SocketServer;
+        use convgpu_ipc::transport::{Conn, EndpointAddr};
+        use std::io::BufReader;
+        let svc = service(1203);
+        std::fs::create_dir_all(svc.base_dir()).unwrap();
+        let server = SocketServer::bind(
+            &svc.daemon_socket(),
+            Arc::new(ServiceHandler::new(Arc::clone(&svc))),
+        )
+        .unwrap();
+        let ep = InProcEndpoint::new(Arc::clone(&svc));
+        let (a, b, c) = (ContainerId(1), ContainerId(2), ContainerId(3));
+        ep.register(a, Bytes::mib(1000)).unwrap();
+        ep.register(b, Bytes::mib(500)).unwrap();
+        ep.register(c, Bytes::mib(200)).unwrap();
+        let granted = |d| Response::Alloc { decision: d };
+        assert_eq!(
+            ep.request_alloc(a, 1, Bytes::mib(1000), ApiKind::Malloc)
+                .unwrap(),
+            AllocDecision::Granted
+        );
+        let parked = |id: ContainerId, n: usize| {
+            while svc.with_scheduler(|s| s.container(id).unwrap().pending.len()) < n {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // Two socket waiters on one connection: b's 300 MiB, then a
+        // second 300 MiB stacked behind it.
+        let mut conn = Conn::connect(&EndpointAddr::from(svc.daemon_socket())).unwrap();
+        let mut frames = BufReader::new(conn.try_clone().unwrap());
+        for id in 1..=2 {
+            let body = Request::AllocRequest {
+                container: b,
+                pid: 2,
+                size: Bytes::mib(300),
+                api: ApiKind::Malloc,
+            };
+            write_json(&mut conn, &Envelope { id, body }).unwrap();
+            parked(b, id as usize);
+        }
+        // The in-process waiter.
+        let ep_c = InProcEndpoint::new(Arc::clone(&svc));
+        let waiter =
+            std::thread::spawn(move || ep_c.request_alloc(c, 3, Bytes::mib(100), ApiKind::Malloc));
+        parked(c, 1);
+
+        ep.container_close(a).unwrap();
+        assert_eq!(waiter.join().unwrap().unwrap(), AllocDecision::Granted);
+        let mut answers: Vec<(u64, Response)> = (0..2)
+            .map(|_| {
+                let env: Envelope<Response> = read_json(&mut frames).unwrap().unwrap();
+                (env.id, env.body)
+            })
+            .collect();
+        answers.sort_by_key(|(id, _)| *id);
+        assert_eq!(
+            answers,
+            [
+                (1, granted(AllocDecision::Granted)),
+                (2, granted(AllocDecision::Rejected)),
+            ]
+        );
+        // Nothing else was written for them, and nobody is left parked.
+        let ping = Envelope {
+            id: 3,
+            body: Request::Ping,
+        };
+        write_json(&mut conn, &ping).unwrap();
+        let env: Envelope<Response> = read_json(&mut frames).unwrap().unwrap();
+        assert_eq!((env.id, env.body), (3, Response::Pong));
+        assert!(svc.waiters.lock().is_empty());
+        svc.with_scheduler(|s| s.check_invariants().unwrap());
+        drop((conn, frames));
+        server.shutdown();
     }
 
     /// No transition writes a `convgpu_sched_*` gauge; a scrape writes
@@ -809,10 +771,9 @@ mod tests {
             .unwrap();
         ep.alloc_done(c2, 2, 0xB, Bytes::mib(200)).unwrap();
         // c3 parks until c1's close hands it c1's reservation.
-        let svc3 = Arc::clone(&svc);
-        let waiter = std::thread::spawn(move || {
-            svc3.alloc_request_blocking(c3, 3, Bytes::mib(300), ApiKind::Malloc)
-        });
+        let ep3 = InProcEndpoint::new(Arc::clone(&svc));
+        let waiter =
+            std::thread::spawn(move || ep3.request_alloc(c3, 3, Bytes::mib(300), ApiKind::Malloc));
         while svc.with_scheduler(|s| !s.container(c3).unwrap().is_suspended()) {
             assert!(!waiter.is_finished(), "c3 must park");
             std::thread::sleep(Duration::from_millis(1));
@@ -831,7 +792,7 @@ mod tests {
                 .count()
         };
         assert_eq!(sched_gauges(), 0, "a transition wrote a gauge");
-        let Response::Metrics { .. } = svc.call(Request::QueryMetrics) else {
+        let Ok(Response::Metrics { .. }) = ep.transact(Request::QueryMetrics) else {
             panic!("query_metrics answers `metrics`");
         };
         let snap = svc.obs().registry.snapshot();

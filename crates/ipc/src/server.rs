@@ -10,7 +10,9 @@
 //! container must wait for memory, the scheduler simply *does not answer
 //! yet*. [`Reply`] is therefore a detachable one-shot handle — the handler
 //! can stash it in the suspended-container queue and fire it minutes later
-//! from whatever thread processes the memory release.
+//! from whatever thread processes the memory release. A caller in the
+//! scheduler's own process waits on the same handle
+//! ([`Reply::in_process`]), so a suspension parks one kind of thing.
 
 use crate::binary::{encode_with, read_auto, WireCodec, MAX_FRAME_BYTES};
 use crate::message::{Envelope, Request, Response};
@@ -27,6 +29,7 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -55,14 +58,29 @@ struct ReplyObs {
     received_at: SimTime,
 }
 
-/// One-shot deferred reply handle. Remembers which codec its request
-/// arrived in, so even a reply fired minutes later (a suspension ending)
-/// answers in the format the client is reading.
+/// One-shot deferred reply handle. A socket request's reply remembers
+/// which codec its request arrived in, so even a reply fired minutes
+/// later (a suspension ending) answers in the format the client is
+/// reading; an in-process caller's ([`Reply::in_process`]) hands the
+/// response to the thread waiting on its receiver.
 ///
 /// A request under envelope id 0 is a report that wants no answer:
 /// sending its reply writes nothing. A refusal is counted under
 /// [`IPC_REPORTS_REFUSED`] instead of going unseen.
 pub struct Reply {
+    to: ReplyTo,
+}
+
+/// Where a [`Reply`] goes.
+enum ReplyTo {
+    /// Back on a socket connection.
+    Conn(ConnReply),
+    /// To an in-process caller blocked on the channel's receiver.
+    InProcess(SyncSender<Response>),
+}
+
+/// A socket request's reply: its connection, envelope id and codec.
+struct ConnReply {
     writer: Arc<Mutex<Conn>>,
     id: u64,
     codec: WireCodec,
@@ -70,20 +88,27 @@ pub struct Reply {
 }
 
 impl Reply {
+    /// A reply for a caller in this process: the response arrives on the
+    /// receiver. A reply dropped unsent drops the sender, so the receiver
+    /// reads a disconnect, as a socket client's connection would.
+    pub fn in_process() -> (Reply, Receiver<Response>) {
+        let (tx, rx) = sync_channel(1);
+        let reply = Reply {
+            to: ReplyTo::InProcess(tx),
+        };
+        (reply, rx)
+    }
+
     /// Send the response. Errors (client already gone) are swallowed: the
     /// scheduler must not crash because a container died mid-wait — the
     /// disconnect path reclaims its state instead.
     pub fn send(self, resp: Response) {
-        if self.unanswered(&resp) {
-            return;
+        match self.to {
+            ReplyTo::Conn(reply) => reply.send(resp),
+            ReplyTo::InProcess(tx) => {
+                let _ = tx.send(resp);
+            }
         }
-        let write_started = self.obs.as_ref().map(|o| o.clock.now());
-        let frame = self.frame(resp);
-        {
-            let mut w = self.writer.lock();
-            let _ = w.write_all(&frame).and_then(|()| w.flush());
-        }
-        Self::observe_sent(&self.obs, write_started);
     }
 
     /// Send many responses with one syscall per connection: frames are
@@ -91,7 +116,8 @@ impl Reply {
     /// destination stream, and each group is written with a single
     /// `write_all`. This is the reply-coalescing path `dispatch` uses when
     /// one release resumes a burst of suspended allocations — N wakeups
-    /// previously cost N lock/write/flush cycles per socket.
+    /// previously cost N lock/write/flush cycles per socket. In-process
+    /// replies are handed over one by one.
     pub fn send_batch(mut batch: Vec<(Reply, Response)>) {
         batch.retain(|(reply, resp)| !reply.unanswered(resp));
         // Tiny batches (the common case) go through the simple path.
@@ -110,6 +136,13 @@ impl Reply {
         );
         let mut groups: Vec<Group> = Vec::new();
         for (reply, resp) in batch {
+            let reply = match reply.to {
+                ReplyTo::Conn(reply) => reply,
+                to => {
+                    Reply { to }.send(resp);
+                    continue;
+                }
+            };
             let write_started = reply.obs.as_ref().map(|o| o.clock.now());
             let frame = reply.frame(resp);
             match groups
@@ -133,7 +166,7 @@ impl Reply {
                 let _ = w.write_all(&buf).and_then(|()| w.flush());
             }
             for (obs, write_started) in obs_list {
-                Self::observe_sent(&obs, write_started);
+                ConnReply::observe_sent(&obs, write_started);
             }
         }
     }
@@ -141,6 +174,31 @@ impl Reply {
     /// Whether the request came under envelope id 0: a report, whose
     /// reply writes nothing.
     pub fn is_report(&self) -> bool {
+        matches!(&self.to, ReplyTo::Conn(reply) if reply.is_report())
+    }
+
+    /// True for a socket report, which gets no reply frame
+    /// ([`ConnReply::unanswered`]); an in-process caller always waits.
+    fn unanswered(&self, resp: &Response) -> bool {
+        matches!(&self.to, ReplyTo::Conn(reply) if reply.unanswered(resp))
+    }
+}
+
+impl ConnReply {
+    fn send(self, resp: Response) {
+        if self.unanswered(&resp) {
+            return;
+        }
+        let write_started = self.obs.as_ref().map(|o| o.clock.now());
+        let frame = self.frame(resp);
+        {
+            let mut w = self.writer.lock();
+            let _ = w.write_all(&frame).and_then(|()| w.flush());
+        }
+        Self::observe_sent(&self.obs, write_started);
+    }
+
+    fn is_report(&self) -> bool {
         self.id == 0
     }
 
@@ -377,14 +435,16 @@ fn reader_loop(stream: Conn, writer: Arc<Mutex<Conn>>, conn_id: ConnId, shared: 
                     o.clock.now()
                 });
                 let reply = Reply {
-                    writer: Arc::clone(&writer),
-                    id: env.id,
-                    codec,
-                    obs: shared.obs.as_ref().zip(received_at).map(|(o, t)| ReplyObs {
-                        registry: Arc::clone(&o.registry),
-                        clock: o.clock.clone(),
-                        kind,
-                        received_at: t,
+                    to: ReplyTo::Conn(ConnReply {
+                        writer: Arc::clone(&writer),
+                        id: env.id,
+                        codec,
+                        obs: shared.obs.as_ref().zip(received_at).map(|(o, t)| ReplyObs {
+                            registry: Arc::clone(&o.registry),
+                            clock: o.clock.clone(),
+                            kind,
+                            received_at: t,
+                        }),
                     }),
                 };
                 shared.handler.on_request(conn_id, env.body, reply);

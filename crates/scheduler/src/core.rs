@@ -40,6 +40,7 @@ use convgpu_obs::{Registry, SpanRecord, Tracer};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::{SimDuration, SimTime};
 use convgpu_sim_core::units::Bytes;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -390,6 +391,16 @@ impl SchedulerConfig {
             size
         }
     }
+
+    /// The context charge each charged pid holds: the overhead when this
+    /// config charges one, else nothing.
+    fn ctx_charge(&self) -> Bytes {
+        if self.charge_ctx_overhead {
+            self.ctx_overhead
+        } else {
+            Bytes::ZERO
+        }
+    }
 }
 
 /// Book a grant of `need` bytes to `pid`, first topping `rec`'s
@@ -714,6 +725,10 @@ impl Scheduler {
     }
 
     /// Wrapper: the granted allocation succeeded on the device at `addr`.
+    /// Only bytes in flight can have been allocated: a larger report, or
+    /// a second one for a live address, is refused and the books stay as
+    /// they were — a hostile wrapper must not re-size a live allocation
+    /// or file bytes a later `free` would take off another's charge.
     pub fn alloc_done(
         &mut self,
         id: ContainerId,
@@ -723,14 +738,19 @@ impl Scheduler {
         _now: SimTime,
     ) -> Result<(), SchedError> {
         let rec = open_record(&mut self.containers, id)?;
-        if let Some(first) = rec.allocations.insert(addr, (pid, size)) {
-            // Refused, and the first report's entry stays: a hostile
-            // wrapper must not re-size a live allocation.
-            rec.allocations.insert(addr, first);
+        let in_flight = rec.in_flight(self.cfg.ctx_charge());
+        let Entry::Vacant(entry) = rec.allocations.entry(addr) else {
             return Err(SchedError::ProtocolViolation(format!(
                 "duplicate AllocDone for address 0x{addr:x}"
             )));
+        };
+        if size > in_flight {
+            return Err(SchedError::ProtocolViolation(format!(
+                "AllocDone for {size} with {in_flight} in flight"
+            )));
         }
+        entry.insert((pid, size));
+        rec.filed += size;
         self.audit_check();
         Ok(())
     }
@@ -740,7 +760,7 @@ impl Scheduler {
     /// parked requests may now fit. Only bytes in flight — granted, not
     /// filed by `alloc_done`, not a context charge — can have failed: a
     /// larger report is refused and the books stay as they were, as for
-    /// a duplicate `alloc_done`.
+    /// `alloc_done`.
     pub fn alloc_failed(
         &mut self,
         id: ContainerId,
@@ -748,15 +768,9 @@ impl Scheduler {
         size: Bytes,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let ctx = if self.cfg.charge_ctx_overhead {
-            self.cfg.ctx_overhead
-        } else {
-            Bytes::ZERO
-        };
+        let ctx = self.cfg.ctx_charge();
         let released = self.release(id, now, |rec| {
-            let recorded: Bytes = rec.allocations.values().map(|&(_, s)| s).sum();
-            let charges = Bytes::new(ctx.as_u64() * rec.charged_pids.len() as u64);
-            let in_flight = rec.used.saturating_sub(recorded).saturating_sub(charges);
+            let in_flight = rec.in_flight(ctx);
             if size > in_flight {
                 return Err(SchedError::ProtocolViolation(format!(
                     "AllocFailed for {size} with {in_flight} in flight"
@@ -778,8 +792,11 @@ impl Scheduler {
         now: SimTime,
     ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
         self.release(id, now, |rec| {
-            let size = rec.allocations.remove(&addr).map(|(_pid, size)| size);
-            Ok(size.map_or(Bytes::ZERO, |size| rec.used.min(size)))
+            let Some((_pid, size)) = rec.allocations.remove(&addr) else {
+                return Ok(Bytes::ZERO);
+            };
+            rec.filed -= size;
+            Ok(rec.used.min(size))
         })
     }
 
@@ -841,6 +858,7 @@ impl Scheduler {
         let mut reclaimed = Bytes::ZERO;
         for a in addrs {
             if let Some((_, size)) = rec.allocations.remove(&a) {
+                rec.filed -= size;
                 rec.used = rec.used.saturating_sub(size);
                 reclaimed += size;
             }
@@ -890,6 +908,7 @@ impl Scheduler {
         rec.state = ContainerState::Closed;
         rec.closed_at = Some(now);
         rec.allocations.clear();
+        rec.filed = Bytes::ZERO;
         self.total_used -= rec.used;
         rec.used = Bytes::ZERO;
         let released = rec.assigned;
@@ -1093,7 +1112,19 @@ impl Scheduler {
                     requirement: rec.requirement,
                 });
             }
-            let recorded: Bytes = rec.allocations.values().map(|&(_, s)| s).sum();
+            let mut recorded: Bytes = rec.allocations.values().map(|&(_, s)| s).sum();
+            if recorded != rec.filed {
+                return Err(InvariantViolation::FiledTotalMismatch {
+                    container: rec.id,
+                    filed: rec.filed,
+                    recorded,
+                });
+            }
+            // An open container's `used` is what is filed, its context
+            // charges, and what is in flight; a close drops all three.
+            if rec.state != ContainerState::Closed {
+                recorded += rec.ctx_charges(self.cfg.ctx_charge());
+            }
             if recorded > rec.used {
                 return Err(InvariantViolation::RecordedExceedsUsed {
                     container: rec.id,
@@ -1770,6 +1801,36 @@ mod tests {
             Err(SchedError::ProtocolViolation(_))
         ));
         assert_eq!(s.container(C1).unwrap().used, mib(166));
+        s.check_invariants().unwrap();
+    }
+
+    /// `alloc_done` may file only bytes in flight. A 150 MiB report for a
+    /// 100 MiB grant would let the later `free` take 50 MiB of the pid's
+    /// context charge off the books while the device still holds it.
+    #[test]
+    fn alloc_done_refuses_more_than_is_in_flight() {
+        let mut s = sched(5120, PolicyKind::Fifo);
+        s.register(C1, mib(512), t(0)).unwrap();
+        s.alloc_request(C1, 1, mib(100), ApiKind::Malloc, t(1))
+            .unwrap();
+        assert_eq!(s.container(C1).unwrap().used, mib(166));
+        assert!(matches!(
+            s.alloc_done(C1, 1, 0xA, mib(150), t(1)),
+            Err(SchedError::ProtocolViolation(_))
+        ));
+        assert!(s.container(C1).unwrap().allocations.is_empty());
+        s.check_invariants().unwrap();
+        // The grant itself files, in two parts, and nothing more.
+        s.alloc_done(C1, 1, 0xA, mib(60), t(2)).unwrap();
+        s.alloc_done(C1, 1, 0xB, mib(40), t(2)).unwrap();
+        assert!(matches!(
+            s.alloc_done(C1, 1, 0xC, mib(1), t(2)),
+            Err(SchedError::ProtocolViolation(_))
+        ));
+        s.check_invariants().unwrap();
+        assert_eq!(s.free(C1, 1, 0xA, t(3)).unwrap().0, mib(60));
+        assert_eq!(s.free(C1, 1, 0xB, t(3)).unwrap().0, mib(40));
+        assert_eq!(s.container(C1).unwrap().used, mib(66));
         s.check_invariants().unwrap();
     }
 

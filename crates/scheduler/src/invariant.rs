@@ -20,8 +20,9 @@
 //! 2. **Limit isolation** — no container's charged usage exceeds its
 //!    requirement (declared limit + context overhead), and usage never
 //!    exceeds the guaranteed (`assigned`) budget.
-//! 3. **Accounting consistency** — recorded live allocations never exceed
-//!    the charged usage; a closed container holds no memory.
+//! 3. **Accounting consistency** — recorded live allocations plus the
+//!    context charges never exceed the charged usage, and their running
+//!    total matches the records; a closed container holds no memory.
 //! 4. **Ticket uniqueness** — every parked request's ticket is unique
 //!    across all containers and below the issuance counter. (Promoted from
 //!    a `debug_assert!` so release-mode audit runs check it too.)
@@ -74,14 +75,25 @@ pub enum InvariantViolation {
         /// Requirement (limit + context overhead).
         requirement: Bytes,
     },
-    /// Live allocation records sum past the charged usage.
+    /// Live allocation records and context charges sum past the charged
+    /// usage.
     RecordedExceedsUsed {
         /// Offending container.
         container: ContainerId,
-        /// Sum of recorded allocations.
+        /// Sum of recorded allocations and context charges.
         recorded: Bytes,
         /// Charged usage.
         used: Bytes,
+    },
+    /// The running total of filed bytes differs from the allocation
+    /// records it sums.
+    FiledTotalMismatch {
+        /// Offending container.
+        container: ContainerId,
+        /// The running total.
+        filed: Bytes,
+        /// Sum of recorded allocations.
+        recorded: Bytes,
     },
     /// A closed container still holds assigned or used memory.
     ClosedHoldsMemory {
@@ -177,7 +189,15 @@ impl fmt::Display for InvariantViolation {
                 used,
             } => write!(
                 f,
-                "{container}: recorded allocations {recorded} exceed used {used}"
+                "{container}: recorded allocations and context charges {recorded} exceed used {used}"
+            ),
+            InvariantViolation::FiledTotalMismatch {
+                container,
+                filed,
+                recorded,
+            } => write!(
+                f,
+                "{container}: filed total {filed} != recorded allocations {recorded}"
             ),
             InvariantViolation::ClosedHoldsMemory { container } => {
                 write!(f, "{container}: closed but still holds memory")

@@ -61,6 +61,9 @@ pub struct ContainerRecord {
     pub used: Bytes,
     /// Live allocations: device address → (pid, size).
     pub allocations: HashMap<u64, (u64, Bytes)>,
+    /// The sizes in `allocations`, summed as they are filed and freed, so
+    /// the in-flight check of `alloc_done` and `alloc_failed` walks nothing.
+    pub filed: Bytes,
     /// Pids whose context overhead has been charged.
     pub charged_pids: BTreeSet<u64>,
     /// Parked allocation requests, FIFO. A deque so the hot drain path
@@ -95,6 +98,7 @@ impl ContainerRecord {
             assigned: Bytes::ZERO,
             used: Bytes::ZERO,
             allocations: HashMap::new(),
+            filed: Bytes::ZERO,
             charged_pids: BTreeSet::new(),
             pending: VecDeque::new(),
             registered_at: now,
@@ -111,6 +115,20 @@ impl ContainerRecord {
     /// Memory still missing from the full guarantee.
     pub fn deficit(&self) -> Bytes {
         self.requirement.saturating_sub(self.assigned)
+    }
+
+    /// Bytes granted and neither filed by `alloc_done` nor a context
+    /// charge of `ctx` per charged pid: all that an `alloc_done` may file
+    /// or an `alloc_failed` release.
+    pub(crate) fn in_flight(&self, ctx: Bytes) -> Bytes {
+        self.used
+            .saturating_sub(self.filed)
+            .saturating_sub(self.ctx_charges(ctx))
+    }
+
+    /// The context charges of `ctx` per charged pid.
+    pub(crate) fn ctx_charges(&self, ctx: Bytes) -> Bytes {
+        Bytes::new(ctx.as_u64() * self.charged_pids.len() as u64)
     }
 
     /// True when the full requirement is guaranteed.

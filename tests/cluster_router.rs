@@ -29,7 +29,7 @@ use convgpu::ipc::endpoint::{IpcResult, SchedulerEndpoint, Transact};
 use convgpu::ipc::message::{AllocDecision, ApiKind, Request, Response};
 use convgpu::ipc::transport::EndpointAddr;
 use convgpu::middleware::router::{ClusterRouter, NodeServer, RouterConfig};
-use convgpu::middleware::NodeHealth;
+use convgpu::middleware::{InProcEndpoint, NodeHealth};
 use convgpu::obs::render_canonical;
 use convgpu::scheduler::backend::TopologyBackend;
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
@@ -1378,12 +1378,8 @@ fn dispatch_transcript(leg: Leg, tag: &str) -> String {
     send(&mut out, Request::ContainerClose { container: c(99) });
 
     out.push_str("== (d) a container an earlier router placed: home re-learned\n");
-    nodes[0]
-        .as_ref()
-        .unwrap()
-        .service()
-        .register(c(7), mib(128))
-        .unwrap();
+    let node0 = Arc::clone(nodes[0].as_ref().unwrap().service());
+    InProcEndpoint::new(node0).register(c(7), mib(128)).unwrap();
     send(
         &mut out,
         Request::MemInfo {

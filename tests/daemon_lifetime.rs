@@ -30,13 +30,14 @@ use convgpu::ipc::client::SchedulerClient;
 use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::ipc::message::{AllocDecision, ApiKind};
 use convgpu::middleware::service::SPARE_VOLUMES;
-use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
+use convgpu::middleware::{ConVGpu, ConVGpuConfig, InProcEndpoint, RunCommand};
 use convgpu::scheduler::backend::SchedulerBackend;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::pool::MAX_IDLE_THREADS;
 use convgpu::sim::units::Bytes;
 use convgpu_container_rt::engine::EngineConfig;
 use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLIENTS: u64 = 2;
@@ -151,10 +152,9 @@ fn vm_rss_kib() -> u64 {
 }
 
 /// `n` malloc/done/free cycles of 1 MiB on `id`, through the service.
-fn cycles(convgpu: &ConVGpu, id: ContainerId, n: u64) {
-    let service = convgpu.service();
+fn cycles(service: &InProcEndpoint, id: ContainerId, n: u64) {
     for _ in 0..n {
-        let decision = service.alloc_request_blocking(id, 1, Bytes::mib(1), ApiKind::Malloc);
+        let decision = service.request_alloc(id, 1, Bytes::mib(1), ApiKind::Malloc);
         assert_eq!(decision.unwrap(), AllocDecision::Granted);
         service.alloc_done(id, 1, 0x1000, Bytes::mib(1)).unwrap();
         assert_eq!(service.free(id, 1, 0x1000).unwrap(), Bytes::mib(1));
@@ -234,15 +234,17 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
 
     // Flat in operations served: one open container, many cycles.
     let id = ContainerId(10_000);
-    convgpu.service().register(id, Bytes::mib(64)).unwrap();
-    cycles(&convgpu, id, WARM_CYCLES);
+    let service = InProcEndpoint::new(Arc::clone(convgpu.service()));
+    service.register(id, Bytes::mib(64)).unwrap();
+    cycles(&service, id, WARM_CYCLES);
     let rss0 = vm_rss_kib();
-    cycles(&convgpu, id, CYCLES);
+    cycles(&service, id, CYCLES);
     let rss = vm_rss_kib();
     assert!(
         rss <= rss0 + RSS_SLACK_KIB,
         "VmRSS {rss0} -> {rss} KiB over {CYCLES} malloc/done/free cycles"
     );
-    convgpu.service().container_close(id).unwrap();
+    service.container_close(id).unwrap();
+    drop(service);
     convgpu.shutdown();
 }

@@ -7,6 +7,7 @@ use convgpu::gpu::latency::LatencyModel;
 use convgpu::gpu::program::FnProgram;
 use convgpu::gpu::runtime::RawCudaRuntime;
 use convgpu::gpu::CudaApi;
+use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, InProcEndpoint, RunCommand, SchedulerService};
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
@@ -130,12 +131,9 @@ fn transports_agree_on_outcomes() {
         std::env::temp_dir().join(format!("convgpu-itest-inproc-{}", std::process::id())),
     ));
     let id = ContainerId(1);
-    service.register(id, Bytes::mib(256)).unwrap();
-    let wrapper = WrapperModule::new(
-        id,
-        raw as Arc<dyn CudaApi>,
-        Arc::new(InProcEndpoint::new(Arc::clone(&service))),
-    );
+    let endpoint = Arc::new(InProcEndpoint::new(Arc::clone(&service)));
+    endpoint.register(id, Bytes::mib(256)).unwrap();
+    let wrapper = WrapperModule::new(id, raw as Arc<dyn CudaApi>, endpoint);
     let pid = 1;
     wrapper.cuda_register_fat_binary(pid).unwrap();
     program().run(&wrapper, pid, &clock).unwrap();

@@ -4,6 +4,7 @@
 //! layer's failure modes (`cluster_faults`): node *processes* killed
 //! mid-suspension, nodes that stop answering, and router restarts.
 
+use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::ipc::message::{AllocDecision, ApiKind};
 use convgpu::ipc::transport::EndpointAddr;
 use convgpu::middleware::{InProcEndpoint, SchedulerService};
@@ -41,23 +42,24 @@ fn service(capacity_mib: u64, tag: &str) -> Arc<SchedulerService> {
 #[test]
 fn killed_container_unblocks_its_suspended_requester() {
     let svc = service(1000, "kill");
-    svc.register(ContainerId(1), Bytes::mib(800)).unwrap();
-    svc.register(ContainerId(2), Bytes::mib(800)).unwrap();
+    let ep = InProcEndpoint::new(Arc::clone(&svc));
+    ep.register(ContainerId(1), Bytes::mib(800)).unwrap();
+    ep.register(ContainerId(2), Bytes::mib(800)).unwrap();
     assert_eq!(
-        svc.alloc_request_blocking(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
+        ep.request_alloc(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
             .unwrap(),
         AllocDecision::Granted
     );
     // Container 2 blocks…
-    let svc2 = Arc::clone(&svc);
+    let ep2 = InProcEndpoint::new(Arc::clone(&svc));
     let waiter = std::thread::spawn(move || {
-        svc2.alloc_request_blocking(ContainerId(2), 2, Bytes::mib(800), ApiKind::Malloc)
+        ep2.request_alloc(ContainerId(2), 2, Bytes::mib(800), ApiKind::Malloc)
     });
     std::thread::sleep(Duration::from_millis(30));
     assert!(!waiter.is_finished());
     // …and container 2 is then KILLED (docker stop): the close signal
     // must cancel the parked request rather than leave the thread hung.
-    svc.container_close(ContainerId(2)).unwrap();
+    ep.container_close(ContainerId(2)).unwrap();
     let decision = waiter.join().unwrap().unwrap();
     assert_eq!(decision, AllocDecision::Rejected, "cancelled, not hung");
     svc.with_scheduler(|s| s.check_invariants().unwrap());
@@ -66,17 +68,18 @@ fn killed_container_unblocks_its_suspended_requester() {
 #[test]
 fn process_exit_cancels_that_pids_parked_requests_only() {
     let svc = service(1000, "pidexit");
-    svc.register(ContainerId(1), Bytes::mib(800)).unwrap();
-    svc.register(ContainerId(2), Bytes::mib(800)).unwrap();
-    svc.alloc_request_blocking(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
+    let ep = InProcEndpoint::new(Arc::clone(&svc));
+    ep.register(ContainerId(1), Bytes::mib(800)).unwrap();
+    ep.register(ContainerId(2), Bytes::mib(800)).unwrap();
+    ep.request_alloc(ContainerId(1), 1, Bytes::mib(800), ApiKind::Malloc)
         .unwrap();
-    let svc2 = Arc::clone(&svc);
+    let ep2 = InProcEndpoint::new(Arc::clone(&svc));
     let waiter = std::thread::spawn(move || {
-        svc2.alloc_request_blocking(ContainerId(2), 42, Bytes::mib(700), ApiKind::Malloc)
+        ep2.request_alloc(ContainerId(2), 42, Bytes::mib(700), ApiKind::Malloc)
     });
     std::thread::sleep(Duration::from_millis(30));
     // Pid 42 inside container 2 dies (__cudaUnregisterFatBinary).
-    svc.process_exit(ContainerId(2), 42).unwrap();
+    ep.process_exit(ContainerId(2), 42).unwrap();
     assert_eq!(
         waiter.join().unwrap().unwrap(),
         AllocDecision::Rejected,
@@ -128,12 +131,13 @@ fn leaked_allocations_return_on_process_exit_and_enable_resumes() {
 #[test]
 fn double_close_and_unknown_frees_are_harmless() {
     let svc = service(5120, "idem");
-    svc.register(ContainerId(1), Bytes::mib(128)).unwrap();
-    svc.container_close(ContainerId(1)).unwrap();
+    let ep = InProcEndpoint::new(Arc::clone(&svc));
+    ep.register(ContainerId(1), Bytes::mib(128)).unwrap();
+    ep.container_close(ContainerId(1)).unwrap();
     // Idempotent close (plugin + explicit stop can both fire).
-    svc.container_close(ContainerId(1)).unwrap();
+    ep.container_close(ContainerId(1)).unwrap();
     // Unknown container errors cleanly.
-    assert!(svc.container_close(ContainerId(99)).is_err());
+    assert!(ep.container_close(ContainerId(99)).is_err());
     svc.with_scheduler(|s| s.check_invariants().unwrap());
 }
 

@@ -15,7 +15,7 @@
 use convgpu::gpu::{FnProgram, LatencyModel};
 use convgpu::ipc::client::SchedulerClient;
 use convgpu::ipc::message::ApiKind;
-use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
+use convgpu::middleware::{ConVGpu, ConVGpuConfig, InProcEndpoint, RunCommand};
 use convgpu::obs::{
     prometheus, quantile_from_cumulative, CollectorSink, Registry, SpanSink, Tracer,
 };
@@ -391,7 +391,7 @@ fn oversized_metrics_reply_is_an_error_on_a_connection_that_stays_up() {
     let client = SchedulerClient::connect(convgpu.socket_path()).unwrap();
     assert!(client.query_metrics().unwrap().len() < MAX_FRAME_BYTES);
 
-    let service = convgpu.service();
+    let service = InProcEndpoint::new(Arc::clone(convgpu.service()));
     let mut open = Vec::new();
     while convgpu.metrics_text().len() <= MAX_FRAME_BYTES {
         assert!(open.len() < 5000, "exposition never outgrew the frame cap");

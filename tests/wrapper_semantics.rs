@@ -6,6 +6,7 @@ use convgpu::gpu::api::{CudaApi, Extent3D};
 use convgpu::gpu::device::GpuDevice;
 use convgpu::gpu::latency::LatencyModel;
 use convgpu::gpu::runtime::RawCudaRuntime;
+use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::middleware::{InProcEndpoint, SchedulerService};
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
@@ -28,12 +29,9 @@ fn stack(limit: Bytes) -> (WrapperModule, Arc<SchedulerService>, Arc<GpuDevice>)
         clock.handle(),
         std::env::temp_dir().join(format!("convgpu-itest-wrap-{}", std::process::id())),
     ));
-    service.register(ContainerId(1), limit).unwrap();
-    let wrapper = WrapperModule::new(
-        ContainerId(1),
-        raw as Arc<dyn CudaApi>,
-        Arc::new(InProcEndpoint::new(Arc::clone(&service))),
-    );
+    let endpoint = Arc::new(InProcEndpoint::new(Arc::clone(&service)));
+    endpoint.register(ContainerId(1), limit).unwrap();
+    let wrapper = WrapperModule::new(ContainerId(1), raw as Arc<dyn CudaApi>, endpoint);
     (wrapper, service, device)
 }
 
