@@ -3,12 +3,13 @@
 //!
 //! The checker drives a real scheduler — not a re-implementation —
 //! through **every** interleaving of container lifecycle events for a
-//! small, quantized universe, and checks the property list below after
-//! every transition. There is one explorer, generic over the
-//! [`SchedulerBackend`] under test: a single device ([`Scheduler`]) or a
-//! multi-GPU host. A universe ([`ModelConfig`]) names the [`Topology`]
-//! and the sizes; the sibling module [`crate::multi`] only defines
-//! universes.
+//! small, quantized universe, and checks the property list after every
+//! transition. Each event reaches the scheduler as wire requests through
+//! [`node::on`], the function the daemon serves them with. There is one
+//! explorer, generic over the [`SchedulerBackend`] under test: a single
+//! device ([`Scheduler`]) or a multi-GPU host. A universe
+//! ([`ModelConfig`]) names the [`Topology`] and the sizes; the sibling
+//! module [`crate::multi`] only defines universes.
 //!
 //! # The model
 //!
@@ -29,59 +30,22 @@
 //! `Close` — those are exactly the paths where wakeups get lost in buggy
 //! schedulers.
 //!
-//! # State-space soundness
+//! # Soundness and the property list
 //!
-//! Explored states are deduplicated under a *canonical* encoding that
-//! replaces absolute times with relative ranks (registration order,
-//! suspension order, per device) and device addresses with
-//! allocation-size sequences. Every scheduler decision — FIFO /
-//! Recent-Use comparisons, the redistribution sort, Best-Fit deficits,
-//! the sticky target, placement — depends only on those orders and on
-//! quantities that the encoding keeps verbatim, so two states with equal
-//! encodings are bisimilar and merging them is sound. Every piece of
-//! hidden mutable state — each device's policy RNG, the round-robin
-//! cursor — is folded in via [`SchedulerBackend::fingerprint`], so states
-//! are only merged when their future random draws and placements
-//! coincide as well.
-//!
-//! Keys are stored as 128-bit FNV-style digests of the canonical vector
-//! (two independent folds); at the ≤ 10⁷ states this checker is meant
-//! for, a collision is beyond negligible (≈ 10⁻²⁴).
-//!
-//! # What is checked, per transition, on every topology
-//!
-//! 1. the **whole-topology invariant oracle**
-//!    ([`SchedulerBackend::check_invariants`]): every device's safety
-//!    invariants plus the home map's consistency — committed memory
-//!    never exceeds a device;
-//! 2. **no cross-device record, no double-home** — a container's record
-//!    exists only on its home device, so one device's guarantees can
-//!    never be backed by another's capacity;
-//! 3. **per-device deadlock-freedom** — [`deadlock::assess`] never
-//!    reports `Stalled` on any device (the §III-E argument applies per
-//!    device because memory never migrates across devices);
-//! 4. **wakeup consistency under device tags** — the set of tickets the
-//!    driver is owed equals the set of requests parked across all
-//!    devices, each under the tag its device reports
-//!    ([`SchedulerBackend::each_device`]), so tagging can neither lose,
-//!    invent, nor cross-wire a wakeup;
-//! 5. **tag canonicality** — every outstanding ticket is parked on its
-//!    container's home device and carries exactly that device's tag
-//!    (device 0's tag is zero, which is why a one-device host hands out
-//!    the single-device scheduler's tickets bit for bit — see
-//!    `tests/golden/`);
-//! 6. at every *terminal* state (all containers closed): no memory is
-//!    still assigned on any device and no ticket is still outstanding.
-//!    Terminal states are reachable from every state (any registered
-//!    container may always close), so these terminal checks imply the
-//!    "every suspended container is eventually resumed or rejected"
-//!    liveness claim.
+//! Explored states are deduplicated under a *canonical* encoding
+//! (`canonical`: relative ranks for times, size sequences for
+//! addresses, the backend's fingerprint for every RNG and cursor), kept
+//! as a 128-bit digest. Why merging under it is sound, and the six
+//! properties checked per transition (numbered as in `check_state` and
+//! `check_terminal`), are in docs/AUDIT.md, "Soundness of the state
+//! canonicalization" and "The property list".
 
-use convgpu_ipc::message::{AllocDecision, ApiKind};
+use convgpu_ipc::message::{AllocDecision, ApiKind, Request, Response};
 use convgpu_scheduler::deadlock::{self, ProgressState};
+use convgpu_scheduler::node::{self, Answer};
 use convgpu_scheduler::{
-    AllocOutcome, ContainerState, MultiGpuScheduler, PlacementPolicy, PolicyKind, ResumeAction,
-    Scheduler, SchedulerBackend, SchedulerConfig,
+    ContainerState, MultiGpuScheduler, PlacementPolicy, PolicyKind, ResumeAction, Scheduler,
+    SchedulerBackend, SchedulerConfig,
 };
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
@@ -470,48 +434,84 @@ fn enabled<B: SchedulerBackend>(cfg: &ModelConfig, node: &Node<B>) -> Vec<Event>
     out
 }
 
-/// Deliver the scheduler's resume actions to the driver, performing the
-/// follow-up `alloc_done` for granted resumes.
+/// Deliver `req` through [`node::on`], the function the daemon serves it
+/// with, and act on the step in the order the daemon sends it: `answer`
+/// takes the caller's side, [`resume`] the resumes. An `error` answer is
+/// a model-legal call refused.
 fn deliver<B: SchedulerBackend>(
-    node: &mut Node<B>,
-    actions: Vec<ResumeAction>,
+    n: &mut Node<B>,
+    req: Request,
+    now: SimTime,
+    answer: impl FnOnce(&mut Node<B>, Answer) -> Result<(), Failure>,
+) -> Result<(), Failure> {
+    let kind = req.kind();
+    let step = node::on(&mut n.sched, req, now);
+    if let Answer::Now(Response::Error { message }) = &step.answer {
+        return Err(Failure::SchedError(format!("{kind}: {message}")));
+    }
+    if step.answer_first {
+        answer(n, step.answer)?;
+        resume(n, step.resumes, now)
+    } else {
+        resume(n, step.resumes, now)?;
+        answer(n, step.answer)
+    }
+}
+
+/// The caller's side of a step that must answer `ok`.
+fn ok<B>(_: &mut Node<B>, answer: Answer) -> Result<(), Failure> {
+    match answer {
+        Answer::Now(Response::Ok) => Ok(()),
+        other => Err(Failure::SchedError(format!("answered {other:?}, not ok"))),
+    }
+}
+
+/// Deliver resumes to the processes they wake, each once; a granted one
+/// files its `alloc_done`.
+fn resume<B: SchedulerBackend>(
+    n: &mut Node<B>,
+    resumes: Vec<ResumeAction>,
     now: SimTime,
 ) -> Result<(), Failure> {
-    for a in actions {
-        let (c, size) = match node.driver.outstanding.remove(&a.ticket) {
-            Some(entry) => entry,
-            None => return Err(Failure::PhantomWakeup { ticket: a.ticket }),
+    for a in resumes {
+        let Some((c, size)) = n.driver.outstanding.remove(&a.ticket) else {
+            return Err(Failure::PhantomWakeup { ticket: a.ticket });
         };
-        if a.container != cid(c) || a.pid != pid(c) {
+        // Addressed to the ticket's own process, and a grant only to a
+        // live one.
+        let granted = a.decision == AllocDecision::Granted;
+        let dead = n.driver.cs[c].exited || n.driver.cs[c].closed;
+        if a.container != cid(c) || a.pid != pid(c) || (granted && dead) {
+            let owner = format!("{}/pid {}", cid(c), pid(c));
             return Err(Failure::SchedError(format!(
-                "resume for ticket {} addressed {}/pid {}, expected {}/pid {}",
-                a.ticket,
-                a.container,
-                a.pid,
-                cid(c),
-                pid(c)
+                "{a:?} for {owner}'s ticket (exited or closed: {dead})"
             )));
         }
-        match a.decision {
-            AllocDecision::Granted => {
-                let d = &node.driver.cs[c];
-                if d.exited || d.closed {
-                    return Err(Failure::SchedError(format!(
-                        "granted resume (ticket {}) for a dead process of C{}",
-                        a.ticket,
-                        c + 1
-                    )));
-                }
-                let addr = node.driver.next_addr;
-                node.driver.next_addr += 1;
-                node.sched
-                    .alloc_done(cid(c), pid(c), addr, size, now)
-                    .map_err(|e| Failure::SchedError(format!("alloc_done after resume: {e:?}")))?;
-                node.driver.cs[c].live.push_back((addr, size));
-            }
-            AllocDecision::Rejected => {}
+        if granted {
+            file(n, c, size, now)?;
         }
     }
+    Ok(())
+}
+
+/// File `c`'s granted `size` at a fresh address, as its wrapper does once
+/// the device allocation succeeds.
+fn file<B: SchedulerBackend>(
+    n: &mut Node<B>,
+    c: usize,
+    size: Bytes,
+    now: SimTime,
+) -> Result<(), Failure> {
+    let (container, pid, addr) = (cid(c), pid(c), n.driver.next_addr);
+    n.driver.next_addr += 1;
+    let done = Request::AllocDone {
+        container,
+        pid,
+        addr,
+        size,
+    };
+    deliver(n, done, now, ok)?;
+    n.driver.cs[c].live.push_back((addr, size));
     Ok(())
 }
 
@@ -529,66 +529,60 @@ fn apply<B: SchedulerBackend + Clone>(
     let res: Result<(), Failure> = (|| {
         match ev {
             Event::Register { c } => {
-                n.sched
-                    .register(cid(c), cfg.limits[c], now)
-                    .map_err(|e| Failure::SchedError(format!("register: {e:?}")))?;
+                let (container, limit) = (cid(c), cfg.limits[c]);
+                deliver(&mut n, Request::Register { container, limit }, now, ok)?;
                 n.driver.cs[c].registered = true;
             }
             Event::Alloc { c, size } => {
                 n.driver.cs[c].allocs_issued += 1;
-                let (outcome, actions) = n
-                    .sched
-                    .alloc_request(cid(c), pid(c), size, ApiKind::Malloc, now)
-                    .map_err(|e| Failure::SchedError(format!("alloc_request: {e:?}")))?;
-                match outcome {
-                    AllocOutcome::Granted => {
-                        let addr = n.driver.next_addr;
-                        n.driver.next_addr += 1;
-                        n.sched
-                            .alloc_done(cid(c), pid(c), addr, size, now)
-                            .map_err(|e| Failure::SchedError(format!("alloc_done: {e:?}")))?;
-                        n.driver.cs[c].live.push_back((addr, size));
-                    }
-                    AllocOutcome::Rejected => {}
-                    AllocOutcome::Suspended { ticket } => {
+                let (container, pid, api) = (cid(c), pid(c), ApiKind::Malloc);
+                let req = Request::AllocRequest {
+                    container,
+                    pid,
+                    size,
+                    api,
+                };
+                deliver(&mut n, req, now, |n, answer| match answer {
+                    Answer::Now(Response::Alloc { decision }) => match decision {
+                        AllocDecision::Granted => file(n, c, size, now),
+                        AllocDecision::Rejected => Ok(()),
+                    },
+                    Answer::Parked(ticket) => {
                         n.driver.outstanding.insert(ticket, (c, size));
+                        Ok(())
                     }
-                }
-                deliver(&mut n, actions, now)?;
+                    other => Err(Failure::SchedError(format!("alloc_request: {other:?}"))),
+                })?;
             }
             Event::Free { c } => {
                 let (addr, size) = n.driver.cs[c]
                     .live
                     .pop_front()
                     .expect("Free only enabled with live allocations");
-                let (freed, actions) = n
-                    .sched
-                    .free(cid(c), pid(c), addr, now)
-                    .map_err(|e| Failure::SchedError(format!("free: {e:?}")))?;
-                if freed != size {
-                    return Err(Failure::SchedError(format!(
-                        "free(0x{addr:x}) returned {freed}, driver recorded {size}"
-                    )));
-                }
-                deliver(&mut n, actions, now)?;
+                let (container, pid) = (cid(c), pid(c));
+                let req = Request::Free {
+                    container,
+                    pid,
+                    addr,
+                };
+                deliver(&mut n, req, now, |_, answer| match answer {
+                    Answer::Now(Response::Freed { size: freed }) if freed == size => Ok(()),
+                    other => Err(Failure::SchedError(format!(
+                        "free(0x{addr:x}) answered {other:?}, driver recorded {size}"
+                    ))),
+                })?;
             }
             Event::Exit { c } => {
                 n.driver.cs[c].exited = true;
                 n.driver.cs[c].live.clear();
-                let actions = n
-                    .sched
-                    .process_exit(cid(c), pid(c), now)
-                    .map_err(|e| Failure::SchedError(format!("process_exit: {e:?}")))?;
-                deliver(&mut n, actions, now)?;
+                let (container, pid) = (cid(c), pid(c));
+                deliver(&mut n, Request::ProcessExit { container, pid }, now, ok)?;
             }
             Event::Close { c } => {
                 n.driver.cs[c].closed = true;
                 n.driver.cs[c].live.clear();
-                let actions = n
-                    .sched
-                    .container_close(cid(c), now)
-                    .map_err(|e| Failure::SchedError(format!("container_close: {e:?}")))?;
-                deliver(&mut n, actions, now)?;
+                let container = cid(c);
+                deliver(&mut n, Request::ContainerClose { container }, now, ok)?;
             }
         }
         check_state(&n)
@@ -599,7 +593,7 @@ fn apply<B: SchedulerBackend + Clone>(
     }
 }
 
-/// The per-state property suite (numbering from the module docs; 6 is
+/// The per-state property suite (numbering from docs/AUDIT.md; 6 is
 /// [`check_terminal`]).
 fn check_state<B: SchedulerBackend>(n: &Node<B>) -> Result<(), Failure> {
     // 1. Whole-topology invariants.

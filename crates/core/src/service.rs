@@ -14,17 +14,16 @@
 //! it a [`Reply`] — so a parked waiter is always a `Reply`.
 
 use convgpu_ipc::endpoint::{IpcError, IpcResult, Transact};
-use convgpu_ipc::message::{AllocDecision, ApiKind, Request, Response, TopologyDevice};
+use convgpu_ipc::message::{Request, Response};
 use convgpu_ipc::server::Reply;
 use convgpu_ipc::transport;
 use convgpu_obs::{chrome, prometheus, Registry, RingSink, SpanSink, Tracer};
 use convgpu_scheduler::backend::{SchedulerBackend, TopologyBackend};
-use convgpu_scheduler::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler};
+use convgpu_scheduler::core::{ResumeAction, SchedObs, Scheduler};
+use convgpu_scheduler::node::{self, Answer};
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::sync::Mutex;
-use convgpu_sim_core::time::SimTime;
-use convgpu_sim_core::units::Bytes;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -175,180 +174,66 @@ impl SchedulerService {
     }
 
     /// Answer one request: the one place a wire message becomes a change
-    /// of the books, whoever sent it. An `alloc_request` whose container
-    /// is suspended parks `reply` under its ticket, and a later release
-    /// sends it; every other request is answered before this returns.
-    /// Nothing is sent under a lock: a blocked peer must never be able to
-    /// wedge a scheduler lock through a full socket buffer.
+    /// of the books, whoever sent it. `request_dir` and `query_metrics`
+    /// are answered here; every other kind is [`node::on`] under the
+    /// scheduler lock, with the clock read under it too (concurrent
+    /// connections would otherwise hand the scheduler out-of-order
+    /// timestamps). A suspended `alloc_request` parks `reply` under its
+    /// ticket, and a later release sends it; every other request is
+    /// answered before this returns, in the order `on` gives. Nothing is
+    /// sent under a lock: a blocked peer must never be able to wedge a
+    /// scheduler lock through a full socket buffer.
     pub fn serve(&self, req: Request, reply: Reply) {
         match req {
-            Request::AllocRequest {
-                container,
-                pid,
-                size,
-                api,
-            } => self.alloc_request(container, pid, size, api, reply),
-            Request::Register { container, limit } => self.apply(reply, |state, now| {
-                state.register(container, limit, now)?;
-                Ok((Response::Ok, Vec::new()))
-            }),
-            Request::RequestDir { container } => reply.send(match self.request_dir(container) {
-                Ok(path) => Response::Dir {
-                    path: path.display().to_string(),
-                },
-                Err(e) => error(e),
-            }),
-            Request::AllocDone {
-                container,
-                pid,
-                addr,
-                size,
-            } => self.apply(reply, |state, now| {
-                state.alloc_done(container, pid, addr, size, now)?;
-                Ok((Response::Ok, Vec::new()))
-            }),
-            Request::AllocFailed {
-                container,
-                pid,
-                size,
-            } => self.apply(reply, |state, now| {
-                let actions = state.alloc_failed(container, pid, size, now)?;
-                Ok((Response::Ok, actions))
-            }),
-            Request::Free {
-                container,
-                pid,
-                addr,
-            } => self.apply(reply, |state, now| {
-                let (size, actions) = state.free(container, pid, addr, now)?;
-                Ok((Response::Freed { size }, actions))
-            }),
-            Request::MemInfo { container, pid } => self.apply(reply, |state, _| {
-                let (free, total) = state.mem_info(container, pid)?;
-                Ok((Response::MemInfo { free, total }, Vec::new()))
-            }),
-            Request::ProcessExit { container, pid } => self.apply(reply, |state, now| {
-                let actions = state.process_exit(container, pid, now)?;
-                Ok((Response::Ok, actions))
-            }),
-            Request::ContainerClose { container } => {
-                // The volume goes first, outside the state lock, so
-                // whoever sees the container `Closed` also sees its name
-                // gone; a container that never asked for one costs a set
-                // lookup, no syscall. Best effort: a close does not fail
-                // over a file already missing.
-                if self.volumes.lock().remove(&container) {
-                    self.retire_volume(container);
-                }
-                self.apply(reply, |state, now| {
-                    let actions = state.container_close(container, now)?;
-                    Ok((Response::Ok, actions))
+            Request::RequestDir { container } => {
+                return reply.send(match self.request_dir(container) {
+                    Ok(path) => Response::Dir {
+                        path: path.display().to_string(),
+                    },
+                    Err(e) => node::error(e),
                 })
             }
-            Request::Ping => reply.send(Response::Pong),
-            Request::QueryMetrics => reply.send(Response::Metrics {
-                text: self.metrics_text(),
-            }),
-            Request::QueryTopology => self.apply(reply, |state, _| {
-                let devices = state
-                    .devices()
-                    .into_iter()
-                    .map(|d| TopologyDevice {
-                        node: String::new(),
-                        device: d.device as u64,
-                        capacity: d.capacity,
-                        unassigned: d.unassigned,
-                        containers: d.open_containers as u64,
-                        policy: d.policy,
-                    })
-                    .collect();
-                let kind = state.topology_kind().to_string();
-                Ok((Response::Topology { kind, devices }, Vec::new()))
-            }),
-            Request::QueryHome { container } => self.apply(reply, |state, _| {
-                let home = match state.home_of(container) {
-                    Some(device) => Response::Home {
-                        node: String::new(),
-                        device: device as u64,
-                    },
-                    None => Response::Error {
-                        message: format!("container {container} is not registered"),
-                    },
-                };
-                Ok((home, Vec::new()))
-            }),
-            // Clusters are the router's; nothing answers the retired
-            // migration kinds.
-            Request::QueryCluster | Request::Migrate { .. } | Request::QueryMigrations => reply
-                .send(Response::Error {
-                    message: "not a cluster daemon".to_string(),
-                }),
+            Request::QueryMetrics => {
+                let text = self.metrics_text();
+                return reply.send(Response::Metrics { text });
+            }
+            // The volume goes first, outside the state lock, so whoever
+            // sees the container `Closed` also sees its name gone; a
+            // container that never asked for one costs a set lookup, no
+            // syscall. Best effort: a close does not fail over a file
+            // already missing.
+            Request::ContainerClose { container } if self.volumes.lock().remove(&container) => {
+                self.retire_volume(container)
+            }
+            _ => {}
         }
-    }
-
-    /// Apply one transition: lock the backend, read the clock under the
-    /// lock (concurrent connections would otherwise hand the scheduler
-    /// out-of-order timestamps), run `f`, then — both locks released —
-    /// dispatch the resumes it produced and answer `reply`.
-    fn apply(
-        &self,
-        reply: Reply,
-        f: impl FnOnce(
-            &mut TopologyBackend,
-            SimTime,
-        ) -> Result<(Response, Vec<ResumeAction>), SchedError>,
-    ) {
-        let result = {
+        let (answer, resumes, answer_first) = {
             let mut state = self.state.lock();
             let now = self.clock.now();
-            f(&mut state, now)
-        };
-        let response = match result {
-            Ok((response, actions)) => {
-                self.dispatch(actions);
-                response
-            }
-            Err(e) => error(e),
-        };
-        reply.send(response);
-    }
-
-    /// Decide an allocation. A grant or a rejection answers the caller
-    /// before the resumes its give-back produced are dispatched; a
-    /// suspension parks `reply` instead — the container "pausing its
-    /// execution" until a release answers it.
-    fn alloc_request(
-        &self,
-        container: ContainerId,
-        pid: u64,
-        size: Bytes,
-        api: ApiKind,
-        reply: Reply,
-    ) {
-        let alloc = |decision| Response::Alloc { decision };
-        let (to_send, actions) = {
-            let mut state = self.state.lock();
-            let now = self.clock.now();
-            match state.alloc_request(container, pid, size, api, now) {
-                Ok((AllocOutcome::Granted, actions)) => {
-                    (Some((reply, alloc(AllocDecision::Granted))), actions)
-                }
-                Ok((AllocOutcome::Rejected, actions)) => {
-                    (Some((reply, alloc(AllocDecision::Rejected))), actions)
-                }
-                Ok((AllocOutcome::Suspended { ticket }, actions)) => {
-                    // Parked under the scheduler lock, so no resume can
-                    // race ahead of the registration.
+            let step = node::on(&mut *state, req, now);
+            let answer = match step.answer {
+                Answer::Now(response) => Some((reply, response)),
+                // Parked under the scheduler lock, so no resume can race
+                // ahead of the registration.
+                Answer::Parked(ticket) => {
                     self.waiters.lock().insert(ticket, reply);
-                    (None, actions)
+                    None
                 }
-                Err(e) => (Some((reply, error(e))), Vec::new()),
-            }
+            };
+            (answer, step.resumes, step.answer_first)
         };
-        if let Some((reply, response)) = to_send {
+        let (first, last) = if answer_first {
+            (answer, None)
+        } else {
+            (None, answer)
+        };
+        if let Some((reply, response)) = first {
             reply.send(response);
         }
-        self.dispatch(actions);
+        self.dispatch(resumes);
+        if let Some((reply, response)) = last {
+            reply.send(response);
+        }
     }
 
     /// Deliver resume actions to their parked replies. One release can
@@ -509,20 +394,15 @@ impl Transact for InProcEndpoint {
     }
 }
 
-/// A refusal, as the wire carries it.
-fn error(e: impl std::fmt::Display) -> Response {
-    Response::Error {
-        message: e.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use convgpu_ipc::endpoint::{IpcError, SchedulerEndpoint};
+    use convgpu_ipc::message::{AllocDecision, ApiKind};
     use convgpu_scheduler::core::SchedulerConfig;
     use convgpu_scheduler::policy::PolicyKind;
     use convgpu_sim_core::clock::RealClock;
+    use convgpu_sim_core::units::Bytes;
     use std::time::Duration;
 
     fn service(capacity_mib: u64) -> Arc<SchedulerService> {

@@ -1,9 +1,10 @@
 //! The topology backend abstraction (tentpole of the topology refactor).
 //!
-//! [`SchedulerBackend`] is the exact message surface `SchedulerService`
-//! needs, extracted from the concrete single-device [`Scheduler`] so the
-//! multi-GPU scheduler can stand behind the same IPC stack. It has three
-//! implementations: the device ([`Scheduler`]), the multi-GPU host
+//! [`SchedulerBackend`] is the message surface [`crate::node::on`] needs
+//! plus what the daemon and the model checker read, extracted from the
+//! concrete single-device [`Scheduler`] so the multi-GPU scheduler can
+//! stand behind the same IPC stack. It has three implementations: the
+//! device ([`Scheduler`]), the multi-GPU host
 //! ([`MultiGpuScheduler`]), and [`TopologyBackend`], the enum-dispatch
 //! wrapper the service stores (no trait objects, no generics bleeding
 //! into `convgpu-core`'s public types).
@@ -24,28 +25,12 @@
 use crate::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler};
 use crate::multi_gpu::{DeviceIndex, MultiGpuScheduler};
 use crate::state::ContainerState;
-use convgpu_ipc::message::ApiKind;
+use convgpu_ipc::message::{ApiKind, TopologyDevice};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
 use convgpu_sim_core::units::Bytes;
 
-/// Snapshot of one device, for topology queries and per-device
-/// `cudaGetDeviceProperties` answers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BackendDeviceInfo {
-    /// Device index within the host.
-    pub device: DeviceIndex,
-    /// Total device capacity.
-    pub capacity: Bytes,
-    /// Memory not currently reserved.
-    pub unassigned: Bytes,
-    /// Containers registered and not yet closed on this device.
-    pub open_containers: usize,
-    /// Redistribution policy name running on this device.
-    pub policy: String,
-}
-
-/// The message surface `SchedulerService` requires of any topology.
+/// The message surface [`crate::node::on`] requires of any topology.
 pub trait SchedulerBackend {
     /// Short kind tag: `"single"` or `"multi-gpu"`.
     fn topology_kind(&self) -> &'static str;
@@ -123,8 +108,9 @@ pub trait SchedulerBackend {
     /// device's tickets carry when they leave this backend.
     fn home_device(&self, id: ContainerId) -> Option<(u64, &Scheduler)>;
 
-    /// Snapshot every device in index order.
-    fn devices(&self) -> Vec<BackendDeviceInfo>;
+    /// Snapshot every device in index order, as `query_topology`
+    /// carries it (`node` empty: a host does not know its cluster name).
+    fn devices(&self) -> Vec<TopologyDevice>;
 
     /// Structural invariants across the whole topology.
     fn check_invariants(&self) -> Result<(), String>;
@@ -262,12 +248,13 @@ impl SchedulerBackend for Scheduler {
         self.container(id).map(|_| (0, self))
     }
 
-    fn devices(&self) -> Vec<BackendDeviceInfo> {
-        vec![BackendDeviceInfo {
+    fn devices(&self) -> Vec<TopologyDevice> {
+        vec![TopologyDevice {
+            node: String::new(),
             device: 0,
             capacity: self.config().capacity,
             unassigned: self.unassigned(),
-            open_containers: SchedulerBackend::open_containers(self),
+            containers: SchedulerBackend::open_containers(self) as u64,
             policy: self.policy_name().to_string(),
         }]
     }
@@ -402,7 +389,7 @@ impl SchedulerBackend for TopologyBackend {
         dispatch!(self, b => SchedulerBackend::home_device(b, id))
     }
 
-    fn devices(&self) -> Vec<BackendDeviceInfo> {
+    fn devices(&self) -> Vec<TopologyDevice> {
         dispatch!(self, b => SchedulerBackend::devices(b))
     }
 
@@ -473,7 +460,7 @@ mod tests {
             b.check_invariants().unwrap();
             let devs = b.devices();
             assert!(!devs.is_empty());
-            assert!(devs.iter().all(|d| d.open_containers == 0));
+            assert!(devs.iter().all(|d| d.containers == 0));
             let _ = b.fingerprint();
         }
     }

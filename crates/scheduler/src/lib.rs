@@ -34,6 +34,9 @@
 //! * [`multi_gpu`] — the first §V future-work extension: one scheduler
 //!   per GPU, the three device placement policies, and the container →
 //!   device home map every later message is routed by.
+//! * [`node`] — [`node::on`], a node's one function from a wire request
+//!   to its transition, answer and resumes, with no I/O: the live daemon
+//!   serves with it and the `convgpu-audit` model checker explores it.
 //! * [`cluster`] — the second: Docker-Swarm-style node placement
 //!   strategies, which the distributed cluster router places by.
 //! * [`deadlock`] — stall detection used to *demonstrate* that ConVGPU's
@@ -60,6 +63,7 @@ pub mod invariant;
 pub mod log;
 pub mod metrics;
 pub mod multi_gpu;
+pub mod node;
 pub mod policy;
 pub mod state;
 pub mod timeline;
@@ -67,7 +71,7 @@ pub mod timeline;
 pub use crate::core::{
     AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler, SchedulerConfig,
 };
-pub use backend::{BackendDeviceInfo, SchedulerBackend, TopologyBackend};
+pub use backend::{SchedulerBackend, TopologyBackend};
 pub use candidates::{Candidate, Candidates};
 pub use cluster::SwarmStrategy;
 pub use invariant::InvariantViolation;

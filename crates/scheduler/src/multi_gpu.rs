@@ -16,10 +16,10 @@
 //! width bounds a scheduler at [`MultiGpuScheduler::MAX_DEVICES`]
 //! devices, which the constructor enforces.
 
-use crate::backend::{BackendDeviceInfo, SchedulerBackend};
+use crate::backend::SchedulerBackend;
 use crate::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler, SchedulerConfig};
 use crate::policy::PolicyKind;
-use convgpu_ipc::message::ApiKind;
+use convgpu_ipc::message::{ApiKind, TopologyDevice};
 use convgpu_obs::catalogue::SCHED_PLACEMENT;
 use convgpu_obs::Registry;
 use convgpu_sim_core::ids::ContainerId;
@@ -370,13 +370,14 @@ impl SchedulerBackend for MultiGpuScheduler {
         Some((tag(device, 0), &self.devices[device]))
     }
 
-    fn devices(&self) -> Vec<BackendDeviceInfo> {
+    fn devices(&self) -> Vec<TopologyDevice> {
         let mut out = Vec::new();
         for (device, s) in self.devices.iter().enumerate() {
+            let device = device as u64;
             out.extend(
                 s.devices()
                     .into_iter()
-                    .map(|info| BackendDeviceInfo { device, ..info }),
+                    .map(|info| TopologyDevice { device, ..info }),
             );
         }
         out

@@ -281,7 +281,7 @@ fn render_decisions(label: &str, mut b: TopologyBackend, seed: u64, out: &mut St
         writeln!(
             out,
             "   device -:{} capacity {} unassigned {} open {} policy {}",
-            dev.device, dev.capacity, dev.unassigned, dev.open_containers, dev.policy
+            dev.device, dev.capacity, dev.unassigned, dev.containers, dev.policy
         )
         .unwrap();
     }

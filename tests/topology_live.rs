@@ -142,7 +142,7 @@ fn drive_lifecycle(server: SocketServer, client: SchedulerClient, svc: Arc<Sched
     svc.with_backend(|b| {
         use convgpu::scheduler::backend::SchedulerBackend;
         b.check_invariants().unwrap();
-        assert!(b.devices().iter().all(|d| d.open_containers == 0));
+        assert!(b.devices().iter().all(|d| d.containers == 0));
     });
     server.shutdown();
 }
