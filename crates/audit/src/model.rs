@@ -45,7 +45,7 @@ use convgpu_scheduler::deadlock::{self, ProgressState};
 use convgpu_scheduler::node::{self, Answer};
 use convgpu_scheduler::{
     ContainerState, MultiGpuScheduler, PlacementPolicy, PolicyKind, ResumeAction, Scheduler,
-    SchedulerBackend, SchedulerConfig,
+    SchedulerBackend, SchedulerConfig, CTX_OVERHEAD,
 };
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
@@ -129,10 +129,8 @@ pub enum Topology {
 pub struct ModelConfig {
     /// The scheduler arrangement under test.
     pub topology: Topology,
-    /// Per-pid context overhead (only charged if `charge_ctx`).
+    /// Per-pid context overhead (zero charges none).
     pub ctx_overhead: Bytes,
-    /// Whether to charge the context overhead.
-    pub charge_ctx: bool,
     /// Declared limit per container (the vector length is the container
     /// count).
     pub limits: Vec<Bytes>,
@@ -159,7 +157,6 @@ impl ModelConfig {
         ModelConfig {
             topology: Topology::Single(Bytes::new(u.0 * 4)),
             ctx_overhead: Bytes::ZERO,
-            charge_ctx: false,
             limits: vec![
                 Bytes::new(u.0 * 2),
                 Bytes::new(u.0 * 2),
@@ -179,8 +176,7 @@ impl ModelConfig {
     pub fn two_containers_with_ctx(policy: PolicyKind) -> Self {
         ModelConfig {
             topology: Topology::Single(Bytes::gib(1)),
-            ctx_overhead: Bytes::mib(66),
-            charge_ctx: true,
+            ctx_overhead: CTX_OVERHEAD,
             limits: vec![Bytes::mib(512), Bytes::mib(512)],
             alloc_sizes: vec![Bytes::mib(128), Bytes::mib(256)],
             ..Self::three_containers(policy)
@@ -198,8 +194,6 @@ impl ModelConfig {
         SchedulerConfig {
             capacity,
             ctx_overhead: self.ctx_overhead,
-            charge_ctx_overhead: self.charge_ctx,
-            default_limit: self.limits[0],
         }
     }
 
@@ -747,7 +741,7 @@ fn canonical<B: SchedulerBackend>(n: &Node<B>) -> (u64, u64) {
                     words.push(r.used.0);
                     words.push(rank(&reg, c));
                     words.push(rank(&susp, c));
-                    words.push(u64::from(r.charged_pids.contains(&pid(c))));
+                    words.push(r.in_flight.get(&pid(c)).map_or(u64::MAX, |b| b.0));
                     words.push(r.pending.len() as u64);
                     words.extend(r.pending.iter().map(|p| p.size.0));
                 }

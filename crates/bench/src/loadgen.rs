@@ -43,7 +43,7 @@ use convgpu_ipc::transport::EndpointAddr;
 use convgpu_obs::metrics::Histogram;
 use convgpu_scheduler::backend::TopologyBackend;
 use convgpu_scheduler::cluster::SwarmStrategy;
-use convgpu_scheduler::core::{Scheduler, SchedulerConfig};
+use convgpu_scheduler::core::{Scheduler, SchedulerConfig, CTX_OVERHEAD};
 use convgpu_scheduler::metrics as sched_metrics;
 use convgpu_scheduler::multi_gpu::{MultiGpuScheduler, PlacementPolicy};
 use convgpu_scheduler::policy::PolicyKind;
@@ -111,10 +111,6 @@ pub struct LoadgenConfig {
     /// In-process or socket transport.
     pub transport: Transport,
 }
-
-/// The paper's 66 MiB per-pid context overhead, charged by the harness
-/// configuration so admission math matches the live stack.
-const CTX_OVERHEAD: Bytes = Bytes::mib(66);
 
 impl LoadgenConfig {
     /// The standard campaign: thousands of containers, contended enough
@@ -242,16 +238,6 @@ fn check_config(cfg: &LoadgenConfig) {
     );
 }
 
-/// The scheduler configuration every campaign device runs under.
-fn sched_config(cfg: &LoadgenConfig) -> SchedulerConfig {
-    SchedulerConfig {
-        capacity: cfg.capacity,
-        ctx_overhead: CTX_OVERHEAD,
-        charge_ctx_overhead: true,
-        default_limit: cfg.limit,
-    }
-}
-
 /// Bind the socket server when the transport needs one.
 fn bind_server(
     cfg: &LoadgenConfig,
@@ -298,7 +284,10 @@ pub fn run_policy(cfg: &LoadgenConfig, policy: PolicyKind) -> PolicyRun {
     let dir = run_dir(policy.label());
     std::fs::create_dir_all(&dir).expect("create loadgen dir");
     let service = Arc::new(SchedulerService::new(
-        Scheduler::new(sched_config(cfg), policy.build(0xC0DE)),
+        Scheduler::new(
+            SchedulerConfig::with_capacity(cfg.capacity),
+            policy.build(0xC0DE),
+        ),
         vclock.handle(),
         dir.clone(),
     ));
@@ -865,7 +854,7 @@ pub fn run_sharded_placement(cfg: &ShardedConfig, placement: PlacementPolicy) ->
     std::fs::create_dir_all(&dir).expect("create loadgen dir");
     let capacities = vec![cfg.base.capacity; cfg.devices as usize];
     let backend = TopologyBackend::MultiGpu(MultiGpuScheduler::with_config(
-        sched_config(&cfg.base),
+        SchedulerConfig::with_capacity(cfg.base.capacity),
         &capacities,
         cfg.policy,
         placement,
@@ -1165,7 +1154,7 @@ pub fn run_cluster_strategy(cfg: &ClusterLoadConfig, strategy: SwarmStrategy) ->
         let node_dir = dir.join(&name);
         std::fs::create_dir_all(&node_dir).expect("create cluster node dir");
         let backend = TopologyBackend::MultiGpu(MultiGpuScheduler::with_config(
-            sched_config(&cfg.base),
+            SchedulerConfig::with_capacity(cfg.base.capacity),
             &capacities,
             cfg.policy,
             PlacementPolicy::BestFitDevice,

@@ -126,6 +126,7 @@ use convgpu_obs::catalogue::{
 use convgpu_obs::prometheus;
 use convgpu_scheduler::backend::TopologyBackend;
 use convgpu_scheduler::cluster::SwarmStrategy;
+use convgpu_scheduler::CTX_OVERHEAD;
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::pool::ThreadPool;
@@ -422,7 +423,7 @@ pub struct ClusterRouter {
 /// The context charge a node budgets on top of each limit; mirrored here
 /// so the router's capability check agrees with the node's.
 fn ctx_hint(limit: Bytes) -> Bytes {
-    limit + Bytes::mib(66)
+    limit + CTX_OVERHEAD
 }
 
 /// What the router answers in a node's place when a forwarded request

@@ -21,7 +21,8 @@
 //!   extra 66 MiB ("CUDA uses 64 MiB … and 2 MiB"), so a container's
 //!   effective requirement is `limit + 66 MiB`.
 //! * **Cleanup** — `ProcessExit` (from `__cudaUnregisterFatBinary`) drops
-//!   a pid's allocations even if the program leaked them; `ContainerClose`
+//!   a pid's allocations even if the program leaked them, with its grants
+//!   still in flight and its context charge; `ContainerClose`
 //!   (from the volume-unmount signal) drops everything.
 
 use crate::candidates::{Candidate, Candidates};
@@ -45,30 +46,25 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
+/// The paper's per-pid context overhead: "CUDA uses 64 MiB … and 2 MiB".
+pub const CTX_OVERHEAD: Bytes = Bytes::mib(66);
+
 /// Scheduler configuration.
 #[derive(Clone, Debug)]
 pub struct SchedulerConfig {
     /// Physical GPU memory under management.
     pub capacity: Bytes,
-    /// Per-pid context overhead charged on first allocation (66 MiB in
-    /// the paper).
+    /// Per-pid context overhead charged with a pid's first grant
+    /// ([`CTX_OVERHEAD`] in the paper; zero charges none).
     pub ctx_overhead: Bytes,
-    /// Whether to charge the overhead at all (paper: yes; the model
-    /// checker explores both values).
-    pub charge_ctx_overhead: bool,
-    /// Limit applied when neither option nor label is present (1 GiB).
-    pub default_limit: Bytes,
 }
 
 impl SchedulerConfig {
-    /// The paper's setup: a 5 GiB Tesla K20m, 66 MiB overhead, full
-    /// guarantee, 1 GiB default limit.
+    /// The paper's setup: a 5 GiB Tesla K20m and its 66 MiB overhead.
     pub fn paper() -> Self {
         SchedulerConfig {
             capacity: Bytes::gib(5),
-            ctx_overhead: Bytes::mib(66),
-            charge_ctx_overhead: true,
-            default_limit: Bytes::gib(1),
+            ctx_overhead: CTX_OVERHEAD,
         }
     }
 
@@ -382,35 +378,26 @@ impl Recorder {
 
 impl SchedulerConfig {
     /// What granting `size` to `pid` charges `rec`: the size, plus the
-    /// context overhead on the pid's first charge when this config charges
-    /// one.
+    /// context overhead when the pid holds no entry yet.
     fn need(&self, rec: &ContainerRecord, pid: u64, size: Bytes) -> Bytes {
-        if self.charge_ctx_overhead && !rec.charged_pids.contains(&pid) {
-            size + self.ctx_overhead
-        } else {
+        if rec.in_flight.contains_key(&pid) {
             size
-        }
-    }
-
-    /// The context charge each charged pid holds: the overhead when this
-    /// config charges one, else nothing.
-    fn ctx_charge(&self) -> Bytes {
-        if self.charge_ctx_overhead {
-            self.ctx_overhead
         } else {
-            Bytes::ZERO
+            size + self.ctx_overhead
         }
     }
 }
 
-/// Book a grant of `need` bytes to `pid`, first topping `rec`'s
-/// reservation up by `top_up` from the pool: the one place a grant
-/// changes the books, whether it is answered at once or from the queue.
+/// Book a grant of `size` to `pid`, charged as `need`, first topping
+/// `rec`'s reservation up by `top_up` from the pool: the one place a
+/// grant changes the books, whether it is answered at once or from the
+/// queue. The size is in flight until the pid reports it.
 fn book_grant(
     rec: &mut ContainerRecord,
     total_assigned: &mut Bytes,
     total_used: &mut Bytes,
     pid: u64,
+    size: Bytes,
     need: Bytes,
     top_up: Bytes,
 ) {
@@ -418,8 +405,30 @@ fn book_grant(
     *total_assigned += top_up;
     rec.used += need;
     *total_used += need;
-    rec.charged_pids.insert(pid);
+    *rec.in_flight.entry(pid).or_default() += size;
     rec.granted_allocs += 1;
+}
+
+/// Take a report's `size` off `pid`'s bytes in flight, the bound on what
+/// an `alloc_done` may file or an `alloc_failed` release. Refused, with
+/// the entry unchanged, when the pid holds less than `size` or no entry
+/// at all (it never got a grant, or it exited).
+fn take_in_flight(
+    in_flight: &mut BTreeMap<u64, Bytes>,
+    pid: u64,
+    size: Bytes,
+    report: &str,
+) -> Result<(), SchedError> {
+    match in_flight.get_mut(&pid) {
+        Some(held) if size <= *held => {
+            *held -= size;
+            Ok(())
+        }
+        held => Err(SchedError::ProtocolViolation(format!(
+            "{report} for {size} with {} in flight",
+            held.map_or(Bytes::ZERO, |h| *h)
+        ))),
+    }
 }
 
 /// `id`'s record, if it is registered and open. Over the map alone, so
@@ -576,14 +585,10 @@ impl Scheduler {
     }
 
     /// What registering `limit` here reserves: the limit plus the context
-    /// overhead this config charges, if it charges one. Placement compares
-    /// this, not a guess, against free memory and device capacity.
+    /// overhead this config charges. Placement compares this, not a
+    /// guess, against free memory and device capacity.
     pub fn requirement(&self, limit: Bytes) -> Bytes {
-        if self.cfg.charge_ctx_overhead {
-            limit + self.cfg.ctx_overhead
-        } else {
-            limit
-        }
+        limit + self.cfg.ctx_overhead
     }
 
     /// nvidia-docker: declare `id` with `limit` before container creation.
@@ -667,7 +672,7 @@ impl Scheduler {
             };
             if short <= top_up {
                 let (assigned, used) = (&mut self.total_assigned, &mut self.total_used);
-                book_grant(rec, assigned, used, pid, need, top_up);
+                book_grant(rec, assigned, used, pid, size, need, top_up);
                 let charged = need;
                 self.recorder
                     .decision(now, Decision::Granted { id, pid, charged });
@@ -725,10 +730,12 @@ impl Scheduler {
     }
 
     /// Wrapper: the granted allocation succeeded on the device at `addr`.
-    /// Only bytes in flight can have been allocated: a larger report, or
-    /// a second one for a live address, is refused and the books stay as
-    /// they were — a hostile wrapper must not re-size a live allocation
-    /// or file bytes a later `free` would take off another's charge.
+    /// Only the pid's own bytes in flight can have been allocated: a
+    /// larger report, one from a pid without a grant (or after its exit),
+    /// or a second one for a live address, is refused and the books stay
+    /// as they were — a hostile wrapper must not re-size a live
+    /// allocation or file bytes a later `free` would take off another's
+    /// charge.
     pub fn alloc_done(
         &mut self,
         id: ContainerId,
@@ -738,45 +745,32 @@ impl Scheduler {
         _now: SimTime,
     ) -> Result<(), SchedError> {
         let rec = open_record(&mut self.containers, id)?;
-        let in_flight = rec.in_flight(self.cfg.ctx_charge());
         let Entry::Vacant(entry) = rec.allocations.entry(addr) else {
             return Err(SchedError::ProtocolViolation(format!(
                 "duplicate AllocDone for address 0x{addr:x}"
             )));
         };
-        if size > in_flight {
-            return Err(SchedError::ProtocolViolation(format!(
-                "AllocDone for {size} with {in_flight} in flight"
-            )));
-        }
+        take_in_flight(&mut rec.in_flight, pid, size, "AllocDone")?;
         entry.insert((pid, size));
-        rec.filed += size;
         self.audit_check();
         Ok(())
     }
 
     /// Wrapper: a granted allocation failed on the device (fragmentation).
     /// Releases the reservation made at grant time; the container's own
-    /// parked requests may now fit. Only bytes in flight — granted, not
-    /// filed by `alloc_done`, not a context charge — can have failed: a
-    /// larger report is refused and the books stay as they were, as for
-    /// `alloc_done`.
+    /// parked requests may now fit. Only the pid's own bytes in flight —
+    /// granted, not filed by `alloc_done`, not its context charge — can
+    /// have failed: any other report is refused and the books stay as
+    /// they were, as for `alloc_done`.
     pub fn alloc_failed(
         &mut self,
         id: ContainerId,
-        _pid: u64,
+        pid: u64,
         size: Bytes,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let ctx = self.cfg.ctx_charge();
         let released = self.release(id, now, |rec| {
-            let in_flight = rec.in_flight(ctx);
-            if size > in_flight {
-                return Err(SchedError::ProtocolViolation(format!(
-                    "AllocFailed for {size} with {in_flight} in flight"
-                )));
-            }
-            Ok(size)
+            take_in_flight(&mut rec.in_flight, pid, size, "AllocFailed").map(|()| size)
         });
         released.map(|(_, resumes)| resumes)
     }
@@ -795,7 +789,6 @@ impl Scheduler {
             let Some((_pid, size)) = rec.allocations.remove(&addr) else {
                 return Ok(Bytes::ZERO);
             };
-            rec.filed -= size;
             Ok(rec.used.min(size))
         })
     }
@@ -837,9 +830,10 @@ impl Scheduler {
     }
 
     /// Wrapper: `__cudaUnregisterFatBinary` — process `pid` exited. Drops
-    /// every allocation recorded for the pid (leak reclaim) and its
-    /// context charge, cancels its parked requests (a dead process cannot
-    /// receive a resume), then re-evaluates the container's others.
+    /// every allocation recorded for the pid (leak reclaim), its grants
+    /// still in flight and its context charge, cancels its parked requests
+    /// (a dead process cannot receive a resume), then re-evaluates the
+    /// container's others.
     pub fn process_exit(
         &mut self,
         id: ContainerId,
@@ -848,26 +842,18 @@ impl Scheduler {
     ) -> Result<Vec<ResumeAction>, SchedError> {
         let rec = open_record(&mut self.containers, id)?;
         let before = Candidate::of(rec);
-        let used_before = rec.used;
-        let addrs: Vec<u64> = rec
-            .allocations
-            .iter()
-            .filter(|(_, (p, _))| *p == pid)
-            .map(|(&a, _)| a)
-            .collect();
         let mut reclaimed = Bytes::ZERO;
-        for a in addrs {
-            if let Some((_, size)) = rec.allocations.remove(&a) {
-                rec.filed -= size;
-                rec.used = rec.used.saturating_sub(size);
+        rec.allocations.retain(|_, &mut (p, size)| {
+            if p == pid {
                 reclaimed += size;
             }
+            p != pid
+        });
+        if let Some(held) = rec.in_flight.remove(&pid) {
+            reclaimed += held + self.cfg.ctx_overhead;
         }
-        if self.cfg.charge_ctx_overhead && rec.charged_pids.remove(&pid) {
-            rec.used = rec.used.saturating_sub(self.cfg.ctx_overhead);
-            reclaimed += self.cfg.ctx_overhead;
-        }
-        self.total_used -= used_before.saturating_sub(rec.used);
+        rec.used -= reclaimed;
+        self.total_used -= reclaimed;
         self.recorder
             .decision(now, Decision::ProcessExited { id, pid, reclaimed });
         let mut actions = Vec::new();
@@ -908,7 +894,7 @@ impl Scheduler {
         rec.state = ContainerState::Closed;
         rec.closed_at = Some(now);
         rec.allocations.clear();
-        rec.filed = Bytes::ZERO;
+        rec.in_flight.clear();
         self.total_used -= rec.used;
         rec.used = Bytes::ZERO;
         let released = rec.assigned;
@@ -1054,7 +1040,7 @@ impl Scheduler {
                 Answer::Rejected
             } else if rec.used + need <= rec.assigned {
                 let (assigned, used) = (&mut self.total_assigned, &mut self.total_used);
-                book_grant(rec, assigned, used, pid, need, Bytes::ZERO);
+                book_grant(rec, assigned, used, pid, size, need, Bytes::ZERO);
                 Answer::Granted
             } else {
                 break; // head still does not fit; keep FIFO order
@@ -1112,25 +1098,30 @@ impl Scheduler {
                     requirement: rec.requirement,
                 });
             }
-            let mut recorded: Bytes = rec.allocations.values().map(|&(_, s)| s).sum();
-            if recorded != rec.filed {
-                return Err(InvariantViolation::FiledTotalMismatch {
-                    container: rec.id,
-                    filed: rec.filed,
-                    recorded,
-                });
-            }
-            // An open container's `used` is what is filed, its context
-            // charges, and what is in flight; a close drops all three.
+            // An open container's `used` is, per pid holding an entry, its
+            // context charge, its bytes in flight and its filed
+            // allocations. A filed allocation of a pid without an entry
+            // counts for nothing here, so it shows as a mismatch too.
             if rec.state != ContainerState::Closed {
-                recorded += rec.ctx_charges(self.cfg.ctx_charge());
-            }
-            if recorded > rec.used {
-                return Err(InvariantViolation::RecordedExceedsUsed {
-                    container: rec.id,
-                    recorded,
-                    used: rec.used,
-                });
+                let ctx = self.cfg.ctx_overhead;
+                let held = rec
+                    .in_flight
+                    .values()
+                    .fold(Bytes::ZERO, |s, &b| s + ctx + b);
+                let filed: Bytes = rec
+                    .allocations
+                    .values()
+                    .filter(|(pid, _)| rec.in_flight.contains_key(pid))
+                    .map(|&(_, size)| size)
+                    .sum();
+                let booked = held + filed;
+                if booked != rec.used {
+                    return Err(InvariantViolation::LedgerMismatch {
+                        container: rec.id,
+                        booked,
+                        used: rec.used,
+                    });
+                }
             }
             if rec.state == ContainerState::Closed
                 && (!rec.assigned.is_zero() || !rec.used.is_zero())
@@ -1477,22 +1468,43 @@ mod tests {
         s.check_invariants().unwrap();
     }
 
+    /// A process's exit reclaims all it holds: its filed allocations, its
+    /// grant still in flight and its context charge. A report arriving
+    /// after the exit is refused and changes nothing.
     #[test]
     fn process_exit_reclaims_leaks_and_overhead() {
         let mut s = sched(5120, PolicyKind::Fifo);
         s.register(C1, mib(512), t(0)).unwrap();
-        s.alloc_request(C1, 1, mib(200), ApiKind::Malloc, t(1))
+        let refused_after_exit = |s: &mut Scheduler, pid| {
+            assert!(matches!(
+                s.alloc_done(C1, pid, 0xF, mib(100), t(9)),
+                Err(SchedError::ProtocolViolation(_))
+            ));
+            assert!(matches!(
+                s.alloc_failed(C1, pid, mib(100), t(9)),
+                Err(SchedError::ProtocolViolation(_))
+            ));
+            let r = s.container(C1).unwrap();
+            assert_eq!(r.used, Bytes::ZERO);
+            assert!(r.allocations.is_empty() && r.in_flight.is_empty());
+            s.check_invariants().unwrap();
+        };
+        // Pid 7 is granted 100 MiB and exits before reporting it.
+        s.alloc_request(C1, 7, mib(100), ApiKind::Malloc, t(1))
             .unwrap();
-        s.alloc_done(C1, 1, 0xA, mib(200), t(1)).unwrap();
-        s.alloc_request(C1, 1, mib(100), ApiKind::Malloc, t(2))
+        assert_eq!(s.container(C1).unwrap().used, mib(166));
+        s.process_exit(C1, 7, t(2)).unwrap();
+        refused_after_exit(&mut s, 7);
+        // Pid 1 files two allocations and exits without freeing them.
+        s.alloc_request(C1, 1, mib(200), ApiKind::Malloc, t(3))
             .unwrap();
-        s.alloc_done(C1, 1, 0xB, mib(100), t(2)).unwrap();
+        s.alloc_done(C1, 1, 0xA, mib(200), t(3)).unwrap();
+        s.alloc_request(C1, 1, mib(100), ApiKind::Malloc, t(4))
+            .unwrap();
+        s.alloc_done(C1, 1, 0xB, mib(100), t(4)).unwrap();
         assert_eq!(s.container(C1).unwrap().used, mib(366));
-        // Process exits without freeing anything.
-        s.process_exit(C1, 1, t(3)).unwrap();
-        assert_eq!(s.container(C1).unwrap().used, Bytes::ZERO);
-        assert!(s.container(C1).unwrap().allocations.is_empty());
-        s.check_invariants().unwrap();
+        s.process_exit(C1, 1, t(5)).unwrap();
+        refused_after_exit(&mut s, 1);
     }
 
     #[test]
@@ -1804,9 +1816,10 @@ mod tests {
         s.check_invariants().unwrap();
     }
 
-    /// `alloc_done` may file only bytes in flight. A 150 MiB report for a
-    /// 100 MiB grant would let the later `free` take 50 MiB of the pid's
-    /// context charge off the books while the device still holds it.
+    /// `alloc_done` may file only the pid's own bytes in flight. A
+    /// 150 MiB report for a 100 MiB grant would let the later `free` take
+    /// 50 MiB of the pid's context charge off the books while the device
+    /// still holds it. Nor may a report draw on another pid's grant.
     #[test]
     fn alloc_done_refuses_more_than_is_in_flight() {
         let mut s = sched(5120, PolicyKind::Fifo);
@@ -1814,23 +1827,31 @@ mod tests {
         s.alloc_request(C1, 1, mib(100), ApiKind::Malloc, t(1))
             .unwrap();
         assert_eq!(s.container(C1).unwrap().used, mib(166));
-        assert!(matches!(
-            s.alloc_done(C1, 1, 0xA, mib(150), t(1)),
-            Err(SchedError::ProtocolViolation(_))
-        ));
+        let refused = |s: &mut Scheduler, pid, addr, size| {
+            assert!(matches!(
+                s.alloc_done(C1, pid, addr, mib(size), t(1)),
+                Err(SchedError::ProtocolViolation(_))
+            ));
+        };
+        refused(&mut s, 1, 0xA, 150);
+        // Pid 2 holds no grant; then one of 10 MiB, which pid 1's bytes
+        // in flight do not stretch.
+        refused(&mut s, 2, 0xA, 50);
+        s.alloc_request(C1, 2, mib(10), ApiKind::Malloc, t(1))
+            .unwrap();
+        refused(&mut s, 2, 0xA, 50);
         assert!(s.container(C1).unwrap().allocations.is_empty());
         s.check_invariants().unwrap();
-        // The grant itself files, in two parts, and nothing more.
+        // Each grant itself files, pid 1's in two parts, and nothing more.
         s.alloc_done(C1, 1, 0xA, mib(60), t(2)).unwrap();
         s.alloc_done(C1, 1, 0xB, mib(40), t(2)).unwrap();
-        assert!(matches!(
-            s.alloc_done(C1, 1, 0xC, mib(1), t(2)),
-            Err(SchedError::ProtocolViolation(_))
-        ));
+        s.alloc_done(C1, 2, 0xC, mib(10), t(2)).unwrap();
+        refused(&mut s, 1, 0xD, 1);
         s.check_invariants().unwrap();
         assert_eq!(s.free(C1, 1, 0xA, t(3)).unwrap().0, mib(60));
         assert_eq!(s.free(C1, 1, 0xB, t(3)).unwrap().0, mib(40));
-        assert_eq!(s.container(C1).unwrap().used, mib(66));
+        assert_eq!(s.free(C1, 2, 0xC, t(3)).unwrap().0, mib(10));
+        assert_eq!(s.container(C1).unwrap().used, mib(2 * 66));
         s.check_invariants().unwrap();
     }
 
@@ -1849,7 +1870,7 @@ mod tests {
             Err(SchedError::ProtocolViolation(_))
         ));
         assert_eq!(s.container(C1).unwrap().used, mib(66));
-        assert!(s.container(C1).unwrap().charged_pids.contains(&1));
+        assert_eq!(s.container(C1).unwrap().in_flight.get(&1), Some(&mib(0)));
         s.check_invariants().unwrap();
     }
 

@@ -65,11 +65,6 @@ pub fn assess(sched: &Scheduler) -> ProgressState {
     }
 }
 
-/// True when the system is permanently stuck.
-pub fn is_stalled(sched: &Scheduler) -> bool {
-    matches!(assess(sched), ProgressState::Stalled { .. })
-}
-
 /// [`assess`], and when the scheduler has observability attached also
 /// mirror the verdict into its registry, under the scheduler's own labels:
 /// [`SCHED_PROGRESS_STATE`] (0 idle, 1 progressing, 2 resume-pending,

@@ -20,9 +20,10 @@
 //! 2. **Limit isolation** — no container's charged usage exceeds its
 //!    requirement (declared limit + context overhead), and usage never
 //!    exceeds the guaranteed (`assigned`) budget.
-//! 3. **Accounting consistency** — recorded live allocations plus the
-//!    context charges never exceed the charged usage, and their running
-//!    total matches the records; a closed container holds no memory.
+//! 3. **Accounting consistency** — an open container's charged usage is
+//!    exactly its per-pid ledger: for each pid holding an entry, its
+//!    context charge, its bytes in flight and its filed allocations; a
+//!    closed container holds no memory.
 //! 4. **Ticket uniqueness** — every parked request's ticket is unique
 //!    across all containers and below the issuance counter. (Promoted from
 //!    a `debug_assert!` so release-mode audit runs check it too.)
@@ -75,25 +76,15 @@ pub enum InvariantViolation {
         /// Requirement (limit + context overhead).
         requirement: Bytes,
     },
-    /// Live allocation records and context charges sum past the charged
-    /// usage.
-    RecordedExceedsUsed {
+    /// Charged usage differs from the per-pid ledger it should sum.
+    LedgerMismatch {
         /// Offending container.
         container: ContainerId,
-        /// Sum of recorded allocations and context charges.
-        recorded: Bytes,
+        /// Per pid with an entry: context charge, bytes in flight and
+        /// filed allocations, summed.
+        booked: Bytes,
         /// Charged usage.
         used: Bytes,
-    },
-    /// The running total of filed bytes differs from the allocation
-    /// records it sums.
-    FiledTotalMismatch {
-        /// Offending container.
-        container: ContainerId,
-        /// The running total.
-        filed: Bytes,
-        /// Sum of recorded allocations.
-        recorded: Bytes,
     },
     /// A closed container still holds assigned or used memory.
     ClosedHoldsMemory {
@@ -183,21 +174,13 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "{container}: used {used} > requirement {requirement} (limit isolation)"
             ),
-            InvariantViolation::RecordedExceedsUsed {
+            InvariantViolation::LedgerMismatch {
                 container,
-                recorded,
+                booked,
                 used,
             } => write!(
                 f,
-                "{container}: recorded allocations and context charges {recorded} exceed used {used}"
-            ),
-            InvariantViolation::FiledTotalMismatch {
-                container,
-                filed,
-                recorded,
-            } => write!(
-                f,
-                "{container}: filed total {filed} != recorded allocations {recorded}"
+                "{container}: used {used} != {booked} booked per pid (context, in flight, filed)"
             ),
             InvariantViolation::ClosedHoldsMemory { container } => {
                 write!(f, "{container}: closed but still holds memory")

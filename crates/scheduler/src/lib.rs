@@ -69,7 +69,7 @@ pub mod state;
 pub mod timeline;
 
 pub use crate::core::{
-    AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler, SchedulerConfig,
+    AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler, SchedulerConfig, CTX_OVERHEAD,
 };
 pub use backend::{SchedulerBackend, TopologyBackend};
 pub use candidates::{Candidate, Candidates};

@@ -643,7 +643,7 @@ mod tests {
     #[test]
     fn placement_asks_the_device_what_it_charges() {
         let cfg = SchedulerConfig {
-            charge_ctx_overhead: false,
+            ctx_overhead: Bytes::ZERO,
             ..SchedulerConfig::with_capacity(Bytes::gib(1))
         };
         let t = SimTime::from_secs(0);

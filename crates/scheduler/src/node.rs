@@ -147,7 +147,7 @@ mod tests {
     fn parked_behind_a_full_device() -> (Scheduler, u64) {
         let mut s = Scheduler::new(
             SchedulerConfig {
-                charge_ctx_overhead: false,
+                ctx_overhead: Bytes::ZERO,
                 ..SchedulerConfig::with_capacity(Bytes::mib(1000))
             },
             PolicyKind::BestFit.build(0),

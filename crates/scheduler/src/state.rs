@@ -16,7 +16,7 @@ use convgpu_ipc::message::ApiKind;
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::{SimDuration, SimTime};
 use convgpu_sim_core::units::Bytes;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Lifecycle of a container as the scheduler sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,11 +61,11 @@ pub struct ContainerRecord {
     pub used: Bytes,
     /// Live allocations: device address → (pid, size).
     pub allocations: HashMap<u64, (u64, Bytes)>,
-    /// The sizes in `allocations`, summed as they are filed and freed, so
-    /// the in-flight check of `alloc_done` and `alloc_failed` walks nothing.
-    pub filed: Bytes,
-    /// Pids whose context overhead has been charged.
-    pub charged_pids: BTreeSet<u64>,
+    /// One entry per pid that holds a context charge: the bytes granted to
+    /// it and not yet reported by `alloc_done` or `alloc_failed`. A report
+    /// may move or release at most its pid's entry, and the pid's exit
+    /// drops the entry with its context charge.
+    pub in_flight: BTreeMap<u64, Bytes>,
     /// Parked allocation requests, FIFO. A deque so the hot drain path
     /// pops the head in O(1) instead of shifting the whole queue.
     pub pending: VecDeque<PendingAlloc>,
@@ -98,8 +98,7 @@ impl ContainerRecord {
             assigned: Bytes::ZERO,
             used: Bytes::ZERO,
             allocations: HashMap::new(),
-            filed: Bytes::ZERO,
-            charged_pids: BTreeSet::new(),
+            in_flight: BTreeMap::new(),
             pending: VecDeque::new(),
             registered_at: now,
             suspended_since: None,
@@ -115,20 +114,6 @@ impl ContainerRecord {
     /// Memory still missing from the full guarantee.
     pub fn deficit(&self) -> Bytes {
         self.requirement.saturating_sub(self.assigned)
-    }
-
-    /// Bytes granted and neither filed by `alloc_done` nor a context
-    /// charge of `ctx` per charged pid: all that an `alloc_done` may file
-    /// or an `alloc_failed` release.
-    pub(crate) fn in_flight(&self, ctx: Bytes) -> Bytes {
-        self.used
-            .saturating_sub(self.filed)
-            .saturating_sub(self.ctx_charges(ctx))
-    }
-
-    /// The context charges of `ctx` per charged pid.
-    pub(crate) fn ctx_charges(&self, ctx: Bytes) -> Bytes {
-        Bytes::new(ctx.as_u64() * self.charged_pids.len() as u64)
     }
 
     /// True when the full requirement is guaranteed.

@@ -119,12 +119,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / NANOS_PER_MILLI
-    }
-
     /// Fractional seconds (for reporting).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

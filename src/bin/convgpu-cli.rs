@@ -43,6 +43,7 @@
 //!   (`docs/CLUSTER.md`, "Durability & restart").
 
 use convgpu::gpu::GpuProgram;
+use convgpu::middleware::nvidia_docker::DEFAULT_MEMORY_LIMIT;
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::scheduler::policy::PolicyKind;
 use convgpu::sim::rng::DetRng;
@@ -308,7 +309,7 @@ fn cmd_info() -> ExitCode {
         println!("  policy:              {}", s.policy_name());
         println!("  capacity:            {}", s.config().capacity);
         println!("  ctx overhead:        {}", s.config().ctx_overhead);
-        println!("  default limit:       {}", s.config().default_limit);
+        println!("  default limit:       {DEFAULT_MEMORY_LIMIT}");
     });
     convgpu.shutdown();
     ExitCode::SUCCESS

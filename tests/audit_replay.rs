@@ -63,8 +63,6 @@ fn replay_under_convgpu(policy: PolicyKind) {
         SchedulerConfig {
             capacity: cfg.capacity,
             ctx_overhead: Bytes::ZERO,
-            charge_ctx_overhead: false,
-            default_limit: cfg.capacity,
         },
         policy.build(7),
     );
