@@ -39,6 +39,28 @@ RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
 step "cargo test"
 cargo test --offline --workspace -q
 
+step "release binaries carry no debug-only check"
+# Tier-1's root release build. Every check that only debug builds make
+# keys on `debug_assertions`: the scheduler's invariant walk after each
+# transition, the lock-order graph and the unguarded-write assert. Their
+# failure texts in a release executable mean a cargo feature or a `cfg`
+# has compiled one back onto the `cudaMalloc` path. Not gated on
+# SKIP_PERF.
+cargo build --offline --release
+release_dir="${CARGO_TARGET_DIR:-target}/release"
+debug_only=("scheduler invariant violated" "lock-order cycle" "socket write while holding a lock")
+[[ -x "$release_dir/convgpu-cli" ]] || { echo "no release build in $release_dir"; exit 1; }
+leaks=0
+while IFS= read -r -d '' exe; do
+  for text in "${debug_only[@]}"; do
+    if grep -qaF -- "$text" "$exe"; then
+      echo "$exe carries the debug-only check \"$text\""
+      leaks=1
+    fi
+  done
+done < <(find "$release_dir" -maxdepth 1 -type f -perm -u+x -print0)
+[[ "$leaks" == "0" ]] || exit 1
+
 step "chrome-trace artifact export"
 artifact="$ARTIFACT_DIR/convgpu-trace.json"
 cargo run --offline -q --release --bin convgpu-cli -- trace --out="$artifact"

@@ -489,6 +489,15 @@ mod tests {
         }))
     }
 
+    /// The close is part of the stop: once a session's `wait` returns,
+    /// its container reads `Closed`, with nothing to wait for.
+    fn assert_closed(convgpu: &ConVGpu, id: ContainerId) {
+        let state = convgpu
+            .service()
+            .with_scheduler(|s| s.container(id).unwrap().state);
+        assert_eq!(state, ContainerState::Closed, "{id}");
+    }
+
     #[test]
     fn managed_run_over_unix_sockets_completes() {
         let convgpu = ConVGpu::start(fast_cfg()).unwrap();
@@ -500,7 +509,7 @@ mod tests {
             .unwrap();
         let id = session.container;
         session.wait().unwrap();
-        assert!(convgpu.wait_closed(id, Duration::from_secs(5)));
+        assert_closed(&convgpu, id);
         let metrics = convgpu.metrics();
         assert_eq!(metrics.len(), 1);
         assert_eq!(metrics[0].granted_allocs, 1);
@@ -617,7 +626,7 @@ mod tests {
         let id = session.container;
         let err = session.wait().unwrap_err();
         assert!(err.is_allocation_failure());
-        assert!(convgpu.wait_closed(id, Duration::from_secs(5)));
+        assert_closed(&convgpu, id);
         // Exit code reflects the failure.
         let c = convgpu.engine().inspect(id).unwrap();
         assert_eq!(c.exit_code, Some(1));
@@ -643,7 +652,7 @@ mod tests {
         // The 256 MiB allocation exceeds the 128 MiB limit but SUCCEEDS:
         // static linking defeated the wrapper — the paper's pitfall.
         session.wait().unwrap();
-        assert!(convgpu.wait_closed(id, Duration::from_secs(5)));
+        assert_closed(&convgpu, id);
         let metrics = convgpu.metrics();
         assert_eq!(
             metrics[0].granted_allocs, 0,
@@ -679,7 +688,7 @@ mod tests {
             s.wait().unwrap();
         }
         for id in ids {
-            assert!(convgpu.wait_closed(id, Duration::from_secs(5)));
+            assert_closed(&convgpu, id);
         }
         let metrics = convgpu.metrics();
         assert_eq!(metrics.iter().filter(|m| m.granted_allocs > 0).count(), 3);
@@ -725,7 +734,7 @@ mod tests {
                 .unwrap();
             let id = session.container;
             session.wait().unwrap();
-            assert!(convgpu.wait_closed(id, Duration::from_secs(5)));
+            assert_closed(&convgpu, id);
         }
         // One container at a time: the thread whose container exited, and
         // parked, takes the next one.

@@ -715,15 +715,12 @@ impl Scheduler {
         } else {
             self.redistribute(now)
         };
-        // Checked in debug builds and in release-mode `audit` runs; the
-        // stronger state-level version (every parked ticket unique) lives
-        // in `check_invariants`.
-        if cfg!(any(debug_assertions, feature = "audit")) {
-            assert!(
-                actions.iter().all(|a| a.ticket != ticket),
-                "a just-parked request cannot resume from its own give-back"
-            );
-        }
+        // The stronger state-level version (every parked ticket unique)
+        // lives in `check_invariants`.
+        debug_assert!(
+            actions.iter().all(|a| a.ticket != ticket),
+            "a just-parked request cannot resume from its own give-back"
+        );
         self.sample(now);
         self.audit_check();
         Ok((AllocOutcome::Suspended { ticket }, actions))
@@ -1059,8 +1056,8 @@ impl Scheduler {
     /// The shared safety oracle: evaluates every invariant documented in
     /// [`crate::invariant`] and reports the first violation. Used by unit
     /// and property tests, by the `convgpu-audit` bounded model checker
-    /// after every explored transition, and — under the `audit` feature —
-    /// by every mutating entry point of the live scheduler itself.
+    /// after every explored transition, and — in debug builds — by every
+    /// mutating entry point of the live scheduler itself.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let mut sum_assigned = Bytes::ZERO;
         let mut sum_used = Bytes::ZERO;
@@ -1185,19 +1182,19 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Under the `audit` feature, re-check every invariant; a violation
-    /// means the scheduler state is corrupt and continuing would corrupt
-    /// container accounting further, so panic with the typed diagnosis.
-    #[cfg(feature = "audit")]
+    /// In debug builds, re-check every invariant; a violation means the
+    /// scheduler state is corrupt and continuing would corrupt container
+    /// accounting further, so panic with the typed diagnosis. Release
+    /// builds check nothing here: the walk covers every record, closed
+    /// ones included, and would cost every transition on the `cudaMalloc`
+    /// path.
     fn audit_check(&self) {
-        if let Err(violation) = self.check_invariants() {
-            panic!("scheduler invariant violated: {violation}");
+        if cfg!(debug_assertions) {
+            if let Err(violation) = self.check_invariants() {
+                panic!("scheduler invariant violated: {violation}");
+            }
         }
     }
-
-    #[cfg(not(feature = "audit"))]
-    #[inline(always)]
-    fn audit_check(&self) {}
 }
 
 #[cfg(test)]
@@ -1946,5 +1943,14 @@ mod tests {
             .map(|&(t, _, o)| (t, o.to_string()))
             .collect();
         assert_eq!(waits, want, "one suspend_wait span per ticket");
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler invariant violated")]
+    #[cfg(debug_assertions)]
+    fn a_debug_build_rechecks_the_books_after_a_transition() {
+        let mut s = sched(5120, PolicyKind::Fifo);
+        s.total_used += mib(1);
+        let _ = s.register(C1, mib(10), t(0));
     }
 }

@@ -8,9 +8,9 @@
 //!   transition;
 //! * the property tests in `tests/scheduler_properties.rs`, after every
 //!   generated operation;
-//! * the live middleware, after every mutating transition, when the
-//!   scheduler crate is built with the `audit` feature (violations panic —
-//!   the middleware state is corrupt and must not keep serving).
+//! * the live middleware, after every mutating transition, in debug
+//!   builds (violations panic — the middleware state is corrupt and must
+//!   not keep serving); release builds skip this walk.
 //!
 //! The invariants (paper §III-D/E):
 //!
@@ -26,7 +26,7 @@
 //!    closed container holds no memory.
 //! 4. **Ticket uniqueness** — every parked request's ticket is unique
 //!    across all containers and below the issuance counter. (Promoted from
-//!    a `debug_assert!` so release-mode audit runs check it too.)
+//!    a `debug_assert!` so the release-mode model checker checks it too.)
 //! 5. **Suspension consistency** — a non-closed container is in state
 //!    `Suspended` iff it has parked requests, so no wakeup can be lost by
 //!    state skew between `pending` and `state`.

@@ -43,8 +43,8 @@
 //!   guarantee discipline avoids the deadlock of naive sharing.
 //! * [`invariant`] — the typed safety invariants behind
 //!   [`core::Scheduler::check_invariants`], shared by property tests, the
-//!   `convgpu-audit` bounded model checker, and (under the `audit`
-//!   feature) every mutating transition of the live scheduler.
+//!   `convgpu-audit` bounded model checker, and (in debug builds) every
+//!   mutating transition of the live scheduler.
 
 #![forbid(unsafe_code)]
 // Simulated time comes from SimClock: std::time::Instant / SystemTime are

@@ -14,12 +14,12 @@ use convgpu::middleware::{ConVGpu, ConVGpuConfig, RunCommand};
 use convgpu::scheduler::core::{AllocOutcome, Scheduler, SchedulerConfig};
 use convgpu::scheduler::metrics;
 use convgpu::scheduler::policy::PolicyKind;
+use convgpu::scheduler::state::ContainerState;
 use convgpu::sim::event::EventQueue;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::time::{SimDuration, SimTime};
 use convgpu::workloads::{ContainerType, SampleProgram};
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// The fixed workload both harnesses run: types and 5 s arrivals.
 const WORKLOAD: [ContainerType; 6] = [
@@ -148,9 +148,13 @@ fn run_live() -> Outcome {
     for s in sessions {
         s.wait().expect("live sample program");
     }
-    for id in ids {
-        assert!(convgpu.wait_closed(id, Duration::from_secs(20)));
-    }
+    // The close is part of the stop: every container reads `Closed` once
+    // its session has been waited.
+    convgpu.service().with_scheduler(|s| {
+        for id in ids {
+            assert_eq!(s.container(id).unwrap().state, ContainerState::Closed);
+        }
+    });
     let finished_secs = (clock.now() - t0).as_secs_f64();
     let ms = convgpu.metrics();
     let outcome = Outcome {

@@ -32,6 +32,7 @@ use convgpu::ipc::message::{AllocDecision, ApiKind};
 use convgpu::middleware::service::SPARE_VOLUMES;
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, InProcEndpoint, RunCommand};
 use convgpu::scheduler::backend::SchedulerBackend;
+use convgpu::scheduler::state::ContainerState;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::pool::MAX_IDLE_THREADS;
 use convgpu::sim::units::Bytes;
@@ -140,7 +141,10 @@ fn lifecycle(convgpu: &ConVGpu) {
     SchedulerClient::connect(&sock).unwrap().ping().unwrap();
     release.send(()).unwrap();
     session.wait().unwrap();
-    assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
+    let state = convgpu
+        .service()
+        .with_scheduler(|s| s.container(id).unwrap().state);
+    assert_eq!(state, ContainerState::Closed, "{id} after its session");
     assert!(!sock.exists(), "{} after {id} closed", sock.display());
 }
 

@@ -11,6 +11,7 @@ use convgpu::ipc::endpoint::SchedulerEndpoint;
 use convgpu::middleware::{ConVGpu, ConVGpuConfig, InProcEndpoint, RunCommand, SchedulerService};
 use convgpu::scheduler::core::{Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
+use convgpu::scheduler::state::ContainerState;
 use convgpu::sim::clock::RealClock;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::time::SimDuration;
@@ -18,7 +19,6 @@ use convgpu::sim::units::Bytes;
 use convgpu::workloads::{ContainerType, SampleProgram};
 use convgpu::wrapper::WrapperModule;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fast() -> ConVGpuConfig {
     ConVGpuConfig {
@@ -26,6 +26,15 @@ fn fast() -> ConVGpuConfig {
         engine: convgpu::container::engine::EngineConfig::instant(),
         ..ConVGpuConfig::default()
     }
+}
+
+/// The close is part of the stop: once a session's `wait` returns, its
+/// container reads `Closed`, with nothing to wait for.
+fn assert_closed(convgpu: &ConVGpu, id: ContainerId) {
+    let state = convgpu
+        .service()
+        .with_scheduler(|s| s.container(id).unwrap().state);
+    assert_eq!(state, ContainerState::Closed, "{id}");
 }
 
 #[test]
@@ -54,8 +63,8 @@ fn mixed_container_types_share_one_gpu_over_sockets() {
     for s in sessions {
         s.wait().expect("every sample program must complete");
     }
-    for id in &ids {
-        assert!(convgpu.wait_closed(*id, Duration::from_secs(10)));
+    for &id in &ids {
+        assert_closed(&convgpu, id);
     }
     // Total demand (2×2048+4096+1024+512+128 = 9856 MiB) exceeds the
     // 5 GiB device: suspension must have happened, yet everyone finished.
@@ -203,7 +212,7 @@ fn sequential_batches_reuse_the_device_cleanly() {
             s.wait().unwrap_or_else(|e| panic!("batch {batch}: {e}"));
         }
         for id in ids {
-            assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
+            assert_closed(&convgpu, id);
         }
         let (free, total) = convgpu.device().mem_info();
         assert_eq!(free, total, "batch {batch} left residue");
@@ -223,7 +232,7 @@ fn decision_log_narrates_the_live_run() {
         .unwrap();
     let id = session.container;
     session.wait().unwrap();
-    assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
+    assert_closed(&convgpu, id);
     let log = convgpu.recent_decisions(64);
     let has = |needle: &str| log.iter().any(|l| l.contains(needle));
     assert!(has("registered limit=256MiB"), "{log:?}");
@@ -246,7 +255,7 @@ fn program_crash_mid_allocation_releases_memory() {
         .unwrap();
     let id = session.container;
     assert!(session.wait().is_err());
-    assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
+    assert_closed(&convgpu, id);
     // Exit code recorded; memory fully reclaimed via
     // __cudaUnregisterFatBinary + plugin close.
     assert_eq!(convgpu.engine().inspect(id).unwrap().exit_code, Some(1));

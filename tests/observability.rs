@@ -21,6 +21,7 @@ use convgpu::obs::{
 };
 use convgpu::scheduler::core::{AllocOutcome, SchedObs, Scheduler, SchedulerConfig};
 use convgpu::scheduler::policy::PolicyKind;
+use convgpu::scheduler::state::ContainerState;
 use convgpu::sim::ids::ContainerId;
 use convgpu::sim::time::{SimDuration, SimTime};
 use convgpu::sim::units::Bytes;
@@ -97,17 +98,24 @@ fn run_contention_scenario(convgpu: &ConVGpu, while_resumed: impl FnOnce()) -> V
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    for &id in &ids[..2] {
-        assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
-    }
-    while_resumed();
-    exit.store(true, Ordering::Release);
+    // The close is part of the stop: a container reads `Closed` once its
+    // session has been waited.
+    let closed = |ids: &[ContainerId]| {
+        convgpu.service().with_scheduler(|s| {
+            for &id in ids {
+                assert_eq!(s.container(id).unwrap().state, ContainerState::Closed);
+            }
+        })
+    };
+    let suspended = sessions.pop().unwrap();
     for s in sessions {
         s.wait().unwrap();
     }
-    for &id in &ids {
-        assert!(convgpu.wait_closed(id, Duration::from_secs(10)));
-    }
+    closed(&ids[..2]);
+    while_resumed();
+    exit.store(true, Ordering::Release);
+    suspended.wait().unwrap();
+    closed(&ids);
     ids
 }
 
