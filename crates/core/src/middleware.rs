@@ -37,13 +37,13 @@ use convgpu_scheduler::state::ContainerState;
 use convgpu_sim_core::clock::{ClockHandle, RealClock};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::pool::ThreadPool;
+use convgpu_sim_core::sync::OneShot;
 use convgpu_sim_core::units::Bytes;
 use convgpu_wrapper::module::WrapperModule;
 use convgpu_wrapper::preload::{resolve_runtime, LinkSpec, ProcessEnv};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -131,7 +131,7 @@ static INSTANCE_COUNTER: AtomicU64 = AtomicU64::new(0);
 pub struct Session {
     /// The container executing the program.
     pub container: ContainerId,
-    result: Receiver<CudaResult<()>>,
+    result: OneShot<CudaResult<()>>,
 }
 
 impl Session {
@@ -379,10 +379,10 @@ impl ConVGpu {
         let engine = Arc::clone(&self.engine);
         let device = Arc::clone(&self.device);
         let clock = Arc::clone(&self.clock);
-        let (tx, result) = sync_channel(1);
+        let (tx, result) = OneShot::channel();
         self.programs.run(move || {
             // `api` and `program` are gone before the result is sent.
-            let _ = tx.send(run_process(&engine, &device, id, api, program, &clock));
+            tx.send(run_process(&engine, &device, id, api, program, &clock));
         });
         Session {
             container: id,

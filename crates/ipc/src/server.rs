@@ -23,13 +23,12 @@ use convgpu_obs::catalogue::{
 use convgpu_obs::{ObsHook, Registry};
 use convgpu_sim_core::clock::ClockHandle;
 use convgpu_sim_core::pool::ThreadPool;
-use convgpu_sim_core::sync::Mutex;
+use convgpu_sim_core::sync::{Mutex, OneShot, OneShotSender};
 use convgpu_sim_core::time::SimTime;
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -76,7 +75,7 @@ enum ReplyTo {
     /// Back on a socket connection.
     Conn(ConnReply),
     /// To an in-process caller blocked on the channel's receiver.
-    InProcess(SyncSender<Response>),
+    InProcess(OneShotSender<Response>),
 }
 
 /// A socket request's reply: its connection, envelope id and codec.
@@ -91,8 +90,8 @@ impl Reply {
     /// A reply for a caller in this process: the response arrives on the
     /// receiver. A reply dropped unsent drops the sender, so the receiver
     /// reads a disconnect, as a socket client's connection would.
-    pub fn in_process() -> (Reply, Receiver<Response>) {
-        let (tx, rx) = sync_channel(1);
+    pub fn in_process() -> (Reply, OneShot<Response>) {
+        let (tx, rx) = OneShot::channel();
         let reply = Reply {
             to: ReplyTo::InProcess(tx),
         };
@@ -105,9 +104,7 @@ impl Reply {
     pub fn send(self, resp: Response) {
         match self.to {
             ReplyTo::Conn(reply) => reply.send(resp),
-            ReplyTo::InProcess(tx) => {
-                let _ = tx.send(resp);
-            }
+            ReplyTo::InProcess(tx) => tx.send(resp),
         }
     }
 

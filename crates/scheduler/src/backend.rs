@@ -24,7 +24,6 @@
 
 use crate::core::{AllocOutcome, ResumeAction, SchedError, SchedObs, Scheduler};
 use crate::multi_gpu::{DeviceIndex, MultiGpuScheduler};
-use crate::state::ContainerState;
 use convgpu_ipc::message::{ApiKind, TopologyDevice};
 use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::SimTime;
@@ -142,12 +141,7 @@ pub trait SchedulerBackend {
     /// Number of containers registered and not yet closed.
     fn open_containers(&self) -> usize {
         let mut open = 0;
-        self.each_device(&mut |_, s| {
-            open += s
-                .containers()
-                .filter(|r| r.state != ContainerState::Closed)
-                .count();
-        });
+        self.each_device(&mut |_, s| open += s.open().len());
         open
     }
 

@@ -42,7 +42,7 @@ use convgpu_sim_core::ids::ContainerId;
 use convgpu_sim_core::time::{SimDuration, SimTime};
 use convgpu_sim_core::units::Bytes;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -216,12 +216,19 @@ impl std::error::Error for SchedError {}
 pub struct Scheduler {
     cfg: SchedulerConfig,
     policy: Box<dyn Policy>,
-    /// Records keyed by container id in an ordered map, so iteration is
-    /// deterministic *structurally* — no per-call sort on any path.
-    containers: BTreeMap<ContainerId, ContainerRecord>,
-    /// The largest id ever registered. `containers` keeps every
-    /// closed record, so it only grows; an id above this mark cannot be in
-    /// it, and registering one skips the duplicate check's walk down it.
+    /// Registered containers not yet closed, keyed by id in an ordered
+    /// map, so iteration is deterministic *structurally* — no per-call
+    /// sort on any path. The only map a transition, a pick or a drain
+    /// touches, so their cost follows the open containers, not every
+    /// container the scheduler has served.
+    open: BTreeMap<ContainerId, ContainerRecord>,
+    /// Closed records, kept readable for metrics and end-of-run books. A
+    /// close moves its record here with empty (unallocated) `allocations`,
+    /// `in_flight` and `pending`, so a closed record holds no heap.
+    closed: BTreeMap<ContainerId, ContainerRecord>,
+    /// The largest id ever registered. `closed` only grows; an id above
+    /// this mark is in neither map, and registering one skips the
+    /// duplicate check's walk down both.
     max_registered: Option<ContainerId>,
     total_assigned: Bytes,
     /// Σ `used` across all containers, maintained incrementally at every
@@ -431,16 +438,23 @@ fn take_in_flight(
     }
 }
 
-/// `id`'s record, if it is registered and open. Over the map alone, so
-/// the caller's other fields stay borrowable while it holds the record.
-fn open_record(
-    containers: &mut BTreeMap<ContainerId, ContainerRecord>,
+/// `id`'s record, if it is registered and open. Over the two maps alone,
+/// so the caller's other fields stay borrowable while it holds the
+/// record; `closed` is read only to name the error.
+fn open_record<'a>(
+    open: &'a mut BTreeMap<ContainerId, ContainerRecord>,
+    closed: &BTreeMap<ContainerId, ContainerRecord>,
     id: ContainerId,
-) -> Result<&mut ContainerRecord, SchedError> {
-    match containers.get_mut(&id) {
-        None => Err(SchedError::UnknownContainer(id)),
-        Some(rec) if rec.state == ContainerState::Closed => Err(SchedError::ContainerClosed(id)),
-        Some(rec) => Ok(rec),
+) -> Result<&'a mut ContainerRecord, SchedError> {
+    open.get_mut(&id).ok_or_else(|| not_open(closed, id))
+}
+
+/// Why `id` has no open record: it closed, or it was never registered.
+fn not_open(closed: &BTreeMap<ContainerId, ContainerRecord>, id: ContainerId) -> SchedError {
+    if closed.contains_key(&id) {
+        SchedError::ContainerClosed(id)
+    } else {
+        SchedError::UnknownContainer(id)
     }
 }
 
@@ -450,7 +464,8 @@ impl Scheduler {
         Scheduler {
             cfg,
             policy,
-            containers: BTreeMap::new(),
+            open: BTreeMap::new(),
+            closed: BTreeMap::new(),
             max_registered: None,
             total_assigned: Bytes::ZERO,
             total_used: Bytes::ZERO,
@@ -506,10 +521,7 @@ impl Scheduler {
         let (reg, pool) = (&obs.registry, obs.scoped(&[]));
         reg.set_gauge(SCHED_ASSIGNED, &pool, self.total_assigned.as_u64() as f64);
         reg.set_gauge(SCHED_UNASSIGNED, &pool, self.unassigned().as_u64() as f64);
-        for rec in self.containers.values() {
-            if rec.state == ContainerState::Closed {
-                continue;
-            }
+        for rec in self.open() {
             let c = rec.id.to_string();
             let labels = obs.scoped(&[("container", c.as_str())]);
             reg.set_gauge(
@@ -545,17 +557,31 @@ impl Scheduler {
         self.total_assigned
     }
 
-    /// Read access to a container record.
+    /// Read access to a container record, open or closed.
     pub fn container(&self, id: ContainerId) -> Option<&ContainerRecord> {
-        self.containers.get(&id)
+        self.open.get(&id).or_else(|| self.closed.get(&id))
     }
 
-    /// Iterate all records in container-id order. Determinism is
-    /// structural: the records live in an ordered map, so every consumer
-    /// (metrics, deadlock analysis, the model checker) sees the same
-    /// sequence with no per-call sort or allocation.
+    /// Iterate all records, open and closed, in container-id order.
+    /// Determinism is structural: the records live in two ordered maps
+    /// and this merges them, so every consumer (metrics, the model
+    /// checker) sees the same sequence with no per-call sort or
+    /// allocation.
     pub fn containers(&self) -> impl Iterator<Item = &ContainerRecord> {
-        self.containers.values()
+        let mut open = self.open.values().peekable();
+        let mut closed = self.closed.values().peekable();
+        std::iter::from_fn(move || match (open.peek(), closed.peek()) {
+            (Some(o), Some(c)) if c.id < o.id => closed.next(),
+            (Some(_), _) => open.next(),
+            (None, _) => closed.next(),
+        })
+    }
+
+    /// Iterate the open (registered, not closed) records in container-id
+    /// order: for walks that want only live containers, whose cost then
+    /// follows the open containers alone.
+    pub fn open(&self) -> impl ExactSizeIterator<Item = &ContainerRecord> {
+        self.open.values()
     }
 
     /// The container currently locked in as the redistribution target
@@ -575,13 +601,14 @@ impl Scheduler {
     /// increasing order, and one above every id seen so far is answered
     /// without a lookup.
     fn is_registered(&self, id: ContainerId) -> bool {
-        self.max_registered.is_some_and(|m| id <= m) && self.containers.contains_key(&id)
+        self.max_registered.is_some_and(|m| id <= m)
+            && (self.open.contains_key(&id) || self.closed.contains_key(&id))
     }
 
     /// File a new record and raise the registration mark.
     fn insert_record(&mut self, rec: ContainerRecord) {
         self.max_registered = self.max_registered.max(Some(rec.id));
-        self.containers.insert(rec.id, rec);
+        self.open.insert(rec.id, rec);
     }
 
     /// What registering `limit` here reserves: the limit plus the context
@@ -644,7 +671,7 @@ impl Scheduler {
         now: SimTime,
     ) -> Result<(AllocOutcome, Vec<ResumeAction>), SchedError> {
         let unassigned = self.cfg.capacity.saturating_sub(self.total_assigned);
-        let rec = open_record(&mut self.containers, id)?;
+        let rec = open_record(&mut self.open, &self.closed, id)?;
         if size.is_zero() {
             return Ok((AllocOutcome::Rejected, Vec::new()));
         }
@@ -741,7 +768,7 @@ impl Scheduler {
         size: Bytes,
         _now: SimTime,
     ) -> Result<(), SchedError> {
-        let rec = open_record(&mut self.containers, id)?;
+        let rec = open_record(&mut self.open, &self.closed, id)?;
         let Entry::Vacant(entry) = rec.allocations.entry(addr) else {
             return Err(SchedError::ProtocolViolation(format!(
                 "duplicate AllocDone for address 0x{addr:x}"
@@ -800,7 +827,7 @@ impl Scheduler {
         now: SimTime,
         bytes: impl FnOnce(&mut ContainerRecord) -> Result<Bytes, SchedError>,
     ) -> Result<(Bytes, Vec<ResumeAction>), SchedError> {
-        let rec = open_record(&mut self.containers, id)?;
+        let rec = open_record(&mut self.open, &self.closed, id)?;
         let before = Candidate::of(rec);
         let released = bytes(rec)?;
         let resumes = if released.is_zero() {
@@ -816,12 +843,13 @@ impl Scheduler {
     }
 
     /// Wrapper: serve `cudaMemGetInfo` from the books — the container's
-    /// virtualized view `(limit - live-usage, limit)`.
+    /// virtualized view `(limit - live-usage, limit)`. A closed container
+    /// has no view to serve, as for every other per-container request.
     pub fn mem_info(&self, id: ContainerId, _pid: u64) -> Result<(Bytes, Bytes), SchedError> {
         let rec = self
-            .containers
+            .open
             .get(&id)
-            .ok_or(SchedError::UnknownContainer(id))?;
+            .ok_or_else(|| not_open(&self.closed, id))?;
         let free = rec.requirement.saturating_sub(rec.used).min(rec.limit);
         Ok((free, rec.limit))
     }
@@ -837,7 +865,7 @@ impl Scheduler {
         pid: u64,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let rec = open_record(&mut self.containers, id)?;
+        let rec = open_record(&mut self.open, &self.closed, id)?;
         let before = Candidate::of(rec);
         let mut reclaimed = Bytes::ZERO;
         rec.allocations.retain(|_, &mut (p, size)| {
@@ -877,21 +905,21 @@ impl Scheduler {
         id: ContainerId,
         now: SimTime,
     ) -> Result<Vec<ResumeAction>, SchedError> {
-        let rec = match self.containers.get_mut(&id) {
-            Some(r) => r,
-            None => return Err(SchedError::UnknownContainer(id)),
-        };
-        if rec.state == ContainerState::Closed {
+        let Some(mut rec) = self.open.remove(&id) else {
             // Idempotent: a close the router retries after a lost reply
             // finds the record closed.
-            return Ok(Vec::new());
-        }
-        self.candidates.update(Candidate::of(rec), None);
+            return match not_open(&self.closed, id) {
+                SchedError::ContainerClosed(_) => Ok(Vec::new()),
+                unknown => Err(unknown),
+            };
+        };
+        self.candidates.update(Candidate::of(&rec), None);
         let ended = rec.note_resume(now);
         rec.state = ContainerState::Closed;
         rec.closed_at = Some(now);
-        rec.allocations.clear();
-        rec.in_flight.clear();
+        // Replaced, not cleared: a closed record keeps no heap.
+        rec.allocations = HashMap::new();
+        rec.in_flight = BTreeMap::new();
         self.total_used -= rec.used;
         rec.used = Bytes::ZERO;
         let released = rec.assigned;
@@ -904,10 +932,12 @@ impl Scheduler {
         let mut actions = Vec::new();
         while !rec.pending.is_empty() {
             let answer = Answer::Cancelled;
-            actions.push(self.recorder.answer(rec, 0, answer, now));
+            actions.push(self.recorder.answer(&mut rec, 0, answer, now));
         }
+        rec.pending = VecDeque::new();
         let opened = rec.registered_at;
         self.recorder.closed(id, opened, self.policy.name(), now);
+        self.closed.insert(id, rec);
         actions.extend(self.redistribute(now));
         self.sample(now);
         self.audit_check();
@@ -930,10 +960,7 @@ impl Scheduler {
             // them, not every suspended container. Each leaves the holder
             // set as its spare returns to the pool.
             while let Some(id) = self.candidates.pop_holder() {
-                let rec = self
-                    .containers
-                    .get_mut(&id)
-                    .expect("indexed containers exist");
+                let rec = self.open.get_mut(&id).expect("indexed containers exist");
                 let before = Candidate::of(rec);
                 let back = rec.assigned - rec.used;
                 rec.assigned = rec.used;
@@ -950,7 +977,7 @@ impl Scheduler {
             // or been fully topped since the last release.
             if let Some(t) = self.sticky_target {
                 let still_needy = self
-                    .containers
+                    .open
                     .get(&t)
                     .map(|r| r.is_suspended() && !r.deficit().is_zero())
                     .unwrap_or(false);
@@ -982,7 +1009,7 @@ impl Scheduler {
                 }
             };
             let rec = self
-                .containers
+                .open
                 .get_mut(&pick)
                 .expect("policy picked a live candidate");
             let before = Candidate::of(rec);
@@ -1021,7 +1048,7 @@ impl Scheduler {
         now: SimTime,
         require_full: bool,
     ) -> Vec<ResumeAction> {
-        let Some(rec) = self.containers.get_mut(&id) else {
+        let Some(rec) = self.open.get_mut(&id) else {
             return Vec::new();
         };
         if require_full && !rec.fully_guaranteed() {
@@ -1063,6 +1090,27 @@ impl Scheduler {
         let mut sum_used = Bytes::ZERO;
         let mut expected_index: Vec<Candidate> = Vec::new();
         let mut seen_tickets = BTreeSet::new();
+        // Store consistency: a record sits in `open` exactly while it is
+        // not closed, and a closed one keeps nothing a transition could
+        // still reach.
+        let misfiled = |rec: &ContainerRecord, in_closed| {
+            Err(InvariantViolation::MisfiledRecord {
+                container: rec.id,
+                state: rec.state,
+                in_closed,
+            })
+        };
+        if let Some(rec) = self.open().find(|r| r.state == ContainerState::Closed) {
+            return misfiled(rec, false);
+        }
+        if let Some(rec) = self.closed.values().find(|r| {
+            r.state != ContainerState::Closed
+                || !r.pending.is_empty()
+                || !r.in_flight.is_empty()
+                || !r.allocations.is_empty()
+        }) {
+            return misfiled(rec, true);
+        }
         for rec in self.containers() {
             sum_assigned += rec.assigned;
             sum_used += rec.used;
@@ -1513,10 +1561,22 @@ mod tests {
         s.container_close(C1, t(2)).unwrap();
         assert_eq!(s.total_assigned(), Bytes::ZERO);
         assert_eq!(s.container_close(C1, t(3)).unwrap(), Vec::new());
-        // Operations on a closed container error.
+        // Every per-container request on a closed container errors,
+        // `mem_info` included, and its id cannot register again.
+        let e = SchedError::ContainerClosed(C1);
         assert_eq!(
-            s.alloc_request(C1, 1, mib(1), ApiKind::Malloc, t(4)),
-            Err(SchedError::ContainerClosed(C1))
+            s.alloc_request(C1, 1, mib(1), ApiKind::Malloc, t(4))
+                .unwrap_err(),
+            e
+        );
+        assert_eq!(s.alloc_done(C1, 1, 1, mib(1), t(4)).unwrap_err(), e);
+        assert_eq!(s.alloc_failed(C1, 1, mib(1), t(4)).unwrap_err(), e);
+        assert_eq!(s.free(C1, 1, 1, t(4)).unwrap_err(), e);
+        assert_eq!(s.mem_info(C1, 1).unwrap_err(), e);
+        assert_eq!(s.process_exit(C1, 1, t(4)).unwrap_err(), e);
+        assert_eq!(
+            s.register(C1, mib(512), t(4)),
+            Err(SchedError::AlreadyRegistered(C1))
         );
         s.check_invariants().unwrap();
     }
@@ -1665,18 +1725,85 @@ mod tests {
     fn containers_iterate_in_id_order_without_sorting() {
         // Regression for the per-call sort `containers()` used to do:
         // determinism is now structural. Register out of order and assert
-        // the iterator — backed directly by the ordered map, no sort, no
+        // the iterator — a merge of the two ordered maps, no sort, no
         // allocation — still yields ascending ids.
         let mut s = sched(5120, PolicyKind::Fifo);
         for id in [5u64, 1, 4, 2, 3] {
             s.register(ContainerId(id), mib(10), t(0)).unwrap();
         }
-        let ids: Vec<u64> = s.containers().map(|r| r.id.as_u64()).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
-        // And the internal map agrees — the public iterator is the map's.
-        let keys: Vec<u64> = s.containers.keys().map(|k| k.as_u64()).collect();
-        assert_eq!(keys, ids);
+        let ids = |s: &Scheduler| s.containers().map(|r| r.id.as_u64()).collect::<Vec<_>>();
+        assert_eq!(ids(&s), vec![1, 2, 3, 4, 5]);
+        // Closes interleave with registrations: old ids close while newer
+        // ones stay open, and ids below the mark arrive late.
+        s.container_close(C2, t(1)).unwrap();
+        s.register(ContainerId(9), mib(10), t(1)).unwrap();
+        s.container_close(ContainerId(5), t(2)).unwrap();
+        s.register(ContainerId(7), mib(10), t(2)).unwrap();
+        s.container_close(C1, t(3)).unwrap();
+        s.register(ContainerId(6), mib(10), t(3)).unwrap();
+        s.container_close(ContainerId(9), t(4)).unwrap();
+        assert_eq!(ids(&s), vec![1, 2, 3, 4, 5, 6, 7, 9]);
+        // And the two maps agree: the merge is their union, `open()` the
+        // open map alone.
+        let keys = |m: &BTreeMap<ContainerId, ContainerRecord>| {
+            m.keys().map(|k| k.as_u64()).collect::<Vec<_>>()
+        };
+        assert_eq!(keys(&s.open), vec![3, 4, 6, 7]);
+        assert_eq!(keys(&s.closed), vec![1, 2, 5, 9]);
+        let open: Vec<u64> = s.open().map(|r| r.id.as_u64()).collect();
+        assert_eq!(open, keys(&s.open));
         s.check_invariants().unwrap();
+    }
+
+    /// A close moves the record out of the map every transition searches
+    /// and leaves it no heap: its tables are replaced, not cleared.
+    #[test]
+    fn a_closed_record_holds_no_heap() {
+        let mut s = sched(1200, PolicyKind::Fifo);
+        s.register(C1, mib(1000), t(0)).unwrap();
+        s.register(C2, mib(1000), t(0)).unwrap();
+        s.alloc_request(C1, 1, mib(500), ApiKind::Malloc, t(1))
+            .unwrap();
+        s.alloc_done(C1, 1, 0xA, mib(500), t(1)).unwrap();
+        s.alloc_request(C1, 1, mib(100), ApiKind::Malloc, t(1))
+            .unwrap();
+        s.alloc_request(C2, 2, mib(500), ApiKind::Malloc, t(2))
+            .unwrap();
+        s.alloc_request(C2, 2, mib(100), ApiKind::Malloc, t(2))
+            .unwrap();
+        assert!(s.container(C2).unwrap().is_suspended());
+        for id in [C2, C1] {
+            s.container_close(id, t(3)).unwrap();
+            let r = s.container(id).unwrap();
+            assert_eq!(r.state, ContainerState::Closed);
+            assert_eq!(r.allocations.capacity(), 0, "{id}: allocations");
+            assert_eq!(r.pending.capacity(), 0, "{id}: pending");
+            assert!(r.in_flight.is_empty(), "{id}: in flight");
+            assert!(!s.open.contains_key(&id) && s.closed.contains_key(&id));
+        }
+        assert_eq!(s.open().count(), 0);
+        s.check_invariants().unwrap();
+    }
+
+    /// `check_invariants` catches a record in the wrong map: a closed one
+    /// left among the open, or a closed one that still holds a request.
+    #[test]
+    fn a_misfiled_record_is_a_violation() {
+        let mut s = sched(1000, PolicyKind::Fifo);
+        s.register(C1, mib(100), t(0)).unwrap();
+        s.container_close(C1, t(1)).unwrap();
+        let mut rec = s.closed.remove(&C1).unwrap();
+        s.open.insert(C1, rec.clone());
+        let misfiled = |in_closed| InvariantViolation::MisfiledRecord {
+            container: C1,
+            state: ContainerState::Closed,
+            in_closed,
+        };
+        assert_eq!(s.check_invariants(), Err(misfiled(false)));
+        s.open.remove(&C1);
+        rec.in_flight.insert(1, Bytes::ZERO);
+        s.closed.insert(C1, rec);
+        assert_eq!(s.check_invariants(), Err(misfiled(true)));
     }
 
     #[test]

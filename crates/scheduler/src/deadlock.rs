@@ -14,7 +14,6 @@
 //! to *check* that claim, and to show the naive baseline failing it.
 
 use crate::core::Scheduler;
-use crate::state::ContainerState;
 use convgpu_obs::catalogue::{SCHED_PROGRESS_STATE, SCHED_WAITING};
 use convgpu_sim_core::ids::ContainerId;
 
@@ -41,10 +40,7 @@ pub enum ProgressState {
 
 /// Assess whether the scheduled system can make progress.
 pub fn assess(sched: &Scheduler) -> ProgressState {
-    let open: Vec<_> = sched
-        .containers()
-        .filter(|r| r.state != ContainerState::Closed)
-        .collect();
+    let open: Vec<_> = sched.open().collect();
     if open.is_empty() {
         return ProgressState::Idle;
     }

@@ -39,6 +39,10 @@
 //!    misses part of its requirement: a top-up that completes a guarantee
 //!    drains the parked requests at once. So every indexed container is a
 //!    candidate, and a policy selects from the index with no filter.
+//! 8. **Store consistency** — the open-record map holds no closed
+//!    container, and the closed-record map holds only closed ones, each
+//!    without parked requests, bytes in flight or filed allocations, so
+//!    no transition can reach a closed record and none keeps heap.
 
 use crate::state::ContainerState;
 use convgpu_sim_core::ids::ContainerId;
@@ -148,6 +152,17 @@ pub enum InvariantViolation {
         /// Offending container.
         container: ContainerId,
     },
+    /// A record in the wrong map of the store: an open-map record marked
+    /// closed, or a closed-map record that is not closed or still holds
+    /// parked requests, bytes in flight or filed allocations.
+    MisfiledRecord {
+        /// Offending container.
+        container: ContainerId,
+        /// Lifecycle state recorded.
+        state: ContainerState,
+        /// Whether the record sits in the closed map.
+        in_closed: bool,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -223,6 +238,17 @@ impl fmt::Display for InvariantViolation {
                     f,
                     "{container}: suspended with its full requirement assigned"
                 )
+            }
+            InvariantViolation::MisfiledRecord {
+                container,
+                state,
+                in_closed,
+            } => {
+                if *in_closed {
+                    write!(f, "{container}: closed-map record in state {state:?}, or holding parked requests, bytes in flight or filed allocations")
+                } else {
+                    write!(f, "{container}: open-map record in state {state:?}")
+                }
             }
         }
     }

@@ -14,6 +14,9 @@
 //! * [`Condvar::wait`] takes `&mut MutexGuard` (parking_lot style) so wait
 //!   loops read `while *guard == x { cv.wait(&mut guard) }`.
 //!
+//! [`OneShot`] is a one-value channel over one such mutex and condvar,
+//! for a reply that one thread waits for.
+//!
 //! clippy.toml bans the std `lock` / `try_lock` / `read` / `write` /
 //! `try_read` / `try_write` methods everywhere else, tests included, so
 //! every lock in the workspace goes through this module.
@@ -54,7 +57,8 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 #[cfg(debug_assertions)]
 use std::panic::Location;
-use std::sync::{self, TryLockError};
+pub use std::sync::mpsc::RecvError;
+use std::sync::{self, Arc, TryLockError};
 
 /// A mutual-exclusion lock whose `lock()` never returns `Err`.
 pub struct Mutex<T: ?Sized>(Inner<T>);
@@ -398,10 +402,90 @@ impl Condvar {
     }
 }
 
+/// The receiving half of a one-shot channel: one value, from one
+/// [`OneShotSender`] to one waiting thread. Both halves share one `Arc` of
+/// a [`Mutex`] and a [`Condvar`], where an `mpsc::sync_channel(1)` builds
+/// a channel with its own queues for every request. A sender dropped
+/// unsent disconnects the receiver, as an mpsc sender would.
+pub struct OneShot<T> {
+    shared: Arc<Shared<T>>,
+}
+
+/// The sending half of a [`OneShot`]: [`send`](Self::send) it a value,
+/// or drop it to disconnect the receiver.
+pub struct OneShotSender<T> {
+    shared: Arc<Shared<T>>,
+    /// The value to deliver; the drop delivers it, so a send takes the
+    /// lock once.
+    value: Option<T>,
+}
+
+struct Shared<T> {
+    slot: Mutex<Slot<T>>,
+    ready: Condvar,
+}
+
+enum Slot<T> {
+    Empty,
+    /// Empty, with the receiver waiting on the condvar: only then does
+    /// the sender pay for a wake-up (a futex call even with no waiter).
+    Parked,
+    Sent(T),
+    Disconnected,
+}
+
+impl<T> OneShot<T> {
+    /// A fresh channel: its sender and its receiver.
+    pub fn channel() -> (OneShotSender<T>, OneShot<T>) {
+        let shared = Arc::new(Shared {
+            slot: Mutex::new(Slot::Empty),
+            ready: Condvar::new(),
+        });
+        let sender = OneShotSender {
+            shared: Arc::clone(&shared),
+            value: None,
+        };
+        (sender, OneShot { shared })
+    }
+
+    /// Block until the value arrives, or until the sender is dropped
+    /// unsent (`Err`).
+    pub fn recv(self) -> Result<T, RecvError> {
+        let mut slot = self.shared.slot.lock();
+        loop {
+            match std::mem::replace(&mut *slot, Slot::Parked) {
+                Slot::Empty | Slot::Parked => self.shared.ready.wait(&mut slot),
+                Slot::Sent(value) => return Ok(value),
+                Slot::Disconnected => return Err(RecvError),
+            }
+        }
+    }
+}
+
+impl<T> OneShotSender<T> {
+    /// Hand `value` to the receiver: it stays in the channel until
+    /// received, or until the receiver is dropped too.
+    pub fn send(mut self, value: T) {
+        self.value = Some(value);
+    }
+}
+
+impl<T> Drop for OneShotSender<T> {
+    fn drop(&mut self) {
+        let mut slot = self.shared.slot.lock();
+        let sent = match self.value.take() {
+            Some(value) => Slot::Sent(value),
+            None => Slot::Disconnected,
+        };
+        if matches!(std::mem::replace(&mut *slot, sent), Slot::Parked) {
+            self.shared.ready.notify_one();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
 
@@ -450,6 +534,31 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         waiter.join().expect("waiter thread");
+    }
+
+    #[test]
+    fn one_shot_delivers_a_value_sent_before_the_wait() {
+        let (tx, rx) = OneShot::channel();
+        tx.send(7);
+        assert_eq!(rx.recv(), Ok(7));
+    }
+
+    #[test]
+    fn one_shot_wakes_a_receiver_already_waiting() {
+        let (tx, rx) = OneShot::channel();
+        let waiter = thread::spawn(move || rx.recv());
+        thread::sleep(Duration::from_millis(10));
+        tx.send(String::from("answer"));
+        assert_eq!(waiter.join().expect("waiter thread"), Ok("answer".into()));
+    }
+
+    #[test]
+    fn one_shot_sender_dropped_unsent_disconnects() {
+        let (tx, rx) = OneShot::<u8>::channel();
+        let waiter = thread::spawn(move || rx.recv());
+        thread::sleep(Duration::from_millis(10));
+        drop(tx);
+        assert_eq!(waiter.join().expect("waiter thread"), Err(RecvError));
     }
 
     #[test]

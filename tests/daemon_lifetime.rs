@@ -15,7 +15,8 @@
 //! metrics exposition: a closed container's
 //! series are retired, and what grows is only the digits of the
 //! daemon-lifetime counters, so `query_metrics` keeps answering over the
-//! wire.
+//! wire. The scheduler keeps each closed record out of its open map and
+//! without heap: no allocation table, no queue, no bytes in flight.
 //!
 //! The same holds for the operations it serves: once the daemon is warm,
 //! a long run of malloc/done/free cycles on one open container leaves
@@ -230,7 +231,17 @@ fn three_hundred_lifecycles_leave_the_footprint_of_ten() {
 
     assert_eq!(convgpu.metrics().len() as u64, LIFECYCLES);
     convgpu.service().with_backend(|b| {
-        assert_eq!(b.primary().total_assigned(), Bytes::ZERO);
+        let s = b.primary();
+        assert_eq!(s.total_assigned(), Bytes::ZERO);
+        // Every record closed, out of the open map, and without heap.
+        assert_eq!(s.open().count(), 0, "open records");
+        assert_eq!(s.containers().count() as u64, LIFECYCLES);
+        for r in s.containers() {
+            assert_eq!(r.state, ContainerState::Closed, "{}", r.id);
+            let heap = (r.allocations.capacity(), r.pending.capacity());
+            assert_eq!(heap, (0, 0), "{}: allocations, pending", r.id);
+            assert!(r.in_flight.is_empty(), "{}: in flight", r.id);
+        }
         b.check_invariants().unwrap();
     });
     let (free, total) = convgpu.device().mem_info();
